@@ -10,9 +10,12 @@ Public surface:
 * :class:`MixedPrecisionAdamW`, :class:`LossScaler` — fp16 training;
 * :func:`checkpoint`, :class:`CheckpointedStack` — activation checkpointing;
 * :class:`SyntheticCorpus`, :class:`LMBatches` — the dataset substitute.
+
+Importing this package also sets the process allocator policy
+(:mod:`repro.nn.memory`).
 """
 
-from . import functional
+from . import functional, memory
 from .clip import (
     clip_grad_norm_,
     combine_partial_norms,

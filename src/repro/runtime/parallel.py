@@ -48,15 +48,17 @@ import threading
 import time
 import traceback
 import types
-from multiprocessing import shared_memory
+from multiprocessing import connection, shared_memory
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
 from ..analysis.protocol import ProtocolError, TraceRecorder
+from ..nn.blas import share_blas_threads
 from ..obs import RuntimeTracer, append_spans_jsonl
 from ..obs.schema import ObsSpan
-from .shm import RingAborted, ShmRing, attach_shared_memory
+from .shm import (_POLL_SLEEP, _SPIN, RingAborted, ShmRing,
+                  attach_shared_memory)
 from .transport import (BaseRankTransport, DeadlockError, Packet, RECV,
                         RankFailure, TimedRecv)
 
@@ -78,7 +80,6 @@ DEFAULT_DETECT_TIMEOUT_S = 30.0
 #: wall-clock with zero progress and every rank blocked => deadlock
 DEFAULT_HANG_TIMEOUT_S = 60.0
 
-_POLL_SLEEP = 200e-6
 _STATUS_COMPUTING = 0
 _STATUS_WAITING = 1
 _STATUS_WAITING_TIMED = 2
@@ -284,7 +285,7 @@ class WorkerContext:
                     raise TimeoutError(
                         f"rank {rank} recv timed out after deadline")
                 spins += 1
-                if spins >= 64:
+                if spins >= _SPIN:
                     time.sleep(_POLL_SLEEP)
         finally:
             state.set_status(rank, _STATUS_COMPUTING)
@@ -346,6 +347,9 @@ def _worker_main(rank: int, n_ranks: int,
     ``{trace_dir}/rank{rank}.jsonl`` with the worker's real pid, so they
     survive a SIGKILL of this very process.
     """
+    # This rank's share of the cores: n_ranks forked copies of a BLAS
+    # pool sized for the whole machine starve one another (repro.nn.blas).
+    share_blas_threads(n_ranks)
     out_rings = {dst: ShmRing.attach(name, cap)
                  for dst, (name, cap) in out_ring_names.items()}
     in_rings = {src: ShmRing.attach(name, cap)
@@ -536,8 +540,23 @@ class ProcessPool:
             except (EOFError, OSError):
                 pass  # worker died with the pipe open; sentinel check owns it
 
+    def _wait_for_event(self, ranks: set, timeout: float) -> None:
+        """Sleep until one of ``ranks`` replies or its process exits, or
+        ``timeout`` seconds pass — the parent's only wait.  A reply makes
+        the rank's pipe readable and a death makes its sentinel readable,
+        so both are seen at once and the parent costs the workers no CPU
+        in between."""
+        handles: List[Any] = []
+        for r in ranks:
+            h = self.workers[r]
+            handles += (h.conn, h.proc.sentinel)
+        connection.wait(handles, timeout)
+
     def gather(self, ranks: List[int]) -> Dict[int, Tuple]:
         """Collect one reply per rank, watching for death and hangs.
+
+        The parent blocks on the pending ranks' reply pipes and process
+        sentinels, waking at least every ``tick_s`` for the liveness checks.
 
         Raises :class:`RankFailure` when a worker process dies or stops
         heartbeating, :class:`DeadlockError` when every outstanding rank
@@ -616,7 +635,7 @@ class ProcessPool:
                     f"progress for {self.hang_timeout_s}s — deadlock",
                     stuck=stuck,
                     orphans=self.drain_rings())
-            time.sleep(_POLL_SLEEP)
+            self._wait_for_event(pending, self.tick_s)
         return results
 
     def _progress_snapshot(self) -> Tuple:
@@ -632,9 +651,10 @@ class ProcessPool:
         waiting = set(survivors)
         sink: Dict[int, Tuple] = {}
         while waiting and time.monotonic() < deadline:
+            # returns at once for a reply or a death that is already there
+            self._wait_for_event(waiting, self.tick_s)
             self._drain_replies(waiting, sink)
             waiting = {r for r in waiting if self.workers[r].proc.is_alive()}
-            time.sleep(_POLL_SLEEP)
         for r in waiting:  # stuck mid-compute past the grace period
             self.kill(r)
         self.respawn_dead()
@@ -1157,10 +1177,9 @@ class ProcessBackend:
             offset = numel
             for p, has_grad in zip(params, payload["grad_mask"]):
                 if has_grad:
-                    grad = flat[offset:offset + p.size] \
-                        .reshape(p.data.shape).copy()
+                    grad = flat[offset:offset + p.size].reshape(p.data.shape)
                     if p.grad is None:
-                        p.grad = grad
+                        p.grad = grad.copy()
                     else:
                         np.copyto(p.grad, grad)
                 else:

@@ -72,6 +72,9 @@ def attach_shared_memory(name: str) -> shared_memory.SharedMemory:
 _HEADER = 32  # tail:u64 + head:u64 + tail_frames:u64 + head_frames:u64
 _LEN = struct.Struct("<Q")
 
+# The one back-off of every shared-memory poll loop: a ring's wait for
+# space and the worker's wait for a frame (``WorkerContext._recv`` in
+# :mod:`repro.runtime.parallel` imports this pair).
 #: seconds to sleep between polls once the short spin phase is exhausted
 _POLL_SLEEP = 100e-6
 #: pure-spin iterations before backing off to timed sleeps

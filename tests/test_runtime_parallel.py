@@ -10,12 +10,16 @@ here lives at the top of this module.
 
 import json
 import os
+import resource
 import signal
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.nn import GPTConfig
+from repro.nn.blas import blas_threads, share_blas_threads
 from repro.obs import (RuntimeTracer, merge_rank_jsonl, read_spans_jsonl,
                        write_chrome_trace_multiprocess)
 from repro.resilience import Fault, FaultPlan, ResilientTrainer, RetryPolicy
@@ -74,6 +78,44 @@ def suicide(rank, send):
         return pkt.data
     pkt = yield RECV
     os.kill(os.getpid(), signal.SIGKILL)  # never returns
+
+
+def napper(rank, send, seconds):
+    """No communication: every rank just sleeps (the parent has nothing
+    to do but wait)."""
+    time.sleep(seconds)
+    return rank
+
+
+def report_blas_threads(rank, send):
+    return blas_threads()
+
+
+def recap_blas_threads(rank, send):
+    share_blas_threads(1)  # "one process on this machine"
+    return blas_threads()
+
+
+def wait_on_sleeper(rank, send, seconds):
+    """Rank 0 blocks on a message rank 1 would send after ``seconds``."""
+    if rank == 0:
+        pkt = yield RECV
+        return pkt.data
+    time.sleep(seconds)
+    send(0, "late", 0, 1.0)
+
+
+def wait_on_raiser(rank, send):
+    """Rank 0 blocks on a message that never comes: rank 1 raises."""
+    if rank == 0:
+        pkt = yield RECV
+        return pkt.data
+    raise ValueError("rank 1 gives up")
+
+
+needs_openblas = pytest.mark.skipif(
+    blas_threads() is None,
+    reason="NumPy is not running on an OpenBLAS this process can reach")
 
 
 # -- ShmRing ------------------------------------------------------------------
@@ -233,6 +275,99 @@ class TestProcessTransport:
                                1: ProgramSpec(suicide)})
             assert exc.value.dead == [1]
             assert transport.dead == {1}
+        finally:
+            transport.close()
+
+    def test_parent_is_idle_while_workers_work(self):
+        # gather blocks on the reply pipes and sentinels: six tick wakes
+        # in 0.3 s, not 1500 polls (which cost the parent 55-65 ms here).
+        transport = ProcessTransport(2)
+        try:
+            transport.run({r: ProgramSpec(compute_only, 0)
+                           for r in range(2)})  # spawn outside the window
+            before = resource.getrusage(resource.RUSAGE_SELF)
+            t0 = time.monotonic()
+            out = transport.run({r: ProgramSpec(napper, 0.3)
+                                 for r in range(2)})
+            wall = time.monotonic() - t0
+            after = resource.getrusage(resource.RUSAGE_SELF)
+        finally:
+            transport.close()
+        assert out == {0: 0, 1: 1}
+        assert wall >= 0.3
+        cpu = (after.ru_utime - before.ru_utime
+               + after.ru_stime - before.ru_stime)
+        assert cpu < 0.030, f"parent burned {cpu * 1e3:.1f} ms while waiting"
+
+    @needs_openblas
+    def test_rank_workers_split_the_blas_threads(self):
+        # Forked workers would each inherit a BLAS pool sized for the
+        # whole machine; together they must not want more than the cores.
+        cores = len(os.sched_getaffinity(0))
+        mine = blas_threads()
+        for n_ranks in (1, 2, 2 * cores):
+            transport = ProcessTransport(n_ranks)
+            try:
+                got = transport.run({r: ProgramSpec(report_blas_threads)
+                                     for r in range(n_ranks)})
+            finally:
+                transport.close()
+            share = max(1, cores // n_ranks)
+            assert all(1 <= t <= share for t in got.values()), got
+        assert blas_threads() == mine  # the parent's own pool is untouched
+
+    @needs_openblas
+    def test_blas_share_is_a_cap_not_a_setting(self):
+        # A worker already capped at one thread by the split asks again,
+        # this time for "all the cores": the count must not go back up.
+        transport = ProcessTransport(2 * len(os.sched_getaffinity(0)))
+        try:
+            got = transport.run({0: ProgramSpec(recap_blas_threads)})
+        finally:
+            transport.close()
+        assert got == {0: 1}
+
+    def test_sigkill_mid_batch_is_noticed_at_once(self):
+        # Rank 1 would sleep for 20 s and the heartbeat backstop is 30 s
+        # away: only the sentinel can end this run within a second.
+        transport = ProcessTransport(2)
+        killed_at = []
+
+        def kill_rank_1():
+            killed_at.append(time.monotonic())
+            os.kill(transport.pool.workers[1].proc.pid, signal.SIGKILL)
+
+        try:
+            transport.pool.start()
+            timer = threading.Timer(0.2, kill_rank_1)
+            timer.start()
+            try:
+                with pytest.raises(RankFailure) as exc:
+                    transport.run({r: ProgramSpec(wait_on_sleeper, 20.0)
+                                   for r in range(2)})
+                raised_at = time.monotonic()
+            finally:
+                timer.cancel()
+                timer.join(timeout=5.0)
+            assert exc.value.dead == [1]
+            assert killed_at and raised_at - killed_at[0] < 1.0
+            # the pool settled: survivor aborted, dead rank respawned
+            assert transport.run({r: ProgramSpec(compute_only, 1)
+                                  for r in range(2)}) == {0: 1, 1: 2}
+        finally:
+            transport.close()
+
+    def test_error_reply_aborts_blocked_peers(self):
+        # Rank 0 would wait forever (deadlock timeout: 60 s); rank 1's
+        # traceback must surface as soon as its reply lands.
+        transport = ProcessTransport(2)
+        try:
+            transport.pool.start()
+            t0 = time.monotonic()
+            with pytest.raises(RuntimeError, match="rank 1 gives up"):
+                transport.run({r: ProgramSpec(wait_on_raiser)
+                               for r in range(2)})
+            assert time.monotonic() - t0 < 2.0
         finally:
             transport.close()
 
