@@ -8,10 +8,11 @@ on it.  Three pieces:
   execute each rank program against a capture transport that records
   ``send`` / ``yield RECV`` / ``recv_within`` calls with abstract payloads.
   Crucially the models drive the *real* generators — Algorithm 2's
-  :func:`~repro.runtime.rankprog.inter_layer_step`, the flushing
-  baselines' ``_rank_program`` and the serving engine's scheduler / mid /
-  tail programs — with symbolic stages, so the skeleton cannot drift from
-  the runtime (the cross-validation test pins op-for-op agreement with
+  :func:`~repro.runtime.rankprog.inter_layer_step`, the schedule
+  compiler's :func:`~repro.sched.compile.lower_rank` and the serving
+  engine's scheduler / mid / tail programs — with symbolic stages, so
+  the skeleton cannot drift from the runtime (the cross-validation
+  tests pin op-for-op agreement with
   :class:`~repro.analysis.protocol.TraceRecorder` traces of actual runs).
 
 * **Model checking** (:func:`check_model`) — exhaustively explore the
@@ -32,12 +33,12 @@ on it.  Three pieces:
   wait-for-graph counterexample with the full interleaving op trace
   (:class:`DeadlockWitness`).
 
-* **Built-in models** — :func:`axonn_model`, :func:`flushing_model`
-  (1F1B / GPipe), :func:`serve_model`, and the seeded
-  :func:`deadlock_mutant_model` (a last stage that defers each backward
-  send until the *next* forward arrives, so the final gradient is never
-  sent — every interleaving deadlocks, and the checker must say exactly
-  where).
+* **Built-in models** — :func:`axonn_model`, :func:`scheduled_model`
+  (every IR schedule, 1F1B / GPipe included), :func:`serve_model`, and
+  the seeded :func:`deadlock_mutant_model` (a last stage that defers
+  each backward send until the *next* forward arrives, so the final
+  gradient is never sent — every interleaving deadlocks, and the
+  checker must say exactly where).
 
 ``python -m repro verify`` sweeps :func:`builtin_models` with these
 checks; ``pytest -m lint`` pins the acceptance bar.
@@ -51,7 +52,6 @@ from typing import (Any, Callable, Dict, FrozenSet, Generator, List, Optional,
 
 import numpy as np
 
-from ..baselines.functional_pipeline import FlushingPipelineTrainer
 from ..runtime.grid import RankGrid
 from ..runtime.rankprog import TAG_BWD, TAG_FWD, inter_layer_step
 from ..runtime.tp import TPComm, tp_follower_step
@@ -73,13 +73,12 @@ __all__ = [
     "deadlock_mutant_model",
     "disagg_serve_model",
     "extract_skeleton",
-    "flushing_model",
     "scheduled_model",
     "serve_model",
 ]
 
-#: the single plane of ordinary ``yield RECV`` traffic; the flushing
-#: baselines add "F" / "B" planes (their two physical transports).
+#: the single plane of ordinary ``yield RECV`` traffic; compiled
+#: schedules add "F" / "B" planes (their two physical transports).
 P2P = "p2p"
 
 #: pseudo-plane for in-stream collective records (tensor-parallel groups);
@@ -168,26 +167,9 @@ class _Capture:
         never becomes a deliverable message."""
         self.sent.append(_Msg(rank, rank, op, None, COLLECTIVE_PLANE, key))
 
-    def plane_view(self, plane: str) -> "_PlaneView":
-        return _PlaneView(self, plane)
-
     def drain(self) -> List[_Msg]:
         out, self.sent = self.sent, []
         return out
-
-
-class _PlaneView:
-    """Facade binding a plane name — stands in for one of the flushing
-    trainer's two physical transports (``fwd_net`` / ``bwd_net``)."""
-
-    def __init__(self, capture: _Capture, plane: str):
-        self._capture = capture
-        self._plane = plane
-
-    def send(self, src: int, dst: int, tag: str, microbatch: Any,
-             data: Any = None) -> None:
-        self._capture.send(src, dst, tag, microbatch, data,
-                           plane=self._plane)
 
 
 class _SymbolicStage:
@@ -258,6 +240,25 @@ def _close_all(programs: Dict[int, Generator]) -> None:
         gen.close()
 
 
+def _dp_collective_plan(grid: RankGrid, param_slots: Any):
+    """What every trainer's data-parallel phase records after the
+    transport run: one ``allreduce_fp32`` per parameter slot (an int, or
+    one per stage) on each rank of a grid column.  Returns
+    (rank -> ordered plan, the columns that must agree)."""
+    slots = ([param_slots] * grid.g_inter if isinstance(param_slots, int)
+             else list(param_slots))
+    collectives: Dict[int, List[Tuple[str, Any]]] = {}
+    groups: List[List[int]] = []
+    if grid.g_data > 1:
+        for i in range(grid.g_inter):
+            column = grid.data_parallel_ranks(i)
+            groups.append(column)
+            plan = [("allreduce_fp32", (i, slot)) for slot in range(slots[i])]
+            for r in column:
+                collectives[r] = list(plan)
+    return collectives, groups
+
+
 def axonn_model(g_inter: int, g_data: int, microbatches: int,
                 pipeline_limit: Optional[int] = None,
                 param_slots: Any = 1, g_intra: int = 1) -> CommModel:
@@ -279,8 +280,6 @@ def axonn_model(g_inter: int, g_data: int, microbatches: int,
     if m < 1:
         raise ValueError("microbatches must be >= 1")
     limit = g_inter if pipeline_limit is None else pipeline_limit
-    slots = ([param_slots] * g_inter if isinstance(param_slots, int)
-             else list(param_slots))
 
     def make(capture: _Capture) -> Dict[int, Generator]:
         programs: Dict[int, Generator] = {}
@@ -301,15 +300,7 @@ def axonn_model(g_inter: int, g_data: int, microbatches: int,
                 m * g_data, limit, tp=tp)
         return programs
 
-    collectives: Dict[int, List[Tuple[str, Any]]] = {}
-    groups: List[List[int]] = []
-    if g_data > 1:
-        for i in range(g_inter):
-            column = grid.data_parallel_ranks(i)
-            groups.append(column)
-            plan = [("allreduce_fp32", (i, slot)) for slot in range(slots[i])]
-            for r in column:
-                collectives[r] = list(plan)
+    collectives, groups = _dp_collective_plan(grid, param_slots)
     tp_groups: List[List[int]] = []
     if g_intra > 1:
         for j in range(g_data):
@@ -327,49 +318,6 @@ def axonn_model(g_inter: int, g_data: int, microbatches: int,
                      config, tp_groups=tp_groups, reflector_ranks=reflectors)
 
 
-def flushing_model(schedule: str, g_inter: int, g_data: int,
-                   microbatches: int, param_slots: Any = 1) -> CommModel:
-    """1F1B / GPipe — the *real*
-    :meth:`~repro.baselines.functional_pipeline.FlushingPipelineTrainer.
-    _rank_program` generators, driven on the two tag planes ("F"/"B")
-    the trainer's ``_pump`` uses."""
-    if schedule not in ("1f1b", "gpipe"):
-        raise ValueError(f"unknown schedule {schedule!r}")
-    grid = RankGrid(g_inter, g_data)
-    m = microbatches
-    if m < 1:
-        raise ValueError("microbatches must be >= 1")
-    slots = ([param_slots] * g_inter if isinstance(param_slots, int)
-             else list(param_slots))
-
-    def make(capture: _Capture) -> Dict[int, Generator]:
-        shell = object.__new__(FlushingPipelineTrainer)
-        shell.grid = grid
-        shell.schedule = schedule
-        shell.stages = {r: _SymbolicStage()
-                        for r in range(grid.world_size)}
-        fwd_net = capture.plane_view("F")
-        bwd_net = capture.plane_view("B")
-        return {
-            rank: FlushingPipelineTrainer._rank_program(
-                shell, rank, fwd_net, bwd_net, [(None, None)] * m,
-                m * g_data)
-            for rank in range(grid.world_size)
-        }
-
-    collectives: Dict[int, List[Tuple[str, Any]]] = {}
-    groups: List[List[int]] = []
-    if g_data > 1:
-        for i in range(g_inter):
-            column = grid.data_parallel_ranks(i)
-            groups.append(column)
-            plan = [("allreduce_fp32", (i, slot)) for slot in range(slots[i])]
-            for r in column:
-                collectives[r] = list(plan)
-    return CommModel(schedule, grid.world_size, make, collectives, groups,
-                     {"g_inter": g_inter, "g_data": g_data, "m": m})
-
-
 def scheduled_model(schedule: Any, g_inter: int, g_data: int,
                     microbatches: int, param_slots: Any = 1) -> CommModel:
     """Any IR schedule, lowered by the *real* compiler.
@@ -377,15 +325,16 @@ def scheduled_model(schedule: Any, g_inter: int, g_data: int,
     ``schedule`` is a shipped builder name or a validated
     :class:`~repro.sched.ir.Schedule` instance (e.g. a search
     perturbation).  Drives :func:`repro.sched.compile.lower_rank` — the
-    same lowering the :class:`~repro.sched.compile.ScheduledPipelineTrainer`
-    executes — with symbolic stages over the two tag planes, so
-    interleaved and zero-bubble schedules get the identical
-    deadlock-freedom / complete-matching proof as the hardcoded
-    baselines.  Raises ``ValueError`` for grids the builder rejects
-    (e.g. interleaved needs ``microbatches % g_inter == 0``).
+    same walk both backends of
+    :class:`~repro.sched.compile.ScheduledPipelineTrainer` execute —
+    with symbolic stages over the two tag planes, so every schedule,
+    shipped or searched, gets the identical deadlock-freedom /
+    complete-matching proof.  Raises ``ValueError`` for grids the
+    builder rejects (e.g. interleaved needs
+    ``microbatches % g_inter == 0``).
     """
     from ..sched.builders import build_schedule
-    from ..sched.compile import lower_rank
+    from ..sched.compile import lower_rank, plane_recv
     from ..sched.ir import Schedule
     grid = RankGrid(g_inter, g_data)
     m = microbatches
@@ -398,29 +347,19 @@ def scheduled_model(schedule: Any, g_inter: int, g_data: int,
         sched, schedule = schedule, schedule.name
     else:
         sched = build_schedule(schedule, g_inter, m)
-    slots = ([param_slots] * g_inter if isinstance(param_slots, int)
-             else list(param_slots))
 
     def make(capture: _Capture) -> Dict[int, Generator]:
-        fwd_net = capture.plane_view("F")
-        bwd_net = capture.plane_view("B")
-        return {
-            rank: lower_rank(
-                sched, grid, rank,
-                {v: _SymbolicStage() for v in range(sched.n_virtual)},
-                fwd_net, bwd_net, [(None, None)] * m, m * g_data)
-            for rank in range(grid.world_size)
-        }
+        stages = {v: _SymbolicStage() for v in range(sched.n_virtual)}
+        programs: Dict[int, Generator] = {}
+        for rank in range(grid.world_size):
+            send = (lambda dst, plane, _stage, mb, data, _r=rank:
+                    capture.send(_r, dst, plane, mb, data, plane=plane))
+            programs[rank] = lower_rank(
+                sched, grid, rank, stages, send, plane_recv,
+                [(None, None)] * m, m * g_data)
+        return programs
 
-    collectives: Dict[int, List[Tuple[str, Any]]] = {}
-    groups: List[List[int]] = []
-    if g_data > 1:
-        for i in range(g_inter):
-            column = grid.data_parallel_ranks(i)
-            groups.append(column)
-            plan = [("allreduce_fp32", (i, slot)) for slot in range(slots[i])]
-            for r in column:
-                collectives[r] = list(plan)
+    collectives, groups = _dp_collective_plan(grid, param_slots)
     return CommModel(f"sched-{schedule}", grid.world_size, make,
                      collectives, groups,
                      {"g_inter": g_inter, "g_data": g_data, "m": m})
@@ -592,16 +531,15 @@ def deadlock_mutant_model(g_inter: int = 2, microbatches: int = 2,
 
 def builtin_models(max_world: int = 8, max_microbatches: int = 4,
                    include_serve: bool = True) -> List[CommModel]:
-    """Every built-in variant at every small config: AxoNN / 1F1B / GPipe
-    over all ``g_inter x g_data <= max_world``, ``m <= max_microbatches``,
-    plus small serving pipelines."""
+    """Every built-in variant at every small config: message-driven
+    AxoNN and each shipped IR schedule over all
+    ``g_inter x g_data <= max_world``, ``m <= max_microbatches``, plus
+    small serving pipelines."""
     models: List[CommModel] = []
     for g_inter in range(1, max_world + 1):
         for g_data in range(1, max_world // g_inter + 1):
             for m in range(1, max_microbatches + 1):
                 models.append(axonn_model(g_inter, g_data, m))
-                models.append(flushing_model("1f1b", g_inter, g_data, m))
-                models.append(flushing_model("gpipe", g_inter, g_data, m))
                 # Every shipped IR schedule through the real compiler
                 # (interleaved rejects grids with m % g_inter != 0 or a
                 # depth-one pipeline; skip those instead of special-casing).
@@ -686,8 +624,8 @@ def _wait_kind(request: Any, rank: int) -> Tuple[str, ...]:
 def extract_skeleton(model: CommModel) -> Skeleton:
     """Run the ensemble once under the cooperative scheduler's own policy
     (sorted-rank sweeps, run-until-blocked with immediate redelivery) and
-    record every channel op.  Faithful to ``RankTransport._sweep`` /
-    ``FlushingPipelineTrainer._pump``, so per-rank op order matches what a
+    record every channel op.  Mirrors ``RankTransport._sweep`` /
+    :func:`repro.sched.compile.pump`, so per-rank op order matches what a
     :class:`~repro.analysis.protocol.TraceRecorder` sees on a real run."""
     capture = _Capture(model.n_ranks)
     programs = model.make_programs(capture)

@@ -3,13 +3,15 @@
 Public surface:
 
 * :class:`ThreeDConfig` — a 3D-parallel configuration (Table II row);
-* :func:`simulate_baseline_batch` / :class:`BaselineResult`;
-* :func:`one_f_one_b_schedule`, :func:`gpipe_schedule`,
-  :func:`bubble_fraction` — static flushing pipeline schedules.
+* :func:`simulate_baseline_batch` / :class:`BaselineResult`.
+
+Their static flushing schedules (1F1B / GPipe) live in :mod:`repro.sched`:
+:func:`~repro.sched.flushing_order` is the one source of the compute
+order (the DES model here walks it) and
+:class:`~repro.sched.ScheduledPipelineTrainer` runs it with real numerics.
 """
 
 from .config import ThreeDConfig
-from .functional_pipeline import FlushingPipelineTrainer
 from .intra_layer import (
     ColumnParallelLinear,
     CommCounter,
@@ -24,16 +26,9 @@ from .frameworks import (
     simulate_baseline_batch,
 )
 from .zero1 import Zero1AdamW
-from .schedules import (
-    bubble_fraction,
-    gpipe_schedule,
-    max_inflight,
-    one_f_one_b_schedule,
-)
 
 __all__ = [
     "ThreeDConfig",
-    "FlushingPipelineTrainer",
     "ColumnParallelLinear",
     "CommCounter",
     "RowParallelLinear",
@@ -43,9 +38,5 @@ __all__ = [
     "baseline_stage_costs",
     "check_baseline_memory",
     "simulate_baseline_batch",
-    "bubble_fraction",
-    "gpipe_schedule",
-    "max_inflight",
-    "one_f_one_b_schedule",
     "Zero1AdamW",
 ]

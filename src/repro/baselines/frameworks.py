@@ -29,8 +29,8 @@ from ..comm import Message, Messenger, TAG_BACKWARD, TAG_FORWARD
 from ..core.memory_model import MemoryBreakdown, MemoryModel
 from ..core.metrics import estimated_training_days, percent_of_peak
 from ..core.phases import jitter_factor, optimizer_time_on_gpu
+from ..sched import FWD, flushing_order
 from .config import ThreeDConfig
-from .schedules import gpipe_schedule, one_f_one_b_schedule
 
 __all__ = ["BaselineResult", "simulate_baseline_batch",
            "baseline_stage_costs", "check_baseline_memory"]
@@ -179,8 +179,6 @@ def simulate_baseline_batch(cfg: ThreeDConfig,
     nccl = cal.nccl
     costs = baseline_stage_costs(cfg, machine)
     m = cfg.microbatches_per_shard
-    sched_fn = one_f_one_b_schedule if cfg.schedule == "1f1b" \
-        else gpipe_schedule
 
     # Representative GPU per pipeline stage: intra-layer group members act
     # in lockstep, so one GPU per stage carries the modeled time; pipeline
@@ -195,9 +193,9 @@ def simulate_baseline_batch(cfg: ThreeDConfig,
     def stage_proc(i: int) -> Generator:
         gpu = machine.gpu(gpus[i])
         cost = costs[i]
-        ops = sched_fn(i, cfg.g_inter, m)
-        for kind, mb in ops:
-            if kind == "F":
+        for task in flushing_order(cfg.schedule, i, cfg.g_inter, m):
+            mb = task.mb
+            if task.kind == FWD:
                 if i > 0:
                     yield fwd_messenger.irecv(gpus[i])
                 factor = jitter_factor(sigma, jseed, i, mb, 0)

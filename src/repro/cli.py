@@ -855,7 +855,7 @@ def cmd_sched(args) -> bool:
         print(f"  [FAIL] {e}")
         return False
     losses = ", ".join(f"{l:.6f}" for l in report["losses"])
-    print(f"  [ok] losses match flushing 1F1B: {losses}")
+    print(f"  [ok] losses match the serial reference: {losses}")
     print(f"  peak resident activations per rank: "
           f"{report['peak_resident_activations']}")
     return True

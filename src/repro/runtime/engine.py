@@ -49,7 +49,7 @@ from ..analysis.protocol import TraceRecorder
 from ..nn import AdamW, GPTConfig, LossScaler
 from ..obs import RuntimeTracer
 from ..perf.counters import counters as _perf_counters
-from .grid import RankGrid
+from .grid import RankGrid, split_batch
 from .offload import BucketedOffloadAdamW
 from .rankprog import TAG_BWD, TAG_FWD, inter_layer_step
 from .stage import PipelineStage
@@ -228,36 +228,6 @@ class AxoNNTrainer:
         the cached views alias the *old* stage's parameter objects)."""
         self._dp_buffers.clear()
 
-    # -- shard bookkeeping -------------------------------------------------
-    def _split_batch(self, x: np.ndarray, y: np.ndarray):
-        """Divide the batch into G_data shards, each into microbatches.
-
-        Returns (per-group microbatch lists of (x, y), total microbatches).
-        """
-        b = x.shape[0]
-        g_data = self.grid.g_data
-        if b % g_data != 0:
-            raise ValueError(f"batch size {b} not divisible by "
-                             f"G_data={g_data}")
-        shard = b // g_data
-        if shard % self.microbatch_size != 0:
-            raise ValueError(
-                f"batch shard {shard} not divisible by microbatch size "
-                f"{self.microbatch_size}"
-            )
-        per_shard = shard // self.microbatch_size
-        groups = []
-        for j in range(g_data):
-            xs = x[j * shard:(j + 1) * shard]
-            ys = y[j * shard:(j + 1) * shard]
-            mbs = [
-                (xs[k * self.microbatch_size:(k + 1) * self.microbatch_size],
-                 ys[k * self.microbatch_size:(k + 1) * self.microbatch_size])
-                for k in range(per_shard)
-            ]
-            groups.append(mbs)
-        return groups, per_shard * g_data
-
     # -- Algorithm 2 ------------------------------------------------------------
     def _rank_program(self, rank: int, transport: RankTransport,
                       microbatches: List[Tuple[np.ndarray, np.ndarray]],
@@ -427,7 +397,8 @@ class AxoNNTrainer:
     def train_batch(self, x: np.ndarray, y: np.ndarray) -> TrainReport:
         """One full DATA_PARALLEL_STEP + optimizer step; returns the mean
         batch loss (exactly comparable to a serial full-batch loss)."""
-        groups, total_mb = self._split_batch(x, y)
+        groups, total_mb = split_batch(x, y, self.grid.g_data,
+                                       self.microbatch_size)
         for stage in self.stages.values():
             stage.microbatch_losses.clear()
         for opt in self.optimizers.values():

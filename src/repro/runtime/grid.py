@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-__all__ = ["RankGrid"]
+__all__ = ["RankGrid", "split_batch"]
 
 
 @dataclass(frozen=True)
@@ -116,3 +116,31 @@ class RankGrid:
         """All ranks holding stage ``i`` at intra member ``t`` (the
         gradient all-reduce group; leads by default)."""
         return [self.rank_of(i, j, t) for j in range(self.g_data)]
+
+
+def split_batch(x, y, g_data: int, microbatch_size: int):
+    """Divide the batch into G_data shards, each into microbatches.
+
+    Returns (per-group microbatch lists of (x, y), total microbatches).
+    """
+    b = x.shape[0]
+    if b % g_data != 0:
+        raise ValueError(f"batch size {b} not divisible by "
+                         f"G_data={g_data}")
+    shard = b // g_data
+    if shard % microbatch_size != 0:
+        raise ValueError(
+            f"batch shard {shard} not divisible by microbatch size "
+            f"{microbatch_size}"
+        )
+    per_shard = shard // microbatch_size
+    groups = []
+    for j in range(g_data):
+        xs = x[j * shard:(j + 1) * shard]
+        ys = y[j * shard:(j + 1) * shard]
+        groups.append([
+            (xs[k * microbatch_size:(k + 1) * microbatch_size],
+             ys[k * microbatch_size:(k + 1) * microbatch_size])
+            for k in range(per_shard)
+        ])
+    return groups, per_shard * g_data

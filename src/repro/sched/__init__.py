@@ -16,8 +16,9 @@ verified" loop:
   functional substrate as acceptance oracle (lazy for the same reason).
 """
 
-from .builders import SCHEDULE_NAMES, build_schedule, schedule_chunks
-from .compile import ScheduledPipelineTrainer, lower_rank
+from .builders import (SCHEDULE_NAMES, build_schedule, flushing_order,
+                       schedule_chunks)
+from .compile import ScheduledPipelineTrainer, lower_rank, pump
 from .ir import (BWD, FWD, RECV_ACT, RECV_GRAD, SEND_ACT, SEND_GRAD, W,
                  Schedule, ScheduleError, Task, channel_of, required_deps,
                  validate)
@@ -25,8 +26,8 @@ from .metrics import (CriticalPath, critical_path, ir_bubble_fraction,
                       peak_resident_activations, unit_cost)
 
 __all__ = [
-    "SCHEDULE_NAMES", "build_schedule", "schedule_chunks",
-    "ScheduledPipelineTrainer", "lower_rank",
+    "SCHEDULE_NAMES", "build_schedule", "flushing_order", "schedule_chunks",
+    "ScheduledPipelineTrainer", "lower_rank", "pump",
     "BWD", "FWD", "RECV_ACT", "RECV_GRAD", "SEND_ACT", "SEND_GRAD", "W",
     "Schedule", "ScheduleError", "Task", "channel_of", "required_deps",
     "validate",

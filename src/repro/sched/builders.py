@@ -1,11 +1,12 @@
 """Builders: the five shipped schedules expressed as pure data.
 
-Three re-express what the repo already runs — the AxoNN message-driven
+Three express what the paper compares — the AxoNN message-driven
 schedule (Algorithm 2, linearized by an abstract unit-cost simulation of
-its dispatch rule), 1F1B and GPipe (expanded from the op lists in
-:mod:`repro.baselines.schedules`, so the compiled programs are
-bit-identical to the hardcoded ``FlushingPipelineTrainer``).  Two are
-new and exist *only* as data: interleaved virtual-stage 1F1B
+its dispatch rule) and the two static flushing schedules of Megatron-LM
+and DeepSpeed, 1F1B and GPipe, whose per-stage compute order has exactly
+one source, :func:`flushing_order`: the IR builders expand it and the
+DES baselines (:mod:`repro.baselines.frameworks`) walk it directly.
+Two exist *only* as data: interleaved virtual-stage 1F1B
 (``n_chunks`` chunks per rank, chunk placement ``stage % n_stages``)
 and a ZB-H1-style zero-bubble schedule (backward split into the input-
 gradient ``BWD`` and the deferred weight-gradient ``W``, which fills
@@ -24,13 +25,12 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..baselines.schedules import gpipe_schedule, one_f_one_b_schedule
 from .ir import (BWD, FWD, RECV_ACT, RECV_GRAD, SEND_ACT, SEND_GRAD, W,
                  Schedule, Task, required_deps, validate)
 
 __all__ = ["SCHEDULE_NAMES", "build_schedule", "schedule_chunks",
-           "axonn_ir", "one_f_one_b_ir", "gpipe_ir", "interleaved_ir",
-           "zero_bubble_ir"]
+           "flushing_order", "axonn_ir", "one_f_one_b_ir", "gpipe_ir",
+           "interleaved_ir", "zero_bubble_ir"]
 
 
 def _expand_compute_order(name: str, n_stages: int, n_virtual: int,
@@ -42,9 +42,9 @@ def _expand_compute_order(name: str, n_stages: int, n_virtual: int,
     """Attach the canonical comm tasks to per-rank *compute* orders.
 
     Every cross-rank FWD/BWD gets its RECV immediately before and its
-    SEND immediately after — exactly the shape of the hardcoded
-    flushing rank program, which is what makes compiled-1F1B/GPipe
-    trace-identical to it.  Dependencies are materialized as the full
+    SEND immediately after — the shape of a hand-written flushing rank
+    program, which is what keeps compiled 1F1B/GPipe on the golden
+    traces recorded from one.  Dependencies are materialized as the full
     dataflow-required edge set.
     """
     last = n_virtual - 1
@@ -84,15 +84,45 @@ def _expand_compute_order(name: str, n_stages: int, n_virtual: int,
 
 
 # ---------------------------------------------------------------------------
-# The two flushing baselines: straight from their existing op lists.
+# The two flushing baselines.
 # ---------------------------------------------------------------------------
 
+def flushing_order(name: str, stage: int, n_stages: int,
+                   n_microbatches: int) -> List[Task]:
+    """Compute order of ``stage`` under a static flushing schedule —
+    what Megatron-LM and DeepSpeed run (paper Section VIII): a
+    precomputed order, weights updated only after every microbatch
+    has drained.
+
+    * ``"1f1b"`` (PipeDream-Flush): stage *i* warms up with
+      ``S - 1 - i`` forwards, alternates one-forward-one-backward, then
+      drains — in-flight activations bounded by the pipeline depth;
+    * ``"gpipe"``: the warm-up is the whole batch — all forwards, then
+      all backwards — so in-flight activations grow with ``m``.
+
+    Unlike AxoNN's message-driven scheduler the order is *fixed*: a
+    stage that could run a ready forward while waiting for a gradient
+    simply waits — one of the two structural disadvantages the paper
+    attributes to the baselines (the other: blocking NCCL sends).
+    """
+    if name not in ("1f1b", "gpipe"):
+        raise ValueError(f"unknown flushing schedule {name!r}")
+    if not 0 <= stage < n_stages:
+        raise ValueError(f"stage {stage} outside [0, {n_stages})")
+    if n_microbatches < 1:
+        raise ValueError("need at least one microbatch")
+    m = n_microbatches
+    warmup = m if name == "gpipe" else min(n_stages - 1 - stage, m)
+    order = [Task(FWD, stage, mb) for mb in range(warmup)]
+    for mb in range(m - warmup):
+        order += [Task(FWD, stage, warmup + mb), Task(BWD, stage, mb)]
+    order += [Task(BWD, stage, mb) for mb in range(m - warmup, m)]
+    return order
+
+
 def one_f_one_b_ir(n_stages: int, n_microbatches: int) -> Schedule:
-    """1F1B re-expressed in the IR (compiles bit-identical to the
-    hardcoded trainer; peak residency on rank r is ``n_stages - r``)."""
-    orders = [[Task(FWD if kind == "F" else BWD, stage, mb)
-               for kind, mb in one_f_one_b_schedule(stage, n_stages,
-                                                    n_microbatches)]
+    """1F1B in the IR (peak residency on rank r is ``n_stages - r``)."""
+    orders = [flushing_order("1f1b", stage, n_stages, n_microbatches)
               for stage in range(n_stages)]
     return _expand_compute_order(
         "1f1b", n_stages, n_stages, n_microbatches, orders,
@@ -100,11 +130,9 @@ def one_f_one_b_ir(n_stages: int, n_microbatches: int) -> Schedule:
 
 
 def gpipe_ir(n_stages: int, n_microbatches: int) -> Schedule:
-    """GPipe re-expressed in the IR: all forwards, flush, all backwards
-    (every microbatch resident at the flush point)."""
-    orders = [[Task(FWD if kind == "F" else BWD, stage, mb)
-               for kind, mb in gpipe_schedule(stage, n_stages,
-                                              n_microbatches)]
+    """GPipe in the IR: all forwards, flush, all backwards (every
+    microbatch resident at the flush point)."""
+    orders = [flushing_order("gpipe", stage, n_stages, n_microbatches)
               for stage in range(n_stages)]
     return _expand_compute_order(
         "gpipe", n_stages, n_stages, n_microbatches, orders,

@@ -9,8 +9,7 @@ tables use — a split BWD/W pair 1 each, everything scaled by
 ``1 / n_chunks`` so virtual chunks carry proportionally less work).
 On 1F1B this reproduces the classic closed form
 ``(S - 1) / (m + S - 1)`` exactly, and it generalizes to any valid
-DAG — which is what lets :func:`repro.baselines.schedules.bubble_fraction`
-delegate here instead of special-casing one schedule.
+DAG — so no schedule needs a special-cased formula.
 
 ``peak_resident_activations`` walks each physical rank's program order
 and counts microbatches whose forward ran but whose releasing backward
@@ -133,11 +132,10 @@ def ir_bubble_fraction(n_stages: int, n_microbatches: int,
                        name: str = "1f1b") -> float:
     """Bubble fraction of a *shipped* schedule, derived from its IR.
 
-    The 1F1B default is what :func:`repro.baselines.schedules.
-    bubble_fraction` delegates to; it coincides with the closed form
-    ``(S - 1) / (m + S - 1)`` on every grid (pinned by tests), but
-    unlike the closed form it also prices GPipe, interleaved and
-    zero-bubble schedules.
+    For the 1F1B default it coincides with the closed form
+    ``(S - 1) / (m + S - 1)`` (Narayanan et al.) on every grid (pinned
+    by tests), but unlike the closed form it also prices GPipe,
+    interleaved and zero-bubble schedules.
     """
     from .builders import build_schedule  # local: avoids import cycles
     if n_stages < 1 or n_microbatches < 1:

@@ -7,10 +7,11 @@ activation limits all survive), so every candidate is executable by
 construction.  Candidates — the shipped builders plus perturbations of
 the best of them — are scored in the DES under compute jitter
 (makespan first, peak activation residency as tiebreak), and the
-winner is *replayed on the functional substrate* against the flushing
-1F1B baseline: identical losses there are the acceptance oracle, the
-same equivalence harness the baselines use.  A schedule that searches
-well but trains differently is a bug, not a win.
+winner is *replayed on the functional substrate* against the
+independent, unpipelined :class:`~repro.runtime.SerialTrainer`:
+identical losses there are the acceptance oracle, the same reference
+every shipped schedule answers to.  A schedule that searches well but
+trains differently is a bug, not a win.
 """
 
 from __future__ import annotations
@@ -124,15 +125,16 @@ def search_schedules(n_stages: int, n_microbatches: int, *,
 def replay_winner(winner: Schedule, cfg=None, n_batches: int = 2,
                   batch_size: int = 8, rel_tol: float = 2e-4
                   ) -> Dict[str, object]:
-    """Acceptance oracle: train the winner, compare to flushing 1F1B.
+    """Acceptance oracle: train the winner, compare to serial training.
 
     Any valid schedule computes the same update (the schedule only
     reorders work), so the winner's per-batch losses must match the
-    hardcoded baseline to numerical tolerance.  Raises RuntimeError on
+    serial full-batch reference — which shares no pipeline code with
+    the candidate — to numerical tolerance.  Raises RuntimeError on
     divergence; returns a replay report otherwise.
     """
-    from ..baselines.functional_pipeline import FlushingPipelineTrainer
     from ..nn import GPTConfig, LMBatches, SyntheticCorpus
+    from ..runtime.serial import SerialTrainer
     from .compile import ScheduledPipelineTrainer
     if cfg is None:
         n_layer = max(winner.n_virtual, 4)
@@ -144,8 +146,7 @@ def replay_winner(winner: Schedule, cfg=None, n_batches: int = 2,
     mbs = batch_size // m
     corpus = SyntheticCorpus(cfg.vocab_size, 4000, seed=0)
     batches = LMBatches(corpus, batch_size=batch_size, seq_len=cfg.seq_len)
-    ref = FlushingPipelineTrainer(cfg, g_inter=winner.n_stages, g_data=1,
-                                  microbatch_size=mbs, schedule="1f1b")
+    ref = SerialTrainer(cfg)
     cand = ScheduledPipelineTrainer(cfg, g_inter=winner.n_stages,
                                     microbatch_size=mbs, schedule=winner)
     ref_losses, cand_losses = [], []
@@ -156,7 +157,7 @@ def replay_winner(winner: Schedule, cfg=None, n_batches: int = 2,
     for a, b in zip(ref_losses, cand_losses):
         if not np.isfinite(b) or abs(a - b) > rel_tol * abs(a):
             raise RuntimeError(
-                f"replay diverged: {winner.name} loss {b} vs 1F1B {a}")
+                f"replay diverged: {winner.name} loss {b} vs serial {a}")
     return {
         "schedule": winner.name,
         "n_stages": winner.n_stages,

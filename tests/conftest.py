@@ -1,0 +1,22 @@
+"""Suite-wide guard: every test module must leave a clean host."""
+
+import gc
+import multiprocessing
+import os
+
+import pytest
+
+SHM_DIR = "/dev/shm"  # absent on some hosts: then only children are checked
+
+
+@pytest.fixture(scope="module", autouse=True)
+def clean_host():
+    """No surviving child process and no leaked shared-memory segment
+    after any test module: the process backends' ``close()`` paths run
+    in many modules, and what they leak outlives the suite."""
+    before = set(os.listdir(SHM_DIR)) if os.path.isdir(SHM_DIR) else None
+    yield
+    gc.collect()  # transports kept alive only by a reference cycle
+    assert multiprocessing.active_children() == []
+    if before is not None:
+        assert sorted(set(os.listdir(SHM_DIR)) - before) == []

@@ -16,13 +16,13 @@ from repro.analysis.model import (
     deadlock_mutant_model,
     disagg_serve_model,
     extract_skeleton,
-    flushing_model,
+    scheduled_model,
     serve_model,
 )
-from repro.baselines import FlushingPipelineTrainer
 from repro.fleet import DisaggPipelineServer
 from repro.nn import GPTConfig, LMBatches, SyntheticCorpus
 from repro.runtime import AxoNNTrainer
+from repro.sched import SCHEDULE_NAMES, ScheduledPipelineTrainer
 from repro.serve.engine import PipelineServer, Request
 
 
@@ -45,7 +45,7 @@ class TestSkeletons:
         assert sk.components() == [[0, 1], [2, 3]]
 
     def test_flushing_skeleton_uses_tag_planes(self):
-        sk = extract_skeleton(flushing_model("1f1b", 2, 1, 2))
+        sk = extract_skeleton(scheduled_model("1f1b", 2, 1, 2))
         planes = {op.plane for ops in sk.ops.values() for op in ops
                   if op.kind in ("send", "recv")}
         assert planes == {"F", "B"}
@@ -57,12 +57,15 @@ class TestSkeletons:
 
 class TestCheckerSweep:
     def test_all_builtin_configs_verify(self):
-        """The acceptance sweep: AxoNN / 1F1B / GPipe at every config
-        with g_inter*g_data <= 8 and microbatches <= 4 (plus small
-        serving pipelines) are deadlock-free with complete matching and
-        consistent collective order, over EVERY interleaving."""
+        """The acceptance sweep: message-driven AxoNN and every shipped
+        IR schedule at every config with g_inter*g_data <= 8 and
+        microbatches <= 4 (plus small serving pipelines) are
+        deadlock-free with complete matching and consistent collective
+        order, over EVERY interleaving."""
         models = builtin_models(max_world=8, max_microbatches=4)
-        assert len(models) >= 200  # 20 grids x 4 m x 3 variants + serve
+        # 80 (grid, m) configs x (AxoNN + every schedule accepting them)
+        # + 4D + serve: each schedule is proved once, as compiled.
+        assert len(models) == 448
         for model in models:
             result = check_model(model)
             assert result.ok, (
@@ -222,19 +225,23 @@ class TestCrossValidation:
                             param_slots=self._param_slots(trainer))
         assert compare_with_trace(extract_skeleton(model), rec) == []
 
-    @pytest.mark.parametrize("schedule", ["1f1b", "gpipe"])
+    @pytest.mark.parametrize("schedule", SCHEDULE_NAMES)
     def test_flushing_skeleton_matches_runtime_trace(self, schedule):
+        """Every compiled (flushing) schedule, op for op: the skeleton
+        the checker proves is the program the trainer runs."""
         rec = TraceRecorder()
-        cfg = self._cfg()
-        trainer = FlushingPipelineTrainer(cfg, g_inter=2, g_data=2,
-                                          microbatch_size=2,
-                                          schedule=schedule, recorder=rec)
+        cfg = self._cfg(n_layer=4)  # interleaved: 2 chunks x 2 ranks
+        trainer = ScheduledPipelineTrainer(cfg, g_inter=2, g_data=2,
+                                           microbatch_size=2,
+                                           schedule=schedule, recorder=rec)
         trainer.train_batch(*self._batch(cfg))
         columns = [trainer.grid.data_parallel_ranks(i)
                    for i in range(trainer.grid.g_inter)]
-        assert_clean(rec, groups=columns)  # new recorder wiring is sound
-        model = flushing_model(schedule, 2, 2, microbatches=2,
-                               param_slots=self._param_slots(trainer))
+        assert_clean(rec, groups=columns)
+        slots = [len(trainer.optimizers[column[0]].params)
+                 for column in columns]
+        model = scheduled_model(schedule, 2, 2, microbatches=2,
+                                param_slots=slots)
         assert compare_with_trace(extract_skeleton(model), rec) == []
 
     def test_serve_skeleton_matches_runtime_trace(self):

@@ -7,15 +7,13 @@ from hypothesis import strategies as st
 from repro.baselines import (
     ThreeDConfig,
     baseline_stage_costs,
-    bubble_fraction,
     check_baseline_memory,
-    gpipe_schedule,
-    max_inflight,
-    one_f_one_b_schedule,
     simulate_baseline_batch,
 )
 from repro.cluster import Machine, summit
 from repro.core import AxoNNConfig, WEAK_SCALING_MODELS, simulate_batch
+from repro.sched import (BWD, FWD, build_schedule, flushing_order,
+                         ir_bubble_fraction, peak_resident_activations)
 
 SPEC = WEAK_SCALING_MODELS["12B"]
 
@@ -34,63 +32,81 @@ def mg_cfg(**kw):
     return ThreeDConfig(**base)
 
 
+def ops(name, stage, n_stages, m):
+    """The one flushing order generator, as ``(kind, microbatch)`` pairs."""
+    order = flushing_order(name, stage, n_stages, m)
+    assert all(task.stage == stage for task in order)
+    return [(task.kind, task.mb) for task in order]
+
+
 class TestSchedules:
+    """Closed-form properties of the baselines' static schedules, on the
+    single generator both the IR builders and the DES model consume."""
+
     def test_1f1b_ops_complete(self):
         for stage in range(4):
-            ops = one_f_one_b_schedule(stage, 4, 8)
-            fwd = [mb for kind, mb in ops if kind == "F"]
-            bwd = [mb for kind, mb in ops if kind == "B"]
+            order = ops("1f1b", stage, 4, 8)
+            fwd = [mb for kind, mb in order if kind == FWD]
+            bwd = [mb for kind, mb in order if kind == BWD]
             assert fwd == list(range(8))
             assert bwd == list(range(8))
 
     def test_1f1b_backward_never_precedes_forward(self):
-        ops = one_f_one_b_schedule(1, 4, 8)
-        seen_f = set()
-        for kind, mb in ops:
-            if kind == "F":
-                seen_f.add(mb)
-            else:
-                assert mb in seen_f
+        for name in ("1f1b", "gpipe"):
+            seen_f = set()
+            for kind, mb in ops(name, 1, 4, 8):
+                if kind == FWD:
+                    seen_f.add(mb)
+                else:
+                    assert mb in seen_f
 
     def test_1f1b_warmup_depth(self):
-        # Stage 0 of 4 warms up with 3 forwards before its first backward.
-        ops = one_f_one_b_schedule(0, 4, 8)
-        first_b = next(i for i, (k, _) in enumerate(ops) if k == "B")
-        assert first_b == 4  # 3 warmup F + 1 steady F
+        # Stage i of S warms up with S - 1 - i forwards, then strictly
+        # alternates F/B until the forwards run out, then drains.
+        S, m = 4, 8
+        for stage in range(S):
+            kinds = [kind for kind, _ in ops("1f1b", stage, S, m)]
+            warmup = S - 1 - stage
+            steady = 2 * (m - warmup)
+            assert kinds[:warmup] == [FWD] * warmup
+            assert kinds[warmup:warmup + steady] == [FWD, BWD] * (m - warmup)
+            assert kinds[warmup + steady:] == [BWD] * warmup
 
     def test_last_stage_alternates(self):
-        ops = one_f_one_b_schedule(3, 4, 4)
-        assert ops == [("F", 0), ("B", 0), ("F", 1), ("B", 1),
-                       ("F", 2), ("B", 2), ("F", 3), ("B", 3)]
+        assert ops("1f1b", 3, 4, 4) == [
+            (FWD, 0), (BWD, 0), (FWD, 1), (BWD, 1),
+            (FWD, 2), (BWD, 2), (FWD, 3), (BWD, 3)]
 
     def test_1f1b_inflight_bounded_by_depth(self):
-        for stage in range(6):
-            ops = one_f_one_b_schedule(stage, 6, 32)
-            assert max_inflight(ops) <= 6 - stage
+        # Rank r of S holds exactly S - r activations at its peak.
+        assert peak_resident_activations(build_schedule("1f1b", 6, 32)) \
+            == (6, 5, 4, 3, 2, 1)
 
     def test_gpipe_inflight_grows_with_microbatches(self):
-        ops = gpipe_schedule(0, 4, 32)
-        assert max_inflight(ops) == 32
+        assert peak_resident_activations(build_schedule("gpipe", 4, 32)) \
+            == (32,) * 4
 
     def test_gpipe_ops_complete(self):
-        ops = gpipe_schedule(2, 4, 5)
-        assert len(ops) == 10
+        assert ops("gpipe", 2, 4, 5) == (
+            [(FWD, mb) for mb in range(5)] + [(BWD, mb) for mb in range(5)])
 
     def test_bubble_fraction(self):
-        assert bubble_fraction(4, 4) == pytest.approx(3 / 7)
-        assert bubble_fraction(1, 8) == 0.0
+        assert ir_bubble_fraction(4, 4) == pytest.approx(3 / 7)
+        assert ir_bubble_fraction(1, 8) == 0.0
         # More microbatches amortize the bubble.
-        assert bubble_fraction(8, 256) < bubble_fraction(8, 16)
+        assert ir_bubble_fraction(8, 256) < ir_bubble_fraction(8, 16)
 
     def test_schedule_bounds(self):
         with pytest.raises(ValueError):
-            one_f_one_b_schedule(4, 4, 8)
+            flushing_order("1f1b", 4, 4, 8)
         with pytest.raises(ValueError):
-            one_f_one_b_schedule(0, 4, 0)
+            flushing_order("1f1b", 0, 4, 0)
         with pytest.raises(ValueError):
-            gpipe_schedule(-1, 4, 8)
+            flushing_order("gpipe", -1, 4, 8)
         with pytest.raises(ValueError):
-            bubble_fraction(0, 4)
+            flushing_order("wave", 0, 4, 8)
+        with pytest.raises(ValueError):
+            ir_bubble_fraction(0, 4)
 
     @given(stage=st.integers(0, 7), stages=st.integers(1, 8),
            m=st.integers(1, 40))
@@ -98,9 +114,9 @@ class TestSchedules:
     def test_1f1b_property_all_microbatches_once(self, stage, stages, m):
         if stage >= stages:
             return
-        ops = one_f_one_b_schedule(stage, stages, m)
-        assert sorted(mb for k, mb in ops if k == "F") == list(range(m))
-        assert sorted(mb for k, mb in ops if k == "B") == list(range(m))
+        order = ops("1f1b", stage, stages, m)
+        assert sorted(mb for k, mb in order if k == FWD) == list(range(m))
+        assert sorted(mb for k, mb in order if k == BWD) == list(range(m))
 
 
 class TestConfig:

@@ -3,21 +3,23 @@ streams must all compute the same training trajectory.
 
 This is the capstone property of the reproduction: whatever the parallel
 decomposition — pipeline depth, data-parallel width, microbatch size,
-message-driven or static flushing schedule — one optimizer step over one
-batch is *the same function*.  Hypothesis explores the configuration space;
-a violation anywhere would indicate a scheduling, sharding or reduction bug.
+message-driven engine or any compiled static schedule — one optimizer
+step over one batch is *the same function*.  Hypothesis explores the
+configuration space; a violation anywhere would indicate a scheduling,
+sharding or reduction bug.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (TraceRecorder, check_match_order,
                             check_unmatched_sends)
-from repro.baselines import FlushingPipelineTrainer
 from repro.nn import GPTConfig
 from repro.runtime import AxoNNTrainer, SerialTrainer
+from repro.sched import (SCHEDULE_NAMES, ScheduledPipelineTrainer,
+                         build_schedule)
 
 CFG = GPTConfig(vocab_size=13, seq_len=6, n_layer=3, n_head=2, hidden=8,
                 dropout=0.0, init_seed=77)
@@ -38,19 +40,24 @@ GRIDS = [
 @given(
     grid=st.sampled_from(GRIDS),
     seed=st.integers(0, 10_000),
-    flushing=st.booleans(),
+    # None: AxoNN's message-driven engine; a name: that compiled schedule
+    schedule=st.sampled_from((None,) + SCHEDULE_NAMES),
 )
 @settings(max_examples=25, deadline=None)
-def test_any_decomposition_matches_serial(grid, seed, flushing):
+def test_any_decomposition_matches_serial(grid, seed, schedule):
     g_inter, g_data, mbs, batch = grid
     rng = np.random.default_rng(seed)
     x = rng.integers(0, CFG.vocab_size, (batch, CFG.seq_len))
     y = rng.integers(0, CFG.vocab_size, (batch, CFG.seq_len))
     serial = SerialTrainer(CFG, lr=1e-3)
-    if flushing and g_inter > 1:
-        parallel = FlushingPipelineTrainer(
-            CFG, g_inter=g_inter, g_data=g_data, microbatch_size=mbs,
-            lr=1e-3)
+    if schedule is not None:
+        try:
+            build_schedule(schedule, g_inter, batch // g_data // mbs)
+            parallel = ScheduledPipelineTrainer(
+                CFG, g_inter, g_data=g_data, microbatch_size=mbs, lr=1e-3,
+                schedule=schedule)
+        except ValueError:
+            reject()  # the builder (or the model's depth) refuses the grid
         parallel_loss = parallel.train_batch(x, y)
     else:
         trainer = AxoNNTrainer(CFG, g_inter=g_inter, g_data=g_data,

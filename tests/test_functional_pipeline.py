@@ -1,41 +1,54 @@
-"""Tests for the functional 1F1B / GPipe flushing trainer — the baselines'
-pipeline algorithm with real numerics."""
+"""Every shipped schedule on the functional substrate: the baselines'
+flushing pipeline (and its newer relatives) with real numerics, one
+compiled trainer for all five, ``SerialTrainer`` as their reference."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import FlushingPipelineTrainer
 from repro.nn import GPTConfig, LMBatches, SyntheticCorpus
 from repro.runtime import AxoNNTrainer, SerialTrainer
+from repro.sched import (SCHEDULE_NAMES, ScheduledPipelineTrainer,
+                         build_schedule)
 
 CFG = GPTConfig(vocab_size=19, seq_len=8, n_layer=4, n_head=2, hidden=12,
                 dropout=0.0, init_seed=11)
+BATCH = 8
 
 
-def make_batches(batch_size=8, seed=0):
+def make_batches(seed=0):
     corpus = SyntheticCorpus(CFG.vocab_size, 4000, seed=seed)
-    return LMBatches(corpus, batch_size=batch_size, seq_len=CFG.seq_len)
+    return LMBatches(corpus, batch_size=BATCH, seq_len=CFG.seq_len)
+
+
+def make_trainer(schedule, g_inter, g_data, mbs, **kw):
+    """The compiled trainer; a skip only where the schedule's builder
+    (or the model's depth) rejects the grid."""
+    try:
+        build_schedule(schedule, g_inter, BATCH // g_data // mbs)
+        return ScheduledPipelineTrainer(CFG, g_inter, g_data=g_data,
+                                        microbatch_size=mbs,
+                                        schedule=schedule, **kw)
+    except ValueError as e:
+        pytest.skip(f"{schedule} rejects {g_inter}x{g_data}, mbs {mbs}: {e}")
 
 
 class TestFlushingTrainer:
     def test_invalid_schedule(self):
         with pytest.raises(ValueError):
-            FlushingPipelineTrainer(CFG, 2, 1, 2, schedule="wave")
+            ScheduledPipelineTrainer(CFG, 2, 1, 2, schedule="wave")
         with pytest.raises(ValueError):
-            FlushingPipelineTrainer(CFG, 2, 1, 0)
+            ScheduledPipelineTrainer(CFG, 2, 1, 0)
 
-    @pytest.mark.parametrize("schedule", ["1f1b", "gpipe"])
+    @pytest.mark.parametrize("schedule", SCHEDULE_NAMES)
     @pytest.mark.parametrize("g_inter,g_data,mbs", [
         (2, 1, 2), (3, 1, 1), (2, 2, 2), (4, 2, 1),
     ])
     def test_matches_serial(self, schedule, g_inter, g_data, mbs):
         """Flushing preserves exact optimizer semantics: same losses as
-        the serial reference at every grid shape."""
+        the serial reference at every grid shape, under every schedule."""
         batches = make_batches()
         serial = SerialTrainer(CFG, lr=1e-3)
-        flush = FlushingPipelineTrainer(CFG, g_inter=g_inter, g_data=g_data,
-                                        microbatch_size=mbs, lr=1e-3,
-                                        schedule=schedule)
+        flush = make_trainer(schedule, g_inter, g_data, mbs, lr=1e-3)
         for i in range(3):
             x, y = batches.batch(i)
             s = serial.train_batch(x, y)
@@ -49,23 +62,24 @@ class TestFlushingTrainer:
         batches = make_batches()
         axonn = AxoNNTrainer(CFG, g_inter=2, g_data=2, microbatch_size=2,
                              lr=1e-3)
-        flush = FlushingPipelineTrainer(CFG, g_inter=2, g_data=2,
-                                        microbatch_size=2, lr=1e-3)
-        for i in range(3):
-            x, y = batches.batch(i)
-            a = axonn.train_batch(x, y).loss
-            f = flush.train_batch(x, y)
-            assert f == pytest.approx(a, rel=1e-5)
+        a_losses = [axonn.train_batch(*batches.batch(i)).loss
+                    for i in range(3)]
         a_state = axonn.gather_state()
-        f_state = flush.gather_state()
-        for k in a_state:
-            np.testing.assert_allclose(f_state[k], a_state[k], rtol=1e-5,
-                                       atol=1e-7, err_msg=k)
+        for schedule in SCHEDULE_NAMES:
+            flush = make_trainer(schedule, 2, 2, 2, lr=1e-3)
+            for i, a in enumerate(a_losses):
+                f = flush.train_batch(*batches.batch(i))
+                assert f == pytest.approx(a, rel=1e-5), schedule
+            f_state = flush.gather_state()
+            for k in a_state:
+                np.testing.assert_allclose(f_state[k], a_state[k], rtol=1e-5,
+                                           atol=1e-7,
+                                           err_msg=f"{schedule}: {k}")
 
     def test_gpipe_equals_1f1b_numerically(self):
         batches = make_batches()
-        a = FlushingPipelineTrainer(CFG, 3, 1, 1, schedule="1f1b")
-        b = FlushingPipelineTrainer(CFG, 3, 1, 1, schedule="gpipe")
+        a = make_trainer("1f1b", 3, 1, 1)
+        b = make_trainer("gpipe", 3, 1, 1)
         for i in range(2):
             x, y = batches.batch(i)
             la = a.train_batch(x, y)
@@ -73,22 +87,28 @@ class TestFlushingTrainer:
             assert la == pytest.approx(lb, rel=1e-6)
 
     def test_batch_divisibility_checked(self):
-        t = FlushingPipelineTrainer(CFG, 2, 2, 2)
+        """One shared ``split_batch``: both executors refuse a batch that
+        does not divide across G_data, or a shard across microbatches."""
         x = np.zeros((6, CFG.seq_len), dtype=np.int64)
-        with pytest.raises(ValueError):
-            t.train_batch(x, x)
+        for trainer in (ScheduledPipelineTrainer(CFG, 2, 2, 2),
+                        AxoNNTrainer(CFG, g_inter=2, g_data=2,
+                                     microbatch_size=2)):
+            with pytest.raises(ValueError, match="not divisible"):
+                trainer.train_batch(x[:5], x[:5])
+            with pytest.raises(ValueError, match="not divisible"):
+                trainer.train_batch(x, x)
 
     def test_checkpointed_flush_matches(self):
-        batches = make_batches()
-        plain = FlushingPipelineTrainer(CFG, 2, 1, 2)
-        ckpt = FlushingPipelineTrainer(CFG, 2, 1, 2,
-                                       checkpoint_activations=True)
-        x, y = batches.batch(0)
-        assert ckpt.train_batch(x, y) == pytest.approx(
-            plain.train_batch(x, y), rel=1e-5)
+        x, y = make_batches().batch(0)
+        for schedule in SCHEDULE_NAMES:
+            plain = make_trainer(schedule, 2, 1, 2)
+            ckpt = make_trainer(schedule, 2, 1, 2,
+                                checkpoint_activations=True)
+            assert ckpt.train_batch(x, y) == pytest.approx(
+                plain.train_batch(x, y), rel=1e-5), schedule
 
     def test_training_converges(self):
         batches = make_batches()
-        t = FlushingPipelineTrainer(CFG, 2, 2, 2, lr=5e-3)
+        t = make_trainer("1f1b", 2, 2, 2, lr=5e-3)
         losses = [t.train_batch(*batches.batch(i)) for i in range(15)]
         assert np.mean(losses[-3:]) < np.mean(losses[:3])
