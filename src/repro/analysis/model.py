@@ -325,8 +325,7 @@ def scheduled_model(schedule: Any, g_inter: int, g_data: int,
     ``schedule`` is a shipped builder name or a validated
     :class:`~repro.sched.ir.Schedule` instance (e.g. a search
     perturbation).  Drives :func:`repro.sched.compile.lower_rank` — the
-    same walk both backends of
-    :class:`~repro.sched.compile.ScheduledPipelineTrainer` execute —
+    same walk both backends of ``AxoNNTrainer(schedule=...)`` execute —
     with symbolic stages over the two tag planes, so every schedule,
     shipped or searched, gets the identical deadlock-freedom /
     complete-matching proof.  Raises ``ValueError`` for grids the

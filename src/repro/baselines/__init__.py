@@ -8,7 +8,7 @@ Public surface:
 Their static flushing schedules (1F1B / GPipe) live in :mod:`repro.sched`:
 :func:`~repro.sched.flushing_order` is the one source of the compute
 order (the DES model here walks it) and
-:class:`~repro.sched.ScheduledPipelineTrainer` runs it with real numerics.
+``AxoNNTrainer(schedule="1f1b")`` runs it with real numerics.
 """
 
 from .config import ThreeDConfig

@@ -44,7 +44,8 @@ import numpy as np
 
 from ..obs import ObsSpan
 from ..resilience import FaultPlan
-from ..serve.sim import ServingModel, ServingStats, _request_sizes
+from ..serve.sim import (ServingModel, ServingStats, _ReqState,
+                         _request_sizes, _stage_proc)
 from ..serve.workload import ArrivalSpec, RequestSpec
 from ..sim import Environment, Interrupt, Store, poisson_process
 from .policy import AutoscalerPolicy, FleetObservation, ScaleEvent
@@ -153,24 +154,14 @@ class FleetStats(ServingStats):
             if self.ttft_s else 1.0
 
 
-class _FleetReq:
+class _FleetReq(_ReqState):
     """One request's lifecycle, including its SLO class."""
 
-    __slots__ = ("rid", "arrival_s", "prompt_len", "new_tokens",
-                 "tokens_done", "first_token_s", "last_step_s", "finish_s",
-                 "restarts", "cls")
+    __slots__ = ("cls",)
 
     def __init__(self, rid: int, arrival_s: float, prompt_len: int,
                  new_tokens: int, cls: SLOClass):
-        self.rid = rid
-        self.arrival_s = arrival_s
-        self.prompt_len = prompt_len
-        self.new_tokens = new_tokens
-        self.tokens_done = 0
-        self.first_token_s: Optional[float] = None
-        self.last_step_s = arrival_s
-        self.finish_s: Optional[float] = None
-        self.restarts = 0
+        super().__init__(rid, arrival_s, prompt_len, new_tokens)
         self.cls = cls
 
 
@@ -194,6 +185,12 @@ class _FleetReplica:
     @property
     def live(self) -> bool:
         return self.state in ("serving", "draining")
+
+    @property
+    def alive(self) -> bool:
+        """What a stage process asks before passing its group on (a
+        provisioning replica has no stage processes yet)."""
+        return self.state != "dead"
 
     def outstanding(self) -> List[_FleetReq]:
         seen = {st.rid: st for st in self.active.values()}
@@ -459,7 +456,7 @@ class _Fleet:
                 del rep.active[st.rid]
                 self._span(rep.index, "serve", "prefill", st.last_step_s,
                            now, st.rid)
-                self.env.process(self._handoff_proc(st),
+                self.env.process(self._handoff_proc(rep, st),
                                  name=f"handoff-{st.rid}")
         else:
             for st in group:
@@ -501,8 +498,9 @@ class _Fleet:
         self._span(rep.index, "serve", "request", st.arrival_s, now,
                    st.rid, category="other")
 
-    def _handoff_proc(self, st: _FleetReq):
-        """Priced KV transfer prefill -> decode pool (disaggregated)."""
+    def _handoff_proc(self, rep: _FleetReplica, st: _FleetReq):
+        """Priced KV transfer from prefill replica ``rep`` to the decode
+        pool (disaggregated)."""
         try:
             yield self.env.timeout(
                 self.model.kv_transfer_s_per_token * st.prompt_len)
@@ -516,11 +514,8 @@ class _Fleet:
         st.tokens_done = 1
         self.stats.tokens_out += 1
         self._first_token(st, now)
-        if st.new_tokens <= 1:
-            st.finish_s = now
-            self.stats.n_completed += 1
-            self.stats.sojourn_s.append(now - st.arrival_s)
-            self._track(-1)
+        if st.new_tokens <= 1:  # the first token was the last
+            self._complete(rep, st, now)
             return
         self.decode_pending.push(st, st.cls.priority)
         self.pump_all()
@@ -578,27 +573,6 @@ class _Fleet:
                 self._event("down", provisioned, provisioned - 1,
                             self.policy.name, role)
                 provisioned -= 1
-
-
-def _stage_proc(env: Environment, fleet: _Fleet, rep: _FleetReplica,
-                i: int):
-    model = fleet.serving
-    try:
-        while True:
-            kind, group = yield rep.stores[i].get()
-            if kind == "prefill":
-                cost = model.stage_time_s(0, group[0].prompt_len)
-            else:
-                cost = model.stage_time_s(len(group), 0)
-            yield env.timeout(cost)
-            if rep.state == "dead":
-                return
-            if i + 1 < model.g_inter:
-                rep.stores[i + 1].put((kind, group))
-            else:
-                fleet.finish_group(rep, kind, group)
-    except Interrupt:
-        return
 
 
 def _draw_class(admission: AdmissionController,

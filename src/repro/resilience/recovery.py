@@ -153,8 +153,7 @@ class ResilientTrainer:
         # 1. Pause: the failed transport already closed every rank program;
         #    void the partial batch (in-flight activations, partial losses).
         for stage in trainer.stages.values():
-            stage._inflight.clear()
-            stage.microbatch_losses.clear()
+            stage.reset()
         # 2. Respawn the dead ranks with fresh stages and optimizers, and
         #    drop cached data-parallel buffers that alias the old tensors.
         for rank in failure.dead:

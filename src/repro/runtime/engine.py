@@ -21,6 +21,12 @@ The loss is pre-divided by the total number of microbatches in the *batch*
 gradient — the property the serial-equivalence tests (paper Fig. 10)
 verify.
 
+``schedule=`` swaps Algorithm 2 for a *static* order (a :mod:`repro.sched`
+name or validated :class:`~repro.sched.ir.Schedule`, walked by
+:func:`repro.sched.compile.lower_rank`) and nothing else, so two schedulers
+differ only in *when* work runs — the paper's comparison with the flushing
+schedules of Megatron-LM and DeepSpeed (Sections IV-A, VIII).
+
 Training modes
 --------------
 ``precision="fp32"`` (default) — fp32 gradients, AdamW per rank; bitwise
@@ -41,20 +47,24 @@ comparable to the serial reference.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional, Tuple, Union
+from typing import (TYPE_CHECKING, Callable, Dict, Generator, List, Optional,
+                    Tuple, Union)
 
 import numpy as np
 
 from ..analysis.protocol import TraceRecorder
-from ..nn import AdamW, GPTConfig, LossScaler
+from ..nn import AdamW, GPTConfig, LossScaler, num_layer_slots
 from ..obs import RuntimeTracer
 from ..perf.counters import counters as _perf_counters
 from .grid import RankGrid, split_batch
 from .offload import BucketedOffloadAdamW
 from .rankprog import TAG_BWD, TAG_FWD, inter_layer_step
-from .stage import PipelineStage
+from .stage import PipelineStage, build_shard
 from .tp import TensorParallelStage, TPComm, tp_follower_step
 from .transport import RankTransport
+
+if TYPE_CHECKING:  # pragma: no cover - sched.compile imports this package
+    from ..sched.ir import Schedule
 
 __all__ = ["AxoNNTrainer", "TrainReport"]
 
@@ -100,7 +110,8 @@ class AxoNNTrainer:
                  recorder: Optional[TraceRecorder] = None,
                  tracer: Optional[RuntimeTracer] = None,
                  backend: str = "cooperative",
-                 backend_options: Optional[Dict[str, object]] = None):
+                 backend_options: Optional[Dict[str, object]] = None,
+                 schedule: Union[None, str, Schedule] = None):
         if microbatch_size < 1:
             raise ValueError("microbatch_size must be >= 1")
         if backend not in BACKENDS:
@@ -127,6 +138,13 @@ class AxoNNTrainer:
         self.checkpoint_activations = checkpoint_activations
         self._opt_hparams = dict(lr=lr, betas=betas,
                                  weight_decay=weight_decay)
+        #: name of the static order replacing Algorithm 2 (None: order
+        #: resolved at run time, by message arrival)
+        self.schedule_name: Optional[str] = None
+        #: virtual stages across the pipeline (> g_inter: interleaved)
+        self.n_virtual = g_inter
+        if schedule is not None:
+            self._adopt_schedule(schedule, pipeline_limit)
         # Section IV-A: pipeline_limit is fixed to G_inter.
         self.pipeline_limit = g_inter if pipeline_limit is None \
             else pipeline_limit
@@ -201,13 +219,8 @@ class AxoNNTrainer:
             # group lead owns the full sharded stage (see runtime.tp);
             # followers are pure protocol participants.
             return
-        if self.grid.g_intra > 1:
-            stage: PipelineStage = TensorParallelStage(
-                self.cfg, i, self.grid.g_inter, self.grid.g_intra)
-        else:
-            stage = PipelineStage(
-                self.cfg, i, self.grid.g_inter,
-                checkpoint_activations=self.checkpoint_activations)
+        stage = build_shard(self.cfg, self.grid, i, self.n_virtual,
+                            self.checkpoint_activations)
         self.stages[rank] = stage
         hp = self._opt_hparams
         if self.offload:
@@ -227,6 +240,93 @@ class AxoNNTrainer:
         """Drop cached data-parallel buffers (call after respawning a rank:
         the cached views alias the *old* stage's parameter objects)."""
         self._dp_buffers.clear()
+
+    # -- static schedules -----------------------------------------------------
+    def _adopt_schedule(self, schedule: Union[str, Schedule],
+                        pipeline_limit: Optional[int]) -> None:
+        """Validate ``schedule`` against this grid and model; refuse by
+        type what a static order cannot honour."""
+        from ..sched.builders import SCHEDULE_NAMES, schedule_chunks
+        from ..sched.ir import Schedule, validate
+        g_inter = self.grid.g_inter
+        if self.grid.g_intra > 1:
+            raise ValueError(
+                "a static schedule needs g_intra=1: only the message-"
+                "driven rank program speaks the tensor-parallel protocol")
+        if pipeline_limit is not None:
+            raise ValueError(
+                "pipeline_limit bounds the message-driven scheduler's "
+                "in-flight microbatches; a static schedule fixes its own")
+        self._fixed_schedule: Optional[Schedule] = None
+        self._schedule_cache: Dict[int, Schedule] = {}
+        if isinstance(schedule, Schedule):
+            validate(schedule)
+            if schedule.n_stages != g_inter:
+                raise ValueError(
+                    f"schedule {schedule.name!r} is built for "
+                    f"{schedule.n_stages} stages, trainer has {g_inter}")
+            self.schedule_name = schedule.name
+            self._fixed_schedule = schedule
+            self.n_virtual = schedule.n_virtual
+        else:
+            if schedule not in SCHEDULE_NAMES:
+                raise ValueError(
+                    f"unknown schedule {schedule!r}; shipped: "
+                    f"{', '.join(SCHEDULE_NAMES)}")
+            self.schedule_name = schedule
+            self.n_virtual = schedule_chunks(schedule) * g_inter
+        if self.n_virtual > num_layer_slots(self.cfg):
+            raise ValueError(
+                f"{self.n_virtual} virtual stages exceed the model's "
+                f"{num_layer_slots(self.cfg)} layer slots")
+
+    def _schedule_for(self, m: int) -> Optional[Schedule]:
+        """The static order for ``m`` microbatches per shard (None:
+        Algorithm 2 decides at run time)."""
+        if self.schedule_name is None:
+            return None
+        if self._fixed_schedule is not None:
+            if self._fixed_schedule.n_microbatches != m:
+                raise ValueError(
+                    f"schedule {self.schedule_name!r} is built for "
+                    f"{self._fixed_schedule.n_microbatches} microbatches "
+                    f"per shard, this batch has {m}")
+            return self._fixed_schedule
+        sched = self._schedule_cache.get(m)
+        if sched is None:
+            from ..sched.builders import build_schedule
+            sched = build_schedule(self.schedule_name, self.grid.g_inter, m)
+            self._schedule_cache[m] = sched
+        return sched
+
+    def _run_schedule(self, sched: Schedule, groups,
+                      total_mb: int) -> int:
+        """The inter-layer phase under a static order; returns the
+        messages exchanged.  A static schedule must receive the
+        *specific* message it expects, so forward and backward traffic
+        get separate tag planes and the pump merges them per rank."""
+        from ..sched.compile import lower_rank, plane_recv, pump
+        if self.transport_factory is not None:
+            raise NotImplementedError(
+                "fault injection rides RankTransport.run's sweep clock, "
+                "which the two-plane pump does not have; under a "
+                "schedule, inject (crash) faults with backend='process'")
+        world = self.grid.world_size
+        nets = {plane: RankTransport(world, recorder=self.recorder,
+                                     tracer=self.tracer)
+                for plane in ("F", "B")}
+        scale = self.scaler.scale if self.precision == "mixed" else 1.0
+        programs = {}
+        for rank in range(world):
+            _i, j = self.grid.coord_of(rank)
+            send = (lambda dst, plane, _stage, mb, data, _r=rank:
+                    nets[plane].send(_r, dst, plane, mb, data))
+            programs[rank] = lower_rank(
+                sched, self.grid, rank, self.stages[rank].chunks, send,
+                plane_recv, groups[j], total_mb, loss_scale=scale,
+                tracer=self.tracer)
+        pump(nets, programs)
+        return sum(net.messages_sent for net in nets.values())
 
     # -- Algorithm 2 ------------------------------------------------------------
     def _rank_program(self, rank: int, transport: RankTransport,
@@ -404,8 +504,12 @@ class AxoNNTrainer:
         for opt in self.optimizers.values():
             opt.zero_grad()
 
+        sched = self._schedule_for(len(groups[0]))
         if self.backend == "process":
-            messages = self.process_backend.run_batch(groups, total_mb)
+            messages = self.process_backend.run_batch(groups, total_mb,
+                                                      sched)
+        elif sched is not None:
+            messages = self._run_schedule(sched, groups, total_mb)
         else:
             if self.transport_factory is not None:
                 transport = self.transport_factory()
@@ -425,15 +529,16 @@ class AxoNNTrainer:
             transport.run(programs)
             messages = transport.messages_sent
 
-            # Sanity: no microbatch left in flight anywhere.  (The process
-            # backend performs the same check worker-side.)
-            for rank, stage in self.stages.items():
-                if stage.inflight_microbatches:
-                    raise RuntimeError(
-                        f"rank {rank} finished with "
-                        f"{stage.inflight_microbatches} microbatches in "
-                        f"flight"
-                    )
+        # Sanity: no microbatch left in flight anywhere.  (The process
+        # backend performs the same check worker-side, where its stages
+        # run; the parent's copies never hold any.)
+        for rank, stage in self.stages.items():
+            if stage.inflight_microbatches:
+                raise RuntimeError(
+                    f"rank {rank} finished with "
+                    f"{stage.inflight_microbatches} microbatches in "
+                    f"flight"
+                )
 
         scale = self.scaler.scale
         applied = True

@@ -63,8 +63,10 @@ def evaluate_parallel(trainer: AxoNNTrainer, batches: LMBatches,
     if n_batches < 1:
         raise ValueError("n_batches must be >= 1")
     grid = trainer.grid
-    stages = [trainer.stages[grid.rank_of(i, 0)]
-              for i in range(grid.g_inter)]
+    chunks = {}  # virtual stage -> chunk; a rank may hold several
+    for i in range(grid.g_inter):
+        chunks.update(trainer.stages[grid.rank_of(i, 0)].chunks)
+    stages = [chunks[v] for v in sorted(chunks)]
     losses = []
     for b in range(n_batches):
         x, y = batches.batch(start_index + b)

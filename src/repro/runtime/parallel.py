@@ -56,7 +56,6 @@ import numpy as np
 from ..analysis.protocol import ProtocolError, TraceRecorder
 from ..nn.blas import share_blas_threads
 from ..obs import RuntimeTracer, append_spans_jsonl
-from ..obs.schema import ObsSpan
 from .shm import (_POLL_SLEEP, _SPIN, RingAborted, ShmRing,
                   attach_shared_memory)
 from .transport import (BaseRankTransport, DeadlockError, Packet, RECV,
@@ -705,6 +704,53 @@ class ProcessPool:
             pass
 
 
+def _merge_replies(replies: Dict[int, Tuple],
+                   recorder: Optional[TraceRecorder],
+                   tracer: Optional[RuntimeTracer]
+                   ) -> Tuple[Dict[int, Any], int]:
+    """Fold the workers' replies into the parent's recorder, perf
+    counters and tracer; returns ``({rank: payload}, messages sent)``.
+    Raises ``RuntimeError`` carrying every worker's traceback if any
+    raised.
+
+    Per-rank event order is each worker's local order, which is the
+    per-channel FIFO order — exactly what verify_trace checks; the
+    interleaving across ranks is irrelevant to it.
+    """
+    from ..perf.counters import counters as _counters
+    results: Dict[int, Any] = {}
+    errors: List[str] = []
+    messages = 0
+    for rank in sorted(replies):
+        status, payload, events, spans, sent = replies[rank]
+        messages += sent
+        for ev in events:
+            if ev[0] == "collective":
+                _kind, src, op, key = ev[:4]
+                if recorder is not None:
+                    recorder.record_collective(src, op, key=key)
+                if len(ev) > 4 and _counters.enabled:  # a tp_* collective
+                    kind = "allgather" if op == "tp_allgather" \
+                        else "reduce_scatter"
+                    _counters.bump(f"tp.{kind}")
+                    _counters.bump(f"tp.{kind}_bytes", ev[4])
+            elif recorder is not None:
+                if ev[0] == "send":
+                    recorder.record_send(*ev[1:])
+                elif ev[0] == "recv":
+                    recorder.record_recv(*ev[1:])
+        if tracer is not None and tracer.enabled:
+            tracer.spans.extend(spans)
+        if status == "error":
+            errors.append(f"rank {rank}:\n{payload}")
+        elif status == "ok":
+            results[rank] = payload
+    if errors:
+        raise RuntimeError(
+            "worker process(es) raised:\n" + "\n".join(errors))
+    return results, messages
+
+
 class ProcessTransport(BaseRankTransport):
     """The :class:`BaseRankTransport` contract over real OS processes.
 
@@ -784,48 +830,15 @@ class ProcessTransport(BaseRankTransport):
         return self._consume_replies(replies)
 
     def _consume_replies(self, replies: Dict[int, Tuple]) -> Dict[int, Any]:
-        results: Dict[int, Any] = {}
-        errors: List[str] = []
-        for rank in sorted(replies):
-            status, payload, events, spans, sent = replies[rank]
-            self.messages_sent += sent
-            self._merge_events(events)
-            self._merge_spans(spans)
-            if status == "error":
-                errors.append(f"rank {rank}:\n{payload}")
-            elif status == "ok":
-                results[rank] = payload
-                self.finished.add(rank)
-        if errors:
-            raise RuntimeError(
-                "worker process(es) raised:\n" + "\n".join(errors))
+        results, sent = _merge_replies(replies, self.recorder, self.tracer)
+        self.messages_sent += sent
+        self.finished.update(results)
         orphans = self.pool.drain_rings()
         if orphans:
             self.lost_packets.extend(orphans)
             if self.strict:
                 raise self._orphan_error(orphans)
         return results
-
-    def _merge_events(self, events: List[Tuple]) -> None:
-        if self.recorder is None:
-            return
-        # Per-rank event order is each worker's local order, which is the
-        # per-channel FIFO order — exactly what verify_trace checks; the
-        # interleaving across ranks is irrelevant to it.
-        for ev in events:
-            if ev[0] == "send":
-                _kind, src, dst, tag, microbatch = ev
-                self.recorder.record_send(src, dst, tag, microbatch)
-            elif ev[0] == "recv":
-                _kind, rank, src, tag, microbatch = ev
-                self.recorder.record_recv(rank, src, tag, microbatch)
-            elif ev[0] == "collective":
-                _kind, rank, op, key = ev[:4]  # may carry trailing nbytes
-                self.recorder.record_collective(rank, op, key)
-
-    def _merge_spans(self, spans: List[ObsSpan]) -> None:
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.spans.extend(spans)
 
     def close(self) -> None:
         if self._owns_pool:
@@ -836,32 +849,31 @@ def _train_step_task(ctx: WorkerContext, payload: Dict[str, Any]
                      ) -> Dict[str, Any]:
     """Worker task for one inter-layer phase of one training batch.
 
-    Rebuilds (once, cached) this rank's :class:`PipelineStage`, loads the
-    parent's current parameters from the rank's parameter block, restores
-    dropout RNG state, drives :func:`inter_layer_step` over the rings,
-    then writes the accumulated gradients back and returns losses + RNG
-    state — everything the parent needs to run the (unchanged)
-    data-parallel phase and optimizer.
+    Rebuilds (once, cached) this rank's shard, loads the parent's current
+    parameters from the rank's parameter block, restores dropout RNG
+    state, drives the batch's walk over the rings — Algorithm 2's
+    :func:`inter_layer_step`, or :func:`lower_rank` when the payload
+    carries a static ``schedule`` — then writes the accumulated gradients
+    back and returns losses + RNG state: everything the parent needs to
+    run the (unchanged) data-parallel phase and optimizer.
     """
     from .checkpointing import _dropout_modules
     from .rankprog import inter_layer_step
-    from .stage import PipelineStage
-    from .tp import TensorParallelStage, TPComm
+    from .stage import build_shard
+    from .tp import TPComm
 
     rank = ctx.rank
     grid = payload["grid"]
     cfg = payload["cfg"]
-    stage_key = (repr(cfg), grid.g_inter, grid.g_intra,
+    sched = payload["schedule"]
+    n_virtual = grid.g_inter if sched is None else sched.n_virtual
+    stage_key = (repr(cfg), grid.g_inter, grid.g_intra, n_virtual,
                  payload["checkpoint_activations"])
-    stage: Optional[PipelineStage] = ctx.cache.get("stage")
+    stage = ctx.cache.get("stage")
     if stage is None or ctx.cache.get("stage_key") != stage_key:
         i, _j = grid.coord_of(rank)
-        if grid.g_intra > 1:
-            stage = TensorParallelStage(cfg, i, grid.g_inter, grid.g_intra)
-        else:
-            stage = PipelineStage(
-                cfg, i, grid.g_inter,
-                checkpoint_activations=payload["checkpoint_activations"])
+        stage = build_shard(cfg, grid, i, n_virtual,
+                            payload["checkpoint_activations"])
         ctx.cache["stage"] = stage
         ctx.cache["stage_key"] = stage_key
         old = ctx.cache.pop("param_shm", None)
@@ -884,8 +896,7 @@ def _train_step_task(ctx: WorkerContext, payload: Dict[str, Any]
     drops = _dropout_modules(stage)
     for m, st in zip(drops, payload["rng_states"]):
         m.rng.bit_generator.state = st
-    stage.microbatch_losses.clear()
-    stage._inflight.clear()
+    stage.reset()
     ctx.kill_after = payload.get("kill_after")
     ctx._maybe_crash()  # a crash scheduled before the first receive
 
@@ -895,12 +906,21 @@ def _train_step_task(ctx: WorkerContext, payload: Dict[str, Any]
                     wgt_payload=stage.wgt_payload,
                     grad_payload=stage.grad_payload,
                     record=_worker_tp_record(ctx))
-    gen = inter_layer_step(
-        rank, grid, stage, ctx.send, payload["microbatches"],
-        payload["total_microbatches"], payload["pipeline_limit"],
-        loss_scale=payload["loss_scale"],
-        tracer=ctx.tracer if ctx.tracer.enabled else None,
-        tp=tp)
+    if sched is None:
+        gen = inter_layer_step(
+            rank, grid, stage, ctx.send, payload["microbatches"],
+            payload["total_microbatches"], payload["pipeline_limit"],
+            loss_scale=payload["loss_scale"],
+            tracer=ctx.tracer if ctx.tracer.enabled else None,
+            tp=tp)
+    else:
+        from ..sched.compile import lower_rank, plane_tag, stash_recv
+        send = (lambda dst, plane, v, mb, data:
+                ctx.send(dst, plane_tag(sched, plane, v), mb, data))
+        gen = lower_rank(
+            sched, grid, rank, stage.chunks, send, stash_recv(sched),
+            payload["microbatches"], payload["total_microbatches"],
+            loss_scale=payload["loss_scale"], tracer=ctx.tracer)
     if isinstance(gen, types.GeneratorType):
         ctx.drive(gen)
 
@@ -988,6 +1008,15 @@ class ProcessBackend:
                 for peer in grid.tp_peers(rank):
                     channels.append((rank, peer))
                     channels.append((peer, rank))
+        if trainer.n_virtual > grid.g_inter:
+            # Interleaved chunks wrap around: the last rank's chunk feeds
+            # the first rank's next one, and its gradient comes back (at
+            # g_inter == 2 over the neighbour rings, hence the de-dup).
+            for j in range(grid.g_data):
+                first = grid.rank_of(0, j)
+                last = grid.rank_of(grid.g_inter - 1, j)
+                channels += [(last, first), (first, last)]
+            channels = list(dict.fromkeys(channels))
         if ring_capacity is None:
             # Size for several in-flight boundary activations: the largest
             # payload is a (microbatch, seq, hidden) fp32 tensor.
@@ -1052,8 +1081,9 @@ class ProcessBackend:
         return schedule
 
     # -- the batch ---------------------------------------------------------
-    def run_batch(self, groups, total_mb: int) -> int:
-        """Run the inter-layer phase of one batch across the workers.
+    def run_batch(self, groups, total_mb: int, schedule) -> int:
+        """Run the inter-layer phase of one batch across the workers,
+        under that static ``schedule`` or (None) under Algorithm 2.
 
         Returns the number of point-to-point messages exchanged.  Raises
         :class:`RankFailure` on real worker death (injected or genuine);
@@ -1096,6 +1126,7 @@ class ProcessBackend:
                 "microbatches": groups[j],
                 "total_microbatches": total_mb,
                 "pipeline_limit": trainer.pipeline_limit,
+                "schedule": schedule,
                 "loss_scale": scale,
                 "rng_states": [m.rng.bit_generator.state
                                for m in _dropout_modules(stage)],
@@ -1130,37 +1161,12 @@ class ProcessBackend:
         return messages
 
     def _apply_replies(self, replies: Dict[int, Tuple]) -> int:
-        from ..perf.counters import counters as _counters
         from .checkpointing import _dropout_modules
         trainer = self.trainer
-        messages = 0
+        results, messages = _merge_replies(replies, trainer.recorder,
+                                           trainer.tracer)
         errors: List[str] = []
-        for rank in sorted(replies):
-            status, payload, events, spans, sent = replies[rank]
-            messages += sent
-            for ev in events:
-                if ev[0] == "collective":
-                    _kind, src, op, key, nbytes = ev
-                    if trainer.recorder is not None:
-                        trainer.recorder.record_collective(src, op, key=key)
-                    if _counters.enabled:
-                        kind = "allgather" if op == "tp_allgather" \
-                            else "reduce_scatter"
-                        _counters.bump(f"tp.{kind}")
-                        _counters.bump(f"tp.{kind}_bytes", nbytes)
-                elif trainer.recorder is not None:
-                    if ev[0] == "send":
-                        trainer.recorder.record_send(*ev[1:])
-                    elif ev[0] == "recv":
-                        trainer.recorder.record_recv(*ev[1:])
-            if trainer.tracer is not None and trainer.tracer.enabled:
-                trainer.tracer.spans.extend(spans)
-            if status == "error":
-                errors.append(f"rank {rank}:\n{payload}")
-                continue
-            if status != "ok":  # pragma: no cover - defensive
-                errors.append(f"rank {rank}: unexpected status {status!r}")
-                continue
+        for rank, payload in results.items():
             if payload.get("follower"):
                 continue  # followers hold no stage; events already merged
             if payload["inflight"]:

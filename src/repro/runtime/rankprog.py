@@ -30,13 +30,36 @@ from .stage import PipelineStage
 from .tp import TAG_TP_ACK, TPComm
 from .transport import RECV
 
-__all__ = ["TAG_FWD", "TAG_BWD", "inter_layer_step"]
+__all__ = ["TAG_FWD", "TAG_BWD", "inter_layer_step", "traced_passes"]
 
 TAG_FWD = "forward"
 TAG_BWD = "backward"
 
 #: send callable signature: send(dst, tag, microbatch, data)
 SendFn = Callable[[int, str, int, Optional[np.ndarray]], None]
+
+
+def traced_passes(stage: PipelineStage, rank: int,
+                  tracer: Optional[RuntimeTracer]
+                  ) -> Tuple[Callable, Callable]:
+    """``(forward, backward)`` of ``stage``; when tracing, each call is a
+    ``fwd{mb}`` / ``bwd{mb}`` compute span on ``rank`` — the performance
+    model's event names, under this module's walk and a static
+    schedule's (:func:`repro.sched.compile.lower_rank`) alike."""
+    if tracer is None or not tracer.enabled:
+        return stage.forward, stage.backward
+
+    def fwd(mb, *args, **kwargs):
+        with tracer.span(rank, "compute", f"fwd{mb}", category="compute",
+                         microbatch=mb, stage=stage.stage_index):
+            return stage.forward(mb, *args, **kwargs)
+
+    def bwd(mb, *args):
+        with tracer.span(rank, "compute", f"bwd{mb}", category="compute",
+                         microbatch=mb, stage=stage.stage_index):
+            return stage.backward(mb, *args)
+
+    return fwd, bwd
 
 
 def inter_layer_step(rank: int, grid: RankGrid, stage: PipelineStage,
@@ -60,7 +83,6 @@ def inter_layer_step(rank: int, grid: RankGrid, stage: PipelineStage,
     reduce-scatter, and the followers' :data:`~repro.runtime.tp.TAG_TP_ACK`
     replies are absorbed by the same receive loop.
     """
-    i, _j = grid.coord_of(rank)
     prev_rank = grid.prev_in_pipeline(rank)
     next_rank = grid.next_in_pipeline(rank)
     m = len(microbatches)
@@ -73,18 +95,7 @@ def inter_layer_step(rank: int, grid: RankGrid, stage: PipelineStage,
     def targets_of(mb: int) -> np.ndarray:
         return microbatches[mb][1]
 
-    fwd, bwd = stage.forward, stage.backward
-    if tracer is not None and tracer.enabled:
-        def fwd(mb, *args, **kwargs):
-            with tracer.span(rank, "compute", f"fwd{mb}",
-                             category="compute", microbatch=mb, stage=i):
-                return stage.forward(mb, *args, **kwargs)
-
-        def bwd(mb, *args):
-            with tracer.span(rank, "compute", f"bwd{mb}",
-                             category="compute", microbatch=mb, stage=i):
-                return stage.backward(mb, *args)
-
+    fwd, bwd = traced_passes(stage, rank, tracer)
     if tp is not None and tp.peers:
         # Wrap once more: every forward carries the group's weight
         # all-gather, every backward its gradient reduce-scatter.

@@ -23,7 +23,8 @@ from ..nn import (Block, GPTConfig, GPTEmbedding, LayerKVCache, Module,
                   Tensor, build_layer, no_grad, num_layer_slots)
 from ..nn.checkpoint import CheckpointedStack, optimal_checkpoint_interval
 
-__all__ = ["partition_layers", "PipelineStage", "InferenceStage"]
+__all__ = ["partition_layers", "PipelineStage", "ChunkedShard", "build_shard",
+           "InferenceStage"]
 
 
 def partition_layers(n_slots: int, g_inter: int) -> List[Tuple[int, int]]:
@@ -99,6 +100,18 @@ class PipelineStage:
     @property
     def inflight_microbatches(self) -> int:
         return len(self._inflight)
+
+    @property
+    def chunks(self) -> Dict[int, "PipelineStage"]:
+        """Virtual stage -> chunk, the mapping a static schedule's walk
+        indexes; a plain stage is its own only chunk."""
+        return {self.stage_index: self}
+
+    def reset(self) -> None:
+        """Void a partial batch: in-flight activations and recorded
+        losses (a failed attempt's, or a long-lived worker's last)."""
+        self._inflight.clear()
+        self.microbatch_losses.clear()
 
     # -- execution ------------------------------------------------------------
     def _run_layers(self, x):
@@ -185,6 +198,60 @@ class PipelineStage:
         g = x_in.grad
         x_in.zero_grad()
         return g
+
+
+class ChunkedShard:
+    """One rank's ``nn_shard`` when it holds several virtual stages
+    (interleaved schedules place ``n_virtual > g_inter`` chunks round
+    robin).  Only a static schedule's walk tells them apart, through
+    :attr:`chunks`; every other phase — optimizer, data-parallel
+    buffers, checkpointing, recovery, the process backend's parameter
+    block — sees one shard with the :class:`PipelineStage` surface.
+    """
+
+    def __init__(self, chunks: Dict[int, PipelineStage]):
+        self.chunks = chunks
+        self.layers: List[Module] = [
+            layer for chunk in chunks.values() for layer in chunk.layers]
+        #: the loss-computing chunk's dict when this rank holds it
+        self.microbatch_losses: Dict[int, float] = next(
+            (c.microbatch_losses for c in chunks.values() if c.is_last), {})
+
+    def parameters(self):
+        return [p for chunk in self.chunks.values()
+                for p in chunk.parameters()]
+
+    def named_parameters(self):
+        for chunk in self.chunks.values():
+            yield from chunk.named_parameters()
+
+    def num_parameters(self) -> int:
+        return sum(chunk.num_parameters() for chunk in self.chunks.values())
+
+    @property
+    def inflight_microbatches(self) -> int:
+        return sum(chunk.inflight_microbatches
+                   for chunk in self.chunks.values())
+
+    def reset(self) -> None:
+        for chunk in self.chunks.values():
+            chunk.reset()
+
+
+def build_shard(cfg: GPTConfig, grid, i: int, n_virtual: int,
+                checkpoint_activations: bool = False):
+    """Pipeline rank ``i``'s ``nn_shard``, for the trainer and a process
+    worker alike: the group's sharded stage when ``grid.g_intra > 1``,
+    otherwise the virtual stages ``v % g_inter == i`` of ``n_virtual`` —
+    a plain :class:`PipelineStage` when that is one chunk, a
+    :class:`ChunkedShard` when several."""
+    if grid.g_intra > 1:
+        from .tp import TensorParallelStage  # tp builds on this module
+        return TensorParallelStage(cfg, i, grid.g_inter, grid.g_intra)
+    chunks = {v: PipelineStage(cfg, v, n_virtual,
+                               checkpoint_activations=checkpoint_activations)
+              for v in range(i, n_virtual, grid.g_inter)}
+    return chunks[i] if len(chunks) == 1 else ChunkedShard(chunks)
 
 
 class InferenceStage:

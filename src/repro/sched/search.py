@@ -134,8 +134,7 @@ def replay_winner(winner: Schedule, cfg=None, n_batches: int = 2,
     divergence; returns a replay report otherwise.
     """
     from ..nn import GPTConfig, LMBatches, SyntheticCorpus
-    from ..runtime.serial import SerialTrainer
-    from .compile import ScheduledPipelineTrainer
+    from ..runtime import AxoNNTrainer, SerialTrainer
     if cfg is None:
         n_layer = max(winner.n_virtual, 4)
         cfg = GPTConfig(vocab_size=19, seq_len=8, n_layer=n_layer,
@@ -147,13 +146,13 @@ def replay_winner(winner: Schedule, cfg=None, n_batches: int = 2,
     corpus = SyntheticCorpus(cfg.vocab_size, 4000, seed=0)
     batches = LMBatches(corpus, batch_size=batch_size, seq_len=cfg.seq_len)
     ref = SerialTrainer(cfg)
-    cand = ScheduledPipelineTrainer(cfg, g_inter=winner.n_stages,
-                                    microbatch_size=mbs, schedule=winner)
+    cand = AxoNNTrainer(cfg, g_inter=winner.n_stages, g_data=1,
+                        microbatch_size=mbs, schedule=winner)
     ref_losses, cand_losses = [], []
     for i in range(n_batches):
         x, y = batches.batch(i)
         ref_losses.append(ref.train_batch(x, y))
-        cand_losses.append(cand.train_batch(x, y))
+        cand_losses.append(cand.train_batch(x, y).loss)
     for a, b in zip(ref_losses, cand_losses):
         if not np.isfinite(b) or abs(a - b) > rel_tol * abs(a):
             raise RuntimeError(

@@ -358,9 +358,11 @@ class _Cluster:
                 self._track(-1)
 
 
-def _stage_proc(env: Environment, cluster: _Cluster, rep: _Replica,
-                i: int):
-    model = cluster.model
+def _stage_proc(env: Environment, cluster, rep, i: int):
+    """Stage ``i`` of one replica.  Shared with :mod:`repro.fleet.sim`:
+    it reads only what both replica kinds have (``model``, ``stores``,
+    ``alive``) and either cluster's ``finish_group``."""
+    model = rep.model
     try:
         while True:
             kind, group = yield rep.stores[i].get()

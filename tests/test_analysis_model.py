@@ -22,7 +22,7 @@ from repro.analysis.model import (
 from repro.fleet import DisaggPipelineServer
 from repro.nn import GPTConfig, LMBatches, SyntheticCorpus
 from repro.runtime import AxoNNTrainer
-from repro.sched import SCHEDULE_NAMES, ScheduledPipelineTrainer
+from repro.sched import SCHEDULE_NAMES
 from repro.serve.engine import PipelineServer, Request
 
 
@@ -231,17 +231,14 @@ class TestCrossValidation:
         the checker proves is the program the trainer runs."""
         rec = TraceRecorder()
         cfg = self._cfg(n_layer=4)  # interleaved: 2 chunks x 2 ranks
-        trainer = ScheduledPipelineTrainer(cfg, g_inter=2, g_data=2,
-                                           microbatch_size=2,
-                                           schedule=schedule, recorder=rec)
+        trainer = AxoNNTrainer(cfg, g_inter=2, g_data=2, microbatch_size=2,
+                               schedule=schedule, recorder=rec)
         trainer.train_batch(*self._batch(cfg))
         columns = [trainer.grid.data_parallel_ranks(i)
                    for i in range(trainer.grid.g_inter)]
         assert_clean(rec, groups=columns)
-        slots = [len(trainer.optimizers[column[0]].params)
-                 for column in columns]
         model = scheduled_model(schedule, 2, 2, microbatches=2,
-                                param_slots=slots)
+                                param_slots=self._param_slots(trainer))
         assert compare_with_trace(extract_skeleton(model), rec) == []
 
     def test_serve_skeleton_matches_runtime_trace(self):

@@ -18,8 +18,7 @@ from repro.analysis import (TraceRecorder, check_match_order,
                             check_unmatched_sends)
 from repro.nn import GPTConfig
 from repro.runtime import AxoNNTrainer, SerialTrainer
-from repro.sched import (SCHEDULE_NAMES, ScheduledPipelineTrainer,
-                         build_schedule)
+from repro.sched import SCHEDULE_NAMES, build_schedule
 
 CFG = GPTConfig(vocab_size=13, seq_len=6, n_layer=3, n_head=2, hidden=8,
                 dropout=0.0, init_seed=77)
@@ -50,19 +49,17 @@ def test_any_decomposition_matches_serial(grid, seed, schedule):
     x = rng.integers(0, CFG.vocab_size, (batch, CFG.seq_len))
     y = rng.integers(0, CFG.vocab_size, (batch, CFG.seq_len))
     serial = SerialTrainer(CFG, lr=1e-3)
-    if schedule is not None:
-        try:
+    try:
+        if schedule is not None:
             build_schedule(schedule, g_inter, batch // g_data // mbs)
-            parallel = ScheduledPipelineTrainer(
-                CFG, g_inter, g_data=g_data, microbatch_size=mbs, lr=1e-3,
-                schedule=schedule)
-        except ValueError:
-            reject()  # the builder (or the model's depth) refuses the grid
-        parallel_loss = parallel.train_batch(x, y)
-    else:
         trainer = AxoNNTrainer(CFG, g_inter=g_inter, g_data=g_data,
-                               microbatch_size=mbs, lr=1e-3)
-        parallel_loss = trainer.train_batch(x, y).loss
+                               microbatch_size=mbs, lr=1e-3,
+                               schedule=schedule)
+    except ValueError:
+        if schedule is None:
+            raise  # every grid above is valid for the message-driven walk
+        reject()  # the builder (or the model's depth) refuses the grid
+    parallel_loss = trainer.train_batch(x, y).loss
     serial_loss = serial.train_batch(x, y)
     assert parallel_loss == pytest.approx(serial_loss, rel=3e-4, abs=3e-5)
 

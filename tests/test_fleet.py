@@ -373,6 +373,20 @@ class TestFleetLedger:
         assert stats.n_rejected == 0
         assert stats.n_handoffs == stats.n_completed > 0
 
+    @pytest.mark.parametrize("disaggregated", [False, True])
+    def test_every_completion_leaves_a_request_span(self, disaggregated):
+        """Long prompts clipped against ``seq_len`` leave one token to
+        generate; disaggregated, that token lands at the KV handoff —
+        which must complete the request on the one completion path."""
+        spans = []
+        stats = simulate_fleet(
+            FleetModel(serving=ServingModel(n_replicas=2, g_inter=2),
+                       disaggregated=disaggregated),
+            StaticPolicy(1), ArrivalSpec(rate_per_s=20.0), 5.0,
+            RequestSpec(mean_prompt=500, mean_new_tokens=4), spans=spans)
+        assert stats.n_completed > 50
+        assert sum(s.name == "request" for s in spans) == stats.n_completed
+
     def test_slo_shedding_is_counted_separately(self):
         """A tight per-class wait budget sheds load the queue-capacity
         backpressure path would have accepted."""

@@ -191,6 +191,19 @@ class TestEvaluation:
         p = evaluate_parallel(parallel, batches, n_batches=3)
         assert p["loss"] == pytest.approx(s["loss"], rel=1e-4)
 
+    def test_parallel_eval_walks_interleaved_chunks(self):
+        """A rank holding several virtual stages is evaluated chunk by
+        chunk in network order, not rank by rank."""
+        batches = make_batches()
+        plain = make_trainer()
+        chunked = make_trainer(schedule="interleaved")
+        for i in range(2):
+            plain.train_batch(*batches.batch(i))
+            chunked.train_batch(*batches.batch(i))
+        assert evaluate_parallel(chunked, batches, n_batches=2)["loss"] == \
+            pytest.approx(evaluate_parallel(plain, batches,
+                                            n_batches=2)["loss"], rel=1e-5)
+
     def test_eval_does_not_disturb_training_state(self):
         batches = make_batches()
         trainer = make_trainer()

@@ -22,12 +22,13 @@ from hypothesis import strategies as st
 from repro.analysis import TraceRecorder
 from repro.analysis.model import check_model, scheduled_model
 from repro.nn import GPTConfig, LMBatches, SyntheticCorpus
-from repro.runtime import DeadlockError, RankTransport
+from repro.obs import RuntimeTracer
+from repro.resilience import Fault, FaultPlan, ResilientTrainer
+from repro.runtime import AxoNNTrainer, DeadlockError, RankTransport
 from repro.sched import (
     FWD,
     SCHEDULE_NAMES,
     SEND_ACT,
-    ScheduledPipelineTrainer,
     ScheduleError,
     build_schedule,
     critical_path,
@@ -187,29 +188,40 @@ class TestCompiledBitIdentity:
         equivalence holds them now)."""
         batches = make_batches()
         recorder = TraceRecorder()
-        comp = ScheduledPipelineTrainer(CFG, g_inter, g_data=g_data,
-                                        microbatch_size=mbs,
-                                        schedule=schedule, recorder=recorder)
+        comp = AxoNNTrainer(CFG, g_inter, g_data, mbs, schedule=schedule,
+                            recorder=recorder)
         for i in range(3):
             comp.train_batch(*batches.batch(i))
         assert trace_digest(recorder) == \
             GOLDEN_TRACES[(schedule, g_inter, g_data, mbs)]
 
-    def test_process_backend_bit_identical(self):
+    @staticmethod
+    def _assert_backends_agree(cfg, schedule, n_batches):
         batches = make_batches()
-        coop = ScheduledPipelineTrainer(CFG, 2, microbatch_size=2,
-                                        schedule="1f1b")
-        proc = ScheduledPipelineTrainer(CFG, 2, microbatch_size=2,
-                                        schedule="1f1b", backend="process")
+        coop = AxoNNTrainer(cfg, 2, 1, 2, schedule=schedule)
+        proc = AxoNNTrainer(cfg, 2, 1, 2, schedule=schedule,
+                            backend="process")
         try:
-            for i in range(2):
+            for i in range(n_batches):
                 x, y = batches.batch(i)
-                assert proc.train_batch(x, y) == coop.train_batch(x, y)
+                assert proc.train_batch(x, y).loss == \
+                    coop.train_batch(x, y).loss
             cs, ps = coop.gather_state(), proc.gather_state()
             for k in cs:
                 assert np.array_equal(ps[k], cs[k]), k
         finally:
             proc.close()
+
+    def test_process_backend_bit_identical(self):
+        self._assert_backends_agree(CFG, "1f1b", 2)
+
+    @pytest.mark.parametrize("schedule", ["1f1b", "interleaved"])
+    def test_process_backend_carries_dropout(self, schedule):
+        """Dropout RNG streams make the round trip through the workers
+        under a static schedule as under Algorithm 2: losses and weights
+        equal the cooperative run's bit for bit."""
+        self._assert_backends_agree(dataclasses.replace(CFG, dropout=0.1),
+                                    schedule, 3)
 
     @pytest.mark.parametrize("name", ["axonn", "gpipe", "interleaved",
                                       "zb-h1"])
@@ -217,28 +229,128 @@ class TestCompiledBitIdentity:
         """Every schedule only reorders work: losses must equal compiled
         1F1B's exactly (finite by implication)."""
         batches = make_batches()
-        ref = ScheduledPipelineTrainer(CFG, 2, microbatch_size=2,
-                                       schedule="1f1b")
-        cand = ScheduledPipelineTrainer(CFG, 2, microbatch_size=2,
-                                        schedule=name)
+        ref = AxoNNTrainer(CFG, 2, 1, 2, schedule="1f1b")
+        cand = AxoNNTrainer(CFG, 2, 1, 2, schedule=name)
         for i in range(2):
             x, y = batches.batch(i)
-            loss = cand.train_batch(x, y)
+            loss = cand.train_batch(x, y).loss
             assert np.isfinite(loss)
-            assert loss == ref.train_batch(x, y)
+            assert loss == ref.train_batch(x, y).loss
 
     def test_trainer_rejects_bad_configs(self):
-        with pytest.raises(ValueError):
-            ScheduledPipelineTrainer(CFG, 2, schedule="wave")
-        with pytest.raises(ValueError):  # built for 4 stages, trainer has 2
-            ScheduledPipelineTrainer(CFG, 2,
-                                     schedule=build_schedule("1f1b", 4, 4))
-        with pytest.raises(ValueError):  # 8 virtual stages > 4 layers
-            ScheduledPipelineTrainer(CFG, 4, schedule="interleaved")
-        wet = dataclasses.replace(CFG, dropout=0.1)
-        with pytest.raises(ValueError):
-            ScheduledPipelineTrainer(wet, 2, schedule="1f1b",
-                                     backend="process")
+        with pytest.raises(ValueError, match="unknown schedule"):
+            AxoNNTrainer(CFG, 2, 1, 2, schedule="wave")
+        with pytest.raises(ValueError, match="built for 4 stages"):
+            AxoNNTrainer(CFG, 2, 1, 2, schedule=build_schedule("1f1b", 4, 4))
+        with pytest.raises(ValueError, match="8 virtual stages"):
+            AxoNNTrainer(CFG, 4, 1, 2, schedule="interleaved")
+        # what a static order cannot honour is refused, not ignored
+        with pytest.raises(ValueError, match="pipeline_limit"):
+            AxoNNTrainer(CFG, 2, 1, 2, schedule="1f1b", pipeline_limit=2)
+        with pytest.raises(ValueError, match="g_intra"):
+            AxoNNTrainer(CFG, 2, 1, 2, g_intra=2, schedule="1f1b")
+        fixed = AxoNNTrainer(CFG, 2, 1, 2,
+                             schedule=build_schedule("1f1b", 2, 2))
+        x, y = make_batches().batch(0)  # 8 rows / mbs 2 = 4 per shard, not 2
+        with pytest.raises(ValueError, match="built for 2 microbatches"):
+            fixed.train_batch(x, y)
+
+
+class TestOneTrainer:
+    """A schedule decides *when* work runs, never what: everything the
+    trainer does around the walk holds under every static order."""
+
+    WET = dataclasses.replace(CFG, dropout=0.1)
+
+    @pytest.mark.parametrize("offload", [False, True])
+    @pytest.mark.parametrize("schedule", SCHEDULE_NAMES)
+    def test_mixed_precision_equals_message_driven(self, schedule, offload):
+        batches = make_batches()
+        ref = AxoNNTrainer(self.WET, 2, 2, 2, precision="mixed",
+                           offload=offload)
+        cand = AxoNNTrainer(self.WET, 2, 2, 2, precision="mixed",
+                            offload=offload, schedule=schedule)
+        for i in range(4):
+            x, y = batches.batch(i)
+            r, c = ref.train_batch(x, y), cand.train_batch(x, y)
+            assert (c.loss, c.applied, c.loss_scale) == \
+                (r.loss, r.applied, r.loss_scale)
+
+    @pytest.mark.parametrize("schedule", ["1f1b", "interleaved"])
+    def test_sigkill_recovery_is_bit_identical(self, schedule):
+        batches = [make_batches().batch(i) for i in range(4)]
+        reference = AxoNNTrainer(self.WET, 2, 1, 2, schedule=schedule)
+        ref_losses = [reference.train_batch(x, y).loss for x, y in batches]
+        trainer = AxoNNTrainer(self.WET, 2, 1, 2, schedule=schedule,
+                               backend="process")
+        resilient = ResilientTrainer(
+            trainer, FaultPlan.of(Fault("crash", rank=1, step=2, tick=3)))
+        try:
+            losses = [resilient.train_batch(x, y).loss for x, y in batches]
+        finally:
+            trainer.close()
+        assert resilient.total_recoveries == 1
+        assert losses == ref_losses  # exact equality, not approx
+
+    def test_cooperative_fault_injection_refused(self):
+        resilient = ResilientTrainer(
+            AxoNNTrainer(CFG, 2, 1, 2, schedule="1f1b"),
+            FaultPlan.of(Fault("crash", rank=1, step=0, tick=1)))
+        with pytest.raises(NotImplementedError, match="backend='process'"):
+            resilient.train_batch(*make_batches().batch(0))
+
+    @pytest.mark.parametrize("g_inter", [2, 4])
+    @pytest.mark.parametrize("schedule", SCHEDULE_NAMES)
+    def test_default_rings_carry_a_deep_batch(self, schedule, g_inter):
+        """Ring sizing: a sender blocked on a full ring does not drain
+        its inbox, so a static order that ran ahead of its consumer on
+        the default ``4 x frame`` rings would wedge.  16 microbatches of
+        32 KiB frames complete, and equal the cooperative run."""
+        cfg = GPTConfig(vocab_size=19, seq_len=16, n_layer=6, n_head=2,
+                        hidden=64, dropout=0.0, init_seed=11)
+        mbs = 8  # 4 B x 8 x 16 x 64 = 32 KiB per boundary activation
+        rng = np.random.default_rng(0)
+        x = rng.integers(0, cfg.vocab_size, (16 * mbs, cfg.seq_len))
+        y = rng.integers(0, cfg.vocab_size, (16 * mbs, cfg.seq_len))
+        coop = AxoNNTrainer(cfg, g_inter, 1, mbs, schedule=schedule)
+        proc = AxoNNTrainer(cfg, g_inter, 1, mbs, schedule=schedule,
+                            backend="process")
+        try:
+            assert proc.train_batch(x, y).loss == coop.train_batch(x, y).loss
+        finally:
+            proc.close()
+
+    @pytest.mark.parametrize("backend", ["cooperative", "process"])
+    def test_tracer_sees_the_same_compute_spans(self, backend):
+        """A static order is traceable like Algorithm 2: the same
+        ``fwd{mb}`` / ``bwd{mb}`` compute spans per rank, in whatever
+        order, plus ``net`` spans for what crossed a boundary."""
+        x, y = make_batches().batch(0)
+
+        def spans(schedule):
+            tracer = RuntimeTracer()
+            trainer = AxoNNTrainer(CFG, 2, 1, 2, schedule=schedule,
+                                   tracer=tracer, backend=backend)
+            try:
+                trainer.train_batch(x, y)
+            finally:
+                trainer.close()
+            return tracer.spans
+
+        def compute(spans):
+            return sorted((s.rank, s.stream, s.name) for s in spans
+                          if s.category == "compute")
+
+        static, driven = spans("1f1b"), spans(None)
+        assert len(compute(static)) == 16  # 4 microbatches x fwd, bwd x 2
+        assert compute(static) == compute(driven)
+        assert sorted(s.name for s in static if s.stream == "net") == \
+            ["B"] * 4 + ["F"] * 4
+        chunked = spans("interleaved")
+        assert len(compute(chunked)) == 32
+        assert {s.name for s in chunked if s.stream == "net"} == \
+            ({"F", "B"} if backend == "cooperative"
+             else {"F@1", "F@2", "F@3", "B@0", "B@1", "B@2"})
 
 
 class TestPump:
