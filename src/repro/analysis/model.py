@@ -10,7 +10,7 @@ on it.  Three pieces:
   Crucially the models drive the *real* generators — Algorithm 2's
   :func:`~repro.runtime.rankprog.inter_layer_step`, the schedule
   compiler's :func:`~repro.sched.compile.lower_rank` and the serving
-  engine's scheduler / mid / tail programs — with symbolic stages, so
+  engine's scheduler / prefill / shard programs — with symbolic stages, so
   the skeleton cannot drift from the runtime (the cross-validation
   tests pin op-for-op agreement with
   :class:`~repro.analysis.protocol.TraceRecorder` traces of actual runs).
@@ -34,11 +34,12 @@ on it.  Three pieces:
   (:class:`DeadlockWitness`).
 
 * **Built-in models** — :func:`axonn_model`, :func:`scheduled_model`
-  (every IR schedule, 1F1B / GPipe included), :func:`serve_model`, and
-  the seeded :func:`deadlock_mutant_model` (a last stage that defers
-  each backward send until the *next* forward arrives, so the final
-  gradient is never sent — every interleaving deadlocks, and the
-  checker must say exactly where).
+  (every IR schedule, 1F1B / GPipe included), :func:`serve_model` (one
+  shell for both placements of the one server), and the seeded
+  :func:`deadlock_mutant_model` (a last stage that defers each backward
+  send until the *next* forward arrives, so the final gradient is never
+  sent — every interleaving deadlocks, and the checker must say exactly
+  where).
 
 ``python -m repro verify`` sweeps :func:`builtin_models` with these
 checks; ``pytest -m lint`` pins the acceptance bar.
@@ -71,7 +72,6 @@ __all__ = [
     "check_model",
     "compare_with_trace",
     "deadlock_mutant_model",
-    "disagg_serve_model",
     "extract_skeleton",
     "scheduled_model",
     "serve_model",
@@ -186,9 +186,11 @@ class _SymbolicStage:
 
 
 class _SymbolicServeStage:
-    """Duck-typed :class:`~repro.runtime.stage.InferenceStage`: the tail
-    program samples from the returned logits, so hand it a fixed tiny
-    distribution (greedy requests make the choice deterministic)."""
+    """Duck-typed :class:`~repro.runtime.stage.InferenceStage`: the last
+    shard samples from the returned logits, so hand it a fixed tiny
+    distribution (greedy requests make the choice deterministic).  The
+    KV-handoff surface exports empty blocks (KV content is irrelevant to
+    communication structure) and accepts them."""
 
     def start_request(self, rid: int) -> None:
         return None
@@ -198,6 +200,12 @@ class _SymbolicServeStage:
 
     def forward(self, rid: int, x: Any) -> np.ndarray:
         return np.zeros((1, 1, 2))
+
+    def export_kv(self, rid: int) -> Tuple[int, Dict[int, Any]]:
+        return 1, {}
+
+    def import_kv(self, rid: int, pos: int, blocks: Dict[int, Any]) -> None:
+        return None
 
 
 @dataclass
@@ -366,14 +374,24 @@ def scheduled_model(schedule: Any, g_inter: int, g_data: int,
 
 def serve_model(g_inter: int, n_requests: int, max_new_tokens: int = 2,
                 max_batch: int = 2, pipeline_limit: Optional[int] = None,
-                max_active: Optional[int] = None) -> CommModel:
-    """The serving engine's continuous-batching pipeline — the *real*
-    scheduler / mid / tail programs over a shell
-    :class:`~repro.serve.engine.PipelineServer` with symbolic stages and
-    greedy requests."""
-    if g_inter < 2:
-        raise ValueError("serve model needs g_inter >= 2 (a depth-one "
-                         "pipeline never communicates)")
+                max_active: Optional[int] = None, g_prefill: int = 0,
+                prefill_limit: Optional[int] = None) -> CommModel:
+    """The serving engine's continuous-batching pipeline in either
+    placement — the *real* scheduler / prefill / shard programs over a
+    shell :class:`~repro.serve.engine.PipelineServer` with symbolic
+    stages and greedy requests.
+
+    With ``g_prefill >= 1`` this is the proof disaggregation leans on: KV
+    pieces (``TAG_KV``) flowing home to the scheduler, merged ingests
+    (``TAG_INGEST``) relayed through the decode pipe, and decode groups
+    interleaving with them must be deadlock-free under *every* delivery
+    order, for any request count the bounded window can produce.
+    """
+    if g_inter < 1 or g_prefill < 0:
+        raise ValueError("need g_inter >= 1 and g_prefill >= 0")
+    if g_prefill + g_inter < 2:
+        raise ValueError("serve model needs two ranks (a one-rank world "
+                         "never communicates)")
     if n_requests < 1 or max_new_tokens < 1:
         raise ValueError("need at least one request and one token")
 
@@ -381,14 +399,19 @@ def serve_model(g_inter: int, n_requests: int, max_new_tokens: int = 2,
         shell = object.__new__(PipelineServer)
         shell.cfg = None
         shell.g_inter = g_inter
+        shell.g_prefill = g_prefill
         shell.max_batch = max_batch
         shell.pipeline_limit = max(
             1, pipeline_limit if pipeline_limit is not None else g_inter)
+        shell.prefill_limit = max(
+            1, prefill_limit if prefill_limit is not None else g_prefill)
         shell.max_active = (max_active if max_active is not None
                             else max_batch * shell.pipeline_limit)
         shell.tracer = None
         shell.recorder = None
         shell.stages = [_SymbolicServeStage() for _ in range(g_inter)]
+        shell.prefill_stages = [_SymbolicServeStage()
+                                for _ in range(g_prefill)]
         reqs = {
             rid: Request(rid, np.zeros(1, dtype=np.int64), max_new_tokens,
                          greedy=True, seed=rid)
@@ -399,92 +422,18 @@ def serve_model(g_inter: int, n_requests: int, max_new_tokens: int = 2,
         programs: Dict[int, Generator] = {
             0: PipelineServer._scheduler_program(shell, capture, reqs,
                                                  order, results)}
-        for rank in range(1, g_inter - 1):
-            programs[rank] = PipelineServer._mid_program(shell, rank,
-                                                         capture, reqs)
-        programs[g_inter - 1] = PipelineServer._tail_program(shell, capture,
-                                                             reqs)
-        return programs
-
-    return CommModel("serve", g_inter, make, config={
-        "g_inter": g_inter, "requests": n_requests,
-        "tokens": max_new_tokens, "max_batch": max_batch})
-
-
-class _SymbolicDisaggStage(_SymbolicServeStage):
-    """Adds the KV-handoff surface: exported blocks are empty (KV content
-    is irrelevant to communication structure) and imports accept them."""
-
-    def export_kv(self, rid: int) -> Tuple[int, Dict[int, Any]]:
-        return 1, {}
-
-    def import_kv(self, rid: int, pos: int, blocks: Dict[int, Any]) -> None:
-        return None
-
-
-def disagg_serve_model(g_prefill: int, g_decode: int, n_requests: int,
-                       max_new_tokens: int = 2, max_batch: int = 2,
-                       pipeline_limit: Optional[int] = None,
-                       prefill_limit: Optional[int] = None,
-                       max_active: Optional[int] = None) -> CommModel:
-    """The disaggregated prefill/decode KV-handoff protocol — the *real*
-    :class:`~repro.fleet.engine.DisaggPipelineServer` scheduler / prefill
-    / decode programs over symbolic stages.
-
-    This is the proof the fleet layer leans on: KV pieces (``TAG_KV``)
-    flowing home to the scheduler, merged ingests (``TAG_INGEST``)
-    relayed through the decode pipe, and decode groups (``TAG_DEC``)
-    interleaving with them must be deadlock-free under *every* delivery
-    order, for any request count the bounded window can produce.
-    """
-    if g_prefill < 1 or g_decode < 1:
-        raise ValueError("need g_prefill >= 1 and g_decode >= 1")
-    if g_prefill + g_decode < 2:
-        raise ValueError("a one-rank world never communicates")
-    if n_requests < 1 or max_new_tokens < 1:
-        raise ValueError("need at least one request and one token")
-    from ..fleet.engine import DisaggPipelineServer
-
-    def make(capture: _Capture) -> Dict[int, Generator]:
-        shell = object.__new__(DisaggPipelineServer)
-        shell.cfg = None
-        shell.g_prefill = g_prefill
-        shell.g_decode = g_decode
-        shell.n_ranks = g_prefill + g_decode
-        shell.max_batch = max_batch
-        shell.pipeline_limit = max(
-            1, pipeline_limit if pipeline_limit is not None else g_decode)
-        shell.prefill_limit = max(
-            1, prefill_limit if prefill_limit is not None else g_prefill)
-        shell.max_active = (max_active if max_active is not None
-                            else max_batch * shell.pipeline_limit)
-        shell.recorder = None
-        shell.prefill_stages = [_SymbolicDisaggStage()
-                                for _ in range(g_prefill)]
-        shell.decode_stages = [_SymbolicDisaggStage()
-                               for _ in range(g_decode)]
-        reqs = {
-            rid: Request(rid, np.zeros(1, dtype=np.int64), max_new_tokens,
-                         greedy=True, seed=rid)
-            for rid in range(n_requests)
-        }
-        order = [reqs[rid] for rid in range(n_requests)]
-        results: Dict[int, List[int]] = {rid: [] for rid in range(n_requests)}
-        programs: Dict[int, Generator] = {
-            0: DisaggPipelineServer._scheduler_program(
-                shell, capture, reqs, order, results)}
         for r in range(1, g_prefill):
-            programs[r] = DisaggPipelineServer._prefill_program(
-                shell, r, capture)
-        for j in range(g_decode):
-            programs[g_prefill + j] = DisaggPipelineServer._decode_program(
+            programs[r] = PipelineServer._prefill_program(shell, r, capture)
+        for j in range(0 if g_prefill else 1, g_inter):
+            programs[g_prefill + j] = PipelineServer._shard_program(
                 shell, j, capture, reqs)
         return programs
 
-    return CommModel("disagg-serve", g_prefill + g_decode, make, config={
-        "g_prefill": g_prefill, "g_decode": g_decode,
-        "requests": n_requests, "tokens": max_new_tokens,
-        "max_batch": max_batch})
+    config = {"g_inter": g_inter, "requests": n_requests,
+              "tokens": max_new_tokens, "max_batch": max_batch}
+    if g_prefill:
+        config["g_prefill"] = g_prefill
+    return CommModel("serve", g_prefill + g_inter, make, config=config)
 
 
 def _deferred_backward_tail(capture: _Capture, grid: RankGrid, rank: int,
@@ -572,8 +521,9 @@ def builtin_models(max_world: int = 8, max_microbatches: int = 4,
         # steers the pump — inherently non-confluent, so those splits are
         # covered by the runtime token-identity tests instead.
         for g_decode in range(1, max_world):
-            models.append(disagg_serve_model(
-                1, g_decode, n_requests=3, max_new_tokens=2, max_batch=2))
+            models.append(serve_model(g_decode, n_requests=3,
+                                      max_new_tokens=2, max_batch=2,
+                                      g_prefill=1))
     return models
 
 

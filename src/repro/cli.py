@@ -548,14 +548,16 @@ def cmd_serve(args) -> bool:
 # -- fleet: elastic serving fleet on both substrates --------------------------
 
 def _fleet_functional(fast: bool, seed: int) -> Dict:
-    """Two live demos over RankTransport: the disaggregated KV-handoff
-    server emitting serial-identical tokens, and a real elastic fleet
-    scaling 1 -> 2 -> 1 under a flash crowd with zero lost requests."""
+    """Two live demos over RankTransport: the pipeline server in its
+    disaggregated KV-handoff placement emitting serial-identical tokens,
+    and a real elastic fleet scaling 1 -> 2 -> 1 under a flash crowd with
+    zero lost requests."""
     import numpy as np
 
-    from .fleet import DisaggPipelineServer, FleetServer, ReactivePolicy
+    from .fleet import FleetServer, ReactivePolicy
     from .nn import GPT, GPTConfig, generate
-    from .serve import ArrivalSpec, RequestSpec, make_requests
+    from .serve import (ArrivalSpec, PipelineServer, RequestSpec,
+                        make_requests)
 
     cfg = GPTConfig(vocab_size=61, seq_len=48, n_layer=4, n_head=2,
                     hidden=16)
@@ -569,8 +571,8 @@ def _fleet_functional(fast: bool, seed: int) -> Dict:
                         rng=np.random.default_rng(req.seed),
                         greedy=req.greedy)
 
-    disagg = DisaggPipelineServer(cfg, g_prefill=2, g_decode=2,
-                                  max_batch=4).serve(requests)
+    disagg = PipelineServer(cfg, g_inter=2, g_prefill=2,
+                            max_batch=4).serve(requests)
     disagg_rows = [{
         "rid": req.rid, "prompt": int(np.asarray(req.prompt).size),
         "new_tokens": req.max_new_tokens,

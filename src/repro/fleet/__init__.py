@@ -7,18 +7,17 @@ The production layer above :mod:`repro.serve`, on both substrates:
   shared :class:`FleetObservation` contract;
 * :mod:`repro.fleet.slo` — SLO classes, the stable priority queue, and
   load-shedding admission control, shared verbatim by both substrates;
-* :mod:`repro.fleet.engine` — the functional path:
-  :class:`DisaggPipelineServer` (prefill/decode disaggregation as an
-  explicit KV-handoff wire protocol, token-identical to the unified
-  server) and :class:`FleetServer` (a real elastic fleet of pipeline
-  replicas where scale-down and crash share one decommission path);
+* :mod:`repro.fleet.engine` — the functional path: :class:`FleetServer`,
+  a real elastic fleet of :class:`~repro.serve.PipelineServer` replicas
+  where scale-down and crash share one decommission path (prefill/decode
+  disaggregation is a placement of that one server,
+  ``PipelineServer(g_prefill=...)``, not a class of this package);
 * :mod:`repro.fleet.sim` — the DES twin: replica-seconds vs p99 TTFT
   economics of autoscaling under diurnal/flash-crowd traffic, cold
   starts, drains, and priced KV handoffs.
 """
 
-from .engine import (DisaggPipelineServer, FleetRunReport, FleetServer,
-                     TAG_DEC, TAG_INGEST, TAG_KV)
+from .engine import FleetRunReport, FleetServer
 from .policy import (AutoscalerPolicy, FleetObservation, PredictivePolicy,
                      ReactivePolicy, ScaleEvent, StaticPolicy)
 from .sim import (FleetModel, FleetStats, service_rate_per_replica,
@@ -37,12 +36,8 @@ __all__ = [
     "DEFAULT_SLO_CLASSES",
     "PriorityQueue",
     "AdmissionController",
-    "DisaggPipelineServer",
     "FleetServer",
     "FleetRunReport",
-    "TAG_KV",
-    "TAG_INGEST",
-    "TAG_DEC",
     "FleetModel",
     "FleetStats",
     "service_rate_per_replica",

@@ -1,338 +1,41 @@
-"""Elastic serving on the functional runtime: disaggregation + autoscaling.
+"""Elastic serving on the functional runtime: an autoscaled replica fleet.
 
-Two pieces, both built from the real message-driven machinery rather than
-a model of it:
+:class:`FleetServer` is an elastic fleet of
+:class:`~repro.serve.engine.PipelineServer` replicas — the one functional
+server, built from the real message-driven machinery rather than a model
+of it — driven round by round: arrivals from a seeded trace (see
+:meth:`repro.serve.ArrivalSpec.sample_times`) pass SLO admission, an
+:class:`~repro.fleet.policy.AutoscalerPolicy` observes the fleet between
+rounds and scales it, and *both* planned scale-down and injected crashes
+decommission a replica through one code path
+(:meth:`FleetServer._decommission`), re-admitting outstanding requests
+under a :class:`~repro.runtime.transport.RankFailure` — the resilience
+layer's failure carrier — so retirement is provably just a crash the
+scheduler knew about in advance.
 
-* :class:`DisaggPipelineServer` — prefill/decode disaggregation as an
-  explicit wire protocol.  A *prefill pool* of ``g_prefill`` ranks and a
-  *decode pool* of ``g_decode`` ranks each shard the full network
-  (independently — the pools may have different depths).  A request's
-  prompt flows down the prefill pipe once; every prefill rank exports its
-  slice of the KV cache and ships it to the scheduler (``TAG_KV``), which
-  re-shards the merged cache down the decode pipe in a single ingest
-  message (``TAG_INGEST``).  Decode passes then run entirely inside the
-  decode pool.  Because the ingest travels the same FIFO channels as the
-  decode traffic, a request's first decode pass can never overtake its own
-  KV — the property the model checker proves at the smoke configuration.
-  Outputs are token-for-token identical to :class:`~repro.serve.engine.
-  PipelineServer` (and hence to serial ``generate``): the prefill pipe
-  produces bit-identical logits, and the request's whole RNG stream is
-  consumed on the decode tail.
-
-* :class:`FleetServer` — an elastic fleet of
-  :class:`~repro.serve.engine.PipelineServer` replicas driven round by
-  round: arrivals from a seeded trace (see
-  :meth:`repro.serve.ArrivalSpec.sample_times`) pass SLO admission, an
-  :class:`~repro.fleet.policy.AutoscalerPolicy` observes the fleet between
-  rounds and scales it, and *both* planned scale-down and injected crashes
-  decommission a replica through one code path
-  (:meth:`FleetServer._decommission`), re-admitting outstanding requests
-  under a :class:`~repro.runtime.transport.RankFailure` — the resilience
-  layer's failure carrier — so retirement is provably just a crash the
-  scheduler knew about in advance.
+Prefill/decode disaggregation is not a second server here: it is a
+placement of that same class, ``PipelineServer(g_prefill=...)``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn import GPTConfig, sample_token
+from ..nn import GPTConfig
 from ..obs import RuntimeTracer
 from ..resilience import FaultPlan
-from ..runtime.stage import InferenceStage
-from ..runtime.transport import RECV, RankFailure, RankTransport
-from ..serve.engine import (PipelineServer, Request, TAG_ACT, TAG_STOP,
-                            TAG_TOKEN)
+from ..runtime.transport import RankFailure
+from ..serve.engine import PipelineServer, Request
 from .policy import AutoscalerPolicy, FleetObservation, ScaleEvent
 from .slo import (ADMIT, AdmissionController, BACKPRESSURE, DOWN,
                   PriorityQueue, SHED, SLOClass)
 
-__all__ = ["DisaggPipelineServer", "FleetServer", "FleetRunReport",
-           "TAG_KV", "TAG_INGEST", "TAG_DEC"]
+__all__ = ["FleetServer", "FleetRunReport"]
 
-TAG_KV = "fleet-kv"          #: prefill rank -> scheduler: exported KV slice
-TAG_INGEST = "fleet-ingest"  #: scheduler -> decode pipe: merged KV + logits
-TAG_DEC = "fleet-dec"        #: scheduler -> decode pool: next-token group
-
-
-class DisaggPipelineServer:
-    """Disaggregated prefill/decode serving over one transport world.
-
-    Ranks ``0..g_prefill-1`` form the prefill pool (rank 0 doubles as the
-    global scheduler, exactly like :class:`~repro.serve.engine.
-    PipelineServer`), ranks ``g_prefill..g_prefill+g_decode-1`` the decode
-    pool.  Knobs mirror the unified server: ``max_batch`` bounds decode
-    group width, ``pipeline_limit`` the decode pool's in-flight groups
-    (default ``g_decode``), ``prefill_limit`` concurrent prefills in the
-    prefill pipe (default ``g_prefill``), ``max_active`` KV-resident
-    requests in the decode pool.
-    """
-
-    def __init__(self, cfg: GPTConfig, g_prefill: int = 1,
-                 g_decode: int = 1, max_batch: int = 8,
-                 pipeline_limit: Optional[int] = None,
-                 prefill_limit: Optional[int] = None,
-                 max_active: Optional[int] = None,
-                 recorder: Any = None):
-        if g_prefill < 1 or g_decode < 1:
-            raise ValueError("g_prefill and g_decode must be >= 1")
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        self.cfg = cfg
-        self.g_prefill = g_prefill
-        self.g_decode = g_decode
-        self.n_ranks = g_prefill + g_decode
-        self.max_batch = max_batch
-        self.pipeline_limit = max(1, pipeline_limit if pipeline_limit
-                                  is not None else g_decode)
-        self.prefill_limit = max(1, prefill_limit if prefill_limit
-                                 is not None else g_prefill)
-        self.max_active = max_active if max_active is not None \
-            else max_batch * self.pipeline_limit
-        if self.max_active < 1:
-            raise ValueError("max_active must be >= 1")
-        self.recorder = recorder
-        self.prefill_stages = [InferenceStage(cfg, i, g_prefill)
-                               for i in range(g_prefill)]
-        self.decode_stages = [InferenceStage(cfg, i, g_decode)
-                              for i in range(g_decode)]
-
-    # -- public API --------------------------------------------------------
-    def serve(self, requests: Sequence[Request]) -> Dict[int, np.ndarray]:
-        """Serve ``requests``; rid -> full sequence, identical to the
-        unified :meth:`PipelineServer.serve` (and serial ``generate``)."""
-        reqs: Dict[int, Request] = {}
-        for req in requests:
-            if req.rid in reqs:
-                raise ValueError(f"duplicate request id {req.rid}")
-            req.validate(self.cfg)
-            reqs[req.rid] = req
-        results: Dict[int, List[int]] = {
-            req.rid: [] for req in requests if req.max_new_tokens > 0}
-        order = [req for req in requests if req.max_new_tokens > 0]
-        if order:
-            transport = RankTransport(self.n_ranks, recorder=self.recorder)
-            programs: Dict[int, Generator] = {
-                0: self._scheduler_program(transport, reqs, order, results)}
-            for r in range(1, self.g_prefill):
-                programs[r] = self._prefill_program(r, transport)
-            for j in range(self.g_decode):
-                programs[self.g_prefill + j] = self._decode_program(
-                    j, transport, reqs)
-            transport.run(programs)
-        return {
-            req.rid: np.concatenate([
-                np.asarray(req.prompt, dtype=np.int64),
-                np.asarray(results.get(req.rid, []), dtype=np.int64)])
-            for req in requests
-        }
-
-    # -- rank programs -----------------------------------------------------
-    def _scheduler_program(self, transport: RankTransport,
-                           reqs: Dict[int, Request],
-                           order: List[Request],
-                           results: Dict[int, List[int]]) -> Generator:
-        """Rank 0: global scheduler + first prefill shard.
-
-        Owns all flow control: starts prefills (bounded by
-        ``prefill_limit``), collects the per-rank KV pieces, merges them,
-        and drives the decode pool with ingest and decode groups (bounded
-        by ``pipeline_limit``/``max_active``).
-        """
-        P, D = self.g_prefill, self.g_decode
-        stage = self.prefill_stages[0]
-        pending = deque(order)
-        kv_parts: Dict[int, Dict[int, dict]] = {}   # rid -> rank -> blocks
-        last_logits: Dict[int, np.ndarray] = {}
-        ingest_ready: deque = deque()  # (rid, pos, merged blocks, logits)
-        active: set = set()            # rids KV-resident in the decode pool
-        ready: deque = deque()         # (rid, last token) awaiting a pass
-        prefill_inflight = 0
-        decode_inflight = 0
-        seq = 0
-        n_done = 0
-        total = len(order)
-
-        def pump() -> None:
-            nonlocal prefill_inflight, decode_inflight, seq
-            # feed the prefill pipe (bounded so exported KV doesn't pile up)
-            while (pending and prefill_inflight < self.prefill_limit
-                   and len(ingest_ready) < self.max_active):
-                req = pending.popleft()
-                stage.start_request(req.rid)
-                prompt = np.asarray(req.prompt, dtype=np.int64)[None, :]
-                out = stage.forward(req.rid, prompt)
-                pos, piece = stage.export_kv(req.rid)
-                stage.finish_request(req.rid)
-                if P == 1:
-                    ingest_ready.append((req.rid, pos, piece,
-                                         out[0, -1].copy()))
-                else:
-                    kv_parts[req.rid] = {0: piece}
-                    transport.send(0, 1, TAG_ACT, seq, [(req.rid, out)])
-                    seq += 1
-                    prefill_inflight += 1
-            # feed the decode pipe: ingests first (new work), then decodes
-            while decode_inflight < self.pipeline_limit:
-                if ingest_ready and len(active) < self.max_active:
-                    batch = []
-                    while (ingest_ready and len(batch) < self.max_batch
-                           and len(active) < self.max_active):
-                        rid, pos, blocks, logits = ingest_ready.popleft()
-                        active.add(rid)
-                        batch.append((rid, pos, blocks, logits))
-                    transport.send(0, P, TAG_INGEST, seq, batch)
-                elif ready:
-                    items: List[Tuple[int, int]] = []
-                    for _ in range(min(len(ready), self.max_batch)):
-                        items.append(ready.popleft())
-                    transport.send(0, P, TAG_DEC, seq, items)
-                else:
-                    return
-                seq += 1
-                decode_inflight += 1
-
-        pump()
-        while n_done < total:
-            pkt = yield RECV
-            if pkt.tag == TAG_KV:
-                for rid, src, piece, logits in pkt.data:
-                    parts = kv_parts[rid]
-                    parts[src] = piece
-                    if logits is not None:
-                        last_logits[rid] = logits
-                    if len(parts) == P:
-                        prefill_inflight -= 1
-                        merged: Dict[int, tuple] = {}
-                        for p in parts.values():
-                            merged.update(p)
-                        ingest_ready.append(
-                            (rid, int(np.asarray(reqs[rid].prompt).size),
-                             merged, last_logits.pop(rid)))
-                        del kv_parts[rid]
-            else:  # TAG_TOKEN
-                decode_inflight -= 1
-                for rid, tok, done in pkt.data:
-                    results[rid].append(tok)
-                    if done:
-                        active.discard(rid)
-                        n_done += 1
-                    else:
-                        ready.append((rid, tok))
-            pump()
-        if P > 1:
-            transport.send(0, 1, TAG_STOP, 0, None)
-        transport.send(0, P, TAG_STOP, 0, None)
-
-    def _prefill_program(self, r: int,
-                         transport: RankTransport) -> Generator:
-        """Prefill rank ``r`` >= 1: one prompt pass per request, then the
-        KV slice goes home to the scheduler and the request is gone."""
-        stage = self.prefill_stages[r]
-        is_tail = r == self.g_prefill - 1
-        while True:
-            pkt = yield RECV
-            if pkt.tag == TAG_STOP:
-                if not is_tail:
-                    transport.send(r, r + 1, TAG_STOP, 0, None)
-                return
-            kv_items = []
-            act_items = []
-            for rid, act in pkt.data:
-                stage.start_request(rid)
-                out = stage.forward(rid, act)
-                _, piece = stage.export_kv(rid)
-                stage.finish_request(rid)
-                kv_items.append((rid, r, piece,
-                                 out[0, -1].copy() if is_tail else None))
-                if not is_tail:
-                    act_items.append((rid, out))
-            if not is_tail:
-                transport.send(r, r + 1, TAG_ACT, pkt.microbatch, act_items)
-            transport.send(r, 0, TAG_KV, pkt.microbatch, kv_items)
-
-    def _decode_program(self, j: int, transport: RankTransport,
-                        reqs: Dict[int, Request]) -> Generator:
-        """Decode rank ``j`` (world rank ``g_prefill + j``).
-
-        Ingest messages seed the local KV shard (each rank peels off the
-        slots it owns and forwards the rest); the tail additionally samples
-        the request's *first* token from the handed-off prefill logits —
-        the request's RNG stream lives entirely here, which is what makes
-        the output bit-identical to the unified server.
-        """
-        P, D = self.g_prefill, self.g_decode
-        rank = P + j
-        stage = self.decode_stages[j]
-        is_last = j == D - 1
-        left: Dict[int, int] = {}   # decode passes still to flow through
-        rngs: Dict[int, np.random.Generator] = {}
-        while True:
-            pkt = yield RECV
-            if pkt.tag == TAG_STOP:
-                if not is_last:
-                    transport.send(rank, rank + 1, TAG_STOP, 0, None)
-                return
-            if pkt.tag == TAG_INGEST:
-                out: List[Tuple[int, int, bool]] = []
-                for rid, pos, blocks, logits in pkt.data:
-                    stage.import_kv(rid, pos, blocks)
-                    left[rid] = reqs[rid].max_new_tokens - 1
-                    if is_last:
-                        req = reqs[rid]
-                        rngs[rid] = np.random.default_rng(req.seed)
-                        tok = sample_token(logits, req.temperature,
-                                           req.top_k, rngs[rid], req.greedy)
-                        done = left[rid] == 0
-                        out.append((rid, tok, done))
-                        if done:
-                            stage.finish_request(rid)
-                            del left[rid], rngs[rid]
-                    elif left[rid] == 0:
-                        stage.finish_request(rid)
-                        del left[rid]
-                if is_last:
-                    transport.send(rank, 0, TAG_TOKEN, pkt.microbatch, out)
-                else:
-                    transport.send(rank, rank + 1, TAG_INGEST,
-                                   pkt.microbatch, pkt.data)
-                continue
-            # a decode group: first rank embeds raw tokens, the rest relay
-            # boundary activations; the tail samples.
-            items: List[Tuple[int, np.ndarray]] = []
-            out = []
-            for rid, payload in pkt.data:
-                x = np.asarray([[payload]], dtype=np.int64) if j == 0 \
-                    else payload
-                y = stage.forward(rid, x)
-                left[rid] -= 1
-                if is_last:
-                    req = reqs[rid]
-                    tok = sample_token(y[0, -1], req.temperature,
-                                       req.top_k, rngs[rid], req.greedy)
-                    done = left[rid] == 0
-                    out.append((rid, tok, done))
-                else:
-                    items.append((rid, y))
-                if left[rid] == 0:
-                    stage.finish_request(rid)
-                    del left[rid]
-                    if is_last:
-                        del rngs[rid]
-            if is_last:
-                transport.send(rank, 0, TAG_TOKEN, pkt.microbatch, out)
-            else:
-                transport.send(rank, rank + 1, TAG_ACT, pkt.microbatch,
-                               items)
-
-
-# ---------------------------------------------------------------------------
-# Elastic fleet of unified replicas
-# ---------------------------------------------------------------------------
 
 @dataclass
 class _FunctionalReplica:
@@ -616,7 +319,6 @@ class FleetServer:
                     report.n_completed += len(out)
                     served_last += len(batch)
                 if rep.state == "draining" and not rep.backlog:
-                    live, prov, drain = fleet_counts()
                     self._decommission(rep, "retire", round_idx, queue,
                                        priorities, report)
             report.replica_rounds += sum(1 for r in replicas

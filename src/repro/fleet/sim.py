@@ -8,7 +8,9 @@ admission, priority scheduling, and optionally disaggregated
 prefill/decode pools.
 
 Deltas from :mod:`repro.serve.sim` (whose per-stage cost model — via
-:class:`~repro.serve.ServingModel` — is reused unchanged):
+:class:`~repro.serve.ServingModel` — replica record and token / latency
+ledger are reused unchanged: ``_FleetReplica`` extends its ``_Replica``,
+``_Fleet`` its ``_Ledger``; what differs is the admission model):
 
 * replicas are *elastic*: an :class:`~repro.fleet.policy.AutoscalerPolicy`
   observes the fleet every ``control_interval_s`` and names a target size;
@@ -36,18 +38,16 @@ Deltas from :mod:`repro.serve.sim` (whose per-stage cost model — via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
-
-from collections import deque
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..obs import ObsSpan
 from ..resilience import FaultPlan
-from ..serve.sim import (ServingModel, ServingStats, _ReqState,
-                         _request_sizes, _stage_proc)
-from ..serve.workload import ArrivalSpec, RequestSpec
-from ..sim import Environment, Interrupt, Store, poisson_process
+from ..serve.sim import (ServingModel, ServingStats, _Ledger, _Replica,
+                         _ReqState)
+from ..serve.workload import ArrivalSpec, RequestSpec, request_sizes
+from ..sim import Environment, Interrupt, poisson_process
 from .policy import AutoscalerPolicy, FleetObservation, ScaleEvent
 from .slo import (ADMIT, AdmissionController, BACKPRESSURE, DOWN,
                   PriorityQueue, SHED, SLOClass)
@@ -165,21 +165,15 @@ class _FleetReq(_ReqState):
         self.cls = cls
 
 
-class _FleetReplica:
-    """One pipeline replica with a lifecycle."""
+class _FleetReplica(_Replica):
+    """One pipeline replica with a lifecycle (its inherited ``queue``
+    stays empty: the fleet's queue is central)."""
 
     def __init__(self, env: Environment, model: ServingModel, index: int,
                  role: str):
-        self.env = env
-        self.model = model
-        self.index = index
+        super().__init__(env, model, index)
         self.role = role               #: "unified" | "prefill" | "decode"
         self.state = "provisioning"    #: -> serving -> draining -> dead
-        self.stores = [Store(env) for _ in range(model.g_inter)]
-        self.active: Dict[int, _FleetReq] = {}
-        self.ready: Deque[_FleetReq] = deque()
-        self.inflight = 0
-        self.procs: list = []
         self.drain_started: Optional[float] = None
 
     @property
@@ -188,38 +182,31 @@ class _FleetReplica:
 
     @property
     def alive(self) -> bool:
-        """What a stage process asks before passing its group on (a
-        provisioning replica has no stage processes yet)."""
+        """A provisioning replica has no stage processes yet, but is not
+        dead."""
         return self.state != "dead"
 
-    def outstanding(self) -> List[_FleetReq]:
-        seen = {st.rid: st for st in self.active.values()}
-        return list(seen.values())
 
-
-class _Fleet:
-    """All shared state of one elastic simulation run."""
+class _Fleet(_Ledger):
+    """Central admission: one priority queue that whichever replica has
+    room pulls from, plus lifecycle, pools and the control loop."""
 
     def __init__(self, env: Environment, model: FleetModel,
                  stats: FleetStats, policy: AutoscalerPolicy,
                  admission: AdmissionController, mu: float,
                  horizon_s: float, spans: Optional[List[ObsSpan]]):
-        self.env = env
+        super().__init__(env, stats, spans)
         self.model = model
         self.serving = model.serving
-        self.stats = stats
         self.policy = policy
         self.admission = admission
         self.mu = mu
         self.horizon_s = horizon_s
-        self.spans = spans
         self.replicas: List[_FleetReplica] = []
         #: central bounded priority queue feeding the front pool
         self.queue: PriorityQueue = PriorityQueue()
         #: disagg only: requests whose KV arrived, awaiting a decode slot
         self.decode_pending: PriorityQueue = PriorityQueue()
-        self.in_system = 0
-        self._conc_mark = 0.0
         #: replica-seconds accrual
         self._rs_mark = 0.0
         self._n_paid = 0
@@ -235,13 +222,6 @@ class _Fleet:
                 self.spawn("unified", warm=True, reason="initial")
 
     # -- bookkeeping -------------------------------------------------------
-    def _track(self, delta: int) -> None:
-        now = self.env.now
-        self.stats.concurrency_integral += \
-            self.in_system * (now - self._conc_mark)
-        self._conc_mark = now
-        self.in_system += delta
-
     def _pay(self, delta: int) -> None:
         """Move the replica-seconds meter (clamped to the horizon)."""
         t = min(self.env.now, self.horizon_s)
@@ -254,13 +234,6 @@ class _Fleet:
     def flush(self) -> None:
         self._track(0)
         self._pay(0)
-
-    def _span(self, rank: int, stream: str, name: str, start: float,
-              end: float, rid: Optional[int] = None,
-              category: str = "compute") -> None:
-        if self.spans is not None:
-            self.spans.append(ObsSpan(rank, stream, name, start, end,
-                                      category=category, microbatch=rid))
 
     def _event(self, kind: str, n_from: int, n_to: int, reason: str,
                pool: str) -> None:
@@ -318,10 +291,7 @@ class _Fleet:
 
     def _warm(self, rep: _FleetReplica) -> None:
         rep.state = "serving"
-        for i in range(self.serving.g_inter):
-            rep.procs.append(self.env.process(
-                _stage_proc(self.env, self, rep, i),
-                name=f"{rep.role}{rep.index}-stage{i}"))
+        rep.start(self, f"{rep.role}{rep.index}")
 
     def start_drain(self, rep: _FleetReplica) -> None:
         if rep.state in ("serving", "provisioning"):
@@ -345,13 +315,7 @@ class _Fleet:
             return
         rep.state = "dead"
         self._pay(-1)
-        for proc in rep.procs:
-            if proc.is_alive:
-                proc.interrupt(f"replica-{kind}")
-        orphans = rep.outstanding()
-        rep.active.clear()
-        rep.ready.clear()
-        rep.inflight = 0
+        orphans = rep.kill(f"replica-{kind}")
         if kind == "crash":
             self.stats.n_crashes += 1
         else:
@@ -359,11 +323,8 @@ class _Fleet:
         self._span(rep.index, "fleet", f"replica-{kind}", self.env.now,
                    self.env.now, category="fault" if kind == "crash"
                    else "recovery")
+        self.stats.n_restarts += len(orphans)
         for st in orphans:
-            st.restarts += 1
-            self.stats.n_restarts += 1
-            st.tokens_done = 0
-            st.first_token_s = None
             # back to the very start: prompt must be re-processed (the KV
             # died with the replica), ahead of same-priority peers
             self.queue.push_front(st, st.cls.priority)
@@ -419,11 +380,7 @@ class _Fleet:
         if rep.role in ("unified", "prefill"):
             if (taking_new and len(self.queue) > 0
                     and len(rep.active) < model.effective_max_active):
-                st = self.queue.pop()
-                rep.active[st.rid] = st
-                st.last_step_s = self.env.now
-                rep.inflight += 1
-                rep.stores[0].put(("prefill", [st]))
+                self.start_prefill(rep, self.queue.pop())
                 return True
         if rep.role == "decode" and taking_new:
             # batch up waiting handoffs before dispatching, so freshly
@@ -435,13 +392,7 @@ class _Fleet:
                 rep.active[st.rid] = st
                 rep.ready.append(st)
         if rep.role in ("unified", "decode") and rep.ready:
-            group = []
-            for _ in range(min(len(rep.ready), model.max_batch)):
-                group.append(rep.ready.popleft())
-            for st in group:
-                st.last_step_s = self.env.now
-            rep.inflight += 1
-            rep.stores[0].put(("decode", group))
+            self.start_decode(rep)
             return True
         return False
 
@@ -456,47 +407,17 @@ class _Fleet:
                 del rep.active[st.rid]
                 self._span(rep.index, "serve", "prefill", st.last_step_s,
                            now, st.rid)
-                self.env.process(self._handoff_proc(rep, st),
-                                 name=f"handoff-{st.rid}")
+                rep.handoffs[st.rid] = (st, self.env.process(
+                    self._handoff_proc(rep, st), name=f"handoff-{st.rid}"))
         else:
             for st in group:
-                self._emit_token(rep, st, now)
+                self.emit_token(rep, st, now)
         self.pump_all()
 
-    def _emit_token(self, rep: _FleetReplica, st: _FleetReq,
-                    now: float) -> None:
-        st.tokens_done += 1
-        self.stats.tokens_out += 1
-        if st.tokens_done == 1:
-            self._first_token(st, now)
-            self._span(rep.index, "serve", "prefill", st.last_step_s, now,
-                       st.rid)
-        else:
-            self._span(rep.index, "serve", f"decode{st.tokens_done - 1}",
-                       st.last_step_s, now, st.rid)
-        if st.tokens_done >= st.new_tokens:
-            self._complete(rep, st, now)
-        else:
-            rep.ready.append(st)
-
-    def _first_token(self, st: _FleetReq, now: float) -> None:
-        st.first_token_s = now
-        ttft = now - st.arrival_s
-        self.stats.ttft_s.append(ttft)
-        self.stats.ttft_by_class.setdefault(st.cls.name, []).append(ttft)
-
-    def _complete(self, rep: _FleetReplica, st: _FleetReq,
-                  now: float) -> None:
-        st.finish_s = now
-        rep.active.pop(st.rid, None)
-        self.stats.n_completed += 1
-        self.stats.sojourn_s.append(now - st.arrival_s)
-        if st.new_tokens > 1 and st.first_token_s is not None:
-            self.stats.tpot_s.append(
-                (now - st.first_token_s) / (st.new_tokens - 1))
-        self._track(-1)
-        self._span(rep.index, "serve", "request", st.arrival_s, now,
-                   st.rid, category="other")
+    def first_token(self, st: _FleetReq, now: float) -> None:
+        super().first_token(st, now)
+        self.stats.ttft_by_class.setdefault(st.cls.name, []).append(
+            now - st.arrival_s)
 
     def _handoff_proc(self, rep: _FleetReplica, st: _FleetReq):
         """Priced KV transfer from prefill replica ``rep`` to the decode
@@ -505,7 +426,8 @@ class _Fleet:
             yield self.env.timeout(
                 self.model.kv_transfer_s_per_token * st.prompt_len)
         except Interrupt:
-            return
+            return  # the source died mid-read; ``kill`` orphaned ``st``
+        del rep.handoffs[st.rid]
         now = self.env.now
         self.stats.n_handoffs += 1
         # the decode tail samples the first token from the handed-off
@@ -513,9 +435,9 @@ class _Fleet:
         # TAG_INGEST semantics)
         st.tokens_done = 1
         self.stats.tokens_out += 1
-        self._first_token(st, now)
+        self.first_token(st, now)
         if st.new_tokens <= 1:  # the first token was the last
-            self._complete(rep, st, now)
+            self.complete(rep, st, now)
             return
         self.decode_pending.push(st, st.cls.priority)
         self.pump_all()
@@ -619,7 +541,7 @@ def simulate_fleet(model: FleetModel, policy: AutoscalerPolicy,
     next_rid = [0]
 
     def on_arrival(now: float) -> None:
-        p, m = _request_sizes(seq_len, spec, size_rng)
+        p, m = request_sizes(seq_len, spec, size_rng)
         cls = _draw_class(admission, class_fractions, class_rng)
         fleet.on_arrival(_FleetReq(next_rid[0], now, p, m, cls))
         next_rid[0] += 1

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,8 +33,9 @@ from ..cluster import ClusterSpec, default_calibration, summit
 from ..nn import GPTConfig
 from ..obs import ObsSpan
 from ..resilience import FaultPlan
-from ..sim import Environment, Interrupt, Store, poisson_process
-from .workload import ArrivalSpec, RequestSpec
+from ..sim import (Environment, Interrupt, Process, Store,
+                   poisson_process)
+from .workload import ArrivalSpec, RequestSpec, request_sizes
 
 __all__ = ["ServingModel", "ServingStats", "simulate_serving",
            "simulate_closed_loop", "sweep_offered_load"]
@@ -207,47 +208,150 @@ class _ReqState:
 class _Replica:
     """One pipeline replica: stage stores + the continuous-batch state."""
 
+    #: what a stage process asks before passing its group on
+    alive = True
+
     def __init__(self, env: Environment, model: ServingModel, index: int):
         self.env = env
         self.model = model
         self.index = index
-        self.alive = True
         self.stores = [Store(env) for _ in range(model.g_inter)]
         self.queue: Deque[_ReqState] = deque()
         self.active: Dict[int, _ReqState] = {}
         self.ready: Deque[_ReqState] = deque()
         self.inflight = 0
-        self.procs = []
+        self.procs: list = []
+        #: rid -> (request, transfer process) while a KV handoff reads
+        #: from this replica (fleet, disaggregated prefill pool only)
+        self.handoffs: Dict[int, Tuple[_ReqState, Process]] = {}
 
     @property
     def load(self) -> int:
         return len(self.queue) + len(self.active)
 
     def outstanding(self) -> List[_ReqState]:
-        return list(self.queue) + list(self.active.values())
+        return list(self.queue) + list(self.active.values()) \
+            + [st for st, _ in self.handoffs.values()]
+
+    def start(self, cluster: "_Ledger", name: str) -> None:
+        """Spawn the stage processes; groups they finish go to
+        ``cluster.finish_group``."""
+        for i in range(self.model.g_inter):
+            self.procs.append(self.env.process(
+                _stage_proc(self.env, cluster, self, i),
+                name=f"{name}-stage{i}"))
+
+    def kill(self, why: str) -> List[_ReqState]:
+        """Stop every process and forget all work; returns the orphans,
+        each reset to restart from its prompt (the KV state is lost)."""
+        for proc in self.procs + [p for _, p in self.handoffs.values()]:
+            if proc.is_alive:
+                proc.interrupt(why)
+        orphans = self.outstanding()
+        self.queue.clear()
+        self.active.clear()
+        self.ready.clear()
+        self.handoffs.clear()
+        self.inflight = 0
+        for st in orphans:
+            st.restarts += 1
+            st.tokens_done = 0
+            st.first_token_s = None
+        return orphans
 
 
-class _Cluster:
-    """Shared router/bookkeeping state for one simulation run."""
+class _Ledger:
+    """What both cluster models share under their different admission:
+    Little's-law bookkeeping, spans, group dispatch onto a replica, and
+    the token / latency ledger."""
 
-    def __init__(self, env: Environment, model: ServingModel,
-                 stats: ServingStats, spans: Optional[List[ObsSpan]]):
+    def __init__(self, env: Environment, stats: ServingStats,
+                 spans: Optional[List[ObsSpan]]):
         self.env = env
-        self.model = model
         self.stats = stats
         self.spans = spans
-        self.replicas = [_Replica(env, model, i)
-                         for i in range(model.n_replicas)]
         self.in_system = 0
         self._conc_mark = 0.0
 
-    # -- Little's law bookkeeping -----------------------------------------
     def _track(self, delta: int) -> None:
         now = self.env.now
         self.stats.concurrency_integral += \
             self.in_system * (now - self._conc_mark)
         self._conc_mark = now
         self.in_system += delta
+
+    def _span(self, rank: int, stream: str, name: str, start: float,
+              end: float, rid: Optional[int] = None,
+              category: str = "compute") -> None:
+        if self.spans is not None:
+            self.spans.append(ObsSpan(rank, stream, name, start, end,
+                                      category=category, microbatch=rid))
+
+    # -- group dispatch ----------------------------------------------------
+    def start_prefill(self, rep: _Replica, st: _ReqState) -> None:
+        rep.active[st.rid] = st
+        st.last_step_s = self.env.now
+        rep.inflight += 1
+        rep.stores[0].put(("prefill", [st]))
+
+    def start_decode(self, rep: _Replica) -> None:
+        group = []
+        for _ in range(min(len(rep.ready), rep.model.max_batch)):
+            group.append(rep.ready.popleft())
+        for st in group:
+            st.last_step_s = self.env.now
+        rep.inflight += 1
+        rep.stores[0].put(("decode", group))
+
+    # -- token / latency ledger --------------------------------------------
+    def emit_token(self, rep: _Replica, st: _ReqState, now: float) -> None:
+        st.tokens_done += 1
+        self.stats.tokens_out += 1
+        if st.tokens_done == 1:
+            self.first_token(st, now)
+            self._span(rep.index, "serve", "prefill", st.last_step_s, now,
+                       st.rid)
+        else:
+            self._span(rep.index, "serve", f"decode{st.tokens_done - 1}",
+                       st.last_step_s, now, st.rid)
+        if st.tokens_done >= st.new_tokens:
+            self.complete(rep, st, now)
+        else:
+            rep.ready.append(st)
+
+    def first_token(self, st: _ReqState, now: float) -> None:
+        st.first_token_s = now
+        self.stats.ttft_s.append(now - st.arrival_s)
+
+    def complete(self, rep: _Replica, st: _ReqState, now: float) -> None:
+        st.finish_s = now
+        # not resident when the first token was the last and it landed
+        # with a KV handoff (fleet, disaggregated)
+        rep.active.pop(st.rid, None)
+        self.stats.n_completed += 1
+        self.stats.sojourn_s.append(now - st.arrival_s)
+        if st.new_tokens > 1 and st.first_token_s is not None:
+            self.stats.tpot_s.append(
+                (now - st.first_token_s) / (st.new_tokens - 1))
+        self._track(-1)
+        self._span(rep.index, "serve", "request", st.arrival_s, now,
+                   st.rid, category="other")
+        if st.done_event is not None and not st.done_event.triggered:
+            st.done_event.succeed()
+
+
+class _Cluster(_Ledger):
+    """Door routing: each arrival goes to the least-loaded live replica's
+    own bounded FIFO queue."""
+
+    def __init__(self, env: Environment, model: ServingModel,
+                 stats: ServingStats, spans: Optional[List[ObsSpan]]):
+        super().__init__(env, stats, spans)
+        self.model = model
+        self.replicas = [_Replica(env, model, i)
+                         for i in range(model.n_replicas)]
+        for rep in self.replicas:
+            rep.start(self, f"replica{rep.index}")
 
     def flush_concurrency(self) -> None:
         self._track(0)
@@ -279,19 +383,9 @@ class _Cluster:
         model = self.model
         while rep.alive and rep.inflight < model.effective_pipeline_limit:
             if rep.queue and len(rep.active) < model.effective_max_active:
-                st = rep.queue.popleft()
-                rep.active[st.rid] = st
-                st.last_step_s = self.env.now
-                rep.inflight += 1
-                rep.stores[0].put(("prefill", [st]))
+                self.start_prefill(rep, rep.queue.popleft())
             elif rep.ready:
-                group = []
-                for _ in range(min(len(rep.ready), model.max_batch)):
-                    group.append(rep.ready.popleft())
-                for st in group:
-                    st.last_step_s = self.env.now
-                rep.inflight += 1
-                rep.stores[0].put(("decode", group))
+                self.start_decode(rep)
             else:
                 return
 
@@ -300,38 +394,8 @@ class _Cluster:
         now = self.env.now
         rep.inflight -= 1
         for st in group:
-            st.tokens_done += 1
-            self.stats.tokens_out += 1
-            if st.tokens_done == 1:
-                st.first_token_s = now
-                self.stats.ttft_s.append(now - st.arrival_s)
-                self._span(rep, "prefill", st.last_step_s, now, st.rid,
-                           "compute")
-            else:
-                self._span(rep, f"decode{st.tokens_done - 1}",
-                           st.last_step_s, now, st.rid, "compute")
-            if st.tokens_done >= st.new_tokens:
-                st.finish_s = now
-                del rep.active[st.rid]
-                self.stats.n_completed += 1
-                self.stats.sojourn_s.append(now - st.arrival_s)
-                if st.new_tokens > 1 and st.first_token_s is not None:
-                    self.stats.tpot_s.append(
-                        (now - st.first_token_s) / (st.new_tokens - 1))
-                self._track(-1)
-                self._span(rep, "request", st.arrival_s, now, st.rid,
-                           "other")
-                if st.done_event is not None and not st.done_event.triggered:
-                    st.done_event.succeed()
-            else:
-                rep.ready.append(st)
+            self.emit_token(rep, st, now)
         self.pump(rep)
-
-    def _span(self, rep: _Replica, name: str, start: float, end: float,
-              rid: int, category: str) -> None:
-        if self.spans is not None:
-            self.spans.append(ObsSpan(rep.index, "serve", name, start, end,
-                                      category=category, microbatch=rid))
 
     # -- failover ----------------------------------------------------------
     def crash(self, rep: _Replica) -> None:
@@ -340,28 +404,17 @@ class _Cluster:
         if not rep.alive:
             return
         rep.alive = False
-        for proc in rep.procs:
-            if proc.is_alive:
-                proc.interrupt("replica-crash")
-        orphans = rep.outstanding()
-        rep.queue.clear()
-        rep.active.clear()
-        rep.ready.clear()
-        rep.inflight = 0
+        orphans = rep.kill("replica-crash")
+        self.stats.n_restarts += len(orphans)
         for st in orphans:
-            st.restarts += 1
-            self.stats.n_restarts += 1
-            st.tokens_done = 0
-            st.first_token_s = None
             if not self.admit(st, forced=True):
                 # no live replica left: the request is lost
                 self._track(-1)
 
 
 def _stage_proc(env: Environment, cluster, rep, i: int):
-    """Stage ``i`` of one replica.  Shared with :mod:`repro.fleet.sim`:
-    it reads only what both replica kinds have (``model``, ``stores``,
-    ``alive``) and either cluster's ``finish_group``."""
+    """Stage ``i`` of one replica (spawned by :meth:`_Replica.start`);
+    a finished group goes to either cluster's ``finish_group``."""
     model = rep.model
     try:
         while True:
@@ -385,11 +438,6 @@ def _build(env: Environment, model: ServingModel, stats: ServingStats,
            spans: Optional[List[ObsSpan]],
            plan: Optional[FaultPlan]) -> _Cluster:
     cluster = _Cluster(env, model, stats, spans)
-    for rep in cluster.replicas:
-        for i in range(model.g_inter):
-            rep.procs.append(env.process(
-                _stage_proc(env, cluster, rep, i),
-                name=f"replica{rep.index}-stage{i}"))
     if plan is not None:
         for fault in plan.faults:
             if fault.kind != "crash":
@@ -404,23 +452,12 @@ def _build(env: Environment, model: ServingModel, stats: ServingStats,
                             t: float = at_s):
                 yield env.timeout(t)
                 cluster.crash(cluster.replicas[idx])
-                if spans is not None:
-                    spans.append(ObsSpan(idx, "serve", "replica-crash",
-                                         t, env.now, category="fault"))
+                cluster._span(idx, "serve", "replica-crash", t, env.now,
+                              category="fault")
 
             env.process(_crash_proc(env),
                         name=f"crash-replica{rep_idx}@{at_s}")
     return cluster
-
-
-def _request_sizes(cfg_seq_len: int, spec: RequestSpec,
-                   rng: np.random.Generator) -> Tuple[int, int]:
-    """Same clipping contract as :func:`repro.serve.workload.make_requests`."""
-    p = int(min(1 + rng.geometric(1.0 / spec.mean_prompt),
-                cfg_seq_len - 1))
-    m = int(min(1 + rng.geometric(1.0 / spec.mean_new_tokens),
-                cfg_seq_len - p))
-    return p, m
 
 
 def simulate_serving(model: ServingModel, arrivals: ArrivalSpec,
@@ -440,7 +477,7 @@ def simulate_serving(model: ServingModel, arrivals: ArrivalSpec,
 
     def on_arrival(now: float) -> None:
         stats.n_arrived += 1
-        p, m = _request_sizes(seq_len, spec, size_rng)
+        p, m = request_sizes(seq_len, spec, size_rng)
         cluster.admit(_ReqState(next_rid[0], now, p, m))
         next_rid[0] += 1
 
@@ -472,7 +509,7 @@ def simulate_closed_loop(model: ServingModel, n_clients: int,
 
     def _client_proc(env: Environment, cid: int):
         while env.now < horizon_s:
-            p, m = _request_sizes(seq_len, spec, size_rng)
+            p, m = request_sizes(seq_len, spec, size_rng)
             done = env.event()
             st = _ReqState(next_rid[0], env.now, p, m, done_event=done)
             next_rid[0] += 1

@@ -25,14 +25,15 @@ sweep was scored on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from ..nn import GPTConfig
 from .engine import Request
 
-__all__ = ["ARRIVAL_KINDS", "ArrivalSpec", "RequestSpec", "make_requests"]
+__all__ = ["ARRIVAL_KINDS", "ArrivalSpec", "RequestSpec", "make_requests",
+           "request_sizes"]
 
 
 @dataclass(frozen=True)
@@ -51,22 +52,30 @@ class RequestSpec:
             raise ValueError("greedy_fraction must be in [0, 1]")
 
 
+def request_sizes(seq_len: int, spec: RequestSpec,
+                  rng: np.random.Generator) -> Tuple[int, int]:
+    """One request's ``(prompt_len, max_new_tokens)`` from ``spec``'s
+    geometric distributions, clipped so their sum fits ``seq_len`` (the
+    engine's admission contract).  Two draws, prompt first — the order
+    every seeded trace, functional or DES, depends on."""
+    p = int(min(1 + rng.geometric(1.0 / spec.mean_prompt), seq_len - 1))
+    m = int(min(1 + rng.geometric(1.0 / spec.mean_new_tokens),
+                seq_len - p))
+    return p, m
+
+
 def make_requests(cfg: GPTConfig, n: int,
                   spec: Optional[RequestSpec] = None) -> List[Request]:
     """``n`` deterministic requests drawn from ``spec``'s distributions.
 
-    Lengths are clipped so ``prompt + max_new_tokens <= cfg.seq_len`` (the
-    engine's admission contract); each request gets its own sampling seed
-    derived from the spec seed and its id.
+    Lengths come from :func:`request_sizes`; each request gets its own
+    sampling seed derived from the spec seed and its id.
     """
     spec = spec or RequestSpec()
     rng = np.random.default_rng(spec.seed)
     requests = []
     for rid in range(n):
-        p = int(min(1 + rng.geometric(1.0 / spec.mean_prompt),
-                    cfg.seq_len - 1))
-        m = int(min(1 + rng.geometric(1.0 / spec.mean_new_tokens),
-                    cfg.seq_len - p))
+        p, m = request_sizes(cfg.seq_len, spec, rng)
         prompt = rng.integers(0, cfg.vocab_size, size=p)
         greedy = bool(rng.random() < spec.greedy_fraction)
         requests.append(Request(

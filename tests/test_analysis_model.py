@@ -14,12 +14,10 @@ from repro.analysis.model import (
     check_model,
     compare_with_trace,
     deadlock_mutant_model,
-    disagg_serve_model,
     extract_skeleton,
     scheduled_model,
     serve_model,
 )
-from repro.fleet import DisaggPipelineServer
 from repro.nn import GPTConfig, LMBatches, SyntheticCorpus
 from repro.runtime import AxoNNTrainer
 from repro.sched import SCHEDULE_NAMES
@@ -78,8 +76,9 @@ class TestCheckerSweep:
     def test_disagg_handoff_protocol_deadlock_free(self, g_decode):
         """The KV-handoff protocol at the smoke config family: one
         prefill rank feeding 1..3 decode ranks, every interleaving."""
-        result = check_model(disagg_serve_model(
-            1, g_decode, n_requests=3, max_new_tokens=2, max_batch=2))
+        result = check_model(serve_model(
+            g_decode, n_requests=3, max_new_tokens=2, max_batch=2,
+            g_prefill=1))
         assert result.ok, result.violations
         assert result.deadlock_free
         assert result.matching_complete
@@ -91,8 +90,9 @@ class TestCheckerSweep:
         refuse rather than mis-verify.  Runtime token-identity tests
         cover those splits instead."""
         with pytest.raises(ModelError, match="non-confluent"):
-            check_model(disagg_serve_model(
-                2, 2, n_requests=3, max_new_tokens=2, max_batch=2))
+            check_model(serve_model(
+                2, n_requests=3, max_new_tokens=2, max_batch=2,
+                g_prefill=2))
             assert result.states >= 1
             assert result.counterexample is None
 
@@ -257,16 +257,16 @@ class TestCrossValidation:
     def test_disagg_skeleton_matches_runtime_trace(self):
         """The KV-handoff wire protocol, op-for-op: the symbolic
         disaggregated model predicts exactly the sends/recvs a real
-        DisaggPipelineServer run records."""
+        PipelineServer(g_prefill=1) run records."""
         rec = TraceRecorder()
         cfg = self._cfg(n_layer=3)
-        server = DisaggPipelineServer(cfg, g_prefill=1, g_decode=2,
-                                      max_batch=2, recorder=rec)
+        server = PipelineServer(cfg, g_inter=2, g_prefill=1, max_batch=2,
+                                recorder=rec)
         requests = [Request(rid, np.zeros(1, dtype=np.int64),
                             max_new_tokens=2, greedy=True, seed=rid)
                     for rid in range(3)]
         outputs = server.serve(requests)
         assert set(outputs) == {0, 1, 2}
-        model = disagg_serve_model(1, 2, n_requests=3, max_new_tokens=2,
-                                   max_batch=2)
+        model = serve_model(2, n_requests=3, max_new_tokens=2, max_batch=2,
+                            g_prefill=1)
         assert compare_with_trace(extract_skeleton(model), rec) == []

@@ -15,10 +15,11 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (TraceRecorder, check_match_order,
-                            check_unmatched_sends)
-from repro.nn import GPTConfig
+                            check_unmatched_sends, verify_trace)
+from repro.nn import GPT, GPTConfig, generate
 from repro.runtime import AxoNNTrainer, SerialTrainer
 from repro.sched import SCHEDULE_NAMES, build_schedule
+from repro.serve import PipelineServer, RequestSpec, make_requests
 
 CFG = GPTConfig(vocab_size=13, seq_len=6, n_layer=3, n_head=2, hidden=8,
                 dropout=0.0, init_seed=77)
@@ -211,3 +212,48 @@ def test_process_backend_4d_bit_identical_to_cooperative(grid, seed,
     assert set(proc_state) == set(coop_state)
     for key in coop_state:
         assert np.array_equal(proc_state[key], coop_state[key]), key
+
+
+# room for a prompt plus a few generated tokens; 5 layer slots, so every
+# pool depth below gets at least one
+SERVE_CFG = GPTConfig(vocab_size=13, seq_len=16, n_layer=3, n_head=2,
+                      hidden=8, init_seed=77)
+SERVE_MODEL = GPT(SERVE_CFG)
+_LIMIT = st.one_of(st.none(), st.integers(1, 3))
+
+
+@given(
+    g_prefill=st.integers(0, 3),  # 0: the decode pool fills its own KV
+    g_inter=st.integers(1, 4),
+    max_batch=st.integers(1, 4),
+    pipeline_limit=_LIMIT,
+    max_active=_LIMIT,
+    prefill_limit=_LIMIT,
+    n_requests=st.integers(1, 7),
+    seed=st.integers(0, 1000),
+)
+@settings(max_examples=40, deadline=None)
+def test_any_serving_placement_matches_serial_generate(
+        g_prefill, g_inter, max_batch, pipeline_limit, max_active,
+        prefill_limit, n_requests, seed):
+    """The serving analogue of the capstone property: wherever prompts
+    run, however deep either pool is and however the scheduler's windows
+    are set, a request's tokens are serial ``generate``'s — and the run
+    leaves no KV resident and a verifier-clean message trace."""
+    requests = make_requests(SERVE_CFG, n_requests, RequestSpec(
+        mean_prompt=3, mean_new_tokens=3, seed=seed))
+    recorder = TraceRecorder()
+    server = PipelineServer(
+        SERVE_CFG, g_inter=g_inter, max_batch=max_batch,
+        pipeline_limit=pipeline_limit, max_active=max_active,
+        recorder=recorder, g_prefill=g_prefill, prefill_limit=prefill_limit)
+    got = server.serve(requests)
+    for req in requests:
+        want = generate(SERVE_MODEL, req.prompt, req.max_new_tokens,
+                        temperature=req.temperature, top_k=req.top_k,
+                        rng=np.random.default_rng(req.seed),
+                        greedy=req.greedy)
+        assert np.array_equal(got[req.rid], want), req.rid
+    assert all(s.inflight_requests == 0
+               for s in server.stages + server.prefill_stages)
+    assert verify_trace(recorder) == []

@@ -1,9 +1,9 @@
 """Tests for repro.fleet: the elastic serving layer on both substrates.
 
-Functional side: the disaggregated KV-handoff server and the elastic
-FleetServer must be token-for-token identical to serial ``generate``
-no matter how the fleet membership changes mid-run, and scale-down must
-share one decommission path with crashes.  DES side: Little's law under
+Functional side: the pipeline server's disaggregated KV-handoff placement
+and the elastic FleetServer must be token-for-token identical to serial
+``generate`` no matter how the fleet membership changes mid-run, and
+scale-down must share one decommission path with crashes.  DES side: Little's law under
 time-varying arrivals, autoscaler determinism, hysteresis no-flap, the
 split rejection ledger, and the crash/retire mirror.
 """
@@ -11,10 +11,9 @@ split rejection ledger, and the crash/retire mirror.
 import numpy as np
 import pytest
 
-from repro.fleet import (AdmissionController, AutoscalerPolicy,
-                         DisaggPipelineServer, FleetModel, FleetObservation,
-                         FleetServer, ReactivePolicy, SLOClass,
-                         StaticPolicy, service_rate_per_replica,
+from repro.fleet import (AdmissionController, AutoscalerPolicy, FleetModel,
+                         FleetObservation, FleetServer, ReactivePolicy,
+                         SLOClass, StaticPolicy, service_rate_per_replica,
                          simulate_fleet)
 from repro.nn import GPT, GPTConfig, generate
 from repro.resilience import Fault, FaultPlan
@@ -71,15 +70,15 @@ class TestDisaggTokenEquivalence:
         requests = make_requests(
             CFG, 8, RequestSpec(mean_prompt=5, mean_new_tokens=5, seed=3))
         expected = serial_reference(CFG, requests)
-        server = DisaggPipelineServer(CFG, g_prefill=g_prefill,
-                                      g_decode=g_decode, max_batch=4)
+        server = PipelineServer(CFG, g_inter=g_decode, g_prefill=g_prefill,
+                                max_batch=4)
         got = server.serve(requests)
         assert set(got) == set(expected)
         for rid in got:
             assert np.array_equal(got[rid], expected[rid]), rid
         # the handoff really moved the KV out of the prefill pool
         assert all(s.inflight_requests == 0 for s in server.prefill_stages)
-        assert all(s.inflight_requests == 0 for s in server.decode_stages)
+        assert all(s.inflight_requests == 0 for s in server.stages)
 
     def test_matches_unified_server(self):
         """Disaggregation is a placement decision, not a sampling one."""
@@ -87,23 +86,26 @@ class TestDisaggTokenEquivalence:
             CFG, 6, RequestSpec(mean_prompt=4, mean_new_tokens=6, seed=9))
         unified = PipelineServer(CFG, g_inter=2, max_batch=4) \
             .serve(requests)
-        disagg = DisaggPipelineServer(CFG, g_prefill=2, g_decode=2,
-                                      max_batch=4).serve(requests)
+        disagg = PipelineServer(CFG, g_inter=2, g_prefill=2,
+                                max_batch=4).serve(requests)
         for rid in unified:
             assert np.array_equal(unified[rid], disagg[rid]), rid
 
     def test_zero_token_request_returns_prompt(self):
         req = Request(rid=7, prompt=np.array([3, 1]), max_new_tokens=0)
-        out = DisaggPipelineServer(CFG, g_prefill=1, g_decode=2).serve([req])
+        out = PipelineServer(CFG, g_inter=2, g_prefill=1).serve([req])
         assert np.array_equal(out[7], [3, 1])
 
     def test_validation(self):
         with pytest.raises(ValueError, match="g_prefill"):
-            DisaggPipelineServer(CFG, g_prefill=0, g_decode=1)
+            PipelineServer(CFG, g_inter=1, g_prefill=-1)
+        for bad in (dict(g_inter=0), dict(max_batch=0), dict(max_active=0)):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                PipelineServer(CFG, g_prefill=1, **bad)
         with pytest.raises(ValueError, match="duplicate"):
             reqs = [Request(rid=1, prompt=np.array([2]), max_new_tokens=1)
                     for _ in range(2)]
-            DisaggPipelineServer(CFG).serve(reqs)
+            PipelineServer(CFG, g_prefill=1).serve(reqs)
 
 
 # ---------------------------------------------------------------------------
@@ -454,3 +456,20 @@ class TestDesSharedFailurePath:
         assert stats.n_retired == 1
         assert stats.n_restarts == 0
         assert stats.n_completed == stats.n_admitted
+
+    def test_kv_handoff_dies_with_its_source_replica(self):
+        """A priced KV transfer reads from the prefill replica: crash the
+        source mid-read and the request restarts from its prompt instead
+        of completing from a dead replica — and an interrupted transfer
+        is not a handoff."""
+        model = FleetModel(serving=MODEL, disaggregated=True,
+                           n_prefill_replicas=2, n_decode_replicas=2,
+                           kv_transfer_s_per_token=2e-2, cold_start_s=0.5,
+                           control_interval_s=0.5, drain_timeout_s=2.0)
+        plan = FaultPlan.of(Fault("crash", rank=0, tick=5))
+        stats = run_fleet(model=model, policy=StaticPolicy(2), rate=20.0,
+                          horizon=20.0, plan=plan, admission=None)
+        assert stats.n_crashes == 1
+        assert stats.n_restarts > 0  # transfers in flight at t=5 s
+        assert stats.n_completed == stats.n_admitted > 0
+        assert stats.n_handoffs == stats.n_completed

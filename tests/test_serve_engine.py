@@ -2,6 +2,7 @@
 the functional runtime, token-for-token identical to serial generate."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -57,6 +58,34 @@ class TestTokenEquivalence:
                              max_active=1).serve(requests)
         for rid in got:
             assert np.array_equal(got[rid], expected[rid]), rid
+
+    @pytest.mark.parametrize("options,peak", [
+        (dict(max_batch=4), 4),
+        (dict(max_batch=4, max_active=1), 1),
+        (dict(max_batch=2, max_active=3), 3),
+    ])
+    def test_depth_one_obeys_its_options(self, options, peak):
+        """A pipeline of depth one is continuously batched by the same
+        pump as every other depth: ``max_active`` bounds how many
+        requests are KV-resident at once, ``max_batch`` sets the default
+        — no option is accepted and ignored."""
+        requests = make_requests(
+            CFG, 8, RequestSpec(mean_prompt=5, mean_new_tokens=5, seed=3))
+        expected = serial_reference(CFG, requests)
+        server = PipelineServer(CFG, g_inter=1, **options)
+        stage, = server.stages
+        forward, resident = stage.forward, []
+
+        def sampled(rid, x):
+            resident.append(stage.inflight_requests)
+            return forward(rid, x)
+
+        stage.forward = sampled
+        got = server.serve(requests)
+        for rid in got:
+            assert np.array_equal(got[rid], expected[rid]), rid
+        assert max(resident) == peak
+        assert stage.inflight_requests == 0
 
     def test_greedy_request_is_deterministic_across_servers(self):
         req = Request(rid=0, prompt=np.array([1, 2, 3]), max_new_tokens=8,
@@ -132,6 +161,28 @@ class TestObservability:
             assert names[1:-1] == [f"decode{t}"
                                    for t in range(1, req.max_new_tokens)]
 
+    @pytest.mark.parametrize("g_inter,g_prefill",
+                             [(2, 1), (2, 2), (1, 3), (1, 0)])
+    def test_every_placement_emits_the_same_spans(self, g_inter, g_prefill):
+        """Tracing is a property of the one scheduler, not of a placement:
+        the same requests leave the same ``serve`` spans wherever their
+        prompts ran."""
+        requests = make_requests(
+            CFG, 6, RequestSpec(mean_prompt=4, mean_new_tokens=4, seed=1))
+
+        def spans(**placement):
+            tracer = RuntimeTracer(clock=fake_clock())
+            PipelineServer(CFG, max_batch=2, tracer=tracer,
+                           **placement).serve(requests)
+            assert all(s.stream == "serve" for s in tracer.spans)
+            return Counter((s.name, s.microbatch, s.category)
+                           for s in tracer.spans)
+
+        want = spans(g_inter=2)
+        assert sum(want.values()) == sum(
+            1 + r.max_new_tokens for r in requests)
+        assert spans(g_inter=g_inter, g_prefill=g_prefill) == want
+
     def test_disabled_tracer_records_nothing(self):
         tracer = RuntimeTracer(enabled=False, clock=fake_clock())
         requests = make_requests(CFG, 2)
@@ -140,11 +191,14 @@ class TestObservability:
 
 
 class TestProtocol:
-    def test_transport_trace_is_clean(self):
-        recorder = TraceRecorder()
+    def test_transport_trace_is_clean(
+            self, placements=((3, 0), (3, 1), (2, 2), (1, 3))):
         requests = make_requests(
             CFG, 5, RequestSpec(mean_prompt=4, mean_new_tokens=5, seed=2))
-        PipelineServer(CFG, g_inter=3, max_batch=2,
-                       recorder=recorder).serve(requests)
-        assert verify_trace(recorder) == []
-        assert recorder.events
+        for g_inter, g_prefill in placements:
+            recorder = TraceRecorder()
+            PipelineServer(CFG, g_inter=g_inter, max_batch=2,
+                           recorder=recorder,
+                           g_prefill=g_prefill).serve(requests)
+            assert verify_trace(recorder) == [], (g_inter, g_prefill)
+            assert recorder.events

@@ -4,10 +4,12 @@ repro.sim.poisson_process arrival utility."""
 import numpy as np
 import pytest
 
+from repro.nn import GPTConfig
 from repro.resilience import Fault, FaultPlan
 from repro.serve import (ArrivalSpec, RequestSpec, ServingModel,
-                         simulate_closed_loop, simulate_serving,
-                         sweep_offered_load)
+                         make_requests, simulate_closed_loop,
+                         simulate_serving, sweep_offered_load)
+from repro.serve.workload import request_sizes
 from repro.sim import Environment, poisson_process
 
 #: Cheap hand-set cost model — tests must not depend on the V100 numbers.
@@ -63,6 +65,35 @@ class TestPoissonProcess:
                            name="bad")
         with pytest.raises(ValueError):
             env.run()
+
+
+class TestRequestSizes:
+    """One clipping contract for the functional engine's request mix and
+    both DES twins; every seeded trace hangs off its draw order."""
+
+    CFG = GPTConfig(vocab_size=31, seq_len=32, n_layer=4, n_head=2,
+                    hidden=12)
+
+    def test_make_requests_lengths_are_pinned(self):
+        def sizes(spec):
+            return [(r.prompt.size, r.max_new_tokens)
+                    for r in make_requests(self.CFG, 6, spec)]
+
+        assert sizes(RequestSpec(seed=0)) == [
+            (7, 9), (31, 1), (15, 14), (16, 6), (7, 9), (4, 5)]
+        # long prompts: both clips engage (p <= seq_len - 1, p + m <= 32)
+        assert sizes(RequestSpec(mean_prompt=40, mean_new_tokens=4,
+                                 seed=1)) == [
+            (31, 1), (31, 1), (24, 4), (10, 2), (12, 2), (28, 4)]
+
+    def test_first_draws_match_the_des(self):
+        """``make_requests`` draws its sizes through ``request_sizes``:
+        prompt first, then budget, before anything else of the request."""
+        spec = RequestSpec(mean_prompt=40, mean_new_tokens=4, seed=1)
+        first = make_requests(self.CFG, 1, spec)[0]
+        assert request_sizes(self.CFG.seq_len, spec,
+                             np.random.default_rng(spec.seed)) == \
+            (first.prompt.size, first.max_new_tokens)
 
 
 class TestServingModel:
