@@ -198,8 +198,8 @@ class _SymbolicServeStage:
     def finish_request(self, rid: int) -> None:
         return None
 
-    def forward(self, rid: int, x: Any) -> np.ndarray:
-        return np.zeros((1, 1, 2))
+    def forward(self, rids: Sequence[int], xs: Sequence[Any]) -> np.ndarray:
+        return np.zeros((len(rids), 1, 2))
 
     def export_kv(self, rid: int) -> Tuple[int, Dict[int, Any]]:
         return 1, {}

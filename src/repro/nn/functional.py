@@ -120,10 +120,14 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor,
     if _counters.enabled:
         _counters.bump("layer_norm")
     xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
-    var = xd.var(axis=-1, keepdims=True)
+    # The ufunc sequence of np.mean + np.var (bit-identical to them), minus
+    # var's second mean and the Python of numpy's _methods wrappers.
+    n = xd.shape[-1]
+    mu = np.add.reduce(xd, axis=-1, keepdims=True) / n
+    centered = xd - mu
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (xd - mu) * inv_std
+    x_hat = np.multiply(centered, inv_std, out=centered)  # fresh: reuse
     out_data = x_hat * weight.data + bias.data
 
     def backward(g: np.ndarray, a=x, w=weight, b=bias,

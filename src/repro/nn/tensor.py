@@ -442,10 +442,9 @@ class Tensor:
     def transpose(self, *axes: int) -> "Tensor":
         axes_t = tuple(axes) if axes else tuple(reversed(range(self.ndim)))
         out_data = np.transpose(self.data, axes_t)
-        inverse = tuple(np.argsort(axes_t))
 
-        def backward(g: np.ndarray, a=self, inverse=inverse) -> None:
-            a._accumulate(np.transpose(g, inverse))
+        def backward(g: np.ndarray, a=self, axes_t=axes_t) -> None:
+            a._accumulate(np.transpose(g, np.argsort(axes_t)))
 
         return Tensor._make(out_data, (self,), backward)
 

@@ -19,7 +19,7 @@ model — the property behind the Fig. 10 loss-curve equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -146,32 +146,52 @@ class CausalSelfAttention(Module):
         mask = np.triu(np.ones((cfg.seq_len, cfg.seq_len), dtype=bool), k=1)
         self._mask = mask
 
+    def _attend(self, q: Tensor, k: Tensor, v: Tensor, past: int) -> Tensor:
+        """The attention core for ``t`` queries at positions ``past..``
+        over ``past + t`` keys."""
+        t = q.shape[-2]
+        # Fused scale + causal mask + softmax: one node instead of three.
+        # Query rows past..past+t of the causal mask attend over all
+        # past+t keys, so the cached slice generalizes the from-scratch
+        # [:t, :t] case (past == 0).
+        att = F.masked_softmax(q @ k.swapaxes(-1, -2),
+                               self._mask[past:past + t, :past + t],
+                               scale=1.0 / np.sqrt(self.cfg.head_dim))
+        return self.drop(att) @ v  # (b, nh, t, hd)
+
     def forward(self, x: Tensor,
-                cache: Optional[LayerKVCache] = None) -> Tensor:
+                caches: Optional[Sequence[LayerKVCache]] = None) -> Tensor:
+        """``caches``, if given, split the batch rows between them in
+        order (each covers its own ``batch_size`` rows): the projections
+        run once over the whole stack, only the attention core runs per
+        cache, over that cache's own length — never padded to a common
+        one, which would regroup the softmax sum."""
         b, t, h = x.shape
         nh, hd = self.cfg.n_head, self.cfg.head_dim
         qkv = self.qkv(x)  # (b, t, 3h)
         qkv = qkv.reshape(b, t, 3, nh, hd)
         qkv = qkv.transpose(2, 0, 3, 1, 4)  # (3, b, nh, t, hd)
         q, k, v = qkv[0], qkv[1], qkv[2]
-        past = 0
-        if cache is not None:
+        if caches is None:
+            y = self._attend(q, k, v, 0)
+        else:
             if is_grad_enabled():
                 raise RuntimeError(
                     "KV-cached attention is inference-only; wrap the call "
                     "in no_grad()")
-            past = cache.length
-            k_all, v_all = cache.extend(k.data, v.data)
-            k, v = Tensor(k_all), Tensor(v_all)
-        # Fused scale + causal mask + softmax: one node instead of three.
-        # Query rows past..past+t of the causal mask attend over all
-        # past+t cached keys, so the cached slice generalizes the
-        # from-scratch [:t, :t] case (past == 0).
-        att = F.masked_softmax(q @ k.swapaxes(-1, -2),
-                               self._mask[past:past + t, :past + t],
-                               scale=1.0 / np.sqrt(hd))  # (b, nh, t, past+t)
-        att = self.drop(att)
-        y = att @ v  # (b, nh, t, hd)
+            covered = sum(c.batch_size for c in caches)
+            if covered != b:
+                raise ValueError(
+                    f"caches cover {covered} batch rows, got {b}")
+            ys, row = [], 0
+            for cache in caches:
+                rows = slice(row, row + cache.batch_size)
+                row = rows.stop
+                past = cache.length
+                k_all, v_all = cache.extend(k.data[rows], v.data[rows])
+                ys.append(self._attend(Tensor(q.data[rows]), Tensor(k_all),
+                                       Tensor(v_all), past))
+            y = F.concat(ys, axis=0)
         y = y.transpose(0, 2, 1, 3).reshape(b, t, h)
         return self.drop(self.proj(y))
 
@@ -201,8 +221,8 @@ class Block(Module):
         self.mlp = MLP(cfg, rng)
 
     def forward(self, x: Tensor,
-                cache: Optional[LayerKVCache] = None) -> Tensor:
-        x = x + self.attn(self.ln1(x), cache=cache)
+                caches: Optional[Sequence[LayerKVCache]] = None) -> Tensor:
+        x = x + self.attn(self.ln1(x), caches=caches)
         x = x + self.mlp(self.ln2(x))
         return x
 
@@ -220,18 +240,23 @@ class GPTEmbedding(Module):
         self.pos = Embedding(cfg.seq_len, cfg.hidden, rng=rng, init_std=0.01)
         self.drop = Dropout(cfg.dropout, seed=int(rng.integers(2 ** 31)))
 
-    def forward(self, ids, pos_offset: int = 0) -> Tensor:
+    def forward(self, ids,
+                pos_offset: Union[int, Sequence[int]] = 0) -> Tensor:
+        """``pos_offset`` is the position of column 0: one int for the
+        whole batch, or one per row (rows of a serving group sit at
+        different depths of their own sequences)."""
         if isinstance(ids, Tensor):
             ids = ids.data
         ids = np.asarray(ids)
-        if ids.max() >= self.cfg.vocab_size:
+        if ids.max() >= self.cfg.vocab_size or ids.min() < 0:
             raise ValueError("token id outside vocabulary")
         b, t = ids.shape
-        if pos_offset + t > self.cfg.seq_len:
+        # () -> (t,), broadcast over the batch; (b,) -> (b, t)
+        positions = np.asarray(pos_offset)[..., None] + np.arange(t)
+        if positions.max() >= self.cfg.seq_len:
             raise ValueError(
-                f"positions {pos_offset}..{pos_offset + t} exceed "
+                f"positions {positions.min()}..{positions.max() + 1} exceed "
                 f"seq_len {self.cfg.seq_len}")
-        positions = np.arange(pos_offset, pos_offset + t)
         return self.drop(self.tok(ids) + self.pos(positions))
 
 
@@ -303,7 +328,7 @@ class GPT(Module):
         offset = cache.length if cache is not None else 0
         x = self.embedding(ids, pos_offset=offset)
         for i, blk in enumerate(self.blocks):
-            x = blk(x, cache=None if cache is None else cache.blocks[i])
+            x = blk(x, caches=None if cache is None else (cache.blocks[i],))
         logits = self.head(x)
         loss = F.cross_entropy(logits, targets) if targets is not None else None
         return logits, loss

@@ -297,12 +297,12 @@ class InferenceStage:
         return sum(c.nbytes for caches in self._caches.values()
                    for c in caches.values())
 
-    def start_request(self, rid: int, batch_size: int = 1) -> None:
+    def start_request(self, rid: int) -> None:
         if rid in self._caches:
             raise RuntimeError(f"request {rid} already in flight on stage "
                                f"{self.stage_index}")
         self._caches[rid] = {
-            li: LayerKVCache(self.cfg, batch_size)
+            li: LayerKVCache(self.cfg)
             for li, layer in enumerate(self.layers)
             if isinstance(layer, Block)
         }
@@ -347,31 +347,56 @@ class InferenceStage:
         self._pos[rid] = pos
 
     # -- execution ---------------------------------------------------------
-    def forward(self, rid: int, data: np.ndarray) -> np.ndarray:
-        """One forward-only pass for request ``rid``.
+    def forward(self, rids: Sequence[int],
+                xs: Sequence[np.ndarray]) -> np.ndarray:
+        """One forward-only pass for the group ``rids``; ``xs[i]`` is
+        request ``rids[i]``'s ``(1, t, ...)`` input, one ``t`` per group.
 
-        * first stage: ``data`` is an integer token array (b, t) — the
-          whole prompt at prefill, the single newest token at decode;
-        * other stages: ``data`` is the boundary activation from upstream;
-        * last stage: returns logits (b, t, vocab).
+        * first stage: integer token arrays — one whole prompt, or the
+          single newest token of each of ``w`` decoding requests;
+        * other stages: the boundary activations from upstream;
+        * last stage: returns logits ``(w, t, vocab)``.
+
+        The rows are stacked on the batch axis — never flattened into it
+        — so every layer runs once over the group while each row sees
+        the arithmetic it would see alone (DESIGN.md section 9); only
+        the attention core runs per request, over that request's own
+        cache.  The pass is all-or-nothing: every row is validated
+        before any cache is extended or position advanced.
         """
-        if rid not in self._caches:
-            raise RuntimeError(f"request {rid} not started on stage "
-                               f"{self.stage_index}")
-        caches = self._caches[rid]
-        pos = self._pos[rid]
-        t = np.asarray(data).shape[1]
+        if not rids or len(rids) != len(xs) or len(set(rids)) != len(rids):
+            raise ValueError(f"a group is one input each for distinct "
+                             f"requests, got {len(xs)} for rids {list(rids)}")
+        t = np.shape(xs[0])[1]
+        for rid, x in zip(rids, xs):
+            if rid not in self._caches:
+                raise RuntimeError(f"request {rid} not started on stage "
+                                   f"{self.stage_index}")
+            if np.shape(x)[:2] != (1, t):
+                raise ValueError(
+                    f"request {rid}: input shape {np.shape(x)} in a group "
+                    f"of (1, {t}, ...) rows; groups are not ragged")
+            if self._pos[rid] + t > self.cfg.seq_len:
+                raise ValueError(
+                    f"request {rid}: KV cache overflow: {self._pos[rid]} + "
+                    f"{t} > capacity {self.cfg.seq_len}")
+            if self.is_first and not (
+                    0 <= np.min(x) and np.max(x) < self.cfg.vocab_size):
+                raise ValueError(f"request {rid}: token id outside "
+                                 "vocabulary")
+        caches = [self._caches[rid] for rid in rids]
         with no_grad():
             if self.is_first:
-                x = np.asarray(data)
+                x = np.concatenate(xs)
             else:
-                x = Tensor(np.asarray(data, dtype=np.float32))
+                x = Tensor(np.concatenate(xs, dtype=np.float32))
             for li, layer in enumerate(self.layers):
                 if isinstance(layer, GPTEmbedding):
-                    x = layer(x, pos_offset=pos)
+                    x = layer(x, pos_offset=[self._pos[rid] for rid in rids])
                 elif isinstance(layer, Block):
-                    x = layer(x, cache=caches[li])
+                    x = layer(x, caches=[c[li] for c in caches])
                 else:  # GPTHead
                     x = layer(x)
-        self._pos[rid] = pos + t
+        for rid in rids:
+            self._pos[rid] += t
         return x.data

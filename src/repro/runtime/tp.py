@@ -222,8 +222,8 @@ class TPBlock(Module):
         self.ln2 = dense.ln2
         self.mlp = ShardedMLP(dense.mlp, g_intra)
 
-    def forward(self, x, cache=None):
-        if cache is not None:
+    def forward(self, x, caches=None):
+        if caches is not None:
             raise RuntimeError("tensor-parallel blocks are training-only")
         x = x + self.attn(self.ln1(x))
         x = x + self.mlp(self.ln2(x))

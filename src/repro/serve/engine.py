@@ -204,7 +204,10 @@ class PipelineServer:
 
         A ``TAG_ACT`` item is ``(rid, x)``: an int64 token array for shard
         0, the boundary activation after it; a request the shard has not
-        seen is its prompt and fills the cache in place.  A ``TAG_INGEST``
+        seen is its prompt and fills the cache in place.  The items stay
+        one per request on the wire and go through the stage as one
+        stacked pass (a group is one prompt or ``w`` one-token steps, so
+        its rows always share a length).  A ``TAG_INGEST``
         item ``(rid, pos, blocks, logits)`` seeds the cache from a prefill
         pool's export instead (each shard takes the slots it owns and
         passes the item on).  ``left`` counts the passes a request still
@@ -217,32 +220,36 @@ class PipelineServer:
         """
         stage = self.stages[j]
         is_last = j == self.g_inter - 1
-        out: list = []
-        for item in items:
-            rid = item[0]
-            req = reqs[rid]
-            if tag == TAG_INGEST:
-                stage.import_kv(rid, item[1], item[2])
-                left[rid] = req.max_new_tokens - 1
-            else:
+        rids = [item[0] for item in items]
+        if tag == TAG_INGEST:
+            for rid, pos, blocks, _ in items:
+                stage.import_kv(rid, pos, blocks)
+                left[rid] = reqs[rid].max_new_tokens - 1
+            logits = [item[3] for item in items]
+        else:
+            for rid in rids:
                 if rid not in left:
                     stage.start_request(rid)
-                    left[rid] = req.max_new_tokens
+                    left[rid] = reqs[rid].max_new_tokens
                 left[rid] -= 1
-                item = (rid, stage.forward(rid, item[1]))
-            if is_last:
-                logits = item[3] if tag == TAG_INGEST else item[1][0, -1]
+            out = stage.forward(rids, [x for _, x in items])
+            items = [(rid, out[i:i + 1]) for i, rid in enumerate(rids)]
+            logits = out[:, -1]
+        if is_last:
+            tag, items = TAG_TOKEN, []
+            for rid, row in zip(rids, logits):
+                req = reqs[rid]
                 if rid not in rngs:
                     rngs[rid] = np.random.default_rng(req.seed)
-                tok = sample_token(logits, req.temperature, req.top_k,
+                tok = sample_token(row, req.temperature, req.top_k,
                                    rngs[rid], req.greedy)
-                item = (rid, tok, left[rid] == 0)
-            out.append(item)
+                items.append((rid, tok, left[rid] == 0))
+        for rid in rids:
             if left[rid] == 0:
                 stage.finish_request(rid)
                 del left[rid]
                 rngs.pop(rid, None)
-        return (TAG_TOKEN if is_last else tag), out
+        return tag, items
 
     def _prefill_pass(self, r: int, items: list) -> Tuple[list, list]:
         """Run one group of prompts through prefill shard ``r``; nothing
@@ -255,7 +262,7 @@ class PipelineServer:
         acts, kv_items = [], []
         for rid, x in items:
             stage.start_request(rid)
-            out = stage.forward(rid, x)
+            out = stage.forward([rid], [x])
             _, piece = stage.export_kv(rid)
             stage.finish_request(rid)
             acts.append((rid, out))

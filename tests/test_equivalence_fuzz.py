@@ -225,11 +225,11 @@ _LIMIT = st.one_of(st.none(), st.integers(1, 3))
 @given(
     g_prefill=st.integers(0, 3),  # 0: the decode pool fills its own KV
     g_inter=st.integers(1, 4),
-    max_batch=st.integers(1, 4),
+    max_batch=st.integers(1, 8),  # widths a stacked pass can reach
     pipeline_limit=_LIMIT,
-    max_active=_LIMIT,
+    max_active=st.one_of(st.none(), st.integers(1, 8)),
     prefill_limit=_LIMIT,
-    n_requests=st.integers(1, 7),
+    n_requests=st.integers(1, 8),
     seed=st.integers(0, 1000),
 )
 @settings(max_examples=40, deadline=None)

@@ -86,6 +86,14 @@ class TestCachedForward:
             with pytest.raises(ValueError):
                 model(np.array([[1]]), cache=cache)
 
+    def test_negative_token_id_rejected(self):
+        """NumPy would wrap it to the end of the table silently."""
+        model = GPT(CFG)
+        with pytest.raises(ValueError, match="vocabulary"):
+            model(np.array([[1, -1, 2]]))
+        with pytest.raises(ValueError, match="vocabulary"):
+            model(np.array([[CFG.vocab_size]]))
+
 
 class TestCachedGenerate:
     """use_cache=True must emit exactly the tokens of the full-recompute

@@ -123,6 +123,32 @@ def test_fused_matches_unfused(op, shape):
         np.testing.assert_allclose(pf.grad, pu.grad, rtol=1e-4, atol=1e-6)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                         ids=["fp32", "fp64"])
+@pytest.mark.parametrize("shape", [(1, 1, 128), (16, 32, 64), (3, 1, 128),
+                                   (2, 5, 7), (1, 96, 128), (4, 1, 1000)],
+                         ids=str)
+def test_layer_norm_one_pass_statistics_bit_equal(shape, dtype):
+    """``F.layer_norm`` takes its mean and variance in one pass over the
+    centred values; that is the ufunc sequence ``np.mean`` + ``np.var``
+    run, so the output equals the two-call form bit for bit (and the
+    primitive composition to rounding: it divides by the deviation where
+    the kernel multiplies by its reciprocal)."""
+    rng = _rng()
+    for _ in range(25):
+        x = (rng.standard_normal(shape) * rng.uniform(0.1, 10)).astype(dtype)
+        w = rng.standard_normal(shape[-1]).astype(dtype)
+        b = rng.standard_normal(shape[-1]).astype(dtype)
+        got = F.layer_norm(Tensor(x), Tensor(w), Tensor(b)).data
+        mu = x.mean(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+        want = (x - mu) * inv_std * w + b
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        unfused = F.layer_norm_unfused(Tensor(x), Tensor(w), Tensor(b)).data
+        np.testing.assert_allclose(got, unfused, rtol=1e-5, atol=1e-5)
+
+
 @pytest.mark.parametrize("op", OP_NAMES)
 def test_fused_matches_finite_differences(op):
     shape = (2, 3, H)

@@ -48,6 +48,31 @@ class TestTokenEquivalence:
         # every stage drained its KV caches
         assert all(s.inflight_requests == 0 for s in server.stages)
 
+    @pytest.mark.parametrize("g_inter,g_prefill,max_batch", [
+        (1, 0, 8), (2, 0, 6), (3, 0, 5), (1, 1, 8), (2, 1, 7), (1, 2, 6)])
+    def test_wide_groups_match_serial_generate(self, g_inter, g_prefill,
+                                               max_batch):
+        """Under both placements the widest decode group really is
+        ``max_batch`` requests in one stacked pass, and every one of them
+        still gets serial ``generate``'s tokens."""
+        requests = make_requests(
+            CFG, 8, RequestSpec(mean_prompt=5, mean_new_tokens=5, seed=3))
+        expected = serial_reference(CFG, requests)
+        server = PipelineServer(CFG, g_inter=g_inter, g_prefill=g_prefill,
+                                max_batch=max_batch)
+        stage = server.stages[0]
+        forward, widths = stage.forward, []
+
+        def sampled(rids, xs):
+            widths.append(len(rids))
+            return forward(rids, xs)
+
+        stage.forward = sampled
+        got = server.serve(requests)
+        for rid in got:
+            assert np.array_equal(got[rid], expected[rid]), rid
+        assert max(widths) == max_batch
+
     def test_without_continuous_batching_identical(self):
         """max_active=1 serves strictly one request at a time; outputs
         must not depend on the batching policy."""
@@ -76,9 +101,9 @@ class TestTokenEquivalence:
         stage, = server.stages
         forward, resident = stage.forward, []
 
-        def sampled(rid, x):
+        def sampled(rids, xs):
             resident.append(stage.inflight_requests)
-            return forward(rid, x)
+            return forward(rids, xs)
 
         stage.forward = sampled
         got = server.serve(requests)
