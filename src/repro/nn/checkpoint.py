@@ -18,28 +18,46 @@ from __future__ import annotations
 import math
 from typing import Callable, List, Sequence
 
-from .modules import Module
+import numpy as np
+
+from .modules import Dropout, Module
 from .tensor import Tensor, no_grad
 
 __all__ = ["checkpoint", "CheckpointedStack", "factors",
            "optimal_checkpoint_interval", "activation_memory_factor"]
 
 
-def checkpoint(fn: Callable[[Tensor], Tensor], x: Tensor) -> Tensor:
+def checkpoint(fn: Callable[[Tensor], Tensor], x: Tensor,
+               rngs: Sequence[np.random.Generator] = ()) -> Tensor:
     """Run ``fn(x)`` without recording, recompute in backward.
 
     The returned tensor participates in the surrounding graph; when its
     gradient arrives, ``fn`` is re-executed with grad enabled on a detached
     copy of ``x`` to rebuild the segment's graph, the segment is
     backpropagated, and the input gradient is passed on.
+
+    ``rngs`` are the generators ``fn`` draws from (its dropout streams).
+    The replay must draw the masks the throwaway forward drew, or the
+    gradients belong to a different network than the activations already
+    sent downstream: their states are snapshotted before the forward and
+    installed for the replay, and the states the replay found — other
+    microbatches may have advanced the streams in between — are put back
+    after it.
     """
-    x_detached = Tensor(x.data, requires_grad=True)
+    snapshot = [rng.bit_generator.state for rng in rngs]
     with no_grad():
         out = fn(Tensor(x.data))
 
-    def backward(g, fn=fn, x=x, x_detached=x_detached):
-        inner_in = Tensor(x_detached.data, requires_grad=True)
-        out2 = fn(inner_in)
+    def backward(g, fn=fn, x=x, rngs=rngs, snapshot=snapshot):
+        inner_in = Tensor(x.data, requires_grad=True)
+        current = [rng.bit_generator.state for rng in rngs]
+        for rng, state in zip(rngs, snapshot):
+            rng.bit_generator.state = state
+        try:
+            out2 = fn(inner_in)
+        finally:
+            for rng, state in zip(rngs, current):
+                rng.bit_generator.state = state
         out2.backward(g)
         if x.requires_grad and inner_in.grad is not None:
             x._accumulate(inner_in.grad)
@@ -77,7 +95,10 @@ class CheckpointedStack(Module):
                     t = layer(t)
                 return t
 
-            x = checkpoint(run_segment, x)
+            x = checkpoint(run_segment, x,
+                           [m.rng for layer in segment
+                            for m in layer.modules()
+                            if isinstance(m, Dropout)])
         return x
 
 

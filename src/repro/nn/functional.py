@@ -6,14 +6,23 @@ transformer get fused implementations here (matching what PyTorch kernels
 do): numerically-stable softmax / log-softmax, LayerNorm, GELU (tanh
 approximation, as used by GPT), fused cross-entropy, a single-node
 ``linear``, the attention-core ``masked_softmax`` (scale + causal mask +
-softmax in one node), dropout with an explicit RNG, and helpers for
-masking and concatenation.
+softmax in one node), dropout with an explicit RNG, helpers for masking
+and concatenation — and :func:`transformer_block`, the whole pre-norm
+block as one node.
 
 Each fused op records **one** autograd node where the primitive
 composition would record many; the ``*_unfused`` reference implementations
 at the bottom of this module are those compositions, kept for gradient
 checking (``tests/test_nn_fused.py``) and for the fused-vs-unfused rows of
 ``benchmarks/bench_wallclock.py``.
+
+The arithmetic of ``linear``, ``layer_norm``, ``gelu``, ``masked_softmax``
+and ``dropout`` lives in raw-array ``_<op>_fwd`` / ``_<op>_bwd`` helpers
+(no ``Tensor``, no closure).  The single-op node and the block kernel both
+call them, so each formula is written once and a block is bit-identical
+to the composition of its ops; the forward helpers also book the
+:mod:`repro.perf` kernel counters, so a block counts the same ``linear`` /
+``layer_norm`` / ``gelu`` / ``masked_softmax`` calls either way.
 
 Backward closures allocate fresh gradient arrays and hand them to
 ``Tensor._accumulate_owned`` (ownership transfer, no defensive copy) —
@@ -31,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..perf.counters import counters as _counters
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, as_tensor, is_grad_enabled
 
 __all__ = [
     "softmax",
@@ -45,12 +54,16 @@ __all__ = [
     "where_mask",
     "concat",
     "linear",
+    "transformer_block",
     "softmax_unfused",
     "log_softmax_unfused",
     "gelu_unfused",
     "layer_norm_unfused",
     "cross_entropy_unfused",
     "linear_unfused",
+    "attention_unfused",
+    "mlp_unfused",
+    "transformer_block_unfused",
 ]
 
 
@@ -96,58 +109,102 @@ def gelu(x: Tensor) -> Tensor:
     scalar-power path roughly two orders of magnitude slower than two
     multiplies, and this op sits on the hottest path of every MLP block.
     """
-    if _counters.enabled:
-        _counters.bump("gelu")
     xd = x.data
-    x_sq = xd * xd
-    inner = _GELU_C * (xd + 0.044715 * (x_sq * xd))
-    t = np.tanh(inner, out=inner)  # inner is fresh: reuse in place
-    out_data = 0.5 * xd * (1.0 + t)
+    out_data, t, x_sq = _gelu_fwd(xd)
 
     def backward(g: np.ndarray, a=x, t=t, xd=xd, x_sq=x_sq) -> None:
-        dinner = _GELU_C * (1.0 + (3 * 0.044715) * x_sq)
-        grad = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner
-        grad *= g
-        a._accumulate_owned(grad)
+        a._accumulate_owned(_gelu_bwd(g, xd, t, x_sq))
 
     return Tensor._make(out_data, (x,), backward)
 
 
+def _gelu_fwd(xd: np.ndarray):
+    """-> (out, tanh term, x squared); the last two are saved."""
+    if _counters.enabled:
+        _counters.bump("gelu")
+    x_sq = xd * xd
+    inner = _GELU_C * (xd + 0.044715 * (x_sq * xd))
+    t = np.tanh(inner, out=inner)  # inner is fresh: reuse in place
+    return 0.5 * xd * (1.0 + t), t, x_sq
+
+
+def _gelu_bwd(g: np.ndarray, xd: np.ndarray, t: np.ndarray,
+              x_sq: np.ndarray) -> np.ndarray:
+    dinner = _GELU_C * (1.0 + (3 * 0.044715) * x_sq)
+    grad = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner
+    grad *= g
+    return grad
+
+
+_LN_EPS = 1e-5
+
+
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor,
-               eps: float = 1e-5) -> Tensor:
+               eps: float = _LN_EPS) -> Tensor:
     """LayerNorm over the last dimension with affine parameters — one node
     computing mean/variance/normalization with a closed-form backward."""
+    out_data, x_hat, inv_std = _layer_norm_fwd(x.data, weight.data,
+                                               bias.data, eps)
+
+    def backward(g: np.ndarray, a=x, w=weight, b=bias,
+                 x_hat=x_hat, inv_std=inv_std) -> None:
+        da, dw, db = _layer_norm_bwd(g, x_hat, inv_std, w.data,
+                                     a.requires_grad, w.requires_grad,
+                                     b.requires_grad)
+        if dw is not None:
+            w._accumulate_owned(dw)
+        if db is not None:
+            b._accumulate_owned(db)
+        if da is not None:
+            a._accumulate_owned(da)
+
+    return Tensor._make(out_data, (x, weight, bias), backward)
+
+
+def _layer_norm_fwd(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
+                    eps: float):
+    """-> (out, x_hat, inv_std); the last two are saved.
+
+    The ufunc sequence of np.mean + np.var (bit-identical to them on fp32
+    and fp64), minus var's second mean and the Python of numpy's _methods
+    wrappers.
+    """
     if _counters.enabled:
         _counters.bump("layer_norm")
-    xd = x.data
-    # The ufunc sequence of np.mean + np.var (bit-identical to them), minus
-    # var's second mean and the Python of numpy's _methods wrappers.
     n = xd.shape[-1]
     mu = np.add.reduce(xd, axis=-1, keepdims=True) / n
     centered = xd - mu
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + eps)
     x_hat = np.multiply(centered, inv_std, out=centered)  # fresh: reuse
-    out_data = x_hat * weight.data + bias.data
+    return x_hat * wd + bd, x_hat, inv_std
 
-    def backward(g: np.ndarray, a=x, w=weight, b=bias,
-                 x_hat=x_hat, inv_std=inv_std) -> None:
-        if w.requires_grad:
-            axes = tuple(range(g.ndim - 1))
-            w._accumulate_owned((g * x_hat).sum(axis=axes))
-        if b.requires_grad:
-            axes = tuple(range(g.ndim - 1))
-            b._accumulate_owned(g.sum(axis=axes))
-        if a.requires_grad:
-            gw = g * w.data
-            term2 = gw.mean(axis=-1, keepdims=True)
-            term3 = x_hat * (gw * x_hat).mean(axis=-1, keepdims=True)
-            gw -= term2
-            gw -= term3
-            gw *= inv_std
-            a._accumulate_owned(gw)
 
-    return Tensor._make(out_data, (x, weight, bias), backward)
+def _layer_norm_bwd(g: np.ndarray, x_hat: np.ndarray, inv_std: np.ndarray,
+                    wd: np.ndarray, need_x: bool = True,
+                    need_w: bool = True, need_b: bool = True):
+    """-> (dx, dw, db), each fresh, None where not needed.
+
+    The two row means are ``np.add.reduce(...) / n`` — the ufunc sequence
+    ``.mean`` runs, bit-identical to it on fp32 and fp64, without the
+    Python of numpy's ``_methods`` wrappers.  As in the forward, fp16 is
+    the exception: its ``.mean`` accumulates in fp32 and this does not;
+    no runtime path normalises fp16 (fp16 exists on the wire and in the
+    data-parallel reduction only).
+    """
+    axes = tuple(range(g.ndim - 1))
+    dw = (g * x_hat).sum(axis=axes) if need_w else None
+    db = g.sum(axis=axes) if need_b else None
+    if not need_x:
+        return None, dw, db
+    n = g.shape[-1]
+    gw = g * wd
+    term2 = np.add.reduce(gw, axis=-1, keepdims=True) / n
+    term3 = x_hat * (np.add.reduce(gw * x_hat, axis=-1, keepdims=True) / n)
+    gw -= term2
+    gw -= term3
+    gw *= inv_std
+    return gw, dw, db
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray,
@@ -204,10 +261,19 @@ def masked_softmax(x: Tensor, mask: np.ndarray, scale: float = 1.0,
     exactly 0 and — since the backward is ``scale * s * (g - sum(g*s))`` —
     no gradient flows through them, matching the unfused chain bit for bit.
     """
+    out_data = _masked_softmax_fwd(x.data, mask, scale, fill)
+
+    def backward(g: np.ndarray, a=x, out=out_data, scale=scale) -> None:
+        a._accumulate_owned(_masked_softmax_bwd(g, out, scale))
+
+    return Tensor._make(out_data, (x,), backward)
+
+
+def _masked_softmax_fwd(xd: np.ndarray, mask: np.ndarray, scale: float,
+                        fill: float = -1e9) -> np.ndarray:
     if _counters.enabled:
         _counters.bump("masked_softmax")
     mask = np.asarray(mask, dtype=bool)
-    xd = x.data
     # Clamp the fill to the dtype's finite range (fp16 cannot hold -1e9).
     fill = max(fill, float(np.finfo(xd.dtype).min))
     fill_v = np.asarray(fill, dtype=xd.dtype)
@@ -218,34 +284,51 @@ def masked_softmax(x: Tensor, mask: np.ndarray, scale: float = 1.0,
         scores = np.where(mask, fill_v, xd)
     scores -= scores.max(axis=-1, keepdims=True)
     e = np.exp(scores, out=scores)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
-    def backward(g: np.ndarray, a=x, out=out_data, scale=scale) -> None:
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        grad = out * (g - dot)
-        if scale != 1.0:
-            grad *= np.asarray(scale, dtype=grad.dtype)
-        a._accumulate_owned(grad)
 
-    return Tensor._make(out_data, (x,), backward)
+def _masked_softmax_bwd(g: np.ndarray, out: np.ndarray,
+                        scale: float) -> np.ndarray:
+    dot = (g * out).sum(axis=-1, keepdims=True)
+    grad = out * (g - dot)
+    if scale != 1.0:
+        grad *= np.asarray(scale, dtype=grad.dtype)
+    return grad
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator,
             training: bool = True) -> Tensor:
     """Inverted dropout: scales survivors by ``1/(1-p)`` so inference needs
     no rescaling.  The caller supplies the RNG for determinism."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    mask = _dropout_mask(x.data, p, rng, training)
+    if mask is None:
         return x
-    keep = 1.0 - p
-    mask = (rng.random(x.shape) < keep).astype(x.data.dtype) / keep
     out_data = x.data * mask
 
     def backward(g: np.ndarray, a=x, mask=mask) -> None:
         a._accumulate_owned(g * mask)
 
     return Tensor._make(out_data, (x,), backward)
+
+
+def _dropout_mask(xd: np.ndarray, p: float, rng: np.random.Generator,
+                  training: bool) -> Optional[np.ndarray]:
+    """The scaled keep mask for one activation (forward and backward are
+    both a multiply by it), or None when dropout is the identity — in
+    which case nothing is drawn from ``rng``."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    if not training or p == 0.0:
+        return None
+    keep = 1.0 - p
+    return (rng.random(xd.shape) < keep).astype(xd.dtype) / keep
+
+
+def _stream_mask(drop, like: np.ndarray) -> Optional[np.ndarray]:
+    """:func:`_dropout_mask` for ``like``, drawn from a dropout stream —
+    anything with ``p`` / ``rng`` / ``training``, i.e. a
+    :class:`~repro.nn.Dropout`."""
+    return _dropout_mask(like, drop.p, drop.rng, drop.training)
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
@@ -304,25 +387,171 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     weight gradient is one ``(out, N) @ (N, in)`` GEMM over the flattened
     leading dimensions.
     """
-    if _counters.enabled:
-        _counters.bump("linear")
-    xd = x.data
-    out_data = xd @ weight.data.T
-    if bias is not None:
-        out_data += bias.data
-        parents: Sequence[Tensor] = (x, weight, bias)
-    else:
-        parents = (x, weight)
+    out_data = _linear_fwd(x.data, weight.data,
+                           None if bias is None else bias.data)
+    parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g: np.ndarray, a=x, w=weight, b=bias) -> None:
-        g2 = g.reshape(-1, g.shape[-1])
-        if w.requires_grad:
-            x2 = a.data.reshape(-1, a.data.shape[-1])
-            w._accumulate_owned(g2.T @ x2)
-        if b is not None and b.requires_grad:
-            b._accumulate_owned(g2.sum(axis=0))
-        if a.requires_grad:
-            a._accumulate_owned(g @ w.data)
+        da, dw, db = _linear_bwd(g, a.data, w.data, a.requires_grad,
+                                 w.requires_grad,
+                                 b is not None and b.requires_grad)
+        if dw is not None:
+            w._accumulate_owned(dw)
+        if db is not None:
+            b._accumulate_owned(db)
+        if da is not None:
+            a._accumulate_owned(da)
+
+    return Tensor._make(out_data, parents, backward)
+
+
+def _linear_fwd(xd: np.ndarray, wd: np.ndarray,
+                bd: Optional[np.ndarray]) -> np.ndarray:
+    if _counters.enabled:
+        _counters.bump("linear")
+    out = xd @ wd.T
+    if bd is not None:
+        out += bd
+    return out
+
+
+def _linear_bwd(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
+                need_x: bool = True, need_w: bool = True,
+                need_b: bool = True):
+    """-> (dx, dw, db), each fresh, None where not needed."""
+    g2 = g.reshape(-1, g.shape[-1])
+    dw = g2.T @ xd.reshape(-1, xd.shape[-1]) if need_w else None
+    db = g2.sum(axis=0) if need_b else None
+    return (g @ wd if need_x else None), dw, db
+
+
+def transformer_block(x: Tensor, ln1_w: Tensor, ln1_b: Tensor,
+                      qkv_w: Tensor, qkv_b: Tensor,
+                      proj_w: Tensor, proj_b: Tensor,
+                      ln2_w: Tensor, ln2_b: Tensor,
+                      fc_w: Tensor, fc_b: Tensor,
+                      out_w: Tensor, out_b: Tensor,
+                      n_head: int, mask: np.ndarray, attn_drop, mlp_drop,
+                      caches=None) -> Tensor:
+    """A pre-norm transformer block as a single autograd node::
+
+        x = x + drop(proj(attend(qkv(ln1(x)))))
+        x = x + drop(out(gelu(fc(ln2(x)))))
+
+    The forward runs the raw-array helpers of the ops above in that
+    order on ``x.data`` — the same ufunc / GEMM sequence, on the same
+    memory layouts, as :func:`transformer_block_unfused` — and saves
+    what the one hand-written backward needs; no ``Tensor`` per
+    intermediate, no closure per op, no reshape / transpose / index
+    nodes.  Output, input gradient and all twelve parameter gradients
+    equal the composition's bit for bit (``tests/test_nn_block.py``).
+
+    ``mask`` is the ``(seq_len, seq_len)`` causal mask (True = hidden).
+    ``attn_drop`` / ``mlp_drop`` are the block's two dropout streams
+    (:class:`~repro.nn.Dropout`: ``p``, ``rng``, ``training``);
+    ``attn_drop`` draws for the attention weights and then for the
+    attention output, as the composition does.  ``caches``, if given,
+    are :class:`~repro.nn.LayerKVCache` objects splitting the batch rows
+    between them in order (each covers its own ``batch_size`` rows): the
+    projections run once over the whole stack, only the attention core
+    runs per cache, over that cache's own length — never padded to a
+    common one, which would regroup the softmax sum.  Cached attention
+    is inference-only.
+    """
+    if caches is not None and is_grad_enabled():
+        raise RuntimeError(
+            "KV-cached attention is inference-only; wrap the call "
+            "in no_grad()")
+    xd = x.data
+    b, t, h = xd.shape
+    hd = h // n_head
+    scale = 1.0 / np.sqrt(hd)
+
+    h1, x_hat1, inv_std1 = _layer_norm_fwd(xd, ln1_w.data, ln1_b.data,
+                                           _LN_EPS)
+    qkv = _linear_fwd(h1, qkv_w.data, qkv_b.data)  # (b, t, 3h)
+    # three (b, nh, t, hd) views of the one qkv buffer
+    q, k, v = qkv.reshape(b, t, 3, n_head, hd).transpose(2, 0, 3, 1, 4)
+    if caches is None:
+        # Fused scale + causal mask + softmax over the (b, nh, t, t) scores.
+        att = _masked_softmax_fwd(q @ k.swapaxes(-1, -2), mask[:t, :t], scale)
+        att_mask = _stream_mask(attn_drop, att)
+        att_d = att if att_mask is None else att * att_mask
+        y = att_d @ v  # (b, nh, t, hd)
+    else:  # grad is off (checked above): nothing is saved for backward
+        covered = sum(c.batch_size for c in caches)
+        if covered != b:
+            raise ValueError(f"caches cover {covered} batch rows, got {b}")
+        ys, row = [], 0
+        for cache in caches:
+            rows = slice(row, row + cache.batch_size)
+            row = rows.stop
+            past = cache.length
+            k_all, v_all = cache.extend(k[rows], v[rows])
+            # Query rows past..past+t of the causal mask attend over all
+            # past+t keys: the from-scratch [:t, :t] case is past == 0.
+            a = _masked_softmax_fwd(q[rows] @ k_all.swapaxes(-1, -2),
+                                    mask[past:past + t, :past + t], scale)
+            a_mask = _stream_mask(attn_drop, a)
+            ys.append((a if a_mask is None else a * a_mask) @ v_all)
+        y = np.concatenate(ys, axis=0)
+    y = y.transpose(0, 2, 1, 3).reshape(b, t, h)  # heads back in: a copy
+    x1 = _linear_fwd(y, proj_w.data, proj_b.data)
+    proj_mask = _stream_mask(attn_drop, x1)
+    if proj_mask is not None:
+        x1 *= proj_mask
+    x1 += xd  # first residual
+
+    h2, x_hat2, inv_std2 = _layer_norm_fwd(x1, ln2_w.data, ln2_b.data,
+                                           _LN_EPS)
+    f = _linear_fwd(h2, fc_w.data, fc_b.data)
+    act, tanh_f, f_sq = _gelu_fwd(f)
+    out_data = _linear_fwd(act, out_w.data, out_b.data)
+    out_mask = _stream_mask(mlp_drop, out_data)
+    if out_mask is not None:
+        out_data *= out_mask
+    out_data += x1  # second residual
+
+    parents = (x, ln1_w, ln1_b, qkv_w, qkv_b, proj_w, proj_b,
+               ln2_w, ln2_b, fc_w, fc_b, out_w, out_b)
+    if not is_grad_enabled():
+        return Tensor._make(out_data, (), None)
+
+    def backward(g: np.ndarray) -> None:
+        # MLP half: out = x1 + drop(out(gelu(fc(ln2(x1)))))
+        dact, d_out_w, d_out_b = _linear_bwd(
+            g if out_mask is None else g * out_mask, act, out_w.data)
+        dh2, d_fc_w, d_fc_b = _linear_bwd(
+            _gelu_bwd(dact, f, tanh_f, f_sq), h2, fc_w.data)
+        dx1, d_ln2_w, d_ln2_b = _layer_norm_bwd(dh2, x_hat2, inv_std2,
+                                                ln2_w.data)
+        dx1 += g
+        # attention half: x1 = x + drop(proj(att_d @ v))
+        dy, d_proj_w, d_proj_b = _linear_bwd(
+            dx1 if proj_mask is None else dx1 * proj_mask, y, proj_w.data)
+        dy = dy.reshape(b, t, n_head, hd).transpose(0, 2, 1, 3)
+        datt = dy @ v.swapaxes(-1, -2)
+        if att_mask is not None:
+            datt *= att_mask
+        dscores = _masked_softmax_bwd(datt, att, scale)
+        # q, k, v are views of one (b, t, 3, nh, hd) buffer; so are their
+        # gradients, written once each instead of scattered into three
+        # zeroed copies and summed.
+        dqkv = np.empty((b, t, 3, n_head, hd), dtype=dscores.dtype)
+        dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
+        dq[...] = dscores @ k
+        dk[...] = (q.swapaxes(-1, -2) @ dscores).swapaxes(-1, -2)
+        dv[...] = att_d.swapaxes(-1, -2) @ dy
+        dh1, d_qkv_w, d_qkv_b = _linear_bwd(dqkv.reshape(b, t, 3 * h), h1,
+                                            qkv_w.data)
+        dx, d_ln1_w, d_ln1_b = _layer_norm_bwd(dh1, x_hat1, inv_std1,
+                                               ln1_w.data)
+        dx += dx1
+        for p, dp in zip(parents, (dx, d_ln1_w, d_ln1_b, d_qkv_w, d_qkv_b,
+                                   d_proj_w, d_proj_b, d_ln2_w, d_ln2_b,
+                                   d_fc_w, d_fc_b, d_out_w, d_out_b)):
+            if p.requires_grad:
+                p._accumulate_owned(dp)
 
     return Tensor._make(out_data, parents, backward)
 
@@ -387,3 +616,69 @@ def linear_unfused(x: Tensor, weight: Tensor,
     if bias is not None:
         out = out + bias
     return out
+
+
+def attention_unfused(x: Tensor, qkv_w: Tensor, qkv_b: Tensor,
+                      proj_w: Tensor, proj_b: Tensor, n_head: int,
+                      mask: np.ndarray, drop, caches=None) -> Tensor:
+    """Causal multi-head self-attention, one node per op: the attention
+    half of :func:`transformer_block_unfused` (same arguments as the
+    kernel; ``drop`` is a callable ``Tensor -> Tensor``)."""
+    b, t, h = x.shape
+    hd = h // n_head
+    scale = 1.0 / np.sqrt(hd)
+
+    def attend(q: Tensor, k: Tensor, v: Tensor, past: int) -> Tensor:
+        att = masked_softmax(q @ k.swapaxes(-1, -2),
+                             mask[past:past + t, :past + t], scale=scale)
+        return drop(att) @ v  # (b, nh, t, hd)
+
+    qkv = linear(x, qkv_w, qkv_b)  # (b, t, 3h)
+    qkv = qkv.reshape(b, t, 3, n_head, hd)
+    qkv = qkv.transpose(2, 0, 3, 1, 4)  # (3, b, nh, t, hd)
+    q, k, v = qkv[0], qkv[1], qkv[2]
+    if caches is None:
+        y = attend(q, k, v, 0)
+    else:
+        if is_grad_enabled():
+            raise RuntimeError(
+                "KV-cached attention is inference-only; wrap the call "
+                "in no_grad()")
+        covered = sum(c.batch_size for c in caches)
+        if covered != b:
+            raise ValueError(f"caches cover {covered} batch rows, got {b}")
+        ys, row = [], 0
+        for cache in caches:
+            rows = slice(row, row + cache.batch_size)
+            row = rows.stop
+            past = cache.length
+            k_all, v_all = cache.extend(k.data[rows], v.data[rows])
+            ys.append(attend(Tensor(q.data[rows]), Tensor(k_all),
+                             Tensor(v_all), past))
+        y = concat(ys, axis=0)
+    y = y.transpose(0, 2, 1, 3).reshape(b, t, h)
+    return drop(linear(y, proj_w, proj_b))
+
+
+def mlp_unfused(x: Tensor, fc_w: Tensor, fc_b: Tensor, out_w: Tensor,
+                out_b: Tensor, drop) -> Tensor:
+    """Position-wise feed-forward, one node per op: the MLP half of
+    :func:`transformer_block_unfused`."""
+    return drop(linear(gelu(linear(x, fc_w, fc_b)), out_w, out_b))
+
+
+def transformer_block_unfused(x: Tensor, ln1_w: Tensor, ln1_b: Tensor,
+                              qkv_w: Tensor, qkv_b: Tensor,
+                              proj_w: Tensor, proj_b: Tensor,
+                              ln2_w: Tensor, ln2_b: Tensor,
+                              fc_w: Tensor, fc_b: Tensor,
+                              out_w: Tensor, out_b: Tensor,
+                              n_head: int, mask: np.ndarray,
+                              attn_drop, mlp_drop, caches=None) -> Tensor:
+    """:func:`transformer_block` as the composition of single-op nodes
+    it replaced (20 of them, 23 with dropout on) — the reference the
+    kernel must equal bit for bit."""
+    x = x + attention_unfused(layer_norm(x, ln1_w, ln1_b), qkv_w, qkv_b,
+                              proj_w, proj_b, n_head, mask, attn_drop, caches)
+    return x + mlp_unfused(layer_norm(x, ln2_w, ln2_b), fc_w, fc_b,
+                           out_w, out_b, mlp_drop)

@@ -23,6 +23,11 @@ Hot-path contracts
 * :meth:`Tensor._make` bypasses ``__init__`` entirely; with grad disabled
   (or no grad-requiring parent) it returns a bare constant node without
   touching the closure.
+* A node is as large as its op: the primitives below record one node per
+  operator, the fused ops of :mod:`repro.nn.functional` one per kernel —
+  up to a whole transformer block (``transformer_block``: one node, one
+  closure, thirteen parents) — so the walk in :meth:`Tensor.backward`
+  is a handful of nodes per pipeline-stage pass.
 * Backward closures accumulate through two entry points:
   :meth:`Tensor._accumulate` *copies* (the incoming array may be a view of
   someone else's buffer), while :meth:`Tensor._accumulate_owned` takes

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import functional as F
 from .modules import Dropout, Embedding, LayerNorm, Linear, Module
-from .tensor import Tensor, is_grad_enabled
+from .tensor import Tensor
 
 __all__ = ["GPTConfig", "CausalSelfAttention", "MLP", "Block",
            "GPTEmbedding", "GPTHead", "GPT", "build_layer", "num_layer_slots",
@@ -133,7 +133,10 @@ def kv_cache_bytes(cfg: GPTConfig, batch_size: int = 1) -> int:
 
 
 class CausalSelfAttention(Module):
-    """Multi-head self-attention with a causal mask."""
+    """Multi-head self-attention with a causal mask: the parameters and
+    the dropout stream of a block's attention half.  :class:`Block` feeds
+    them to its one-node kernel and never calls this module; called on
+    its own it runs the per-op reference composition."""
 
     def __init__(self, cfg: GPTConfig, rng: np.random.Generator):
         super().__init__()
@@ -146,58 +149,17 @@ class CausalSelfAttention(Module):
         mask = np.triu(np.ones((cfg.seq_len, cfg.seq_len), dtype=bool), k=1)
         self._mask = mask
 
-    def _attend(self, q: Tensor, k: Tensor, v: Tensor, past: int) -> Tensor:
-        """The attention core for ``t`` queries at positions ``past..``
-        over ``past + t`` keys."""
-        t = q.shape[-2]
-        # Fused scale + causal mask + softmax: one node instead of three.
-        # Query rows past..past+t of the causal mask attend over all
-        # past+t keys, so the cached slice generalizes the from-scratch
-        # [:t, :t] case (past == 0).
-        att = F.masked_softmax(q @ k.swapaxes(-1, -2),
-                               self._mask[past:past + t, :past + t],
-                               scale=1.0 / np.sqrt(self.cfg.head_dim))
-        return self.drop(att) @ v  # (b, nh, t, hd)
-
     def forward(self, x: Tensor,
                 caches: Optional[Sequence[LayerKVCache]] = None) -> Tensor:
-        """``caches``, if given, split the batch rows between them in
-        order (each covers its own ``batch_size`` rows): the projections
-        run once over the whole stack, only the attention core runs per
-        cache, over that cache's own length — never padded to a common
-        one, which would regroup the softmax sum."""
-        b, t, h = x.shape
-        nh, hd = self.cfg.n_head, self.cfg.head_dim
-        qkv = self.qkv(x)  # (b, t, 3h)
-        qkv = qkv.reshape(b, t, 3, nh, hd)
-        qkv = qkv.transpose(2, 0, 3, 1, 4)  # (3, b, nh, t, hd)
-        q, k, v = qkv[0], qkv[1], qkv[2]
-        if caches is None:
-            y = self._attend(q, k, v, 0)
-        else:
-            if is_grad_enabled():
-                raise RuntimeError(
-                    "KV-cached attention is inference-only; wrap the call "
-                    "in no_grad()")
-            covered = sum(c.batch_size for c in caches)
-            if covered != b:
-                raise ValueError(
-                    f"caches cover {covered} batch rows, got {b}")
-            ys, row = [], 0
-            for cache in caches:
-                rows = slice(row, row + cache.batch_size)
-                row = rows.stop
-                past = cache.length
-                k_all, v_all = cache.extend(k.data[rows], v.data[rows])
-                ys.append(self._attend(Tensor(q.data[rows]), Tensor(k_all),
-                                       Tensor(v_all), past))
-            y = F.concat(ys, axis=0)
-        y = y.transpose(0, 2, 1, 3).reshape(b, t, h)
-        return self.drop(self.proj(y))
+        return F.attention_unfused(
+            x, self.qkv.weight, self.qkv.bias, self.proj.weight,
+            self.proj.bias, self.cfg.n_head, self._mask, self.drop, caches)
 
 
 class MLP(Module):
-    """Position-wise feed-forward: Linear(4h) -> GELU -> Linear(h)."""
+    """Position-wise feed-forward, Linear(4h) -> GELU -> Linear(h): the
+    parameters and the dropout stream of a block's MLP half (see
+    :class:`CausalSelfAttention` for how it is run)."""
 
     def __init__(self, cfg: GPTConfig, rng: np.random.Generator):
         super().__init__()
@@ -207,11 +169,14 @@ class MLP(Module):
         self.drop = Dropout(cfg.dropout, seed=int(rng.integers(2 ** 31)))
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.drop(self.proj(F.gelu(self.fc(x))))
+        return F.mlp_unfused(x, self.fc.weight, self.fc.bias,
+                             self.proj.weight, self.proj.bias, self.drop)
 
 
 class Block(Module):
-    """Pre-norm transformer block with residual connections."""
+    """Pre-norm transformer block with residual connections — one
+    autograd node (:func:`~repro.nn.functional.transformer_block`) in
+    every mode: training, ``no_grad``, and KV-cached decode."""
 
     def __init__(self, cfg: GPTConfig, rng: np.random.Generator):
         super().__init__()
@@ -222,9 +187,15 @@ class Block(Module):
 
     def forward(self, x: Tensor,
                 caches: Optional[Sequence[LayerKVCache]] = None) -> Tensor:
-        x = x + self.attn(self.ln1(x), caches=caches)
-        x = x + self.mlp(self.ln2(x))
-        return x
+        """``caches``, if given, split the batch rows between them in
+        order (one per serving request); see the kernel."""
+        attn, mlp = self.attn, self.mlp
+        return F.transformer_block(
+            x, self.ln1.weight, self.ln1.bias,
+            attn.qkv.weight, attn.qkv.bias, attn.proj.weight, attn.proj.bias,
+            self.ln2.weight, self.ln2.bias,
+            mlp.fc.weight, mlp.fc.bias, mlp.proj.weight, mlp.proj.bias,
+            attn.cfg.n_head, attn._mask, attn.drop, mlp.drop, caches=caches)
 
 
 class GPTEmbedding(Module):

@@ -24,8 +24,9 @@ So the tensor-parallel stage stores genuinely sharded parameters —
 separate :class:`~repro.nn.modules.Parameter` objects per (matrix part,
 group member) following the 4D paper's row/column split — but each
 forward **reassembles the dense weight with one concat and runs exactly
-the dense code path**, reusing the dense stage's LayerNorm and Dropout
-module objects so the RNG streams advance identically.  Gradients flow
+the dense code path** (:func:`~repro.nn.functional.transformer_block`,
+the kernel a dense ``Block`` calls), reusing the dense stage's LayerNorm
+and Dropout module objects so the RNG streams advance identically.  Gradients flow
 through the concat back onto the shards as exact dense slices, and AdamW
 is elementwise, so shard updates equal dense updates bit for bit.
 
@@ -74,7 +75,8 @@ RecordFn = Callable[[int, str, tuple, int], None]
 
 
 class ShardedAttention(Module):
-    """Head-sharded causal self-attention computing the exact dense math.
+    """Head-sharded causal self-attention parameters (:class:`TPBlock`
+    runs them).
 
     QKV weights are sharded head-major per group member (``wq_t``/``wk_t``/
     ``wv_t`` plus biases); the output projection is column-sharded along
@@ -139,27 +141,9 @@ class ShardedAttention(Module):
             "proj.bias": self.proj_b.data.copy(),
         }
 
-    def forward(self, x):
-        b, t, h = x.shape
-        nh, hd = self.cfg.n_head, self.cfg.head_dim
-        w_full = F.concat([p for part in self._qkv_w for p in part], axis=0)
-        b_full = F.concat([p for part in self._qkv_b for p in part], axis=0)
-        qkv = F.linear(x, w_full, b_full)
-        qkv = qkv.reshape(b, t, 3, nh, hd)
-        qkv = qkv.transpose(2, 0, 3, 1, 4)
-        q, k, v = qkv[0], qkv[1], qkv[2]
-        att = F.masked_softmax(q @ k.swapaxes(-1, -2),
-                               self._mask[:t, :t],
-                               scale=1.0 / np.sqrt(hd))
-        att = self.drop(att)
-        y = att @ v
-        y = y.transpose(0, 2, 1, 3).reshape(b, t, h)
-        pw_full = F.concat(self.proj_w, axis=1)
-        return self.drop(F.linear(y, pw_full, self.proj_b))
-
 
 class ShardedMLP(Module):
-    """Row/column-sharded MLP computing the exact dense math.
+    """Row/column-sharded MLP parameters (:class:`TPBlock` runs them).
 
     ``fc`` is sharded along its output dimension, ``proj`` along its
     input dimension with the same partition (Megatron's pairing, which
@@ -201,13 +185,6 @@ class ShardedMLP(Module):
             "proj.bias": self.proj_b.data.copy(),
         }
 
-    def forward(self, x):
-        w_fc = F.concat(self.fc_w, axis=0)
-        b_fc = F.concat(self.fc_b, axis=0)
-        w_p = F.concat(self.proj_w, axis=1)
-        return self.drop(F.linear(F.gelu(F.linear(x, w_fc, b_fc)),
-                                  w_p, self.proj_b))
-
 
 class TPBlock(Module):
     """A transformer block with sharded attention/MLP and replicated
@@ -223,11 +200,21 @@ class TPBlock(Module):
         self.mlp = ShardedMLP(dense.mlp, g_intra)
 
     def forward(self, x, caches=None):
+        """The dense block kernel on the reassembled weights: one concat
+        per sharded matrix, whose backward slices the kernel's dense
+        gradient into exact per-shard pieces."""
         if caches is not None:
             raise RuntimeError("tensor-parallel blocks are training-only")
-        x = x + self.attn(self.ln1(x))
-        x = x + self.mlp(self.ln2(x))
-        return x
+        attn, mlp = self.attn, self.mlp
+        return F.transformer_block(
+            x, self.ln1.weight, self.ln1.bias,
+            F.concat([p for part in attn._qkv_w for p in part], axis=0),
+            F.concat([p for part in attn._qkv_b for p in part], axis=0),
+            F.concat(attn.proj_w, axis=1), attn.proj_b,
+            self.ln2.weight, self.ln2.bias,
+            F.concat(mlp.fc_w, axis=0), F.concat(mlp.fc_b, axis=0),
+            F.concat(mlp.proj_w, axis=1), mlp.proj_b,
+            attn.cfg.n_head, attn._mask, attn.drop, mlp.drop)
 
     def shard_params(self, t: int) -> List[Parameter]:
         return self.attn.shard_params(t) + self.mlp.shard_params(t)

@@ -128,6 +128,38 @@ def test_process_backend_bit_identical_to_cooperative(grid, seed):
         assert check_match_order(rec) == []
 
 
+@pytest.mark.parametrize("schedule", [None, "1f1b"])
+@pytest.mark.parametrize("backend", ["cooperative", "process"])
+def test_activation_checkpointing_replays_the_dropout_it_sent(backend,
+                                                              schedule):
+    """A checkpointed segment's backward recomputes the segment; with
+    dropout on, the replay must draw the masks of the forward whose
+    activations went downstream — also when other microbatches advanced
+    the streams in between (microbatch 1, so they always have).  Then
+    checkpointing changes memory, not one bit of the trajectory."""
+    rng = np.random.default_rng(5)
+    batches = [(rng.integers(0, CFG_DROP.vocab_size, (4, CFG_DROP.seq_len)),
+                rng.integers(0, CFG_DROP.vocab_size, (4, CFG_DROP.seq_len)))
+               for _ in range(3)]
+
+    def run(checkpoint_activations):
+        trainer = AxoNNTrainer(CFG_DROP, g_inter=2, g_data=1,
+                               microbatch_size=1, lr=1e-3, backend=backend,
+                               schedule=schedule,
+                               checkpoint_activations=checkpoint_activations)
+        try:
+            losses = [trainer.train_batch(x, y).loss for x, y in batches]
+            return losses, trainer.gather_state()
+        finally:
+            trainer.close()
+
+    plain_losses, plain_state = run(False)
+    ckpt_losses, ckpt_state = run(True)
+    assert ckpt_losses == plain_losses  # exact, not approx
+    for key in plain_state:
+        assert np.array_equal(ckpt_state[key], plain_state[key]), key
+
+
 # valid (g_inter, g_data, g_intra, microbatch, batch) 4D shapes; n_head=2
 # caps g_intra at 2 for the fuzz configs.
 TP_GRIDS = [

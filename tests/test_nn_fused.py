@@ -149,6 +149,35 @@ def test_layer_norm_one_pass_statistics_bit_equal(shape, dtype):
         np.testing.assert_allclose(got, unfused, rtol=1e-5, atol=1e-5)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                         ids=["fp32", "fp64"])
+@pytest.mark.parametrize("shape", [(1, 1, 128), (1, 32, 64), (16, 32, 64),
+                                   (2, 5, 7), (4, 1, 1000)], ids=str)
+def test_layer_norm_backward_row_means_bit_equal(shape, dtype):
+    """The backward's two row means are ``np.add.reduce(...) / n``, the
+    ufunc sequence ``.mean`` runs: the input gradient equals the
+    ``.mean`` form bit for bit (fp16, whose ``.mean`` accumulates in
+    fp32, is the documented exception)."""
+    rng = _rng()
+    for _ in range(25):
+        x = (rng.standard_normal(shape) * rng.uniform(0.1, 10)).astype(dtype)
+        w = rng.standard_normal(shape[-1]).astype(dtype)
+        b = rng.standard_normal(shape[-1]).astype(dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        xt = Tensor(x, requires_grad=True)
+        F.layer_norm(xt, Tensor(w), Tensor(b)).backward(g)
+        inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+        x_hat = (x - x.mean(axis=-1, keepdims=True)) * inv_std
+        want = g * w
+        term2 = want.mean(axis=-1, keepdims=True)
+        term3 = x_hat * (want * x_hat).mean(axis=-1, keepdims=True)
+        want -= term2
+        want -= term3
+        want *= inv_std
+        assert xt.grad.dtype == want.dtype
+        assert np.array_equal(xt.grad, want)
+
+
 @pytest.mark.parametrize("op", OP_NAMES)
 def test_fused_matches_finite_differences(op):
     shape = (2, 3, H)
