@@ -77,8 +77,8 @@ __all__ = [
     "serve_model",
 ]
 
-#: the single plane of ordinary ``yield RECV`` traffic; compiled
-#: schedules add "F" / "B" planes (their two physical transports).
+#: the plane of ordinary ``yield RECV`` traffic — Algorithm 2's, a
+#: compiled schedule's and the serving engine's alike.
 P2P = "p2p"
 
 #: pseudo-plane for in-stream collective records (tensor-parallel groups);
@@ -267,6 +267,45 @@ def _dp_collective_plan(grid: RankGrid, param_slots: Any):
     return collectives, groups
 
 
+def _training_model(name: str, grid: RankGrid, m: int,
+                    config: Dict[str, Any], param_slots: Any,
+                    lead: Callable[..., Generator]) -> CommModel:
+    """A training grid's ensemble: each tensor-parallel group lead runs
+    ``lead(rank, send, tp)`` (``tp`` a :class:`~repro.runtime.tp.TPComm`,
+    None when ``g_intra == 1``), each follower the *real*
+    :func:`~repro.runtime.tp.tp_follower_step`, and every ``tp_*``
+    collective is captured in-stream for the per-group order check."""
+    def make(capture: _Capture) -> Dict[int, Generator]:
+        programs: Dict[int, Generator] = {}
+        for rank in range(grid.world_size):
+            send = (lambda dst, tag, mb, data, _r=rank:
+                    capture.send(_r, dst, tag, mb, data,
+                                 plane=_TP_PLANES.get(tag, P2P)))
+            record = (lambda r, op, key, nbytes:
+                      capture.collective(r, op, key))
+            tp = TPComm(rank, grid, send, record=record) \
+                if grid.g_intra > 1 else None
+            if grid.is_tp_lead(rank):
+                programs[rank] = lead(rank, send, tp)
+            else:
+                programs[rank] = tp_follower_step(rank, grid, tp, m)
+        return programs
+
+    collectives, groups = _dp_collective_plan(grid, param_slots)
+    tp_groups: List[List[int]] = []
+    reflectors: FrozenSet[int] = frozenset()
+    if grid.g_intra > 1:
+        config["g_intra"] = grid.g_intra
+        tp_groups = [grid.tp_group(i, j) for j in range(grid.g_data)
+                     for i in range(grid.g_inter)]
+        # TP followers run tp_follower_step: always `yield RECV` ("any"),
+        # one constant-content ack per delivery, done after a fixed count.
+        reflectors = frozenset(r for r in range(grid.world_size)
+                               if not grid.is_tp_lead(r))
+    return CommModel(name, grid.world_size, make, collectives, groups,
+                     config, tp_groups=tp_groups, reflector_ranks=reflectors)
+
+
 def axonn_model(g_inter: int, g_data: int, microbatches: int,
                 pipeline_limit: Optional[int] = None,
                 param_slots: Any = 1, g_intra: int = 1) -> CommModel:
@@ -280,70 +319,45 @@ def axonn_model(g_inter: int, g_data: int, microbatches: int,
     With ``g_intra > 1`` the grid gains its tensor-parallel axis: group
     leads run Algorithm 2 with a :class:`~repro.runtime.tp.TPComm`
     (emitting the per-microbatch weight all-gather and gradient
-    reduce-scatter), followers run the *real*
-    :func:`~repro.runtime.tp.tp_follower_step`, and every ``tp_*``
-    collective is captured in-stream for the per-group order check."""
+    reduce-scatter) beside their followers (:func:`_training_model`)."""
     grid = RankGrid(g_inter, g_data, g_intra)
     m = microbatches
     if m < 1:
         raise ValueError("microbatches must be >= 1")
     limit = g_inter if pipeline_limit is None else pipeline_limit
 
-    def make(capture: _Capture) -> Dict[int, Generator]:
-        programs: Dict[int, Generator] = {}
-        for rank in range(grid.world_size):
-            send = (lambda dst, tag, mb, data, _r=rank:
-                    capture.send(_r, dst, tag, mb, data,
-                                 plane=_TP_PLANES.get(tag, P2P)))
-            record = (lambda r, op, key, nbytes:
-                      capture.collective(r, op, key))
-            if not grid.is_tp_lead(rank):
-                comm = TPComm(rank, grid, send, record=record)
-                programs[rank] = tp_follower_step(rank, grid, comm, m)
-                continue
-            tp = TPComm(rank, grid, send, record=record) \
-                if g_intra > 1 else None
-            programs[rank] = inter_layer_step(
-                rank, grid, _SymbolicStage(), send, [(None, None)] * m,
-                m * g_data, limit, tp=tp)
-        return programs
+    def lead(rank: int, send: Callable, tp: Optional[TPComm]) -> Generator:
+        return inter_layer_step(
+            rank, grid, _SymbolicStage(), send, [(None, None)] * m,
+            m * g_data, limit, tp=tp)
 
-    collectives, groups = _dp_collective_plan(grid, param_slots)
-    tp_groups: List[List[int]] = []
-    if g_intra > 1:
-        for j in range(g_data):
-            for i in range(g_inter):
-                tp_groups.append(grid.tp_group(i, j))
-    config = {"g_inter": g_inter, "g_data": g_data, "m": m, "limit": limit}
-    reflectors: FrozenSet[int] = frozenset()
-    if g_intra > 1:
-        config["g_intra"] = g_intra
-        # TP followers run tp_follower_step: always `yield RECV` ("any"),
-        # one constant-content ack per delivery, done after a fixed count.
-        reflectors = frozenset(r for r in range(grid.world_size)
-                               if not grid.is_tp_lead(r))
-    return CommModel("axonn", grid.world_size, make, collectives, groups,
-                     config, tp_groups=tp_groups, reflector_ranks=reflectors)
+    return _training_model(
+        "axonn", grid, m,
+        {"g_inter": g_inter, "g_data": g_data, "m": m, "limit": limit},
+        param_slots, lead)
 
 
 def scheduled_model(schedule: Any, g_inter: int, g_data: int,
-                    microbatches: int, param_slots: Any = 1) -> CommModel:
+                    microbatches: int, param_slots: Any = 1,
+                    g_intra: int = 1) -> CommModel:
     """Any IR schedule, lowered by the *real* compiler.
 
     ``schedule`` is a shipped builder name or a validated
     :class:`~repro.sched.ir.Schedule` instance (e.g. a search
     perturbation).  Drives :func:`repro.sched.compile.lower_rank` — the
-    same walk both backends of ``AxoNNTrainer(schedule=...)`` execute —
-    with symbolic stages over the two tag planes, so every schedule,
-    shipped or searched, gets the identical deadlock-freedom /
-    complete-matching proof.  Raises ``ValueError`` for grids the
-    builder rejects (e.g. interleaved needs
-    ``microbatches % g_inter == 0``).
+    rank program both backends of ``AxoNNTrainer(schedule=...)`` execute
+    — with symbolic stages over the same ``p2p`` plane and ``yield RECV``
+    waits as Algorithm 2, so every schedule, shipped or searched, gets
+    the identical deadlock-freedom / complete-matching proof, of the walk
+    that runs; ``g_intra > 1`` adds the tensor-parallel axis exactly as
+    in :func:`axonn_model`.  Raises ``ValueError`` for grids the builder
+    rejects (e.g. interleaved needs ``microbatches % g_inter == 0``) or
+    the trainer refuses (several chunks per rank with ``g_intra > 1``).
     """
     from ..sched.builders import build_schedule
-    from ..sched.compile import lower_rank, plane_recv
+    from ..sched.compile import lower_rank
     from ..sched.ir import Schedule
-    grid = RankGrid(g_inter, g_data)
+    grid = RankGrid(g_inter, g_data, g_intra)
     m = microbatches
     if isinstance(schedule, Schedule):
         if schedule.n_stages != g_inter or schedule.n_microbatches != m:
@@ -354,22 +368,19 @@ def scheduled_model(schedule: Any, g_inter: int, g_data: int,
         sched, schedule = schedule, schedule.name
     else:
         sched = build_schedule(schedule, g_inter, m)
+    if sched.n_chunks > 1 and g_intra > 1:
+        raise ValueError(f"schedule {schedule} places {sched.n_chunks} "
+                         f"chunks on a rank; no tensor-parallel shard "
+                         f"runs that")
+    stages = {v: _SymbolicStage() for v in range(sched.n_virtual)}
 
-    def make(capture: _Capture) -> Dict[int, Generator]:
-        stages = {v: _SymbolicStage() for v in range(sched.n_virtual)}
-        programs: Dict[int, Generator] = {}
-        for rank in range(grid.world_size):
-            send = (lambda dst, plane, _stage, mb, data, _r=rank:
-                    capture.send(_r, dst, plane, mb, data, plane=plane))
-            programs[rank] = lower_rank(
-                sched, grid, rank, stages, send, plane_recv,
-                [(None, None)] * m, m * g_data)
-        return programs
+    def lead(rank: int, send: Callable, tp: Optional[TPComm]) -> Generator:
+        return lower_rank(sched, grid, rank, stages, send,
+                          [(None, None)] * m, m * g_data, tp=tp)
 
-    collectives, groups = _dp_collective_plan(grid, param_slots)
-    return CommModel(f"sched-{schedule}", grid.world_size, make,
-                     collectives, groups,
-                     {"g_inter": g_inter, "g_data": g_data, "m": m})
+    return _training_model(
+        f"sched-{schedule}", grid, m,
+        {"g_inter": g_inter, "g_data": g_data, "m": m}, param_slots, lead)
 
 
 def serve_model(g_inter: int, n_requests: int, max_new_tokens: int = 2,
@@ -484,31 +495,40 @@ def builtin_models(max_world: int = 8, max_microbatches: int = 4,
     ``g_inter x g_data <= max_world``, ``m <= max_microbatches``, plus
     small serving pipelines."""
     models: List[CommModel] = []
+
+    def add_schedules(g_inter: int, g_data: int, m: int,
+                      g_intra: int = 1) -> None:
+        # Every shipped IR schedule through the real compiler; a grid a
+        # schedule rejects (interleaved: m % g_inter != 0, a depth-one
+        # pipeline, or a tensor-parallel axis) is skipped, not
+        # special-cased.
+        for sched_name in ("axonn", "1f1b", "gpipe", "interleaved", "zb-h1"):
+            try:
+                models.append(scheduled_model(sched_name, g_inter, g_data, m,
+                                              g_intra=g_intra))
+            except ValueError:
+                continue
+
     for g_inter in range(1, max_world + 1):
         for g_data in range(1, max_world // g_inter + 1):
             for m in range(1, max_microbatches + 1):
                 models.append(axonn_model(g_inter, g_data, m))
-                # Every shipped IR schedule through the real compiler
-                # (interleaved rejects grids with m % g_inter != 0 or a
-                # depth-one pipeline; skip those instead of special-casing).
-                for sched_name in ("axonn", "1f1b", "gpipe", "interleaved",
-                                   "zb-h1"):
-                    try:
-                        models.append(scheduled_model(sched_name, g_inter,
-                                                      g_data, m))
-                    except ValueError:
-                        continue
+                add_schedules(g_inter, g_data, m)
     # 4D variants: every decomposition with a real tensor-parallel axis.
     # TP traffic is per-microbatch homogeneous (one weight all-gather, one
     # gradient reduce-scatter), so m=2 already exercises every fwd/bwd
     # overlap the TP weave can produce; deeper m only multiplies pipeline
-    # interleavings the 2D models above cover.
+    # interleavings the 2D models above cover.  The static schedules ride
+    # at g_intra=2 only: 4 adds reflector ranks, not structure (24 more
+    # models, 7x the states of the whole g_intra=2 family).
     for g_intra in (2, 4):
         for g_inter in range(1, max_world // g_intra + 1):
             for g_data in range(1, max_world // (g_intra * g_inter) + 1):
                 for m in range(1, min(2, max_microbatches) + 1):
                     models.append(axonn_model(g_inter, g_data, m,
                                               g_intra=g_intra))
+                    if g_intra == 2:
+                        add_schedules(g_inter, g_data, m, g_intra)
     if include_serve:
         for g_inter in range(2, max_world + 1):
             models.append(serve_model(g_inter, n_requests=3,
@@ -518,8 +538,8 @@ def builtin_models(max_world: int = 8, max_microbatches: int = 4,
         # scheduler has a single inbound source, and the model is
         # confluent).  Multi-rank prefill pools give the scheduler two
         # inbound sources (KV pieces and tokens) whose arrival order
-        # steers the pump — inherently non-confluent, so those splits are
-        # covered by the runtime token-identity tests instead.
+        # steers its program — inherently non-confluent, so those splits
+        # are covered by the runtime token-identity tests instead.
         for g_decode in range(1, max_world):
             models.append(serve_model(g_decode, n_requests=3,
                                       max_new_tokens=2, max_batch=2,
@@ -559,29 +579,27 @@ class Skeleton:
         return sorted(sorted(g) for g in groups.values())
 
 
-def _wait_kind(request: Any, rank: int) -> Tuple[str, ...]:
+def _wait_kind(request: Any, rank: int) -> str:
     if request == RECV:
-        return ("any",)
+        return "any"
     if isinstance(request, TimedRecv):
-        return ("timed",)
-    if isinstance(request, str):
-        return ("plane", request)
+        return "timed"
     raise ModelError(f"rank {rank} yielded {request!r}; rank programs may "
-                     f"only yield RECV / recv_within(n) / a tag plane")
+                     f"only yield RECV / recv_within(n)")
 
 
 def extract_skeleton(model: CommModel) -> Skeleton:
     """Run the ensemble once under the cooperative scheduler's own policy
     (sorted-rank sweeps, run-until-blocked with immediate redelivery) and
-    record every channel op.  Mirrors ``RankTransport._sweep`` /
-    :func:`repro.sched.compile.pump`, so per-rank op order matches what a
+    record every channel op.  Mirrors ``RankTransport._sweep``, so
+    per-rank op order matches what a
     :class:`~repro.analysis.protocol.TraceRecorder` sees on a real run."""
     capture = _Capture(model.n_ranks)
     programs = model.make_programs(capture)
     ops: Dict[int, List[SkeletonOp]] = {r: [] for r in programs}
     inboxes: Dict[Tuple[int, str], List[Tuple[int, _Msg]]] = {}
     channels: Dict[Channel, None] = {}
-    waiting: Dict[int, Tuple[str, ...]] = {}
+    waiting: Dict[int, str] = {}
     live = dict(programs)
     arrival = 0
 
@@ -600,13 +618,10 @@ def extract_skeleton(model: CommModel) -> Skeleton:
                 (arrival, msg))
             arrival += 1
 
-    def pop_for(rank: int, wait: Tuple[str, ...]) -> Optional[_Msg]:
-        if wait[0] == "plane":
-            box = inboxes.get((rank, wait[1]))
-            return box.pop(0)[1] if box else None
-        # "any"/"timed": FIFO-faithful merge — the earliest arrival across
-        # every plane addressed to this rank (the runtime multiplexes all
-        # of a pair's traffic over one FIFO).
+    def pop_for(rank: int) -> Optional[_Msg]:
+        # FIFO-faithful merge — the earliest arrival across every plane
+        # addressed to this rank (the runtime multiplexes all of a
+        # pair's traffic over one FIFO).
         best_key = None
         for (dst, _plane), box in inboxes.items():
             if dst != rank or not box:
@@ -645,7 +660,7 @@ def extract_skeleton(model: CommModel) -> Skeleton:
                     if rank not in waiting:
                         alive = resume(rank, gen, start=True)
                     else:
-                        msg = pop_for(rank, waiting[rank])
+                        msg = pop_for(rank)
                         if msg is None:
                             break
                         ops[rank].append(SkeletonOp(
@@ -662,7 +677,7 @@ def extract_skeleton(model: CommModel) -> Skeleton:
             if live and not progressed:
                 # A starved timed receive fires before we call deadlock.
                 timed = sorted(r for r in live
-                               if waiting.get(r, ())[:1] == ("timed",))
+                               if waiting.get(r) == "timed")
                 if timed:
                     rank = timed[0]
                     ops[rank].append(SkeletonOp("timeout", rank))
@@ -768,7 +783,7 @@ class _Behavior:
     counts, and the witness (delivery/timeout sequence) that reproduces
     this state on a fresh generator."""
 
-    wait: Tuple[str, ...]
+    wait: str
     finished: bool
     out_counts: Dict[Channel, int]
     witness: Tuple[Tuple, ...]
@@ -823,7 +838,7 @@ class _Explorer:
         programs = self.model.make_programs(capture)
         gen = programs[rank]
         out_counts: Dict[Channel, int] = {}
-        wait: Tuple[str, ...] = ()
+        wait = ""
         finished = False
         try:
             try:
@@ -884,17 +899,14 @@ class _Explorer:
             beh = behaviors[rank]
             if beh.finished:
                 continue
-            wait = beh.wait
             for ch in self.in_channels[rank]:
-                if wait[0] == "plane" and ch[2] != wait[1]:
-                    continue
-                # "any"/"timed" accept every plane: the runtime's single
+                # Every wait accepts every plane: the runtime's single
                 # FIFO per rank pair delivers whatever arrives next.
                 produced = behaviors[ch[0]].out_counts.get(ch, 0) \
                     if ch[0] in behaviors else 0
                 if consumed.get(ch, 0) < produced:
                     actions.append(("deliver", ch, rank))
-            if wait[0] == "timed":
+            if beh.wait == "timed":
                 actions.append(("timeout", None, rank))
         return actions
 

@@ -4,10 +4,10 @@ This module is a line-by-line functional implementation of the paper's
 Algorithm 1 (``TRAIN`` / ``DATA_PARALLEL_STEP``) and Algorithm 2
 (``INTER_LAYER_PARALLEL_STEP``) on the cooperative rank transport:
 
-* each rank ``g^{i,j}`` of the ``G_inter x G_data`` grid runs
-  :meth:`AxoNNTrainer._rank_program` — the message-driven scheduler that
-  starts a forward or backward pass depending on *which neighbour a message
-  arrived from* (Algorithm 2 lines 13/21);
+* each rank ``g^{i,j}`` of the ``G_inter x G_data`` grid runs the program
+  :meth:`AxoNNTrainer._rank_program` binds — by default the message-driven
+  scheduler that starts a forward or backward pass depending on *which
+  neighbour a message arrived from* (Algorithm 2 lines 13/21);
 * the warm-up phase injects ``pipeline_limit`` microbatches (lines 3-9;
   ``pipeline_limit = G_inter`` as fixed in Section IV-A);
 * the first stage injects a fresh microbatch after each completed backward
@@ -23,9 +23,13 @@ verify.
 
 ``schedule=`` swaps Algorithm 2 for a *static* order (a :mod:`repro.sched`
 name or validated :class:`~repro.sched.ir.Schedule`, walked by
-:func:`repro.sched.compile.lower_rank`) and nothing else, so two schedulers
-differ only in *when* work runs — the paper's comparison with the flushing
-schedules of Megatron-LM and DeepSpeed (Sections IV-A, VIII).
+:func:`repro.sched.compile.lower_rank`) and nothing else — both are
+``send`` + ``yield RECV`` rank programs that ``_rank_program`` returns and
+one :meth:`RankTransport.run <repro.runtime.transport.RankTransport.run>`
+(or one process worker) drives, with or without a fault injector and a
+tensor-parallel axis — so two schedulers differ only in *when* work runs:
+the paper's comparison with the flushing schedules of Megatron-LM and
+DeepSpeed (Sections IV-A, VIII).
 
 Training modes
 --------------
@@ -249,10 +253,6 @@ class AxoNNTrainer:
         from ..sched.builders import SCHEDULE_NAMES, schedule_chunks
         from ..sched.ir import Schedule, validate
         g_inter = self.grid.g_inter
-        if self.grid.g_intra > 1:
-            raise ValueError(
-                "a static schedule needs g_intra=1: only the message-"
-                "driven rank program speaks the tensor-parallel protocol")
         if pipeline_limit is not None:
             raise ValueError(
                 "pipeline_limit bounds the message-driven scheduler's "
@@ -275,6 +275,12 @@ class AxoNNTrainer:
                     f"{', '.join(SCHEDULE_NAMES)}")
             self.schedule_name = schedule
             self.n_virtual = schedule_chunks(schedule) * g_inter
+        if self.n_virtual > g_inter and self.grid.g_intra > 1:
+            raise ValueError(
+                f"schedule {self.schedule_name!r} places "
+                f"{self.n_virtual // g_inter} chunks on a rank, and there "
+                f"is no chunked tensor-parallel shard (build_shard): run "
+                f"it with g_intra=1 or pick a single-chunk schedule")
         if self.n_virtual > num_layer_slots(self.cfg):
             raise ValueError(
                 f"{self.n_virtual} virtual stages exceed the model's "
@@ -299,45 +305,19 @@ class AxoNNTrainer:
             self._schedule_cache[m] = sched
         return sched
 
-    def _run_schedule(self, sched: Schedule, groups,
-                      total_mb: int) -> int:
-        """The inter-layer phase under a static order; returns the
-        messages exchanged.  A static schedule must receive the
-        *specific* message it expects, so forward and backward traffic
-        get separate tag planes and the pump merges them per rank."""
-        from ..sched.compile import lower_rank, plane_recv, pump
-        if self.transport_factory is not None:
-            raise NotImplementedError(
-                "fault injection rides RankTransport.run's sweep clock, "
-                "which the two-plane pump does not have; under a "
-                "schedule, inject (crash) faults with backend='process'")
-        world = self.grid.world_size
-        nets = {plane: RankTransport(world, recorder=self.recorder,
-                                     tracer=self.tracer)
-                for plane in ("F", "B")}
-        scale = self.scaler.scale if self.precision == "mixed" else 1.0
-        programs = {}
-        for rank in range(world):
-            _i, j = self.grid.coord_of(rank)
-            send = (lambda dst, plane, _stage, mb, data, _r=rank:
-                    nets[plane].send(_r, dst, plane, mb, data))
-            programs[rank] = lower_rank(
-                sched, self.grid, rank, self.stages[rank].chunks, send,
-                plane_recv, groups[j], total_mb, loss_scale=scale,
-                tracer=self.tracer)
-        pump(nets, programs)
-        return sum(net.messages_sent for net in nets.values())
-
-    # -- Algorithm 2 ------------------------------------------------------------
+    # -- the inter-layer phase's rank programs ----------------------------------
     def _rank_program(self, rank: int, transport: RankTransport,
                       microbatches: List[Tuple[np.ndarray, np.ndarray]],
-                      total_microbatches: int) -> Generator:
-        """INTER_LAYER_PARALLEL_STEP for GPU ``g^{i,j}``.
+                      total_microbatches: int,
+                      sched: Optional[Schedule]) -> Generator:
+        """The walk of GPU ``g^{i,j}``: the static order ``sched``, or
+        (None) INTER_LAYER_PARALLEL_STEP.
 
-        A thin binding of the backend-agnostic generator in
-        :mod:`repro.runtime.rankprog` to this trainer's stage and the
-        cooperative transport — the process backend binds the *same*
-        generator to its shared-memory endpoints.
+        A thin binding of the backend-agnostic generators
+        (:mod:`repro.runtime.rankprog`, :mod:`repro.sched.compile`) to
+        this trainer's stage and the cooperative transport — the process
+        backend binds the *same* generators to its shared-memory
+        endpoints.
         """
         scale = self.scaler.scale if self.precision == "mixed" else 1.0
         stage = self.stages[rank]
@@ -349,6 +329,12 @@ class AxoNNTrainer:
                         wgt_payload=stage.wgt_payload,
                         grad_payload=stage.grad_payload,
                         record=self._tp_record)
+        if sched is not None:
+            from ..sched.compile import lower_rank
+            return lower_rank(
+                sched, self.grid, rank, stage.chunks, send, microbatches,
+                total_microbatches, loss_scale=scale, tracer=self.tracer,
+                tp=tp)
         return inter_layer_step(
             rank, self.grid, stage, send,
             microbatches, total_microbatches, self.pipeline_limit,
@@ -508,8 +494,6 @@ class AxoNNTrainer:
         if self.backend == "process":
             messages = self.process_backend.run_batch(groups, total_mb,
                                                       sched)
-        elif sched is not None:
-            messages = self._run_schedule(sched, groups, total_mb)
         else:
             if self.transport_factory is not None:
                 transport = self.transport_factory()
@@ -521,8 +505,8 @@ class AxoNNTrainer:
             for rank in range(self.grid.world_size):
                 _i, j, t = self.grid.coord3_of(rank)
                 if t == 0:
-                    programs[rank] = self._rank_program(rank, transport,
-                                                        groups[j], total_mb)
+                    programs[rank] = self._rank_program(
+                        rank, transport, groups[j], total_mb, sched)
                 else:
                     programs[rank] = self._tp_follower_program(
                         rank, transport, len(groups[j]))

@@ -914,13 +914,11 @@ def _train_step_task(ctx: WorkerContext, payload: Dict[str, Any]
             tracer=ctx.tracer if ctx.tracer.enabled else None,
             tp=tp)
     else:
-        from ..sched.compile import lower_rank, plane_tag, stash_recv
-        send = (lambda dst, plane, v, mb, data:
-                ctx.send(dst, plane_tag(sched, plane, v), mb, data))
+        from ..sched.compile import lower_rank
         gen = lower_rank(
-            sched, grid, rank, stage.chunks, send, stash_recv(sched),
+            sched, grid, rank, stage.chunks, ctx.send,
             payload["microbatches"], payload["total_microbatches"],
-            loss_scale=payload["loss_scale"], tracer=ctx.tracer)
+            loss_scale=payload["loss_scale"], tracer=ctx.tracer, tp=tp)
     if isinstance(gen, types.GeneratorType):
         ctx.drive(gen)
 

@@ -27,7 +27,7 @@ import numpy as np
 from ..obs import RuntimeTracer
 from .grid import RankGrid
 from .stage import PipelineStage
-from .tp import TAG_TP_ACK, TPComm
+from .tp import TPComm
 from .transport import RECV
 
 __all__ = ["TAG_FWD", "TAG_BWD", "inter_layer_step", "traced_passes"]
@@ -40,24 +40,39 @@ SendFn = Callable[[int, str, int, Optional[np.ndarray]], None]
 
 
 def traced_passes(stage: PipelineStage, rank: int,
-                  tracer: Optional[RuntimeTracer]
-                  ) -> Tuple[Callable, Callable]:
-    """``(forward, backward)`` of ``stage``; when tracing, each call is a
-    ``fwd{mb}`` / ``bwd{mb}`` compute span on ``rank`` — the performance
-    model's event names, under this module's walk and a static
-    schedule's (:func:`repro.sched.compile.lower_rank`) alike."""
-    if tracer is None or not tracer.enabled:
-        return stage.forward, stage.backward
+                  tracer: Optional[RuntimeTracer],
+                  tp: Optional[TPComm] = None) -> Tuple[Callable, Callable]:
+    """``(forward, backward)`` of ``stage`` as a walk calls them —
+    Algorithm 2's here and a static schedule's
+    (:func:`repro.sched.compile.lower_rank`) alike.  When tracing, each
+    call is a ``fwd{mb}`` / ``bwd{mb}`` compute span on ``rank`` (the
+    performance model's event names); with ``tp`` (this rank leads a
+    tensor-parallel group) every forward then carries the group's weight
+    all-gather and every backward its gradient reduce-scatter."""
+    fwd, bwd = stage.forward, stage.backward
+    if tracer is not None and tracer.enabled:
+        def fwd(mb, *args, **kwargs):
+            with tracer.span(rank, "compute", f"fwd{mb}", category="compute",
+                             microbatch=mb, stage=stage.stage_index):
+                return stage.forward(mb, *args, **kwargs)
 
-    def fwd(mb, *args, **kwargs):
-        with tracer.span(rank, "compute", f"fwd{mb}", category="compute",
-                         microbatch=mb, stage=stage.stage_index):
-            return stage.forward(mb, *args, **kwargs)
+        def bwd(mb, *args):
+            with tracer.span(rank, "compute", f"bwd{mb}", category="compute",
+                             microbatch=mb, stage=stage.stage_index):
+                return stage.backward(mb, *args)
 
-    def bwd(mb, *args):
-        with tracer.span(rank, "compute", f"bwd{mb}", category="compute",
-                         microbatch=mb, stage=stage.stage_index):
-            return stage.backward(mb, *args)
+    if tp is not None and tp.peers:
+        base_fwd, base_bwd = fwd, bwd
+
+        def fwd(mb, *args, **kwargs):
+            out = base_fwd(mb, *args, **kwargs)
+            tp.emit_weights(mb)
+            return out
+
+        def bwd(mb, *args):
+            g = base_bwd(mb, *args)
+            tp.emit_grads(mb)
+            return g
 
     return fwd, bwd
 
@@ -95,22 +110,7 @@ def inter_layer_step(rank: int, grid: RankGrid, stage: PipelineStage,
     def targets_of(mb: int) -> np.ndarray:
         return microbatches[mb][1]
 
-    fwd, bwd = traced_passes(stage, rank, tracer)
-    if tp is not None and tp.peers:
-        # Wrap once more: every forward carries the group's weight
-        # all-gather, every backward its gradient reduce-scatter.
-        base_fwd, base_bwd = fwd, bwd
-
-        def fwd(mb, *args, **kwargs):
-            out = base_fwd(mb, *args, **kwargs)
-            tp.emit_weights(mb)
-            return out
-
-        def bwd(mb, *args):
-            g = base_bwd(mb, *args)
-            tp.emit_grads(mb)
-            return g
-
+    fwd, bwd = traced_passes(stage, rank, tracer, tp)
     tp_acks = 0 if tp is None else m * tp.acks_per_microbatch
 
     # Degenerate pipeline: a single stage runs everything locally; with a
@@ -122,7 +122,7 @@ def inter_layer_step(rank: int, grid: RankGrid, stage: PipelineStage,
             bwd(mb)
         for _ in range(tp_acks):
             pkt = yield RECV
-            if pkt.tag != TAG_TP_ACK:  # pragma: no cover - defensive
+            if not tp.absorbs(pkt):  # pragma: no cover - defensive
                 raise RuntimeError(
                     f"rank {rank} received unexpected packet {pkt}")
         return
@@ -170,8 +170,7 @@ def inter_layer_step(rank: int, grid: RankGrid, stage: PipelineStage,
                     send(next_rank, TAG_FWD, nxt, out)
             else:
                 send(prev_rank, TAG_BWD, mb, grad_in)
-        elif tp is not None and pkt.tag == TAG_TP_ACK \
-                and pkt.src in tp.peers:
+        elif tp is not None and tp.absorbs(pkt):
             pass  # intra-group acknowledgement; already counted
         else:  # pragma: no cover - defensive
             raise RuntimeError(

@@ -338,6 +338,12 @@ class TPComm:
         """Acks the lead absorbs per microbatch (one per peer per pass)."""
         return 2 * len(self.peers)
 
+    def absorbs(self, pkt) -> bool:
+        """True when ``pkt`` is a follower's :data:`TAG_TP_ACK`: a pure
+        credit, which the lead's walk counts and drops wherever its
+        receive loop finds one."""
+        return pkt.tag == TAG_TP_ACK and pkt.src in self.peers
+
     def record_collective(self, op: str, direction: str, microbatch: int,
                           nbytes: int) -> None:
         if self.record is not None:

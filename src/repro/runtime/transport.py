@@ -25,7 +25,10 @@ mid-``finally``.
 Faults (:mod:`repro.resilience`)
 --------------------------------
 Pass ``injector=`` (a :class:`~repro.resilience.FaultInjector`) to subject
-the run to a deterministic :class:`~repro.resilience.FaultPlan`:
+the run to a deterministic :class:`~repro.resilience.FaultPlan` — any run:
+this is the only cooperative scheduler, so Algorithm 2, every compiled
+static schedule (:func:`repro.sched.compile.lower_rank`) and the serving
+programs all sit on the same clock:
 
 * *time* is the scheduler-sweep counter :attr:`RankTransport.tick`;
 * a **crash** kills a rank's generator mid-flight; its inbox is discarded

@@ -42,11 +42,16 @@ class TestSkeletons:
         # exchange p2p messages, so the checker explores them separately.
         assert sk.components() == [[0, 1], [2, 3]]
 
-    def test_flushing_skeleton_uses_tag_planes(self):
+    def test_flushing_skeleton_uses_one_p2p_plane(self):
+        """A compiled schedule is an ordinary rank program — Algorithm
+        2's channels, and every wait a plain ``yield RECV`` (extraction
+        raises ``ModelError`` on any other yield): the form both
+        backends run."""
         sk = extract_skeleton(scheduled_model("1f1b", 2, 1, 2))
         planes = {op.plane for ops in sk.ops.values() for op in ops
                   if op.kind in ("send", "recv")}
-        assert planes == {"F", "B"}
+        assert planes == {"p2p"}
+        assert sk.channels == extract_skeleton(axonn_model(2, 1, 2)).channels
 
     def test_describe_names_the_config(self):
         assert axonn_model(2, 1, 2).describe() == \
@@ -62,8 +67,9 @@ class TestCheckerSweep:
         order, over EVERY interleaving."""
         models = builtin_models(max_world=8, max_microbatches=4)
         # 80 (grid, m) configs x (AxoNN + every schedule accepting them)
-        # + 4D + serve: each schedule is proved once, as compiled.
-        assert len(models) == 448
+        # + 4D (AxoNN at g_intra 2 and 4, every single-chunk schedule at
+        # g_intra 2) + serve: each schedule is proved once, as compiled.
+        assert len(models) == 512
         for model in models:
             result = check_model(model)
             assert result.ok, (

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 from repro.analysis import (TraceRecorder, check_match_order,
                             check_unmatched_sends, verify_trace)
 from repro.nn import GPT, GPTConfig, generate
+from repro.resilience import Fault, FaultPlan, ResilientTrainer
 from repro.runtime import AxoNNTrainer, SerialTrainer
-from repro.sched import SCHEDULE_NAMES, build_schedule
+from repro.sched import SCHEDULE_NAMES, build_schedule, schedule_chunks
 from repro.serve import PipelineServer, RequestSpec, make_requests
 
 CFG = GPTConfig(vocab_size=13, seq_len=6, n_layer=3, n_head=2, hidden=8,
@@ -160,24 +161,63 @@ def test_activation_checkpointing_replays_the_dropout_it_sent(backend,
         assert np.array_equal(ckpt_state[key], plain_state[key]), key
 
 
+@given(
+    schedule=st.sampled_from((None,) + SCHEDULE_NAMES),
+    rank=st.integers(0, 3),
+    tick=st.integers(0, 30),  # past the batch's last sweep: dies at the barrier
+    seed=st.integers(0, 1000),
+)
+@settings(max_examples=12, deadline=None)
+def test_a_crash_at_any_tick_recovers_exactly_under_any_walk(
+        schedule, rank, tick, seed):
+    """The cooperative sweep clock is one clock: wherever on it a rank
+    dies, and whichever rank program it was running, rollback-and-replay
+    lands on the fault-free trajectory bit for bit."""
+    rng = np.random.default_rng(seed)
+    batches = [(rng.integers(0, CFG_DROP.vocab_size, (4, CFG_DROP.seq_len)),
+                rng.integers(0, CFG_DROP.vocab_size, (4, CFG_DROP.seq_len)))
+               for _ in range(3)]
+
+    def trainer():
+        return AxoNNTrainer(CFG_DROP, g_inter=2, g_data=2,
+                            microbatch_size=1, lr=1e-3, schedule=schedule)
+
+    reference = trainer()
+    want = [reference.train_batch(x, y).loss for x, y in batches]
+    resilient = ResilientTrainer(
+        trainer(), FaultPlan.of(Fault("crash", rank=rank, step=1, tick=tick)))
+    got = [resilient.train_batch(x, y).loss for x, y in batches]
+    assert resilient.total_recoveries == 1
+    assert got == want  # exact, not approx
+    a, b = reference.gather_state(), resilient.trainer.gather_state()
+    for key in a:
+        assert np.array_equal(a[key], b[key]), key
+
+
 # valid (g_inter, g_data, g_intra, microbatch, batch) 4D shapes; n_head=2
 # caps g_intra at 2 for the fuzz configs.
 TP_GRIDS = [
     (1, 1, 2, 2, 4), (2, 1, 2, 2, 4), (1, 2, 2, 2, 4), (3, 1, 2, 1, 4),
 ]
 
+# every walk a tensor-parallel lead can run (there is no chunked TP shard)
+TP_SCHEDULES = (None,) + tuple(s for s in SCHEDULE_NAMES
+                               if schedule_chunks(s) == 1)
+
 
 @given(
     grid=st.sampled_from(TP_GRIDS),
     seed=st.integers(0, 1000),
     precision=st.sampled_from(["fp32", "mixed"]),
+    schedule=st.sampled_from(TP_SCHEDULES),
 )
 @settings(max_examples=12, deadline=None)
-def test_tensor_parallel_axis_matches_dense(grid, seed, precision):
+def test_tensor_parallel_axis_matches_dense(grid, seed, precision, schedule):
     """``g_intra > 1`` is bit-identical to the dense ``g_intra = 1`` run:
     dropout stays on (the TP lead owns the stage's RNG state, so sharding
-    the parameters must not move any draw) and mixed precision is fuzzed
-    too (gathered weights round-trip through the same dtypes)."""
+    the parameters must not move any draw), mixed precision is fuzzed
+    too (gathered weights round-trip through the same dtypes), and so is
+    the walk — Algorithm 2 or any single-chunk static order."""
     g_inter, g_data, g_intra, mbs, batch = grid
     rng = np.random.default_rng(seed)
     batches = [(rng.integers(0, CFG_DROP.vocab_size,
@@ -189,7 +229,8 @@ def test_tensor_parallel_axis_matches_dense(grid, seed, precision):
     def run(g_intra_):
         trainer = AxoNNTrainer(CFG_DROP, g_inter=g_inter, g_data=g_data,
                                microbatch_size=mbs, g_intra=g_intra_,
-                               lr=1e-3, precision=precision)
+                               lr=1e-3, precision=precision,
+                               schedule=schedule)
         try:
             losses = [trainer.train_batch(x, y).loss for x, y in batches]
             return losses, trainer.gather_state()

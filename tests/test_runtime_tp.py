@@ -18,6 +18,7 @@ from repro.runtime import (
     load_trainer_state,
     trainer_state_dict,
 )
+from repro.sched import SCHEDULE_NAMES, schedule_chunks
 
 # Three heads: a 2-way TP split shards them unevenly ([2, 1]), which is
 # exactly the case the _split_sizes fix covers on the runtime path.
@@ -69,6 +70,25 @@ class TestBitIdentityToDense:
         kw["loss_scaler"] = LossScaler(init_scale=64, dynamic=False)
         tp_losses, tp_state = run(2, 1, 2, **kw)
         assert tp_losses == dense_losses
+        for key in dense_state:
+            np.testing.assert_array_equal(tp_state[key], dense_state[key],
+                                          err_msg=key)
+
+
+    @pytest.mark.parametrize("precision", ["fp32", "mixed"])
+    @pytest.mark.parametrize("backend", ["cooperative", "process"])
+    @pytest.mark.parametrize(
+        "schedule", [s for s in SCHEDULE_NAMES if schedule_chunks(s) == 1])
+    def test_tp2_under_a_static_schedule(self, schedule, backend, precision):
+        """The 4D paper's own configuration: a static order's lead
+        emits the same collectives around the same passes, so sharding
+        stays invisible to the numbers under every single-chunk order."""
+        dense_losses, dense_state = run(2, 1, 1, steps=2, schedule=schedule,
+                                        precision=precision)
+        tp_losses, tp_state = run(2, 1, 2, steps=2, schedule=schedule,
+                                  precision=precision, backend=backend)
+        assert tp_losses == dense_losses
+        assert set(tp_state) == set(dense_state)
         for key in dense_state:
             np.testing.assert_array_equal(tp_state[key], dense_state[key],
                                           err_msg=key)
