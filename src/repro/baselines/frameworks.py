@@ -9,7 +9,9 @@ Both baselines share the same execution skeleton:
 * **inter-layer parallelism**: a static flushing schedule (1F1B by
   default) with *blocking* NCCL point-to-point sends — every boundary
   message serializes with computation on both endpoints (paper
-  Section IV-A);
+  Section IV-A).  The phase is the DES's one static walk,
+  :func:`repro.sched.des.run_schedule_phase`, over the built IR schedule
+  and this module's cost table;
 * **data parallelism**: NCCL gradient all-reduce over ``g_data`` replicas.
 
 They differ in memory strategy: Megatron-LM keeps the full ``20 phi`` state
@@ -25,42 +27,31 @@ from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional
 
 from ..cluster import Machine, summit
-from ..comm import Message, Messenger, TAG_BACKWARD, TAG_FORWARD
 from ..core.memory_model import MemoryBreakdown, MemoryModel
 from ..core.metrics import estimated_training_days, percent_of_peak
-from ..core.phases import jitter_factor, optimizer_time_on_gpu
-from ..sched import FWD, flushing_order
+from ..core.phases import StageCost, optimizer_time_on_gpu
+from ..sched import build_schedule
+from ..sched.des import run_schedule_phase
 from .config import ThreeDConfig
 
 __all__ = ["BaselineResult", "simulate_baseline_batch",
            "baseline_stage_costs", "check_baseline_memory"]
 
 
-@dataclass(frozen=True)
-class BaselineStageCost:
-    stage: int
-    n_layers: int
-    params_sharded: int          # per GPU after intra-layer sharding
-    fwd_compute_flops: float     # per GPU
-    bwd_compute_flops: float
-    recompute_flops: float
-    work_granularity: float      # per-kernel work after sharding
-    fwd_collective_s: float      # intra-layer all-reduce time, forward
-    bwd_collective_s: float      # backward + recompute collectives
-    activation_bytes: int
-
-
 def baseline_stage_costs(cfg: ThreeDConfig,
-                         machine: Machine) -> List[BaselineStageCost]:
-    """Per-stage costs including the intra-layer collective tax."""
+                         machine: Machine) -> List[StageCost]:
+    """Per-stage, per-GPU costs after intra-layer sharding; the serial
+    extras are the p2p handling overhead plus the intra-layer all-reduce
+    tax (2 per layer forward, 4 backward + recompute, NCCL on NVLink)."""
     spec = cfg.spec
     mbs = cfg.microbatch_size
-    nccl = machine.cal.nccl
     layer_fwd = spec.layer_forward_flops(mbs)
     head_fwd = spec.head_forward_flops(mbs)
     act_bytes = spec.activation_message_bytes(mbs)
+    handling = machine.cal.p2p_handling_overhead
     # Intra-layer groups are packed on NVLink (standard practice).
-    coll = nccl.allreduce_time(act_bytes, cfg.g_intra, intra_node=True)
+    coll = machine.cal.nccl.allreduce_time(act_bytes, cfg.g_intra,
+                                           intra_node=True)
     base, extra = divmod(spec.n_layer, cfg.g_inter)
     costs = []
     for i in range(cfg.g_inter):
@@ -79,17 +70,17 @@ def baseline_stage_costs(cfg: ThreeDConfig,
         phi = n_layers * spec.params_per_layer // cfg.g_intra
         if i == 0 or i == cfg.g_inter - 1:
             phi += spec.embedding_params // 2 // cfg.g_intra
-        costs.append(BaselineStageCost(
+        costs.append(StageCost(
             stage=i,
-            n_layers=n_layers,
-            params_sharded=phi,
-            fwd_compute_flops=fwd,
-            bwd_compute_flops=bwd,
+            n_block_layers=n_layers,
+            params=phi,
+            fwd_flops=fwd,
+            bwd_flops=bwd,
             recompute_flops=recompute,
             work_granularity=layer_fwd / cfg.g_intra,
-            fwd_collective_s=fwd_coll,
-            bwd_collective_s=bwd_coll,
             activation_bytes=act_bytes,
+            fwd_extra_s=fwd_coll + handling,
+            bwd_extra_s=bwd_coll + handling,
         ))
     return costs
 
@@ -184,61 +175,19 @@ def simulate_baseline_batch(cfg: ThreeDConfig,
     # in lockstep, so one GPU per stage carries the modeled time; pipeline
     # neighbours sit g_intra apart in the physical numbering.
     gpus = [i * cfg.g_intra for i in range(cfg.g_inter)]
-    p2p_model = cal.backend(cfg.backend_p2p)
-    fwd_messenger = Messenger(machine, p2p_model)
-    bwd_messenger = Messenger(machine, p2p_model)
-    handling = cal.p2p_handling_overhead
-    sigma, jseed = cfg.compute_jitter, cfg.jitter_seed
-
-    def stage_proc(i: int) -> Generator:
-        gpu = machine.gpu(gpus[i])
-        cost = costs[i]
-        for task in flushing_order(cfg.schedule, i, cfg.g_inter, m):
-            mb = task.mb
-            if task.kind == FWD:
-                if i > 0:
-                    yield fwd_messenger.irecv(gpus[i])
-                factor = jitter_factor(sigma, jseed, i, mb, 0)
-                yield from gpu.compute(cost.fwd_compute_flops * factor,
-                                       label=f"F{mb}", category="compute",
-                                       work=cost.work_granularity,
-                                       extra_time=(cost.fwd_collective_s
-                                                   + handling))
-                if i < cfg.g_inter - 1:
-                    # Blocking NCCL send: isend() occupies this GPU's
-                    # compute stream for the wire time.
-                    req = fwd_messenger.isend(
-                        Message(gpus[i], gpus[i + 1], cost.activation_bytes,
-                                tag=TAG_FORWARD, meta={"mb": mb}))
-                    yield req
-            else:
-                if i < cfg.g_inter - 1:
-                    yield bwd_messenger.irecv(gpus[i])
-                factor = jitter_factor(sigma, jseed, i, mb, 1)
-                yield from gpu.compute((cost.recompute_flops
-                                        + cost.bwd_compute_flops) * factor,
-                                       label=f"B{mb}", category="compute",
-                                       work=cost.work_granularity,
-                                       extra_time=(cost.bwd_collective_s
-                                                   + handling))
-                if i > 0:
-                    req = bwd_messenger.isend(
-                        Message(gpus[i], gpus[i - 1], cost.activation_bytes,
-                                tag=TAG_BACKWARD, meta={"mb": mb}))
-                    yield req
-
+    schedule = build_schedule(cfg.schedule, cfg.g_inter, m)
     result: Dict[str, float] = {}
 
     def batch_proc() -> Generator:
-        t0 = env.now
-        procs = [env.process(stage_proc(i), name=f"bl-stage{i}")
-                 for i in range(cfg.g_inter)]
-        yield env.all_of(procs)
-        result["pipeline_s"] = env.now - t0
+        result["pipeline_s"], _, _ = yield env.process(
+            run_schedule_phase(machine, schedule, costs, gpus,
+                               cfg.backend_p2p, cfg.compute_jitter,
+                               cfg.jitter_seed),
+            name="baseline-pipeline")
 
         # Data-parallel gradient all-reduce (per column, NIC-shared by the
         # concurrent columns exactly as in the AxoNN model).
-        phi = costs[0].params_sharded
+        phi = costs[0].params
         grad_bytes = cfg.spec.gradient_bytes_half(phi)
         nic_sharing = min(cfg.g_inter * cfg.g_intra,
                           machine.spec.node.gpus_per_node)

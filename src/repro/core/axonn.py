@@ -170,29 +170,10 @@ def estimate_batch_time(cfg: AxoNNConfig,
         nodes = max(1, -(-cfg.num_gpus // 6))
         machine = Machine(spec=summit(nodes))
     cal = machine.cal
-    peak = machine.spec.node.gpu.peak_half_flops
-    costs = stage_costs(cfg)
+    costs = stage_costs(cfg, machine)
     m = cfg.microbatches_per_shard
-
     coll = cal.backend(cfg.backend_coll)
-    tp_intra = cfg.g_intra <= machine.spec.node.gpus_per_node
-
-    def stage_time(c):
-        t = cal.compute.time(
-            c.fwd_flops + c.recompute_flops + c.bwd_flops, peak,
-            work=c.work_granularity) + 2 * (cal.kernel_launch_overhead
-                                            + cal.p2p_handling_overhead)
-        if cfg.g_intra > 1 and c.tp_collective_bytes:
-            # Forward weight all-gather + backward gradient reduce-scatter
-            # (mirrors run_pipeline_phase's extra_time charges).
-            t += (coll.allgather_time(c.tp_collective_bytes, cfg.g_intra,
-                                      tp_intra)
-                  + coll.reduce_scatter_time(c.tp_collective_bytes,
-                                             cfg.g_intra, tp_intra)
-                  + 2 * cal.coll_launch_overhead)
-        return t
-
-    bottleneck = max(stage_time(c) for c in costs)
+    bottleneck = max(c.slot_time(machine) for c in costs)
     # Steady state: m rounds of the bottleneck; ramp: pipeline depth - 1.
     pipeline = (m + cfg.g_inter - 1) * bottleneck
     # Communication exposure: with non-blocking MPI, only the ramp hops are

@@ -31,9 +31,10 @@ from ..analysis.protocol import TraceRecorder
 from ..cluster import GridPlacement, Machine
 from ..comm import Message, Messenger, TAG_BACKWARD, TAG_FORWARD
 from ..nn.checkpoint import optimal_checkpoint_interval
+from ..sim import Store
 from .config import AxoNNConfig
 
-__all__ = ["StageCost", "stage_costs", "run_pipeline_phase",
+__all__ = ["StageCost", "stage_costs", "stage_pass", "run_pipeline_phase",
            "run_pipeline_phase_all_rows", "run_data_parallel_and_optimizer",
            "optimizer_time_on_gpu", "offload_bucket_time", "jitter_factor"]
 
@@ -55,23 +56,38 @@ def jitter_factor(sigma: float, seed: int, stage: int, microbatch: int,
 
 @dataclass(frozen=True)
 class StageCost:
-    """Per-microbatch execution costs of one pipeline stage."""
+    """Per-microbatch execution costs of one pipeline stage: everything a
+    pipeline walk reads, whichever framework the table was built for."""
 
     stage: int
     n_block_layers: int
-    params: int
+    params: int           # per GPU, after any intra-layer sharding
     fwd_flops: float
     bwd_flops: float      # backward proper (2x forward) + head backward
     recompute_flops: float  # checkpoint recompute during backward
     work_granularity: float  # per-kernel work for the efficiency model
     activation_bytes: int   # boundary message size
-    #: per-microbatch tensor-parallel collective volume (the weight
-    #: all-gather forward, its mirrored gradient reduce-scatter backward);
-    #: zero when the stage is not intra-layer sharded
-    tp_collective_bytes: int = 0
+    #: fixed serial seconds on top of each forward / backward pass: the
+    #: p2p handling overhead plus whatever intra-layer collectives the
+    #: framework pays, priced by whoever builds the table (walks never
+    #: compute a collective time)
+    fwd_extra_s: float = 0.0
+    bwd_extra_s: float = 0.0
+
+    def slot_time(self, machine: Machine) -> float:
+        """Closed-form duration of one forward + one backward pass — the
+        sum of the two :func:`stage_pass` spans at zero jitter."""
+        cal = machine.cal
+        compute = cal.compute.time(
+            self.fwd_flops + self.recompute_flops + self.bwd_flops,
+            machine.spec.node.gpu.peak_half_flops,
+            work=self.work_granularity)
+        return compute + (2 * cal.kernel_launch_overhead
+                          + (self.fwd_extra_s + self.bwd_extra_s))
 
 
-def stage_costs(cfg: AxoNNConfig) -> List[StageCost]:
+def stage_costs(cfg: AxoNNConfig,
+                machine: Optional[Machine] = None) -> List[StageCost]:
     """Cost table for every stage of the pipeline.
 
     With ``g_intra > 1`` each stage's transformer blocks are sharded
@@ -79,10 +95,16 @@ def stage_costs(cfg: AxoNNConfig) -> List[StageCost]:
     kernel granularity all divide by ``g_intra`` (smaller kernels run less
     efficiently — the Megatron-LM penalty the ComputeModel encodes), the
     head and embeddings stay whole on the group lead, and every
-    forward/backward pass additionally pays the group's weight
-    all-gather / gradient reduce-scatter (``tp_collective_bytes``) —
-    exactly the collectives the runtime's :class:`~repro.runtime.tp.TPComm`
-    emits, so the DES twin prices what the transport actually carries.
+    forward / backward pass additionally pays the group's weight
+    all-gather / gradient reduce-scatter of the fp32 shards each peer
+    lacks — exactly the collectives the runtime's
+    :class:`~repro.runtime.tp.TPComm` emits, so the DES twin prices what
+    the transport actually carries.  TP groups are packed innermost on the
+    node (ranks t of one stage are consecutive), so the group is
+    intra-node whenever it fits on one.
+
+    The serial extras need ``machine``'s calibration; without one they are
+    zero and the table prices compute and wire only.
     """
     spec = cfg.spec
     mbs = cfg.microbatch_size
@@ -103,10 +125,21 @@ def stage_costs(cfg: AxoNNConfig) -> List[StageCost]:
         phi = -(-block_params // g_intra)  # this rank's block shard
         if i == 0 or i == cfg.g_inter - 1:
             phi += spec.embedding_params // 2
-        tp_bytes = 0
-        if g_intra > 1:
-            # fp32 weights of the shards each peer lacks, per microbatch
-            tp_bytes = 4 * (block_params - block_params // g_intra)
+        fwd_extra = bwd_extra = 0.0
+        if machine is not None:
+            cal = machine.cal
+            fwd_extra = bwd_extra = cal.p2p_handling_overhead
+            if g_intra > 1:
+                # fp32 weights of the shards each peer lacks, per microbatch
+                tp_bytes = 4 * (block_params - block_params // g_intra)
+                coll = cal.backend(cfg.backend_coll)
+                tp_intra = g_intra <= machine.spec.node.gpus_per_node
+                fwd_extra += (coll.allgather_time(tp_bytes, g_intra,
+                                                  tp_intra)
+                              + cal.coll_launch_overhead)
+                bwd_extra += (coll.reduce_scatter_time(tp_bytes, g_intra,
+                                                       tp_intra)
+                              + cal.coll_launch_overhead)
         costs.append(StageCost(
             stage=i,
             n_block_layers=n_layers,
@@ -116,9 +149,35 @@ def stage_costs(cfg: AxoNNConfig) -> List[StageCost]:
             recompute_flops=recompute,
             work_granularity=layer_fwd,
             activation_bytes=spec.activation_message_bytes(mbs),
-            tp_collective_bytes=tp_bytes,
+            fwd_extra_s=fwd_extra,
+            bwd_extra_s=bwd_extra,
         ))
     return costs
+
+
+def stage_pass(gpu, cost: StageCost, kind: str, mb: int,
+               sigma: float = 0.0, seed: int = 0,
+               split: bool = False) -> Generator:
+    """One pipeline pass of microbatch ``mb`` on ``gpu``, as the process
+    to ``yield from`` — the one place either walk turns a
+    :class:`StageCost` into a kernel.
+
+    ``kind`` is the span label stem: ``"fwd"``, ``"bwd"`` or ``"wgrad"``.
+    A backward pass is the checkpoint recompute plus the backward proper;
+    when the schedule ``split`` the weight gradient out of it (ZB-H1),
+    ``"bwd"`` and ``"wgrad"`` each carry half.
+    """
+    if kind == "fwd":
+        flops, extra = cost.fwd_flops, cost.fwd_extra_s
+    else:
+        flops = cost.recompute_flops + cost.bwd_flops
+        extra = cost.bwd_extra_s
+        if split:
+            flops, extra = flops / 2.0, extra / 2.0
+    flops *= jitter_factor(sigma, seed, cost.stage, mb, int(kind != "fwd"))
+    return gpu.compute(flops, label=f"{kind}{mb}", category="compute",
+                       work=cost.work_granularity, extra_time=extra,
+                       mb=mb, stage=cost.stage)
 
 
 def run_pipeline_phase(machine: Machine, cfg: AxoNNConfig,
@@ -147,7 +206,7 @@ def run_pipeline_phase(machine: Machine, cfg: AxoNNConfig,
                                            cfg.g_data,
                                            policy=cfg.placement_policy)
     gpus = placement.pipeline(row)
-    costs = stage_costs(cfg)
+    costs = stage_costs(cfg, machine)
     model = machine.cal.backend(cfg.backend_p2p)
     messenger = Messenger(machine, model, recorder=recorder)
     m = cfg.microbatches_per_shard
@@ -167,48 +226,17 @@ def run_pipeline_phase(machine: Machine, cfg: AxoNNConfig,
         prev_gpu = gpus[i - 1] if i > 0 else None
         next_gpu = gpus[i + 1] if i < cfg.g_inter - 1 else None
         queue = deque(range(m))
-
-        handling = machine.cal.p2p_handling_overhead
         sigma, jseed = cfg.compute_jitter, cfg.jitter_seed
-
-        # Tensor-parallel collectives ride the compute events as extra
-        # serial time: each forward all-gathers the stage's sharded
-        # weights across the TP group, each backward reduce-scatters the
-        # matching gradients.  TP groups are packed innermost on the node
-        # (ranks t of one stage are consecutive), so the group is
-        # intra-node whenever it fits on one.
-        tp_fwd = tp_bwd = 0.0
-        if cfg.g_intra > 1 and cost.tp_collective_bytes:
-            coll = machine.cal.backend(cfg.backend_coll)
-            tp_intra = cfg.g_intra <= machine.spec.node.gpus_per_node
-            tp_fwd = (coll.allgather_time(cost.tp_collective_bytes,
-                                          cfg.g_intra, tp_intra)
-                      + machine.cal.coll_launch_overhead)
-            tp_bwd = (coll.reduce_scatter_time(cost.tp_collective_bytes,
-                                               cfg.g_intra, tp_intra)
-                      + machine.cal.coll_launch_overhead)
 
         def fwd(mb: int) -> Generator:
             if track_memory:
                 gpu.memory.allocate(f"row{row}.ckpt{mb}", checkpoint_bytes)
-            factor = jitter_factor(sigma, jseed, i, mb, 0)
-            yield from gpu.compute(cost.fwd_flops * factor,
-                                   label=f"fwd{mb}",
-                                   category="compute",
-                                   work=cost.work_granularity,
-                                   extra_time=handling + tp_fwd,
-                                   mb=mb, stage=i)
+            yield from stage_pass(gpu, cost, "fwd", mb, sigma, jseed)
 
         def bwd(mb: int) -> Generator:
             if track_memory:
                 gpu.memory.allocate(f"row{row}.recompute", recompute_bytes)
-            factor = jitter_factor(sigma, jseed, i, mb, 1)
-            yield from gpu.compute(
-                (cost.recompute_flops + cost.bwd_flops) * factor,
-                label=f"bwd{mb}", category="compute",
-                work=cost.work_granularity,
-                extra_time=handling + tp_bwd,
-                mb=mb, stage=i)
+            yield from stage_pass(gpu, cost, "bwd", mb, sigma, jseed)
             if track_memory:
                 gpu.memory.free_label(f"row{row}.recompute")
                 gpu.memory.free_label(f"row{row}.ckpt{mb}")
@@ -399,7 +427,6 @@ def run_data_parallel_and_optimizer(machine: Machine, cfg: AxoNNConfig,
 
     # Overlapped: all-reduce chunks on the aux stream feed optimizer bucket
     # work on the compute stream through a ready-queue (Fig. 7's two rows).
-    from ..sim import Store
     ready: Store = Store(env, name="chunk-ready")
 
     def allreduce_proc() -> Generator:

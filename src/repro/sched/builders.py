@@ -5,7 +5,7 @@ schedule (Algorithm 2, linearized by an abstract unit-cost simulation of
 its dispatch rule) and the two static flushing schedules of Megatron-LM
 and DeepSpeed, 1F1B and GPipe, whose per-stage compute order has exactly
 one source, :func:`flushing_order`: the IR builders expand it and the
-DES baselines (:mod:`repro.baselines.frameworks`) walk it directly.
+DES baselines (:mod:`repro.baselines.frameworks`) walk what they build.
 Two exist *only* as data: interleaved virtual-stage 1F1B
 (``n_chunks`` chunks per rank, chunk placement ``stage % n_stages``)
 and a ZB-H1-style zero-bubble schedule (backward split into the input-

@@ -1,19 +1,26 @@
 """Lower a schedule onto the DES performance twin.
 
-One simulated GPU per *physical* rank walks its program order: compute
-tasks run on the GPU's compute stream with the real stage cost tables
-(:func:`repro.core.phases.stage_costs`, built for the virtual pipeline
-so each chunk carries its true share of layers) perturbed by the same
+:func:`run_schedule_phase` is the DES's one *static* pipeline walk (the
+message-driven one is :func:`repro.core.phases.run_pipeline_phase`): one
+simulated GPU per *physical* rank walks its program order.  Compute
+tasks go through :func:`~repro.core.phases.stage_pass` with whatever
+:class:`~repro.core.phases.StageCost` table the caller prices a pass by
+— :func:`virtual_stage_costs` for the schedule search,
+:func:`~repro.baselines.frameworks.baseline_stage_costs` for the
+Megatron-LM / DeepSpeed models — perturbed by the same
 :func:`~repro.core.phases.jitter_factor` the message-driven/static
 ablation uses; comm tasks become :class:`Messenger` sends and stash-
 reordered receives (the wire delivers in arrival order, programs
-consume in schedule order — exactly the process-backend discipline).
+consume in schedule order — exactly the process-backend discipline).  A
+send is awaited iff the backend's point-to-point is blocking: NCCL holds
+the sender's compute stream for the wire time, so the rank's next kernel
+must queue behind it; ``MPI_Isend`` returns at once.
 
 Zero-bubble pricing: when a schedule splits ``W`` out of ``BWD``, the
-backward-proper flops are halved between the two tasks, so ``W`` can
-fill what would otherwise be drain bubble — this is where ZB-H1's win
-over 1F1B is measured (the functional substrate deliberately does not
-split; see :mod:`repro.sched.compile`).
+backward is halved between the two tasks, so ``W`` can fill what would
+otherwise be drain bubble — this is where ZB-H1's win over 1F1B is
+measured (the functional substrate deliberately does not split; see
+:mod:`repro.sched.compile`).
 
 Activation residency is tracked per rank in bytes of boundary-sized
 activations (+1 per ``FWD``, released at ``W`` when split else ``BWD``)
@@ -22,17 +29,21 @@ activations (+1 per ``FWD``, released at ``W`` when split else ``BWD``)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Generator, List, Optional, Sequence, Set, Tuple
 
 from ..cluster import Machine, summit
 from ..comm import Message, Messenger
 from ..core import AxoNNConfig, WEAK_SCALING_MODELS
-from ..core.phases import StageCost, jitter_factor, stage_costs
+from ..core.phases import StageCost, stage_costs, stage_pass
 from .ir import BWD, FWD, RECV_ACT, RECV_GRAD, SEND_ACT, SEND_GRAD, W, \
     Schedule
 
-__all__ = ["SchedSimResult", "simulate_schedule", "virtual_stage_costs"]
+__all__ = ["SchedSimResult", "run_schedule_phase", "simulate_schedule",
+           "virtual_stage_costs"]
+
+#: span label stem of each compute kind (``stage_pass``'s ``kind``)
+_PASS = {FWD: "fwd", BWD: "bwd", W: "wgrad"}
 
 
 @dataclass(frozen=True)
@@ -52,12 +63,18 @@ class SchedSimResult:
 
 def virtual_stage_costs(schedule: Schedule, spec=None,
                         microbatch_size: int = 1) -> List[StageCost]:
-    """Real cost table for the schedule's *virtual* pipeline.
+    """Cost table for the schedule's *virtual* pipeline.
 
     Builds the existing :func:`stage_costs` for a ``n_virtual``-deep
     pipeline, so interleaved chunks automatically carry ``1/V`` of the
     layers (and the head lands on the last virtual stage) — no separate
     cost model for virtual stages.
+
+    Stated modelling gap (ROADMAP item 11): the schedule search prices
+    forward / backward-proper flops and the wire only — no checkpoint
+    recompute and no per-pass serial extras — which is what
+    ``benchmarks/spine/reference.json`` and BENCH_PR9 pin.  Pass
+    ``costs=`` to :func:`simulate_schedule` for a fully priced table.
     """
     spec = spec or WEAK_SCALING_MODELS["12B"]
     vs = schedule.n_virtual
@@ -69,7 +86,61 @@ def virtual_stage_costs(schedule: Schedule, spec=None,
         microbatch_size=microbatch_size,
         batch_size=microbatch_size * schedule.n_microbatches,
         include_optimizer=False, memopt=False)
-    return stage_costs(cfg)
+    return [replace(c, recompute_flops=0.0) for c in stage_costs(cfg)]
+
+
+def run_schedule_phase(machine: Machine, schedule: Schedule,
+                       costs: Sequence[StageCost], gpus: Sequence[int],
+                       backend_p2p: str = "mpi", sigma: float = 0.0,
+                       seed: int = 0) -> Generator:
+    """Process: ``schedule`` walked in program order, rank ``r`` on GPU
+    ``gpus[r]``; returns ``(seconds, busy, peak_activation_bytes)``, the
+    last two per rank."""
+    env = machine.env
+    messenger = Messenger(machine, machine.cal.backend(backend_p2p))
+    busy = [0.0] * schedule.n_stages
+    peak_bytes = [0] * schedule.n_stages
+
+    def rank_proc(r: int) -> Generator:
+        gpu = machine.gpu(gpus[r])
+        stash: Set[Tuple[str, int]] = set()  # arrived, not yet consumed
+        resident = 0
+        for task in schedule.rank_order[r]:
+            v, mb = task.stage, task.mb
+            cost = costs[v]
+            if task.kind in (RECV_ACT, RECV_GRAD):
+                tag = "act" if task.kind == RECV_ACT else "grad"
+                want = f"{tag}{v}", mb
+                while want not in stash:
+                    msg = yield messenger.irecv(gpus[r])
+                    stash.add((msg.tag, msg.meta["mb"]))
+                stash.remove(want)
+            elif task.kind in (SEND_ACT, SEND_GRAD):
+                tag, to = ("act", v + 1) if task.kind == SEND_ACT \
+                    else ("grad", v - 1)
+                sent = messenger.isend(Message(
+                    gpus[r], gpus[schedule.placement(to)],
+                    cost.activation_bytes, tag=f"{tag}{to}",
+                    meta={"mb": mb}))
+                if messenger.model.blocking_p2p:
+                    yield sent
+            else:
+                split = schedule.has_w(v, mb)
+                if task.kind == FWD:
+                    resident += cost.activation_bytes
+                    peak_bytes[r] = max(peak_bytes[r], resident)
+                elif task.kind == W or not split:
+                    resident -= cost.activation_bytes
+                t0 = env.now
+                yield from stage_pass(gpu, cost, _PASS[task.kind], mb, sigma,
+                                      seed, split)
+                busy[r] += env.now - t0
+
+    start = env.now
+    yield env.all_of([env.process(rank_proc(r), name=f"sched-rank{r}")
+                      for r in range(schedule.n_stages)])
+    messenger.check_drained()
+    return env.now - start, busy, peak_bytes
 
 
 def simulate_schedule(schedule: Schedule, *, spec=None,
@@ -85,75 +156,12 @@ def simulate_schedule(schedule: Schedule, *, spec=None,
         raise ValueError(f"cost table has {len(costs)} entries for "
                          f"{schedule.n_virtual} virtual stages")
     machine = machine or Machine(spec=summit(max(1, -(-S // 6))))
-    env = machine.env
-    messenger = Messenger(machine, machine.cal.backend(backend_p2p))
-    busy = [0.0] * S
-    peak_bytes = [0] * S
-
-    def rank_proc(r: int):
-        gpu = machine.gpu(r)
-        stash: Dict[Tuple[str, int], Message] = {}
-        resident = 0
-
-        def recv(tag: str, mb: int):
-            while (tag, mb) not in stash:
-                msg = yield messenger.irecv(r)
-                stash[(msg.tag, msg.meta["mb"])] = msg
-            return stash.pop((tag, mb))
-
-        for task in schedule.rank_order[r]:
-            v, mb = task.stage, task.mb
-            cost = costs[v]
-            if task.kind == RECV_ACT:
-                yield from recv(f"act{v}", mb)
-            elif task.kind == RECV_GRAD:
-                yield from recv(f"grad{v}", mb)
-            elif task.kind == FWD:
-                resident += cost.activation_bytes
-                peak_bytes[r] = max(peak_bytes[r], resident)
-                flops = cost.fwd_flops * jitter_factor(
-                    sigma, seed, v, mb, 0)
-                t0 = env.now
-                yield from gpu.compute(flops, label=f"fwd{mb}",
-                                       category="compute",
-                                       work=cost.work_granularity,
-                                       mb=mb, stage=v)
-                busy[r] += env.now - t0
-            elif task.kind in (BWD, W):
-                flops = cost.bwd_flops
-                if schedule.has_w(v, mb):
-                    flops /= 2.0  # split: input-grad half / weight half
-                if task.kind == W or not schedule.has_w(v, mb):
-                    resident -= cost.activation_bytes
-                kind_label = "wgrad" if task.kind == W else "bwd"
-                flops *= jitter_factor(sigma, seed, v, mb, 1)
-                t0 = env.now
-                yield from gpu.compute(flops, label=f"{kind_label}{mb}",
-                                       category="compute",
-                                       work=cost.work_granularity,
-                                       mb=mb, stage=v)
-                busy[r] += env.now - t0
-            elif task.kind == SEND_ACT:
-                dst = schedule.placement(v + 1)
-                messenger.isend(Message(r, dst, cost.activation_bytes,
-                                        tag=f"act{v + 1}",
-                                        meta={"mb": mb}))
-            elif task.kind == SEND_GRAD:
-                dst = schedule.placement(v - 1)
-                messenger.isend(Message(r, dst, cost.activation_bytes,
-                                        tag=f"grad{v - 1}",
-                                        meta={"mb": mb}))
-
-    def phase():
-        procs = [env.process(rank_proc(r), name=f"sched-rank{r}")
-                 for r in range(S)]
-        yield env.all_of(procs)
-        messenger.check_drained()
-
-    start = env.now
-    env.process(phase(), name=f"sched-{schedule.name}")
+    phase = machine.env.process(
+        run_schedule_phase(machine, schedule, costs, range(S), backend_p2p,
+                           sigma, seed),
+        name=f"sched-{schedule.name}")
     machine.run()
-    makespan = env.now - start
+    makespan, busy, peak_bytes = phase.value
     mean_busy = sum(busy) / S if S else 0.0
     bubble = 0.0 if makespan <= 0 else 1.0 - mean_busy / makespan
     return SchedSimResult(

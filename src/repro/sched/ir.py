@@ -37,7 +37,8 @@ property that makes blocking FIFO receives deadlock-free).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, Mapping, NamedTuple,
+                    Optional, Tuple)
 
 __all__ = ["FWD", "BWD", "W", "SEND_ACT", "RECV_ACT", "SEND_GRAD",
            "RECV_GRAD", "COMPUTE_KINDS", "COMM_KINDS", "KINDS",
@@ -61,9 +62,15 @@ class ScheduleError(ValueError):
     """A malformed schedule: raised by :func:`validate` before any run."""
 
 
-@dataclass(frozen=True)
-class Task:
-    """One typed unit of work: ``kind`` on virtual ``stage`` for ``mb``."""
+class Task(NamedTuple):
+    """One typed unit of work: ``kind`` on virtual ``stage`` for ``mb``.
+
+    A tuple rather than a frozen dataclass because tasks are dictionary
+    keys throughout: building and validating a 2048-microbatch program
+    (what the DES baselines walk at the paper's batch size) hashes each
+    task some thirty times, and a Python-level ``__hash__`` doubled that
+    cost.
+    """
 
     kind: str
     stage: int   #: virtual stage index, 0 .. n_virtual - 1

@@ -109,19 +109,9 @@ def estimate_baseline_time(cfg: ThreeDConfig,
         machine = Machine(spec=summit(nodes))
     cal = machine.cal
     nccl = cal.nccl
-    peak = machine.spec.node.gpu.peak_half_flops
     costs = baseline_stage_costs(cfg, machine)
     m = cfg.microbatches_per_shard
-
-    def slot(c):
-        compute = cal.compute.time(
-            c.fwd_compute_flops + c.recompute_flops + c.bwd_compute_flops,
-            peak, work=c.work_granularity)
-        return (compute + c.fwd_collective_s + c.bwd_collective_s
-                + 2 * (cal.kernel_launch_overhead
-                       + cal.p2p_handling_overhead))
-
-    bottleneck = max(slot(c) for c in costs)
+    bottleneck = max(c.slot_time(machine) for c in costs)
     pipeline = (m + cfg.g_inter - 1) * bottleneck
     if cfg.g_inter > 1:
         # Blocking sends: every boundary message's wire time serializes.
@@ -130,7 +120,7 @@ def estimate_baseline_time(cfg: ThreeDConfig,
         hop = nccl.p2p_time(costs[0].activation_bytes, intra)
         pipeline += 2 * m * hop
 
-    phi = costs[0].params_sharded
+    phi = costs[0].params
     nic_sharing = min(cfg.g_inter * cfg.g_intra,
                       machine.spec.node.gpus_per_node)
     ar = 0.0

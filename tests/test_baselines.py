@@ -11,9 +11,11 @@ from repro.baselines import (
     simulate_baseline_batch,
 )
 from repro.cluster import Machine, summit
-from repro.core import AxoNNConfig, WEAK_SCALING_MODELS, simulate_batch
+from repro.core import (AxoNNConfig, WEAK_SCALING_MODELS, simulate_batch,
+                        stage_costs)
 from repro.sched import (BWD, FWD, build_schedule, flushing_order,
                          ir_bubble_fraction, peak_resident_activations)
+from repro.sched.des import simulate_schedule
 
 SPEC = WEAK_SCALING_MODELS["12B"]
 
@@ -147,20 +149,21 @@ class TestStageCosts:
         sharded = baseline_stage_costs(ds_cfg(), m)
         unsharded = baseline_stage_costs(
             ds_cfg(g_intra=1, g_inter=2, g_data=24, batch_size=768), m)
-        assert sharded[0].fwd_compute_flops == pytest.approx(
-            unsharded[0].fwd_compute_flops / 3)
+        assert sharded[0].fwd_flops == pytest.approx(
+            unsharded[0].fwd_flops / 3)
 
     def test_intra_collectives_charged(self):
         m = Machine(spec=summit(8))
         costs = baseline_stage_costs(ds_cfg(), m)
-        assert costs[0].fwd_collective_s > 0
-        assert costs[0].bwd_collective_s > costs[0].fwd_collective_s
+        assert costs[0].fwd_extra_s > m.cal.p2p_handling_overhead
+        assert costs[0].bwd_extra_s > costs[0].fwd_extra_s
 
     def test_no_collectives_without_intra(self):
         m = Machine(spec=summit(8))
         costs = baseline_stage_costs(
             ds_cfg(g_intra=1, g_inter=6, g_data=8), m)
-        assert costs[0].fwd_collective_s == 0.0
+        assert costs[0].fwd_extra_s == m.cal.p2p_handling_overhead
+        assert costs[0].bwd_extra_s == m.cal.p2p_handling_overhead
 
 
 class TestSimulation:
@@ -218,3 +221,45 @@ class TestSimulation:
     def test_machine_too_small(self):
         with pytest.raises(ValueError):
             simulate_baseline_batch(ds_cfg(), machine=Machine(spec=summit(1)))
+
+    @pytest.mark.parametrize("schedule", ["1f1b", "gpipe"])
+    def test_pipeline_phase_is_the_schedule_walk(self, schedule):
+        """One static walk: the IR schedule priced by the baseline's own
+        cost table under blocking NCCL *is* the baseline's pipeline phase
+        (a blocking send is awaited, so it takes the compute stream before
+        the rank's next pass, not after it)."""
+        cfg = ThreeDConfig(spec=SPEC, num_gpus=8, g_intra=1, g_inter=4,
+                           g_data=2, microbatch_size=2, batch_size=48,
+                           framework="megatron", schedule=schedule,
+                           compute_jitter=0.1, jitter_seed=5)
+        machine = Machine(spec=summit(2))
+        walk = simulate_schedule(
+            build_schedule(schedule, cfg.g_inter,
+                           cfg.microbatches_per_shard),
+            costs=baseline_stage_costs(cfg, machine), machine=machine,
+            backend_p2p="nccl", sigma=0.1, seed=5)
+        assert walk.makespan == simulate_baseline_batch(cfg).pipeline_s
+
+    @pytest.mark.parametrize("case", ["axonn", "axonn-tp", "deepspeed"])
+    def test_closed_form_slot_is_the_traced_pass_pair(self, case):
+        """``StageCost.slot_time`` prices what either walk charges: at
+        zero jitter it is the bottleneck stage's fwd + bwd span pair."""
+        machine = Machine(spec=summit(8), trace=True)
+        if case == "deepspeed":
+            cfg = ds_cfg(batch_size=96)
+            simulate_baseline_batch(cfg, machine=machine)
+            costs = baseline_stage_costs(cfg, machine)
+        else:
+            g_intra = 2 if case == "axonn-tp" else 1
+            cfg = AxoNNConfig(
+                spec=SPEC, num_gpus=48, g_inter=6, g_intra=g_intra,
+                g_data=8 // g_intra, microbatch_size=8, batch_size=192,
+                memopt=True)
+            simulate_batch(cfg, machine=machine)
+            costs = stage_costs(cfg, machine)
+        slot, stage = max((c.slot_time(machine), c.stage) for c in costs)
+        pair = [s.duration for s in machine.tracer.by_category("compute")
+                if s.name in ("fwd0", "bwd0")
+                and s.with_meta()["stage"] == stage]
+        assert len(pair) == 2
+        assert slot == pytest.approx(sum(pair), rel=1e-12)

@@ -109,3 +109,9 @@ class TestSchedulingAblation:
             # Same backend, same jitter: the two schedulers stay within a
             # modest band of one another (the honest finding).
             assert 0.85 < r["ratio"] < 1.2
+
+    def test_same_order_at_uniform_cost(self):
+        """With no jitter static 1F1B and Algorithm 2 start every pass in
+        the same order, and on the same non-blocking MPI backend neither
+        waits for a send: the two phases take the same time to the bit."""
+        assert scheduling_jitter_ablation(sigmas=(0.0,))[0]["ratio"] == 1.0

@@ -49,6 +49,18 @@ class TestStageCosts:
         assert costs[0].activation_bytes == \
             SPEC.activation_message_bytes(cfg.microbatch_size)
 
+    def test_extras_need_a_calibration(self):
+        """Without a machine the table prices compute and wire only."""
+        cfg = small_cfg(g_intra=2, g_data=4)
+        assert all(c.fwd_extra_s == c.bwd_extra_s == 0.0
+                   for c in stage_costs(cfg))
+        m = Machine(spec=summit(8))
+        handling = m.cal.p2p_handling_overhead
+        assert all(c.fwd_extra_s > handling and c.bwd_extra_s > handling
+                   for c in stage_costs(cfg, m))
+        assert all(c.fwd_extra_s == c.bwd_extra_s == handling
+                   for c in stage_costs(small_cfg(), m))
+
 
 class TestSimulateBatch:
     def test_phases_are_positive_and_sum(self):

@@ -167,53 +167,53 @@ MPI_PINS = {
     ('1f1b', 1, 1, 0.2):
         34.95532454997902,
     ('1f1b', 1, 2, 0.0):
-        17.52728089752298,
+        17.522419936456306,
     ('1f1b', 1, 2, 0.2):
-        18.90772767545895,
+        18.906248252525614,
     ('1f1b', 1, 6, 0.0):
-        7.33826018537659,
+        7.33339922430992,
     ('1f1b', 1, 6, 0.2):
-        7.967561350369808,
+        7.962277697036472,
     ('1f1b', 3, 1, 0.0):
         14.472390101774554,
     ('1f1b', 3, 1, 0.2):
         15.219585704675847,
     ('1f1b', 3, 2, 0.0):
-        7.81026714541282,
+        7.8054061843461495,
     ('1f1b', 3, 2, 0.2):
-        8.294298144961523,
+        8.292818722028189,
     ('1f1b', 3, 6, 0.0):
-        3.4159803154827824,
+        3.4111193544161167,
     ('1f1b', 3, 6, 0.2):
-        3.613040641885162,
+        3.6020695952895747,
     ('gpipe', 1, 1, 0.0):
         32.87810446600922,
     ('gpipe', 1, 1, 0.2):
         34.95532454997902,
     ('gpipe', 1, 2, 0.0):
-        17.527280897522985,
+        17.52241993645631,
     ('gpipe', 1, 2, 0.2):
-        18.396427618983907,
+        18.389241850450567,
     ('gpipe', 1, 6, 0.0):
-        7.338260185376596,
+        7.333399224309924,
     ('gpipe', 1, 6, 0.2):
-        8.126319906343246,
+        8.118500099409909,
     ('gpipe', 3, 1, 0.0):
         14.472390101774549,
     ('gpipe', 3, 1, 0.2):
         15.219585704675852,
     ('gpipe', 3, 2, 0.0):
-        7.8102671454128245,
+        7.805406184346152,
     ('gpipe', 3, 2, 0.2):
-        8.112215276822567,
+        8.105029508289231,
     ('gpipe', 3, 6, 0.0):
-        3.415980315482778,
+        3.4111193544161122,
     ('gpipe', 3, 6, 0.2):
-        3.6831703517197996,
+        3.6719503335864676,
     ('ablation', 0.0):
-        15.85609779559212,
+        15.84699656572545,
     ('ablation', 0.1):
-        16.182857855286628,
+        16.175411394486623,
 }
 
 #: AxoNNConfig keyword overrides -> estimate_batch_time
