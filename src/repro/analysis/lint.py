@@ -12,10 +12,10 @@ breakage the test suite may not catch:
   :mod:`repro.analysis.sanitizer` and the documented hot-path contract in
   :mod:`repro.nn.tensor`.
 
-* **REP002** — rank programs only ``yield RECV`` or
-  ``yield recv_within(...)``.  A function that yields either anywhere is a
-  rank program for the cooperative transport; any other yielded value is a
-  protocol error at runtime (a bare ``yield`` after ``return`` — the
+* **REP002** — rank programs only ``yield RECV``, ``yield POLL`` or
+  ``yield recv_within(...)``.  A function that yields any of them anywhere
+  is a rank program for the cooperative transport; any other yielded value
+  is a protocol error at runtime (a bare ``yield`` after ``return`` — the
   make-me-a-generator idiom — is allowed).
 
 * **REP003** — no unseeded randomness: ``np.random.default_rng()`` without
@@ -122,7 +122,7 @@ __all__ = ["LintIssue", "RULES", "lint_paths", "lint_source", "main"]
 RULES: Dict[str, str] = {
     "REP001": "never pass the upstream gradient g (or a view of it / of a "
               "parent's .data) to _accumulate_owned",
-    "REP002": "rank programs may only `yield RECV`",
+    "REP002": "rank programs may only `yield RECV` / `POLL`",
     "REP003": "no unseeded randomness (np.random.default_rng() without a "
               "seed, or the legacy np.random.* API)",
     "REP004": "every env.process(...) call must pass name=",
@@ -290,10 +290,15 @@ def _check_rep001(fn: ast.AST, issues: List[LintIssue], path: str) -> None:
 # -- REP002 ------------------------------------------------------------------
 
 def _is_recv_marker(value: Optional[ast.AST]) -> bool:
-    """``RECV`` or ``recv_within(...)`` — the two legal yield requests."""
-    if isinstance(value, ast.Name) and value.id == "RECV":
+    """``RECV``, ``POLL`` or ``recv_within(...)`` — the legal yield
+    requests."""
+    if isinstance(value, ast.Name) and value.id in ("RECV", "POLL"):
         return True
     return _is_timed_recv(value)
+
+
+def _is_poll(value: Optional[ast.AST]) -> bool:
+    return isinstance(value, ast.Name) and value.id == "POLL"
 
 
 def _is_timed_recv(value: Optional[ast.AST]) -> bool:
@@ -322,12 +327,12 @@ def _check_rep002(fn: ast.AST, issues: List[LintIssue], path: str) -> None:
             issues.append(LintIssue(
                 path, y.lineno, y.col_offset, "REP002",
                 "rank programs may not use `yield from`; every suspension "
-                "point must be an explicit `yield RECV` / "
+                "point must be an explicit `yield RECV` / `yield POLL` / "
                 "`yield recv_within(...)`"))
         elif y.value is not None and not _is_recv_marker(y.value):
             issues.append(LintIssue(
                 path, y.lineno, y.col_offset, "REP002",
-                "rank programs may only `yield RECV` or "
+                "rank programs may only `yield RECV`, `yield POLL` or "
                 "`yield recv_within(...)` (a bare `yield` after `return` "
                 "is allowed as the generator marker)"))
 
@@ -690,7 +695,9 @@ def _check_rep009(fn: ast.AST, issues: List[LintIssue], path: str) -> None:
         return
     marks: List[Tuple[int, int, str, ast.Call]] = []
     for node in _own_nodes(fn):
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
+        if isinstance(node, ast.YieldFrom) or (
+                isinstance(node, ast.Yield) and not _is_poll(node.value)):
+            # a POLL is answered within the rank's own turn: no yield
             marks.append((node.lineno, node.col_offset, "yield", node))
         elif isinstance(node, ast.Call):
             if _is_send_call(node):

@@ -6,7 +6,8 @@ on it.  Three pieces:
 
 * **Comm-skeleton extraction** (:func:`extract_skeleton`) — symbolically
   execute each rank program against a capture transport that records
-  ``send`` / ``yield RECV`` / ``recv_within`` calls with abstract payloads.
+  ``send`` / ``yield RECV`` / ``yield POLL`` / ``recv_within`` calls with
+  abstract payloads.
   Crucially the models drive the *real* generators — Algorithm 2's
   :func:`~repro.runtime.rankprog.inter_layer_step`, the schedule
   compiler's :func:`~repro.sched.compile.lower_rank` and the serving
@@ -22,7 +23,11 @@ on it.  Three pieces:
   interleavings that merely commute independent deliveries hash to the
   same state, a partial-order reduction that keeps every small config
   (``g_inter x g_data <= 8``, ``microbatches <= 4``) in the low thousands
-  of states.  Rank behaviour is memoized per (rank, consumed-counts) and
+  of states.  A ``yield POLL`` is a choice point — any deliverable channel
+  head, or None (a message sent need not have arrived) — so a rank's
+  arrivals may be grouped into drains every possible way; while a rank
+  drains, where its drain began is part of the state.  Rank behaviour is
+  memoized per (rank, consumed counts, drain start) and
   reconstructed by witness replay on a fresh program; a global append-only
   per-channel send log cross-checks every replay (two interleavings that
   reach the same counts must produce identical channel prefixes —
@@ -39,7 +44,9 @@ on it.  Three pieces:
   :func:`deadlock_mutant_model` (a last stage that defers each backward
   send until the *next* forward arrives, so the final gradient is never
   sent — every interleaving deadlocks, and the checker must say exactly
-  where).
+  where) and :func:`full_group_mutant_model` (a first stage that awaits a
+  full group of ``pipeline_limit`` gradients before a backward — the
+  checker must refute it whenever ``m % pipeline_limit != 0``).
 
 ``python -m repro verify`` sweeps :func:`builtin_models` with these
 checks; ``pytest -m lint`` pins the acceptance bar.
@@ -56,7 +63,7 @@ import numpy as np
 from ..runtime.grid import RankGrid
 from ..runtime.rankprog import TAG_BWD, TAG_FWD, inter_layer_step
 from ..runtime.tp import TPComm, tp_follower_step
-from ..runtime.transport import RECV, Packet, TimedRecv
+from ..runtime.transport import POLL, RECV, Packet, TimedRecv
 from ..serve.engine import PipelineServer, Request
 from .protocol import TraceRecorder, check_collective_order, describe_deadlock
 
@@ -73,6 +80,7 @@ __all__ = [
     "compare_with_trace",
     "deadlock_mutant_model",
     "extract_skeleton",
+    "full_group_mutant_model",
     "scheduled_model",
     "serve_model",
 ]
@@ -174,15 +182,16 @@ class _Capture:
 
 class _SymbolicStage:
     """Duck-typed :class:`~repro.runtime.stage.PipelineStage` that computes
-    nothing: payloads are abstract (``None``), only the communication
-    structure matters."""
+    nothing: payloads are abstract (one ``None`` per member of a group),
+    only the communication structure matters."""
 
-    def forward(self, mb: Any, data: Any, targets: Any = None,
-                loss_divisor: Any = None, loss_scale: Any = None) -> None:
-        return None
+    def forward(self, mbs: Sequence[Any], xs: Any, targets: Any = None,
+                loss_divisor: Any = None,
+                loss_scale: Any = None) -> List[None]:
+        return [None] * len(mbs)
 
-    def backward(self, mb: Any, grad: Any = None) -> None:
-        return None
+    def backward(self, mbs: Sequence[Any], grads: Any = None) -> List[None]:
+        return [None] * len(mbs)
 
 
 class _SymbolicServeStage:
@@ -488,6 +497,51 @@ def deadlock_mutant_model(g_inter: int = 2, microbatches: int = 2,
                      config={"g_inter": g_inter, "g_data": 1, "m": m})
 
 
+def _full_group_head(send: Callable, grid: RankGrid, rank: int, m: int,
+                     limit: int) -> Generator:
+    """The seeded bug: a first stage that awaits a *full* group of
+    ``limit`` gradients before it runs a backward — a width rule where
+    Algorithm 2 takes whatever has arrived.  Whenever ``m % limit != 0``
+    the last group never fills and the first stage starves."""
+    next_rank = grid.next_in_pipeline(rank)
+    injected = retired = 0
+    while retired < m:
+        for mb in range(injected, min(retired + limit, m)):
+            send(next_rank, TAG_FWD, mb, None)
+        injected = min(retired + limit, m)
+        for _ in range(limit):  # bug: waits for the group to fill
+            yield RECV
+        retired += limit
+
+
+def full_group_mutant_model(g_inter: int = 2, microbatches: int = 3,
+                            pipeline_limit: int = 2) -> CommModel:
+    """Algorithm 2 with the full-group head mutant spliced in as the first
+    stage: deadlock-free exactly when ``microbatches % pipeline_limit ==
+    0``, so the checker proving the real walk at every ``m`` is proof that
+    its width is emergent, not awaited."""
+    if g_inter < 2:
+        raise ValueError("the mutant needs a real pipeline (g_inter >= 2)")
+    grid = RankGrid(g_inter, 1)
+    m = microbatches
+
+    def make(capture: _Capture) -> Dict[int, Generator]:
+        programs: Dict[int, Generator] = {}
+        for rank in range(grid.world_size):
+            send = (lambda dst, tag, mb, data, _r=rank:
+                    capture.send(_r, dst, tag, mb, data))
+            programs[rank] = (
+                _full_group_head(send, grid, rank, m, pipeline_limit)
+                if rank == 0 else inter_layer_step(
+                    rank, grid, _SymbolicStage(), send, [(None, None)] * m,
+                    m, pipeline_limit))
+        return programs
+
+    return CommModel("axonn-full-group-mutant", grid.world_size, make,
+                     config={"g_inter": g_inter, "g_data": 1, "m": m,
+                             "limit": pipeline_limit})
+
+
 def builtin_models(max_world: int = 8, max_microbatches: int = 4,
                    include_serve: bool = True) -> List[CommModel]:
     """Every built-in variant at every small config: message-driven
@@ -582,10 +636,12 @@ class Skeleton:
 def _wait_kind(request: Any, rank: int) -> str:
     if request == RECV:
         return "any"
+    if request == POLL:
+        return "poll"
     if isinstance(request, TimedRecv):
         return "timed"
     raise ModelError(f"rank {rank} yielded {request!r}; rank programs may "
-                     f"only yield RECV / recv_within(n)")
+                     f"only yield RECV / POLL / recv_within(n)")
 
 
 def extract_skeleton(model: CommModel) -> Skeleton:
@@ -662,13 +718,17 @@ def extract_skeleton(model: CommModel) -> Skeleton:
                     else:
                         msg = pop_for(rank)
                         if msg is None:
-                            break
-                        ops[rank].append(SkeletonOp(
-                            "recv", rank, msg.src, msg.tag, msg.microbatch,
-                            plane=msg.plane))
-                        alive = resume(rank, gen, packet=Packet(
-                            src=msg.src, dst=msg.dst, tag=msg.tag,
-                            microbatch=msg.microbatch, data=msg.data))
+                            if waiting[rank] != "poll":
+                                break
+                            # a POLL is answered at once, as the sweep does
+                            alive = resume(rank, gen, packet=None)
+                        else:
+                            ops[rank].append(SkeletonOp(
+                                "recv", rank, msg.src, msg.tag,
+                                msg.microbatch, plane=msg.plane))
+                            alive = resume(rank, gen, packet=Packet(
+                                src=msg.src, dst=msg.dst, tag=msg.tag,
+                                microbatch=msg.microbatch, data=msg.data))
                     progressed = True
                     if not alive:
                         del live[rank]
@@ -780,13 +840,15 @@ class CheckResult:
 class _Behavior:
     """What a rank does after consuming a given multiset of channel
     prefixes: its next wait (or finished), its cumulative per-channel send
-    counts, and the witness (delivery/timeout sequence) that reproduces
-    this state on a fresh generator."""
+    counts, and the witness (delivery / timeout / None-poll sequence) that
+    reproduces this state on a fresh generator."""
 
     wait: str
     finished: bool
     out_counts: Dict[Channel, int]
     witness: Tuple[Tuple, ...]
+    #: the local key this behaviour is cached under
+    key: Tuple = ()
 
 
 class _Explorer:
@@ -800,9 +862,12 @@ class _Explorer:
         self.log: Dict[Channel, List[Tuple[str, Any, Any]]] = {}
         self.in_channels: Dict[int, List[Channel]] = {r: [] for r in self.ranks}
         # (rank, local key) -> _Behavior; the local key is the rank's own
-        # consumed counts + its timeout count, which fully determines its
-        # generator state because behaviour is confluent (guarded below).
+        # consumed counts + its timeout count (+ where its drain began,
+        # while it drains), which fully determines its generator state
+        # because behaviour is confluent (guarded in _log_sends / _step).
         self.cache: Dict[Tuple[int, Tuple], _Behavior] = {}
+        # (id of a cached _Behavior, event) -> the _Behavior it leads to
+        self.steps: Dict[Tuple[int, Tuple], _Behavior] = {}
         self.states = 0
         self.terminals = 0
         self.leftover_violations: Dict[str, None] = {}
@@ -856,6 +921,8 @@ class _Explorer:
                         request = gen.send(Packet(
                             src=ch[0], dst=ch[1], tag=tag, microbatch=mb,
                             data=data))
+                    elif event[0] == "none":
+                        request = gen.send(None)
                     else:
                         request = gen.throw(TimeoutError(
                             f"model timeout at rank {rank}"))
@@ -874,6 +941,7 @@ class _Explorer:
         beh = self.cache.get((rank, key))
         if beh is None:
             beh = self._replay(rank, witness)
+            beh.key = key
             self.cache[(rank, key)] = beh
         return beh
 
@@ -888,8 +956,16 @@ class _Explorer:
     @staticmethod
     def _state_key(consumed: Dict[Channel, int],
                    timeouts: Dict[int, int]) -> Tuple:
-        return (tuple(sorted((c, n) for c, n in consumed.items() if n)),
-                tuple(sorted((r, n) for r, n in timeouts.items() if n)))
+        # counts only ever grow from 1, so no zero entries to drop
+        return frozenset(consumed.items()), frozenset(timeouts.items())
+
+    @staticmethod
+    def _draining(beh: _Behavior) -> bool:
+        return beh.wait == "poll" and not beh.finished
+
+    def _produced(self, ch: Channel, behaviors: Dict[int, _Behavior]) -> int:
+        return behaviors[ch[0]].out_counts.get(ch, 0) \
+            if ch[0] in behaviors else 0
 
     def _enabled(self, consumed: Dict[Channel, int],
                  timeouts: Dict[int, int],
@@ -902,9 +978,7 @@ class _Explorer:
             for ch in self.in_channels[rank]:
                 # Every wait accepts every plane: the runtime's single
                 # FIFO per rank pair delivers whatever arrives next.
-                produced = behaviors[ch[0]].out_counts.get(ch, 0) \
-                    if ch[0] in behaviors else 0
-                if consumed.get(ch, 0) < produced:
+                if consumed.get(ch, 0) < self._produced(ch, behaviors):
                     actions.append(("deliver", ch, rank))
             if beh.wait == "timed":
                 actions.append(("timeout", None, rank))
@@ -918,13 +992,17 @@ class _Explorer:
             r: self._behavior(r, self._local_key(r, consumed0, timeouts0),
                               ())
             for r in self.ranks}
+        for r, beh in behaviors0.items():
+            if self._draining(beh):
+                raise ModelError(f"{self.model.describe()}: rank {r} polls "
+                                 f"before its first blocking receive")
         root = self._state_key(consumed0, timeouts0)
         seen = {root}
         # Each frame carries its own dicts; parents reconstruct the
         # counterexample path.
         stack = [(consumed0, timeouts0, behaviors0)]
-        parents: Dict[Tuple, Tuple[Optional[Tuple], Optional[Tuple]]] = {
-            root: (None, None)}
+        parents: Dict[Tuple, Tuple[Optional[Tuple], List[Tuple]]] = {
+            root: (None, [])}
         while stack:
             consumed, timeouts, behaviors = stack.pop()
             skey = self._state_key(consumed, timeouts)
@@ -960,28 +1038,139 @@ class _Explorer:
                     return
                 continue
             for action in actions:
-                nc = dict(consumed)
-                nt = dict(timeouts)
                 rank = action[2]
-                old_beh = behaviors[rank]
-                if action[0] == "deliver":
-                    ch = action[1]
-                    idx = nc.get(ch, 0)
-                    nc[ch] = idx + 1
-                    event = ("deliver", ch, idx)
-                else:
-                    nt[rank] = nt.get(rank, 0) + 1
-                    event = ("timeout",)
-                nkey = self._state_key(nc, nt)
-                if nkey in seen:
+                for nc, nt, beh, steps in self._successors(
+                        rank, action, consumed, timeouts, behaviors):
+                    nkey = self._state_key(nc, nt)
+                    if nkey in seen:
+                        continue
+                    seen.add(nkey)
+                    nb = dict(behaviors)
+                    nb[rank] = beh
+                    parents[nkey] = (skey, steps)
+                    stack.append((nc, nt, nb))
+
+    def _successors(self, rank: int, action: Tuple,
+                    consumed: Dict[Channel, int], timeouts: Dict[int, int],
+                    behaviors: Dict[int, _Behavior]):
+        """The states ``rank``'s ``action`` leads to, as ``(consumed,
+        timeouts, behaviour, steps)``.
+
+        An action that leaves the rank waiting on ``POLL`` opens a
+        *drain*, explored as one macro step that ends at the drain's None:
+        every multiset of the messages pending for the rank may be taken
+        before it, the empty one included.  Running the drain alone is a
+        partial-order reduction, sound because a draining rank sends
+        nothing until its None (checked in :meth:`_step`): another rank's
+        action taken mid-drain was enabled before the drain began and
+        commutes with it, and a message that only becomes pending
+        mid-drain is that action taken first.  The pending messages of
+        reflector ranks — constant-content credits — are taken in one
+        piece or not at all: any other split of them reaches a state the
+        counts quotient already holds, with the rest taken by later
+        drains."""
+        nc, nt = dict(consumed), dict(timeouts)
+        if action[0] == "deliver":
+            ch = action[1]
+            idx = nc.get(ch, 0)
+            nc[ch] = idx + 1
+            event: Tuple = ("deliver", ch, idx)
+        else:
+            nt[rank] = nt.get(rank, 0) + 1
+            event = ("timeout",)
+        start = self._local_key(rank, consumed, timeouts)
+        beh = self._step(rank, behaviors[rank], event, nc, nt, start)
+        steps = [action + (event,)]
+        if not self._draining(beh):
+            yield nc, nt, beh, steps
+            return
+        # Every way the drain goes on: None now, or one more pending
+        # message from the first-th in-channel on (order within a drain
+        # is immaterial, so each multiset is taken once, in channel order).
+        channels = [ch for ch in self.in_channels[rank]
+                    if ch[0] not in self.model.reflector_ranks]
+        todo = [(beh, nc, steps, 0)]
+        cbeh, cnc, csteps = self._take_credits(rank, beh, nc, nt, start,
+                                               steps, behaviors)
+        if cnc != nc:
+            if self._draining(cbeh):
+                todo.append((cbeh, cnc, csteps, 0))
+            else:
+                yield cnc, nt, cbeh, csteps
+        while todo:
+            beh, nc, steps, first = todo.pop()
+            done = self._step(rank, beh, ("none",), nc, nt, start)
+            if self._draining(done):
+                raise ModelError(f"{self.model.describe()}: rank {rank} "
+                                 f"polls again after a None without "
+                                 f"blocking")
+            yield nc, nt, done, steps + [("none", None, rank, ("none",))]
+            for i in range(first, len(channels)):
+                ch = channels[i]
+                idx = nc.get(ch, 0)
+                if idx >= self._produced(ch, behaviors):
                     continue
-                seen.add(nkey)
-                nb = dict(behaviors)
-                nb[rank] = self._behavior(
-                    rank, self._local_key(rank, nc, nt),
-                    old_beh.witness + (event,))
-                parents[nkey] = (skey, action + (event,))
-                stack.append((nc, nt, nb))
+                more = dict(nc)
+                more[ch] = idx + 1
+                event = ("deliver", ch, idx)
+                nxt = self._step(rank, beh, event, more, nt, start)
+                taken = steps + [("deliver", ch, rank, event)]
+                if self._draining(nxt):
+                    todo.append((nxt, more, taken, i))
+                else:
+                    yield more, nt, nxt, taken
+
+    def _take_credits(self, rank: int, beh: _Behavior,
+                      consumed: Dict[Channel, int], timeouts: Dict[int, int],
+                      start: Tuple, steps: List[Tuple],
+                      behaviors: Dict[int, _Behavior]):
+        """A draining rank takes every message pending from a reflector
+        (while it keeps draining) -> (behaviour, consumed, steps)."""
+        for ch in self.in_channels[rank]:
+            if ch[0] not in self.model.reflector_ranks:
+                continue
+            for idx in range(consumed.get(ch, 0),
+                             self._produced(ch, behaviors)):
+                if not self._draining(beh):
+                    break
+                consumed = dict(consumed)
+                consumed[ch] = idx + 1
+                event = ("deliver", ch, idx)
+                beh = self._step(rank, beh, event, consumed, timeouts, start)
+                steps = steps + [("deliver", ch, rank, event)]
+        return beh, consumed, steps
+
+    def _step(self, rank: int, old_beh: _Behavior, event: Tuple,
+              consumed: Dict[Channel, int], timeouts: Dict[int, int],
+              start: Tuple) -> _Behavior:
+        """``rank``'s behaviour after ``event`` (``consumed`` / ``timeouts``
+        already include it).  A draining rank is keyed by its counts and
+        ``start``, its local key when the drain began; any other rank by
+        its counts alone, as without POLL: what it has sent is what it has
+        consumed, however its drains grouped it (guarded: two groupings
+        that reach the same counts must agree)."""
+        step = (id(old_beh), event)  # cached behaviours live as long
+        beh = self.steps.get(step)
+        if beh is None:
+            fresh = self._replay(rank, old_beh.witness + (event,))
+            fresh.key = self._local_key(rank, consumed, timeouts)
+            if self._draining(fresh):
+                if fresh.out_counts != old_beh.out_counts:
+                    raise ModelError(
+                        f"{self.model.describe()}: rank {rank} sent while "
+                        f"draining its inbox with POLL; the checker needs "
+                        f"a drain to send nothing until its None")
+                fresh.key += (start,)
+            beh = self.cache.setdefault((rank, fresh.key), fresh)
+            if (beh.wait, beh.finished, beh.out_counts) != \
+                    (fresh.wait, fresh.finished, fresh.out_counts):
+                raise ModelError(
+                    f"{self.model.describe()}: non-confluent drains at "
+                    f"rank {rank}: two groupings of the same arrivals "
+                    f"left it in different states; the counts-quotient "
+                    f"is unsound for this model")
+            self.steps[step] = beh
+        return beh
 
     def _check_terminal(self, consumed: Dict[Channel, int],
                         behaviors: Dict[int, _Behavior]) -> None:
@@ -1001,11 +1190,9 @@ class _Explorer:
         path: List[Tuple] = []
         key: Optional[Tuple] = skey
         while key is not None:
-            prev, action = parents[key]
-            if action is not None:
-                path.append(action)
+            prev, steps = parents[key]
+            path[:0] = steps
             key = prev
-        path.reverse()
         trace, orphans, sent = self._replay_path(path)
         stuck = sorted(r for r in self.ranks if not behaviors[r].finished)
         wait_for = {
@@ -1056,6 +1243,8 @@ class _Explorer:
                                                 mb, plane=ch[2]))
                         gen.send(Packet(src=ch[0], dst=ch[1], tag=tag,
                                         microbatch=mb, data=data))
+                    elif action[0] == "none":
+                        gen.send(None)  # an empty POLL: no channel op
                     else:
                         trace.append(SkeletonOp("timeout", rank))
                         gen.throw(TimeoutError(

@@ -755,7 +755,8 @@ def cmd_verify(args) -> bool:
     matching, collective order) and self-check the shared-memory race
     detector, including both seeded mutants."""
     from .analysis.model import (builtin_models, check_model,
-                                 deadlock_mutant_model)
+                                 deadlock_mutant_model,
+                                 full_group_mutant_model)
     from .analysis.races import (check_races, drop_release,
                                  synthetic_ring_events)
 
@@ -791,6 +792,19 @@ def cmd_verify(args) -> bool:
             print(f"      {op}")
         for line in cx.message.splitlines():
             print(f"      {line}")
+
+    print("\n== seeded full-group mutant: a first stage that awaits "
+          "pipeline_limit gradients (the checker must refute it exactly "
+          "when m % limit != 0) ==")
+    for m in (3, 4):
+        result = check_model(full_group_mutant_model(2, m, 2))
+        refuted = result.counterexample is not None
+        good = refuted == (m % 2 != 0)
+        verdict = (f"refuted: rank(s) {result.counterexample.stuck} starve"
+                   if refuted else "proved")
+        print(f"  [{'ok' if good else 'FAIL'}] m={m}, limit=2: {verdict} "
+              f"after {result.states} states")
+        ok = ok and good
 
     print("\n== race detector self-check ==")
     events = synthetic_ring_events()

@@ -24,6 +24,14 @@ to the composition of its ops; the forward helpers also book the
 :mod:`repro.perf` kernel counters, so a block counts the same ``linear`` /
 ``layer_norm`` / ``gelu`` / ``masked_softmax`` calls either way.
 
+The backward helpers that reduce over rows (``linear``'s weight and bias
+gradients, ``layer_norm``'s affine gradients, the cross-entropy mean)
+read axis 0 as a *member* axis: a group of microbatches stacked on a new
+leading axis (:func:`block_forward`), each reduced on its own.  A
+single-op node is a group of one (``g[None]``), so a pipeline stage can
+run ``k`` microbatches through one set of NumPy calls and still hand
+back, member by member, the gradients ``k`` separate passes would.
+
 Backward closures allocate fresh gradient arrays and hand them to
 ``Tensor._accumulate_owned`` (ownership transfer, no defensive copy) —
 see the hot-path contract in :mod:`repro.nn.tensor`.  That contract is
@@ -55,6 +63,9 @@ __all__ = [
     "concat",
     "linear",
     "transformer_block",
+    "block_forward",
+    "block_backward",
+    "accumulate_members",
     "softmax_unfused",
     "log_softmax_unfused",
     "gelu_unfused",
@@ -148,15 +159,15 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor,
 
     def backward(g: np.ndarray, a=x, w=weight, b=bias,
                  x_hat=x_hat, inv_std=inv_std) -> None:
-        da, dw, db = _layer_norm_bwd(g, x_hat, inv_std, w.data,
-                                     a.requires_grad, w.requires_grad,
-                                     b.requires_grad)
+        da, dw, db = _layer_norm_bwd(g[None], x_hat[None], inv_std[None],
+                                     w.data, a.requires_grad,
+                                     w.requires_grad, b.requires_grad)
         if dw is not None:
-            w._accumulate_owned(dw)
+            w._accumulate_owned(dw[0])
         if db is not None:
-            b._accumulate_owned(db)
+            b._accumulate_owned(db[0])
         if da is not None:
-            a._accumulate_owned(da)
+            a._accumulate_owned(da[0])
 
     return Tensor._make(out_data, (x, weight, bias), backward)
 
@@ -185,6 +196,9 @@ def _layer_norm_bwd(g: np.ndarray, x_hat: np.ndarray, inv_std: np.ndarray,
                     need_w: bool = True, need_b: bool = True):
     """-> (dx, dw, db), each fresh, None where not needed.
 
+    Axis 0 of ``g`` is the member axis (see :func:`block_forward`):
+    ``dw`` / ``db`` are per member, ``(k, h)``.
+
     The two row means are ``np.add.reduce(...) / n`` — the ufunc sequence
     ``.mean`` runs, bit-identical to it on fp32 and fp64, without the
     Python of numpy's ``_methods`` wrappers.  As in the forward, fp16 is
@@ -192,7 +206,7 @@ def _layer_norm_bwd(g: np.ndarray, x_hat: np.ndarray, inv_std: np.ndarray,
     no runtime path normalises fp16 (fp16 exists on the wire and in the
     data-parallel reduction only).
     """
-    axes = tuple(range(g.ndim - 1))
+    axes = tuple(range(1, g.ndim - 1))
     dw = (g * x_hat).sum(axis=axes) if need_w else None
     db = g.sum(axis=axes) if need_b else None
     if not need_x:
@@ -215,40 +229,61 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
     shape.  Fused log-softmax + NLL, averaged over non-ignored positions —
     one graph node, one backward.
     """
-    if _counters.enabled:
-        _counters.bump("cross_entropy")
     targets = np.asarray(targets)
     if targets.shape != logits.shape[:-1]:
         raise ValueError(
             f"targets shape {targets.shape} does not match logits "
             f"{logits.shape[:-1]}"
         )
-    flat_logits = logits.data.reshape(-1, logits.shape[-1])
-    flat_targets = targets.reshape(-1)
+    losses, saved = _cross_entropy_fwd(logits.data[None], targets[None],
+                                       ignore_index)
+    out_data = losses.reshape(())
+
+    def backward(g: np.ndarray, a=logits, saved=saved) -> None:
+        probs = _cross_entropy_bwd(np.reshape(g, 1), saved)
+        a._accumulate_owned(probs.reshape(a.data.shape))
+
+    return Tensor._make(out_data, (logits,), backward)
+
+
+def _cross_entropy_fwd(logits: np.ndarray, targets: np.ndarray,
+                       ignore_index: Optional[int] = None):
+    """Member-stacked ``(k, ..., V)`` logits -> (per-member mean losses
+    ``(k,)``, what :func:`_cross_entropy_bwd` needs)."""
+    if _counters.enabled:
+        _counters.bump("cross_entropy")
+    k, v = logits.shape[0], logits.shape[-1]
+    flat_logits = logits.reshape(k, -1, v)
+    flat_targets = targets.reshape(k, -1)
     if ignore_index is not None:
         mask = flat_targets != ignore_index
     else:
         mask = np.ones_like(flat_targets, dtype=bool)
-    count = int(mask.sum())
-    if count == 0:
+    counts = mask.sum(axis=1)
+    if not counts.all():
         raise ValueError("cross_entropy over zero valid targets")
 
     shifted = flat_logits - flat_logits.max(axis=-1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     log_probs = shifted - log_z
     safe_targets = np.where(mask, flat_targets, 0)
-    picked = log_probs[np.arange(flat_targets.size), safe_targets]
-    loss = -(picked * mask).sum() / count
-    out_data = np.asarray(loss, dtype=logits.dtype)
+    rows = np.arange(k)[:, None], np.arange(flat_targets.shape[1])
+    picked = log_probs[(*rows, safe_targets)]
+    losses = -(picked * mask).sum(axis=1) / counts.astype(logits.dtype)
+    return losses, (log_probs, safe_targets, mask, counts)
 
-    def backward(g: np.ndarray, a=logits, log_probs=log_probs,
-                 safe_targets=safe_targets, mask=mask, count=count) -> None:
-        probs = np.exp(log_probs)
-        probs[np.arange(safe_targets.size), safe_targets] -= 1.0
-        probs *= (float(g) / count) * mask[:, None]
-        a._accumulate_owned(probs.reshape(a.data.shape))
 
-    return Tensor._make(out_data, (logits,), backward)
+def _cross_entropy_bwd(g: np.ndarray, saved,
+                       members: slice = slice(None)) -> np.ndarray:
+    """Gradient w.r.t. the flattened logits of ``members``, given each
+    member's upstream gradient ``g`` (one value per member)."""
+    log_probs, safe_targets, mask, counts = (a[members] for a in saved)
+    probs = np.exp(log_probs)
+    rows = np.arange(len(probs))[:, None], np.arange(safe_targets.shape[1])
+    probs[(*rows, safe_targets)] -= 1.0
+    probs *= (g.astype(np.float64) / counts)[:, None, None] \
+        * mask[..., None]
+    return probs
 
 
 def masked_softmax(x: Tensor, mask: np.ndarray, scale: float = 1.0,
@@ -300,7 +335,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator,
             training: bool = True) -> Tensor:
     """Inverted dropout: scales survivors by ``1/(1-p)`` so inference needs
     no rescaling.  The caller supplies the RNG for determinism."""
-    mask = _dropout_mask(x.data, p, rng, training)
+    mask = _dropout_mask(x.shape, x.dtype, p, rng, training)
     if mask is None:
         return x
     out_data = x.data * mask
@@ -311,24 +346,25 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator,
     return Tensor._make(out_data, (x,), backward)
 
 
-def _dropout_mask(xd: np.ndarray, p: float, rng: np.random.Generator,
+def _dropout_mask(shape, dtype, p: float, rng: np.random.Generator,
                   training: bool) -> Optional[np.ndarray]:
     """The scaled keep mask for one activation (forward and backward are
     both a multiply by it), or None when dropout is the identity — in
-    which case nothing is drawn from ``rng``."""
+    which case nothing is drawn from ``rng``.  One ``(k, ...)`` draw is
+    ``k`` draws of ``(...)`` in a row: the mask of a member-stacked
+    activation is the masks its members would draw one after another."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return None
     keep = 1.0 - p
-    return (rng.random(xd.shape) < keep).astype(xd.dtype) / keep
+    return (rng.random(shape) < keep).astype(dtype) / keep
 
 
-def _stream_mask(drop, like: np.ndarray) -> Optional[np.ndarray]:
-    """:func:`_dropout_mask` for ``like``, drawn from a dropout stream —
-    anything with ``p`` / ``rng`` / ``training``, i.e. a
-    :class:`~repro.nn.Dropout`."""
-    return _dropout_mask(like, drop.p, drop.rng, drop.training)
+def _stream_mask(drop, shape, dtype) -> Optional[np.ndarray]:
+    """:func:`_dropout_mask` drawn from a dropout stream — anything with
+    ``p`` / ``rng`` / ``training``, i.e. a :class:`~repro.nn.Dropout`."""
+    return _dropout_mask(shape, dtype, drop.p, drop.rng, drop.training)
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
@@ -392,15 +428,15 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g: np.ndarray, a=x, w=weight, b=bias) -> None:
-        da, dw, db = _linear_bwd(g, a.data, w.data, a.requires_grad,
-                                 w.requires_grad,
+        da, dw, db = _linear_bwd(g[None], a.data[None], w.data,
+                                 a.requires_grad, w.requires_grad,
                                  b is not None and b.requires_grad)
         if dw is not None:
-            w._accumulate_owned(dw)
+            w._accumulate_owned(dw[0])
         if db is not None:
-            b._accumulate_owned(db)
+            b._accumulate_owned(db[0])
         if da is not None:
-            a._accumulate_owned(da)
+            a._accumulate_owned(da[0])
 
     return Tensor._make(out_data, parents, backward)
 
@@ -418,10 +454,18 @@ def _linear_fwd(xd: np.ndarray, wd: np.ndarray,
 def _linear_bwd(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
                 need_x: bool = True, need_w: bool = True,
                 need_b: bool = True):
-    """-> (dx, dw, db), each fresh, None where not needed."""
-    g2 = g.reshape(-1, g.shape[-1])
-    dw = g2.T @ xd.reshape(-1, xd.shape[-1]) if need_w else None
-    db = g2.sum(axis=0) if need_b else None
+    """-> (dx, dw, db), each fresh, None where not needed.
+
+    Axis 0 is the member axis: ``dw`` is ``(k, out, in)``, one batched
+    ``(k, out, N) @ (k, N, in)`` GEMM whose member ``i`` is the GEMM a
+    width-1 pass of member ``i`` runs, and ``db`` is ``(k, out)``.
+    Flattening the members into ``N`` instead would regroup the sum.
+    """
+    k = g.shape[0]
+    g3 = g.reshape(k, -1, g.shape[-1])
+    dw = g3.swapaxes(1, 2) @ xd.reshape(k, -1, xd.shape[-1]) \
+        if need_w else None
+    db = g3.sum(axis=1) if need_b else None
     return (g @ wd if need_x else None), dw, db
 
 
@@ -438,13 +482,14 @@ def transformer_block(x: Tensor, ln1_w: Tensor, ln1_b: Tensor,
         x = x + drop(proj(attend(qkv(ln1(x)))))
         x = x + drop(out(gelu(fc(ln2(x)))))
 
-    The forward runs the raw-array helpers of the ops above in that
-    order on ``x.data`` — the same ufunc / GEMM sequence, on the same
-    memory layouts, as :func:`transformer_block_unfused` — and saves
-    what the one hand-written backward needs; no ``Tensor`` per
-    intermediate, no closure per op, no reshape / transpose / index
-    nodes.  Output, input gradient and all twelve parameter gradients
-    equal the composition's bit for bit (``tests/test_nn_block.py``).
+    The node is :func:`block_forward` / :func:`block_backward` on a
+    group of one: the raw-array helpers of the ops above in that order —
+    the same ufunc / GEMM sequence, on the same memory layouts, as
+    :func:`transformer_block_unfused` — with what the one hand-written
+    backward needs saved; no ``Tensor`` per intermediate, no closure per
+    op, no reshape / transpose / index nodes.  Output, input gradient and
+    all twelve parameter gradients equal the composition's bit for bit
+    (``tests/test_nn_block.py``).
 
     ``mask`` is the ``(seq_len, seq_len)`` causal mask (True = hidden).
     ``attn_drop`` / ``mlp_drop`` are the block's two dropout streams
@@ -462,98 +507,191 @@ def transformer_block(x: Tensor, ln1_w: Tensor, ln1_b: Tensor,
         raise RuntimeError(
             "KV-cached attention is inference-only; wrap the call "
             "in no_grad()")
-    xd = x.data
-    b, t, h = xd.shape
+    weights = (ln1_w, ln1_b, qkv_w, qkv_b, proj_w, proj_b,
+               ln2_w, ln2_b, fc_w, fc_b, out_w, out_b)
+    out, saved = block_forward(x.data[None], [w.data for w in weights],
+                               n_head, mask, attn_drop, mlp_drop, caches,
+                               save=is_grad_enabled())
+    if saved is None:
+        return Tensor._make(out[0], (), None)
+
+    def backward(g: np.ndarray) -> None:
+        dx, grads = block_backward(g[None], saved)
+        if x.requires_grad:
+            x._accumulate_owned(dx[0])
+        accumulate_members(weights, grads)
+
+    return Tensor._make(out[0], (x, *weights), backward)
+
+
+class _BlockSaved:
+    """What :func:`block_backward` needs of one :func:`block_forward`;
+    every array keeps the forward's member axis."""
+
+    __slots__ = ("weights", "n_head", "arrays")
+
+    def __init__(self, weights, n_head, arrays):
+        self.weights = weights
+        self.n_head = n_head
+        self.arrays = arrays
+
+
+def block_forward(xd: np.ndarray, weights: Sequence[np.ndarray],
+                  n_head: int, mask: np.ndarray, attn_drop, mlp_drop,
+                  caches=None, save: bool = True):
+    """:func:`transformer_block`'s forward on raw arrays -> (out, saved).
+
+    ``xd`` is a group of ``k`` inputs stacked on a new leading member
+    axis, ``(k, b, t, h)`` — never flattened into ``b`` (DESIGN.md
+    section 9).  Every op is elementwise, a reduction along the last
+    axis, or a GEMM over the same inner ``(t, .)`` matrices a width-1
+    pass multiplies, so member ``i`` of every output is bit for bit what
+    ``xd[i]`` alone gives.  Each dropout stream draws in the order
+    width-1 passes would: ``attn_drop`` member 0's attention-weights
+    mask, then its projection mask, then member 1's, and so on;
+    ``mlp_drop`` one ``(k, ...)`` draw, which is ``k`` draws in a row.
+    ``weights`` are the twelve parameter arrays in
+    :func:`transformer_block`'s order.  ``saved`` is None unless
+    ``save``; it keeps the member axis, so :func:`block_backward` can
+    take any run of members.  With ``caches`` (serving: one member, its
+    rows split between the caches) nothing is saved.
+    """
+    (ln1_w, ln1_b, qkv_w, qkv_b, proj_w, proj_b,
+     ln2_w, ln2_b, fc_w, fc_b, out_w, out_b) = weights
+    k, b, t, h = xd.shape
     hd = h // n_head
     scale = 1.0 / np.sqrt(hd)
 
-    h1, x_hat1, inv_std1 = _layer_norm_fwd(xd, ln1_w.data, ln1_b.data,
-                                           _LN_EPS)
-    qkv = _linear_fwd(h1, qkv_w.data, qkv_b.data)  # (b, t, 3h)
-    # three (b, nh, t, hd) views of the one qkv buffer
-    q, k, v = qkv.reshape(b, t, 3, n_head, hd).transpose(2, 0, 3, 1, 4)
+    h1, x_hat1, inv_std1 = _layer_norm_fwd(xd, ln1_w, ln1_b, _LN_EPS)
+    qkv = _linear_fwd(h1, qkv_w, qkv_b)  # (k, b, t, 3h)
+    # three (k, b, nh, t, hd) views of the one qkv buffer
+    q, kk, v = qkv.reshape(k, b, t, 3, n_head, hd).transpose(3, 0, 1, 4, 2, 5)
+    att = att_mask = att_d = None
     if caches is None:
-        # Fused scale + causal mask + softmax over the (b, nh, t, t) scores.
-        att = _masked_softmax_fwd(q @ k.swapaxes(-1, -2), mask[:t, :t], scale)
-        att_mask = _stream_mask(attn_drop, att)
+        # Fused scale + causal mask + softmax over the scores.
+        att = _masked_softmax_fwd(q @ kk.swapaxes(-1, -2), mask[:t, :t],
+                                  scale)
+        att_mask, proj_mask = _attention_masks(attn_drop, att.shape,
+                                               (k, b, t, h), att.dtype)
         att_d = att if att_mask is None else att * att_mask
-        y = att_d @ v  # (b, nh, t, hd)
-    else:  # grad is off (checked above): nothing is saved for backward
+        y = att_d @ v  # (k, b, nh, t, hd)
+    else:  # grad is off (transformer_block checks): nothing is saved
         covered = sum(c.batch_size for c in caches)
-        if covered != b:
+        if k != 1 or covered != b:
             raise ValueError(f"caches cover {covered} batch rows, got {b}")
         ys, row = [], 0
         for cache in caches:
             rows = slice(row, row + cache.batch_size)
             row = rows.stop
             past = cache.length
-            k_all, v_all = cache.extend(k[rows], v[rows])
+            k_all, v_all = cache.extend(kk[0, rows], v[0, rows])
             # Query rows past..past+t of the causal mask attend over all
             # past+t keys: the from-scratch [:t, :t] case is past == 0.
-            a = _masked_softmax_fwd(q[rows] @ k_all.swapaxes(-1, -2),
+            a = _masked_softmax_fwd(q[0, rows] @ k_all.swapaxes(-1, -2),
                                     mask[past:past + t, :past + t], scale)
-            a_mask = _stream_mask(attn_drop, a)
+            a_mask = _stream_mask(attn_drop, a.shape, a.dtype)
             ys.append((a if a_mask is None else a * a_mask) @ v_all)
-        y = np.concatenate(ys, axis=0)
-    y = y.transpose(0, 2, 1, 3).reshape(b, t, h)  # heads back in: a copy
-    x1 = _linear_fwd(y, proj_w.data, proj_b.data)
-    proj_mask = _stream_mask(attn_drop, x1)
+        y = np.concatenate(ys, axis=0)[None]
+        proj_mask = _stream_mask(attn_drop, (k, b, t, h), y.dtype)
+    # heads back in: a copy
+    y = y.transpose(0, 1, 3, 2, 4).reshape(k, b, t, h)
+    x1 = _linear_fwd(y, proj_w, proj_b)
     if proj_mask is not None:
         x1 *= proj_mask
     x1 += xd  # first residual
 
-    h2, x_hat2, inv_std2 = _layer_norm_fwd(x1, ln2_w.data, ln2_b.data,
-                                           _LN_EPS)
-    f = _linear_fwd(h2, fc_w.data, fc_b.data)
+    h2, x_hat2, inv_std2 = _layer_norm_fwd(x1, ln2_w, ln2_b, _LN_EPS)
+    f = _linear_fwd(h2, fc_w, fc_b)
     act, tanh_f, f_sq = _gelu_fwd(f)
-    out_data = _linear_fwd(act, out_w.data, out_b.data)
-    out_mask = _stream_mask(mlp_drop, out_data)
+    out = _linear_fwd(act, out_w, out_b)
+    out_mask = _stream_mask(mlp_drop, out.shape, out.dtype)
     if out_mask is not None:
-        out_data *= out_mask
-    out_data += x1  # second residual
+        out *= out_mask
+    out += x1  # second residual
+    if not save:
+        return out, None
+    return out, _BlockSaved(weights, n_head, (
+        x_hat1, inv_std1, h1, qkv, att, att_mask, att_d, y, proj_mask,
+        x_hat2, inv_std2, h2, f, tanh_f, f_sq, act, out_mask))
 
-    parents = (x, ln1_w, ln1_b, qkv_w, qkv_b, proj_w, proj_b,
-               ln2_w, ln2_b, fc_w, fc_b, out_w, out_b)
-    if not is_grad_enabled():
-        return Tensor._make(out_data, (), None)
 
-    def backward(g: np.ndarray) -> None:
-        # MLP half: out = x1 + drop(out(gelu(fc(ln2(x1)))))
-        dact, d_out_w, d_out_b = _linear_bwd(
-            g if out_mask is None else g * out_mask, act, out_w.data)
-        dh2, d_fc_w, d_fc_b = _linear_bwd(
-            _gelu_bwd(dact, f, tanh_f, f_sq), h2, fc_w.data)
-        dx1, d_ln2_w, d_ln2_b = _layer_norm_bwd(dh2, x_hat2, inv_std2,
-                                                ln2_w.data)
-        dx1 += g
-        # attention half: x1 = x + drop(proj(att_d @ v))
-        dy, d_proj_w, d_proj_b = _linear_bwd(
-            dx1 if proj_mask is None else dx1 * proj_mask, y, proj_w.data)
-        dy = dy.reshape(b, t, n_head, hd).transpose(0, 2, 1, 3)
-        datt = dy @ v.swapaxes(-1, -2)
-        if att_mask is not None:
-            datt *= att_mask
-        dscores = _masked_softmax_bwd(datt, att, scale)
-        # q, k, v are views of one (b, t, 3, nh, hd) buffer; so are their
-        # gradients, written once each instead of scattered into three
-        # zeroed copies and summed.
-        dqkv = np.empty((b, t, 3, n_head, hd), dtype=dscores.dtype)
-        dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
-        dq[...] = dscores @ k
-        dk[...] = (q.swapaxes(-1, -2) @ dscores).swapaxes(-1, -2)
-        dv[...] = att_d.swapaxes(-1, -2) @ dy
-        dh1, d_qkv_w, d_qkv_b = _linear_bwd(dqkv.reshape(b, t, 3 * h), h1,
-                                            qkv_w.data)
-        dx, d_ln1_w, d_ln1_b = _layer_norm_bwd(dh1, x_hat1, inv_std1,
-                                               ln1_w.data)
-        dx += dx1
-        for p, dp in zip(parents, (dx, d_ln1_w, d_ln1_b, d_qkv_w, d_qkv_b,
-                                   d_proj_w, d_proj_b, d_ln2_w, d_ln2_b,
-                                   d_fc_w, d_fc_b, d_out_w, d_out_b)):
-            if p.requires_grad:
-                p._accumulate_owned(dp)
+def block_backward(g: np.ndarray, saved: _BlockSaved,
+                   members: slice = slice(None)):
+    """:func:`block_forward`'s backward for the run ``members`` of its
+    member axis, given their output gradients ``g`` ``(n, b, t, h)``
+    -> (dx, grads).
 
-    return Tensor._make(out_data, parents, backward)
+    ``grads`` are the twelve parameter gradients, each ``(n, ...)``: one
+    batched GEMM or sum per parameter, whose member ``i`` is the
+    gradient a width-1 backward of that member computes — never one
+    flattened over the members (:func:`_linear_bwd`) — for the caller
+    to add in member order (:func:`accumulate_members`).
+    """
+    ln1_w, _, qkv_w, _, proj_w, _, ln2_w, _, fc_w, _, out_w, _ = \
+        saved.weights
+    (x_hat1, inv_std1, h1, qkv, att, att_mask, att_d, y, proj_mask,
+     x_hat2, inv_std2, h2, f, tanh_f, f_sq, act, out_mask) = (
+        None if a is None else a[members] for a in saved.arrays)
+    n, b, t, h = g.shape
+    n_head = saved.n_head
+    hd = h // n_head
+    scale = 1.0 / np.sqrt(hd)
+    q, k, v = qkv.reshape(n, b, t, 3, n_head, hd).transpose(3, 0, 1, 4, 2, 5)
+
+    # MLP half: out = x1 + drop(out(gelu(fc(ln2(x1)))))
+    dact, d_out_w, d_out_b = _linear_bwd(
+        g if out_mask is None else g * out_mask, act, out_w)
+    dh2, d_fc_w, d_fc_b = _linear_bwd(_gelu_bwd(dact, f, tanh_f, f_sq), h2,
+                                      fc_w)
+    dx1, d_ln2_w, d_ln2_b = _layer_norm_bwd(dh2, x_hat2, inv_std2, ln2_w)
+    dx1 += g
+    # attention half: x1 = x + drop(proj(att_d @ v))
+    dy, d_proj_w, d_proj_b = _linear_bwd(
+        dx1 if proj_mask is None else dx1 * proj_mask, y, proj_w)
+    dy = dy.reshape(n, b, t, n_head, hd).transpose(0, 1, 3, 2, 4)
+    datt = dy @ v.swapaxes(-1, -2)
+    if att_mask is not None:
+        datt *= att_mask
+    dscores = _masked_softmax_bwd(datt, att, scale)
+    # q, k, v are views of one (n, b, t, 3, nh, hd) buffer; so are their
+    # gradients, written once each instead of scattered into three
+    # zeroed copies and summed.
+    dqkv = np.empty((n, b, t, 3, n_head, hd), dtype=dscores.dtype)
+    dq, dk, dv = dqkv.transpose(3, 0, 1, 4, 2, 5)
+    dq[...] = dscores @ k
+    dk[...] = (q.swapaxes(-1, -2) @ dscores).swapaxes(-1, -2)
+    dv[...] = att_d.swapaxes(-1, -2) @ dy
+    dh1, d_qkv_w, d_qkv_b = _linear_bwd(dqkv.reshape(n, b, t, 3 * h), h1,
+                                        qkv_w)
+    dx, d_ln1_w, d_ln1_b = _layer_norm_bwd(dh1, x_hat1, inv_std1, ln1_w)
+    dx += dx1
+    return dx, (d_ln1_w, d_ln1_b, d_qkv_w, d_qkv_b, d_proj_w, d_proj_b,
+                d_ln2_w, d_ln2_b, d_fc_w, d_fc_b, d_out_w, d_out_b)
+
+
+def _attention_masks(drop, att_shape, out_shape, dtype):
+    """``drop``'s masks for the attention weights and the projection
+    output of a member-stacked pass, drawn member by member — each
+    member's weights mask, then its projection mask — as width-1 passes
+    draw them; ``(None, None)`` when dropout is off."""
+    pairs = [(_stream_mask(drop, att_shape[1:], dtype),
+              _stream_mask(drop, out_shape[1:], dtype))
+             for _ in range(att_shape[0])]
+    if pairs[0][0] is None:
+        return None, None
+    att, out = zip(*pairs)
+    return np.stack(att), np.stack(out)
+
+
+def accumulate_members(params: Sequence[Tensor],
+                       grads: Sequence[np.ndarray]) -> None:
+    """Add member-stacked parameter gradients (fresh ``(n, ...)`` arrays,
+    one per parameter) into ``.grad`` member by member: the order in
+    which width-1 backward passes of those members would accumulate."""
+    for p, grad in zip(params, grads):
+        if p.requires_grad:
+            for member in grad:
+                p._accumulate_owned(member)
 
 
 # ===========================================================================

@@ -176,7 +176,11 @@ class MLP(Module):
 class Block(Module):
     """Pre-norm transformer block with residual connections — one
     autograd node (:func:`~repro.nn.functional.transformer_block`) in
-    every mode: training, ``no_grad``, and KV-cached decode."""
+    every mode: training, ``no_grad``, and KV-cached decode.
+
+    :meth:`group_forward` / :meth:`group_backward` run the same kernel
+    on a member-stacked group without a graph: the pipeline stage's
+    pass over the microbatches that have arrived together."""
 
     def __init__(self, cfg: GPTConfig, rng: np.random.Generator):
         super().__init__()
@@ -185,17 +189,37 @@ class Block(Module):
         self.ln2 = LayerNorm(cfg.hidden)
         self.mlp = MLP(cfg, rng)
 
+    def _weights(self):
+        attn, mlp = self.attn, self.mlp
+        return (self.ln1.weight, self.ln1.bias,
+                attn.qkv.weight, attn.qkv.bias,
+                attn.proj.weight, attn.proj.bias,
+                self.ln2.weight, self.ln2.bias,
+                mlp.fc.weight, mlp.fc.bias, mlp.proj.weight, mlp.proj.bias)
+
     def forward(self, x: Tensor,
                 caches: Optional[Sequence[LayerKVCache]] = None) -> Tensor:
         """``caches``, if given, split the batch rows between them in
         order (one per serving request); see the kernel."""
-        attn, mlp = self.attn, self.mlp
         return F.transformer_block(
-            x, self.ln1.weight, self.ln1.bias,
-            attn.qkv.weight, attn.qkv.bias, attn.proj.weight, attn.proj.bias,
-            self.ln2.weight, self.ln2.bias,
-            mlp.fc.weight, mlp.fc.bias, mlp.proj.weight, mlp.proj.bias,
-            attn.cfg.n_head, attn._mask, attn.drop, mlp.drop, caches=caches)
+            x, *self._weights(), self.attn.cfg.n_head, self.attn._mask,
+            self.attn.drop, self.mlp.drop, caches=caches)
+
+    def group_forward(self, x: np.ndarray, save: bool = True):
+        """``(k, b, t, h)`` member-stacked input -> (output, saved); see
+        :func:`~repro.nn.functional.block_forward`."""
+        return F.block_forward(x, [p.data for p in self._weights()],
+                               self.attn.cfg.n_head, self.attn._mask,
+                               self.attn.drop, self.mlp.drop, save=save)
+
+    def group_backward(self, saved, members: slice,
+                       g: np.ndarray) -> np.ndarray:
+        """Backward of the run ``members`` of a :meth:`group_forward`:
+        adds the parameter gradients member by member, returns the input
+        gradient."""
+        dx, grads = F.block_backward(g, saved, members)
+        F.accumulate_members(self._weights(), grads)
+        return dx
 
 
 class GPTEmbedding(Module):
@@ -230,6 +254,35 @@ class GPTEmbedding(Module):
                 f"seq_len {self.cfg.seq_len}")
         return self.drop(self.tok(ids) + self.pos(positions))
 
+    def group_forward(self, ids: np.ndarray, save: bool = True):
+        """:meth:`forward` at position 0 over member-stacked ids
+        ``(k, b, t)`` -> (``(k, b, t, h)`` embeddings, saved); one dropout
+        draw covers the members in order."""
+        ids = np.asarray(ids)
+        if ids.max() >= self.cfg.vocab_size or ids.min() < 0:
+            raise ValueError("token id outside vocabulary")
+        positions = np.arange(ids.shape[-1])
+        x = self.tok.weight.data[ids] + self.pos.weight.data[positions]
+        mask = F._stream_mask(self.drop, x.shape, x.dtype)
+        if mask is not None:
+            x *= mask
+        return x, ((ids, positions, mask) if save else None)
+
+    def group_backward(self, saved, members: slice, g: np.ndarray) -> None:
+        """Scatter the run ``members``' gradients into the two tables,
+        one member at a time (each member's scatter is its own sum)."""
+        ids, positions, mask = saved
+        if mask is not None:
+            g = g * mask[members]
+        tok, pos = self.tok.weight, self.pos.weight
+        for member_ids, member_g in zip(ids[members], g):
+            full = np.zeros_like(tok.data)
+            np.add.at(full, member_ids, member_g)
+            tok._accumulate_owned(full)
+            full = np.zeros_like(pos.data)
+            np.add.at(full, positions, member_g.sum(axis=0))
+            pos._accumulate_owned(full)
+
 
 class GPTHead(Module):
     """Final LayerNorm + LM head (the pipeline's last layer)."""
@@ -243,9 +296,35 @@ class GPTHead(Module):
     def forward(self, x: Tensor) -> Tensor:
         return self.lm_head(self.ln_f(x))
 
-    def loss(self, x: Tensor, targets: np.ndarray) -> Tensor:
-        """Logits + mean causal cross entropy in one call."""
-        return F.cross_entropy(self.forward(x), targets)
+    def group_loss(self, x: np.ndarray, targets: np.ndarray, scale: float):
+        """Mean causal cross entropy of the logits, times ``scale``, for
+        each member of a stacked group (``x`` ``(k, b, t, h)``,
+        ``targets`` ``(k, b, t)``) -> (losses ``(k,)``, saved).  Each loss
+        is its own member's mean: ``F.cross_entropy`` of that member
+        alone."""
+        ln = self.ln_f
+        h, x_hat, inv_std = F._layer_norm_fwd(x, ln.weight.data,
+                                              ln.bias.data, ln.eps)
+        logits = F._linear_fwd(h, self.lm_head.weight.data, None)
+        losses, ce = F._cross_entropy_fwd(logits, targets)
+        scale = np.float32(scale)
+        return losses * scale, (h, x_hat, inv_std, ce, scale)
+
+    def group_backward(self, saved, members: slice) -> np.ndarray:
+        """Backward of the run ``members`` of a :meth:`group_loss`, each
+        seeded with d(loss)/d(loss) = 1: adds the parameter gradients
+        member by member, returns the input gradient."""
+        h, x_hat, inv_std, ce, scale = saved
+        h, x_hat, inv_std = h[members], x_hat[members], inv_std[members]
+        dlogits = F._cross_entropy_bwd(np.full(len(h), scale), ce, members)
+        w = self.lm_head.weight
+        dh, dw, _ = F._linear_bwd(dlogits.reshape(*h.shape[:-1], -1), h,
+                                  w.data, need_b=False)
+        F.accumulate_members([w], [dw])
+        ln = self.ln_f
+        dx, dlw, dlb = F._layer_norm_bwd(dh, x_hat, inv_std, ln.weight.data)
+        F.accumulate_members([ln.weight, ln.bias], [dlw, dlb])
+        return dx
 
 
 def num_layer_slots(cfg: GPTConfig) -> int:

@@ -31,6 +31,7 @@ from .report import (
     message_volume_rows,
     overlap_stats,
     overlap_time,
+    pass_widths,
     summarize,
     utilization_report,
 )
@@ -40,6 +41,7 @@ from .schema import (
     ObsSpan,
     from_sim_span,
     from_sim_tracer,
+    member_events,
     validate_span,
 )
 from .tracer import RuntimeTracer
@@ -50,6 +52,7 @@ __all__ = [
     "ObsSpan",
     "from_sim_span",
     "from_sim_tracer",
+    "member_events",
     "validate_span",
     "RuntimeTracer",
     "chrome_trace",
@@ -67,6 +70,7 @@ __all__ = [
     "message_volume_rows",
     "overlap_stats",
     "overlap_time",
+    "pass_widths",
     "summarize",
     "utilization_report",
 ]

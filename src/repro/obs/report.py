@@ -13,6 +13,8 @@ schema both substrates emit (:mod:`repro.obs.schema`):
 * :func:`idle_breakdown` — per-track time split by category plus idle;
 * :func:`message_volume` — per-tag ``src -> dst`` message count / byte
   matrix from the p2p spans;
+* :func:`pass_widths` — per-rank histogram of how many microbatches each
+  compute pass ran (the ``width`` a grouped pass carries);
 * :func:`summarize` — the terminal rendering ``python -m repro trace``
   prints.
 
@@ -28,7 +30,7 @@ from .schema import ObsSpan
 
 __all__ = ["busy_time", "overlap_time", "overlap_stats",
            "utilization_report", "idle_breakdown", "message_volume",
-           "message_volume_rows", "summarize"]
+           "message_volume_rows", "pass_widths", "summarize"]
 
 
 def _merged_length(intervals: Iterable[Tuple[float, float]]) -> float:
@@ -216,6 +218,21 @@ def message_volume_rows(spans: Iterable[ObsSpan]
     return rows
 
 
+def pass_widths(spans: Iterable[ObsSpan]) -> Dict[int, Dict[int, int]]:
+    """``{rank: {width: passes}}`` over the compute spans that carry a
+    ``width`` (the runtime's stage passes: a group of ``width``
+    microbatches run as one stacked pass)."""
+    out: Dict[int, Dict[int, int]] = {}
+    for s in spans:
+        if s.category != "compute":
+            continue
+        width = s.with_meta().get("width")
+        if width is not None:
+            hist = out.setdefault(s.rank, {})
+            hist[int(width)] = hist.get(int(width), 0) + 1
+    return out
+
+
 def summarize(spans: Iterable[ObsSpan], title: str = "trace") -> str:
     """Terminal summary: utilization per track, overlap stats, volume."""
     spans = list(spans)
@@ -241,4 +258,11 @@ def summarize(spans: Iterable[ObsSpan], title: str = "trace") -> str:
         count = sum(r["count"] for r in volume)
         lines.append(f"  p2p volume: {count} messages, {total} bytes "
                      f"across {len(volume)} (tag, src, dst) routes")
+    widths = pass_widths(spans)
+    if widths:
+        lines.append("  pass widths (microbatches per compute pass: "
+                     "passes):")
+        for rank, hist in sorted(widths.items()):
+            cells = ", ".join(f"{w}: {n}" for w, n in sorted(hist.items()))
+            lines.append(f"    gpu{rank}  {cells}")
     return "\n".join(lines)

@@ -31,6 +31,11 @@ A span is:
     Any further key/value payload (``src``/``dst`` ranks of a transfer,
     flops of a kernel, backend name, ...), stored as a sorted tuple so
     spans stay hashable.
+
+A runtime stage pass that ran a *group* of microbatches as one stacked
+pass is one compute span named ``fwd2+3`` carrying ``microbatches=(2,
+3)`` and ``width=2``; :func:`member_events` maps it to the per-microbatch
+``fwd2`` / ``fwd3`` events the performance model emits.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["CATEGORIES", "STREAMS", "ObsSpan", "validate_span",
-           "from_sim_span", "from_sim_tracer"]
+           "member_events", "from_sim_span", "from_sim_tracer"]
 
 #: canonical span categories; reports aggregate on these.  The last three
 #: belong to the resilience layer: injected faults, rollback/respawn
@@ -98,6 +103,17 @@ def validate_span(span: ObsSpan) -> None:
             f"{CATEGORIES}")
     if span.nbytes is not None and span.nbytes < 0:
         raise ValueError(f"negative nbytes: {span.nbytes}")
+
+
+def member_events(span: ObsSpan) -> List[str]:
+    """The per-microbatch event names ``span`` stands for: a compute pass
+    over a group (``fwd2+3``, ``microbatches=(2, 3)``) is ``fwd2`` and
+    ``fwd3``; any other span is its own name."""
+    members = span.with_meta().get("microbatches")
+    if span.category != "compute" or not members:
+        return [span.name]
+    kind = span.name.rstrip("0123456789+")
+    return [f"{kind}{mb}" for mb in members]
 
 
 def _category_of(raw: str) -> str:

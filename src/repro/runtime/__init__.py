@@ -2,8 +2,8 @@
 
 Public surface:
 
-* :class:`RankTransport`, :class:`Packet`, :data:`RECV` — the deterministic
-  cooperative transport;
+* :class:`RankTransport`, :class:`Packet`, :data:`RECV`, :data:`POLL` —
+  the deterministic cooperative transport;
 * :class:`RankGrid` — the G_inter x G_data process grid;
 * :class:`PipelineStage`, :func:`partition_layers` — network sharding;
 * :class:`AxoNNTrainer` — Algorithms 1-2 end to end;
@@ -27,8 +27,8 @@ from .rankprog import inter_layer_step
 from .serial import SerialTrainer, state_dict_as_slots
 from .shm import ShmRing
 from .stage import InferenceStage, PipelineStage, partition_layers
-from .transport import (RECV, BaseRankTransport, DeadlockError, Packet,
-                        ProtocolError, RankFailure, RankTransport)
+from .transport import (POLL, RECV, BaseRankTransport, DeadlockError,
+                        Packet, ProtocolError, RankFailure, RankTransport)
 
 __all__ = [
     "load_trainer",
@@ -61,6 +61,7 @@ __all__ = [
     "RankFailure",
     "Packet",
     "RECV",
+    "POLL",
     "DeadlockError",
     "ProtocolError",
 ]

@@ -12,7 +12,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..nn import GPT, F, Tensor, no_grad
+from ..nn import GPT, F, no_grad
 from ..nn.data import LMBatches
 from .engine import AxoNNTrainer
 
@@ -67,22 +67,17 @@ def evaluate_parallel(trainer: AxoNNTrainer, batches: LMBatches,
     for i in range(grid.g_inter):
         chunks.update(trainer.stages[grid.rank_of(i, 0)].chunks)
     stages = [chunks[v] for v in sorted(chunks)]
+    head = stages[-1].layers[-1]
     losses = []
     for b in range(n_batches):
         x, y = batches.batch(start_index + b)
-        data = x
-        with no_grad():
-            for stage in stages[:-1]:
-                out = stage._run_layers(
-                    data if stage.is_first
-                    else Tensor(np.asarray(data, dtype=np.float32)))
-                data = out.data if isinstance(out, Tensor) else out
-            last = stages[-1]
-            hidden = last._run_layers(
-                Tensor(np.asarray(data, dtype=np.float32))
-                if not last.is_first else data)
-            head = last.layers[-1]
-            losses.append(head.loss(hidden, y).item())
+        data = np.asarray(x)[None]  # a group of one
+        for stage in stages:
+            for layer in stage.layers:
+                if layer is not head:
+                    data, _ = layer.group_forward(data, save=False)
+        loss, _ = head.group_loss(data, np.asarray(y)[None], 1.0)
+        losses.append(float(loss[0]))
     mean = float(np.mean(losses))
     return {"loss": mean, "perplexity": perplexity(mean),
             "n_batches": n_batches}

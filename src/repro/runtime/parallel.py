@@ -58,8 +58,8 @@ from ..nn.blas import share_blas_threads
 from ..obs import RuntimeTracer, append_spans_jsonl
 from .shm import (_POLL_SLEEP, _SPIN, RingAborted, ShmRing,
                   attach_shared_memory)
-from .transport import (BaseRankTransport, DeadlockError, Packet, RECV,
-                        RankFailure, TimedRecv)
+from .transport import (POLL, RECV, BaseRankTransport, DeadlockError,
+                        Packet, RankFailure, TimedRecv)
 
 __all__ = ["ProcessTransport", "ProcessBackend", "ProcessPool",
            "ProgramSpec", "WorkerContext"]
@@ -262,22 +262,9 @@ class WorkerContext:
             spins = 0
             while True:
                 state.beat(rank)
-                for src, ring in self.in_rings.items():
-                    msg = ring.pop()
-                    if msg is not None:
-                        tag, microbatch, ts, data = msg
-                        state.bump_recvs(rank)
-                        self._receives_done += 1
-                        if self.tracer.enabled:
-                            nbytes = int(getattr(data, "nbytes", 0)) \
-                                if data is not None else None
-                            self.tracer.record(
-                                src, "net", tag, ts, self.tracer.now(),
-                                category="p2p", microbatch=microbatch,
-                                nbytes=nbytes, src=src, dst=rank)
-                        self.events.append(
-                            ("recv", rank, src, tag, microbatch))
-                        return Packet(src, rank, tag, microbatch, data)
+                packet = self._take()
+                if packet is not None:
+                    return packet
                 if state.abort:
                     raise _Aborted(f"rank {rank} recv aborted")
                 if deadline is not None and time.monotonic() >= deadline:
@@ -289,15 +276,50 @@ class WorkerContext:
         finally:
             state.set_status(rank, _STATUS_COMPUTING)
 
+    def _poll(self) -> Optional[Packet]:
+        """Answer a ``POLL``: one pass over the incoming rings, never
+        waiting; a hit is a receive like :meth:`_recv`'s."""
+        self._maybe_crash()
+        self.state.beat(self.rank)
+        return self._take()
+
+    def _take(self) -> Optional[Packet]:
+        """The first frame found on the incoming rings (ascending source
+        order), booked as a receive; None when every ring is empty."""
+        rank = self.rank
+        for src, ring in self.in_rings.items():
+            msg = ring.pop()
+            if msg is not None:
+                tag, microbatch, ts, data = msg
+                self.state.bump_recvs(rank)
+                self._receives_done += 1
+                if self.tracer.enabled:
+                    nbytes = int(getattr(data, "nbytes", 0)) \
+                        if data is not None else None
+                    self.tracer.record(
+                        src, "net", tag, ts, self.tracer.now(),
+                        category="p2p", microbatch=microbatch,
+                        nbytes=nbytes, src=src, dst=rank)
+                self.events.append(("recv", rank, src, tag, microbatch))
+                return Packet(src, rank, tag, microbatch, data)
+        return None
+
     def drive(self, gen: Generator) -> Any:
-        """Drive one rank-program generator under the RECV protocol;
-        returns the generator's ``return`` value."""
+        """Drive one rank-program generator under the RECV protocol
+        (``POLL`` answered by :meth:`_poll`); returns the generator's
+        ``return`` value."""
         try:
             try:
                 request = next(gen)
             except StopIteration as stop:
                 return stop.value
             while True:
+                if request == POLL:
+                    try:
+                        request = gen.send(self._poll())
+                    except StopIteration as stop:
+                        return stop.value
+                    continue
                 if isinstance(request, TimedRecv):
                     deadline = time.monotonic() \
                         + request.timeout * self.tick_s
@@ -306,7 +328,8 @@ class WorkerContext:
                 else:
                     raise ProtocolError(
                         f"rank {self.rank} yielded {request!r}; rank "
-                        f"programs may only yield RECV or recv_within(...)")
+                        f"programs may only yield RECV, POLL or "
+                        f"recv_within(...)")
                 try:
                     pkt = self._recv(deadline)
                 except TimeoutError as exc:

@@ -12,15 +12,17 @@ multiprocessing backend (:mod:`repro.runtime.parallel`) drive *the same
 code* — the strongest possible guarantee that the two backends compute
 the same schedule.
 
-The generator yields :data:`~repro.runtime.transport.RECV` and is resumed
-with :class:`~repro.runtime.transport.Packet` objects; it never touches a
+The generator yields :data:`~repro.runtime.transport.RECV` (block for the
+next message) and :data:`~repro.runtime.transport.POLL` (take the next
+message already buffered, or None) and is resumed with
+:class:`~repro.runtime.transport.Packet` objects; it never touches a
 transport beyond the injected ``send``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from ..obs import RuntimeTracer
 from .grid import RankGrid
 from .stage import PipelineStage
 from .tp import TPComm
-from .transport import RECV
+from .transport import POLL, RECV
 
 __all__ = ["TAG_FWD", "TAG_BWD", "inter_layer_step", "traced_passes"]
 
@@ -44,34 +46,44 @@ def traced_passes(stage: PipelineStage, rank: int,
                   tp: Optional[TPComm] = None) -> Tuple[Callable, Callable]:
     """``(forward, backward)`` of ``stage`` as a walk calls them —
     Algorithm 2's here and a static schedule's
-    (:func:`repro.sched.compile.lower_rank`) alike.  When tracing, each
-    call is a ``fwd{mb}`` / ``bwd{mb}`` compute span on ``rank`` (the
-    performance model's event names); with ``tp`` (this rank leads a
-    tensor-parallel group) every forward then carries the group's weight
-    all-gather and every backward its gradient reduce-scatter."""
+    (:func:`repro.sched.compile.lower_rank`) alike; both take a group of
+    microbatches.  When tracing, each call is one compute span on
+    ``rank`` carrying ``microbatches`` and ``width``, named
+    ``fwd{mb}`` / ``bwd{mb}`` for a group of one (the performance
+    model's event names) and ``fwd{a}+{b}+…`` for a wider group; with
+    ``tp`` (this rank leads a tensor-parallel group) every forward then
+    carries the group's weight all-gather and every backward its
+    gradient reduce-scatter, one per microbatch."""
     fwd, bwd = stage.forward, stage.backward
     if tracer is not None and tracer.enabled:
-        def fwd(mb, *args, **kwargs):
-            with tracer.span(rank, "compute", f"fwd{mb}", category="compute",
-                             microbatch=mb, stage=stage.stage_index):
-                return stage.forward(mb, *args, **kwargs)
+        def span(kind: str, mbs: Sequence[int]):
+            return tracer.span(rank, "compute",
+                               kind + "+".join(map(str, mbs)),
+                               category="compute", microbatch=mbs[0],
+                               stage=stage.stage_index,
+                               microbatches=tuple(mbs), width=len(mbs))
 
-        def bwd(mb, *args):
-            with tracer.span(rank, "compute", f"bwd{mb}", category="compute",
-                             microbatch=mb, stage=stage.stage_index):
-                return stage.backward(mb, *args)
+        def fwd(mbs, *args, **kwargs):
+            with span("fwd", mbs):
+                return stage.forward(mbs, *args, **kwargs)
+
+        def bwd(mbs, *args):
+            with span("bwd", mbs):
+                return stage.backward(mbs, *args)
 
     if tp is not None and tp.peers:
         base_fwd, base_bwd = fwd, bwd
 
-        def fwd(mb, *args, **kwargs):
-            out = base_fwd(mb, *args, **kwargs)
-            tp.emit_weights(mb)
+        def fwd(mbs, *args, **kwargs):
+            out = base_fwd(mbs, *args, **kwargs)
+            for mb in mbs:
+                tp.emit_weights(mb)
             return out
 
-        def bwd(mb, *args):
-            g = base_bwd(mb, *args)
-            tp.emit_grads(mb)
+        def bwd(mbs, *args):
+            g = base_bwd(mbs, *args)
+            for mb in mbs:
+                tp.emit_grads(mb)
             return g
 
     return fwd, bwd
@@ -92,6 +104,15 @@ def inter_layer_step(rank: int, grid: RankGrid, stage: PipelineStage,
     the generator in per-channel FIFO order — everything else about the
     schedule is decided here, identically on every backend.
 
+    Each wake-up blocks once (``yield RECV``), then drains whatever else
+    is already buffered (``yield POLL`` until None) and runs it as
+    groups: the ready gradients as backward passes — one per run of
+    consecutive members of one forward group, since the rest of a group
+    may still be on the wire — then the ready activations as one forward
+    pass.  The width is whatever has arrived: nothing waits for a group
+    to fill.  The first stage injects as many fresh microbatches as it
+    just retired, one pass each (see ``inject``).
+
     With ``tp`` (a :class:`~repro.runtime.tp.TPComm`; ``g_intra > 1``),
     this rank is its tensor-parallel group's *lead*: each forward also
     emits the group's weight all-gather, each backward the gradient
@@ -104,37 +125,51 @@ def inter_layer_step(rank: int, grid: RankGrid, stage: PipelineStage,
     queue = deque(range(m))  # microbatch ids still to inject
     divisor = float(total_microbatches)
 
-    def inputs_of(mb: int) -> np.ndarray:
-        return microbatches[mb][0]
-
-    def targets_of(mb: int) -> np.ndarray:
-        return microbatches[mb][1]
+    def targets_of(mbs: Sequence[int]) -> List[np.ndarray]:
+        return [microbatches[mb][1] for mb in mbs]
 
     fwd, bwd = traced_passes(stage, rank, tracer, tp)
     tp_acks = 0 if tp is None else m * tp.acks_per_microbatch
 
-    # Degenerate pipeline: a single stage runs everything locally; with a
+    # Degenerate pipeline: a single stage runs everything locally, one
+    # microbatch at a time (nothing arrives to group); with a
     # tensor-parallel group the lead still drains the followers' acks.
     if grid.g_inter == 1:
         for mb in queue:
-            fwd(mb, inputs_of(mb), targets=targets_of(mb),
+            fwd([mb], [microbatches[mb][0]], targets=targets_of([mb]),
                 loss_divisor=divisor, loss_scale=loss_scale)
-            bwd(mb)
+            bwd([mb])
         for _ in range(tp_acks):
             pkt = yield RECV
             if not tp.absorbs(pkt):  # pragma: no cover - defensive
                 raise RuntimeError(
                     f"rank {rank} received unexpected packet {pkt}")
         return
-        yield  # pragma: no cover - makes this function a generator
+
+    # microbatch -> (its forward group's id, its place in the group)
+    member: Dict[int, Tuple[int, int]] = {}
+
+    def forward(mbs: List[int], xs: Sequence[np.ndarray]) -> None:
+        """A non-last stage's forward group, its outputs sent on."""
+        for i, mb in enumerate(mbs):
+            member[mb] = (mbs[0], i)
+        outs = fwd(mbs, xs)
+        for mb, out in zip(mbs, outs):
+            send(next_rank, TAG_FWD, mb, out)
+
+    def inject(k: int) -> None:
+        """The first stage starts the next ``k`` fresh microbatches, one
+        pass each: nothing arrived for them, so there is no group to take,
+        and each is sent on as soon as it exists — a group would hold the
+        first back until the last was done, while the next stage idles."""
+        for _ in range(min(k, len(queue))):
+            mb = queue.popleft()
+            forward([mb], [microbatches[mb][0]])
 
     # Warm-up (lines 3-9): the first stage injects pipeline_limit
     # microbatches.
     if grid.is_first_stage(rank):
-        for _ in range(min(pipeline_limit, m)):
-            mb = queue.popleft()
-            out = fwd(mb, inputs_of(mb))
-            send(next_rank, TAG_FWD, mb, out)
+        inject(pipeline_limit)
 
     # Expected message count: every stage processes m forward and m
     # backward passes; each non-boundary arrival is a message.
@@ -145,34 +180,59 @@ def inter_layer_step(rank: int, grid: RankGrid, stage: PipelineStage,
         expected += m  # output gradients from downstream
     expected += tp_acks  # intra-group acknowledgements
 
-    # Steady state (lines 11-31): message-driven dispatch.
+    # Steady state (lines 11-31): message-driven dispatch over what has
+    # arrived.
     received = 0
     while received < expected:
         pkt = yield RECV
-        received += 1
-        if pkt.src == prev_rank and pkt.tag == TAG_FWD:
-            mb = pkt.microbatch
-            if grid.is_last_stage(rank):
-                fwd(mb, pkt.data, targets=targets_of(mb),
-                    loss_divisor=divisor, loss_scale=loss_scale)
-                grad_in = bwd(mb)  # BACKWARD(1), line 16
-                send(prev_rank, TAG_BWD, mb, grad_in)
-            else:
-                out = fwd(mb, pkt.data)
-                send(next_rank, TAG_FWD, mb, out)
-        elif pkt.src == next_rank and pkt.tag == TAG_BWD:
-            mb = pkt.microbatch
-            grad_in = bwd(mb, pkt.data)
-            if grid.is_first_stage(rank):
-                if queue:  # inject a fresh microbatch (lines 23-26)
-                    nxt = queue.popleft()
-                    out = fwd(nxt, inputs_of(nxt))
-                    send(next_rank, TAG_FWD, nxt, out)
-            else:
-                send(prev_rank, TAG_BWD, mb, grad_in)
-        elif tp is not None and tp.absorbs(pkt):
-            pass  # intra-group acknowledgement; already counted
-        else:  # pragma: no cover - defensive
-            raise RuntimeError(
-                f"rank {rank} received unexpected packet {pkt}"
-            )
+        acts: List = []
+        grads: List = []
+        while pkt is not None:
+            received += 1
+            if pkt.src == prev_rank and pkt.tag == TAG_FWD:
+                acts.append(pkt)
+            elif pkt.src == next_rank and pkt.tag == TAG_BWD:
+                grads.append(pkt)
+            elif tp is not None and tp.absorbs(pkt):
+                pass  # intra-group acknowledgement; already counted
+            else:  # pragma: no cover - defensive
+                raise RuntimeError(
+                    f"rank {rank} received unexpected packet {pkt}")
+            pkt = yield POLL
+        for run in _backward_runs(grads, member):
+            mbs = [p.microbatch for p in run]
+            grad_in = bwd(mbs, [p.data for p in run])
+            if prev_rank is not None:
+                for mb, g in zip(mbs, grad_in):
+                    send(prev_rank, TAG_BWD, mb, g)
+        if grads and prev_rank is None:
+            inject(len(grads))  # lines 23-26
+        if not acts:
+            continue
+        mbs = [p.microbatch for p in acts]
+        xs = [p.data for p in acts]
+        if next_rank is None:
+            fwd(mbs, xs, targets=targets_of(mbs), loss_divisor=divisor,
+                loss_scale=loss_scale)
+            grad_in = bwd(mbs)  # BACKWARD(1), line 16
+            for mb, g in zip(mbs, grad_in):
+                send(prev_rank, TAG_BWD, mb, g)
+        else:
+            forward(mbs, xs)
+
+
+def _backward_runs(grads: List, member: Dict[int, Tuple[int, int]]
+                   ) -> List[List]:
+    """Split arrived gradient packets, in arrival order, into runs of
+    consecutive members of one forward group — what one backward pass
+    may cover."""
+    runs: List[List] = []
+    last = None
+    for pkt in grads:
+        group, place = member.pop(pkt.microbatch)
+        if last == (group, place - 1):
+            runs[-1].append(pkt)
+        else:
+            runs.append([pkt])
+        last = (group, place)
+    return runs

@@ -1,16 +1,19 @@
 """A pipeline stage: one rank's contiguous shard of the network.
 
 Implements the ``nn_shard`` object of Algorithms 1-2: the stage owns its
-layer modules, runs forward passes keeping the boundary tensors alive per
+layer modules, runs forward passes keeping what the backward needs per
 in-flight microbatch, and runs backward passes that (a) accumulate parameter
 gradients and (b) produce the gradient w.r.t. the stage input to send
 upstream.  The final stage additionally computes the loss (pre-divided by
 the total number of microbatches in the batch — the paper's overflow guard
 that also makes the accumulated gradient an exact full-batch mean).
 
-Activation checkpointing (Section V-A) is applied *inside* the stage via
-:class:`~repro.nn.checkpoint.CheckpointedStack` with the ``ac = sqrt(N)``
-interval rule.
+A pass runs a group of microbatches through each layer's
+``group_forward`` / ``group_backward`` pair (the block kernel of
+:func:`~repro.nn.functional.block_forward`), with no autograd graph.
+Activation checkpointing (Section V-A) is applied *inside* the stage with
+the ``ac = sqrt(N)`` interval rule: a checkpointed segment keeps only its
+group's input and replays the whole group in backward.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn import (Block, GPTConfig, GPTEmbedding, LayerKVCache, Module,
-                  Tensor, build_layer, no_grad, num_layer_slots)
-from ..nn.checkpoint import CheckpointedStack, optimal_checkpoint_interval
+from ..nn import (Block, Dropout, GPTConfig, GPTEmbedding, LayerKVCache,
+                  Module, Tensor, build_layer, no_grad, num_layer_slots)
+from ..nn.checkpoint import optimal_checkpoint_interval
 
 __all__ = ["partition_layers", "PipelineStage", "ChunkedShard", "build_shard",
            "InferenceStage"]
@@ -47,7 +50,17 @@ def partition_layers(n_slots: int, g_inter: int) -> List[Tuple[int, int]]:
 
 
 class PipelineStage:
-    """One rank's ``nn_shard``."""
+    """One rank's ``nn_shard``.
+
+    :meth:`forward` and :meth:`backward` take a *group* of microbatches,
+    the way :meth:`InferenceStage.forward` takes a group of requests: one
+    pass of the stage's layers over the members stacked on a new leading
+    axis (DESIGN.md section 9), each member computing bit for bit what a
+    group of one computes.  A width-1 group is the only per-microbatch
+    path.  The stash keeps the member axis, so a backward may cover any
+    run of consecutive members of one forward group — the rest of the
+    group's gradients may still be on the wire.
+    """
 
     def __init__(self, cfg: GPTConfig, stage_index: int, g_inter: int,
                  checkpoint_activations: bool = False):
@@ -67,18 +80,34 @@ class PipelineStage:
         # embedding/head are cheap); interval from the paper's sqrt rule.
         self._blocks_start = 1 if self.is_first else 0
         self._blocks_end = len(self.layers) - (1 if self.is_last else 0)
-        blocks = self.layers[self._blocks_start:self._blocks_end]
-        if checkpoint_activations and blocks:
-            interval = optimal_checkpoint_interval(cfg.n_layer, len(blocks))
-            self._block_runner: Optional[CheckpointedStack] = \
-                CheckpointedStack(blocks, interval)
-        else:
-            self._block_runner = None
+        n_blocks = self._blocks_end - self._blocks_start
+        self._interval = optimal_checkpoint_interval(cfg.n_layer, n_blocks) \
+            if checkpoint_activations and n_blocks else 0
+        self._plan_runs()
 
-        #: per-microbatch saved boundary tensors: mb -> (input, output)
-        self._inflight: Dict[int, Tuple[Optional[Tensor], Tensor]] = {}
+        #: microbatch -> the forward group whose stash holds it
+        self._inflight: Dict[int, _Group] = {}
         #: per-microbatch loss value (last stage only)
         self.microbatch_losses: Dict[int, float] = {}
+
+    def _plan_runs(self) -> None:
+        """Split the layers before the head into runs: the embedding, then
+        the blocks — one plain run, or checkpointed segments of
+        ``interval`` blocks, each with the dropout streams its replay
+        rewinds (Section V-A)."""
+        body = self.layers[:self._blocks_end]
+        blocks = body[self._blocks_start:]
+        runs: List[Tuple[List[Module], Optional[list]]] = [
+            (body[:self._blocks_start], None)]
+        if self._interval:
+            for i in range(0, len(blocks), self._interval):
+                segment = blocks[i:i + self._interval]
+                runs.append((segment, [m.rng for layer in segment
+                                       for m in layer.modules()
+                                       if isinstance(m, Dropout)]))
+        else:
+            runs.append((blocks, None))
+        self._runs = [(layers, rngs) for layers, rngs in runs if layers]
 
     # -- introspection -----------------------------------------------------
     def parameters(self):
@@ -114,90 +143,134 @@ class PipelineStage:
         self.microbatch_losses.clear()
 
     # -- execution ------------------------------------------------------------
-    def _run_layers(self, x):
-        # leading non-block layer (embedding)
-        for layer in self.layers[:self._blocks_start]:
-            x = layer(x)
-        if self._block_runner is not None:
-            x = self._block_runner(x)
-        else:
-            for layer in self.layers[self._blocks_start:self._blocks_end]:
-                x = layer(x)
-        for layer in self.layers[self._blocks_end:]:
-            if self.is_last:
-                break  # the head is applied inside forward() with targets
-            x = layer(x)
-        return x
-
-    def forward(self, microbatch: int, data: np.ndarray,
-                targets: Optional[np.ndarray] = None,
+    def forward(self, microbatches: Sequence[int], xs: Sequence[np.ndarray],
+                targets: Optional[Sequence[np.ndarray]] = None,
                 loss_divisor: float = 1.0,
                 loss_scale: float = 1.0) -> np.ndarray:
-        """Run this stage's forward pass for one microbatch.
+        """Run this stage's forward pass for the group ``microbatches``;
+        ``xs[i]`` is microbatch ``microbatches[i]``'s input.
 
-        * first stage: ``data`` is the integer token array;
-        * other stages: ``data`` is the boundary activation from upstream.
-        * last stage: requires ``targets``; computes the (pre-divided) loss,
-          records its value, and returns nothing to forward further.
+        * first stage: ``xs`` are integer token arrays;
+        * other stages: ``xs`` are boundary activations from upstream;
+        * last stage: requires ``targets`` (one per member); computes each
+          member's loss (pre-divided by ``loss_divisor``, times the
+          mixed-precision ``loss_scale``) and records its value.
 
-        Returns the boundary activation to send downstream (or the loss
-        value array for the last stage, kept for symmetric bookkeeping).
+        Returns the member-stacked boundary activations to send
+        downstream — row ``i`` for ``microbatches[i]`` — or, on the last
+        stage, the ``(k,)`` scaled losses.
         """
-        if microbatch in self._inflight:
-            raise RuntimeError(
-                f"microbatch {microbatch} already in flight on stage "
-                f"{self.stage_index}"
-            )
+        mbs = list(microbatches)
+        if not mbs or len(xs) != len(mbs) or len(set(mbs)) != len(mbs):
+            raise ValueError(f"a group is one input each for distinct "
+                             f"microbatches, got {len(xs)} for {mbs}")
+        for mb in mbs:
+            if mb in self._inflight:
+                raise RuntimeError(f"microbatch {mb} already in flight on "
+                                   f"stage {self.stage_index}")
+        if self.is_last and targets is None:
+            raise ValueError("last stage forward requires targets")
         if self.is_first:
-            x_in: Optional[Tensor] = None
-            x = np.asarray(data)
+            x = np.stack(xs)
         else:
-            x_in = Tensor(np.asarray(data, dtype=np.float32),
-                          requires_grad=True)
-            x = x_in
-
-        out = self._run_layers(x)
-
+            x = np.stack(xs).astype(np.float32, copy=False)
+        group = _Group(mbs)
+        for layers, rngs in self._runs:
+            if rngs is not None:  # checkpointed: keep the input only
+                group.saved.append(
+                    (x, [rng.bit_generator.state for rng in rngs]))
+                for layer in layers:
+                    x, _ = layer.group_forward(x, save=False)
+            else:
+                ctxs = []
+                for layer in layers:
+                    x, ctx = layer.group_forward(x)
+                    ctxs.append(ctx)
+                group.saved.append(ctxs)
         if self.is_last:
-            if targets is None:
-                raise ValueError("last stage forward requires targets")
-            head = self.layers[-1]
             # Pre-divide by the total microbatch count (Section IV-B) and
             # apply the mixed-precision loss scale (Section II-A).
-            loss = head.loss(out, targets) * (loss_scale / loss_divisor)
-            self.microbatch_losses[microbatch] = \
-                loss.item() * loss_divisor / loss_scale
-            self._inflight[microbatch] = (x_in, loss)
-            return loss.data
-        self._inflight[microbatch] = (x_in, out)
-        return out.data
+            x, group.head = self.layers[-1].group_loss(
+                x, np.stack(targets), loss_scale / loss_divisor)
+            for mb, loss in zip(mbs, x):
+                self.microbatch_losses[mb] = \
+                    float(loss) * loss_divisor / loss_scale
+        for mb in mbs:
+            self._inflight[mb] = group
+        return x
 
-    def backward(self, microbatch: int,
-                 grad: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
-        """Run this stage's backward pass for one microbatch.
+    def backward(self, microbatches: Sequence[int],
+                 grads: Optional[Sequence[np.ndarray]] = None
+                 ) -> Optional[np.ndarray]:
+        """Run this stage's backward pass for ``microbatches``, a run of
+        consecutive members of one forward group.
 
-        ``grad`` is the gradient w.r.t. this stage's output (None for the
-        last stage, whose root is the scalar loss — Algorithm 2's
-        ``BACKWARD(1)``).  Returns the gradient w.r.t. the stage input, or
-        None for the first stage.
+        ``grads`` are the gradients w.r.t. their outputs (None on the last
+        stage, whose roots are the scalar losses — Algorithm 2's
+        ``BACKWARD(1)``).  Parameter gradients are added member by member,
+        in order.  Returns the member-stacked gradients w.r.t. the stage
+        inputs, or None on the first stage.
         """
-        if microbatch not in self._inflight:
+        mbs = list(microbatches)
+        group = self._inflight.get(mbs[0]) if mbs else None
+        if group is None:
+            raise RuntimeError(f"backward for unknown microbatch "
+                               f"{mbs[:1]} on stage {self.stage_index}")
+        start = group.mbs.index(mbs[0])
+        if group.mbs[start:start + len(mbs)] != mbs:
             raise RuntimeError(
-                f"backward for unknown microbatch {microbatch} on stage "
-                f"{self.stage_index}"
-            )
-        x_in, out = self._inflight.pop(microbatch)
+                f"backward for {mbs} on stage {self.stage_index}: a pass "
+                f"covers consecutive members of one forward group "
+                f"({group.mbs})")
+        members = slice(start, start + len(mbs))
         if self.is_last:
-            out.backward()  # scalar loss
+            g = self.layers[-1].group_backward(group.head, members)
+        elif grads is None:
+            raise ValueError("non-last stage backward requires a gradient")
         else:
-            if grad is None:
-                raise ValueError("non-last stage backward requires a gradient")
-            out.backward(np.asarray(grad, dtype=np.float32))
-        if x_in is None:
-            return None
-        g = x_in.grad
-        x_in.zero_grad()
+            g = np.stack(grads).astype(np.float32, copy=False)
+        for (layers, rngs), saved in zip(reversed(self._runs),
+                                         reversed(group.saved)):
+            if rngs is not None:
+                saved = self._replay(layers, rngs, *saved)
+            for layer, ctx in zip(reversed(layers), reversed(saved)):
+                g = layer.group_backward(ctx, members, g)
+        for mb in mbs:
+            del self._inflight[mb]
         return g
+
+    @staticmethod
+    def _replay(layers, rngs, x, states) -> list:
+        """Re-run a checkpointed segment over its whole group with the
+        dropout streams rewound to where its forward found them, so the
+        masks match the activations already sent on; the states the
+        replay found (later passes may have advanced the streams) are put
+        back after it."""
+        current = [rng.bit_generator.state for rng in rngs]
+        for rng, state in zip(rngs, states):
+            rng.bit_generator.state = state
+        try:
+            saved = []
+            for layer in layers:
+                x, ctx = layer.group_forward(x)
+                saved.append(ctx)
+        finally:
+            for rng, state in zip(rngs, current):
+                rng.bit_generator.state = state
+        return saved
+
+
+class _Group:
+    """One forward pass's stash: its microbatches in member order and, per
+    run of layers, what the backward needs (a checkpointed run: its
+    input and dropout states), every array member-stacked."""
+
+    __slots__ = ("mbs", "saved", "head")
+
+    def __init__(self, mbs: List[int]):
+        self.mbs = mbs
+        self.saved: list = []
+        self.head = None
 
 
 class ChunkedShard:

@@ -17,18 +17,18 @@ in :mod:`repro.baselines.intra_layer` as the comparison baseline) cannot
 deliver that: float addition is non-associative, so the re-associated
 reduction drifts by ~1e-6 from the dense GEMM.  What *is* bit-exact is
 concatenation: ``np.concatenate`` of contiguous row/column slices
-reproduces the dense array bytewise, and :func:`~repro.nn.functional.concat`'s
-backward slices the upstream gradient into exact per-shard pieces.
+reproduces the dense array bytewise, and slicing the dense gradient gives
+exact per-shard pieces.
 
 So the tensor-parallel stage stores genuinely sharded parameters —
 separate :class:`~repro.nn.modules.Parameter` objects per (matrix part,
 group member) following the 4D paper's row/column split — but each
 forward **reassembles the dense weight with one concat and runs exactly
-the dense code path** (:func:`~repro.nn.functional.transformer_block`,
-the kernel a dense ``Block`` calls), reusing the dense stage's LayerNorm
-and Dropout module objects so the RNG streams advance identically.  Gradients flow
-through the concat back onto the shards as exact dense slices, and AdamW
-is elementwise, so shard updates equal dense updates bit for bit.
+the dense code path** (:func:`~repro.nn.functional.block_forward`, the
+kernel a dense ``Block`` runs), reusing the dense stage's LayerNorm and
+Dropout module objects so the RNG streams advance identically.  The
+dense gradients are sliced back onto the shards, and AdamW is
+elementwise, so shard updates equal dense updates bit for bit.
 
 Lead-compute protocol
 ---------------------
@@ -199,22 +199,44 @@ class TPBlock(Module):
         self.ln2 = dense.ln2
         self.mlp = ShardedMLP(dense.mlp, g_intra)
 
-    def forward(self, x, caches=None):
-        """The dense block kernel on the reassembled weights: one concat
-        per sharded matrix, whose backward slices the kernel's dense
-        gradient into exact per-shard pieces."""
-        if caches is not None:
-            raise RuntimeError("tensor-parallel blocks are training-only")
+    def _parts(self):
+        """The dense block's twelve weights in the kernel's order, each as
+        (its pieces, the axis they concatenate along): a sharded matrix's
+        per-member shards, or a replicated parameter alone."""
         attn, mlp = self.attn, self.mlp
-        return F.transformer_block(
-            x, self.ln1.weight, self.ln1.bias,
-            F.concat([p for part in attn._qkv_w for p in part], axis=0),
-            F.concat([p for part in attn._qkv_b for p in part], axis=0),
-            F.concat(attn.proj_w, axis=1), attn.proj_b,
-            self.ln2.weight, self.ln2.bias,
-            F.concat(mlp.fc_w, axis=0), F.concat(mlp.fc_b, axis=0),
-            F.concat(mlp.proj_w, axis=1), mlp.proj_b,
-            attn.cfg.n_head, attn._mask, attn.drop, mlp.drop)
+        return (((self.ln1.weight,), 0), ((self.ln1.bias,), 0),
+                ([p for part in attn._qkv_w for p in part], 0),
+                ([p for part in attn._qkv_b for p in part], 0),
+                (attn.proj_w, 1), ((attn.proj_b,), 0),
+                ((self.ln2.weight,), 0), ((self.ln2.bias,), 0),
+                (mlp.fc_w, 0), (mlp.fc_b, 0), (mlp.proj_w, 1),
+                ((mlp.proj_b,), 0))
+
+    def group_forward(self, x: np.ndarray, save: bool = True):
+        """The dense block kernel on the reassembled weights — one concat
+        per sharded matrix (see :meth:`Block.group_forward`)."""
+        weights = [pieces[0].data if len(pieces) == 1 else
+                   np.concatenate([p.data for p in pieces], axis=axis)
+                   for pieces, axis in self._parts()]
+        return F.block_forward(x, weights, self.attn.cfg.n_head,
+                               self.attn._mask, self.attn.drop,
+                               self.mlp.drop, save=save)
+
+    def group_backward(self, saved, members: slice,
+                       g: np.ndarray) -> np.ndarray:
+        """The kernel's dense gradients sliced into exact per-shard pieces,
+        added member by member."""
+        dx, grads = F.block_backward(g, saved, members)
+        for (pieces, axis), grad in zip(self._parts(), grads):
+            offset = 0
+            for p in pieces:
+                size = p.shape[axis]
+                cut = (slice(None),) * (axis + 1) + (
+                    slice(offset, offset + size),)
+                for member in grad[cut]:
+                    p._accumulate(member)
+                offset += size
+        return dx
 
     def shard_params(self, t: int) -> List[Parameter]:
         return self.attn.shard_params(t) + self.mlp.shard_params(t)
@@ -251,6 +273,7 @@ class TensorParallelStage(PipelineStage):
         self.g_intra = g_intra
         for idx in range(self._blocks_start, self._blocks_end):
             self.layers[idx] = TPBlock(self.layers[idx], g_intra)
+        self._plan_runs()
 
     def _tp_blocks(self) -> List[TPBlock]:
         return [layer for layer in self.layers if isinstance(layer, TPBlock)]

@@ -13,10 +13,15 @@ scheduling is round-robin and delivery deterministic, an entire parallel
 training run is bit-reproducible — which the serial-vs-parallel equivalence
 tests rely on.
 
+A program may also ``yield POLL`` — a receive that never blocks: it
+resumes with the next packet already in its inbox, or with None.  That is
+how Algorithm 2 learns what has arrived while it computed.
+
 Protocol misuse raises :class:`~repro.analysis.protocol.ProtocolError`:
-yielding anything but :data:`RECV` / :func:`recv_within`, or (with the
-default ``strict=True``) finishing a run with undelivered packets rotting
-in an inbox.  Deadlock (every live rank blocked on an empty inbox) raises
+yielding anything but :data:`RECV` / :data:`POLL` / :func:`recv_within`,
+or (with the default ``strict=True``) finishing a run with undelivered
+packets rotting in an inbox.  Deadlock (every live rank blocked on an
+empty inbox) raises
 :class:`DeadlockError` with a wait-for-graph diagnosis: which rank waits on
 whom, plus the nearest unmatched sends.  Either way, all still-suspended
 generators are closed so a failing run never leaks rank programs
@@ -69,10 +74,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (resilience
     from ..resilience.faults import FaultInjector, RetryPolicy
 
 __all__ = ["BaseRankTransport", "Packet", "RankTransport", "DeadlockError",
-           "ProtocolError", "RankFailure", "RECV", "TimedRecv", "recv_within"]
+           "ProtocolError", "RankFailure", "RECV", "POLL", "TimedRecv",
+           "recv_within"]
 
 #: sentinel yielded by a rank program to request the next inbox message
 RECV = "recv"
+
+#: sentinel for a non-blocking receive (the MPI_Iprobe analogue): the
+#: program resumes with the next message already buffered for it, or with
+#: None — never waits
+POLL = "poll"
 
 #: sweeps a silent (crashed) rank survives before being declared failed
 DEFAULT_DETECT_TIMEOUT = 25
@@ -179,14 +190,16 @@ class BaseRankTransport(abc.ABC):
       FIFO per ``(src, dst)`` channel;
     * ``yield RECV`` blocks the program on its next message; ``yield
       recv_within(n)`` raises :class:`TimeoutError` *inside* the program
-      after ``n`` transport ticks without one;
+      after ``n`` transport ticks without one; ``yield POLL`` resumes at
+      once with the next message already buffered, or with None (a hit
+      is a receive like any other: recorded, traced, counted);
     * every live rank heartbeats once per scheduler sweep (cooperative)
       or receive-poll (process); a rank that stops beating — or whose OS
       process dies — raises :class:`RankFailure` naming the dead ranks;
     * with ``strict=True`` (default) a run that completes with
       undelivered packets raises :class:`ProtocolError` (orphan sends);
-    * any yield other than :data:`RECV` / :class:`TimedRecv` raises
-      :class:`ProtocolError`;
+    * any yield other than :data:`RECV` / :data:`POLL` /
+      :class:`TimedRecv` raises :class:`ProtocolError`;
     * pass ``recorder=`` to log every send/delivery for the protocol
       verifier; pass ``tracer=`` to emit p2p ObsSpans.
 
@@ -452,7 +465,8 @@ class RankTransport(BaseRankTransport):
         ``programs`` maps rank id -> generator.  The protocol: a program
         yields :data:`RECV` (or a :func:`recv_within` request) to wait for
         its next message; the yield expression evaluates to the
-        :class:`Packet`.  Any other yielded value raises
+        :class:`Packet`.  A :data:`POLL` is answered within the same
+        visit: the inbox head, or None.  Any other yielded value raises
         :class:`ProtocolError`.  On any error, deadlock, or detected rank
         failure, every still-suspended generator is closed before the
         exception propagates.
@@ -559,29 +573,29 @@ class RankTransport(BaseRankTransport):
                             progressed = True
                             break
                     else:
-                        packet = self.inboxes[rank].popleft()
                         waiting[rank] = False
                         deadlines.pop(rank, None)
-                        if self.recorder is not None:
-                            self.recorder.record_recv(
-                                rank, packet.src, packet.tag,
-                                packet.microbatch)
-                        if self.tracer is not None:
-                            self._trace_delivery(packet)
                         try:
-                            request = gen.send(packet)
+                            request = gen.send(self._take(rank))
                         except StopIteration:
                             self._retire(rank, live)
                             progressed = True
                             break
                 else:
                     break
+                try:
+                    while request == POLL:  # answered now, never waits
+                        request = gen.send(self._take(rank))
+                except StopIteration:
+                    self._retire(rank, live)
+                    progressed = True
+                    break
                 if isinstance(request, TimedRecv):
                     deadlines[rank] = self.tick + request.timeout
                 elif request != RECV:
                     raise ProtocolError(
                         f"rank {rank} yielded {request!r}; rank programs "
-                        f"may only yield RECV or recv_within(...)"
+                        f"may only yield RECV, POLL or recv_within(...)"
                     )
                 waiting[rank] = True
                 progressed = True
@@ -594,6 +608,19 @@ class RankTransport(BaseRankTransport):
                     break
                 # Loop again: the message may already be waiting.
         return progressed
+
+    def _take(self, rank: int) -> Optional[Packet]:
+        """Deliver the head of ``rank``'s inbox (None when it is empty),
+        recording the receive."""
+        if not self.inboxes[rank]:
+            return None
+        packet = self.inboxes[rank].popleft()
+        if self.recorder is not None:
+            self.recorder.record_recv(rank, packet.src, packet.tag,
+                                      packet.microbatch)
+        if self.tracer is not None:
+            self._trace_delivery(packet)
+        return packet
 
     def _retire(self, rank: int, live: Dict[int, Generator]) -> None:
         del live[rank]

@@ -97,10 +97,10 @@ def lower_rank(schedule: Schedule, grid: RankGrid, rank: int,
                 data = held.pop(("out", v - 1, mb))
             forward = passes[v][0]
             if v == last:
-                forward(mb, data, targets=microbatches[mb][1],
+                forward([mb], [data], targets=[microbatches[mb][1]],
                         loss_divisor=divisor, loss_scale=loss_scale)
             else:
-                held[("out", v, mb)] = forward(mb, data)
+                held[("out", v, mb)] = forward([mb], [data])[0]
         elif task.kind == SEND_ACT:
             send(grid.rank_of(schedule.placement(v + 1), j), tag("F", v + 1),
                  mb, held.pop(("out", v, mb)))
@@ -111,9 +111,9 @@ def lower_rank(schedule: Schedule, grid: RankGrid, rank: int,
                 grad = held.pop(("B", v, mb))
             else:
                 grad = held.pop(("gin", v + 1, mb))
-            grad_in = passes[v][1](mb, grad)
+            grad_in = passes[v][1]([mb], None if grad is None else [grad])
             if v > 0:
-                held[("gin", v, mb)] = grad_in
+                held[("gin", v, mb)] = grad_in[0]
         elif task.kind == SEND_GRAD:
             send(grid.rank_of(schedule.placement(v - 1), j), tag("B", v - 1),
                  mb, held.pop(("gin", v, mb)))

@@ -126,6 +126,16 @@ class TestREP002:
         """
         assert _codes(src) == []
 
+    def test_poll_is_a_valid_marker(self):
+        # Algorithm 2 drains its inbox with the non-blocking POLL.
+        src = """
+        def program(tr):
+            pkt = yield RECV
+            while pkt is not None:
+                pkt = yield POLL
+        """
+        assert _codes(src) == []
+
 
 class TestREP003:
     def test_unseeded_default_rng_flagged(self):

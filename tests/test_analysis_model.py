@@ -8,18 +8,23 @@ import pytest
 
 from repro.analysis import TraceRecorder, assert_clean
 from repro.analysis.model import (
+    CommModel,
     ModelError,
+    _SymbolicStage,
     axonn_model,
     builtin_models,
     check_model,
     compare_with_trace,
     deadlock_mutant_model,
     extract_skeleton,
+    full_group_mutant_model,
     scheduled_model,
     serve_model,
 )
 from repro.nn import GPTConfig, LMBatches, SyntheticCorpus
-from repro.runtime import AxoNNTrainer
+from repro.runtime import POLL, RECV, AxoNNTrainer, inter_layer_step
+from repro.runtime.grid import RankGrid
+from repro.runtime.rankprog import TAG_BWD
 from repro.sched import SCHEDULE_NAMES
 from repro.serve.engine import PipelineServer, Request
 
@@ -147,6 +152,75 @@ class TestDeadlockMutant:
         # extractor's sweep order; it must diagnose, not hang.
         with pytest.raises(ModelError, match="wait-for graph"):
             extract_skeleton(deadlock_mutant_model())
+
+
+def _tail(send, m, reverse=False, eager=False):
+    """A last stage that drains what has arrived (``yield POLL``) and
+    answers each forward with a backward: in reverse arrival order
+    (``reverse``), or as soon as each one is taken (``eager``)."""
+    done = 0
+    while done < m:
+        batch = [(yield RECV)]
+        while True:
+            if eager:
+                send(0, TAG_BWD, batch[-1].microbatch, None)
+            pkt = yield POLL
+            if pkt is None:
+                break
+            batch.append(pkt)
+        if not eager:
+            for pkt in (batch[::-1] if reverse else batch):
+                send(0, TAG_BWD, pkt.microbatch, None)
+        done += len(batch)
+
+
+def _drain_model(m, **tail):
+    """Algorithm 2's first stage over a hand-written last stage."""
+    grid = RankGrid(2, 1)
+
+    def make(capture):
+        head = inter_layer_step(
+            0, grid, _SymbolicStage(),
+            lambda dst, tag, mb, data: capture.send(0, dst, tag, mb, data),
+            [(None, None)] * m, m, 2)
+        return {0: head, 1: _tail(
+            lambda dst, tag, mb, data: capture.send(1, dst, tag, mb, data),
+            m, **tail)}
+
+    return CommModel("drain", 2, make)
+
+
+class TestPollChoicePoints:
+    """``yield POLL`` answers any deliverable channel head or None, so the
+    checker explores every way a rank's arrivals can be grouped."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_width_is_emergent_not_awaited(self, m):
+        """A first stage that awaits a full group of ``pipeline_limit``
+        gradients starves exactly when ``m % limit != 0``; Algorithm 2,
+        which runs what has arrived, is proved at every ``m``."""
+        mutant = check_model(full_group_mutant_model(2, m, 2))
+        if m % 2:
+            assert not mutant.deadlock_free
+            assert mutant.counterexample.stuck == [0]
+            assert mutant.counterexample.wait_for == {0: [1]}
+        else:
+            assert mutant.ok
+        assert check_model(axonn_model(2, 1, m, pipeline_limit=2)).ok
+
+    def test_drains_of_every_width_are_explored(self):
+        """Answering a group's forwards in reverse order agrees with the
+        one-at-a-time order only when no two arrive together: the checker
+        reaches a two-wide drain and refuses the model."""
+        assert check_model(_drain_model(2)).ok
+        with pytest.raises(ModelError, match="non-confluent"):
+            check_model(_drain_model(2, reverse=True))
+
+    def test_sending_mid_drain_is_refused(self):
+        """The drain reduction needs a drain to send nothing before its
+        None; a program that does is refused, not mis-verified."""
+        with pytest.raises(ModelError, match="sent while draining"):
+            check_model(_drain_model(2, eager=True))
 
 
 class Test4DTensorParallel:

@@ -137,6 +137,10 @@ def test_rep009_flags_blocking_call_in_flight():
     assert [i.code for i in issues] == ["REP009"]
     assert issues[0].line == 7
     assert "time.sleep" in issues[0].message
+    # A POLL is answered within the rank's own turn: it closes no window.
+    polled = _REP009_BAD.replace(
+        "    time.sleep(0.1)\n", "    yield POLL\n    time.sleep(0.1)\n")
+    assert [i.code for i in lint_source(polled, "prog.py")] == ["REP009"]
 
 
 def test_rep009_allows_blocking_outside_the_window():

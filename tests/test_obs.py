@@ -22,9 +22,11 @@ from repro.obs import (
     from_sim_span,
     from_sim_tracer,
     idle_breakdown,
+    member_events,
     message_volume,
     overlap_stats,
     overlap_time,
+    pass_widths,
     summarize,
     utilization_report,
     validate_span,
@@ -250,6 +252,29 @@ class TestReports:
     def test_summarize_empty(self):
         assert "empty" in summarize([])
 
+    @staticmethod
+    def _passes():
+        def grouped(rank, name, members):
+            return span(rank=rank, name=name, microbatch=members[0],
+                        meta=(("microbatches", members),
+                              ("width", len(members))))
+        return [grouped(0, "fwd0+1", (0, 1)), grouped(0, "bwd0", (0,)),
+                grouped(0, "bwd1", (1,)), grouped(1, "fwd0+1", (0, 1)),
+                grouped(1, "bwd0+1", (0, 1)), span(name="optimizer",
+                                                   category="optimizer")]
+
+    def test_pass_widths_histogram(self):
+        assert pass_widths(self._passes()) == {0: {1: 2, 2: 1}, 1: {2: 2}}
+        text = summarize(self._passes())
+        assert "pass widths" in text
+        assert "gpu0  1: 2, 2: 1" in text and "gpu1  2: 2" in text
+
+    def test_member_events_map_a_group_to_its_microbatches(self):
+        fwd, bwd = self._passes()[:2]
+        assert member_events(fwd) == ["fwd0", "fwd1"]
+        assert member_events(bwd) == ["bwd0"]
+        assert member_events(span(name="optimizer")) == ["optimizer"]
+
 
 class TestCrossSubstrate:
     """Both substrates, same 2x2 hybrid scenario, same event names."""
@@ -271,7 +296,12 @@ class TestCrossSubstrate:
         x = rng.integers(0, gcfg.vocab_size, size=(8, gcfg.seq_len))
         y = rng.integers(0, gcfg.vocab_size, size=(8, gcfg.seq_len))
         trainer.train_batch(x, y)
-        runtime_names = {s.name for s in tracer.spans}
+        # Algorithm 2 runs the microbatches that arrived together as one
+        # pass, one span (``fwd0+1``, microbatches=(0, 1)); the DES prices
+        # each member as its own ``fwd{mb}`` event.
+        assert any(s.with_meta().get("width", 1) > 1 for s in tracer.spans)
+        runtime_names = {name for s in tracer.spans
+                         for name in member_events(s)}
 
         assert runtime_names == sim_names
         # The names both sides agree on are the algorithm's phases.

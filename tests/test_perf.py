@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.nn import GPT, GPTConfig, Tensor, no_grad
+from repro.obs import RuntimeTracer, pass_widths
 from repro.perf import OpCounters, Timer, TimingStats, counters, counting, \
     time_fn
+from repro.runtime import AxoNNTrainer
 
 
 class TestCounters:
@@ -66,6 +68,29 @@ class TestCounters:
         assert snap["cross_entropy"] == 1
         assert snap["linear"] == 4 * cfg.n_layer + 1
         assert snap["graph_nodes"] > 0
+
+    def test_hybrid_step_runs_what_arrived_together_as_one_pass(self):
+        """The spine's 2x2 microbatch-1 step (8 microbatches per pipeline,
+        two in flight): each last stage takes the pair of activations that
+        arrive together as one stacked pass, so the step makes 408 fused
+        kernel calls where a pass per microbatch made 560 (the first
+        stage starts its fresh microbatches one pass each), and the
+        stages build no autograd graph."""
+        cfg = GPTConfig(vocab_size=64, seq_len=32, n_layer=4, n_head=4,
+                        hidden=64)
+        rng = np.random.default_rng(0)
+        x, y = rng.integers(0, cfg.vocab_size, (2, 16, cfg.seq_len))
+        tracer = RuntimeTracer()
+        trainer = AxoNNTrainer(cfg, g_inter=2, g_data=2, microbatch_size=1,
+                               tracer=tracer)
+        with counting():
+            trainer.train_batch(x, y)
+            snap = counters.snapshot()
+        assert snap.pop("graph_nodes", 0) == 0
+        assert sum(n for key, n in snap.items()
+                   if not key.startswith("tp.")) == 408
+        assert pass_widths(tracer.spans) == {
+            0: {1: 16}, 1: {2: 8}, 2: {1: 16}, 3: {2: 8}}
 
 
 class TestTimers:

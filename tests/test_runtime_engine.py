@@ -2,6 +2,8 @@
 pipeline mechanics, and the serial-vs-parallel equivalence that reproduces
 the paper's Fig. 10 validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,55 +68,96 @@ class TestPipelineStage:
     def test_forward_backward_single_stage(self):
         stage = PipelineStage(CFG, 0, 1)
         x, y = make_batch(4).batch(0)
-        stage.forward(0, x, targets=y, loss_divisor=1.0)
-        out_grad = stage.backward(0)
+        stage.forward([0], [x], targets=[y], loss_divisor=1.0)
+        out_grad = stage.backward([0])
         assert out_grad is None  # first stage has no upstream
         assert all(p.grad is not None for p in stage.parameters())
 
     def test_duplicate_microbatch_rejected(self):
         stage = PipelineStage(CFG, 0, 2)
         x, _ = make_batch(2).batch(0)
-        stage.forward(0, x)
+        stage.forward([0], [x])
         with pytest.raises(RuntimeError, match="already in flight"):
-            stage.forward(0, x)
+            stage.forward([0], [x])
 
     def test_backward_unknown_microbatch(self):
         stage = PipelineStage(CFG, 0, 2)
         with pytest.raises(RuntimeError, match="unknown microbatch"):
-            stage.backward(3, np.zeros(1))
+            stage.backward([3], [np.zeros(1)])
 
     def test_last_stage_requires_targets(self):
         stage = PipelineStage(CFG, 1, 2)
         act = np.zeros((2, CFG.seq_len, CFG.hidden), dtype=np.float32)
         with pytest.raises(ValueError, match="targets"):
-            stage.forward(0, act)
+            stage.forward([0], [act])
 
     def test_middle_stage_backward_requires_grad(self):
         stage = PipelineStage(CFG, 0, 2)
         x, _ = make_batch(2).batch(0)
-        stage.forward(0, x)
+        stage.forward([0], [x])
         with pytest.raises(ValueError, match="gradient"):
-            stage.backward(0, None)
+            stage.backward([0], None)
 
     def test_boundary_grad_shape(self):
         first = PipelineStage(CFG, 0, 2)
         last = PipelineStage(CFG, 1, 2)
         x, y = make_batch(2).batch(0)
-        act = first.forward(0, x)
-        last.forward(0, act, targets=y, loss_divisor=1.0)
-        gin = last.backward(0)
+        act = first.forward([0], [x])
+        last.forward([0], act, targets=[y], loss_divisor=1.0)
+        gin = last.backward([0])
         assert gin.shape == act.shape
+
+    @pytest.mark.parametrize("ckpt", [False, True])
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_backward_may_split_a_forward_group(self, index, ckpt):
+        """Forward {0, 1, 2} as one group, then backward {0} and {1, 2}:
+        bit for bit three width-1 passes — outputs, input gradients and
+        every ``p.grad`` — with dropout on, with and without activation
+        checkpointing.  A gradient may arrive without the rest of its
+        forward group, so the stash must hand out any run of members."""
+        cfg = dataclasses.replace(CFG, dropout=0.1)
+        x, y = make_batch(6, cfg=cfg).batch(0)
+        xs = [x[2 * i:2 * i + 2] for i in range(3)]
+        ys = [y[2 * i:2 * i + 2] for i in range(3)]
+        rng = np.random.default_rng(0)
+        act = (3, 2, cfg.seq_len, cfg.hidden)
+        last = index == 1
+        if last:
+            xs = list(rng.standard_normal(act).astype(np.float32))
+            grads = [None] * 3
+        else:
+            grads = list(rng.standard_normal(act).astype(np.float32))
+
+        def run(groups):
+            stage = PipelineStage(cfg, index, 2, checkpoint_activations=ckpt)
+            outs, gins = [], []
+            for mbs in groups[0]:
+                kw = dict(targets=[ys[i] for i in mbs], loss_divisor=3.0) \
+                    if last else {}
+                outs.extend(stage.forward(mbs, [xs[i] for i in mbs], **kw))
+            for mbs in groups[1]:
+                g = stage.backward(mbs, None if last else
+                                   [grads[i] for i in mbs])
+                gins.extend([None] * len(mbs) if g is None else g)
+            return outs, gins, [p.grad for p in stage.parameters()]
+
+        one = run(([[0], [1], [2]], [[0], [1], [2]]))
+        split = run(([[0, 1, 2]], [[0], [1, 2]]))
+        for want, got in zip(one, split):
+            assert len(want) == len(got)
+            for a, b in zip(want, got):
+                assert (a is None and b is None) or np.array_equal(a, b)
 
     def test_checkpointed_stage_matches_plain(self):
         x, y = make_batch(4).batch(0)
         plain = PipelineStage(CFG, 0, 1, checkpoint_activations=False)
         ckpt = PipelineStage(CFG, 0, 1, checkpoint_activations=True)
-        plain.forward(0, x, targets=y, loss_divisor=1.0)
-        ckpt.forward(0, x, targets=y, loss_divisor=1.0)
+        plain.forward([0], [x], targets=[y], loss_divisor=1.0)
+        ckpt.forward([0], [x], targets=[y], loss_divisor=1.0)
         assert plain.microbatch_losses[0] == pytest.approx(
             ckpt.microbatch_losses[0], rel=1e-5)
-        plain.backward(0)
-        ckpt.backward(0)
+        plain.backward([0])
+        ckpt.backward([0])
         for p1, p2 in zip(plain.parameters(), ckpt.parameters()):
             np.testing.assert_allclose(p1.grad, p2.grad, rtol=1e-4,
                                        atol=1e-6)

@@ -18,13 +18,14 @@ import time
 import numpy as np
 import pytest
 
+from repro.analysis import TraceRecorder
 from repro.nn import GPTConfig
 from repro.nn.blas import blas_threads, share_blas_threads
 from repro.obs import (RuntimeTracer, merge_rank_jsonl, read_spans_jsonl,
                        write_chrome_trace_multiprocess)
 from repro.resilience import Fault, FaultPlan, ResilientTrainer, RetryPolicy
-from repro.runtime import (RECV, AxoNNTrainer, ProcessTransport, ProgramSpec,
-                           RankFailure, RankTransport, ShmRing,
+from repro.runtime import (POLL, RECV, AxoNNTrainer, ProcessTransport,
+                           ProgramSpec, RankFailure, RankTransport, ShmRing,
                            ring_allreduce)
 from repro.runtime.parallel import _payload_ok
 from repro.runtime.shm import RingFull
@@ -42,6 +43,25 @@ def pingpong(rank, send, payload):
     pkt = yield RECV
     send(0, "pong", 0, pkt.data * 2)
     return None
+
+
+def poller(rank, send, n):
+    """Rank 0 sends ``n`` frames then waits for rank 1's tally; rank 1
+    blocks for the first frame and polls for the rest — a POLL that finds
+    the rings empty answers None, and rank 1 simply polls again."""
+    if rank == 0:
+        for mb in range(n):
+            send(1, "data", mb, np.float32(mb))
+        pkt = yield RECV
+        return pkt.data
+    pkt = yield RECV
+    got = [pkt.microbatch]
+    while len(got) < n:
+        pkt = yield POLL
+        if pkt is not None:
+            got.append(pkt.microbatch)
+    send(0, "tally", 0, np.asarray(got))
+    return got
 
 
 def compute_only(rank, send, value):
@@ -211,6 +231,23 @@ class TestProcessTransport:
             assert transport.messages_sent == 2
         finally:
             transport.close()
+
+    def test_poll_hits_are_receives(self):
+        """A worker answers POLL with one pass over its rings: a hit is a
+        receive like a blocking one — in channel order, recorded, traced
+        as a p2p span."""
+        recorder, tracer = TraceRecorder(), RuntimeTracer()
+        transport = ProcessTransport(2, recorder=recorder, tracer=tracer)
+        try:
+            results = transport.run({r: ProgramSpec(poller, 5)
+                                     for r in range(2)})
+        finally:
+            transport.close()
+        assert results[1] == [0, 1, 2, 3, 4]
+        np.testing.assert_array_equal(results[0], np.arange(5))
+        assert [e.microbatch for e in recorder.recvs() if e.rank == 1] == \
+            [0, 1, 2, 3, 4]
+        assert sum(s.category == "p2p" for s in tracer.spans) == 6
 
     def test_plain_function_programs(self):
         transport = ProcessTransport(3)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import (RECV, DeadlockError, Packet, ProtocolError,
+from repro.analysis import TraceRecorder
+from repro.runtime import (POLL, RECV, DeadlockError, Packet, ProtocolError,
                            RankGrid, RankTransport)
 
 
@@ -61,6 +62,33 @@ class TestTransport:
 
         tr.run({0: a(), 1: b()})
         assert log == [("b-got", "ping"), ("a-got", "pong")]
+
+    def test_poll_takes_what_has_arrived_and_never_waits(self):
+        """``yield POLL`` resumes in the same visit: with the next packet
+        already buffered (a receive like any other — recorded), or with
+        None.  Rank 1 polls before anything is sent, blocks for the first
+        packet, then drains the two behind it."""
+        recorder = TraceRecorder()
+        tr = RankTransport(2, recorder=recorder)
+        got = []
+
+        def sender():
+            pkt = yield RECV  # rank 1 has polled once by now
+            for mb in range(3):
+                tr.send(0, 1, "t", mb)
+
+        def drainer():
+            got.append((yield POLL))
+            tr.send(1, 0, "go", 0)
+            pkt = yield RECV
+            while pkt is not None:
+                got.append(pkt.microbatch)
+                pkt = yield POLL
+
+        tr.run({0: sender(), 1: drainer()})
+        assert got == [None, 0, 1, 2]
+        assert [e.microbatch for e in recorder.recvs()
+                if e.rank == 1] == [0, 1, 2]
 
     def test_deadlock_detected(self):
         tr = RankTransport(2)

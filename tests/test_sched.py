@@ -23,9 +23,9 @@ from repro.analysis import ProtocolError, TraceRecorder, assert_clean
 from repro.analysis.model import (check_model, extract_skeleton,
                                   scheduled_model)
 from repro.nn import GPTConfig, LMBatches, SyntheticCorpus
-from repro.obs import RuntimeTracer
+from repro.obs import RuntimeTracer, member_events
 from repro.resilience import (Fault, FaultInjector, FaultPlan,
-                              ResilientTrainer)
+                              ResilientTrainer, RetryPolicy)
 from repro.runtime import RECV, AxoNNTrainer, DeadlockError, RankTransport
 from repro.sched import (
     FWD,
@@ -347,25 +347,46 @@ class TestOneTrainer:
     def test_late_messages_move_the_clock_not_the_losses(self, schedule):
         batches = [make_batches().batch(i) for i in range(2)]
 
-        def run(plan):
-            trainer = AxoNNTrainer(self.WET, 2, 1, 2, schedule=schedule)
+        def run(plan, g_inter=2, **kwargs):
+            tracer = RuntimeTracer()
+            trainer = AxoNNTrainer(self.WET, g_inter, 1, 2, schedule=schedule,
+                                   tracer=tracer, **kwargs)
             nets = []
             if plan is not None:
                 def factory():
-                    nets.append(RankTransport(2, injector=FaultInjector(
-                        plan, step=len(nets))))
+                    nets.append(RankTransport(g_inter, injector=FaultInjector(
+                        plan, step=len(nets)), retry=RetryPolicy()))
                     return nets[-1]
                 trainer.transport_factory = factory
             losses = [trainer.train_batch(x, y).loss for x, y in batches]
-            return losses, [net.tick for net in nets]
+            return losses, [net.tick for net in nets], tracer.spans
 
-        losses, _ = run(None)
-        on_time_losses, on_time = run(FaultPlan.of())
-        late_losses, late = run(FaultPlan.of(
+        losses, _, _ = run(None)
+        on_time_losses, on_time, _ = run(FaultPlan.of())
+        late_losses, late, _ = run(FaultPlan.of(
             Fault("straggler", rank=0, ticks=3),
             Fault("delay", src=1, dst=0, ticks=2)))
         assert late_losses == on_time_losses == losses  # exact
         assert all(a > b for a, b in zip(late, on_time))
+        if schedule is not None:
+            return
+        # A delay moves a whole group (its members are sent in one visit),
+        # so the split comes from one late packet: the middle stage of a
+        # 3-deep pipeline, whose forward groups are pairs, loses its first
+        # gradient once and gets it resent behind its group mate.  The walk
+        # runs the half that arrived, and still agrees exactly.
+        split_losses, _, spans = run(FaultPlan.of(
+            Fault("drop", src=2, dst=1, step=0)), g_inter=3,
+            pipeline_limit=2)
+        assert split_losses == losses
+
+        def passes(kind):
+            return [s for s in spans
+                    if s.rank == 1 and s.name.startswith(kind)]
+        group = {mb: s.with_meta()["width"] for s in passes("fwd")
+                 for mb in s.with_meta()["microbatches"]}
+        assert any(s.with_meta()["width"] < group[s.microbatch]
+                   for s in passes("bwd"))
 
     @pytest.mark.parametrize("g_inter", [2, 4])
     @pytest.mark.parametrize("schedule", SCHEDULE_NAMES)
@@ -391,8 +412,10 @@ class TestOneTrainer:
     @pytest.mark.parametrize("backend", ["cooperative", "process"])
     def test_tracer_sees_the_same_compute_spans(self, backend):
         """A static order is traceable like Algorithm 2: the same
-        ``fwd{mb}`` / ``bwd{mb}`` compute spans per rank, in whatever
-        order, plus ``net`` spans for what crossed a boundary."""
+        ``fwd{mb}`` / ``bwd{mb}`` compute work per rank, in whatever
+        order — a grouped pass of Algorithm 2 is one span over its
+        members (``member_events``) — plus ``net`` spans for what crossed
+        a boundary."""
         x, y = make_batches().batch(0)
 
         def spans(schedule):
@@ -406,8 +429,9 @@ class TestOneTrainer:
             return tracer.spans
 
         def compute(spans):
-            return sorted((s.rank, s.stream, s.name) for s in spans
-                          if s.category == "compute")
+            return sorted((s.rank, s.stream, name) for s in spans
+                          if s.category == "compute"
+                          for name in member_events(s))
 
         static, driven = spans("1f1b"), spans(None)
         assert len(compute(static)) == 16  # 4 microbatches x fwd, bwd x 2
