@@ -84,7 +84,7 @@ breakage the test suite may not catch:
 
 * **REP011** — schedule code must emit IR, not hand-rolled rank loops.
   The schedules-as-data contract is that everything under a ``sched``
-  package is *data* (task tuples + dependency edges) consumed by the one
+  package is *data* (task tuples in per-rank programs) consumed by the one
   compiler in ``repro/sched/compile.py``: a builder that directly
   ``yield RECV``-drives a transport, or yields the flushing planes
   ``"F"`` / ``"B"``, has silently become a second compiler whose control

@@ -258,7 +258,6 @@ class AxoNNTrainer:
                 "pipeline_limit bounds the message-driven scheduler's "
                 "in-flight microbatches; a static schedule fixes its own")
         self._fixed_schedule: Optional[Schedule] = None
-        self._schedule_cache: Dict[int, Schedule] = {}
         if isinstance(schedule, Schedule):
             validate(schedule)
             if schedule.n_stages != g_inter:
@@ -298,12 +297,8 @@ class AxoNNTrainer:
                     f"{self._fixed_schedule.n_microbatches} microbatches "
                     f"per shard, this batch has {m}")
             return self._fixed_schedule
-        sched = self._schedule_cache.get(m)
-        if sched is None:
-            from ..sched.builders import build_schedule
-            sched = build_schedule(self.schedule_name, self.grid.g_inter, m)
-            self._schedule_cache[m] = sched
-        return sched
+        from ..sched.builders import build_schedule
+        return build_schedule(self.schedule_name, self.grid.g_inter, m)
 
     # -- the inter-layer phase's rank programs ----------------------------------
     def _rank_program(self, rank: int, transport: RankTransport,

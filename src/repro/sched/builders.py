@@ -23,10 +23,11 @@ checker then prove independently.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .ir import (BWD, FWD, RECV_ACT, RECV_GRAD, SEND_ACT, SEND_GRAD, W,
-                 Schedule, Task, required_deps, validate)
+                 Schedule, Task, validate)
 
 __all__ = ["SCHEDULE_NAMES", "build_schedule", "schedule_chunks",
            "flushing_order", "axonn_ir", "one_f_one_b_ir", "gpipe_ir",
@@ -37,15 +38,13 @@ def _expand_compute_order(name: str, n_stages: int, n_virtual: int,
                           n_microbatches: int,
                           compute_order: Sequence[Sequence[Task]],
                           activation_limit: Optional[int] = None,
-                          meta: Optional[Dict[str, object]] = None,
                           ) -> Schedule:
     """Attach the canonical comm tasks to per-rank *compute* orders.
 
     Every cross-rank FWD/BWD gets its RECV immediately before and its
     SEND immediately after — the shape of a hand-written flushing rank
     program, which is what keeps compiled 1F1B/GPipe on the golden
-    traces recorded from one.  Dependencies are materialized as the full
-    dataflow-required edge set.
+    traces recorded from one.
     """
     last = n_virtual - 1
 
@@ -76,9 +75,7 @@ def _expand_compute_order(name: str, n_stages: int, n_virtual: int,
     schedule = Schedule(
         name=name, n_stages=n_stages, n_virtual=n_virtual,
         n_microbatches=n_microbatches, rank_order=tuple(rank_order),
-        deps={}, activation_limit=activation_limit, meta=dict(meta or {}))
-    schedule.deps = {t: required_deps(schedule, t)
-                     for t in schedule.tasks()}
+        activation_limit=activation_limit)
     validate(schedule)
     return schedule
 
@@ -403,8 +400,7 @@ def interleaved_ir(n_stages: int, n_microbatches: int,
             order.append(bwd_step(r, j))
         orders.append(order)
     return _expand_compute_order(
-        "interleaved", S, V * S, m, orders, activation_limit=limit,
-        meta={"n_chunks": V})
+        "interleaved", S, V * S, m, orders, activation_limit=limit)
 
 
 def zero_bubble_ir(n_stages: int, n_microbatches: int) -> Schedule:
@@ -417,7 +413,7 @@ def zero_bubble_ir(n_stages: int, n_microbatches: int) -> Schedule:
         cap=lambda r: min(n_stages - r, n_microbatches))
     return _expand_compute_order(
         "zb-h1", n_stages, n_stages, n_microbatches, orders,
-        activation_limit=n_stages, meta={"split_w": True})
+        activation_limit=n_stages)
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +438,15 @@ def schedule_chunks(name: str) -> int:
     return 2 if name == "interleaved" else 1
 
 
+@functools.lru_cache(maxsize=8)
 def build_schedule(name: str, n_stages: int,
                    n_microbatches: int) -> Schedule:
-    """Build (and validate) a shipped schedule by name."""
+    """Build (and validate) a shipped schedule by name.
+
+    A schedule is an immutable value of its arguments, so the last few
+    built are shared: a sweep (the DES baselines across models, a
+    trainer across steps) builds each one once.
+    """
     try:
         builder = _BUILDERS[name]
     except KeyError:

@@ -1,13 +1,15 @@
 """The schedule IR: pipeline schedules as data.
 
 A :class:`Schedule` describes one inter-layer execution plan as plain
-data — per-(virtual stage, microbatch) typed tasks with explicit
-dependency edges plus a per-physical-rank execution order — instead of
-control flow baked into a trainer.  The same instance lowers to rank
-programs on both substrates (:mod:`repro.sched.compile`,
-:mod:`repro.sched.des`), can be perturbed and searched
-(:mod:`repro.sched.search`), and extracts a communication skeleton for
-the model checker (:func:`repro.analysis.model.scheduled_model`).
+data — per-(virtual stage, microbatch) typed tasks placed in a
+per-physical-rank execution order — instead of control flow baked into
+a trainer.  It stores no dependency edges: what a task needs follows
+from what it *means*, and :func:`required_deps` is that rule, written
+once.  The same instance lowers to rank programs on both substrates
+(:mod:`repro.sched.compile`, :mod:`repro.sched.des`), can be perturbed
+and searched (:mod:`repro.sched.search`), and extracts a communication
+skeleton for the model checker
+(:func:`repro.analysis.model.scheduled_model`).
 
 Task kinds (JaxPP-style, arXiv 2412.14374):
 
@@ -25,20 +27,22 @@ Task kinds (JaxPP-style, arXiv 2412.14374):
     where a stage boundary crosses ranks; a same-rank boundary
     (``n_stages == 1``) is a local handoff with a direct compute edge.
 
-The :func:`validate` pass rejects malformed DAGs **before anything
-runs**: unknown/misplaced/duplicated tasks, missing dataflow
-dependencies, dependency-or-program-order cycles, per-rank in-flight
-activation overflow against a declared ``activation_limit``, and
-per-channel FIFO inconsistencies (each directed (src, dst, plane)
-channel must be consumed in exactly the order it is produced — the
-property that makes blocking FIFO receives deadlock-free).
+The :func:`validate` pass rejects malformed schedules **before anything
+runs**: unknown/misplaced/duplicated tasks, messages on a boundary that
+does not cross ranks, absent required tasks, cycles over the rule and
+per-rank program order, per-channel FIFO inconsistencies (each directed
+(src, dst, plane) channel must be consumed in exactly the order it is
+produced — the property that makes blocking FIFO receives
+deadlock-free), and per-rank in-flight activation overflow against a
+declared ``activation_limit``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (Dict, FrozenSet, Iterable, List, Mapping, NamedTuple,
-                    Optional, Tuple)
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, \
+    Set, Tuple
 
 __all__ = ["FWD", "BWD", "W", "SEND_ACT", "RECV_ACT", "SEND_GRAD",
            "RECV_GRAD", "COMPUTE_KINDS", "COMM_KINDS", "KINDS",
@@ -65,11 +69,10 @@ class ScheduleError(ValueError):
 class Task(NamedTuple):
     """One typed unit of work: ``kind`` on virtual ``stage`` for ``mb``.
 
-    A tuple rather than a frozen dataclass because tasks are dictionary
-    keys throughout: building and validating a 2048-microbatch program
-    (what the DES baselines walk at the paper's batch size) hashes each
-    task some thirty times, and a Python-level ``__hash__`` doubled that
-    cost.
+    A tuple rather than a frozen dataclass because tasks are set members
+    throughout: validating a 2048-microbatch program (what the DES
+    baselines walk at the paper's batch size) hashes each task several
+    times, and a Python-level ``__hash__`` doubled that cost.
     """
 
     kind: str
@@ -80,18 +83,17 @@ class Task(NamedTuple):
         return f"{self.kind}[{self.stage},{self.mb}]"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Schedule:
-    """One pipeline schedule as data.
+    """One pipeline schedule as an immutable value.
 
     ``rank_order[r]`` is physical rank ``r``'s program: the exact task
-    sequence its rank program executes.  ``deps`` holds the explicit
-    dependency edges (``task -> set of prerequisite tasks``); builders
-    materialize at least the dataflow-required edges
-    (:func:`required_deps`), and may add more to constrain the search.
-    ``activation_limit``, when set, bounds the per-rank number of
-    resident forward activations (a FWD holds its activation until the
-    matching BWD — or W, when the backward is split).
+    sequence its rank program executes.  That program is all a schedule
+    holds; a task's prerequisites are :func:`required_deps`, and whether
+    a backward is split is whether its ``W`` is in the program
+    (:meth:`has_w`).  ``activation_limit``, when set, bounds the per-rank
+    number of resident forward activations (a FWD holds its activation
+    until the matching BWD — or W, when the backward is split).
     """
 
     name: str
@@ -99,9 +101,7 @@ class Schedule:
     n_virtual: int          #: virtual stages (n_chunks * n_stages)
     n_microbatches: int
     rank_order: Tuple[Tuple[Task, ...], ...]
-    deps: Mapping[Task, FrozenSet[Task]]
     activation_limit: Optional[int] = None
-    meta: Dict[str, object] = field(default_factory=dict)
 
     # -- structure helpers ---------------------------------------------------
     @property
@@ -112,10 +112,6 @@ class Schedule:
         """Physical rank owning virtual ``stage``."""
         return stage % self.n_stages
 
-    def virtual_stages_of(self, rank: int) -> List[int]:
-        return [v for v in range(self.n_virtual)
-                if self.placement(v) == rank]
-
     def crosses(self, stage: int) -> bool:
         """Does the boundary between ``stage`` and ``stage + 1`` cross
         ranks (i.e. needs a message rather than a local handoff)?"""
@@ -125,86 +121,85 @@ class Schedule:
         for order in self.rank_order:
             yield from order
 
-    def task_set(self) -> FrozenSet[Task]:
-        return frozenset(self.tasks())
+    @cached_property
+    def _w_tasks(self) -> FrozenSet[Task]:
+        return frozenset(t for t in self.tasks() if t.kind == W)
 
     def has_w(self, stage: int, mb: int) -> bool:
-        return Task(W, stage, mb) in self.deps
+        """Is this backward split, i.e. is its ``W`` in the program?"""
+        return Task(W, stage, mb) in self._w_tasks
 
     def describe(self) -> str:
         return (f"{self.name}[S={self.n_stages} V={self.n_chunks} "
                 f"m={self.n_microbatches} tasks={sum(map(len, self.rank_order))}]")
 
 
-def required_deps(schedule: Schedule, task: Task) -> FrozenSet[Task]:
-    """The dataflow-mandated prerequisites of ``task``.
+def required_deps(schedule: Schedule, task: Task) -> Tuple[Task, ...]:
+    """The prerequisites of ``task``: the one dataflow rule.
 
-    These edges are forced by what the task *means*; a schedule missing
-    any of them would read data that does not exist yet.  Builders may
-    add further (ordering-only) edges on top.
+    Each is forced by what the task *means*; running ``task`` before any
+    of them would read data that does not exist yet.  A schedule stores
+    no edges of its own, so this is every dependency there is.
     """
-    v, mb, last = task.stage, task.mb, schedule.n_virtual - 1
-    need: List[Task] = []
-    if task.kind == FWD:
-        if v > 0:
-            need.append(Task(RECV_ACT, v, mb) if schedule.crosses(v - 1)
-                        else Task(FWD, v - 1, mb))
-    elif task.kind == RECV_ACT:
-        need.append(Task(SEND_ACT, v - 1, mb))
-    elif task.kind == SEND_ACT:
-        need.append(Task(FWD, v, mb))
-    elif task.kind == BWD:
-        need.append(Task(FWD, v, mb))
-        if v < last:
-            need.append(Task(RECV_GRAD, v, mb) if schedule.crosses(v)
-                        else Task(BWD, v + 1, mb))
-    elif task.kind == RECV_GRAD:
-        need.append(Task(SEND_GRAD, v + 1, mb))
-    elif task.kind == SEND_GRAD:
-        need.append(Task(BWD, v, mb))
-    elif task.kind == W:
-        need.append(Task(BWD, v, mb))
-    return frozenset(need)
+    kind, v, mb = task
+    if kind == FWD:
+        if v == 0:
+            return ()
+        return (Task(RECV_ACT, v, mb) if schedule.crosses(v - 1)
+                else Task(FWD, v - 1, mb),)
+    if kind == BWD:
+        if v == schedule.n_virtual - 1:
+            return (Task(FWD, v, mb),)
+        return (Task(FWD, v, mb), Task(RECV_GRAD, v, mb)
+                if schedule.crosses(v) else Task(BWD, v + 1, mb))
+    if kind == SEND_ACT:
+        return (Task(FWD, v, mb),)
+    if kind == RECV_ACT:
+        return (Task(SEND_ACT, v - 1, mb),)
+    if kind == RECV_GRAD:
+        return (Task(SEND_GRAD, v + 1, mb),)
+    return (Task(BWD, v, mb),)  # SEND_GRAD and W
 
 
-def _required_tasks(schedule: Schedule) -> FrozenSet[Task]:
+def _boundary(task: Task) -> int:
+    """The boundary ``b`` (between stages ``b`` and ``b + 1``) a comm
+    task's message crosses."""
+    return task.stage if task.kind in (SEND_ACT, RECV_GRAD) \
+        else task.stage - 1
+
+
+def _required_tasks(schedule: Schedule) -> Iterable[Task]:
     """Every task the dataflow *demands* exist (W stays optional)."""
-    req: List[Task] = []
-    last = schedule.n_virtual - 1
     for v in range(schedule.n_virtual):
         for mb in range(schedule.n_microbatches):
-            req.append(Task(FWD, v, mb))
-            req.append(Task(BWD, v, mb))
-            if v < last and schedule.crosses(v):
-                req.append(Task(SEND_ACT, v, mb))
-                req.append(Task(RECV_GRAD, v, mb))
+            yield Task(FWD, v, mb)
+            yield Task(BWD, v, mb)
+            if v < schedule.n_virtual - 1 and schedule.crosses(v):
+                yield Task(SEND_ACT, v, mb)
+                yield Task(RECV_GRAD, v, mb)
             if v > 0 and schedule.crosses(v - 1):
-                req.append(Task(RECV_ACT, v, mb))
-                req.append(Task(SEND_GRAD, v, mb))
-    return frozenset(req)
+                yield Task(RECV_ACT, v, mb)
+                yield Task(SEND_GRAD, v, mb)
 
 
 def channel_of(schedule: Schedule, task: Task) -> Tuple[int, int, str]:
     """The directed (src_rank, dst_rank, plane) channel of a comm task."""
-    v = task.stage
-    if task.kind == SEND_ACT:
-        return (schedule.placement(v), schedule.placement(v + 1), "F")
-    if task.kind == RECV_ACT:
-        return (schedule.placement(v - 1), schedule.placement(v), "F")
-    if task.kind == SEND_GRAD:
-        return (schedule.placement(v), schedule.placement(v - 1), "B")
-    if task.kind == RECV_GRAD:
-        return (schedule.placement(v + 1), schedule.placement(v), "B")
-    raise ValueError(f"{task} is not a communication task")
+    if task.kind not in COMM_KINDS:
+        raise ValueError(f"{task} is not a communication task")
+    b = _boundary(task)
+    lo, hi = schedule.placement(b), schedule.placement(b + 1)
+    return (lo, hi, "F") if task.kind in (SEND_ACT, RECV_ACT) \
+        else (hi, lo, "B")
 
 
 def validate(schedule: Schedule) -> None:
     """Reject a malformed schedule; raises :class:`ScheduleError`.
 
-    Checks, in order: shape sanity, task well-formedness and placement,
-    required-task coverage, missing dataflow dependencies, cycles over
-    (deps union per-rank program order), per-channel FIFO consistency,
-    and per-rank in-flight activation overflow.
+    Checks, in order: shape sanity, task well-formedness and placement
+    (a message must name a boundary that crosses ranks), required-task
+    coverage, cycles over the rule and per-rank program order,
+    per-channel FIFO consistency, and per-rank in-flight activation
+    overflow.
     """
     S, VS, m = schedule.n_stages, schedule.n_virtual, schedule.n_microbatches
     if S < 1 or m < 1:
@@ -220,99 +215,85 @@ def validate(schedule: Schedule) -> None:
             f"{schedule.name}: rank_order has {len(schedule.rank_order)} "
             f"entries for {S} ranks")
 
-    # -- task well-formedness & placement -----------------------------------
-    seen: Dict[Task, int] = {}
+    # -- task well-formedness & placement; each channel's two sequences ----
+    # A message is named by its sender's (stage, microbatch).
+    seen: Set[Task] = set()
+    n_w = 0
+    sends: Dict[Tuple[int, int, str], List[Tuple[int, int]]] = {}
+    recvs: Dict[Tuple[int, int, str], List[Tuple[int, int]]] = {}
     for rank, order in enumerate(schedule.rank_order):
         for task in order:
-            if task.kind not in KINDS:
+            kind, v, mb = task
+            if kind not in KINDS:
                 raise ScheduleError(
-                    f"{schedule.name}: unknown task kind {task.kind!r}")
-            if not (0 <= task.stage < VS):
+                    f"{schedule.name}: unknown task kind {kind!r}")
+            if not (0 <= v < VS):
                 raise ScheduleError(
                     f"{schedule.name}: {task} names virtual stage outside "
                     f"[0, {VS})")
-            if not (0 <= task.mb < m):
+            if not (0 <= mb < m):
                 raise ScheduleError(
                     f"{schedule.name}: {task} names microbatch outside "
                     f"[0, {m})")
-            if schedule.placement(task.stage) != rank:
+            if schedule.placement(v) != rank:
                 raise ScheduleError(
                     f"{schedule.name}: {task} scheduled on rank {rank} but "
-                    f"stage {task.stage} lives on rank "
-                    f"{schedule.placement(task.stage)}")
+                    f"stage {v} lives on rank {schedule.placement(v)}")
             if task in seen:
                 raise ScheduleError(
                     f"{schedule.name}: duplicate task {task}")
-            seen[task] = rank
+            seen.add(task)
+            if kind == W:
+                n_w += 1
+            elif kind in COMM_KINDS:
+                b = _boundary(task)
+                if not (0 <= b < VS - 1 and schedule.crosses(b)):
+                    raise ScheduleError(
+                        f"{schedule.name}: {task} names no stage boundary "
+                        f"that crosses ranks")
+                side = sends if kind in (SEND_ACT, SEND_GRAD) else recvs
+                sender = b if kind in (SEND_ACT, RECV_ACT) else b + 1
+                side.setdefault(channel_of(schedule, task), []).append(
+                    (sender, mb))
 
-    present = frozenset(seen)
-    missing = _required_tasks(schedule) - present
-    if missing:
-        example = sorted(missing, key=lambda t: (t.stage, t.mb, t.kind))[0]
+    # Every present task is now well-formed and unique, so a count of the
+    # non-W ones detects an absent required task.
+    crossings = sum(schedule.crosses(b) for b in range(VS - 1))
+    if len(seen) - n_w != 2 * m * (VS + 2 * crossings):
+        missing = [t for t in _required_tasks(schedule) if t not in seen]
+        example = min(missing, key=lambda t: (t.stage, t.mb, t.kind))
         raise ScheduleError(
             f"{schedule.name}: {len(missing)} required task(s) absent, "
             f"e.g. {example}")
 
-    # -- dependency coverage -------------------------------------------------
-    for task in present:
-        declared = schedule.deps.get(task, frozenset())
-        for dep in declared:
-            if dep not in present:
-                raise ScheduleError(
-                    f"{schedule.name}: {task} depends on absent task {dep}")
-        lacking = required_deps(schedule, task) - declared
-        if lacking:
-            raise ScheduleError(
-                f"{schedule.name}: {task} is missing required "
-                f"dependency {sorted(lacking, key=repr)[0]}")
-
-    # -- cycle check over deps + program order ------------------------------
-    succ: Dict[Task, List[Task]] = {t: [] for t in present}
-    indeg: Dict[Task, int] = {t: 0 for t in present}
-
-    def edge(a: Task, b: Task) -> None:
-        succ[a].append(b)
-        indeg[b] += 1
-
-    for task in present:
-        for dep in schedule.deps.get(task, frozenset()):
-            edge(dep, task)
-    for order in schedule.rank_order:
-        for a, b in zip(order, order[1:]):
-            edge(a, b)
-    frontier = [t for t in present if indeg[t] == 0]
-    done = 0
-    while frontier:
-        t = frontier.pop()
-        done += 1
-        for s in succ[t]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                frontier.append(s)
-    if done != len(present):
-        stuck = sorted((t for t in present if indeg[t] > 0),
-                       key=lambda t: (t.stage, t.mb, t.kind))
+    # -- cycle check: run every program against the rule ---------------------
+    # Each rank executes its order; a task fires once its prerequisites
+    # have.  Stuck programs with work left are a cycle through rule edges
+    # and program order.
+    fired: Set[Task] = set()
+    pos = [0] * S
+    moved = True
+    while moved:
+        moved = False
+        for rank, order in enumerate(schedule.rank_order):
+            k = pos[rank]
+            while k < len(order) and fired.issuperset(
+                    required_deps(schedule, order[k])):
+                fired.add(order[k])
+                k += 1
+            moved |= k > pos[rank]
+            pos[rank] = k
+    if len(fired) != len(seen):
+        stuck = [t for t in seen if t not in fired]
         raise ScheduleError(
             f"{schedule.name}: dependency/program-order cycle through "
-            f"{stuck[0]} ({len(stuck)} tasks involved)")
+            f"{min(stuck, key=lambda t: (t.stage, t.mb, t.kind))} "
+            f"({len(stuck)} tasks involved)")
 
     # -- per-channel FIFO consistency ---------------------------------------
     # A blocking plane-FIFO receive is only sound when every channel is
     # consumed in production order; a swap here is a latent deadlock (or a
     # mis-delivery) that must be rejected statically.
-    sends: Dict[Tuple[int, int, str], List[Tuple[int, int]]] = {}
-    recvs: Dict[Tuple[int, int, str], List[Tuple[int, int]]] = {}
-    for order in schedule.rank_order:
-        for task in order:
-            if task.kind in (SEND_ACT, SEND_GRAD):
-                key = (task.stage, task.mb)
-                sends.setdefault(channel_of(schedule, task), []).append(key)
-            elif task.kind == RECV_ACT:
-                recvs.setdefault(channel_of(schedule, task), []).append(
-                    (task.stage - 1, task.mb))
-            elif task.kind == RECV_GRAD:
-                recvs.setdefault(channel_of(schedule, task), []).append(
-                    (task.stage + 1, task.mb))
     for chan in set(sends) | set(recvs):
         if sends.get(chan, []) != recvs.get(chan, []):
             src, dst, plane = chan

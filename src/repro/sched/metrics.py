@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .ir import BWD, FWD, W, Schedule, Task
+from .builders import build_schedule
+from .ir import BWD, FWD, W, Schedule, Task, required_deps
 
 __all__ = ["CriticalPath", "critical_path", "unit_cost",
            "peak_resident_activations", "ir_bubble_fraction"]
@@ -78,7 +79,7 @@ def critical_path(schedule: Schedule,
             order = schedule.rank_order[rank]
             while pos[rank] < len(order):
                 task = order[pos[rank]]
-                deps = schedule.deps.get(task, frozenset())
+                deps = required_deps(schedule, task)
                 if any(d not in finish for d in deps):
                     break
                 start = clock[rank]
@@ -137,7 +138,6 @@ def ir_bubble_fraction(n_stages: int, n_microbatches: int,
     by tests), but unlike the closed form it also prices GPipe,
     interleaved and zero-bubble schedules.
     """
-    from .builders import build_schedule  # local: avoids import cycles
     if n_stages < 1 or n_microbatches < 1:
         raise ValueError("need at least one stage and one microbatch")
     return critical_path(

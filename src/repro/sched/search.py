@@ -2,10 +2,11 @@
 
 The search space is program orderings of the IR: a *perturbation*
 swaps two adjacent tasks in one rank's order and keeps the move only
-if the validator still accepts the schedule (deps, FIFO discipline and
-activation limits all survive), so every candidate is executable by
-construction.  Candidates — the shipped builders plus perturbations of
-the best of them — are scored in the DES under compute jitter
+if the validator still accepts the schedule (the dataflow rule, FIFO
+discipline and activation limits all survive), so every candidate is
+executable by construction.  Candidates — the shipped builders plus
+perturbations of the best of them — are scored in the DES under compute
+jitter
 (makespan first, peak activation residency as tiebreak), and the
 winner is *replayed on the functional substrate* against the
 independent, unpipelined :class:`~repro.runtime.SerialTrainer`:

@@ -13,6 +13,7 @@ perturbations through the full validate -> compile -> check pipeline).
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -28,16 +29,24 @@ from repro.resilience import (Fault, FaultInjector, FaultPlan,
                               ResilientTrainer, RetryPolicy)
 from repro.runtime import RECV, AxoNNTrainer, DeadlockError, RankTransport
 from repro.sched import (
+    BWD,
     FWD,
+    RECV_ACT,
+    RECV_GRAD,
     SCHEDULE_NAMES,
     SEND_ACT,
+    SEND_GRAD,
+    W,
+    Schedule,
     ScheduleError,
     build_schedule,
     critical_path,
     ir_bubble_fraction,
     peak_resident_activations,
+    unit_cost,
     validate,
 )
+from repro.sched.des import simulate_schedule
 from repro.sched.ir import Task
 from repro.sched.search import perturb, replay_winner, search_schedules
 
@@ -124,24 +133,76 @@ class TestValidator:
         with pytest.raises(ValueError):
             build_schedule("wave", 2, 2)
 
+    @staticmethod
+    def _moved(sched, rank, task, before):
+        """``sched`` with ``task`` moved to just before ``before`` in
+        ``rank``'s program."""
+        order = list(sched.rank_order[rank])
+        order.remove(task)
+        order.insert(order.index(before), task)
+        orders = list(sched.rank_order)
+        orders[rank] = tuple(order)
+        return dataclasses.replace(sched, rank_order=tuple(orders))
+
     def test_missing_dependency_rejected(self):
-        sched = build_schedule("1f1b", 2, 2)
-        deps = dict(sched.deps)
-        deps[Task(FWD, 1, 0)] = frozenset()  # FWD needs its RECV_ACT
-        bad = dataclasses.replace(sched, deps=deps)
-        with pytest.raises(ScheduleError, match="missing required"):
+        # Rank 0 owns stages 0 and 2: receiving stage 2's activation
+        # before running the stage-0 forward it is computed from waits on
+        # itself, through rank 1.
+        sched = build_schedule("interleaved", 2, 4)
+        bad = self._moved(sched, 0, Task(RECV_ACT, 2, 0), Task(FWD, 0, 0))
+        with pytest.raises(ScheduleError, match="cycle"):
             validate(bad)
 
     def test_cycle_rejected(self):
-        sched = build_schedule("1f1b", 2, 2)
-        deps = dict(sched.deps)
-        # An extra (ordering-only) edge closing a loop: FWD[0,0] already
-        # reaches BWD[0,0] through the dataflow, so this is a cycle.
-        deps[Task(FWD, 0, 0)] = (deps.get(Task(FWD, 0, 0), frozenset())
-                                 | {Task("BWD", 0, 0)})
-        bad = dataclasses.replace(sched, deps=deps)
+        sched = build_schedule("zb-h1", 2, 3)
+        bad = self._moved(sched, 0, Task(W, 0, 0), Task(BWD, 0, 0))
         with pytest.raises(ScheduleError, match="cycle"):
             validate(bad)
+
+    @pytest.mark.parametrize("kind,stage", [
+        (SEND_ACT, 1), (RECV_GRAD, 1), (RECV_ACT, 0), (SEND_GRAD, 0)])
+    def test_message_without_a_crossing_boundary_rejected(self, kind, stage):
+        """A message names a boundary that crosses ranks: none past the
+        last stage or before the first (``stage``), and none between two
+        stages of one rank, where the handoff is local (``1 - stage`` of
+        a two-stage, one-rank pipeline)."""
+        def rejected(sched, rank, task):
+            orders = [list(o) for o in sched.rank_order]
+            orders[rank].insert(0, task)
+            bad = dataclasses.replace(
+                sched, rank_order=tuple(tuple(o) for o in orders))
+            with pytest.raises(ScheduleError, match=re.escape(
+                    f"{task!r} names no stage boundary")):
+                validate(bad)
+
+        rejected(build_schedule("1f1b", 2, 2), stage, Task(kind, stage, 0))
+        local = Schedule("local", 1, 2, 1, ((
+            Task(FWD, 0, 0), Task(FWD, 1, 0), Task(BWD, 1, 0),
+            Task(BWD, 0, 0)),))
+        validate(local)
+        rejected(local, 0, Task(kind, 1 - stage, 0))
+
+    def test_dropped_w_means_a_full_backward(self):
+        """Whether a backward is split is read off the program: without
+        its ``W``, ``BWD`` is the whole backward everywhere."""
+        zb = build_schedule("zb-h1", 2, 3)
+        whole = dataclasses.replace(zb, rank_order=(
+            tuple(t for t in zb.rank_order[0] if t != Task(W, 0, 0)),
+            zb.rank_order[1]))
+        validate(whole)
+        assert not whole.has_w(0, 0) and whole.has_w(0, 1)
+        cost = unit_cost(whole)
+        assert (cost(Task(BWD, 0, 0)), cost(Task(BWD, 0, 1))) == (2.0, 1.0)
+        # Released at BWD[0,0]: never releasing it would hold three.
+        assert peak_resident_activations(whole) == (2, 1)
+        split, full = simulate_schedule(zb), simulate_schedule(whole)
+        assert full.busy[0] == pytest.approx(split.busy[0], rel=1e-4)
+
+    def test_built_schedules_are_shared_frozen_values(self):
+        sched = build_schedule("1f1b", 2, 4)
+        assert build_schedule("1f1b", 2, 4) is sched
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sched.name = "mine"
 
     def test_fifo_swap_rejected(self):
         # Rank 0 produces microbatch 1 before 0 while rank 1 still
