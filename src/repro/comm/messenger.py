@@ -85,10 +85,12 @@ class Messenger:
         """Process form of :meth:`isend` (yields until delivery)."""
         yield self.isend(msg)
 
-    def _deliver(self, msg: Message) -> Event:
+    def _deliver(self, msg: Message) -> None:
+        """Deposit ``msg``; the sender then takes one zero-delay hop, so
+        its send completes after the woken receiver resumes."""
         self.messages_sent += 1
         self.bytes_sent += msg.nbytes
-        return self.inboxes[msg.dst].put(msg)
+        self.inboxes[msg.dst].put(msg)
 
     def _span_meta(self, msg: Message) -> dict:
         """Span metadata attached to the fabric's p2p trace record."""
@@ -100,7 +102,8 @@ class Messenger:
             msg.src, msg.dst, msg.nbytes, self.model, label=msg.tag,
             meta=self._span_meta(msg)
         )
-        yield self._deliver(msg)
+        self._deliver(msg)
+        yield self.machine.env.timeout(0)
 
     def _blocking_send(self, msg: Message) -> Generator:
         gpu = self.machine.gpu(msg.src)
@@ -113,7 +116,8 @@ class Messenger:
             )
         finally:
             gpu.compute_stream.release(req)
-        yield self._deliver(msg)
+        self._deliver(msg)
+        yield self.machine.env.timeout(0)
 
     # -- receive ---------------------------------------------------------------
     def irecv(self, gpu_id: int) -> Event:

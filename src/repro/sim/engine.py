@@ -16,6 +16,18 @@ The monotonically increasing sequence number makes tie-breaking fully
 deterministic, so a simulation with the same inputs always produces the same
 schedule.  No wall-clock time is consulted anywhere.
 
+Cost
+----
+An event is queued only if something can wait on it: an immediate
+``Store.put`` returns an event that has already fired (see
+:mod:`.resources`), so a deposit costs no step.  Leaving out an event
+nothing waits on does not reorder the others — the sequence number only
+breaks ties — so the order guarantee above is unchanged.  Each queued
+event costs one :meth:`Environment.step`, which pops it, advances the
+clock and runs its callbacks; the triggers push onto the heap
+themselves.  A delay that is negative or NaN is refused when the event
+is scheduled.
+
 Example
 -------
 >>> env = Environment()
@@ -35,7 +47,7 @@ keep traces and deadlock diagnostics readable, and lint rule REP004
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -53,6 +65,10 @@ __all__ = [
 # event fires) run before NORMAL events scheduled for the same instant.
 PRIORITY_URGENT = 0
 PRIORITY_NORMAL = 1
+
+
+def _bad_delay(delay: Any) -> ValueError:
+    return ValueError(f"delay must be a number >= 0, got {delay!r}")
 
 
 class SimulationError(RuntimeError):
@@ -77,10 +93,11 @@ class Event:
 
     An event starts *untriggered*.  Calling :meth:`succeed` or :meth:`fail`
     schedules it; once the engine pops it from the queue it is *processed*
-    and its callbacks run.  Processes wait on events by yielding them.
+    (``callbacks`` is ``None``) and its callbacks have run.  Processes wait
+    on events by yielding them.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_triggered", "_processed",
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_triggered",
                  "_defused")
 
     def __init__(self, env: "Environment"):
@@ -90,7 +107,6 @@ class Event:
         self._value: Any = None
         self._ok: bool = True
         self._triggered = False
-        self._processed = False
         #: set True once a waiter has handled this event's failure
         self._defused = False
 
@@ -103,7 +119,7 @@ class Event:
     @property
     def processed(self) -> bool:
         """True once callbacks have run."""
-        return self._processed
+        return self.callbacks is None
 
     @property
     def ok(self) -> bool:
@@ -122,10 +138,14 @@ class Event:
         """Schedule this event to fire successfully after ``delay``."""
         if self._triggered:
             raise SimulationError("event already triggered")
+        if not delay >= 0:
+            raise _bad_delay(delay)
         self._triggered = True
-        self._ok = True
         self._value = value
-        self.env._schedule(self, delay=delay)
+        env = self.env
+        heappush(env._queue, (env._now + delay, PRIORITY_NORMAL, env._seq,
+                              self))
+        env._seq += 1
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -134,21 +154,20 @@ class Event:
             raise SimulationError("event already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
+        if not delay >= 0:
+            raise _bad_delay(delay)
         self._triggered = True
         self._ok = False
         self._value = exception
-        self.env._schedule(self, delay=delay)
+        env = self.env
+        heappush(env._queue, (env._now + delay, PRIORITY_NORMAL, env._seq,
+                              self))
+        env._seq += 1
         return self
-
-    def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        self._processed = True
-        for cb in callbacks:  # type: ignore[union-attr]
-            cb(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (
-            "processed" if self._processed
+            "processed" if self.callbacks is None
             else "triggered" if self._triggered
             else "pending"
         )
@@ -160,16 +179,21 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` time units after creation."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._triggered = True
+        if not delay >= 0:
+            raise _bad_delay(delay)
+        # Event.__init__ inlined: this is the most frequent event.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env._schedule(self, delay=delay, priority=PRIORITY_NORMAL)
+        self._ok = True
+        self._triggered = True
+        self._defused = False
+        heappush(env._queue, (env._now + delay, PRIORITY_NORMAL, env._seq,
+                              self))
+        env._seq += 1
 
 
 class Process(Event):
@@ -183,7 +207,7 @@ class Process(Event):
       its exception inside the generator.
     """
 
-    __slots__ = ("generator", "_target", "name")
+    __slots__ = ("generator", "_target", "name", "_callback")
 
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
         super().__init__(env)
@@ -191,11 +215,14 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         #: the event this process is currently waiting on (None if ready)
         self._target: Optional[Event] = None
+        #: ``self._resume``, bound once: registered on every awaited event
+        self._callback = self._resume
         # Bootstrap: resume the generator at time `now` via an urgent event.
         boot = Event(env)
         boot._triggered = True
-        boot.callbacks.append(self._resume)
-        env._schedule(boot, delay=0.0, priority=PRIORITY_URGENT)
+        boot.callbacks.append(self._callback)
+        heappush(env._queue, (env._now, PRIORITY_URGENT, env._seq, boot))
+        env._seq += 1
 
     @property
     def is_alive(self) -> bool:
@@ -213,46 +240,43 @@ class Process(Event):
         target = self._target
         if target is not None and target.callbacks is not None:
             try:
-                target.callbacks.remove(self._resume)
+                target.callbacks.remove(self._callback)
             except ValueError:
                 pass
         self._target = None
-        hit = Event(self.env)
+        env = self.env
+        hit = Event(env)
         hit._triggered = True
         hit._ok = False
         hit._value = Interrupt(cause)
-        hit.callbacks.append(self._resume)
+        hit.callbacks.append(self._callback)
         # Suppress "unhandled failure" checking: delivery is via throw().
         hit._defused = True
-        self.env._schedule(hit, delay=0.0, priority=PRIORITY_URGENT)
+        heappush(env._queue, (env._now, PRIORITY_URGENT, env._seq, hit))
+        env._seq += 1
 
     # -- engine internals --------------------------------------------------
-    def _resume(self, trigger: Event) -> None:
-        self.env._active_process = self
-        event: Optional[Event] = trigger
+    def _resume(self, event: Event) -> None:
+        generator = self.generator
         while True:
             try:
-                if event is None:
-                    raise AssertionError("resumed with no trigger")
                 if event._ok:
-                    target = self.generator.send(event._value)
+                    target = generator.send(event._value)
                 else:
                     # Mark the failure as handled by this process.
                     event._defused = True
                     exc = event._value
                     if isinstance(exc, Interrupt):
-                        target = self.generator.throw(exc)
+                        target = generator.throw(exc)
                     else:
-                        target = self.generator.throw(type(exc), exc)
+                        target = generator.throw(type(exc), exc)
             except StopIteration as stop:
                 self._target = None
-                self.env._active_process = None
                 if not self._triggered:
                     self.succeed(stop.value)
                 return
             except BaseException as exc:
                 self._target = None
-                self.env._active_process = None
                 if not self._triggered:
                     self.fail(exc)
                 else:  # pragma: no cover - defensive
@@ -260,20 +284,19 @@ class Process(Event):
                 return
 
             if not isinstance(target, Event):
-                self.env._active_process = None
                 err = SimulationError(
                     f"process {self.name!r} yielded non-event {target!r}"
                 )
-                self.generator.close()
+                generator.close()
                 self.fail(err)
                 return
             if target.env is not self.env:
                 raise SimulationError("yielded event belongs to another Environment")
-            if target.callbacks is not None:
+            callbacks = target.callbacks
+            if callbacks is not None:
                 # Not yet processed: register and suspend.
-                target.callbacks.append(self._resume)
+                callbacks.append(self._callback)
                 self._target = target
-                self.env._active_process = None
                 return
             # Already processed: continue immediately with its value.
             event = target
@@ -351,18 +374,12 @@ class Environment:
         self._now = float(initial_time)
         self._queue: List = []  # heap of (time, priority, seq, event)
         self._seq = 0
-        self._active_process: Optional[Process] = None
 
     # -- clock ------------------------------------------------------------
     @property
     def now(self) -> float:
         """Current simulated time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
 
     # -- factories ---------------------------------------------------------
     def event(self) -> Event:
@@ -384,43 +401,39 @@ class Environment:
         return AllOf(self, events)
 
     # -- scheduling ---------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0,
-                  priority: int = PRIORITY_NORMAL) -> None:
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
-        self._seq += 1
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process exactly one event."""
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             raise SimulationError("step() on an empty schedule")
-        t, _prio, _seq, event = heapq.heappop(self._queue)
-        if t < self._now:  # pragma: no cover - defensive
-            raise SimulationError("time went backwards")
-        self._now = t
-        event._run_callbacks()
+        self._now, _prio, _seq, event = heappop(queue)
+        callbacks, event.callbacks = event.callbacks, None
+        for cb in callbacks:
+            cb(event)
         if not event._ok and not event._defused:
             # A failure nobody handled: surface it instead of silently
             # swallowing broken simulations.
-            exc = event._value
-            raise exc
+            raise event._value
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock reaches ``until``.
 
         With ``until``, the clock is advanced to exactly ``until`` even if
         the last event fires earlier (mirrors SimPy semantics closely enough
-        for our use).
+        for our use).  Each event is one :meth:`step` call.
         """
-        if until is not None and until < self._now:
+        if until is not None and not until >= self._now:
             raise SimulationError(f"until={until} is in the past (now={self._now})")
-        while self._queue:
-            if until is not None and self.peek() > until:
-                self._now = until
-                return
-            self.step()
-        if until is not None:
-            self._now = until
+        queue = self._queue
+        step = self.step
+        if until is None:
+            while queue:
+                step()
+            return
+        while queue and queue[0][0] <= until:
+            step()
+        self._now = until

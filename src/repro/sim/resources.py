@@ -10,13 +10,21 @@ Three primitives cover everything the cluster model needs:
   inboxes for the message-driven scheduler.
 
 All primitives are deterministic: waiters are served in request order.
+
+Each primitive schedules only events something can wait on: a grant, a
+delivery to a getter, the acceptance of a put that had to wait for room.
+A put accepted at once returns an event that has already fired, so
+``yield store.put(x)`` continues in the same step, and no other event's
+``(time, priority, sequence)`` order moves.  A resource keeps no busy
+history; utilization is read from recorded spans
+(:func:`repro.obs.utilization_report`).
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
-from typing import Any, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, List, Optional, Tuple
 
 from .engine import Environment, Event, SimulationError
 
@@ -55,15 +63,7 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._users: int = 0
-        self._waiters: List[Request] = []
-        #: cumulative (time-weighted) busy integral, for utilization stats
-        self._busy_integral = 0.0
-        self._last_change = env.now
-        #: (time, busy integral at that time, holders from that time on) —
-        #: one checkpoint per holder-count change, so windowed utilization
-        #: queries can reconstruct the integral at any past instant
-        self._checkpoints: List[Tuple[float, float, int]] = [
-            (env.now, 0.0, 0)]
+        self._waiters: Deque[Request] = deque()
 
     # -- stats -------------------------------------------------------------
     @property
@@ -76,54 +76,12 @@ class Resource:
         """Number of pending requests."""
         return len(self._waiters)
 
-    def _account(self) -> None:
-        now = self.env.now
-        self._busy_integral += self._users * (now - self._last_change)
-        self._last_change = now
-
-    def _checkpoint(self) -> None:
-        """Snapshot the integral after a holder-count change (the integral
-        is piecewise linear between changes, so these points suffice to
-        evaluate it at any past time).  Callers must :meth:`_account`
-        *before* mutating ``_users`` so the integral is current."""
-        entry = (self.env.now, self._busy_integral, self._users)
-        if self._checkpoints[-1][0] == self.env.now:
-            self._checkpoints[-1] = entry
-        else:
-            self._checkpoints.append(entry)
-
-    def _integral_at(self, t: float) -> float:
-        """Busy integral accumulated by time ``t`` (0 before creation)."""
-        checkpoints = self._checkpoints
-        if t <= checkpoints[0][0]:
-            return 0.0
-        lo = bisect.bisect_right(checkpoints, (t, float("inf"), 0)) - 1
-        t_i, integral, users = checkpoints[lo]
-        return integral + users * (t - t_i)
-
-    def utilization(self, since: float = 0.0) -> float:
-        """Mean fraction of capacity in use over [since, now].
-
-        The busy integral over the window is the *difference* of the
-        cumulative integral at its endpoints — never the lifetime integral
-        divided by the windowed elapsed time, which would exceed 1.0 for a
-        resource busy before ``since``.
-        """
-        self._account()
-        elapsed = self.env.now - since
-        if elapsed <= 0:
-            return 0.0
-        window_integral = self._busy_integral - self._integral_at(since)
-        return window_integral / (elapsed * self.capacity)
-
     # -- protocol ------------------------------------------------------------
     def request(self, priority: int = 0) -> Request:
         """Ask for one unit of the resource; returned event fires on grant."""
         req = Request(self, priority)
         if self._users < self.capacity and not self._waiters:
-            self._account()
             self._users += 1
-            self._checkpoint()
             req.succeed(req)
         else:
             self._enqueue(req)
@@ -133,11 +91,10 @@ class Resource:
         """Give back a granted unit and wake the next waiter, if any."""
         if req.resource is not self:
             raise SimulationError("release() of a foreign request")
-        if not req.triggered:
+        if not req._triggered:
             # Cancelling a never-granted request.
             self._dequeue(req)
             return
-        self._account()
         self._users -= 1
         if self._users < 0:  # pragma: no cover - defensive
             raise SimulationError(f"double release on resource {self.name!r}")
@@ -145,7 +102,6 @@ class Resource:
         if nxt is not None:
             self._users += 1
             nxt.succeed(nxt)
-        self._checkpoint()
 
     # -- queue policy (overridden by PriorityResource) ----------------------
     def _enqueue(self, req: Request) -> None:
@@ -158,7 +114,7 @@ class Resource:
             pass
 
     def _pop_next(self) -> Optional[Request]:
-        return self._waiters.pop(0) if self._waiters else None
+        return self._waiters.popleft() if self._waiters else None
 
 
 class PriorityResource(Resource):
@@ -204,9 +160,9 @@ class Store:
         self.env = env
         self.capacity = capacity
         self.name = name
-        self._items: List[Any] = []
-        self._getters: List[Event] = []
-        self._putters: List[Tuple[Event, Any]] = []
+        self._items: Deque[Any] = deque()
+        self._getters: Deque[Event] = deque()
+        self._putters: Deque[Tuple[Event, Any]] = deque()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -217,27 +173,27 @@ class Store:
         return list(self._items)
 
     def put(self, item: Any) -> Event:
-        """Deposit ``item``; returned event fires when accepted."""
+        """Deposit ``item``; returned event fires when accepted — already
+        fired when there is room, so nothing is scheduled for it."""
         ev = Event(self.env)
         if self._getters:
-            getter = self._getters.pop(0)
-            getter.succeed(item)
-            ev.succeed()
+            self._getters.popleft().succeed(item)
         elif self.capacity is None or len(self._items) < self.capacity:
             self._items.append(item)
-            ev.succeed()
         else:
             self._putters.append((ev, item))
+            return ev
+        ev._triggered = True
+        ev.callbacks = None
         return ev
 
     def get(self) -> Event:
         """Returned event fires with the oldest item."""
         ev = Event(self.env)
         if self._items:
-            item = self._items.pop(0)
-            ev.succeed(item)
+            ev.succeed(self._items.popleft())
             if self._putters:
-                pev, pitem = self._putters.pop(0)
+                pev, pitem = self._putters.popleft()
                 self._items.append(pitem)
                 pev.succeed()
         else:

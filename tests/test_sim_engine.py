@@ -1,5 +1,7 @@
 """Unit and property tests for the discrete-event engine."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +47,45 @@ def test_negative_timeout_rejected():
     env = Environment()
     with pytest.raises(ValueError):
         env.timeout(-1.0)
+
+
+@pytest.mark.parametrize("delay", [-1.0, float("nan")], ids=["neg", "nan"])
+@pytest.mark.parametrize("trigger", ["timeout", "succeed", "fail"])
+def test_bad_delay_rejected_when_scheduled(trigger, delay):
+    """A negative or NaN delay is refused when the event is scheduled,
+    naming the delay, and leaves nothing queued."""
+    env = Environment()
+    ev = env.event()
+    with pytest.raises(ValueError, match=re.escape(repr(delay))):
+        if trigger == "timeout":
+            env.timeout(delay)
+        elif trigger == "succeed":
+            ev.succeed("x", delay=delay)
+        else:
+            ev.fail(RuntimeError("x"), delay=delay)
+    assert not ev.triggered
+    assert env.peek() == float("inf")
+
+
+def test_step_wrapper_counts_every_processed_event(env_steps):
+    """Each event a run processes is one ``Environment.step`` call, so a
+    wrapper on the class attribute counts exactly the events: two boots,
+    two timeouts and two process completions."""
+    env = Environment()
+
+    def child(env):
+        yield env.timeout(1)
+        yield env.timeout(2)
+        return "done"
+
+    def parent(env):
+        assert (yield env.process(child(env), name="child")) == "done"
+
+    env.process(parent(env), name="parent")
+    env.run(until=2)
+    assert env_steps == [0.0, 0.0, 1.0]
+    env.run()
+    assert env_steps == [0.0, 0.0, 1.0, 3.0, 3.0, 3.0]
 
 
 def test_process_return_value_becomes_event_value():
@@ -226,6 +267,9 @@ def test_run_until_past_raises():
     env.run(until=5.0)
     with pytest.raises(SimulationError):
         env.run(until=1.0)
+    with pytest.raises(SimulationError):
+        env.run(until=float("nan"))
+    assert env.now == 5.0
 
 
 def test_anyof_fires_on_first():

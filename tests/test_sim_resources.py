@@ -114,70 +114,6 @@ def test_cancel_ungranted_request():
     assert ("patient", 5) in order
 
 
-def test_utilization_accounting():
-    env = Environment()
-    res = Resource(env, capacity=1)
-
-    def user(env):
-        req = res.request()
-        yield req
-        yield env.timeout(4)
-        res.release(req)
-        yield env.timeout(6)  # idle tail
-
-    env.process(user(env))
-    env.run()
-    assert res.utilization() == pytest.approx(0.4)
-
-
-def test_windowed_utilization_accounting():
-    # Regression: utilization(since=...) used to subtract only the elapsed
-    # time, not the busy time outside the window, so a window placed after
-    # a busy stretch could report utilization > 1.0.
-    env = Environment()
-    res = Resource(env, capacity=1)
-
-    def user(env):
-        req = res.request()
-        yield req
-        yield env.timeout(4)  # busy [0, 4]
-        res.release(req)
-        yield env.timeout(6)  # idle [4, 10]
-
-    env.process(user(env))
-    env.run()
-    # Window [5, 10] is entirely idle.
-    assert res.utilization(since=5) == pytest.approx(0.0)
-    # Window [2, 10]: busy [2, 4] of an 8-second window.
-    assert res.utilization(since=2) == pytest.approx(0.25)
-    # No window ever exceeds full utilization.
-    for since in [0, 1, 2, 3, 3.9]:
-        assert res.utilization(since=since) <= 1.0 + 1e-12
-
-
-def test_windowed_utilization_during_active_hold():
-    env = Environment()
-    res = Resource(env, capacity=2)
-    checks = []
-
-    def holder(env, hold):
-        req = res.request()
-        yield req
-        yield env.timeout(hold)
-        res.release(req)
-
-    def observer(env):
-        yield env.timeout(6)
-        # [4, 6]: one of two slots busy on [4, 5] -> 1 / (2 * 2) = 0.25
-        checks.append(res.utilization(since=4))
-
-    env.process(holder(env, 5))
-    env.process(holder(env, 3))
-    env.process(observer(env))
-    env.run()
-    assert checks == [pytest.approx(0.25)]
-
-
 def test_priority_resource_orders_by_priority():
     env = Environment()
     res = PriorityResource(env, capacity=1)
@@ -266,6 +202,50 @@ def test_store_bounded_capacity_blocks_putter():
     assert ("put-a", 0) in log
     assert ("got-a", 3) in log
     assert ("put-b", 3) in log
+
+
+def test_unbounded_put_continues_in_the_same_step(env_steps):
+    """An accepted put returns an event that has already fired: yielding
+    it resumes the putter at once, inside the step that is running."""
+    env = Environment()
+    store = Store(env)
+    log = []
+
+    def producer(env):
+        accepted = store.put("a")
+        assert accepted.processed and accepted.ok
+        yield accepted
+        yield store.put("b")
+        log.append((env.now, len(env_steps)))
+
+    env.process(producer(env), name="producer")
+    env.run()
+    assert log == [(0.0, 0)]  # still inside the boot step
+    assert env_steps == [0.0, 0.0]  # the boot and the completion
+    assert store.items == ["a", "b"]
+
+
+def test_store_pipeline_processes_no_acknowledgements(env_steps):
+    """Every event of a store-only pipeline is a boot, a get or a
+    timeout; no put adds one."""
+    env = Environment()
+    n_stages, n_items = 3, 5
+    stores = [Store(env) for _ in range(n_stages + 1)]
+    for item in range(n_items):
+        stores[0].put(item)
+
+    def stage(env, k):
+        while True:
+            item = yield stores[k].get()
+            yield env.timeout(k + 1)
+            stores[k + 1].put(item)
+
+    for k in range(n_stages):
+        env.process(stage(env, k), name=f"stage{k}")
+    env.run()
+    assert stores[-1].items == list(range(n_items))
+    boots, gets, timeouts = n_stages, n_stages * n_items, n_stages * n_items
+    assert len(env_steps) == boots + gets + timeouts
 
 
 def test_store_items_view_and_len():
