@@ -8,7 +8,10 @@ walk, the static schedule walk under both point-to-point backends (the
 NCCL walk awaits the send process, so it crosses the delivery hop), the
 serving twin through a crash and failover, the elastic fleet through a
 crash and a retire, the OSU ping-pong (which yields ``isend``), the ring
-all-reduce, and the resilience run.
+all-reduce, and the resilience run.  Three serving cases were added on
+2d71612, before a replica's stage processes became a closed form: groups
+queueing inside a replica, the closed loop's ``done_event`` path, and
+fleet replicas that warm on the same control tick.
 
 Each case stores ``(spans, sha256, fields)``: the number of spans the
 run recorded, the digest of their ``track`` / ``name`` / ``start`` /
@@ -28,14 +31,14 @@ from repro.comm import microbench
 from repro.comm.algorithms import ring_allreduce_des
 from repro.core import WEAK_SCALING_MODELS, AxoNNConfig, simulate_batch
 from repro.experiments import make_axonn_config
-from repro.fleet import (FleetModel, ReactivePolicy, service_rate_per_replica,
-                         simulate_fleet)
+from repro.fleet import (FleetModel, ReactivePolicy, StaticPolicy,
+                         service_rate_per_replica, simulate_fleet)
 from repro.resilience import Fault, FaultPlan, FailureModel, \
     simulate_resilient_run
 from repro.sched import SCHEDULE_NAMES, build_schedule
 from repro.sched.des import simulate_schedule
 from repro.serve import (ArrivalSpec, RequestSpec, ServingModel,
-                         simulate_serving)
+                         simulate_closed_loop, simulate_serving)
 
 
 def digest(obj) -> str:
@@ -71,21 +74,49 @@ def schedule_case(name, backend):
         "peak_activation_bytes": r.peak_activation_bytes}
 
 
-def serve_case():
-    spans = []
-    model = ServingModel(n_replicas=2, g_inter=4, stage_alpha_s=1e-3,
-                         decode_s_per_item=5e-4, prefill_s_per_token=1e-4,
-                         max_batch=8)
-    s = simulate_serving(model, ArrivalSpec(rate_per_s=30.0, seed=2), 10.0,
-                         RequestSpec(mean_prompt=8, mean_new_tokens=8),
-                         plan=FaultPlan.of(Fault("crash", rank=0, tick=5)),
-                         spans=spans)
-    return spans, {
+def serving_fields(s):
+    return {
         "n_arrived": s.n_arrived, "n_admitted": s.n_admitted,
         "n_rejected": s.n_rejected, "n_completed": s.n_completed,
         "n_restarts": s.n_restarts, "tokens_out": s.tokens_out,
         "concurrency_integral": s.concurrency_integral,
         "latencies": digest((s.ttft_s, s.tpot_s, s.sojourn_s))}
+
+
+SERVING = ServingModel(n_replicas=2, g_inter=4, stage_alpha_s=1e-3,
+                       decode_s_per_item=5e-4, prefill_s_per_token=1e-4,
+                       max_batch=8)
+
+
+def serve_case():
+    spans = []
+    s = simulate_serving(SERVING, ArrivalSpec(rate_per_s=30.0, seed=2), 10.0,
+                         RequestSpec(mean_prompt=8, mean_new_tokens=8),
+                         plan=FaultPlan.of(Fault("crash", rank=0, tick=5)),
+                         spans=spans)
+    return spans, serving_fields(s)
+
+
+def serve_queued_case():
+    """Groups queue inside a replica: twice as many groups in flight as
+    stages, and prompts long enough that a decode group dispatched behind
+    a prefill catches it at an inner stage and waits there."""
+    spans = []
+    model = ServingModel(n_replicas=2, g_inter=4, stage_alpha_s=1e-3,
+                         decode_s_per_item=5e-4, prefill_s_per_token=2e-4,
+                         max_batch=8, pipeline_limit=8)
+    s = simulate_serving(model, ArrivalSpec(rate_per_s=12.0, seed=6), 10.0,
+                         RequestSpec(mean_prompt=48, mean_new_tokens=8),
+                         seq_len=256, spans=spans)
+    return spans, serving_fields(s)
+
+
+def closed_loop_case():
+    """Clients wait on each request's ``done_event``."""
+    s = simulate_closed_loop(SERVING, n_clients=24, horizon_s=5.0,
+                             request_spec=RequestSpec(mean_prompt=8,
+                                                      mean_new_tokens=8))
+    return [], serving_fields(s)
 
 
 def fleet_case(layout):
@@ -106,7 +137,31 @@ def fleet_case(layout):
         ArrivalSpec(rate_per_s=1.5 * service_rate_per_replica(serving, spec),
                     seed=4),
         15.0, spec, plan=plan, spans=spans)
-    return spans, {
+    return spans, fleet_fields(s)
+
+
+def fleet_same_tick_case():
+    """Three replicas spawned on one control tick warm together on a later
+    tick (``cold_start_s`` is two intervals) into a flash crowd's backlog,
+    so equal groups leave different replicas at the same float time."""
+    spans = []
+    serving = ServingModel(n_replicas=1, g_inter=2, stage_alpha_s=1e-3,
+                           decode_s_per_item=5e-4, prefill_s_per_token=1e-4,
+                           max_batch=8)
+    spec = RequestSpec(mean_prompt=8, mean_new_tokens=8)
+    model = FleetModel(serving=serving, cold_start_s=1.0,
+                       control_interval_s=0.5, drain_timeout_s=2.0)
+    mu = service_rate_per_replica(serving, spec)
+    s = simulate_fleet(
+        model, StaticPolicy(4),
+        ArrivalSpec(rate_per_s=0.8 * mu, kind="flash", flash_at_s=0.25,
+                    flash_factor=6.0, flash_decay_s=3.0, seed=7),
+        8.0, spec, spans=spans)
+    return spans, fleet_fields(s)
+
+
+def fleet_fields(s):
+    return {
         "n_arrived": s.n_arrived, "n_admitted": s.n_admitted,
         "n_rejected": s.n_rejected, "n_completed": s.n_completed,
         "n_restarts": s.n_restarts, "tokens_out": s.tokens_out,
@@ -152,8 +207,11 @@ CASES = {
     **{("schedule", name, backend): (schedule_case, name, backend)
        for name in SCHEDULE_NAMES for backend in ("mpi", "nccl")},
     ("serve", "crash"): (serve_case,),
+    ("serve", "queued"): (serve_queued_case,),
+    ("serve", "closed-loop"): (closed_loop_case,),
     **{("fleet", layout): (fleet_case, layout)
        for layout in ("unified", "disaggregated")},
+    ("fleet", "same-tick"): (fleet_same_tick_case,),
     **{("pingpong", backend, scope): (pingpong_case, backend, scope)
        for backend in ("mpi", "nccl") for scope in ("intra", "inter")},
     **{("ring", backend): (ring_case, backend) for backend in ("mpi", "nccl")},
@@ -210,6 +268,23 @@ PINS = {
          'peak_replicas': 4,
          'scale_events': 'abe7d2d635c9fa5de4c4bf021fe5716121a6a2de5eb9eddb94c2e1db1e4efd7d',
          'latencies': '22ca5ed4d9cd3f90abb6b746270ab88faa61009c44254acd188a0a6b64fc867a'}),
+    ('fleet', 'same-tick'): (
+        20531,
+        '812c696d80f73f985d5256f7b31241c5b874612a3ec5b2ad3f682adb76915237',
+        {'n_arrived': 2565,
+         'n_admitted': 2033,
+         'n_rejected': 532,
+         'n_completed': 2033,
+         'n_restarts': 0,
+         'tokens_out': 18492,
+         'replica_seconds': 30.5,
+         'n_cold_starts': 3,
+         'n_retired': 0,
+         'n_crashes': 0,
+         'n_handoffs': 0,
+         'peak_replicas': 4,
+         'scale_events': '1c513a3c9f38bc528fb53a8a06ab2a703ed5d18d4693dc1473af73defc8723dc',
+         'latencies': 'f130f9729df984f212159d9b69728d76ed8ec11e161eaa6ae8ab02fad1bec92d'}),
     ('pingpong', 'mpi', 'inter'): (
         2,
         '4985e0f2b42ca299cdca1794693d56770a807c0b5d791ec8630b5c81557f6808',
@@ -354,6 +429,28 @@ PINS = {
          'tokens_out': 2928,
          'concurrency_integral': 19.63200208792974,
          'latencies': '31fa9b1bf55b103de870c7735896ce378d2c553836dfcbde8e5f14431e02a962'}),
+    ('serve', 'queued'): (
+        1272,
+        '34ec21c803c916e7b32b3125b4576ecf189ad7f14b78d4430b984ec7f4172157',
+        {'n_arrived': 119,
+         'n_admitted': 119,
+         'n_rejected': 0,
+         'n_completed': 119,
+         'n_restarts': 0,
+         'tokens_out': 1153,
+         'concurrency_integral': 11.652663903741338,
+         'latencies': '838ef02b4fcecec28ac12e948ab405fc5317dd1240c6be0f24a3b7ce6e003d8a'}),
+    ('serve', 'closed-loop'): (
+        0,
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',
+        {'n_arrived': 777,
+         'n_admitted': 777,
+         'n_rejected': 0,
+         'n_completed': 777,
+         'n_restarts': 0,
+         'tokens_out': 6939,
+         'concurrency_integral': 121.851599999999,
+         'latencies': '227990e32e695fc223d7b53de04a610250aa7ebe8d56453524737936b1899ea6'}),
 }
 
 
