@@ -182,8 +182,7 @@ class _FleetReplica(_Replica):
 
     @property
     def alive(self) -> bool:
-        """A provisioning replica has no stage processes yet, but is not
-        dead."""
+        """A provisioning replica takes no groups yet, but is not dead."""
         return self.state != "dead"
 
 
@@ -287,11 +286,10 @@ class _Fleet(_Ledger):
             return
         if rep.state == "provisioning":
             self._warm(rep)
-            self.pump_all()
 
     def _warm(self, rep: _FleetReplica) -> None:
         rep.state = "serving"
-        rep.start(self, f"{rep.role}{rep.index}")
+        self.pump_all()
 
     def start_drain(self, rep: _FleetReplica) -> None:
         if rep.state in ("serving", "provisioning"):
@@ -396,7 +394,7 @@ class _Fleet(_Ledger):
             return True
         return False
 
-    def finish_group(self, rep: _FleetReplica, kind: str,
+    def finish_group(self, rep: _FleetReplica,
                      group: List[_FleetReq]) -> None:
         now = self.env.now
         rep.inflight -= 1
@@ -412,7 +410,12 @@ class _Fleet(_Ledger):
         else:
             for st in group:
                 self.emit_token(rep, st, now)
-        self.pump_all()
+        # Only ``rep`` can have gained room or work.  Every other state
+        # change ends in ``pump_all``, after which no replica can dispatch,
+        # and what ``rep`` pulls from the shared queues only takes work
+        # from the others.
+        while self.pump_one(rep):
+            pass
 
     def first_token(self, st: _FleetReq, now: float) -> None:
         super().first_token(st, now)

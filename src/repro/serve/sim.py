@@ -4,7 +4,9 @@ The functional engine (:mod:`repro.serve.engine`) proves the scheduling is
 *correct*; this module measures what the same policy *costs* on Summit-class
 hardware, exactly the way :mod:`repro.resilience.sim` is the performance
 twin of the recovery machinery.  Each replica is one ``g_inter``-deep
-pipeline whose stages are simulation processes connected by stores; a
+pipeline of FIFO stages.  A stage contends for nothing and charges a
+fixed cost per group, so a group's exit has a closed form and costs one
+simulation event, not a hand-off per stage (see :class:`_Replica`); a
 router with bounded admission queues feeds requests from a seeded
 (optionally bursty) Poisson source (:func:`repro.sim.poisson_process` —
 the same generator the failure injector uses); replica crashes come from a
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -33,8 +36,7 @@ from ..cluster import ClusterSpec, default_calibration, summit
 from ..nn import GPTConfig
 from ..obs import ObsSpan
 from ..resilience import FaultPlan
-from ..sim import (Environment, Interrupt, Process, Store,
-                   poisson_process)
+from ..sim import Environment, Process, poisson_process
 from .workload import ArrivalSpec, RequestSpec, request_sizes
 
 __all__ = ["ServingModel", "ServingStats", "simulate_serving",
@@ -64,6 +66,9 @@ class ServingModel:
             raise ValueError("all cost coefficients must be positive")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
+        if self.pipeline_limit < 0 or self.max_active < 0:
+            raise ValueError("pipeline_limit and max_active must be >= 0 "
+                             "(0 derives them)")
 
     @property
     def effective_pipeline_limit(self) -> int:
@@ -206,21 +211,33 @@ class _ReqState:
 
 
 class _Replica:
-    """One pipeline replica: stage stores + the continuous-batch state."""
+    """One pipeline replica: when each stage is next free, plus the
+    continuous-batch state.
 
-    #: what a stage process asks before passing its group on
+    A stage holds no shared resource and charges one deterministic cost
+    per group, so it is a single FIFO server: a group reaching stage
+    ``i`` at ``t`` leaves it at ``max(t, free_at[i]) + cost``.  Dispatch
+    (:meth:`_Ledger.start_prefill` / :meth:`_Ledger.start_decode`) runs
+    that recurrence through every stage at once and schedules one event,
+    the group's exit from the last stage.
+    """
+
+    #: what a group's exit event asks before finishing the group
     alive = True
 
     def __init__(self, env: Environment, model: ServingModel, index: int):
         self.env = env
         self.model = model
         self.index = index
-        self.stores = [Store(env) for _ in range(model.g_inter)]
+        #: when each stage finishes the last group dispatched to it
+        self.free_at = [env.now] * model.g_inter
         self.queue: Deque[_ReqState] = deque()
         self.active: Dict[int, _ReqState] = {}
         self.ready: Deque[_ReqState] = deque()
         self.inflight = 0
-        self.procs: list = []
+        #: processes that die with the replica (a fleet replica's
+        #: provisioning timer)
+        self.procs: List[Process] = []
         #: rid -> (request, transfer process) while a KV handoff reads
         #: from this replica (fleet, disaggregated prefill pool only)
         self.handoffs: Dict[int, Tuple[_ReqState, Process]] = {}
@@ -233,17 +250,11 @@ class _Replica:
         return list(self.queue) + list(self.active.values()) \
             + [st for st, _ in self.handoffs.values()]
 
-    def start(self, cluster: "_Ledger", name: str) -> None:
-        """Spawn the stage processes; groups they finish go to
-        ``cluster.finish_group``."""
-        for i in range(self.model.g_inter):
-            self.procs.append(self.env.process(
-                _stage_proc(self.env, cluster, self, i),
-                name=f"{name}-stage{i}"))
-
     def kill(self, why: str) -> List[_ReqState]:
-        """Stop every process and forget all work; returns the orphans,
-        each reset to restart from its prompt (the KV state is lost)."""
+        """Interrupt the replica's processes and forget all work; returns
+        the orphans, each reset to restart from its prompt (the KV state
+        is lost).  Groups in flight need no interrupt: the caller has
+        already marked the replica dead, and their exit events check."""
         for proc in self.procs + [p for _, p in self.handoffs.values()]:
             if proc.is_alive:
                 proc.interrupt(why)
@@ -272,6 +283,10 @@ class _Ledger:
         self.spans = spans
         self.in_system = 0
         self._conc_mark = 0.0
+        #: groups in flight on any replica, by (exit, last-stage start,
+        #: dispatch number); each has one exit event, which pops the first
+        self._exits: List[tuple] = []
+        self._n_dispatched = 0
 
     def _track(self, delta: int) -> None:
         now = self.env.now
@@ -291,8 +306,7 @@ class _Ledger:
     def start_prefill(self, rep: _Replica, st: _ReqState) -> None:
         rep.active[st.rid] = st
         st.last_step_s = self.env.now
-        rep.inflight += 1
-        rep.stores[0].put(("prefill", [st]))
+        self._dispatch(rep, [st], rep.model.stage_time_s(0, st.prompt_len))
 
     def start_decode(self, rep: _Replica) -> None:
         group = []
@@ -300,8 +314,34 @@ class _Ledger:
             group.append(rep.ready.popleft())
         for st in group:
             st.last_step_s = self.env.now
+        self._dispatch(rep, group, rep.model.stage_time_s(len(group), 0))
+
+    def _dispatch(self, rep: _Replica, group: List[_ReqState],
+                  cost: float) -> None:
+        """Send ``group`` through ``rep``'s stages, ``cost`` on each.  A
+        stage starts it at ``max(arrival, free)`` and passes it on at
+        ``start + cost`` — the float operations a process waiting on the
+        stage's inbox would perform — so one event at the exit from the
+        last stage replaces two per stage."""
+        t = self.env.now
+        free_at = rep.free_at
+        for i, free in enumerate(free_at):
+            start = max(t, free)
+            t = free_at[i] = start + cost
         rep.inflight += 1
-        rep.stores[0].put(("decode", group))
+        heappush(self._exits, (t, start, self._n_dispatched, rep, group))
+        self._n_dispatched += 1
+        self.env.timeout_at(t).callbacks.append(self._exit_pipeline)
+
+    def _exit_pipeline(self, _event) -> None:
+        """Finish the group that leaves its pipeline now, if its replica
+        is alive.  Groups leaving different replicas at the same instant
+        go in the order their last stages started (then in dispatch
+        order), as if each stage were a process that schedules its
+        group's hand-off when it starts on it."""
+        _exit, _start, _n, rep, group = heappop(self._exits)
+        if rep.alive:
+            self.finish_group(rep, group)
 
     # -- token / latency ledger --------------------------------------------
     def emit_token(self, rep: _Replica, st: _ReqState, now: float) -> None:
@@ -350,8 +390,6 @@ class _Cluster(_Ledger):
         self.model = model
         self.replicas = [_Replica(env, model, i)
                          for i in range(model.n_replicas)]
-        for rep in self.replicas:
-            rep.start(self, f"replica{rep.index}")
 
     def flush_concurrency(self) -> None:
         self._track(0)
@@ -389,8 +427,7 @@ class _Cluster(_Ledger):
             else:
                 return
 
-    def finish_group(self, rep: _Replica, kind: str,
-                     group: List[_ReqState]) -> None:
+    def finish_group(self, rep: _Replica, group: List[_ReqState]) -> None:
         now = self.env.now
         rep.inflight -= 1
         for st in group:
@@ -410,28 +447,6 @@ class _Cluster(_Ledger):
             if not self.admit(st, forced=True):
                 # no live replica left: the request is lost
                 self._track(-1)
-
-
-def _stage_proc(env: Environment, cluster, rep, i: int):
-    """Stage ``i`` of one replica (spawned by :meth:`_Replica.start`);
-    a finished group goes to either cluster's ``finish_group``."""
-    model = rep.model
-    try:
-        while True:
-            kind, group = yield rep.stores[i].get()
-            if kind == "prefill":
-                cost = model.stage_time_s(0, group[0].prompt_len)
-            else:
-                cost = model.stage_time_s(len(group), 0)
-            yield env.timeout(cost)
-            if not rep.alive:
-                return
-            if i + 1 < model.g_inter:
-                rep.stores[i + 1].put((kind, group))
-            else:
-                cluster.finish_group(rep, kind, group)
-    except Interrupt:
-        return
 
 
 def _build(env: Environment, model: ServingModel, stats: ServingStats,

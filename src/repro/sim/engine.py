@@ -26,7 +26,9 @@ breaks ties — so the order guarantee above is unchanged.  Each queued
 event costs one :meth:`Environment.step`, which pops it, advances the
 clock and runs its callbacks; the triggers push onto the heap
 themselves.  A delay that is negative or NaN is refused when the event
-is scheduled.
+is scheduled.  A model that can compute when something finishes
+schedules that one event with :meth:`Environment.timeout_at` instead of
+stepping through the intermediate ones.
 
 Example
 -------
@@ -389,6 +391,23 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event firing ``delay`` time units from now."""
         return Timeout(self, delay, value)
+
+    def timeout_at(self, when: float, value: Any = None) -> Event:
+        """Create an event firing at the absolute time ``when``.
+
+        For a time computed ahead of the clock: ``timeout(when - now)``
+        fires at ``now + (when - now)``, which need not round back to
+        ``when``.  A time before ``now``, or NaN, raises ``ValueError``.
+        """
+        if not when >= self._now:
+            raise ValueError(f"when must be a time >= now ({self._now!r}), "
+                             f"got {when!r}")
+        ev = Event(self)
+        ev._triggered = True
+        ev._value = value
+        heappush(self._queue, (when, PRIORITY_NORMAL, self._seq, ev))
+        self._seq += 1
+        return ev
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a new process from ``generator``."""

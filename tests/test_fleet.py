@@ -400,7 +400,21 @@ class TestFleetLedger:
         assert stats.n_admitted + stats.n_rejected_admission \
             + stats.n_rejected_backpressure == stats.n_arrived
 
-    def test_scale_events_recorded_with_kinds(self):
+    def test_replica_without_cold_start_serves_when_spawned(self):
+        """With ``cold_start_s=0`` a replica the policy adds is warm at
+        once and takes queued work on the same control tick, as a replica
+        finishing its cold start does."""
+        serving = ServingModel(n_replicas=1, g_inter=2, stage_alpha_s=1e-3,
+                               decode_s_per_item=5e-4,
+                               prefill_s_per_token=1e-4, max_batch=8)
+        spans = []
+        stats = run_fleet(model=FleetModel(serving=serving, cold_start_s=0.0,
+                                           control_interval_s=0.5),
+                          policy=StaticPolicy(2), rate=400.0, horizon=2.0,
+                          spans=spans)
+        assert stats.n_cold_starts == 0 and stats.peak_replicas == 2
+        assert min(s.start for s in spans
+                   if s.rank == 1 and s.name == "prefill") == 0.5
         mu = service_rate_per_replica(MODEL, SPEC)
         arrivals = ArrivalSpec(rate_per_s=1.5 * mu, seed=4, kind="diurnal",
                                diurnal_period_s=30.0,

@@ -9,6 +9,7 @@ from repro.resilience import Fault, FaultPlan
 from repro.serve import (ArrivalSpec, RequestSpec, ServingModel,
                          make_requests, simulate_closed_loop,
                          simulate_serving, sweep_offered_load)
+from repro.serve.sim import ServingStats, _Cluster, _ReqState
 from repro.serve.workload import request_sizes
 from repro.sim import Environment, poisson_process
 
@@ -127,6 +128,85 @@ class TestServingModel:
             ServingModel(n_replicas=0)
         with pytest.raises(ValueError):
             ServingModel(decode_s_per_item=0.0)
+
+    @pytest.mark.parametrize("kw", [{"pipeline_limit": -1},
+                                    {"max_active": -2}])
+    def test_negative_limits_rejected(self, kw):
+        """A negative limit is an error, not a request for the default;
+        0 still means "derive"."""
+        with pytest.raises(ValueError, match="must be >= 0"):
+            ServingModel(**kw)
+        derived = ServingModel(**{key: 0 for key in kw})
+        assert derived.effective_pipeline_limit == derived.g_inter
+        assert derived.effective_max_active == \
+            derived.max_batch * derived.g_inter
+
+
+class TestReplicaPipeline:
+    """A replica's stages are FIFO servers priced in closed form: a group
+    leaves stage ``i`` at ``max(arrival, free_i) + cost``."""
+
+    MODEL = ServingModel(n_replicas=2, g_inter=3, stage_alpha_s=1e-3,
+                         decode_s_per_item=5e-4, prefill_s_per_token=1e-4,
+                         max_batch=8)
+
+    def _cluster(self):
+        env = Environment()
+        cluster = _Cluster(env, self.MODEL,
+                           ServingStats(horizon_s=1.0, offered_req_s=0.0),
+                           None)
+        finished = []
+        finish = cluster.finish_group
+
+        def spy(rep, group):
+            finished.append((env.now, rep.index, [st.rid for st in group]))
+            finish(rep, group)
+
+        cluster.finish_group = spy
+        return env, cluster, finished
+
+    def _dispatch_prefill_then_decode(self, env, cluster):
+        """A 100-token prefill at t=0, then at t=1 ms a one-token decode
+        group while the prefill is still on stage 0."""
+        rep = cluster.replicas[0]
+        prefill = _ReqState(0, 0.0, prompt_len=100, new_tokens=1)
+        decode = _ReqState(1, 0.0, prompt_len=4, new_tokens=2)
+        decode.tokens_done = 1
+        rep.active[decode.rid] = decode
+        rep.ready.append(decode)
+        cluster.start_prefill(rep, prefill)
+        env.run(until=1e-3)
+        cluster.start_decode(rep)
+        return rep, prefill, decode
+
+    def test_exits_follow_the_fifo_recurrence(self):
+        env, cluster, finished = self._cluster()
+        self._dispatch_prefill_then_decode(env, cluster)
+        p = self.MODEL.stage_time_s(0, 100)
+        d = self.MODEL.stage_time_s(1, 0)
+        prefill_exits = [0.0 + p]
+        prefill_exits.append(prefill_exits[-1] + p)
+        prefill_exits.append(prefill_exits[-1] + p)
+        t = 1e-3
+        for free in prefill_exits:  # the decode queues behind it
+            t = max(t, free) + d
+        env.run()
+        assert finished == [(prefill_exits[-1], 0, [0]), (t, 0, [1])]
+        assert t > 1e-3 + 3 * d
+
+    def test_crash_in_flight_orphans_the_group_once(self):
+        env, cluster, finished = self._cluster()
+        rep, prefill, decode = self._dispatch_prefill_then_decode(env, cluster)
+        env.run(until=2 * self.MODEL.stage_time_s(0, 100))
+        cluster.crash(rep)
+        env.run()
+        # both exit events fire, but the dead replica finishes nothing:
+        # the orphans restart from their prompts on replica 1
+        assert [index for _, index, _ in finished] == [1, 1, 1]
+        assert cluster.stats.n_restarts == 2
+        assert prefill.restarts == decode.restarts == 1
+        assert (prefill.tokens_done, decode.tokens_done) == (1, 2)
+        assert cluster.stats.n_completed == 2
 
 
 class TestOpenLoop:

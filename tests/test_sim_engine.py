@@ -329,6 +329,42 @@ def test_same_time_events_fire_in_creation_order():
     assert order == list(range(5))
 
 
+def test_timeout_at_fires_at_exactly_when():
+    """An absolute time is kept as given, where the relative delay
+    ``when - now`` can round away from it."""
+    now, when = next((n, w) for n, w in
+                     ((0.1 * i, 0.7 + 0.3 * i) for i in range(1, 1000))
+                     if n + (w - n) != w)
+    env = Environment(initial_time=now)
+    fired = {}
+    env.timeout_at(when).callbacks.append(
+        lambda ev: fired.setdefault("at", env.now))
+    env.timeout(when - now).callbacks.append(
+        lambda ev: fired.setdefault("delay", env.now))
+    env.run()
+    assert fired["at"] == when
+    assert fired["delay"] != when
+
+
+@pytest.mark.parametrize("when", [0.5, float("nan")], ids=["past", "nan"])
+def test_timeout_at_rejects_a_past_or_nan_time(when):
+    env = Environment(initial_time=1.0)
+    with pytest.raises(ValueError, match=re.escape(repr(when))):
+        env.timeout_at(when)
+    assert env.peek() == float("inf")
+
+
+def test_timeout_at_ties_break_by_scheduling_order():
+    env = Environment()
+    order = []
+    events = [env.timeout_at(2.0), env.timeout(2.0), env.timeout_at(2.0),
+              env.timeout_at(1.0)]
+    for tag, ev in enumerate(events):
+        ev.callbacks.append(lambda ev, tag=tag: order.append(tag))
+    env.run()
+    assert order == [3, 0, 1, 2]
+
+
 def test_peek_reports_next_event_time():
     env = Environment()
     env.timeout(7)

@@ -463,3 +463,19 @@ def run_case(key):
 @pytest.mark.parametrize("key", sorted(CASES), ids="-".join)
 def test_sim_timeline_is_pinned(key):
     assert run_case(key) == PINS[key]
+
+
+#: case -> events the run processes.  A group costs one event on its
+#: replica, not two per stage; a per-stage event coming back shows here.
+EVENTS = {
+    ("serve", "crash"): 3197,
+    ("fleet", "unified"): 19185,
+    ("fleet", "disaggregated"): 10911,
+}
+
+
+@pytest.mark.parametrize("key", sorted(EVENTS), ids="-".join)
+def test_event_budget_is_pinned(key, env_steps):
+    fn, *args = CASES[key]
+    fn(*args)
+    assert len(env_steps) == EVENTS[key]
