@@ -392,7 +392,7 @@ class Environment:
         """Create an event firing ``delay`` time units from now."""
         return Timeout(self, delay, value)
 
-    def timeout_at(self, when: float, value: Any = None) -> Event:
+    def timeout_at(self, when: float) -> Event:
         """Create an event firing at the absolute time ``when``.
 
         For a time computed ahead of the clock: ``timeout(when - now)``
@@ -404,7 +404,6 @@ class Environment:
                              f"got {when!r}")
         ev = Event(self)
         ev._triggered = True
-        ev._value = value
         heappush(self._queue, (when, PRIORITY_NORMAL, self._seq, ev))
         self._seq += 1
         return ev

@@ -415,6 +415,8 @@ class TestFleetLedger:
         assert stats.n_cold_starts == 0 and stats.peak_replicas == 2
         assert min(s.start for s in spans
                    if s.rank == 1 and s.name == "prefill") == 0.5
+
+    def test_scale_events_recorded_with_kinds(self):
         mu = service_rate_per_replica(MODEL, SPEC)
         arrivals = ArrivalSpec(rate_per_s=1.5 * mu, seed=4, kind="diurnal",
                                diurnal_period_s=30.0,
