@@ -10,6 +10,11 @@ compared with ``==`` (one closed-form row to 2 ulp, see
 Nothing here may be re-recorded by a refactor.  ``MPI_PINS`` is the one
 family a modelling change has moved (CHANGES.md, PR 24): a static walk
 awaits a send only under a blocking backend.
+
+``SCHEDULE_PINS``, ``SERVING_PINS`` and the fleet tables are the
+deterministic DES numbers the old JSON benchmark baselines held within a
+20 % band (the schedule DES, the serving sweep and the elastic fleet),
+now held to the last bit.
 """
 
 import math
@@ -19,6 +24,15 @@ import pytest
 from repro.baselines import ThreeDConfig, simulate_baseline_batch
 from repro.core import (AxoNNConfig, WEAK_SCALING_MODELS,
                         estimate_batch_time, simulate_batch)
+from repro.experiments import (autoscale_serving_model, fleet_report,
+                               serving_rows)
+from repro.experiments.fleet import _admission, _autoscale_spec, _policy_row
+from repro.fleet import (FleetModel, PredictivePolicy, ReactivePolicy,
+                         StaticPolicy, service_rate_per_replica,
+                         simulate_fleet)
+from repro.sched import build_schedule
+from repro.sched.des import simulate_schedule
+from repro.serve import ArrivalSpec
 from repro.tuning import estimate_baseline_time
 
 SPEC = WEAK_SCALING_MODELS["12B"]
@@ -279,6 +293,137 @@ AXONN_PINS = {
         19.988679631057998,
 }
 
+#: (stages, schedule) -> simulate_schedule(build_schedule(schedule,
+#: stages, 8)): (makespan, bubble_fraction, peak_memory); 12B stage
+#: costs, no jitter
+SCHEDULE_PINS = {
+    (4, '1f1b'):
+        (1.514161815113673, 0.29844360891258825, 18481152),
+    (4, 'axonn'):
+        (1.514161815113673, 0.29844360891258825, 18481152),
+    (4, 'gpipe'):
+        (1.514161815113673, 0.29844360891258814, 36962304),
+    (4, 'interleaved'):
+        (1.31970935554555, 0.19502434830102522, 50823168),
+    (4, 'zb-h1'):
+        (1.38057857515841, 0.23053861790400254, 18481152),
+    (8, '1f1b'):
+        (1.0597315986102762, 0.49877218914362376, 36962304),
+    (8, 'axonn'):
+        (1.0597315986102762, 0.49877218914362376, 36962304),
+    (8, 'gpipe'):
+        (1.0597315986102762, 0.49877218914362376, 36962304),
+    (8, 'interleaved'):
+        (0.8347216199585779, 0.36358309577135595, 73924608),
+    (8, 'zb-h1'):
+        (0.9044388204215189, 0.41267564231797516, 36962304),
+}
+
+#: serving_rows(fast=True): the load sweep's roofline, saturated
+#: throughput, light-load TTFT and overload p99 TTFT
+SERVING_PINS = {
+    'roofline_tok_s': 1043.9710519943667,
+    'saturated_throughput_tok_s': 945.05,
+    'roofline_fraction': 0.9052454071351966,
+    'ttft_p50_ms_light': 3.7299631705733916,
+    'ttft_p99_ms_light': 13.652809375996979,
+    'ttft_p99_ms_overload': 3475.373753788188,
+}
+
+#: (scenario, policy) -> the row's numbers in ``_policy_row`` order
+#: (replica_seconds, ttft_p50_ms, ttft_p99_ms, tpot_ms, slo_attainment,
+#: completed, rejected_backpressure, rejected_admission, rejected_down,
+#: cold_starts, scale_events, peak_replicas), then ``throughput_tok_s``
+#: and ``handoffs`` for disaggregation, then the rejection rate
+FLEET_PINS = {
+    ('autoscaling', 'static-peak'):
+        (1500.0, 95.14181907767494, 201.6450160257524, 133.4729429910968,
+         1.0, 9444.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.0),
+    ('autoscaling', 'reactive'):
+        (1018.0, 122.89148920879889, 441.72805480583503, 182.98597157627086,
+         0.9978822532825075, 9444.0, 0.0, 0.0, 0.0, 15.0, 32.0, 8.0, 0.0),
+    ('autoscaling', 'predictive'):
+        (1000.0, 125.82173371923133, 214.9773290005768, 189.38815460940418,
+         1.0, 9444.0, 0.0, 0.0, 0.0, 25.0, 51.0, 6.0, 0.0),
+    ('flash', 'static-peak'):
+        (600.0, 68.49741230658691, 185.65438447242644, 80.9292932175994,
+         1.0, 2686.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.0),
+    ('flash', 'reactive'):
+        (346.0, 115.48790533878872, 2526.071960085933, 160.0954082465003,
+         0.848071679002727, 2567.0, 119.0, 0.0, 0.0, 8.0, 18.0, 6.0,
+         0.04430379746835443),
+    ('flash', 'predictive'):
+        (276.0, 237.21791033014128, 5424.84857595648, 233.76342340247555,
+         0.6513994910941476, 2358.0, 328.0, 0.0, 0.0, 16.0, 35.0, 5.0,
+         0.12211466865227104),
+    ('disaggregation', 'unified'):
+        (480.0, 189.7070184381395, 540.6514863947791, 248.44452648332862,
+         1.0, 914.0, 0.0, 0.0, 0.0, 0.0, 0.0, 8.0, 743.1666666666666, 0.0,
+         0.0),
+    ('disaggregation', 'disaggregated'):
+        (480.0, 228.45971888694461, 529.8341730769264, 90.72552902528815,
+         1.0, 914.0, 0.0, 0.0, 0.0, 0.0, 0.0, 8.0, 743.1666666666666,
+         914.0, 0.0),
+}
+
+#: fleet_report(fast=True)["failover"]
+FAILOVER_PINS = {
+    'crash_at_s': 10.0,
+    'retire_at_s': 20.0,
+    'arrived': 622.0,
+    'admitted': 622.0,
+    'completed': 622.0,
+    'restarted': 3.0,
+    'crashes': 1.0,
+    'retired': 3.0,
+    'rejected_down': 0.0,
+    'lost': 0.0,
+}
+
+
+def flash_rows():
+    """Static vs reactive vs predictive under a flash crowd: the diurnal
+    scenario's fleet on 120 s of Poisson traffic at 0.9 mu that jumps
+    4x at 30 s and decays over 15 s."""
+    serving = autoscale_serving_model()
+    spec = _autoscale_spec(0)
+    mu = service_rate_per_replica(serving, spec)
+    horizon = 120.0
+    arrivals = ArrivalSpec(rate_per_s=0.9 * mu, seed=0, kind="flash",
+                           flash_at_s=horizon / 4, flash_factor=4.0,
+                           flash_decay_s=15.0)
+    model = FleetModel(serving=serving, cold_start_s=5.0,
+                       control_interval_s=1.0, drain_timeout_s=10.0)
+    policies = [
+        ("static-peak", StaticPolicy(serving.n_replicas)),
+        ("reactive", ReactivePolicy(min_replicas=1,
+                                    max_replicas=serving.n_replicas,
+                                    cooldown_s=5.0)),
+        ("predictive", PredictivePolicy(period_s=horizon, lead_s=10.0,
+                                        min_replicas=1,
+                                        max_replicas=serving.n_replicas,
+                                        target_utilization=0.6)),
+    ]
+    return [_policy_row(name, simulate_fleet(
+                model, policy, arrivals, horizon, request_spec=spec,
+                seq_len=64, admission=_admission()))
+            for name, policy in policies]
+
+
+def pinned_row(row):
+    """A fleet row's numbers in order, then its rejection rate."""
+    rejected = (row["rejected_backpressure"] + row["rejected_admission"]
+                + row["rejected_down"])
+    return tuple(v for k, v in row.items() if k != "policy") + (
+        rejected / max(1.0, row["completed"] + rejected),)
+
+
+@pytest.fixture(scope="module")
+def fleet():
+    report = fleet_report(fast=True)
+    report["flash"] = flash_rows()
+    return report
+
 
 @pytest.mark.parametrize("key", sorted(NCCL_PINS), ids=str)
 def test_baseline_nccl_batch_is_pinned(key):
@@ -316,3 +461,40 @@ def test_axonn_pipeline_is_pinned(key):
     g_intra, g_inter, sigma = key
     cfg = axonn_cfg(g_intra, g_inter, compute_jitter=sigma)
     assert simulate_batch(cfg).pipeline_s == AXONN_PINS[key]
+
+
+@pytest.mark.parametrize("key", sorted(SCHEDULE_PINS), ids=str)
+def test_schedule_is_pinned(key):
+    stages, name = key
+    sim = simulate_schedule(build_schedule(name, stages, 8))
+    assert (sim.makespan, sim.bubble_fraction, sim.peak_memory) == \
+        SCHEDULE_PINS[key]
+
+
+def test_serving_sweep_is_pinned():
+    rows = serving_rows(fast=True)
+    roofline = rows[0]["roofline_tok_s"]
+    saturated = max(r["throughput_tok_s"] for r in rows)
+    assert {
+        'roofline_tok_s': roofline,
+        'saturated_throughput_tok_s': saturated,
+        'roofline_fraction': saturated / roofline,
+        'ttft_p50_ms_light': rows[0]["ttft_p50_ms"],
+        'ttft_p99_ms_light': rows[0]["ttft_p99_ms"],
+        'ttft_p99_ms_overload': rows[-1]["ttft_p99_ms"],
+    } == SERVING_PINS
+
+
+@pytest.mark.parametrize("key", sorted(FLEET_PINS), ids=str)
+def test_fleet_row_is_pinned(fleet, key):
+    scenario, policy = key
+    row = next(r for r in fleet[scenario] if r["policy"] == policy)
+    assert pinned_row(row) == FLEET_PINS[key]
+
+
+def test_fleet_failover_is_pinned(fleet):
+    assert fleet["failover"] == FAILOVER_PINS
+
+
+def test_fleet_claims_all_hold(fleet):
+    assert fleet["claims"] and all(fleet["claims"].values()), fleet["claims"]
