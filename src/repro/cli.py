@@ -26,7 +26,7 @@ Usage::
     python -m repro scaling4d            # best 4D decomposition per cluster
 
 Each command prints the figure's rows as an aligned table plus the paper-
-claim checklist, mirroring what the benchmark harness asserts.  ``trace``
+claim checklist, and exits non-zero when a claim fails.  ``trace``
 runs a small 2x2 hybrid scenario with the observability layer enabled and
 writes a Chrome-trace JSON (open in Perfetto or chrome://tracing).
 ``faults`` runs a deterministic fault plan: on the functional runtime it
@@ -115,6 +115,7 @@ def _emit(title: str, rows, claims: Optional[Dict[str, bool]],
 # -- commands -----------------------------------------------------------------
 
 def cmd_fig1(args) -> bool:
+    """Fig. 1: pipeline occupancy of one traced pass."""
     from .experiments import pipeline_occupancy, render_occupancy
     occ = pipeline_occupancy(g_inter=4, microbatches=4 if args.fast else 8)
     print("\n== Fig. 1: inter-layer parallelism occupancy ==")
@@ -122,10 +123,12 @@ def cmd_fig1(args) -> bool:
     rows = [{"stage": st["stage"], "busy_s": st["busy_s"],
              "idle_fraction": st["idle_fraction"]}
             for st in occ["stages"]]
-    return _emit("Fig. 1: per-stage occupancy", rows, None, args.csv)
+    return _emit("Fig. 1: per-stage occupancy", rows, ex.fig1_claims(occ),
+                 args.csv)
 
 
 def cmd_fig3(args) -> bool:
+    """Fig. 3: point-to-point latency, MPI vs NCCL."""
     sizes = [2 ** e for e in range(10, 27, 4)] if args.fast else None
     rows = ex.fig3_rows(sizes=sizes)
     return _emit("Fig. 3: p2p latency (s)", rows, ex.fig3_claims(rows),
@@ -133,6 +136,7 @@ def cmd_fig3(args) -> bool:
 
 
 def cmd_fig4(args) -> bool:
+    """Fig. 4: all-reduce latency vs message size."""
     sizes = [2 ** e for e in range(16, 29, 4)] if args.fast else None
     rows = ex.fig4_rows(sizes=sizes)
     return _emit("Fig. 4: all-reduce latency (s)", rows,
@@ -140,6 +144,7 @@ def cmd_fig4(args) -> bool:
 
 
 def cmd_fig5(args) -> bool:
+    """Fig. 5: inter-layer phase time vs G_inter."""
     batch = 512 if args.fast else 2048
     rows = ex.fig5_rows(batch_size=batch)
     return _emit(f"Fig. 5: inter-layer phase vs G_inter (batch {batch})",
@@ -147,6 +152,7 @@ def cmd_fig5(args) -> bool:
 
 
 def cmd_fig6(args) -> bool:
+    """Fig. 6: batch time with and without the memory optimization."""
     rows = ex.fig6_rows()
     ok = _emit("Fig. 6: batch-time breakdown", rows, ex.fig6_claims(rows),
                args.csv)
@@ -157,6 +163,7 @@ def cmd_fig6(args) -> bool:
 
 
 def cmd_fig7(args) -> bool:
+    """Fig. 7: all-reduce / optimizer two-stream overlap."""
     profile = ex.fig7_profile(batch_size=96 if args.fast else 512)
     print("\n== Fig. 7: two-stream profile "
           "(a = all-reduce chunk, o = optimizer bucket) ==")
@@ -175,12 +182,14 @@ def cmd_fig7(args) -> bool:
 
 
 def cmd_fig8(args) -> bool:
+    """Fig. 8: all-reduce + optimizer time vs coarsening factor k."""
     rows = ex.fig8_rows()
     return _emit("Fig. 8: all-reduce + optimizer vs k", rows,
                  ex.fig8_claims(rows), args.csv)
 
 
 def cmd_fig9(args) -> bool:
+    """Fig. 9: weak scaling, AxoNN vs DeepSpeed vs Megatron-LM."""
     models = tuple(args.models) if args.models else (
         ("12B",) if args.fast else ("12B", "24B", "50B", "100B"))
     rows = ex.weak_scaling_rows(models=models)
@@ -189,6 +198,7 @@ def cmd_fig9(args) -> bool:
 
 
 def cmd_fig10(args) -> bool:
+    """Fig. 10: loss curves, serial vs hybrid-parallel training."""
     curves = ex.fig10_curves(n_batches=10 if args.fast else 40)
     rows = [{"batch": i, "serial": s, "axonn": a, "abs_diff": abs(s - a)}
             for i, (s, a) in enumerate(zip(curves["serial"],
@@ -198,6 +208,7 @@ def cmd_fig10(args) -> bool:
 
 
 def cmd_fig11(args) -> bool:
+    """Fig. 11: strong scaling of the 12B model."""
     counts = (48, 96) if args.fast else (48, 96, 192, 384)
     rows = ex.strong_scaling_rows(gpu_counts=counts)
     return _emit("Fig. 11: strong scaling", rows, ex.fig11_claims(rows),
@@ -205,12 +216,14 @@ def cmd_fig11(args) -> bool:
 
 
 def cmd_table1(args) -> bool:
+    """Table I: the model zoo."""
     rows = ex.table1_rows()
     return _emit("Table I: model zoo", rows, ex.table1_claims(rows),
                  args.csv)
 
 
 def cmd_table2(args) -> bool:
+    """Table II: tuned hyperparameters per framework."""
     models = tuple(args.models) if args.models else (
         ("12B",) if args.fast else ("12B", "24B", "50B", "100B"))
     rows = ex.table2_rows(models=models)
@@ -219,18 +232,23 @@ def cmd_table2(args) -> bool:
 
 
 def cmd_ablations(args) -> bool:
+    """Design-choice ablations and the full-grid validation."""
     ok = True
-    ok &= _emit("Backend ablation", ex.backend_ablation(), None, None)
+    rows = ex.backend_ablation()
+    ok &= _emit("Backend ablation", rows, ex.backend_claims(rows), None)
     ok &= _emit("Placement ablation", ex.placement_ablation(), None, None)
-    ok &= _emit("pipeline_limit ablation", ex.pipeline_limit_ablation(),
-                None, None)
+    rows = ex.pipeline_limit_ablation()
+    ok &= _emit("pipeline_limit ablation", rows,
+                ex.pipeline_limit_claims(rows), None)
     ok &= _emit("Schedule ablation", ex.schedule_ablation(), None, None)
     ok &= _emit("Bucket-size ablation", ex.bucket_size_ablation(),
                 None, None)
-    ok &= _emit("Scheduling-under-jitter ablation",
-                ex.scheduling_jitter_ablation(), None, None)
-    ok &= _emit("Full-grid validation", ex.full_grid_validation(),
-                None, args.csv)
+    rows = ex.scheduling_jitter_ablation()
+    ok &= _emit("Scheduling-under-jitter ablation", rows,
+                ex.jitter_claims(rows), None)
+    rows = ex.full_grid_validation()
+    ok &= _emit("Full-grid validation", rows, ex.full_grid_claims(rows),
+                args.csv)
     return ok
 
 

@@ -3,7 +3,7 @@
 Every experiment exposes a ``*_rows`` (or ``*_curves``/``*_profile``)
 function returning plain dict rows, and a ``*_claims`` function that
 evaluates the paper's qualitative claims on those rows — the same code path
-is used by the test suite and the benchmark harness.
+is used by the test suite and by ``python -m repro``.
 
 Index (see DESIGN.md for the full mapping):
 
@@ -23,9 +23,13 @@ Index (see DESIGN.md for the full mapping):
 
 from .ablations import (
     backend_ablation,
+    backend_claims,
     bucket_size_ablation,
+    full_grid_claims,
     full_grid_validation,
+    jitter_claims,
     pipeline_limit_ablation,
+    pipeline_limit_claims,
     placement_ablation,
     schedule_ablation,
     scheduling_jitter_ablation,
@@ -36,7 +40,8 @@ from .ginter_sweep import PAPER_G_INTER_VALUES, fig5_claims, fig5_rows
 from .memopt_breakdown import fig6_claims, fig6_rows, memory_savings_summary
 from .microbench import fig3_claims, fig3_rows, fig4_claims, fig4_rows
 from .overlap_timeline import fig7_claims, fig7_profile
-from .pipeline_diagram import pipeline_occupancy, render_occupancy
+from .pipeline_diagram import fig1_claims, pipeline_occupancy, \
+    render_occupancy
 from .scaling import (
     MODEL_GPUS,
     PAPER_TABLE2,
@@ -74,10 +79,14 @@ from .tables import table1_claims, table1_rows, table2_claims, table2_rows
 
 __all__ = [
     "backend_ablation",
+    "backend_claims",
     "bucket_size_ablation",
+    "full_grid_claims",
     "full_grid_validation",
+    "jitter_claims",
     "scheduling_jitter_ablation",
     "pipeline_limit_ablation",
+    "pipeline_limit_claims",
     "placement_ablation",
     "schedule_ablation",
     "DEFAULT_K_VALUES",
@@ -98,6 +107,7 @@ __all__ = [
     "fig4_rows",
     "fig7_claims",
     "fig7_profile",
+    "fig1_claims",
     "pipeline_occupancy",
     "render_occupancy",
     "MODEL_GPUS",

@@ -22,7 +22,8 @@ from ..core import AxoNNConfig, WEAK_SCALING_MODELS, simulate_batch
 __all__ = ["backend_ablation", "placement_ablation",
            "pipeline_limit_ablation", "schedule_ablation",
            "bucket_size_ablation", "scheduling_jitter_ablation",
-           "full_grid_validation"]
+           "full_grid_validation", "backend_claims", "pipeline_limit_claims",
+           "jitter_claims", "full_grid_claims"]
 
 
 def _base_cfg(batch_size: int = 768, **kw) -> AxoNNConfig:
@@ -57,6 +58,13 @@ def placement_ablation(batch_size: int = 768) -> List[Dict[str, object]]:
     return rows
 
 
+def backend_claims(rows: List[Dict[str, object]]) -> Dict[str, bool]:
+    """Section IV-A: asynchronous MPI messaging beats blocking NCCL."""
+    by = {r["p2p_backend"]: r for r in rows}
+    return {"mpi_beats_nccl_pipeline":
+            by["mpi"]["pipeline_s"] < by["nccl"]["pipeline_s"]}
+
+
 def pipeline_limit_ablation(limits: Sequence[int] = (1, 2, 4, 6, 12),
                             batch_size: int = 768
                             ) -> List[Dict[str, object]]:
@@ -68,6 +76,12 @@ def pipeline_limit_ablation(limits: Sequence[int] = (1, 2, 4, 6, 12),
         rows.append({"pipeline_limit": limit,
                      "pipeline_s": r.pipeline_s})
     return rows
+
+
+def pipeline_limit_claims(rows: List[Dict[str, object]]) -> Dict[str, bool]:
+    """One microbatch in flight serialises the pipeline."""
+    by = {r["pipeline_limit"]: r["pipeline_s"] for r in rows}
+    return {"limit_1_slowest": by[1] == max(by.values())}
 
 
 def schedule_ablation(batch_size: int = 768) -> List[Dict[str, object]]:
@@ -114,6 +128,12 @@ def scheduling_jitter_ablation(sigmas=(0.0, 0.1, 0.2, 0.3),
     return rows
 
 
+def jitter_claims(rows: List[Dict[str, object]]) -> Dict[str, bool]:
+    """The scheduling discipline alone changes little at any jitter."""
+    return {"static_vs_message_driven_within_0.8_1.25":
+            all(0.8 < r["ratio"] < 1.25 for r in rows)}
+
+
 def full_grid_validation(batch_size: int = 768) -> List[Dict[str, object]]:
     """Validate the one-row symmetry assumption: simulating every
     data-parallel row must agree with the single-row fast path (to within
@@ -131,6 +151,12 @@ def full_grid_validation(batch_size: int = 768) -> List[Dict[str, object]]:
             / one.pipeline_s,
         })
     return rows
+
+
+def full_grid_claims(rows: List[Dict[str, object]]) -> Dict[str, bool]:
+    """The one-row fast path stands in for the full grid."""
+    return {"one_row_within_5pct_of_full_grid":
+            all(r["relative_gap"] < 0.05 for r in rows)}
 
 
 def bucket_size_ablation(bucket_sizes: Sequence[int] =

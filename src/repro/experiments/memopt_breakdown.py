@@ -42,6 +42,7 @@ def fig6_rows(num_gpus: int = 48, batch_size: int = 2048,
 
 
 def fig6_claims(rows: List[Dict[str, object]]) -> Dict[str, bool]:
+    """Fig. 6's claims plus Section V-B's per-GPU state saving."""
     by = {r["variant"]: r for r in rows}
     wo, w = by["without-memopt"], by["with-memopt"]
     improvement = (wo["total_s"] - w["total_s"]) / wo["total_s"]
@@ -51,6 +52,9 @@ def fig6_claims(rows: List[Dict[str, object]]) -> Dict[str, bool]:
         "total_improves": w["total_s"] < wo["total_s"],
         # paper: "an improvement of 13 percent"
         "improvement_in_plausible_band": 0.05 < improvement < 0.40,
+        # paper: 20 phi -> 4 phi + 16 bsize per GPU
+        "state_saving_ratio_4_to_5":
+            4.0 < memory_savings_summary()["state_saving_ratio"] < 5.0,
     }
 
 

@@ -16,7 +16,7 @@ from ..cluster import GridPlacement, Machine, summit
 from ..core import AxoNNConfig, WEAK_SCALING_MODELS
 from ..core.phases import run_pipeline_phase
 
-__all__ = ["pipeline_occupancy", "render_occupancy"]
+__all__ = ["pipeline_occupancy", "render_occupancy", "fig1_claims"]
 
 
 def pipeline_occupancy(g_inter: int = 4, microbatches: int = 8,
@@ -52,6 +52,12 @@ def pipeline_occupancy(g_inter: int = 4, microbatches: int = 8,
         })
     return {"stages": stages, "total_s": total, "g_inter": g_inter,
             "microbatches": microbatches}
+
+
+def fig1_claims(occupancy: Dict[str, object]) -> Dict[str, bool]:
+    """The warm-up / drain bubble exists and is bounded."""
+    idle = max(st["idle_fraction"] for st in occupancy["stages"])
+    return {"bubble_bounded_5_to_60pct": 0.05 < idle < 0.6}
 
 
 def render_occupancy(occupancy: Dict[str, object], width: int = 96) -> str:

@@ -13,8 +13,8 @@ block as one node.
 Each fused op records **one** autograd node where the primitive
 composition would record many; the ``*_unfused`` reference implementations
 at the bottom of this module are those compositions, kept for gradient
-checking (``tests/test_nn_fused.py``) and for the fused-vs-unfused rows of
-``benchmarks/bench_wallclock.py``.
+checking (``tests/test_nn_fused.py``) and as the bit-exact reference of
+the block kernel (``tests/test_nn_block.py``).
 
 The arithmetic of ``linear``, ``layer_norm``, ``gelu``, ``masked_softmax``
 and ``dropout`` lives in raw-array ``_<op>_fwd`` / ``_<op>_bwd`` helpers
@@ -699,8 +699,7 @@ def accumulate_members(params: Sequence[Tensor],
 # ===========================================================================
 # Each mirrors the fused op above using only Tensor primitives (one autograd
 # node per elementwise step).  They exist so the fused kernels can be
-# verified against an independent derivation of the same gradient, and so
-# the benchmark harness can put a number on what fusion buys.
+# verified against an independent derivation of the same gradient.
 
 def softmax_unfused(x: Tensor, axis: int = -1) -> Tensor:
     """Primitive-op softmax (max treated as a constant shift)."""

@@ -1,23 +1,18 @@
-"""Performance instrumentation: wall-clock timers and op-level counters.
+"""Performance instrumentation: op-level counters.
 
-This package is the measurement side of the fused-kernel work: the
-benchmark harness (``benchmarks/bench_wallclock.py``) uses :mod:`timers`
-to produce ``BENCH_PR1.json`` and :mod:`counters` to prove that the fused
-ops really do collapse the autograd graph (one node where the unfused
-composition records many).
+:mod:`counters` proves that the fused ops really do collapse the autograd
+graph (one node where the unfused composition records many); the spine
+benchmark (``benchmarks/spine/``) reads them as its per-op kernel-call
+and graph-node metrics.
 
 It deliberately imports nothing from :mod:`repro.nn` so the tensor core
 can hook into the counters without an import cycle.
 """
 
 from .counters import OpCounters, counters, counting
-from .timers import Timer, TimingStats, time_fn
 
 __all__ = [
     "OpCounters",
     "counters",
     "counting",
-    "Timer",
-    "TimingStats",
-    "time_fn",
 ]

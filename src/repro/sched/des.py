@@ -73,7 +73,8 @@ def virtual_stage_costs(schedule: Schedule, spec=None,
     Stated modelling gap (ROADMAP item 11): the schedule search prices
     forward / backward-proper flops and the wire only — no checkpoint
     recompute and no per-pass serial extras — which is what
-    ``benchmarks/spine/reference.json`` and BENCH_PR9 pin.  Pass
+    ``benchmarks/spine/reference.json`` and ``SCHEDULE_PINS`` in
+    ``tests/test_des_pins.py`` pin.  Pass
     ``costs=`` to :func:`simulate_schedule` for a fully priced table.
     """
     spec = spec or WEAK_SCALING_MODELS["12B"]

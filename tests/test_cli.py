@@ -15,6 +15,23 @@ class TestCLI:
         for name in ("fig3", "fig9", "table2", "all"):
             assert name in out
 
+    def test_list_describes_every_name(self, capsys):
+        assert main(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = [line.split()[0] for line in lines]
+        assert set(EXPERIMENTS) <= set(names)
+        for line in lines:
+            name, _, text = line.strip().partition(" ")
+            assert text.strip(), name
+
+    def test_ablations_exits_nonzero_on_a_failed_claim(self, monkeypatch,
+                                                       capsys):
+        import repro.experiments as ex
+        monkeypatch.setattr(ex, "full_grid_claims",
+                            lambda rows: {"forced": False})
+        assert main(["ablations"]) == 1
+        assert "[FAIL] forced" in capsys.readouterr().out
+
     def test_all_experiments_registered(self):
         expected = {"fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
                     "fig9", "fig10", "fig11", "table1", "table2",

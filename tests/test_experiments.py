@@ -141,8 +141,7 @@ class TestTables:
 class TestAblations:
     def test_backend_ablation_mpi_wins(self):
         rows = ex.backend_ablation(batch_size=384)
-        by = {r["p2p_backend"]: r for r in rows}
-        assert by["mpi"]["pipeline_s"] < by["nccl"]["pipeline_s"]
+        assert_all_claims(ex.backend_claims(rows))
 
     def test_placement_ablation_tradeoff(self):
         rows = ex.placement_ablation(batch_size=384)
@@ -155,6 +154,7 @@ class TestAblations:
         rows = ex.pipeline_limit_ablation(limits=(1, 2, 6), batch_size=384)
         times = [r["pipeline_s"] for r in rows]
         assert times[0] > times[1] > times[2] * 0.99
+        assert_all_claims(ex.pipeline_limit_claims(rows))
 
     def test_schedule_ablation(self):
         rows = ex.schedule_ablation(batch_size=384)
@@ -170,6 +170,22 @@ class TestAblations:
         device = [r["optimizer_device_bytes"] for r in rows]
         assert device == sorted(device)
 
+    def test_jitter_claims(self):
+        rows = ex.scheduling_jitter_ablation(sigmas=(0.0, 0.3),
+                                             batch_size=384)
+        assert_all_claims(ex.jitter_claims(rows))
+
+    def test_full_grid_claims(self):
+        assert_all_claims(ex.full_grid_claims(
+            ex.full_grid_validation(batch_size=384)))
+
+    def test_claims_catch_a_violation(self):
+        assert not ex.jitter_claims([{"ratio": 1.3}])[
+            "static_vs_message_driven_within_0.8_1.25"]
+        assert not ex.pipeline_limit_claims(
+            [{"pipeline_limit": 1, "pipeline_s": 1.0},
+             {"pipeline_limit": 2, "pipeline_s": 2.0}])["limit_1_slowest"]
+
 
 class TestPipelineDiagram:
     def test_occupancy_structure(self):
@@ -178,6 +194,11 @@ class TestPipelineDiagram:
         assert occ["total_s"] > 0
         for st in occ["stages"]:
             assert 0.0 <= st["idle_fraction"] < 1.0
+
+    @pytest.mark.parametrize("microbatches", [4, 8])
+    def test_fig1_claims(self, microbatches):
+        occ = ex.pipeline_occupancy(g_inter=4, microbatches=microbatches)
+        assert_all_claims(ex.fig1_claims(occ))
 
     def test_bubble_shrinks_with_more_microbatches(self):
         """Fig. 1's bubble: more microbatches amortize the warm-up/drain."""

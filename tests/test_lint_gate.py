@@ -1,7 +1,7 @@
 """Opt-in repo-wide static-analysis gate (``pytest -m lint``).
 
-Mirrors the ``-m bench`` pattern: excluded from the default run (see
-``addopts`` in pyproject.toml), run explicitly in CI.  It asserts the
+Excluded from the default run (see ``addopts`` in pyproject.toml), run
+explicitly in CI.  It asserts the
 shipped tree is clean under ``python -m repro.analysis lint`` and that the
 sanitizer passes over a real training step.
 """
@@ -182,23 +182,6 @@ def test_repro_lint_json_passthrough():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["clean"] is True
-
-
-def test_missing_bench_baseline_is_not_a_failure(tmp_path):
-    """``check_regression.py`` without a recorded baseline reports the
-    fact and exits 0 (a fresh checkout must not fail CI)."""
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "benchmarks" / "check_regression.py"),
-         "--bench-root", str(tmp_path),
-         "--serving-baseline", str(tmp_path / "missing5.json"),
-         "--scaling-baseline", str(tmp_path / "missing6.json")],
-        capture_output=True, text=True,
-        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "no trainer baseline found" in proc.stdout
-    assert "no serving baseline found" in proc.stdout
-    assert "no scaling baseline found" in proc.stdout
 
 
 def test_sanitizer_smoke_full_training_step():

@@ -1,12 +1,10 @@
 """Tests for the :mod:`repro.perf` instrumentation package."""
 
 import numpy as np
-import pytest
 
 from repro.nn import GPT, GPTConfig, Tensor, no_grad
 from repro.obs import RuntimeTracer, pass_widths
-from repro.perf import OpCounters, Timer, TimingStats, counters, counting, \
-    time_fn
+from repro.perf import OpCounters, counters, counting
 from repro.runtime import AxoNNTrainer
 
 
@@ -92,35 +90,3 @@ class TestCounters:
         assert pass_widths(tracer.spans) == {
             0: {1: 16}, 1: {2: 8}, 2: {1: 16}, 3: {2: 8}}
 
-
-class TestTimers:
-    def test_timing_stats(self):
-        s = TimingStats([3.0, 1.0, 2.0])
-        assert s.min == 1.0 and s.max == 3.0 and s.mean == 2.0
-        assert s.as_dict() == {"min_s": 1.0, "mean_s": 2.0, "max_s": 3.0,
-                               "repeats": 3}
-
-    def test_time_fn_runs_warmup_and_repeats(self):
-        calls = []
-        stats = time_fn(lambda: calls.append(1), repeats=3, warmup=2)
-        assert len(calls) == 5
-        assert len(stats.samples) == 3
-        assert all(t >= 0.0 for t in stats.samples)
-
-    def test_time_fn_validates_repeats(self):
-        with pytest.raises(ValueError):
-            time_fn(lambda: None, repeats=0)
-
-    def test_timer_accumulates_spans(self):
-        t = Timer()
-        with t.span("a"):
-            pass
-        with t.span("a"):
-            pass
-        with t.span("b"):
-            pass
-        assert t.counts() == {"a": 2, "b": 1}
-        assert set(t.totals()) == {"a", "b"}
-        assert all(v >= 0.0 for v in t.totals().values())
-        t.reset()
-        assert t.totals() == {} and t.counts() == {}
