@@ -1,9 +1,9 @@
 """Opt-in repo-wide static-analysis gate (``pytest -m lint``).
 
 Excluded from the default run (see ``addopts`` in pyproject.toml), run
-explicitly in CI.  It asserts the
-shipped tree is clean under ``python -m repro.analysis lint`` and that the
-sanitizer passes over a real training step.
+explicitly in CI.  It asserts the shipped tree is clean under
+``python -m repro.analysis lint`` and that the sanitizer passes over a
+real training step.
 """
 
 import subprocess
