@@ -37,24 +37,14 @@ Quick start (performance)::
                       g_inter=6, g_data=8, microbatch_size=8,
                       batch_size=16384, memopt=True)
     print(simulate_batch(cfg).as_row())
+
+Importing ``repro`` loads no subpackage; each one is imported on its
+own, and the package's import graph is acyclic: a subpackage imports
+only those listed before it in ``partition``, ``obs``, ``perf``,
+``sim``, ``nn``, ``cluster``, ``comm``, ``core``, ``sched``,
+``runtime``, ``baselines``, ``resilience``, ``tuning``, ``serve``,
+``fleet``, ``analysis``, ``experiments``.  So the performance model
+loads without the functional runtime.
 """
 
-from . import analysis, baselines, cluster, comm, core, experiments, nn, \
-    obs, runtime, sim, tuning
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "analysis",
-    "baselines",
-    "cluster",
-    "comm",
-    "core",
-    "experiments",
-    "nn",
-    "obs",
-    "runtime",
-    "sim",
-    "tuning",
-    "__version__",
-]

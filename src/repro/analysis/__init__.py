@@ -1,24 +1,6 @@
 """Static analysis and runtime-verification layer.
 
-Five pillars protect the contracts the rest of the codebase relies on:
-
-* :mod:`repro.analysis.protocol` — a MUST/MPI-Checker-style communication
-  verifier.  Both substrates (the functional :class:`~repro.runtime.RankTransport`
-  and the simulated :class:`~repro.comm.Messenger`) can record per-rank
-  traces into a :class:`~repro.analysis.protocol.TraceRecorder`; the
-  completed trace is then checked for unmatched sends, per-channel
-  tag/microbatch match-order consistency, and collective call-order
-  consistency across ranks.  :class:`~repro.analysis.protocol.ProtocolError`
-  is the typed error both transports raise for protocol misuse, and
-  deadlocks now come with a wait-for-graph diagnosis.
-
-* :mod:`repro.analysis.sanitizer` — an opt-in autograd sanitizer for the
-  :class:`~repro.nn.Tensor` tape: version counters / fingerprints that
-  detect mutation-after-save (PyTorch-style), an anomaly mode that
-  pinpoints the op producing the first NaN/inf, ownership checks on
-  ``_accumulate_owned`` (the PR 1 fast path), and a double-backward /
-  graph-leak detector.  Zero overhead when disabled — the hot paths test a
-  single ``enabled`` attribute, exactly like :mod:`repro.perf.counters`.
+Three pillars protect the contracts the rest of the codebase relies on:
 
 * :mod:`repro.analysis.lint` — repo-specific AST lint rules (REP001-REP012)
   runnable as ``python -m repro.analysis lint <paths>`` or via the opt-in
@@ -38,24 +20,14 @@ Five pillars protect the contracts the rest of the codebase relies on:
   ``ring-push``/``ring-pop`` sync events the instrumented
   :class:`~repro.runtime.shm.ShmRing` records into per-rank trace JSONL.
 
-This package imports only the standard library and NumPy so the production
-modules can depend on it without cycles.  (:mod:`repro.analysis.model`
-additionally imports the runtime/baselines/serve modules it verifies —
-import it lazily from contexts that must stay cycle-free.)
+This package sits on top of the layers it checks: it imports the
+runtime, the schedules and the serve engine, and nothing below it imports
+it.  The communication verifier every transport records into is
+:mod:`repro.obs.protocol`, and the autograd sanitizer the tensor tape
+consults is :mod:`repro.nn.sanitizer`; each lives with its users.
 """
 
 from .lint import LintIssue, RULES, lint_paths, lint_source
-from .protocol import (
-    CommEvent,
-    ProtocolError,
-    TraceRecorder,
-    Violation,
-    assert_clean,
-    check_collective_order,
-    check_match_order,
-    check_unmatched_sends,
-    verify_trace,
-)
 from .races import (
     Race,
     RaceError,
@@ -67,32 +39,12 @@ from .races import (
     ring_events_from_spans,
     synthetic_ring_events,
 )
-from .sanitizer import (
-    AnomalyError,
-    AutogradSanitizer,
-    GraphError,
-    MutationError,
-    OwnershipError,
-    SanitizerError,
-    detect_anomaly,
-    sanitize,
-    sanitizer,
-)
 
 __all__ = [
     "LintIssue",
     "RULES",
     "lint_paths",
     "lint_source",
-    "CommEvent",
-    "ProtocolError",
-    "TraceRecorder",
-    "Violation",
-    "assert_clean",
-    "check_collective_order",
-    "check_match_order",
-    "check_unmatched_sends",
-    "verify_trace",
     "Race",
     "RaceError",
     "RingEvent",
@@ -102,13 +54,4 @@ __all__ = [
     "load_ring_events",
     "ring_events_from_spans",
     "synthetic_ring_events",
-    "AnomalyError",
-    "AutogradSanitizer",
-    "GraphError",
-    "MutationError",
-    "OwnershipError",
-    "SanitizerError",
-    "detect_anomaly",
-    "sanitize",
-    "sanitizer",
 ]

@@ -9,7 +9,7 @@ breakage the test suite may not catch:
   owned variant skips the defensive copy and takes ownership; an aliased
   argument corrupts gradients without failing any loss-equivalence test.
   This is the static twin of the runtime check in
-  :mod:`repro.analysis.sanitizer` and the documented hot-path contract in
+  :mod:`repro.nn.sanitizer` and the documented hot-path contract in
   :mod:`repro.nn.tensor`.
 
 * **REP002** — rank programs only ``yield RECV``, ``yield POLL`` or
@@ -84,12 +84,12 @@ breakage the test suite may not catch:
 
 * **REP011** — schedule code must emit IR, not hand-rolled rank loops.
   The schedules-as-data contract is that everything under a ``sched``
-  package is *data* (task tuples in per-rank programs) consumed by the one
-  compiler in ``repro/sched/compile.py``: a builder that directly
-  ``yield RECV``-drives a transport, or yields the flushing planes
-  ``"F"`` / ``"B"``, has silently become a second compiler whose control
-  flow the validator and the model checker never see.  Flagged for any
-  function inside a ``sched`` directory other than ``compile.py``;
+  package is *data* (task tuples in per-rank programs), lowered by the
+  runtime's one static walk, ``repro.runtime.rankprog.lower_rank``: a
+  builder that directly ``yield RECV``-drives a transport, or yields the
+  flushing planes ``"F"`` / ``"B"``, has silently become a second
+  lowering whose control flow the validator and the model checker never
+  see.  Flagged for any function inside a ``sched`` directory;
   legitimate exceptions carry a ``# lint-ok: REP011`` suppression.
 
 * **REP012** — fleet policy code must be replayable: inside
@@ -111,7 +111,9 @@ Run with ``python -m repro.analysis lint <paths>`` (also surfaced as
 
 from __future__ import annotations
 
+import argparse
 import ast
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
@@ -142,7 +144,8 @@ RULES: Dict[str, str] = {
               "tp_reduce_scatter/bwd) so every group member records the "
               "same order",
     "REP011": "schedule builders must emit IR: no raw `yield RECV` loops "
-              "or plane-constant yields outside repro.sched.compile",
+              "or plane-constant yields in a sched package (lowering is "
+              "repro.runtime.rankprog.lower_rank)",
     "REP012": "fleet policy code (repro.fleet) must be replayable: no "
               "wall-clock reads, no stdlib random.* draws, and RNGs built "
               "from an explicit seed — the FleetObservation's now_s is "
@@ -826,13 +829,13 @@ def _check_rep010_tree(tree: ast.AST, issues: List[LintIssue],
 def _check_rep011(fn: ast.AST, issues: List[LintIssue], path: str) -> None:
     """Schedule packages hold data, not rank programs.
 
-    Inside a ``sched`` directory every rank program belongs to the one
-    compiler module (``compile.py``); a builder/metric/search function
-    that itself ``yield RECV``s or yields the flushing plane constants
-    ("F"/"B") is a second, unverified lowering.
+    No ``sched`` module holds a rank program: lowering is the
+    runtime's (``repro.runtime.rankprog.lower_rank``), so a
+    builder/metric/search function that itself ``yield RECV``s or yields
+    the flushing plane constants ("F"/"B") is a second, unverified
+    lowering.
     """
-    p = Path(path)
-    if "sched" not in p.parts or p.name == "compile.py":
+    if "sched" not in Path(path).parts:
         return
     is_rank, yields = _is_rank_program(fn)
     plane_yields = [
@@ -846,7 +849,8 @@ def _check_rep011(fn: ast.AST, issues: List[LintIssue], path: str) -> None:
             path, node.lineno, node.col_offset, "REP011",
             f"{getattr(fn, 'name', '<lambda>')!r} hand-rolls a rank "
             f"program inside a sched package; schedule code must emit IR "
-            f"tasks and leave lowering to repro.sched.compile"))
+            f"tasks and leave lowering to "
+            "repro.runtime.rankprog.lower_rank"))
 
 
 # -- REP012 ------------------------------------------------------------------
@@ -956,7 +960,6 @@ def lint_paths(paths: Sequence[str]) -> List[LintIssue]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI: print findings, return 1 if any (0 when clean)."""
-    import argparse
 
     parser = argparse.ArgumentParser(
         prog="repro.analysis lint",
@@ -983,8 +986,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     issues = lint_paths(paths)
     n_files = sum(1 for _ in _iter_python_files(paths))
     if args.sarif:
-        import json as _json
-        print(_json.dumps({
+        print(json.dumps({
             "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
             "version": "2.1.0",
             "runs": [{
@@ -1008,8 +1010,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         }, indent=2))
         return 1 if issues else 0
     if args.json:
-        import json as _json
-        print(_json.dumps({
+        print(json.dumps({
             "files_checked": n_files,
             "issue_count": len(issues),
             "clean": not issues,

@@ -1,6 +1,6 @@
 """Pre-run communication model checker (skeleton extraction + exploration).
 
-:mod:`repro.analysis.protocol` verifies traces of runs that *already
+:mod:`repro.obs.protocol` verifies traces of runs that *already
 happened*; this module certifies a schedule/config *before* spending a run
 on it.  Three pieces:
 
@@ -9,12 +9,12 @@ on it.  Three pieces:
   ``send`` / ``yield RECV`` / ``yield POLL`` / ``recv_within`` calls with
   abstract payloads.
   Crucially the models drive the *real* generators — Algorithm 2's
-  :func:`~repro.runtime.rankprog.inter_layer_step`, the schedule
-  compiler's :func:`~repro.sched.compile.lower_rank` and the serving
+  :func:`~repro.runtime.rankprog.inter_layer_step`, the static walk
+  :func:`~repro.runtime.rankprog.lower_rank` and the serving
   engine's scheduler / prefill / shard programs — with symbolic stages, so
   the skeleton cannot drift from the runtime (the cross-validation
   tests pin op-for-op agreement with
-  :class:`~repro.analysis.protocol.TraceRecorder` traces of actual runs).
+  :class:`~repro.obs.protocol.TraceRecorder` traces of actual runs).
 
 * **Model checking** (:func:`check_model`) — exhaustively explore the
   interleavings of the skeleton ensemble.  The state is the vector of
@@ -60,12 +60,15 @@ from typing import (Any, Callable, Dict, FrozenSet, Generator, List, Optional,
 
 import numpy as np
 
+from ..obs.protocol import (TraceRecorder, check_collective_order,
+                            describe_deadlock)
 from ..runtime.grid import RankGrid
-from ..runtime.rankprog import TAG_BWD, TAG_FWD, inter_layer_step
+from ..runtime.rankprog import TAG_BWD, TAG_FWD, inter_layer_step, lower_rank
 from ..runtime.tp import TPComm, tp_follower_step
 from ..runtime.transport import POLL, RECV, Packet, TimedRecv
+from ..sched.builders import build_schedule
+from ..sched.ir import Schedule
 from ..serve.engine import PipelineServer, Request
-from .protocol import TraceRecorder, check_collective_order, describe_deadlock
 
 __all__ = [
     "CheckResult",
@@ -353,7 +356,7 @@ def scheduled_model(schedule: Any, g_inter: int, g_data: int,
 
     ``schedule`` is a shipped builder name or a validated
     :class:`~repro.sched.ir.Schedule` instance (e.g. a search
-    perturbation).  Drives :func:`repro.sched.compile.lower_rank` — the
+    perturbation).  Drives :func:`repro.runtime.rankprog.lower_rank` — the
     rank program both backends of ``AxoNNTrainer(schedule=...)`` execute
     — with symbolic stages over the same ``p2p`` plane and ``yield RECV``
     waits as Algorithm 2, so every schedule, shipped or searched, gets
@@ -363,9 +366,6 @@ def scheduled_model(schedule: Any, g_inter: int, g_data: int,
     rejects (e.g. interleaved needs ``microbatches % g_inter == 0``) or
     the trainer refuses (several chunks per rank with ``g_intra > 1``).
     """
-    from ..sched.builders import build_schedule
-    from ..sched.compile import lower_rank
-    from ..sched.ir import Schedule
     grid = RankGrid(g_inter, g_data, g_intra)
     m = microbatches
     if isinstance(schedule, Schedule):
@@ -649,7 +649,7 @@ def extract_skeleton(model: CommModel) -> Skeleton:
     (sorted-rank sweeps, run-until-blocked with immediate redelivery) and
     record every channel op.  Mirrors ``RankTransport._sweep``, so
     per-rank op order matches what a
-    :class:`~repro.analysis.protocol.TraceRecorder` sees on a real run."""
+    :class:`~repro.obs.protocol.TraceRecorder` sees on a real run."""
     capture = _Capture(model.n_ranks)
     programs = model.make_programs(capture)
     ops: Dict[int, List[SkeletonOp]] = {r: [] for r in programs}

@@ -30,6 +30,7 @@ from ..cluster import Machine, summit
 from ..core.memory_model import MemoryBreakdown, MemoryModel
 from ..core.metrics import estimated_training_days, percent_of_peak
 from ..core.phases import StageCost, optimizer_time_on_gpu
+from ..partition import split_sizes
 from ..sched import build_schedule
 from ..sched.des import run_schedule_phase
 from .config import ThreeDConfig
@@ -52,10 +53,8 @@ def baseline_stage_costs(cfg: ThreeDConfig,
     # Intra-layer groups are packed on NVLink (standard practice).
     coll = machine.cal.nccl.allreduce_time(act_bytes, cfg.g_intra,
                                            intra_node=True)
-    base, extra = divmod(spec.n_layer, cfg.g_inter)
     costs = []
-    for i in range(cfg.g_inter):
-        n_layers = base + (1 if i < extra else 0)
+    for i, n_layers in enumerate(split_sizes(spec.n_layer, cfg.g_inter)):
         fwd = n_layers * layer_fwd / cfg.g_intra
         bwd = 2 * fwd
         recompute = fwd

@@ -33,10 +33,11 @@ import numpy as np
 from ..nn import F, Linear, Module, Tensor
 from ..nn.modules import Parameter
 from ..nn.transformer import MLP, CausalSelfAttention, GPTConfig
+from ..partition import split_sizes
 from ..perf.counters import counters as _perf_counters
 
 __all__ = ["CommCounter", "ColumnParallelLinear", "RowParallelLinear",
-           "TensorParallelMLP", "TensorParallelAttention", "_split_sizes"]
+           "TensorParallelMLP", "TensorParallelAttention"]
 
 
 class CommCounter:
@@ -77,21 +78,6 @@ class CommCounter:
         self.allgather_bytes = 0
 
 
-def _split_sizes(n: int, k: int) -> List[int]:
-    """Split ``n`` into ``k`` near-equal shard sizes, larger shards first
-    (the same convention as :func:`~repro.runtime.stage.partition_layers`).
-
-    Uneven dimensions are legal: ``_split_sizes(10, 4) == [3, 3, 2, 2]``.
-    Only ``k > n`` is rejected — a rank with zero rows would send empty
-    collectives."""
-    if k < 1:
-        raise ValueError("world size must be >= 1")
-    if k > n:
-        raise ValueError(f"cannot split dimension {n} across {k} ranks")
-    base, extra = divmod(n, k)
-    return [base + 1] * extra + [base] * (k - extra)
-
-
 class ColumnParallelLinear(Module):
     """Linear with the output dimension sharded across ``world`` ranks."""
 
@@ -99,7 +85,7 @@ class ColumnParallelLinear(Module):
                  counter: Optional[CommCounter] = None,
                  gather_output: bool = True):
         super().__init__()
-        sizes = _split_sizes(dense.out_features, world)
+        sizes = split_sizes(dense.out_features, world)
         self.world = world
         self.counter = counter or CommCounter()
         self.gather_output = gather_output
@@ -141,7 +127,7 @@ class RowParallelLinear(Module):
                  in_sizes: Optional[List[int]] = None):
         super().__init__()
         sizes = in_sizes if in_sizes is not None \
-            else _split_sizes(dense.in_features, world)
+            else split_sizes(dense.in_features, world)
         if len(sizes) != world or sum(sizes) != dense.in_features:
             raise ValueError(
                 f"in_sizes {sizes} does not partition "
@@ -207,7 +193,7 @@ class TensorParallelAttention(Module):
         self.counter = counter or CommCounter()
         # Heads partitioned larger-first: n_head need not divide evenly,
         # but every rank must own at least one head.
-        self.head_counts = _split_sizes(cfg.n_head, world)
+        self.head_counts = split_sizes(cfg.n_head, world)
         self._mask = dense._mask
         self.drop = dense.drop
         # QKV sharded by head: rank r owns head_counts[r] consecutive

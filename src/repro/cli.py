@@ -871,7 +871,8 @@ def cmd_sched(args) -> bool:
         if not do_search:
             return True
 
-    from .sched.search import replay_winner, search_schedules
+    from .experiments import replay_winner
+    from .sched.search import search_schedules
     print(f"\n== DES schedule search ({S} stages, {m} microbatches, "
           f"jitter sigma=0.1) ==")
     ranked = search_schedules(S, m, n_perturbations=4 if args.fast else 8)

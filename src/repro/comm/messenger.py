@@ -23,10 +23,10 @@ calls: a blocking-backend send whose process never completes (simulation cut
 short, deadlock) does not inflate the counters, keeping them consistent with
 what the receivers — and the tests — actually observe.
 
-Pass ``recorder=`` (a :class:`~repro.analysis.protocol.TraceRecorder`) to
+Pass ``recorder=`` (a :class:`~repro.obs.protocol.TraceRecorder`) to
 log sends at initiation and receives at consumption, for post-hoc protocol
 verification; :meth:`Messenger.check_drained` raises
-:class:`~repro.analysis.protocol.ProtocolError` listing any message still
+:class:`~repro.obs.protocol.ProtocolError` listing any message still
 rotting in an inbox after a phase completes.
 """
 
@@ -34,9 +34,9 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional
 
-from ..analysis.protocol import ProtocolError, TraceRecorder
 from ..cluster import Machine
 from ..cluster.calibration import CommCostModel
+from ..obs.protocol import ProtocolError, TraceRecorder
 from ..sim import Event, Store
 from .message import Message
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from ..nn.checkpoint import optimal_checkpoint_interval
+from ..partition import optimal_checkpoint_interval
 from .model_stats import TransformerSpec
 
 __all__ = ["MemoryModel", "MemoryBreakdown"]

@@ -27,10 +27,10 @@ from typing import Generator, List, Optional
 
 import numpy as np
 
-from ..analysis.protocol import TraceRecorder
 from ..cluster import GridPlacement, Machine
 from ..comm import Message, Messenger, TAG_BACKWARD, TAG_FORWARD
-from ..nn.checkpoint import optimal_checkpoint_interval
+from ..obs.protocol import TraceRecorder
+from ..partition import optimal_checkpoint_interval, split_sizes
 from ..sim import Store
 from .config import AxoNNConfig
 
@@ -111,10 +111,8 @@ def stage_costs(cfg: AxoNNConfig,
     g_intra = cfg.g_intra
     layer_fwd = spec.layer_forward_flops(mbs) / g_intra
     head_fwd = spec.head_forward_flops(mbs)
-    base, extra = divmod(spec.n_layer, cfg.g_inter)
     costs = []
-    for i in range(cfg.g_inter):
-        n_layers = base + (1 if i < extra else 0)
+    for i, n_layers in enumerate(split_sizes(spec.n_layer, cfg.g_inter)):
         fwd = n_layers * layer_fwd
         bwd = 2 * fwd
         recompute = fwd  # full activation recompute of the stage's blocks

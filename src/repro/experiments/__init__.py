@@ -35,7 +35,8 @@ from .ablations import (
     scheduling_jitter_ablation,
 )
 from .coarsening import DEFAULT_K_VALUES, fig8_claims, fig8_rows
-from .convergence import VALIDATION_CONFIG, fig10_claims, fig10_curves
+from .convergence import (VALIDATION_CONFIG, fig10_claims, fig10_curves,
+                          replay_winner)
 from .ginter_sweep import PAPER_G_INTER_VALUES, fig5_claims, fig5_rows
 from .memopt_breakdown import fig6_claims, fig6_rows, memory_savings_summary
 from .microbench import fig3_claims, fig3_rows, fig4_claims, fig4_rows
@@ -95,6 +96,7 @@ __all__ = [
     "VALIDATION_CONFIG",
     "fig10_claims",
     "fig10_curves",
+    "replay_winner",
     "PAPER_G_INTER_VALUES",
     "fig5_claims",
     "fig5_rows",

@@ -9,6 +9,7 @@ cross-check."""
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -253,8 +254,6 @@ def fig11_claims(rows: List[Dict[str, object]]) -> Dict[str, bool]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """``python -m repro.experiments.scaling --4d`` — the 4D sweep."""
-    import argparse
-
     parser = argparse.ArgumentParser(
         prog="repro.experiments.scaling",
         description="Scaling experiments (Fig. 9 / Fig. 11 / 4D sweep)")

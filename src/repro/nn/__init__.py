@@ -29,13 +29,7 @@ from .schedule import (
     StepDecayLR,
     WarmupCosineLR,
 )
-from .checkpoint import (
-    CheckpointedStack,
-    activation_memory_factor,
-    checkpoint,
-    factors,
-    optimal_checkpoint_interval,
-)
+from .checkpoint import CheckpointedStack, checkpoint
 from .data import LMBatches, SyntheticCorpus
 from .mixed_precision import (
     LossScaler,
@@ -119,9 +113,6 @@ __all__ = [
     "grads_have_overflow",
     "checkpoint",
     "CheckpointedStack",
-    "factors",
-    "optimal_checkpoint_interval",
-    "activation_memory_factor",
     "SyntheticCorpus",
     "LMBatches",
 ]

@@ -6,25 +6,20 @@ segments are stored; inside a segment no graph is recorded.  During the
 backward pass each segment re-runs its forward with grad enabled and then
 backpropagates through the rebuilt subgraph.
 
-:func:`optimal_checkpoint_interval` computes the paper's ``ac = sqrt(N)``
-rule (Eq. 1): it returns the factor of ``layers_per_gpu`` closest to
-``sqrt(N)``, which minimizes the per-GPU activation memory
-
-    M_activation  ∝  G_inter * N / (G_inter * ac) + 1 + ac .
+The paper's ``ac = sqrt(N)`` interval rule (Eq. 1) is integer arithmetic
+both substrates use: :func:`repro.partition.optimal_checkpoint_interval`.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, List, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .modules import Dropout, Module
 from .tensor import Tensor, no_grad
 
-__all__ = ["checkpoint", "CheckpointedStack", "factors",
-           "optimal_checkpoint_interval", "activation_memory_factor"]
+__all__ = ["checkpoint", "CheckpointedStack"]
 
 
 def checkpoint(fn: Callable[[Tensor], Tensor], x: Tensor,
@@ -100,36 +95,3 @@ class CheckpointedStack(Module):
                             for m in layer.modules()
                             if isinstance(m, Dropout)])
         return x
-
-
-def factors(n: int) -> List[int]:
-    """Sorted positive factors of ``n``."""
-    if n < 1:
-        raise ValueError(f"factors of non-positive {n}")
-    out = set()
-    for d in range(1, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-    return sorted(out)
-
-
-def optimal_checkpoint_interval(n_layers_total: int,
-                                layers_per_gpu: int) -> int:
-    """The paper's rule: the factor of ``layers_per_gpu`` closest to
-    ``sqrt(N)`` (Section V-A), N being the total layer count."""
-    if layers_per_gpu < 1 or n_layers_total < 1:
-        raise ValueError("layer counts must be positive")
-    target = math.sqrt(n_layers_total)
-    return min(factors(layers_per_gpu), key=lambda f: (abs(f - target), f))
-
-
-def activation_memory_factor(n_layers_total: int, g_inter: int,
-                             ac: int) -> float:
-    """The paper's Eq. (1) activation-memory proportionality:
-
-        M ∝ G_inter * (N / (G_inter * ac)) + 1 + ac
-    """
-    if ac < 1:
-        raise ValueError("ac must be >= 1")
-    return g_inter * (n_layers_total / (g_inter * ac)) + 1 + ac

@@ -37,7 +37,7 @@ Backward closures allocate fresh gradient arrays and hand them to
 see the hot-path contract in :mod:`repro.nn.tensor`.  That contract is
 checked statically by lint rule **REP001** (``python -m repro.analysis
 lint``) and dynamically by the opt-in autograd sanitizer
-(:func:`repro.analysis.sanitize`); never pass the upstream gradient ``g``
+(:func:`repro.nn.sanitizer.sanitize`); never pass the upstream gradient ``g``
 or a view of a parent's ``.data`` to the owned variant.
 """
 

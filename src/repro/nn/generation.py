@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import functional as F
 from .tensor import no_grad
 from .transformer import GPT, KVCache
 
@@ -107,7 +108,6 @@ def sequence_log_prob(model: GPT, tokens: np.ndarray) -> float:
         raise ValueError("need a 1-D sequence of at least two tokens")
     if tokens.size > model.cfg.seq_len + 1:
         raise ValueError("sequence longer than the model context")
-    from . import functional as F
     x = tokens[None, :-1]
     y = tokens[None, 1:]
     was_training = model.training

@@ -38,7 +38,7 @@ Four detectors, all opt-in (zero overhead when disabled — the hot paths in
 
 Usage::
 
-    from repro.analysis import sanitize, detect_anomaly
+    from repro.nn.sanitizer import sanitize, detect_anomaly
 
     with sanitize():             # ownership + mutation + graph checks
         loss = model(x, targets=y)[1]

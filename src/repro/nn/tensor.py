@@ -38,7 +38,7 @@ Hot-path contracts
 
   This contract is enforced twice: statically by lint rule **REP001**
   (``python -m repro.analysis lint``) and dynamically by the opt-in
-  autograd sanitizer (:func:`repro.analysis.sanitize`), which checks every
+  autograd sanitizer (:func:`repro.nn.sanitizer.sanitize`), which checks every
   ``_accumulate_owned`` call with ``np.may_share_memory`` against the
   in-flight upstream gradient and the destination buffer.  See DESIGN.md,
   "The analysis layer".
@@ -60,8 +60,8 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..analysis.sanitizer import sanitizer as _san
 from ..perf.counters import counters as _counters
+from .sanitizer import sanitizer as _san
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "as_tensor"]
 

@@ -10,7 +10,11 @@ One span schema, two producers, shared consumers:
 * :mod:`.export` — Chrome-trace/Perfetto JSON and CSV exporters;
 * :mod:`.report` — utilization, compute-communication overlap, idle
   breakdown and message-volume reports (the math behind the paper's
-  Fig. 7 evidence).
+  Fig. 7 evidence);
+* :mod:`.protocol` — the communication-protocol recorder and verifier
+  both transports and the DES messenger feed
+  (:class:`~repro.obs.protocol.TraceRecorder`,
+  :class:`~repro.obs.protocol.ProtocolError`).
 
 ``python -m repro trace`` runs a configured scenario on either substrate
 and emits the trace plus a terminal summary.

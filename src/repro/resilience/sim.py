@@ -20,7 +20,7 @@ compares against the simulated optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -169,7 +169,6 @@ def simulate_resilient_run(p: FailureModel,
 def sweep_intervals(base: FailureModel, intervals: List[int],
                     seeds: List[int]) -> List[Dict[str, float]]:
     """Mean efficiency/overhead per candidate interval, across seeds."""
-    from dataclasses import replace
     rows = []
     for interval in intervals:
         stats = [simulate_resilient_run(

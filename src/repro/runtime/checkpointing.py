@@ -19,26 +19,19 @@ forks the trajectory.  The crash-recovery equivalence guarantee of
 from __future__ import annotations
 
 import json
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
 from ..nn import AdamW
-from ..nn.modules import Dropout
 from .engine import AxoNNTrainer
 from .offload import BucketedOffloadAdamW
-from .stage import PipelineStage
+from .stage import _dropout_modules
 
 __all__ = ["trainer_state_dict", "load_trainer_state", "save_trainer",
            "load_trainer"]
 
 _META_KEY = "__meta__"
-
-
-def _dropout_modules(stage: PipelineStage) -> List[Dropout]:
-    """All dropout modules of a stage, in deterministic traversal order."""
-    return [m for layer in stage.layers for m in layer.modules()
-            if isinstance(m, Dropout)]
 
 
 def trainer_state_dict(trainer: AxoNNTrainer) -> Dict[str, np.ndarray]:

@@ -20,6 +20,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from .parallel import ProcessTransport, ProgramSpec
 from .transport import RECV, RankTransport
 
 __all__ = ["ring_allreduce", "ring_allreduce_program"]
@@ -95,7 +96,6 @@ def ring_allreduce(arrays: Dict[int, np.ndarray],
     index_of = {r: i for i, r in enumerate(ranks)}
 
     if backend == "process":
-        from .parallel import ProcessTransport, ProgramSpec
         transport = ProcessTransport(p)
         try:
             results = transport.run({

@@ -23,7 +23,7 @@ verify.
 
 ``schedule=`` swaps Algorithm 2 for a *static* order (a :mod:`repro.sched`
 name or validated :class:`~repro.sched.ir.Schedule`, walked by
-:func:`repro.sched.compile.lower_rank`) and nothing else — both are
+:func:`repro.runtime.rankprog.lower_rank`) and nothing else — both are
 ``send`` + ``yield RECV`` rank programs that ``_rank_program`` returns and
 one :meth:`RankTransport.run <repro.runtime.transport.RankTransport.run>`
 (or one process worker) drives, with or without a fault injector and a
@@ -51,24 +51,24 @@ comparable to the serial reference.
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Callable, Dict, Generator, List, Optional,
-                    Tuple, Union)
+from typing import Callable, Dict, Generator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..analysis.protocol import TraceRecorder
-from ..nn import AdamW, GPTConfig, LossScaler, num_layer_slots
+from ..nn import (AdamW, GPTConfig, LossScaler, MixedPrecisionAdamW,
+                  num_layer_slots)
 from ..obs import RuntimeTracer
+from ..obs.protocol import TraceRecorder
 from ..perf.counters import counters as _perf_counters
+from ..sched.builders import SCHEDULE_NAMES, build_schedule, schedule_chunks
+from ..sched.ir import Schedule, validate
 from .grid import RankGrid, split_batch
 from .offload import BucketedOffloadAdamW
-from .rankprog import TAG_BWD, TAG_FWD, inter_layer_step
-from .stage import PipelineStage, build_shard
-from .tp import TensorParallelStage, TPComm, tp_follower_step
+from .parallel import ProcessBackend
+from .rankprog import inter_layer_step, lower_rank
+from .stage import PipelineStage
+from .tp import TensorParallelStage, TPComm, build_shard, tp_follower_step
 from .transport import RankTransport
-
-if TYPE_CHECKING:  # pragma: no cover - sched.compile imports this package
-    from ..sched.ir import Schedule
 
 __all__ = ["AxoNNTrainer", "TrainReport"]
 
@@ -196,7 +196,6 @@ class AxoNNTrainer:
     def process_backend(self):
         """The lazily-constructed process pool bridge (process backend)."""
         if self._process_backend is None:
-            from .parallel import ProcessBackend
             self._process_backend = ProcessBackend(
                 self, **self._backend_options)
         return self._process_backend
@@ -234,7 +233,6 @@ class AxoNNTrainer:
                 stage.parameters(), bucket_size=self.bucket_size,
                 scaler=_FrozenScaleView(self), **hp)
         elif self.precision == "mixed":
-            from ..nn import MixedPrecisionAdamW
             self.optimizers[rank] = MixedPrecisionAdamW(
                 stage.parameters(), scaler=_FrozenScaleView(self), **hp)
         else:
@@ -250,8 +248,6 @@ class AxoNNTrainer:
                         pipeline_limit: Optional[int]) -> None:
         """Validate ``schedule`` against this grid and model; refuse by
         type what a static order cannot honour."""
-        from ..sched.builders import SCHEDULE_NAMES, schedule_chunks
-        from ..sched.ir import Schedule, validate
         g_inter = self.grid.g_inter
         if pipeline_limit is not None:
             raise ValueError(
@@ -297,7 +293,6 @@ class AxoNNTrainer:
                     f"{self._fixed_schedule.n_microbatches} microbatches "
                     f"per shard, this batch has {m}")
             return self._fixed_schedule
-        from ..sched.builders import build_schedule
         return build_schedule(self.schedule_name, self.grid.g_inter, m)
 
     # -- the inter-layer phase's rank programs ----------------------------------
@@ -309,10 +304,9 @@ class AxoNNTrainer:
         (None) INTER_LAYER_PARALLEL_STEP.
 
         A thin binding of the backend-agnostic generators
-        (:mod:`repro.runtime.rankprog`, :mod:`repro.sched.compile`) to
-        this trainer's stage and the cooperative transport — the process
-        backend binds the *same* generators to its shared-memory
-        endpoints.
+        (:mod:`repro.runtime.rankprog`) to this trainer's stage and the
+        cooperative transport — the process backend binds the *same*
+        generators to its shared-memory endpoints.
         """
         scale = self.scaler.scale if self.precision == "mixed" else 1.0
         stage = self.stages[rank]
@@ -325,7 +319,6 @@ class AxoNNTrainer:
                         grad_payload=stage.grad_payload,
                         record=self._tp_record)
         if sched is not None:
-            from ..sched.compile import lower_rank
             return lower_rank(
                 sched, self.grid, rank, stage.chunks, send, microbatches,
                 total_microbatches, loss_scale=scale, tracer=self.tracer,

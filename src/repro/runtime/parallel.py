@@ -53,11 +53,15 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
-from ..analysis.protocol import ProtocolError, TraceRecorder
 from ..nn.blas import share_blas_threads
 from ..obs import RuntimeTracer, append_spans_jsonl
+from ..obs.protocol import ProtocolError, TraceRecorder
+from ..perf.counters import counters as _counters
+from .rankprog import inter_layer_step, lower_rank
 from .shm import (_POLL_SLEEP, _SPIN, RingAborted, ShmRing,
                   attach_shared_memory)
+from .stage import _dropout_modules
+from .tp import TPComm, build_shard, tp_follower_step
 from .transport import (POLL, RECV, BaseRankTransport, DeadlockError,
                         Packet, RankFailure, TimedRecv)
 
@@ -740,7 +744,6 @@ def _merge_replies(replies: Dict[int, Tuple],
     per-channel FIFO order — exactly what verify_trace checks; the
     interleaving across ranks is irrelevant to it.
     """
-    from ..perf.counters import counters as _counters
     results: Dict[int, Any] = {}
     errors: List[str] = []
     messages = 0
@@ -880,11 +883,6 @@ def _train_step_task(ctx: WorkerContext, payload: Dict[str, Any]
     back and returns losses + RNG state: everything the parent needs to
     run the (unchanged) data-parallel phase and optimizer.
     """
-    from .checkpointing import _dropout_modules
-    from .rankprog import inter_layer_step
-    from .stage import build_shard
-    from .tp import TPComm
-
     rank = ctx.rank
     grid = payload["grid"]
     cfg = payload["cfg"]
@@ -937,7 +935,6 @@ def _train_step_task(ctx: WorkerContext, payload: Dict[str, Any]
             tracer=ctx.tracer if ctx.tracer.enabled else None,
             tp=tp)
     else:
-        from ..sched.compile import lower_rank
         gen = lower_rank(
             sched, grid, rank, stage.chunks, ctx.send,
             payload["microbatches"], payload["total_microbatches"],
@@ -982,8 +979,6 @@ def _tp_follower_task(ctx: WorkerContext, payload: Dict[str, Any]
     lead's weight/gradient shard messages for the batch and acknowledge
     each one.  Followers hold no stage, so the reply carries nothing to
     apply — the parent only merges its events and spans."""
-    from .tp import TPComm, tp_follower_step
-
     grid = payload["grid"]
     comm = TPComm(ctx.rank, grid, ctx.send,
                   record=_worker_tp_record(ctx))
@@ -1118,7 +1113,6 @@ class ProcessBackend:
         crash_after = self._crash_schedule()
         scale = trainer.scaler.scale if trainer.precision == "mixed" else 1.0
 
-        from .checkpointing import _dropout_modules
         for rank in range(grid.world_size):
             if not grid.is_tp_lead(rank):
                 _i, j, _t = grid.coord3_of(rank)
@@ -1182,7 +1176,6 @@ class ProcessBackend:
         return messages
 
     def _apply_replies(self, replies: Dict[int, Tuple]) -> int:
-        from .checkpointing import _dropout_modules
         trainer = self.trainer
         results, messages = _merge_replies(replies, trainer.recorder,
                                            trainer.tracer)

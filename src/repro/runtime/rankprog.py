@@ -1,21 +1,27 @@
-"""Algorithm 2 as a standalone, backend-agnostic rank program.
+"""The paper's two rank programs, as standalone, backend-agnostic
+generators.
 
-``INTER_LAYER_PARALLEL_STEP`` used to live inside
-:class:`~repro.runtime.engine.AxoNNTrainer` as a bound method, which tied
-it to the cooperative scheduler: a worker process cannot pickle a bound
-generator, and must not drag the whole trainer (optimizer state, every
-other rank's stage) across a fork boundary either.  This module is the
-extraction: a plain generator function over an explicit ``send`` callable
+* :func:`inter_layer_step` is Algorithm 2 (INTER_LAYER_PARALLEL_STEP):
+  message-driven, it runs whatever has arrived.
+* :func:`lower_rank` is the static walk: it runs one rank's task order
+  of a validated :class:`~repro.sched.ir.Schedule` — the schedule is
+  plain data, and this is where it becomes a program.
+
+Both are plain generator functions over an explicit ``send`` callable
 and a :class:`~repro.runtime.stage.PipelineStage`, so the cooperative
-backend (:class:`~repro.runtime.transport.RankTransport`) and the
-multiprocessing backend (:mod:`repro.runtime.parallel`) drive *the same
-code* — the strongest possible guarantee that the two backends compute
-the same schedule.
+backend (:class:`~repro.runtime.transport.RankTransport`), the
+multiprocessing backend (:mod:`repro.runtime.parallel`) and the model
+checker (:mod:`repro.analysis.model`) drive *the same code* — the
+strongest possible guarantee that every backend computes the same
+schedule, and that the checker proves the walk that runs on real cores.
+Neither is tied to the trainer: a worker process cannot pickle a bound
+generator, and must not drag the whole trainer (optimizer state, every
+other rank's stage) across a fork boundary either.
 
-The generator yields :data:`~repro.runtime.transport.RECV` (block for the
-next message) and :data:`~repro.runtime.transport.POLL` (take the next
-message already buffered, or None) and is resumed with
-:class:`~repro.runtime.transport.Packet` objects; it never touches a
+The generators yield :data:`~repro.runtime.transport.RECV` (block for the
+next message) and, in Algorithm 2, :data:`~repro.runtime.transport.POLL`
+(take the next message already buffered, or None), and are resumed with
+:class:`~repro.runtime.transport.Packet` objects; they never touch a
 transport beyond the injected ``send``.
 """
 
@@ -27,12 +33,15 @@ from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs import RuntimeTracer
+from ..sched.ir import (BWD, FWD, RECV_ACT, RECV_GRAD, SEND_ACT, SEND_GRAD,
+                        Schedule)
 from .grid import RankGrid
 from .stage import PipelineStage
 from .tp import TPComm
 from .transport import POLL, RECV
 
-__all__ = ["TAG_FWD", "TAG_BWD", "inter_layer_step", "traced_passes"]
+__all__ = ["TAG_FWD", "TAG_BWD", "inter_layer_step", "lower_rank",
+           "traced_passes"]
 
 TAG_FWD = "forward"
 TAG_BWD = "backward"
@@ -45,11 +54,10 @@ def traced_passes(stage: PipelineStage, rank: int,
                   tracer: Optional[RuntimeTracer],
                   tp: Optional[TPComm] = None) -> Tuple[Callable, Callable]:
     """``(forward, backward)`` of ``stage`` as a walk calls them —
-    Algorithm 2's here and a static schedule's
-    (:func:`repro.sched.compile.lower_rank`) alike; both take a group of
-    microbatches.  When tracing, each call is one compute span on
-    ``rank`` carrying ``microbatches`` and ``width``, named
-    ``fwd{mb}`` / ``bwd{mb}`` for a group of one (the performance
+    Algorithm 2's and a static schedule's (:func:`lower_rank`) alike;
+    both take a group of microbatches.  When tracing, each call is one
+    compute span on ``rank`` carrying ``microbatches`` and ``width``,
+    named ``fwd{mb}`` / ``bwd{mb}`` for a group of one (the performance
     model's event names) and ``fwd{a}+{b}+…`` for a wider group; with
     ``tp`` (this rank leads a tensor-parallel group) every forward then
     carries the group's weight all-gather and every backward its
@@ -236,3 +244,108 @@ def _backward_runs(grads: List, member: Dict[int, Tuple[int, int]]
             runs.append([pkt])
         last = (group, place)
     return runs
+
+
+def lower_rank(schedule: Schedule, grid: RankGrid, rank: int,
+               stages: Dict[int, object], send: SendFn,
+               microbatches: List[Tuple[np.ndarray, np.ndarray]],
+               total_microbatches: int, loss_scale: float = 1.0,
+               tracer: Optional[RuntimeTracer] = None,
+               tp: Optional[TPComm] = None) -> Generator:
+    """One rank's program for a static schedule: the single walk of the
+    schedule's task order on this rank.
+
+    ``stages`` maps virtual stage -> stage object for the stages this
+    rank owns (symbolic stages work too — the model checker lowers the
+    very same way).  ``send``, ``loss_scale``, ``tracer`` and ``tp`` mean
+    what they do to :func:`inter_layer_step`: with ``tp`` this rank leads
+    a tensor-parallel group, every pass carries the group's collective
+    and the followers' acks are absorbed by the same receives.
+
+    A static schedule must consume the *specific* message each receive
+    task names, while a rank's inbox is one FIFO in arrival order
+    (wall-time nondeterministic on real rings), so whatever arrives
+    ahead of the expected message waits in a stash keyed by (tag,
+    microbatch).  Tags are ``"F"`` / ``"B"`` (activation / gradient),
+    qualified with the receiving virtual stage (``"F@3"``) when a rank
+    owns several chunks.  Numerics are independent of arrival order, so
+    losses and weights are bit-identical across backends while receive
+    timestamps legitimately differ; what every run of a schedule shares
+    is each rank's send order and each channel's receive order (pinned
+    in ``tests/test_sched.py``).
+
+    ``W`` tasks are ordering-only on the functional substrate: the numpy
+    autograd computes input and weight gradients together inside
+    ``BWD``, so a split schedule executes the full backward there and
+    ``W`` marks the point where the weight gradient is *scheduled* to
+    materialize.  The DES (:mod:`repro.sched.des`) prices the two halves
+    separately — that is where zero-bubble's benefit is measured.
+    """
+    i, j = grid.coord_of(rank)
+    last = schedule.n_virtual - 1
+    divisor = float(total_microbatches)
+    passes = {v: traced_passes(stage, rank, tracer, tp)
+              for v, stage in stages.items()}
+    acks = 0 if tp is None else len(microbatches) * tp.acks_per_microbatch
+
+    def tag(plane: str, v: int) -> str:
+        return plane if schedule.n_chunks == 1 else f"{plane}@{v}"
+
+    held: Dict[Tuple[str, int, int], object] = {}
+    stash: Dict[Tuple[str, int], object] = {}
+    for task in schedule.rank_order[i]:
+        v, mb = task.stage, task.mb
+        if task.kind in (RECV_ACT, RECV_GRAD):
+            plane = "F" if task.kind == RECV_ACT else "B"
+            key = (tag(plane, v), mb)
+            while key not in stash:
+                pkt = yield RECV
+                if tp is not None and tp.absorbs(pkt):
+                    acks -= 1
+                else:
+                    stash[(pkt.tag, pkt.microbatch)] = pkt.data
+            held[(plane, v, mb)] = stash.pop(key)
+        elif task.kind == FWD:
+            if v == 0:
+                data = microbatches[mb][0]
+            elif schedule.crosses(v - 1):
+                data = held.pop(("F", v, mb))
+            else:  # same-rank boundary: local handoff
+                data = held.pop(("out", v - 1, mb))
+            forward = passes[v][0]
+            if v == last:
+                forward([mb], [data], targets=[microbatches[mb][1]],
+                        loss_divisor=divisor, loss_scale=loss_scale)
+            else:
+                held[("out", v, mb)] = forward([mb], [data])[0]
+        elif task.kind == SEND_ACT:
+            send(grid.rank_of(schedule.placement(v + 1), j), tag("F", v + 1),
+                 mb, held.pop(("out", v, mb)))
+        elif task.kind == BWD:
+            if v == last:
+                grad = None
+            elif schedule.crosses(v):
+                grad = held.pop(("B", v, mb))
+            else:
+                grad = held.pop(("gin", v + 1, mb))
+            grad_in = passes[v][1]([mb], None if grad is None else [grad])
+            if v > 0:
+                held[("gin", v, mb)] = grad_in[0]
+        elif task.kind == SEND_GRAD:
+            send(grid.rank_of(schedule.placement(v - 1), j), tag("B", v - 1),
+                 mb, held.pop(("gin", v, mb)))
+        # W: ordering-only here (see the docstring); the weight
+        # gradient was materialized by the stage's full backward.
+    # The followers reflect the last passes' collectives after the order
+    # has nothing left to receive.
+    while acks:
+        pkt = yield RECV
+        if not tp.absorbs(pkt):  # pragma: no cover - defensive
+            raise RuntimeError(
+                f"rank {rank} received unexpected packet {pkt}")
+        acks -= 1
+    if stash:  # pragma: no cover - defensive
+        # The stash must not hide an orphan from the transport's check.
+        raise RuntimeError(
+            f"rank {rank} finished its order holding unexpected "
+            f"messages {sorted(stash)}")

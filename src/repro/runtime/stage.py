@@ -18,35 +18,30 @@ group's input and replays the whole group in backward.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..nn import (Block, Dropout, GPTConfig, GPTEmbedding, LayerKVCache,
                   Module, Tensor, build_layer, no_grad, num_layer_slots)
-from ..nn.checkpoint import optimal_checkpoint_interval
+from ..partition import optimal_checkpoint_interval, split_sizes
 
-__all__ = ["partition_layers", "PipelineStage", "ChunkedShard", "build_shard",
+__all__ = ["partition_layers", "PipelineStage", "ChunkedShard",
            "InferenceStage"]
 
 
 def partition_layers(n_slots: int, g_inter: int) -> List[Tuple[int, int]]:
     """Split ``n_slots`` layer slots into ``g_inter`` contiguous [start, end)
     ranges, sizes differing by at most one (larger shards first)."""
-    if g_inter < 1:
-        raise ValueError("g_inter must be >= 1")
-    if n_slots < g_inter:
-        raise ValueError(
-            f"cannot split {n_slots} layers across {g_inter} stages"
-        )
-    base, extra = divmod(n_slots, g_inter)
-    ranges = []
-    start = 0
-    for i in range(g_inter):
-        size = base + (1 if i < extra else 0)
-        ranges.append((start, start + size))
-        start += size
-    return ranges
+    ends = list(accumulate(split_sizes(n_slots, g_inter)))
+    return list(zip([0] + ends[:-1], ends))
+
+
+def _dropout_modules(stage: PipelineStage) -> List[Dropout]:
+    """All dropout modules of a stage, in deterministic traversal order."""
+    return [m for layer in stage.layers for m in layer.modules()
+            if isinstance(m, Dropout)]
 
 
 class PipelineStage:
@@ -309,22 +304,6 @@ class ChunkedShard:
     def reset(self) -> None:
         for chunk in self.chunks.values():
             chunk.reset()
-
-
-def build_shard(cfg: GPTConfig, grid, i: int, n_virtual: int,
-                checkpoint_activations: bool = False):
-    """Pipeline rank ``i``'s ``nn_shard``, for the trainer and a process
-    worker alike: the group's sharded stage when ``grid.g_intra > 1``,
-    otherwise the virtual stages ``v % g_inter == i`` of ``n_virtual`` —
-    a plain :class:`PipelineStage` when that is one chunk, a
-    :class:`ChunkedShard` when several."""
-    if grid.g_intra > 1:
-        from .tp import TensorParallelStage  # tp builds on this module
-        return TensorParallelStage(cfg, i, grid.g_inter, grid.g_intra)
-    chunks = {v: PipelineStage(cfg, v, n_virtual,
-                               checkpoint_activations=checkpoint_activations)
-              for v in range(i, n_virtual, grid.g_inter)}
-    return chunks[i] if len(chunks) == 1 else ChunkedShard(chunks)
 
 
 class InferenceStage:

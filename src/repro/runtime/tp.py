@@ -44,7 +44,7 @@ the model checker's interleaving space small while the byte counts stay
 real.  Both ends record the collective on their own rank under a key
 naming the group, ``(group, direction, microbatch)``; per-channel FIFO
 delivery makes every member's recorded sequence identical, which
-:func:`~repro.analysis.protocol.check_collective_order` verifies.
+:func:`~repro.obs.protocol.check_collective_order` verifies.
 """
 
 from __future__ import annotations
@@ -53,18 +53,18 @@ from typing import Callable, Dict, Generator, List, Optional
 
 import numpy as np
 
-from ..analysis.protocol import ProtocolError
-from ..baselines.intra_layer import _split_sizes
 from ..nn import F, GPTConfig, Module
 from ..nn.modules import Parameter
 from ..nn.transformer import MLP, Block, CausalSelfAttention
+from ..obs.protocol import ProtocolError
+from ..partition import split_sizes
 from .grid import RankGrid
-from .stage import PipelineStage
+from .stage import ChunkedShard, PipelineStage
 from .transport import RECV
 
 __all__ = ["TAG_TP_WGT", "TAG_TP_GRAD", "TAG_TP_ACK", "ShardedAttention",
-           "ShardedMLP", "TPBlock", "TensorParallelStage", "TPComm",
-           "tp_follower_step"]
+           "ShardedMLP", "TPBlock", "TensorParallelStage", "build_shard",
+           "TPComm", "tp_follower_step"]
 
 TAG_TP_WGT = "tp_wgt"
 TAG_TP_GRAD = "tp_grad"
@@ -90,7 +90,7 @@ class ShardedAttention(Module):
         cfg = dense.cfg
         self.cfg = cfg
         self.g_intra = g_intra
-        self.head_counts = _split_sizes(cfg.n_head, g_intra)
+        self.head_counts = split_sizes(cfg.n_head, g_intra)
         self._mask = dense._mask
         self.drop = dense.drop  # same module: RNG advances as in dense
         h, hd = cfg.hidden, cfg.head_dim
@@ -153,7 +153,7 @@ class ShardedMLP(Module):
     def __init__(self, dense: MLP, g_intra: int):
         super().__init__()
         self.g_intra = g_intra
-        self.fc_sizes = _split_sizes(dense.fc.out_features, g_intra)
+        self.fc_sizes = split_sizes(dense.fc.out_features, g_intra)
         self.drop = dense.drop  # same module: RNG advances as in dense
         self.fc_w: List[Parameter] = []
         self.fc_b: List[Parameter] = []
@@ -324,6 +324,21 @@ class TensorParallelStage(PipelineStage):
                 for name, p in layer.named_parameters():
                     out[f"slot{slot}.{name}"] = p.data.copy()
         return out
+
+
+def build_shard(cfg: GPTConfig, grid: RankGrid, i: int, n_virtual: int,
+                checkpoint_activations: bool = False):
+    """Pipeline rank ``i``'s ``nn_shard``, for the trainer and a process
+    worker alike: the group's sharded stage when ``grid.g_intra > 1``,
+    otherwise the virtual stages ``v % g_inter == i`` of ``n_virtual`` —
+    a plain :class:`PipelineStage` when that is one chunk, a
+    :class:`ChunkedShard` when several."""
+    if grid.g_intra > 1:
+        return TensorParallelStage(cfg, i, grid.g_inter, grid.g_intra)
+    chunks = {v: PipelineStage(cfg, v, n_virtual,
+                               checkpoint_activations=checkpoint_activations)
+              for v in range(i, n_virtual, grid.g_inter)}
+    return chunks[i] if len(chunks) == 1 else ChunkedShard(chunks)
 
 
 class TPComm:

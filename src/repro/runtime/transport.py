@@ -17,7 +17,7 @@ A program may also ``yield POLL`` — a receive that never blocks: it
 resumes with the next packet already in its inbox, or with None.  That is
 how Algorithm 2 learns what has arrived while it computed.
 
-Protocol misuse raises :class:`~repro.analysis.protocol.ProtocolError`:
+Protocol misuse raises :class:`~repro.obs.protocol.ProtocolError`:
 yielding anything but :data:`RECV` / :data:`POLL` / :func:`recv_within`,
 or (with the default ``strict=True``) finishing a run with undelivered
 packets rotting in an inbox.  Deadlock (every live rank blocked on an
@@ -32,7 +32,7 @@ Faults (:mod:`repro.resilience`)
 Pass ``injector=`` (a :class:`~repro.resilience.FaultInjector`) to subject
 the run to a deterministic :class:`~repro.resilience.FaultPlan` — any run:
 this is the only cooperative scheduler, so Algorithm 2, every compiled
-static schedule (:func:`repro.sched.compile.lower_rank`) and the serving
+static schedule (:func:`repro.runtime.rankprog.lower_rank`) and the serving
 programs all sit on the same clock:
 
 * *time* is the scheduler-sweep counter :attr:`RankTransport.tick`;
@@ -52,9 +52,9 @@ A rank program that waits on a channel a plan can sever should use a
 :class:`TimeoutError` / :class:`RankFailure` (lint rule REP006 enforces
 the handler).
 
-Pass ``recorder=``\\ (a :class:`~repro.analysis.protocol.TraceRecorder`) to
+Pass ``recorder=``\\ (a :class:`~repro.obs.protocol.TraceRecorder`) to
 log every send and delivery for post-hoc verification with
-:func:`~repro.analysis.protocol.verify_trace`.
+:func:`~repro.obs.protocol.verify_trace`.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ from dataclasses import dataclass, field
 from typing import (Any, Deque, Dict, Generator, List, Optional, Set, Tuple,
                     TYPE_CHECKING)
 
-from ..analysis.protocol import ProtocolError, TraceRecorder, describe_deadlock
 from ..obs import RuntimeTracer
+from ..obs.protocol import ProtocolError, TraceRecorder, describe_deadlock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (resilience
     # imports runtime); the injector/retry objects are duck-typed here

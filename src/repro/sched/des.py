@@ -20,7 +20,7 @@ Zero-bubble pricing: when a schedule splits ``W`` out of ``BWD``, the
 backward is halved between the two tasks, so ``W`` can fill what would
 otherwise be drain bubble — this is where ZB-H1's win over 1F1B is
 measured (the functional substrate deliberately does not split; see
-:mod:`repro.sched.compile`).
+:func:`repro.runtime.rankprog.lower_rank`).
 
 Activation residency is tracked per rank in bytes of boundary-sized
 activations (+1 per ``FWD``, released at ``W`` when split else ``BWD``)

@@ -6,9 +6,9 @@ per-physical-rank execution order — instead of control flow baked into
 a trainer.  It stores no dependency edges: what a task needs follows
 from what it *means*, and :func:`required_deps` is that rule, written
 once.  The same instance lowers to rank programs on both substrates
-(:mod:`repro.sched.compile`, :mod:`repro.sched.des`), can be perturbed
-and searched (:mod:`repro.sched.search`), and extracts a communication
-skeleton for the model checker
+(:func:`repro.runtime.rankprog.lower_rank`, :mod:`repro.sched.des`),
+can be perturbed and searched (:mod:`repro.sched.search`), and extracts
+a communication skeleton for the model checker
 (:func:`repro.analysis.model.scheduled_model`).
 
 Task kinds (JaxPP-style, arXiv 2412.14374):

@@ -9,26 +9,26 @@ perturbations of the best of them — are scored in the DES under compute
 jitter
 (makespan first, peak activation residency as tiebreak), and the
 winner is *replayed on the functional substrate* against the
-independent, unpipelined :class:`~repro.runtime.SerialTrainer`:
-identical losses there are the acceptance oracle, the same reference
-every shipped schedule answers to.  A schedule that searches well but
-trains differently is a bug, not a win.
+independent, unpipelined :class:`~repro.runtime.SerialTrainer`
+(:func:`repro.experiments.replay_winner`, which trains models and so
+lives above this package): identical losses there are the acceptance
+oracle, the same reference every shipped schedule answers to.  A
+schedule that searches well but trains differently is a bug, not a win.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .builders import SCHEDULE_NAMES, build_schedule
 from .des import SchedSimResult, simulate_schedule
 from .ir import Schedule, ScheduleError, validate
-from .metrics import peak_resident_activations
 
 __all__ = ["perturb", "candidate_schedules", "search_schedules",
-           "replay_winner", "SearchResult"]
+           "SearchResult"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -121,50 +121,3 @@ def search_schedules(n_stages: int, n_microbatches: int, *,
         scored.append(score(cand))
     scored.sort(key=lambda r: r.key)
     return scored
-
-
-def replay_winner(winner: Schedule, cfg=None, n_batches: int = 2,
-                  batch_size: int = 8, rel_tol: float = 2e-4
-                  ) -> Dict[str, object]:
-    """Acceptance oracle: train the winner, compare to serial training.
-
-    Any valid schedule computes the same update (the schedule only
-    reorders work), so the winner's per-batch losses must match the
-    serial full-batch reference — which shares no pipeline code with
-    the candidate — to numerical tolerance.  Raises RuntimeError on
-    divergence; returns a replay report otherwise.
-    """
-    from ..nn import GPTConfig, LMBatches, SyntheticCorpus
-    from ..runtime import AxoNNTrainer, SerialTrainer
-    if cfg is None:
-        n_layer = max(winner.n_virtual, 4)
-        cfg = GPTConfig(vocab_size=19, seq_len=8, n_layer=n_layer,
-                        n_head=2, hidden=12, dropout=0.0, init_seed=11)
-    m = winner.n_microbatches
-    if batch_size % m != 0:
-        batch_size = m
-    mbs = batch_size // m
-    corpus = SyntheticCorpus(cfg.vocab_size, 4000, seed=0)
-    batches = LMBatches(corpus, batch_size=batch_size, seq_len=cfg.seq_len)
-    ref = SerialTrainer(cfg)
-    cand = AxoNNTrainer(cfg, g_inter=winner.n_stages, g_data=1,
-                        microbatch_size=mbs, schedule=winner)
-    ref_losses, cand_losses = [], []
-    for i in range(n_batches):
-        x, y = batches.batch(i)
-        ref_losses.append(ref.train_batch(x, y))
-        cand_losses.append(cand.train_batch(x, y).loss)
-    for a, b in zip(ref_losses, cand_losses):
-        if not np.isfinite(b) or abs(a - b) > rel_tol * abs(a):
-            raise RuntimeError(
-                f"replay diverged: {winner.name} loss {b} vs serial {a}")
-    return {
-        "schedule": winner.name,
-        "n_stages": winner.n_stages,
-        "n_microbatches": m,
-        "losses": cand_losses,
-        "reference_losses": ref_losses,
-        "peak_resident_activations": list(
-            peak_resident_activations(winner)),
-        "accepted": True,
-    }

@@ -116,7 +116,7 @@ class PipelineServer:
       emits ``request``/``prefill``/``decode{t}`` spans on the ``serve``
       stream, so ``python -m repro trace`` tooling works unchanged.
     * ``recorder`` — optional protocol recorder forwarded to the
-      transport (see :mod:`repro.analysis.protocol`).
+      transport (see :mod:`repro.obs.protocol`).
     * ``g_prefill`` — ranks in the prompt-only pool (``0``: unified).
     * ``prefill_limit`` — prompts in flight in the prefill pool (default
       ``g_prefill``), bounded so exported KV doesn't pile up.

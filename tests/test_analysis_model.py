@@ -6,7 +6,6 @@ skeleton against a TraceRecorder trace of the corresponding real run."""
 import numpy as np
 import pytest
 
-from repro.analysis import TraceRecorder, assert_clean
 from repro.analysis.model import (
     CommModel,
     ModelError,
@@ -22,6 +21,7 @@ from repro.analysis.model import (
     serve_model,
 )
 from repro.nn import GPTConfig, LMBatches, SyntheticCorpus
+from repro.obs.protocol import TraceRecorder, assert_clean
 from repro.runtime import POLL, RECV, AxoNNTrainer, inter_layer_step
 from repro.runtime.grid import RankGrid
 from repro.runtime.rankprog import TAG_BWD
@@ -263,7 +263,7 @@ class Test4DTensorParallel:
         """The invariant the checker proves: two members of one TP group
         recording the same collectives in different orders must trip the
         order check."""
-        from repro.analysis import check_collective_order
+        from repro.obs.protocol import check_collective_order
         trace = TraceRecorder()
         trace.record_collective(0, "tp_allgather", key=((0, 0), "fwd", 0))
         trace.record_collective(0, "tp_reduce_scatter",

@@ -4,7 +4,10 @@ substrates, the static checks, and the deadlock wait-for-graph diagnosis."""
 import numpy as np
 import pytest
 
-from repro.analysis import (
+from repro.cluster import Machine, summit
+from repro.comm import Message, Messenger
+from repro.nn import GPTConfig, LMBatches, SyntheticCorpus
+from repro.obs.protocol import (
     ProtocolError,
     TraceRecorder,
     assert_clean,
@@ -13,9 +16,6 @@ from repro.analysis import (
     check_unmatched_sends,
     verify_trace,
 )
-from repro.cluster import Machine, summit
-from repro.comm import Message, Messenger
-from repro.nn import GPTConfig, LMBatches, SyntheticCorpus
 from repro.runtime import RECV, AxoNNTrainer, RankTransport
 
 
@@ -192,11 +192,11 @@ class TestProcessBackendRecording:
         rng = np.random.default_rng(4)
         return (rng.integers(0, 17, (4, 6)), rng.integers(0, 17, (4, 6)))
 
-    def _record(self, backend):
+    def _record(self, backend, pipeline_limit=None):
         rec = TraceRecorder()
         trainer = AxoNNTrainer(self._cfg(), g_inter=2, g_data=1,
                                microbatch_size=2, backend=backend,
-                               recorder=rec)
+                               recorder=rec, pipeline_limit=pipeline_limit)
         x, y = self._batch()
         try:
             trainer.train_batch(x, y)
@@ -211,7 +211,13 @@ class TestProcessBackendRecording:
         assert_clean(rec)
 
     def test_process_trace_matches_cooperative_trace(self):
-        proc, coop = self._record("process"), self._record("cooperative")
+        # One microbatch in flight: the last stage's drain can never find
+        # a second activation, so each rank's interleaving is fixed.  With
+        # two in flight it depends on arrival times on real cores (Algorithm
+        # 2 groups whatever has arrived), and only the per-channel orders
+        # are common to both backends.
+        proc, coop = (self._record(backend, pipeline_limit=1)
+                      for backend in ("process", "cooperative"))
         for rank in (0, 1):
             assert [(e.kind, e.peer, e.tag, e.microbatch)
                     for e in proc.events_of(rank)] == \

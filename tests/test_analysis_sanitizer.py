@@ -5,7 +5,9 @@ op), graph hygiene, and the zero-overhead-when-disabled contract."""
 import numpy as np
 import pytest
 
-from repro.analysis import (
+from repro.nn import Tensor
+from repro.nn.functional import softmax
+from repro.nn.sanitizer import (
     AnomalyError,
     GraphError,
     MutationError,
@@ -14,8 +16,6 @@ from repro.analysis import (
     sanitize,
     sanitizer,
 )
-from repro.nn import Tensor
-from repro.nn.functional import softmax
 
 
 def _tensor(shape=(3, 4), requires_grad=True, seed=0):

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (TraceRecorder, check_match_order,
-                            check_unmatched_sends, verify_trace)
 from repro.nn import GPT, GPTConfig, generate
+from repro.obs.protocol import (TraceRecorder, check_match_order,
+                                check_unmatched_sends, verify_trace)
 from repro.resilience import Fault, FaultPlan, ResilientTrainer
 from repro.runtime import AxoNNTrainer, SerialTrainer
 from repro.sched import SCHEDULE_NAMES, build_schedule, schedule_chunks

@@ -187,7 +187,7 @@ def test_repro_lint_json_passthrough():
 def test_sanitizer_smoke_full_training_step():
     """The shipped autograd closures all honour the ownership and
     mutation contracts over a real parallel training batch."""
-    from repro.analysis import sanitize
+    from repro.nn.sanitizer import sanitize
     from repro.nn import GPTConfig, LMBatches, SyntheticCorpus
     from repro.runtime import AxoNNTrainer
 

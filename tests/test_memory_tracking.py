@@ -6,7 +6,7 @@ import pytest
 from repro.cluster import GridPlacement, Machine, OutOfMemoryError, summit
 from repro.core import AxoNNConfig, MemoryModel, WEAK_SCALING_MODELS
 from repro.core.phases import run_pipeline_phase
-from repro.nn.checkpoint import optimal_checkpoint_interval
+from repro.partition import optimal_checkpoint_interval
 
 SPEC = WEAK_SCALING_MODELS["12B"]
 

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import lint_paths, sanitize
+from repro.analysis import lint_paths
 from repro.nn import Block, GPTConfig, LayerKVCache, Tensor, no_grad
 from repro.nn import functional as F
+from repro.nn.sanitizer import sanitize
 from repro.perf import counting
 from repro.runtime import AxoNNTrainer
 

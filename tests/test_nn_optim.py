@@ -20,14 +20,13 @@ from repro.nn import (
     SGD,
     SyntheticCorpus,
     Tensor,
-    activation_memory_factor,
     adam_step,
     checkpoint,
-    factors,
     grads_have_overflow,
-    optimal_checkpoint_interval,
 )
 from repro.nn.modules import Module
+from repro.partition import (activation_memory_factor, factors,
+                             optimal_checkpoint_interval)
 
 
 def quadratic_param(value=5.0):

@@ -43,6 +43,19 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition_layers(3, 0)
 
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_matches_the_per_stage_loop(self, n):
+        """Every ``1 <= g <= n``: the ranges the original per-stage loop
+        built (stage ``i`` takes one extra slot while ``i < n % g``)."""
+        for g in range(1, n + 1):
+            base, extra = divmod(n, g)
+            ranges, start = [], 0
+            for i in range(g):
+                size = base + (1 if i < extra else 0)
+                ranges.append((start, start + size))
+                start += size
+            assert partition_layers(n, g) == ranges
+
     @given(n=st.integers(1, 40), g=st.integers(1, 12))
     @settings(max_examples=80, deadline=None)
     def test_partition_covers_exactly(self, n, g):

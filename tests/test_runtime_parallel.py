@@ -18,11 +18,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.analysis import TraceRecorder
 from repro.nn import GPTConfig
 from repro.nn.blas import blas_threads, share_blas_threads
 from repro.obs import (RuntimeTracer, merge_rank_jsonl, read_spans_jsonl,
                        write_chrome_trace_multiprocess)
+from repro.obs.protocol import TraceRecorder
 from repro.resilience import Fault, FaultPlan, ResilientTrainer, RetryPolicy
 from repro.runtime import (POLL, RECV, AxoNNTrainer, ProcessTransport,
                            ProgramSpec, RankFailure, RankTransport, ShmRing,

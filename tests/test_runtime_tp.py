@@ -21,7 +21,7 @@ from repro.runtime import (
 from repro.sched import SCHEDULE_NAMES, schedule_chunks
 
 # Three heads: a 2-way TP split shards them unevenly ([2, 1]), which is
-# exactly the case the _split_sizes fix covers on the runtime path.
+# exactly the case the split_sizes fix covers on the runtime path.
 CFG = GPTConfig(vocab_size=19, seq_len=6, n_layer=2, n_head=3, hidden=12,
                 dropout=0.1, init_seed=21)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import TraceRecorder
+from repro.obs.protocol import TraceRecorder
 from repro.runtime import (POLL, RECV, DeadlockError, Packet, ProtocolError,
                            RankGrid, RankTransport)
 

@@ -20,11 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import ProtocolError, TraceRecorder, assert_clean
 from repro.analysis.model import (check_model, extract_skeleton,
                                   scheduled_model)
 from repro.nn import GPTConfig, LMBatches, SyntheticCorpus
+from repro.experiments import replay_winner
 from repro.obs import RuntimeTracer, member_events
+from repro.obs.protocol import ProtocolError, TraceRecorder, assert_clean
 from repro.resilience import (Fault, FaultInjector, FaultPlan,
                               ResilientTrainer, RetryPolicy)
 from repro.runtime import RECV, AxoNNTrainer, DeadlockError, RankTransport
@@ -48,7 +49,7 @@ from repro.sched import (
 )
 from repro.sched.des import simulate_schedule
 from repro.sched.ir import Task
-from repro.sched.search import perturb, replay_winner, search_schedules
+from repro.sched.search import perturb, search_schedules
 
 CFG = GPTConfig(vocab_size=19, seq_len=8, n_layer=4, n_head=2, hidden=12,
                 dropout=0.0, init_seed=11)

@@ -7,9 +7,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.analysis.protocol import TraceRecorder, verify_trace
 from repro.nn import GPT, GPTConfig, generate
 from repro.obs import RuntimeTracer
+from repro.obs.protocol import TraceRecorder, verify_trace
 from repro.serve import PipelineServer, Request, RequestSpec, make_requests
 
 CFG = GPTConfig(vocab_size=31, seq_len=32, n_layer=4, n_head=2, hidden=12)
