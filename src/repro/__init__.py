@@ -40,10 +40,8 @@ Quick start (performance)::
 
 Importing ``repro`` loads no subpackage; each one is imported on its
 own, and the package's import graph is acyclic: a subpackage imports
-only those listed before it in ``partition``, ``obs``, ``perf``,
-``sim``, ``nn``, ``cluster``, ``comm``, ``core``, ``sched``,
-``runtime``, ``baselines``, ``resilience``, ``tuning``, ``serve``,
-``fleet``, ``analysis``, ``experiments``.  So the performance model
+only the layers before it in the order ``LAYERS`` in
+``tests/test_layering.py`` lists and checks.  So the performance model
 loads without the functional runtime.
 """
 

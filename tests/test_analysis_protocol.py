@@ -224,6 +224,28 @@ class TestProcessBackendRecording:
                    [(e.kind, e.peer, e.tag, e.microbatch)
                     for e in coop.events_of(rank)]
 
+    @staticmethod
+    def _channel_orders(rec):
+        """{(src, dst): ([sent (tag, microbatch)], [received ...])}."""
+        chans = {}
+        for e in rec.sends():
+            chans.setdefault((e.rank, e.peer), ([], []))[0].append(
+                (e.tag, e.microbatch))
+        for e in rec.recvs():
+            chans.setdefault((e.peer, e.rank), ([], []))[1].append(
+                (e.tag, e.microbatch))
+        return chans
+
+    def test_process_channels_match_cooperative_channels(self):
+        # The trainer's default limit: two microbatches in flight, so the
+        # last stage groups whatever has arrived.  Each channel's send
+        # and receive order is still the same on both backends.
+        proc, coop = (self._record(backend)
+                      for backend in ("process", "cooperative"))
+        orders = self._channel_orders(coop)
+        assert orders[(0, 1)][0] == [("forward", 0), ("forward", 1)]
+        assert self._channel_orders(proc) == orders
+
 
 class TestMessengerRecording:
     def _setup(self, recorder=None):

@@ -2,8 +2,9 @@
 
 Three checks:
 
-* the subpackage graph built from module-scope imports (function bodies
-  and ``if TYPE_CHECKING:`` blocks excluded) is acyclic;
+* every module-scope import (function bodies and ``if TYPE_CHECKING:``
+  blocks excluded) points to an earlier layer of ``LAYERS``, so the
+  subpackage graph is acyclic and follows the documented order;
 * fresh interpreters load only the layers below what they import — the
   performance model without the functional runtime, and each half
   without the other;
@@ -11,7 +12,6 @@ Three checks:
 """
 
 import ast
-import graphlib
 import json
 import os
 import subprocess
@@ -25,9 +25,11 @@ import repro
 
 ROOT = Path(repro.__file__).parent
 
-#: every subpackage, and the partition leaf
-LAYERS = sorted([p.name for p in ROOT.iterdir()
-                 if (p / "__init__.py").is_file()] + ["partition"])
+#: the layer order, bottom first: every subpackage, and the partition
+#: leaf; a module imports only from its own layer and earlier ones
+LAYERS = ["partition", "obs", "perf", "sim", "nn", "cluster", "comm", "core",
+          "sched", "runtime", "baselines", "resilience", "tuning", "serve",
+          "fleet", "analysis", "experiments"]
 
 #: module -> subpackages a fresh ``import module`` must not load
 FOOTPRINTS = {
@@ -110,16 +112,18 @@ def layer_graph():
     return graph, sites
 
 
-def test_layer_graph_is_acyclic():
+def test_layers_are_every_subpackage():
+    on_disk = {p.name for p in ROOT.iterdir() if (p / "__init__.py").is_file()}
+    assert sorted(LAYERS) == sorted(on_disk | {"partition"})
+
+
+def test_imports_point_down_the_layers():
     graph, sites = layer_graph()
-    try:
-        order = list(graphlib.TopologicalSorter(graph).static_order())
-    except graphlib.CycleError as err:
-        cycle = err.args[1]  # each entry is imported by the next
-        edges = [f"{b} imports {a} ({sites[(b, a)]})"
-                 for a, b in zip(cycle, cycle[1:])]
-        pytest.fail("import cycle: " + "; ".join(edges))
-    assert sorted(order) == LAYERS
+    rank = {layer: i for i, layer in enumerate(LAYERS)}
+    upward = [f"{src} imports {dst} ({sites[(src, dst)]})"
+              for src in LAYERS for dst in sorted(graph[src])
+              if rank[dst] > rank[src]]
+    assert not upward, "imports against the layer order: " + "; ".join(upward)
 
 
 @pytest.fixture(scope="module")
