@@ -19,6 +19,7 @@ import pytest
 
 from repro.sched import (ScheduleError, build_schedule, critical_path,
                          peak_resident_activations, validate)
+from repro.sched.builders import zero_bubble_ir
 
 #: (name, n_stages, m) -> (makespan, busy per rank, peak residency per rank)
 CRITICAL_PATH_PINS = {
@@ -117,3 +118,24 @@ def test_every_adjacent_swap_verdict(key):
                 sched, rank_order=tuple(orders)))))
     digest = hashlib.sha256(json.dumps(sorted(out)).encode()).hexdigest()
     assert (len(out), digest) == SWAP_PINS[key]
+
+
+#: (n_stages, m) -> sha256 of ``repr(zero_bubble_ir(n_stages, m).rank_order)``,
+#: recorded from the list scheduler that rescanned every pending task at
+#: each decision point.  The deepest grid is the regression case for that
+#: scan's quadratic cost.
+ZB_ORDER_PINS = {
+    (2, 3): '90abb55dd090b7f589c64eef82f2a0c6b41433bd22f1a81478c447dcc25addfb',
+    (4, 8): 'e4ed7f0f7a8fd20f620066794e8705c2d4087be5b8bd2fb470fb15eea439d840',
+    (4, 48): '721dcb33ca8177f37352eb4bb5f33b3569a056d926bd251aeb4035ba5396dc3c',
+    (16, 64): '2803853b47d52c074c64081d0411b507c31903afe2d74b3dfdcf106f1ba4fbff',
+    (16, 256): '8013c455774cfc241df904d92fc1782b7c489dd1efb752c6b986acd9616f4848',
+}
+
+
+@pytest.mark.parametrize("grid", sorted(ZB_ORDER_PINS),
+                         ids=lambda g: f"{g[0]}x{g[1]}")
+def test_zero_bubble_rank_order_digest(grid):
+    order = zero_bubble_ir(*grid).rank_order
+    assert hashlib.sha256(repr(order).encode()).hexdigest() == \
+        ZB_ORDER_PINS[grid]
