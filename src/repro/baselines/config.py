@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from ..core.model_stats import TransformerSpec
@@ -57,8 +58,9 @@ class ThreeDConfig:
             raise ValueError("g_intra and microbatch size must be >= 1")
         if self.backend_p2p not in ("mpi", "nccl"):
             raise ValueError(f"unknown p2p backend {self.backend_p2p!r}")
-        if self.compute_jitter < 0:
-            raise ValueError("compute_jitter must be >= 0")
+        if not 0 <= self.compute_jitter < math.inf:
+            raise ValueError(f"compute_jitter must be a finite number >= 0, "
+                             f"got {self.compute_jitter!r}")
         if self.spec.hidden % self.g_intra != 0:
             raise ValueError("hidden size must divide across G_intra")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -76,8 +77,9 @@ class AxoNNConfig:
             raise ValueError("batch/microbatch sizes must be >= 1")
         if self.bucket_size < 1 or self.coarsening_k < 1:
             raise ValueError("bucket_size and coarsening_k must be >= 1")
-        if self.compute_jitter < 0:
-            raise ValueError("compute_jitter must be >= 0")
+        if not 0 <= self.compute_jitter < math.inf:
+            raise ValueError(f"compute_jitter must be a finite number >= 0, "
+                             f"got {self.compute_jitter!r}")
 
     @property
     def microbatches_per_shard(self) -> int:

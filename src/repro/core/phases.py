@@ -21,6 +21,7 @@ coarsening factor ``k`` (Section V-C).
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Generator, List, Optional
@@ -50,8 +51,23 @@ def jitter_factor(sigma: float, seed: int, stage: int, microbatch: int,
     """
     if sigma <= 0:
         return 1.0
-    rng = np.random.default_rng((seed, stage, microbatch, kind))
-    return float(np.exp(sigma * rng.standard_normal()))
+    return float(np.exp(sigma * _standard_normal(seed, stage, microbatch,
+                                                 kind)))
+
+
+@functools.lru_cache(maxsize=4096)
+def _standard_normal(seed: int, stage: int, microbatch: int,
+                     kind: int) -> float:
+    """The standard-normal deviate under one :func:`jitter_factor` key.
+
+    A pure function of its key, so drawing it once per key per process
+    returns the same float a fresh generator would: every walk over the
+    same perturbations (and every sigma of a sweep) shares one draw.
+    The memo holds at most 4096 deviates — about 300 bytes each with
+    word-sized keys, so 1.2 MB at worst.
+    """
+    return np.random.default_rng(
+        (seed, stage, microbatch, kind)).standard_normal()
 
 
 @dataclass(frozen=True)

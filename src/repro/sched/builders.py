@@ -24,7 +24,10 @@ checker then prove independently.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import heapq
+from collections import deque
+from typing import (Callable, Deque, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from .ir import (BWD, FWD, RECV_ACT, RECV_GRAD, SEND_ACT, SEND_GRAD, W,
                  Schedule, Task, validate)
@@ -249,100 +252,107 @@ def _list_schedule(n_stages: int, n_microbatches: int, n_chunks: int,
     per-rank in-flight cap.  Cross-rank readiness honors per-channel
     FIFO (a message is consumable only at the head of its channel), so
     the recorded orders are FIFO-consistent by construction.
+
+    Each rank keeps its ready set indexed rather than rescanning the
+    pending tasks: a task's same-rank prerequisite (the ``FWD`` under a
+    ``BWD``, the ``BWD`` under a ``W``) has always finished by the time
+    the rank is idle again, so the only candidates are the two channel
+    heads, the next stage-0 injection, and two heaps — backwards of the
+    last virtual stage (no message gates them) and ``W`` tasks — keyed by
+    the same ``(mb, -stage)`` / ``(mb, stage)`` priorities the picks
+    use.  Each decision is O(log m).
     """
     S, m, V = n_stages, n_microbatches, n_chunks
-    VS = V * S
-    last = VS - 1
-    finish: Dict[Task, int] = {}
+    last = V * S - 1
     orders: List[List[Task]] = [[] for _ in range(S)]
     busy_until = [0] * S
     inflight = [0] * S
-    # Per (dst_rank, plane) FIFO: entries (avail_time, stage, mb) in
-    # production order; a compute task needing a message is ready only
-    # when its entry is the channel head and has arrived.
-    chan: Dict[Tuple[int, str], List[Tuple[int, int, int]]] = {}
+    # Per-rank F / B channels: (avail_time, stage, mb) in production
+    # order; only the head is consumable, once it has arrived.
+    chan_f: List[Deque[Tuple[int, int, int]]] = [deque() for _ in range(S)]
+    chan_b: List[Deque[Tuple[int, int, int]]] = [deque() for _ in range(S)]
+    tail_b: List[List[Tuple[int, int]]] = [[] for _ in range(S)]
+    ready_w: List[List[Tuple[int, int]]] = [[] for _ in range(S)]
+    injected = 0  # stage-0 forwards start in microbatch order
 
-    def deliver(dst: int, plane: str, when: int, v: int, mb: int) -> None:
-        chan.setdefault((dst, plane), []).append((when, v, mb))
+    def head(q: Deque[Tuple[int, int, int]],
+             now: int) -> Optional[Tuple[int, int]]:
+        return (q[0][1], q[0][2]) if q and q[0][0] <= now else None
 
-    def head_ready(dst: int, plane: str, v: int, mb: int, now: int) -> bool:
-        q = chan.get((dst, plane), [])
-        return bool(q) and q[0][1] == v and q[0][2] == mb and q[0][0] <= now
+    def pick(rank: int, now: int) -> Optional[Tuple[Task, int]]:
+        best = None
+        arrived = head(chan_b[rank], now)
+        if arrived is not None:
+            v, mb = arrived
+            best = (mb, -v)
+        if tail_b[rank] and (best is None or tail_b[rank][0] < best):
+            best = tail_b[rank][0]
+        if best is not None:  # eager backward: drain before growing residency
+            return Task(BWD, -best[1], best[0]), 1 if split_w else 2
+        if inflight[rank] < cap(rank):
+            arrived = head(chan_f[rank], now)
+            if arrived is not None:
+                v, mb = arrived
+                best = (mb, v)
+            if rank == 0 and injected < m and (best is None
+                                               or (injected, 0) < best):
+                best = (injected, 0)
+            if best is not None:
+                return Task(FWD, best[1], best[0]), 1
+        if ready_w[rank]:
+            mb, v = ready_w[rank][0]
+            return Task(W, v, mb), 1
+        return None
 
     def start(rank: int, task: Task, cost: int, now: int) -> None:
+        nonlocal injected
         done = now + cost
-        finish[task] = done
         busy_until[rank] = done
         orders[rank].append(task)
         v, mb = task.stage, task.mb
         if task.kind == FWD:
             inflight[rank] += 1
             if v > 0:
-                chan[(rank, "F")].pop(0)
+                chan_f[rank].popleft()
+            else:
+                injected += 1
             if v < last:
-                deliver((v + 1) % S, "F", done, v + 1, mb)
+                chan_f[(v + 1) % S].append((done, v + 1, mb))
+            else:
+                heapq.heappush(tail_b[rank], (mb, -v))
         elif task.kind == BWD:
             if v < last:
-                chan[(rank, "B")].pop(0)
-            if not split_w:
+                chan_b[rank].popleft()
+            else:
+                heapq.heappop(tail_b[rank])
+            if split_w:
+                heapq.heappush(ready_w[rank], (mb, v))
+            else:
                 inflight[rank] -= 1
             if v > 0:
-                deliver((v - 1) % S, "B", done, v - 1, mb)
+                chan_b[(v - 1) % S].append((done, v - 1, mb))
         else:  # W
+            heapq.heappop(ready_w[rank])
             inflight[rank] -= 1
 
-    pending = {Task(FWD, v, mb) for v in range(VS) for mb in range(m)}
-    pending |= {Task(BWD, v, mb) for v in range(VS) for mb in range(m)}
-    if split_w:
-        pending |= {Task(W, v, mb) for v in range(VS) for mb in range(m)}
-
+    pending = (3 if split_w else 2) * V * S * m
+    started = 0
     now = 0
     guard = 0
     while pending:
         guard += 1
-        if guard > 16 * len(finish) + 16 * len(pending) + 64:
+        if guard > 16 * started + 16 * pending + 64:
             raise RuntimeError(
-                f"list scheduler wedged at t={now} with {len(pending)} "
+                f"list scheduler wedged at t={now} with {pending} "
                 f"tasks pending")  # pragma: no cover - defensive
-        progressed = False
         for rank in range(S):
             if busy_until[rank] > now:
                 continue
-            mine = [t for t in pending
-                    if (t.stage % S) == rank]
-            ready_b = []
-            ready_f = []
-            ready_w = []
-            for t in mine:
-                v, mb = t.stage, t.mb
-                if t.kind == BWD:
-                    fwd_done = finish.get(Task(FWD, v, mb))
-                    if fwd_done is None or fwd_done > now:
-                        continue
-                    if v == last or head_ready(rank, "B", v, mb, now):
-                        ready_b.append(t)
-                elif t.kind == FWD:
-                    if v == 0 or head_ready(rank, "F", v, mb, now):
-                        ready_f.append(t)
-                else:  # W
-                    bwd_done = finish.get(Task(BWD, v, mb))
-                    if bwd_done is not None and bwd_done <= now:
-                        ready_w.append(t)
-            picked = None
-            cost = 0
-            if ready_b:  # eager backward: drain before growing residency
-                picked = min(ready_b, key=lambda t: (t.mb, -t.stage))
-                cost = 1 if split_w else 2
-            elif ready_f and inflight[rank] < cap(rank):
-                picked = min(ready_f, key=lambda t: (t.mb, t.stage))
-                cost = 1
-            elif ready_w:
-                picked = min(ready_w, key=lambda t: (t.mb, t.stage))
-                cost = 1
+            picked = pick(rank, now)
             if picked is not None:
-                pending.discard(picked)
-                start(rank, picked, cost, now)
-                progressed = True
+                start(rank, *picked, now)
+                pending -= 1
+                started += 1
         # Decision points only change at task-finish times (arrivals land
         # exactly when their producer finishes), so jump to the next one;
         # with nothing in flight and nothing started, the DAG is wedged

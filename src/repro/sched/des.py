@@ -29,6 +29,7 @@ activations (+1 per ``FWD``, released at ``W`` when split else ``BWD``)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Generator, List, Optional, Sequence, Set, Tuple
 
@@ -151,6 +152,8 @@ def simulate_schedule(schedule: Schedule, *, spec=None,
                       machine: Optional[Machine] = None,
                       backend_p2p: str = "mpi") -> SchedSimResult:
     """Simulate one batch of ``schedule`` on the DES; return timings."""
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be a finite number >= 0, got {sigma!r}")
     S = schedule.n_stages
     costs = costs or virtual_stage_costs(schedule, spec, microbatch_size)
     if len(costs) != schedule.n_virtual:

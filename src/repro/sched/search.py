@@ -19,6 +19,7 @@ schedule that searches well but trains differently is a bug, not a win.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -103,6 +104,8 @@ def search_schedules(n_stages: int, n_microbatches: int, *,
     for a given seed: the jitter stream and the perturbation RNG are
     both seeded.
     """
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be a finite number >= 0, got {sigma!r}")
     rng = np.random.default_rng(seed)
     pool = candidate_schedules(n_stages, n_microbatches)
     if not pool:

@@ -1,12 +1,20 @@
 """Tests for the DES extensions: compute jitter, full-grid simulation,
 baseline backend swap, and the extra ablation experiments."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import ThreeDConfig, simulate_baseline_batch
 from repro.core import AxoNNConfig, WEAK_SCALING_MODELS, simulate_batch
-from repro.core.phases import jitter_factor
+from repro.core.phases import _standard_normal, jitter_factor
 from repro.experiments import full_grid_validation, scheduling_jitter_ablation
+from repro.sched import SCHEDULE_NAMES, build_schedule
+from repro.sched.des import simulate_schedule
+from repro.sched.search import search_schedules
 
 SPEC = WEAK_SCALING_MODELS["12B"]
 
@@ -37,6 +45,96 @@ class TestJitterFactor:
             assert jitter_factor(0.5, 0, 0, mb, 1) > 0
 
 
+#: the deviate memo's constant bound, as its docstring states
+MEMO_SIZE = 4096
+
+#: every ``jitter_factor`` argument, over the ranges the DES draws from
+JITTER_KEYS = dict(sigma=st.floats(0.0, 1.0),
+                   seed=st.integers(0, 2 ** 32 - 1),
+                   stage=st.integers(0, 63), mb=st.integers(0, 1023),
+                   kind=st.integers(0, 1))
+
+
+def _assert_fresh_draw(sigma, seed, stage, mb, kind):
+    """A memoised factor is the float a fresh generator gives, on a cold
+    key and again on the now-cached one."""
+    expect = float(np.exp(sigma * np.random.default_rng(
+        (seed, stage, mb, kind)).standard_normal()))
+    assert jitter_factor(sigma, seed, stage, mb, kind) == expect
+    assert jitter_factor(sigma, seed, stage, mb, kind) == expect
+
+
+@pytest.fixture
+def generators_built(monkeypatch):
+    """The seed of every ``np.random.default_rng`` built, from a cold
+    deviate memo on."""
+    seeds = []
+    real = np.random.default_rng
+
+    def counting(seed=None):
+        seeds.append(seed)
+        return real(seed)
+
+    _standard_normal.cache_clear()
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    return seeds
+
+
+class TestJitterMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(**JITTER_KEYS)
+    def test_equals_a_fresh_generator(self, sigma, seed, stage, mb, kind):
+        _assert_fresh_draw(sigma, seed, stage, mb, kind)
+
+    def test_equals_a_fresh_generator_past_the_bound(self):
+        _standard_normal.cache_clear()
+        for seed in range(MEMO_SIZE + 100):
+            _assert_fresh_draw(0.1, seed, 0, 0, 0)
+        # the first keys are evicted by now, the last ones resident
+        for seed in (0, 99, MEMO_SIZE + 99):
+            _assert_fresh_draw(0.3, seed, 0, 0, 0)
+
+        @settings(max_examples=100, deadline=None)
+        @given(**JITTER_KEYS)
+        def check(sigma, seed, stage, mb, kind):
+            _assert_fresh_draw(sigma, seed, stage, mb, kind)
+
+        check()
+
+    def test_never_exceeds_its_bound(self):
+        _standard_normal.cache_clear()
+        for seed in range(MEMO_SIZE + 100):
+            jitter_factor(0.2, seed, 1, 2, 1)
+        info = _standard_normal.cache_info()
+        assert info.maxsize == MEMO_SIZE
+        assert info.currsize == MEMO_SIZE
+        assert f"at most {MEMO_SIZE} deviates" in _standard_normal.__doc__
+
+    def test_des_suite_walks_draw_each_key_once(self, generators_built):
+        """The five schedules at 4x48 under one seed: 768 distinct keys
+        (interleaved's 8 virtual stages x 48 microbatches x fwd/bwd,
+        which cover the other four), each drawn once; a second pass
+        draws nothing."""
+        schedules = [build_schedule(name, 4, 48) for name in SCHEDULE_NAMES]
+
+        def walk():
+            for schedule in schedules:
+                simulate_schedule(schedule, sigma=0.05, seed=7)
+
+        walk()
+        assert len(generators_built) == len(set(generators_built)) == 768
+        generators_built.clear()
+        walk()
+        assert generators_built == []
+
+    def test_sigma_sweep_draws_each_key_once(self, generators_built):
+        """Every sigma of the sweep and both walks share one draw per
+        (stage, microbatch, fwd/bwd) key: 6 stages x 12 microbatches x 2."""
+        scheduling_jitter_ablation()
+        assert len(generators_built) == 6 * 12 * 2
+        assert len(set(generators_built)) == len(generators_built)
+
+
 class TestJitteredSimulation:
     def test_jitter_changes_pipeline_time(self):
         clean = simulate_batch(cfg())
@@ -53,6 +151,28 @@ class TestJitteredSimulation:
     def test_negative_jitter_rejected(self):
         with pytest.raises(ValueError):
             cfg(compute_jitter=-0.1)
+
+    @pytest.mark.parametrize("bad", [-0.2, math.nan, math.inf])
+    def test_config_rejects_bad_jitter(self, bad):
+        with pytest.raises(ValueError, match="compute_jitter"):
+            cfg(compute_jitter=bad)
+
+    @pytest.mark.parametrize("bad", [-0.2, math.nan, math.inf])
+    def test_baseline_config_rejects_bad_jitter(self, bad):
+        with pytest.raises(ValueError, match="compute_jitter"):
+            ThreeDConfig(spec=SPEC, num_gpus=48, g_intra=1, g_inter=6,
+                         g_data=8, microbatch_size=8, batch_size=384,
+                         framework="megatron", compute_jitter=bad)
+
+    @pytest.mark.parametrize("bad", [-0.2, math.nan, math.inf])
+    def test_simulate_schedule_rejects_bad_sigma(self, bad):
+        with pytest.raises(ValueError, match="sigma"):
+            simulate_schedule(build_schedule("1f1b", 2, 4), sigma=bad)
+
+    @pytest.mark.parametrize("bad", [-0.2, math.nan, math.inf])
+    def test_search_schedules_rejects_bad_sigma(self, bad):
+        with pytest.raises(ValueError, match="sigma"):
+            search_schedules(2, 4, n_perturbations=0, sigma=bad)
 
     def test_baseline_jitter(self):
         base = ThreeDConfig(spec=SPEC, num_gpus=48, g_intra=1, g_inter=6,
