@@ -275,30 +275,22 @@ def _list_schedule(n_stages: int, n_microbatches: int, n_chunks: int,
     ready_w: List[List[Tuple[int, int]]] = [[] for _ in range(S)]
     injected = 0  # stage-0 forwards start in microbatch order
 
-    def head(q: Deque[Tuple[int, int, int]],
-             now: int) -> Optional[Tuple[int, int]]:
-        return (q[0][1], q[0][2]) if q and q[0][0] <= now else None
-
     def pick(rank: int, now: int) -> Optional[Tuple[Task, int]]:
-        best = None
-        arrived = head(chan_b[rank], now)
-        if arrived is not None:
-            v, mb = arrived
-            best = (mb, -v)
-        if tail_b[rank] and (best is None or tail_b[rank][0] < best):
-            best = tail_b[rank][0]
-        if best is not None:  # eager backward: drain before growing residency
-            return Task(BWD, -best[1], best[0]), 1 if split_w else 2
+        # eager backward: drain before growing residency
+        q = chan_b[rank]
+        keys = [(q[0][2], -q[0][1])] if q and q[0][0] <= now else []
+        keys += tail_b[rank][:1]
+        if keys:
+            mb, neg_v = min(keys)
+            return Task(BWD, -neg_v, mb), 1 if split_w else 2
         if inflight[rank] < cap(rank):
-            arrived = head(chan_f[rank], now)
-            if arrived is not None:
-                v, mb = arrived
-                best = (mb, v)
-            if rank == 0 and injected < m and (best is None
-                                               or (injected, 0) < best):
-                best = (injected, 0)
-            if best is not None:
-                return Task(FWD, best[1], best[0]), 1
+            q = chan_f[rank]
+            keys = [(q[0][2], q[0][1])] if q and q[0][0] <= now else []
+            if rank == 0 and injected < m:
+                keys.append((injected, 0))
+            if keys:
+                mb, v = min(keys)
+                return Task(FWD, v, mb), 1
         if ready_w[rank]:
             mb, v = ready_w[rank][0]
             return Task(W, v, mb), 1
@@ -336,12 +328,12 @@ def _list_schedule(n_stages: int, n_microbatches: int, n_chunks: int,
             inflight[rank] -= 1
 
     pending = (3 if split_w else 2) * V * S * m
-    started = 0
+    limit = 16 * pending + 64
     now = 0
     guard = 0
     while pending:
         guard += 1
-        if guard > 16 * started + 16 * pending + 64:
+        if guard > limit:
             raise RuntimeError(
                 f"list scheduler wedged at t={now} with {pending} "
                 f"tasks pending")  # pragma: no cover - defensive
@@ -352,7 +344,6 @@ def _list_schedule(n_stages: int, n_microbatches: int, n_chunks: int,
             if picked is not None:
                 start(rank, *picked, now)
                 pending -= 1
-                started += 1
         # Decision points only change at task-finish times (arrivals land
         # exactly when their producer finishes), so jump to the next one;
         # with nothing in flight and nothing started, the DAG is wedged

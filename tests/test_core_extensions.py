@@ -86,10 +86,13 @@ class TestJitterMemo:
     def test_equals_a_fresh_generator(self, sigma, seed, stage, mb, kind):
         _assert_fresh_draw(sigma, seed, stage, mb, kind)
 
-    def test_equals_a_fresh_generator_past_the_bound(self):
+    def test_bounded_and_still_exact_past_the_bound(self):
         _standard_normal.cache_clear()
         for seed in range(MEMO_SIZE + 100):
             _assert_fresh_draw(0.1, seed, 0, 0, 0)
+        info = _standard_normal.cache_info()
+        assert (info.maxsize, info.currsize) == (MEMO_SIZE, MEMO_SIZE)
+        assert f"at most {MEMO_SIZE} deviates" in _standard_normal.__doc__
         # the first keys are evicted by now, the last ones resident
         for seed in (0, 99, MEMO_SIZE + 99):
             _assert_fresh_draw(0.3, seed, 0, 0, 0)
@@ -100,15 +103,7 @@ class TestJitterMemo:
             _assert_fresh_draw(sigma, seed, stage, mb, kind)
 
         check()
-
-    def test_never_exceeds_its_bound(self):
-        _standard_normal.cache_clear()
-        for seed in range(MEMO_SIZE + 100):
-            jitter_factor(0.2, seed, 1, 2, 1)
-        info = _standard_normal.cache_info()
-        assert info.maxsize == MEMO_SIZE
-        assert info.currsize == MEMO_SIZE
-        assert f"at most {MEMO_SIZE} deviates" in _standard_normal.__doc__
+        assert _standard_normal.cache_info().currsize == MEMO_SIZE
 
     def test_des_suite_walks_draw_each_key_once(self, generators_built):
         """The five schedules at 4x48 under one seed: 768 distinct keys

@@ -19,7 +19,8 @@ import pytest
 
 from repro.sched import (ScheduleError, build_schedule, critical_path,
                          peak_resident_activations, validate)
-from repro.sched.builders import zero_bubble_ir
+from repro.sched.builders import _list_schedule, zero_bubble_ir
+from repro.sched.ir import BWD, FWD, W, Task
 
 #: (name, n_stages, m) -> (makespan, busy per rank, peak residency per rank)
 CRITICAL_PATH_PINS = {
@@ -139,3 +140,92 @@ def test_zero_bubble_rank_order_digest(grid):
     order = zero_bubble_ir(*grid).rank_order
     assert hashlib.sha256(repr(order).encode()).hexdigest() == \
         ZB_ORDER_PINS[grid]
+
+
+def rescanning_list_schedule(S, m, V, split_w, cap):
+    """The list scheduler as it was before its ready index: every pending
+    task of an idle rank is rescanned at each decision point."""
+    last = V * S - 1
+    finish, orders = {}, [[] for _ in range(S)]
+    busy_until, inflight, chan = [0] * S, [0] * S, {}
+
+    def head_ready(dst, plane, v, mb, now):
+        q = chan.get((dst, plane), [])
+        return bool(q) and q[0][1:] == (v, mb) and q[0][0] <= now
+
+    kinds = (FWD, BWD, W) if split_w else (FWD, BWD)
+    pending = {Task(k, v, mb) for k in kinds for v in range(V * S)
+               for mb in range(m)}
+    now = guard = 0
+    while pending:
+        guard += 1
+        if guard > 16 * len(finish) + 16 * len(pending) + 64:
+            raise RuntimeError("wedged")
+        for rank in range(S):
+            if busy_until[rank] > now:
+                continue
+            ready_b, ready_f, ready_w = [], [], []
+            for t in pending:
+                v, mb = t.stage, t.mb
+                if v % S != rank:
+                    continue
+                if t.kind == BWD:
+                    done = finish.get(Task(FWD, v, mb))
+                    if done is not None and done <= now and (
+                            v == last or head_ready(rank, "B", v, mb, now)):
+                        ready_b.append(t)
+                elif t.kind == FWD:
+                    if v == 0 or head_ready(rank, "F", v, mb, now):
+                        ready_f.append(t)
+                elif finish.get(Task(BWD, v, mb), now + 1) <= now:
+                    ready_w.append(t)
+            if ready_b:
+                t, cost = min(ready_b, key=lambda t: (t.mb, -t.stage)), \
+                    1 if split_w else 2
+            elif ready_f and inflight[rank] < cap(rank):
+                t, cost = min(ready_f, key=lambda t: (t.mb, t.stage)), 1
+            elif ready_w:
+                t, cost = min(ready_w, key=lambda t: (t.mb, t.stage)), 1
+            else:
+                continue
+            pending.discard(t)
+            v, mb, done = t.stage, t.mb, now + cost
+            finish[t] = busy_until[rank] = done
+            orders[rank].append(t)
+            if t.kind == FWD:
+                inflight[rank] += 1
+                if v > 0:
+                    chan[(rank, "F")].pop(0)
+                if v < last:
+                    chan.setdefault(((v + 1) % S, "F"), []).append(
+                        (done, v + 1, mb))
+            elif t.kind == BWD:
+                if v < last:
+                    chan[(rank, "B")].pop(0)
+                if not split_w:
+                    inflight[rank] -= 1
+                if v > 0:
+                    chan.setdefault(((v - 1) % S, "B"), []).append(
+                        (done, v - 1, mb))
+            else:
+                inflight[rank] -= 1
+        future = [b for b in busy_until if b > now]
+        now = min(future) if future else now + 1
+    return orders
+
+
+@pytest.mark.parametrize("split_w", [True, False])
+@pytest.mark.parametrize("n_chunks,capped", [(1, True), (1, False),
+                                             (2, False), (3, False)])
+def test_list_schedule_matches_the_rescanning_reference(n_chunks, capped,
+                                                        split_w):
+    """The indexed scheduler against the rescanning one, beyond the one
+    configuration zb-h1 builds: several chunks per rank, an unsplit
+    backward, and no in-flight cap (zb-h1's cap of ``S - r`` wedges
+    both once a rank holds more than one chunk)."""
+    for S in range(1, 5):
+        for m in range(1, 9):
+            cap = (lambda r: min(S - r, m)) if capped \
+                else (lambda r: n_chunks * S * m)
+            args = (S, m, n_chunks, split_w, cap)
+            assert _list_schedule(*args) == rescanning_list_schedule(*args)
