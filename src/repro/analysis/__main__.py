@@ -1,12 +1,9 @@
-"""Command-line entry point: ``python -m repro.analysis <subcommand>``.
+"""Command-line entry point: ``python -m repro.analysis lint [paths...]``.
 
-Subcommands:
-
-* ``lint [paths...]`` — run the repo-specific AST lint (REP001-REP012)
-  over the given files/directories (default: the installed ``repro``
-  package).  Exit code 1 if any issue is found.  ``--json`` / ``--sarif``
-  switch the report format for CI tooling.
-* ``rules`` — print the rule catalogue.
+Runs the repo-specific AST lint (REP001-REP012) over the given
+files/directories (default: the installed ``repro`` package).  Exit code
+1 if any issue is found.  ``--json`` / ``--sarif`` switch the report
+format for CI tooling; ``--list-rules`` prints the rule catalogue.
 
 The pre-run model checker and race detector live behind
 ``python -m repro verify`` (see :mod:`repro.cli`).
@@ -17,7 +14,7 @@ from __future__ import annotations
 import sys
 from typing import Optional, Sequence
 
-from .lint import RULES, main as lint_main
+from .lint import main as lint_main
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -28,12 +25,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     cmd, rest = argv[0], argv[1:]
     if cmd == "lint":
         return lint_main(rest)
-    if cmd == "rules":
-        for code in sorted(RULES):
-            print(f"  {code}  {RULES[code]}")
-        return 0
-    print(f"unknown subcommand {cmd!r}; expected 'lint' or 'rules'",
-          file=sys.stderr)
+    print(f"unknown subcommand {cmd!r}; expected 'lint'", file=sys.stderr)
     return 2
 
 

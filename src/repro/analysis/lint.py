@@ -102,6 +102,12 @@ breakage the test suite may not catch:
   state would diverge the DES from the functional fleet and break the
   scale-event determinism test.
 
+Each rule is one row of ``_RULES``, ``(code, scope, check, summary)``,
+which is also where :data:`RULES` comes from.  :func:`lint_source` walks a
+module once, scope by scope (the module, each function, each lambda); a
+scope's own nodes, yields and rank-program verdict are computed once and
+handed to every check.
+
 Suppression: append ``# lint-ok: REP003 <reason>`` to the offending line
 (bare ``# lint-ok`` suppresses every rule on that line).
 
@@ -115,42 +121,12 @@ import argparse
 import ast
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 __all__ = ["LintIssue", "RULES", "lint_paths", "lint_source", "main"]
-
-RULES: Dict[str, str] = {
-    "REP001": "never pass the upstream gradient g (or a view of it / of a "
-              "parent's .data) to _accumulate_owned",
-    "REP002": "rank programs may only `yield RECV` / `POLL`",
-    "REP003": "no unseeded randomness (np.random.default_rng() without a "
-              "seed, or the legacy np.random.* API)",
-    "REP004": "every env.process(...) call must pass name=",
-    "REP005": "a yielded res.request() grant must sit inside try/finally "
-              "with a .release(...) in the finally (interrupt-safe hold)",
-    "REP006": "a `yield recv_within(...)` timed receive must be inside a "
-              "try that handles TimeoutError or RankFailure",
-    "REP007": "serving RNGs (repro.serve) must be built from an explicit "
-              "seed: an int literal or a *seed*-named variable/attribute",
-    "REP008": "send(...) payloads must be picklable data (ndarrays, "
-              "scalars, containers) — never lambdas, generator "
-              "expressions, or locally defined functions",
-    "REP009": "rank programs must not call time.sleep / blocking I/O "
-              "between a send(...) and the matching yield RECV",
-    "REP010": "tp_* collective records must carry a group-naming key and "
-              "pair ops with their protocol direction (tp_allgather/fwd, "
-              "tp_reduce_scatter/bwd) so every group member records the "
-              "same order",
-    "REP011": "schedule builders must emit IR: no raw `yield RECV` loops "
-              "or plane-constant yields in a sched package (lowering is "
-              "repro.runtime.rankprog.lower_rank)",
-    "REP012": "fleet policy code (repro.fleet) must be replayable: no "
-              "wall-clock reads, no stdlib random.* draws, and RNGs built "
-              "from an explicit seed — the FleetObservation's now_s is "
-              "the only clock",
-}
 
 SUPPRESS_MARK = "lint-ok"
 
@@ -188,20 +164,159 @@ def _suppressions(source: str) -> Dict[int, Optional[Set[str]]]:
     return out
 
 
-# -- scope helpers -----------------------------------------------------------
+# -- the one walk: scopes ----------------------------------------------------
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
+_SCOPE_NODES = _FUNCTION_NODES + (ast.Lambda,)
+
+#: what a rule's check yields: the node to report at, and the message
+_Finding = Tuple[ast.AST, str]
 
 
-def _own_nodes(fn: ast.AST) -> Iterator[ast.AST]:
-    """All AST nodes of a function body, excluding nested functions."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(fn))
+def _own_nodes(scope: ast.AST) -> Iterator[ast.AST]:
+    """All AST nodes of a scope's body, excluding nested functions and
+    lambdas (each is a scope of its own)."""
+    stack: List[ast.AST] = list(ast.iter_child_nodes(scope))
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, _FUNCTION_NODES + (ast.Lambda,)):
+        if isinstance(node, _SCOPE_NODES):
             continue
         stack.extend(ast.iter_child_nodes(node))
+
+
+class _Scope:
+    """One scope of a module (the module itself, a function or a lambda)
+    as every rule sees it, each fact computed once: the path's
+    components, the scope's own nodes and, for a function, its yields
+    and whether it is a rank program."""
+
+    def __init__(self, parts: Tuple[str, ...], node: ast.AST) -> None:
+        self.parts = parts
+        self.fn = node if isinstance(node, _FUNCTION_NODES) else None
+        self.nodes = list(_own_nodes(node))
+        self.yields = [n for n in self.nodes
+                       if isinstance(n, (ast.Yield, ast.YieldFrom))] \
+            if self.fn else []
+        self.is_rank = any(isinstance(y, ast.Yield)
+                           and _is_recv_marker(y.value)
+                           for y in self.yields)
+
+    @cached_property
+    def local_fns(self) -> Set[str]:
+        """Names a function binds to a nested ``def`` or a lambda."""
+        names: Set[str] = set()
+        for node in self.nodes if self.fn else ():
+            if isinstance(node, _FUNCTION_NODES):
+                names.add(node.name)
+            elif isinstance(node, ast.Assign) and \
+                    isinstance(node.value, ast.Lambda):
+                names.update(t.id for t in node.targets
+                             if isinstance(t, ast.Name))
+        return names
+
+
+# -- shared predicates -------------------------------------------------------
+
+def _call_name(node: ast.AST) -> Optional[str]:
+    """``f`` for ``f`` or ``obj.f``; None for any other expression."""
+    return node.id if isinstance(node, ast.Name) else \
+        node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _dotted(node: ast.AST) -> List[str]:
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return parts[::-1]
+
+
+def _call_args(call: ast.Call) -> List[ast.expr]:
+    return list(call.args) + [kw.value for kw in call.keywords]
+
+
+def _is_recv_marker(value: Optional[ast.AST]) -> bool:
+    """``RECV``, ``POLL`` or ``recv_within(...)`` — the legal yield
+    requests."""
+    if isinstance(value, ast.Name) and value.id in ("RECV", "POLL"):
+        return True
+    return _is_timed_recv(value)
+
+
+def _is_timed_recv(value: Optional[ast.AST]) -> bool:
+    return isinstance(value, ast.Call) and \
+        _call_name(value.func) == "recv_within"
+
+
+def _expr_yields(node: ast.AST) -> Iterator[ast.Yield]:
+    """Yield expressions in ``node``, excluding nested function bodies."""
+    stack: List[ast.AST] = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, _SCOPE_NODES):
+            continue
+        if isinstance(n, ast.Yield):
+            yield n
+        stack.extend(ast.iter_child_nodes(n))
+
+
+def _guarded_yields(stmts: List[ast.stmt], guards: Callable[[ast.Try], bool],
+                    protected: bool = False
+                    ) -> Iterator[Tuple[ast.Yield, bool]]:
+    """Every yield of a function body with whether a ``try`` that
+    ``guards`` protects it.  A try protects its body and ``else``, not its
+    handlers or ``finally``; nested defs and classes are skipped."""
+    for stmt in stmts:
+        if isinstance(stmt, _FUNCTION_NODES + (ast.ClassDef,)):
+            continue
+        if isinstance(stmt, ast.Try):
+            inner = protected or guards(stmt)
+            yield from _guarded_yields(stmt.body, guards, inner)
+            for handler in stmt.handlers:
+                yield from _guarded_yields(handler.body, guards, protected)
+            yield from _guarded_yields(stmt.orelse, guards, inner)
+            yield from _guarded_yields(stmt.finalbody, guards, protected)
+        elif isinstance(stmt, (ast.If, ast.For, ast.While, ast.With)):
+            heads = [getattr(stmt, "test", None), getattr(stmt, "iter", None)]
+            heads += [item.context_expr for item in getattr(stmt, "items", ())]
+            for expr in heads:
+                if expr is not None:
+                    yield from ((y, protected) for y in _expr_yields(expr))
+            yield from _guarded_yields(stmt.body, guards, protected)
+            yield from _guarded_yields(getattr(stmt, "orelse", []), guards,
+                                       protected)
+        else:
+            yield from ((y, protected) for y in _expr_yields(stmt))
+
+
+def _mentions_seed(node: ast.AST) -> bool:
+    """Is the expression recognizably seed-derived?  True for integer
+    literals anywhere in it and for any name/attribute containing "seed"."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Constant) and isinstance(n.value, int) \
+                and not isinstance(n.value, bool):
+            return True
+        if isinstance(n, ast.Name) and "seed" in n.id.lower():
+            return True
+        if isinstance(n, ast.Attribute) and "seed" in n.attr.lower():
+            return True
+    return False
+
+
+def _unseeded_rng(call: ast.Call) -> bool:
+    """A ``default_rng(...)`` built from arguments none of which is
+    recognizably a seed (REP007 / REP012 provenance; the no-argument case
+    is REP003's finding)."""
+    chain = _dotted(call.func)
+    if chain[-1:] != ["default_rng"] or \
+            (len(chain) == 3 and chain[:2] not in (["np", "random"],
+                                                   ["numpy", "random"])):
+        return False
+    seed_exprs = _call_args(call)
+    return bool(seed_exprs) and not any(_mentions_seed(e) for e in seed_exprs)
 
 
 # -- REP001 ------------------------------------------------------------------
@@ -262,82 +377,41 @@ def _is_parent_data_view(node: ast.AST) -> bool:
     return False
 
 
-def _check_rep001(fn: ast.AST, issues: List[LintIssue], path: str) -> None:
-    args = getattr(fn, "args", None)
-    first = args.args[0].arg if args and args.args else ""
-    name = getattr(fn, "name", "")
-    if name != "backward" and first != "g":
+def _rep001(scope: _Scope, call: ast.Call) -> Iterator[_Finding]:
+    fn = scope.fn
+    if fn is None or not (isinstance(call.func, ast.Attribute)
+                          and call.func.attr == "_accumulate_owned"
+                          and call.args):
+        return
+    first = fn.args.args[0].arg if fn.args.args else ""
+    if fn.name != "backward" and first != "g":
         return
     gname = first or "g"
-    for node in _own_nodes(fn):
-        if not (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "_accumulate_owned"
-                and node.args):
-            continue
-        arg = node.args[0]
-        if _is_upstream_view(arg, gname):
-            issues.append(LintIssue(
-                path, node.lineno, node.col_offset, "REP001",
-                f"the upstream gradient {gname!r} (or a view of it) is "
-                f"passed to _accumulate_owned; ownership transfer requires "
-                f"a freshly allocated array — use _accumulate instead"))
-        elif _is_parent_data_view(arg):
-            issues.append(LintIssue(
-                path, node.lineno, node.col_offset, "REP001",
-                "a view of a tensor's .data buffer is passed to "
-                "_accumulate_owned; the accumulated gradient would alias "
-                "live parameter/activation memory"))
+    if _is_upstream_view(call.args[0], gname):
+        yield call, (f"the upstream gradient {gname!r} (or a view of it) "
+                     f"is passed to _accumulate_owned; ownership transfer "
+                     f"requires a freshly allocated array — use _accumulate "
+                     f"instead")
+    elif _is_parent_data_view(call.args[0]):
+        yield call, ("a view of a tensor's .data buffer is passed to "
+                     "_accumulate_owned; the accumulated gradient would "
+                     "alias live parameter/activation memory")
 
 
 # -- REP002 ------------------------------------------------------------------
 
-def _is_recv_marker(value: Optional[ast.AST]) -> bool:
-    """``RECV``, ``POLL`` or ``recv_within(...)`` — the legal yield
-    requests."""
-    if isinstance(value, ast.Name) and value.id in ("RECV", "POLL"):
-        return True
-    return _is_timed_recv(value)
-
-
-def _is_poll(value: Optional[ast.AST]) -> bool:
-    return isinstance(value, ast.Name) and value.id == "POLL"
-
-
-def _is_timed_recv(value: Optional[ast.AST]) -> bool:
-    if not isinstance(value, ast.Call):
-        return False
-    fn = value.func
-    name = fn.id if isinstance(fn, ast.Name) else \
-        fn.attr if isinstance(fn, ast.Attribute) else None
-    return name == "recv_within"
-
-
-def _is_rank_program(fn: ast.AST) -> Tuple[bool, List[ast.AST]]:
-    yields = [n for n in _own_nodes(fn)
-              if isinstance(n, (ast.Yield, ast.YieldFrom))]
-    is_rank = any(isinstance(y, ast.Yield) and _is_recv_marker(y.value)
-                  for y in yields)
-    return is_rank, yields
-
-
-def _check_rep002(fn: ast.AST, issues: List[LintIssue], path: str) -> None:
-    is_rank, yields = _is_rank_program(fn)
-    if not is_rank:
+def _rep002(scope: _Scope, fn: ast.AST) -> Iterator[_Finding]:
+    if not scope.is_rank:
         return
-    for y in yields:
+    for y in scope.yields:
         if isinstance(y, ast.YieldFrom):
-            issues.append(LintIssue(
-                path, y.lineno, y.col_offset, "REP002",
-                "rank programs may not use `yield from`; every suspension "
-                "point must be an explicit `yield RECV` / `yield POLL` / "
-                "`yield recv_within(...)`"))
+            yield y, ("rank programs may not use `yield from`; every "
+                      "suspension point must be an explicit `yield RECV` / "
+                      "`yield POLL` / `yield recv_within(...)`")
         elif y.value is not None and not _is_recv_marker(y.value):
-            issues.append(LintIssue(
-                path, y.lineno, y.col_offset, "REP002",
-                "rank programs may only `yield RECV`, `yield POLL` or "
-                "`yield recv_within(...)` (a bare `yield` after `return` "
-                "is allowed as the generator marker)"))
+            yield y, ("rank programs may only `yield RECV`, `yield POLL` or "
+                      "`yield recv_within(...)` (a bare `yield` after "
+                      "`return` is allowed as the generator marker)")
 
 
 # -- REP003 ------------------------------------------------------------------
@@ -347,58 +421,35 @@ _LEGACY_RANDOM = {"rand", "randn", "random", "random_sample", "randint",
                   "uniform", "standard_normal"}
 
 
-def _dotted(node: ast.AST) -> List[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    return parts[::-1]
-
-
-def _check_rep003(tree: ast.AST, issues: List[LintIssue], path: str) -> None:
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        chain = _dotted(node.func)
-        if len(chain) != 3 or chain[0] not in ("np", "numpy") or \
-                chain[1] != "random":
-            continue
-        leaf = chain[2]
-        if leaf == "default_rng":
-            if not node.args and not node.keywords:
-                issues.append(LintIssue(
-                    path, node.lineno, node.col_offset, "REP003",
-                    "np.random.default_rng() without a seed breaks "
-                    "bit-reproducibility; thread an explicit seed or "
-                    "Generator through"))
-        elif leaf in _LEGACY_RANDOM:
-            issues.append(LintIssue(
-                path, node.lineno, node.col_offset, "REP003",
-                f"legacy global np.random.{leaf}() draws from hidden "
-                f"process-wide state; use an explicitly seeded "
-                f"np.random.Generator"))
+def _rep003(scope: _Scope, call: ast.Call) -> Iterator[_Finding]:
+    chain = _dotted(call.func)
+    if len(chain) != 3 or chain[0] not in ("np", "numpy") or \
+            chain[1] != "random":
+        return
+    leaf = chain[2]
+    if leaf == "default_rng":
+        if not call.args and not call.keywords:
+            yield call, ("np.random.default_rng() without a seed breaks "
+                         "bit-reproducibility; thread an explicit seed or "
+                         "Generator through")
+    elif leaf in _LEGACY_RANDOM:
+        yield call, (f"legacy global np.random.{leaf}() draws from hidden "
+                     f"process-wide state; use an explicitly seeded "
+                     f"np.random.Generator")
 
 
 # -- REP004 ------------------------------------------------------------------
 
-def _check_rep004(tree: ast.AST, issues: List[LintIssue], path: str) -> None:
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "process"):
-            continue
-        owner = node.func.value
-        is_env = (isinstance(owner, ast.Name) and owner.id == "env") or \
-                 (isinstance(owner, ast.Attribute) and owner.attr == "env")
-        if not is_env:
-            continue
-        if not any(kw.arg == "name" for kw in node.keywords):
-            issues.append(LintIssue(
-                path, node.lineno, node.col_offset, "REP004",
-                "env.process(...) without name=; unnamed processes make "
-                "traces and deadlock diagnostics unreadable"))
+def _rep004(scope: _Scope, call: ast.Call) -> Iterator[_Finding]:
+    if not (isinstance(call.func, ast.Attribute)
+            and call.func.attr == "process"):
+        return
+    owner = call.func.value
+    is_env = (isinstance(owner, ast.Name) and owner.id == "env") or \
+             (isinstance(owner, ast.Attribute) and owner.attr == "env")
+    if is_env and not any(kw.arg == "name" for kw in call.keywords):
+        yield call, ("env.process(...) without name=; unnamed processes "
+                     "make traces and deadlock diagnostics unreadable")
 
 
 # -- REP005 ------------------------------------------------------------------
@@ -419,66 +470,19 @@ def _finalbody_releases(try_node: ast.Try) -> bool:
     return False
 
 
-def _expr_yields(node: ast.AST) -> Iterator[ast.Yield]:
-    """Yield expressions in ``node``, excluding nested function bodies."""
-    stack: List[ast.AST] = [node]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, _FUNCTION_NODES + (ast.Lambda,)):
-            continue
-        if isinstance(n, ast.Yield):
-            yield n
-        stack.extend(ast.iter_child_nodes(n))
-
-
-def _check_rep005(fn: ast.AST, issues: List[LintIssue], path: str) -> None:
+def _rep005(scope: _Scope, fn: ast.AST) -> Iterator[_Finding]:
+    if not scope.yields:
+        return
     # Names bound to an X.request(...) result anywhere in this function.
     grant_names: Set[str] = set()
-    for node in _own_nodes(fn):
+    for node in scope.nodes:
         if isinstance(node, ast.Assign) and _is_request_call(node.value):
-            for tgt in node.targets:
-                if isinstance(tgt, ast.Name):
-                    grant_names.add(tgt.id)
+            grant_names.update(t.id for t in node.targets
+                               if isinstance(t, ast.Name))
         elif isinstance(node, ast.NamedExpr) and \
                 _is_request_call(node.value):
             grant_names.add(node.target.id)
-    if not grant_names and not any(
-            _is_request_call(y.value)
-            for stmt in getattr(fn, "body", [])
-            for y in _expr_yields(stmt)
-            if y.value is not None):
-        return
-
-    found: List[Tuple[ast.Yield, bool]] = []
-
-    def visit(stmts: List[ast.stmt], protected: bool) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, _FUNCTION_NODES + (ast.ClassDef,)):
-                continue
-            if isinstance(stmt, ast.Try):
-                inner = protected or _finalbody_releases(stmt)
-                visit(stmt.body, inner)
-                for handler in stmt.handlers:
-                    visit(handler.body, protected)
-                visit(stmt.orelse, inner)
-                visit(stmt.finalbody, protected)
-            elif isinstance(stmt, (ast.If, ast.For, ast.While, ast.With)):
-                for field in ("test", "iter"):
-                    expr = getattr(stmt, field, None)
-                    if expr is not None:
-                        found.extend((y, protected)
-                                     for y in _expr_yields(expr))
-                if isinstance(stmt, ast.With):
-                    for item in stmt.items:
-                        found.extend((y, protected)
-                                     for y in _expr_yields(item.context_expr))
-                visit(stmt.body, protected)
-                visit(getattr(stmt, "orelse", []), protected)
-            else:
-                found.extend((y, protected) for y in _expr_yields(stmt))
-
-    visit(list(getattr(fn, "body", [])), False)
-    for y, protected in found:
+    for y, protected in _guarded_yields(fn.body, _finalbody_releases):
         value = y.value
         if value is None:
             continue
@@ -486,21 +490,17 @@ def _check_rep005(fn: ast.AST, issues: List[LintIssue], path: str) -> None:
         if target is not None:
             value = value.value
         if _is_request_call(value) and target is None:
-            issues.append(LintIssue(
-                path, y.lineno, y.col_offset, "REP005",
-                "yield X.request(...) discards the grant; bind it to a "
-                "name inside try/finally so the hold can be released on "
-                "interrupt"))
+            yield y, ("yield X.request(...) discards the grant; bind it to "
+                      "a name inside try/finally so the hold can be "
+                      "released on interrupt")
         elif not protected and (
                 (target is not None and _is_request_call(value))
                 or (isinstance(value, ast.Name)
                     and value.id in grant_names)):
-            issues.append(LintIssue(
-                path, y.lineno, y.col_offset, "REP005",
-                "yield on a resource request outside try/finally; a "
-                "process interrupted here leaks its grants and leaves the "
-                "pending request queued — wrap the wait and hold in "
-                "try/finally with .release(...)"))
+            yield y, ("yield on a resource request outside try/finally; a "
+                      "process interrupted here leaks its grants and leaves "
+                      "the pending request queued — wrap the wait and hold "
+                      "in try/finally with .release(...)")
 
 
 # -- REP006 ------------------------------------------------------------------
@@ -516,150 +516,55 @@ def _handles_timeout(try_node: ast.Try) -> bool:
         if t is None:  # bare except
             return True
         types = t.elts if isinstance(t, ast.Tuple) else [t]
-        for node in types:
-            name = node.id if isinstance(node, ast.Name) else \
-                node.attr if isinstance(node, ast.Attribute) else None
-            if name in _TIMEOUT_HANDLERS:
-                return True
+        if any(_call_name(node) in _TIMEOUT_HANDLERS for node in types):
+            return True
     return False
 
 
-def _check_rep006(fn: ast.AST, issues: List[LintIssue], path: str) -> None:
-    is_rank, _yields = _is_rank_program(fn)
-    if not is_rank:
+def _rep006(scope: _Scope, fn: ast.AST) -> Iterator[_Finding]:
+    if not scope.is_rank:
         return
-
-    def visit(stmts: List[ast.stmt], protected: bool) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, _FUNCTION_NODES + (ast.ClassDef,)):
-                continue
-            if isinstance(stmt, ast.Try):
-                inner = protected or _handles_timeout(stmt)
-                visit(stmt.body, inner)
-                for handler in stmt.handlers:
-                    visit(handler.body, protected)
-                visit(stmt.orelse, inner)
-                visit(stmt.finalbody, protected)
-            elif isinstance(stmt, (ast.If, ast.For, ast.While, ast.With)):
-                for field in ("test", "iter"):
-                    expr = getattr(stmt, field, None)
-                    if expr is not None:
-                        flag(_expr_yields(expr), protected)
-                if isinstance(stmt, ast.With):
-                    for item in stmt.items:
-                        flag(_expr_yields(item.context_expr), protected)
-                visit(stmt.body, protected)
-                visit(getattr(stmt, "orelse", []), protected)
-            else:
-                flag(_expr_yields(stmt), protected)
-
-    def flag(ys: Iterator[ast.Yield], protected: bool) -> None:
-        for y in ys:
-            if _is_timed_recv(y.value) and not protected:
-                issues.append(LintIssue(
-                    path, y.lineno, y.col_offset, "REP006",
-                    "`yield recv_within(...)` outside a try that handles "
-                    "TimeoutError/RankFailure; a timed receive exists "
-                    "because the channel can be severed — handle the "
-                    "timeout or use a plain `yield RECV`"))
-
-    visit(list(getattr(fn, "body", [])), False)
+    for y, protected in _guarded_yields(fn.body, _handles_timeout):
+        if _is_timed_recv(y.value) and not protected:
+            yield y, ("`yield recv_within(...)` outside a try that handles "
+                      "TimeoutError/RankFailure; a timed receive exists "
+                      "because the channel can be severed — handle the "
+                      "timeout or use a plain `yield RECV`")
 
 
 # -- REP007 ------------------------------------------------------------------
 
-def _mentions_seed(node: ast.AST) -> bool:
-    """Is the expression recognizably seed-derived?  True for integer
-    literals anywhere in it and for any name/attribute containing "seed"."""
-    for n in ast.walk(node):
-        if isinstance(n, ast.Constant) and isinstance(n.value, int) \
-                and not isinstance(n.value, bool):
-            return True
-        if isinstance(n, ast.Name) and "seed" in n.id.lower():
-            return True
-        if isinstance(n, ast.Attribute) and "seed" in n.attr.lower():
-            return True
-    return False
-
-
-def _check_rep007(tree: ast.AST, issues: List[LintIssue], path: str) -> None:
-    if "serve" not in Path(path).parts:
-        return
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        chain = _dotted(node.func)
-        if chain[-1:] != ["default_rng"] or \
-                (len(chain) == 3 and chain[:2] not in (["np", "random"],
-                                                       ["numpy", "random"])):
-            continue
-        seed_exprs = list(node.args) + [kw.value for kw in node.keywords]
-        if not seed_exprs:
-            continue  # the unseeded case is REP003's finding
-        if not any(_mentions_seed(e) for e in seed_exprs):
-            issues.append(LintIssue(
-                path, node.lineno, node.col_offset, "REP007",
-                "serving RNG seeded from something that is not an explicit "
-                "seed; arrival/sampling streams must be reproducible — "
-                "derive the argument from a *seed*-named value or an int "
-                "literal"))
+def _rep007(scope: _Scope, call: ast.Call) -> Iterator[_Finding]:
+    if "serve" in scope.parts and _unseeded_rng(call):
+        yield call, ("serving RNG seeded from something that is not an "
+                     "explicit seed; arrival/sampling streams must be "
+                     "reproducible — derive the argument from a "
+                     "*seed*-named value or an int literal")
 
 
 # -- REP008 ------------------------------------------------------------------
 
-def _is_send_call(node: ast.Call) -> bool:
-    fn = node.func
-    name = fn.id if isinstance(fn, ast.Name) else \
-        fn.attr if isinstance(fn, ast.Attribute) else None
-    return name == "send"
-
-
-def _check_rep008_tree(tree: ast.AST, issues: List[LintIssue],
-                       path: str) -> None:
-    """Flag lambda / generator-expression literals passed to send()."""
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call) and _is_send_call(node)):
-            continue
-        for arg in list(node.args) + [kw.value for kw in node.keywords]:
-            if isinstance(arg, ast.Lambda):
-                issues.append(LintIssue(
-                    path, arg.lineno, arg.col_offset, "REP008",
-                    "a lambda is passed to send(); closures do not pickle "
-                    "across the process backend's shared-memory rings — "
-                    "send data and reconstruct behaviour on the far side"))
-            elif isinstance(arg, ast.GeneratorExp):
-                issues.append(LintIssue(
-                    path, arg.lineno, arg.col_offset, "REP008",
-                    "a generator expression is passed to send(); "
-                    "generators do not pickle across the process backend's "
-                    "shared-memory rings — materialize it (list/tuple/"
-                    "ndarray) before sending"))
-
-
-def _check_rep008(fn: ast.AST, issues: List[LintIssue], path: str) -> None:
-    """Flag locally ``def``-ed functions passed to send() by name."""
-    local_fns: Set[str] = set()
-    for node in _own_nodes(fn):
-        if isinstance(node, _FUNCTION_NODES):
-            local_fns.add(node.name)
-        elif isinstance(node, ast.Assign) and \
-                isinstance(node.value, ast.Lambda):
-            for tgt in node.targets:
-                if isinstance(tgt, ast.Name):
-                    local_fns.add(tgt.id)
-    if not local_fns:
+def _rep008(scope: _Scope, call: ast.Call) -> Iterator[_Finding]:
+    """Flag lambdas, generator expressions and locally ``def``-ed
+    functions passed to send()."""
+    if _call_name(call.func) != "send":
         return
-    for node in _own_nodes(fn):
-        if not (isinstance(node, ast.Call) and _is_send_call(node)):
-            continue
-        for arg in list(node.args) + [kw.value for kw in node.keywords]:
-            if isinstance(arg, ast.Name) and arg.id in local_fns:
-                issues.append(LintIssue(
-                    path, arg.lineno, arg.col_offset, "REP008",
-                    f"locally defined function {arg.id!r} is passed to "
-                    f"send(); nested functions do not pickle across the "
-                    f"process backend's shared-memory rings — only "
-                    f"module-level callables and plain data survive"))
+    for arg in _call_args(call):
+        if isinstance(arg, ast.Lambda):
+            yield arg, ("a lambda is passed to send(); closures do not "
+                        "pickle across the process backend's shared-memory "
+                        "rings — send data and reconstruct behaviour on the "
+                        "far side")
+        elif isinstance(arg, ast.GeneratorExp):
+            yield arg, ("a generator expression is passed to send(); "
+                        "generators do not pickle across the process "
+                        "backend's shared-memory rings — materialize it "
+                        "(list/tuple/ndarray) before sending")
+        elif isinstance(arg, ast.Name) and arg.id in scope.local_fns:
+            yield arg, (f"locally defined function {arg.id!r} is passed to "
+                        f"send(); nested functions do not pickle across the "
+                        f"process backend's shared-memory rings — only "
+                        f"module-level callables and plain data survive")
 
 
 # -- REP009 ------------------------------------------------------------------
@@ -682,7 +587,7 @@ def _is_blocking_call(node: ast.Call) -> bool:
     return len(chain) >= 2 and chain[-1] == "sleep"
 
 
-def _check_rep009(fn: ast.AST, issues: List[LintIssue], path: str) -> None:
+def _rep009(scope: _Scope, fn: ast.AST) -> Iterator[_Finding]:
     """A rank program must reach its next yield promptly after sending.
 
     The cooperative sweep runs every rank on one thread; between a
@@ -693,17 +598,18 @@ def _check_rep009(fn: ast.AST, issues: List[LintIssue], path: str) -> None:
     flagged.  (Position order approximates control flow; rank programs
     are straight-line enough that this is exact in practice.)
     """
-    is_rank, _yields = _is_rank_program(fn)
-    if not is_rank:
+    if not scope.is_rank:
         return
-    marks: List[Tuple[int, int, str, ast.Call]] = []
-    for node in _own_nodes(fn):
+    marks: List[Tuple[int, int, str, ast.AST]] = []
+    for node in scope.nodes:
         if isinstance(node, ast.YieldFrom) or (
-                isinstance(node, ast.Yield) and not _is_poll(node.value)):
+                isinstance(node, ast.Yield) and not (
+                    isinstance(node.value, ast.Name)
+                    and node.value.id == "POLL")):
             # a POLL is answered within the rank's own turn: no yield
             marks.append((node.lineno, node.col_offset, "yield", node))
         elif isinstance(node, ast.Call):
-            if _is_send_call(node):
+            if _call_name(node.func) == "send":
                 marks.append((node.lineno, node.col_offset, "send", node))
             elif _is_blocking_call(node):
                 marks.append((node.lineno, node.col_offset, "block", node))
@@ -716,12 +622,11 @@ def _check_rep009(fn: ast.AST, issues: List[LintIssue], path: str) -> None:
             pending = False
         elif pending:
             name = ".".join(_dotted(node.func)) or "<call>"
-            issues.append(LintIssue(
-                path, node.lineno, node.col_offset, "REP009",
-                f"blocking call {name}(...) between a send(...) and the "
-                f"matching `yield RECV`; every rank shares one thread, so "
-                f"blocking here stalls delivery for the whole world — do "
-                f"the blocking work before the send or after the receive"))
+            yield node, (f"blocking call {name}(...) between a send(...) "
+                         f"and the matching `yield RECV`; every rank shares "
+                         f"one thread, so blocking here stalls delivery for "
+                         f"the whole world — do the blocking work before the "
+                         f"send or after the receive")
 
 
 # -- REP010 ------------------------------------------------------------------
@@ -752,81 +657,61 @@ def _tp_op_literal(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _check_rep010(fn: ast.AST, issues: List[LintIssue], path: str) -> None:
-    """A TP ``record_collective`` wrapper must forward a group-named key.
+def _is_tp_wrapper(fn: Optional[ast.AST]) -> bool:
+    """The TPComm ``record_collective`` wrapper: it carries a ``direction``
+    parameter, which the raw trace-recorder sink (``rank, op, key``)
+    does not, so sinks are exempt."""
+    return fn is not None and fn.name == "record_collective" and \
+        "direction" in {a.arg for a in fn.args.args}
 
-    The TPComm wrapper signature carries a ``direction`` parameter; the raw
-    trace-recorder sink (``rank, op, key``) does not, so sinks are exempt.
-    """
-    if getattr(fn, "name", "") != "record_collective":
+
+def _rep010(scope: _Scope, call: ast.Call) -> Iterator[_Finding]:
+    chain = _dotted(call.func)
+    exprs = _call_args(call)
+    if chain[-1:] in _RECORD_SINKS and _is_tp_wrapper(scope.fn) and \
+            not any(_mentions_group(e) for e in exprs):
+        yield call, ("record_collective forwards to the record sink without "
+                     "a group-naming key; every TP group member must record "
+                     "under the same group key or the per-member order "
+                     "check compares the wrong ranks")
+    if chain[-1:] not in (["record"], ["record_collective"]):
         return
-    params = {a.arg for a in getattr(fn.args, "args", [])}
-    if "direction" not in params:
-        return
-    for node in _own_nodes(fn):
-        if not (isinstance(node, ast.Call)
-                and _dotted(node.func)[-1:] in _RECORD_SINKS):
-            continue
-        exprs = list(node.args) + [kw.value for kw in node.keywords]
-        if not any(_mentions_group(e) for e in exprs):
-            issues.append(LintIssue(
-                path, node.lineno, node.col_offset, "REP010",
-                "record_collective forwards to the record sink without a "
-                "group-naming key; every TP group member must record under "
-                "the same group key or the per-member order check compares "
-                "the wrong ranks"))
-
-
-def _check_rep010_tree(tree: ast.AST, issues: List[LintIssue],
-                       path: str) -> None:
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        chain = _dotted(node.func)
-        if chain[-1:] not in (["record"], ["record_collective"]):
-            continue
-        args = list(node.args)
-        kwvals = [kw.value for kw in node.keywords]
-        first_op = _tp_op_literal(args[0]) if args else None
-        if first_op is not None:
-            # Wrapper-style call: record_collective(op, direction, ...).
-            # The group key lives in the wrapper definition (checked by
-            # _check_rep010); here the op/direction pairing must match the
-            # protocol, because member record order is derived from it.
-            want = _TP_DIRECTIONS.get(first_op)
-            have = None
-            if len(args) > 1 and isinstance(args[1], ast.Constant) \
-                    and isinstance(args[1].value, str):
-                have = args[1].value
-            for kw in node.keywords:
-                if kw.arg == "direction" and \
-                        isinstance(kw.value, ast.Constant) and \
-                        isinstance(kw.value.value, str):
-                    have = kw.value.value
-            if want is not None and have is not None and have != want:
-                issues.append(LintIssue(
-                    path, node.lineno, node.col_offset, "REP010",
-                    f"collective {first_op!r} recorded with direction "
-                    f"{have!r}; the protocol pairs it with {want!r} — a "
-                    f"mislabeled record makes the group members' collective "
-                    f"orders diverge"))
-            continue
-        # Sink-style call recording a tp_* op (the literal is not the
-        # first positional, i.e. record(rank, "tp_...", ...) or a key= /
-        # op= keyword): the group must appear somewhere in the call.
-        if any(_tp_op_literal(e) for e in args[1:] + kwvals):
-            if not any(_mentions_group(e) for e in args + kwvals):
-                issues.append(LintIssue(
-                    path, node.lineno, node.col_offset, "REP010",
-                    "a tp_* collective is recorded without a group-naming "
-                    "key; the per-member order check is only well-defined "
-                    "per TP group — put the group key (e.g. "
-                    "comm.group_key) in the record's key"))
+    args = list(call.args)
+    first_op = _tp_op_literal(args[0]) if args else None
+    if first_op is not None:
+        # Wrapper-style call: record_collective(op, direction, ...).  The
+        # group key lives in the wrapper definition (checked above); here
+        # the op/direction pairing must match the protocol, because member
+        # record order is derived from it.
+        want = _TP_DIRECTIONS.get(first_op)
+        have = None
+        if len(args) > 1 and isinstance(args[1], ast.Constant) \
+                and isinstance(args[1].value, str):
+            have = args[1].value
+        for kw in call.keywords:
+            if kw.arg == "direction" and \
+                    isinstance(kw.value, ast.Constant) and \
+                    isinstance(kw.value.value, str):
+                have = kw.value.value
+        if want is not None and have is not None and have != want:
+            yield call, (f"collective {first_op!r} recorded with direction "
+                         f"{have!r}; the protocol pairs it with {want!r} — a "
+                         f"mislabeled record makes the group members' "
+                         f"collective orders diverge")
+    # Sink-style call recording a tp_* op (the literal is not the first
+    # positional, i.e. record(rank, "tp_...", ...) or a key= / op=
+    # keyword): the group must appear somewhere in the call.
+    elif any(_tp_op_literal(e) for e in exprs) and \
+            not any(_mentions_group(e) for e in exprs):
+        yield call, ("a tp_* collective is recorded without a group-naming "
+                     "key; the per-member order check is only well-defined "
+                     "per TP group — put the group key (e.g. "
+                     "comm.group_key) in the record's key")
 
 
 # -- REP011 ------------------------------------------------------------------
 
-def _check_rep011(fn: ast.AST, issues: List[LintIssue], path: str) -> None:
+def _rep011(scope: _Scope, fn: ast.AST) -> Iterator[_Finding]:
     """Schedule packages hold data, not rank programs.
 
     No ``sched`` module holds a rank program: lowering is the
@@ -835,22 +720,18 @@ def _check_rep011(fn: ast.AST, issues: List[LintIssue], path: str) -> None:
     the flushing plane constants ("F"/"B") is a second, unverified
     lowering.
     """
-    if "sched" not in Path(path).parts:
+    if "sched" not in scope.parts:
         return
-    is_rank, yields = _is_rank_program(fn)
     plane_yields = [
-        y for y in yields
+        y for y in scope.yields
         if isinstance(y, ast.Yield) and isinstance(y.value, ast.Constant)
         and y.value.value in ("F", "B")
     ]
-    if is_rank or plane_yields:
-        node = plane_yields[0] if plane_yields else fn
-        issues.append(LintIssue(
-            path, node.lineno, node.col_offset, "REP011",
-            f"{getattr(fn, 'name', '<lambda>')!r} hand-rolls a rank "
-            f"program inside a sched package; schedule code must emit IR "
-            f"tasks and leave lowering to "
-            "repro.runtime.rankprog.lower_rank"))
+    if scope.is_rank or plane_yields:
+        yield plane_yields[0] if plane_yields else fn, (
+            f"{fn.name!r} hand-rolls a rank program inside a sched package; "
+            f"schedule code must emit IR tasks and leave lowering to "
+            "repro.runtime.rankprog.lower_rank")
 
 
 # -- REP012 ------------------------------------------------------------------
@@ -868,41 +749,86 @@ _STDLIB_RANDOM = {"random", "randint", "randrange", "choice", "choices",
                   "expovariate", "betavariate", "seed", "getrandbits"}
 
 
-def _check_rep012(tree: ast.AST, issues: List[LintIssue], path: str) -> None:
+def _rep012(scope: _Scope, call: ast.Call) -> Iterator[_Finding]:
     """Fleet code is replay-critical: sim time and seeded streams only."""
-    if "fleet" not in Path(path).parts:
+    if "fleet" not in scope.parts:
         return
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        chain = tuple(_dotted(node.func))
-        if chain in _WALL_CLOCK_CALLS or (
-                "datetime" in chain[:-1]
-                and chain[-1] in ("now", "utcnow", "today")):
-            issues.append(LintIssue(
-                path, node.lineno, node.col_offset, "REP012",
-                f"{'.'.join(chain)}() reads the ambient wall clock inside "
-                f"repro.fleet; autoscaling decisions must be a pure "
-                f"function of FleetObservation.now_s (simulated/round "
-                f"time) or they cannot be replayed deterministically"))
-        elif len(chain) == 2 and chain[0] == "random" \
-                and chain[1] in _STDLIB_RANDOM:
-            issues.append(LintIssue(
-                path, node.lineno, node.col_offset, "REP012",
-                f"stdlib random.{chain[1]}() draws from hidden process "
-                f"state inside repro.fleet; use an explicitly seeded "
-                f"np.random.Generator threaded through the caller"))
-        elif chain[-1:] == ("default_rng",) and (
-                len(chain) != 3 or chain[:2] in (("np", "random"),
-                                                 ("numpy", "random"))):
-            seed_exprs = list(node.args) + [kw.value for kw in node.keywords]
-            if seed_exprs and not any(_mentions_seed(e) for e in seed_exprs):
-                issues.append(LintIssue(
-                    path, node.lineno, node.col_offset, "REP012",
-                    "fleet RNG seeded from something that is not an "
-                    "explicit seed; scale events and admission draws must "
-                    "replay — derive the argument from a *seed*-named "
-                    "value or an int literal"))
+    chain = tuple(_dotted(call.func))
+    if chain in _WALL_CLOCK_CALLS or (
+            "datetime" in chain[:-1]
+            and chain[-1] in ("now", "utcnow", "today")):
+        yield call, (f"{'.'.join(chain)}() reads the ambient wall clock "
+                     f"inside repro.fleet; autoscaling decisions must be a "
+                     f"pure function of FleetObservation.now_s "
+                     f"(simulated/round time) or they cannot be replayed "
+                     f"deterministically")
+    elif len(chain) == 2 and chain[0] == "random" \
+            and chain[1] in _STDLIB_RANDOM:
+        yield call, (f"stdlib random.{chain[1]}() draws from hidden process "
+                     f"state inside repro.fleet; use an explicitly seeded "
+                     f"np.random.Generator threaded through the caller")
+    elif _unseeded_rng(call):
+        yield call, ("fleet RNG seeded from something that is not an "
+                     "explicit seed; scale events and admission draws must "
+                     "replay — derive the argument from a *seed*-named "
+                     "value or an int literal")
+
+
+# -- the rule table ----------------------------------------------------------
+
+#: One row per rule: ``(code, scope, check, summary)``.  A ``"function"``
+#: check runs once per function, on its scope; a ``"call"`` check runs on
+#: every call, with the scope the call sits in.  A check yields
+#: ``(node, message)`` findings.
+_RULES = (
+    ("REP001", "call", _rep001,
+     "never pass the upstream gradient g (or a view of it / of a "
+     "parent's .data) to _accumulate_owned"),
+    ("REP002", "function", _rep002,
+     "rank programs may only `yield RECV` / `POLL`"),
+    ("REP003", "call", _rep003,
+     "no unseeded randomness (np.random.default_rng() without a "
+     "seed, or the legacy np.random.* API)"),
+    ("REP004", "call", _rep004,
+     "every env.process(...) call must pass name="),
+    ("REP005", "function", _rep005,
+     "a yielded res.request() grant must sit inside try/finally "
+     "with a .release(...) in the finally (interrupt-safe hold)"),
+    ("REP006", "function", _rep006,
+     "a `yield recv_within(...)` timed receive must be inside a "
+     "try that handles TimeoutError or RankFailure"),
+    ("REP007", "call", _rep007,
+     "serving RNGs (repro.serve) must be built from an explicit "
+     "seed: an int literal or a *seed*-named variable/attribute"),
+    ("REP008", "call", _rep008,
+     "send(...) payloads must be picklable data (ndarrays, "
+     "scalars, containers) — never lambdas, generator "
+     "expressions, or locally defined functions"),
+    ("REP009", "function", _rep009,
+     "rank programs must not call time.sleep / blocking I/O "
+     "between a send(...) and the matching yield RECV"),
+    ("REP010", "call", _rep010,
+     "tp_* collective records must carry a group-naming key and "
+     "pair ops with their protocol direction (tp_allgather/fwd, "
+     "tp_reduce_scatter/bwd) so every group member records the "
+     "same order"),
+    ("REP011", "function", _rep011,
+     "schedule builders must emit IR: no raw `yield RECV` loops "
+     "or plane-constant yields in a sched package (lowering is "
+     "repro.runtime.rankprog.lower_rank)"),
+    ("REP012", "call", _rep012,
+     "fleet policy code (repro.fleet) must be replayable: no "
+     "wall-clock reads, no stdlib random.* draws, and RNGs built "
+     "from an explicit seed — the FleetObservation's now_s is "
+     "the only clock"),
+)
+
+RULES: Dict[str, str] = {code: summary for code, _, _, summary in _RULES}
+
+_FUNCTION_CHECKS = [(code, check) for code, scope, check, _ in _RULES
+                    if scope == "function"]
+_CALL_CHECKS = [(code, check) for code, scope, check, _ in _RULES
+                if scope == "call"]
 
 
 # -- driver ------------------------------------------------------------------
@@ -914,23 +840,26 @@ def lint_source(source: str, path: str = "<string>") -> List[LintIssue]:
     except SyntaxError as exc:
         return [LintIssue(path, exc.lineno or 0, exc.offset or 0, "PARSE",
                           f"syntax error: {exc.msg}")]
+    parts = Path(path).parts
     issues: List[LintIssue] = []
-    for node in ast.walk(tree):
-        if isinstance(node, _FUNCTION_NODES):
-            _check_rep001(node, issues, path)
-            _check_rep002(node, issues, path)
-            _check_rep005(node, issues, path)
-            _check_rep006(node, issues, path)
-            _check_rep008(node, issues, path)
-            _check_rep009(node, issues, path)
-            _check_rep010(node, issues, path)
-            _check_rep011(node, issues, path)
-    _check_rep003(tree, issues, path)
-    _check_rep004(tree, issues, path)
-    _check_rep007(tree, issues, path)
-    _check_rep008_tree(tree, issues, path)
-    _check_rep010_tree(tree, issues, path)
-    _check_rep012(tree, issues, path)
+
+    def report(code: str, findings: Iterator[_Finding]) -> None:
+        issues.extend(LintIssue(path, node.lineno, node.col_offset, code,
+                                message) for node, message in findings)
+
+    # The one walk: every node belongs to exactly one scope's own nodes.
+    pending: List[ast.AST] = [tree]
+    while pending:
+        scope = _Scope(parts, pending.pop())
+        if scope.fn is not None:
+            for code, check in _FUNCTION_CHECKS:
+                report(code, check(scope, scope.fn))
+        for node in scope.nodes:
+            if isinstance(node, ast.Call):
+                for code, check in _CALL_CHECKS:
+                    report(code, check(scope, node))
+            elif isinstance(node, _SCOPE_NODES):
+                pending.append(node)
     suppressed = _suppressions(source)
     out = []
     for issue in issues:

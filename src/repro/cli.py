@@ -25,54 +25,50 @@ Usage::
     python -m repro verify --fast        # smaller config sweep (CI)
     python -m repro scaling4d            # best 4D decomposition per cluster
 
-Each command prints the figure's rows as an aligned table plus the paper-
-claim checklist, and exits non-zero when a claim fails.  ``trace``
-runs a small 2x2 hybrid scenario with the observability layer enabled and
-writes a Chrome-trace JSON (open in Perfetto or chrome://tracing).
-``faults`` runs a deterministic fault plan: on the functional runtime it
-crashes ranks mid-batch and checks the recovered loss trajectory is
-bit-identical to a fault-free run; on the DES it sweeps MTBF x checkpoint
-interval against the Young/Daly optimum.  ``serve`` exercises the
-inference-serving layer: on the functional runtime it checks the
-continuous-batching pipeline server emits token-for-token what serial
-``generate`` emits; on the DES it sweeps offered load against the analytic
-roofline and replays a replica-crash failover.  ``train`` runs a few real
-training steps on either execution backend — the in-process cooperative
-scheduler or the multiprocessing + shared-memory ``process`` backend —
-with one pipeline stage per rank, and cross-checks the process backend's
-losses against the cooperative ones bit-for-bit.  ``verify`` runs the
-pre-run static verification layer: it extracts the communication skeleton
-of every built-in rank-program variant (AxoNN, 1F1B, GPipe, serving),
-model-checks all interleavings for deadlock-freedom / complete matching /
-collective-order consistency, proves the seeded deadlock mutant is caught
-with a wait-for-graph counterexample, and self-checks the shared-memory
-race detector on synthetic ring traffic plus its torn-write mutant.
-``sched`` drives the schedules-as-data subsystem: list the shipped IR
-schedule builders with their analytic bubble/memory metrics, search
-orderings in the DES under compute jitter, and replay the winner on the
-functional substrate with loss equivalence as the acceptance oracle.
+Each figure/table command prints the figure's rows as an aligned table
+plus the paper-claim checklist, and every command exits non-zero when a
+claim fails.  ``COMMANDS`` is the one table of what can run: argparse's
+choices, ``list`` (each command's docstring summary) and the dispatch in
+:func:`main` all read it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import json
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import experiments as ex
+from .nn import GPTConfig
+from .obs import summarize, write_chrome_trace
+from .resilience import FaultPlan
+from .runtime import AxoNNTrainer
+from .sched import SCHEDULE_NAMES, build_schedule
+from .sched.metrics import critical_path, peak_resident_activations
+from .sched.search import search_schedules
 
-__all__ = ["main", "EXPERIMENTS"]
+__all__ = ["main", "EXPERIMENTS", "COMMANDS"]
 
 
-def _format_rows(title: str, rows: Sequence[Dict[str, object]]) -> str:
-    if not rows:
-        return f"\n== {title} ==\n(no rows)\n"
+def _columns(rows: Sequence[Dict[str, object]]) -> List[str]:
+    """Every key of ``rows``, in first-seen order."""
     columns: List[str] = []
     for row in rows:
         for key in row:
             if key not in columns:
                 columns.append(key)
+    return columns
+
+
+def _format_rows(title: str, rows: Sequence[Dict[str, object]]) -> str:
+    if not rows:
+        return f"\n== {title} ==\n(no rows)\n"
+    columns = _columns(rows)
 
     def fmt(value) -> str:
         if isinstance(value, float):
@@ -99,16 +95,34 @@ def _emit(title: str, rows, claims: Optional[Dict[str, bool]],
             print(f"  [{'PASS' if passed else 'FAIL'}] {name}")
             ok = ok and passed
     if csv_path:
-        columns: List[str] = []
-        for row in rows:
-            for key in row:
-                if key not in columns:
-                    columns.append(key)
         with open(csv_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=columns)
+            writer = csv.DictWriter(fh, fieldnames=_columns(rows))
             writer.writeheader()
             writer.writerows(rows)
         print(f"\nwrote {len(rows)} rows to {csv_path}")
+    return ok
+
+
+#: one half of a two-substrate command: prints its part, returns
+#: (passed, the part's entry in the --report JSON)
+_Half = Callable[[argparse.Namespace], Tuple[bool, object]]
+
+
+def _on_substrates(args, report_name: Optional[str],
+                   **halves: _Half) -> bool:
+    """Run the ``--substrate`` halves (``both``: every half, in the order
+    given); with a ``report_name``, write their parts as the ``--report``
+    JSON."""
+    report: Dict[str, object] = {}
+    ok = True
+    for substrate, half in halves.items():
+        if args.substrate in (substrate, "both"):
+            passed, report[substrate] = half(args)
+            ok = passed and ok
+    if report_name and args.report:
+        with open(args.report, "w") as fh:
+            json.dump(report, fh, indent=2, default=float)
+        print(f"\nwrote {report_name} report to {args.report}")
     return ok
 
 
@@ -116,10 +130,10 @@ def _emit(title: str, rows, claims: Optional[Dict[str, bool]],
 
 def cmd_fig1(args) -> bool:
     """Fig. 1: pipeline occupancy of one traced pass."""
-    from .experiments import pipeline_occupancy, render_occupancy
-    occ = pipeline_occupancy(g_inter=4, microbatches=4 if args.fast else 8)
+    occ = ex.pipeline_occupancy(g_inter=4,
+                                microbatches=4 if args.fast else 8)
     print("\n== Fig. 1: inter-layer parallelism occupancy ==")
-    print(render_occupancy(occ))
+    print(ex.render_occupancy(occ))
     rows = [{"stage": st["stage"], "busy_s": st["busy_s"],
              "idle_fraction": st["idle_fraction"]}
             for st in occ["stages"]]
@@ -252,460 +266,181 @@ def cmd_ablations(args) -> bool:
     return ok
 
 
-# -- trace: observability over a small scenario -------------------------------
+# -- two-substrate tools: trace, faults, serve, fleet -------------------------
 
-def _trace_sim(fast: bool):
-    """One memopt batch on the discrete-event substrate, 2x2 grid."""
-    from .cluster import Machine, summit
-    from .core import AxoNNConfig, WEAK_SCALING_MODELS, simulate_batch
-    from .obs import from_sim_tracer
-    cfg = AxoNNConfig(
-        spec=WEAK_SCALING_MODELS["12B"], num_gpus=4, g_inter=2, g_data=2,
-        microbatch_size=1, batch_size=8 if fast else 16, memopt=True)
-    machine = Machine(spec=summit(1), trace=True)
-    simulate_batch(cfg, machine=machine)
-    return from_sim_tracer(machine.tracer)
-
-
-def _trace_runtime(fast: bool):
-    """One real-numerics batch on the functional runtime, 2x2 grid."""
-    import numpy as np
-    from .nn import GPTConfig
-    from .obs import RuntimeTracer
-    from .runtime import AxoNNTrainer
-    cfg = GPTConfig(vocab_size=32, seq_len=8, n_layer=4, n_head=2,
-                    hidden=12, dropout=0.0, init_seed=7)
-    tracer = RuntimeTracer()
-    trainer = AxoNNTrainer(cfg, g_inter=2, g_data=2,
-                           microbatch_size=2 if fast else 1, tracer=tracer)
-    rng = np.random.default_rng(7)
-    x = rng.integers(0, cfg.vocab_size, size=(8, cfg.seq_len))
-    y = rng.integers(0, cfg.vocab_size, size=(8, cfg.seq_len))
-    trainer.train_batch(x, y)
-    return tracer.spans
-
-
-def _demo_plan(seed=None, crash_only=False):
-    """The fault plan the CLI demos run: seeded-random, or a fixed small
-    scenario.  ``crash_only`` restricts it to rank crashes — the faults
-    whose recovery is guaranteed bit-identical (drop/delay/straggler
-    faults reorder the message-driven execution, which legitimately
-    permutes dropout masks and accumulation order)."""
-    from .resilience import Fault, FaultPlan
-    if seed is not None:
-        return FaultPlan.random(seed, n_ranks=4, n_steps=4)
-    crashes = (
-        Fault(kind="crash", rank=1, step=1, tick=2),
-        Fault(kind="crash", rank=2, step=3, tick=4),
-    )
-    if crash_only:
-        return FaultPlan.of(*crashes)
-    return FaultPlan.of(
-        *crashes,
-        Fault(kind="drop", src=0, dst=1, step=0, count=1),
-        Fault(kind="straggler", rank=3, step=2, ticks=2),
-    )
-
-
-def _trace_runtime_faults(fast: bool, plan=None):
-    """The runtime trace scenario run under a fault plan: crash, drop and
-    straggler faults plus the resulting snapshot/recovery spans."""
-    import numpy as np
-    from .nn import GPTConfig
-    from .obs import RuntimeTracer
-    from .resilience import ResilientTrainer
-    from .runtime import AxoNNTrainer
-    cfg = GPTConfig(vocab_size=32, seq_len=8, n_layer=4, n_head=2,
-                    hidden=12, dropout=0.1, init_seed=7)
-    tracer = RuntimeTracer()
-    trainer = AxoNNTrainer(cfg, g_inter=2, g_data=2, microbatch_size=2,
-                           tracer=tracer)
-    resilient = ResilientTrainer(trainer, plan or _demo_plan(),
-                                 detect_timeout=10)
-    rng = np.random.default_rng(7)
-    n_batches = 2 if fast else 4
-    for _ in range(n_batches):
-        x = rng.integers(0, cfg.vocab_size, size=(8, cfg.seq_len))
-        y = rng.integers(0, cfg.vocab_size, size=(8, cfg.seq_len))
-        resilient.train_batch(x, y)
-    return tracer.spans, resilient
-
-
-def _trace_sim_faults(fast: bool):
-    """A resilient DES run (checkpoints, failures, restarts) as spans."""
-    from .resilience import FailureModel, simulate_resilient_run
-    model = FailureModel(step_time_s=30.0, checkpoint_write_s=12.0,
-                         restart_s=60.0, mtbf_s=900.0, interval_steps=10,
-                         total_steps=60 if fast else 240, seed=0)
-    spans = []
-    simulate_resilient_run(model, spans=spans)
-    return spans
+def _trace(substrate: str, run: Callable, args) -> Tuple[bool, None]:
+    out = args.out
+    if args.substrate == "both":
+        stem, dot, ext = out.rpartition(".")
+        out = f"{stem}-{substrate}.{ext}" if dot else f"{out}-{substrate}"
+    spans = run(args.fast, args.faults)
+    print(summarize(spans, title=f"{substrate} substrate"))
+    write_chrome_trace(out, spans)
+    print(f"wrote {len(spans)} spans to {out} "
+          f"(open in Perfetto / chrome://tracing)\n")
+    return True, None
 
 
 def cmd_trace(args) -> bool:
-    """Run a small scenario with tracing; write Chrome-trace JSON."""
-    from .obs import summarize, write_chrome_trace
-    substrates = ["sim", "runtime"] if args.substrate == "both" \
-        else [args.substrate]
-    for sub in substrates:
-        out = args.out
-        if len(substrates) > 1:
-            stem, dot, ext = out.rpartition(".")
-            out = f"{stem}-{sub}.{ext}" if dot else f"{out}-{sub}"
-        if args.faults:
-            spans = _trace_sim_faults(args.fast) if sub == "sim" \
-                else _trace_runtime_faults(args.fast)[0]
-        else:
-            spans = _trace_sim(args.fast) if sub == "sim" \
-                else _trace_runtime(args.fast)
-        print(summarize(spans, title=f"{sub} substrate"))
-        write_chrome_trace(out, spans)
-        print(f"wrote {len(spans)} spans to {out} "
-              f"(open in Perfetto / chrome://tracing)\n")
-    return True
+    """Chrome-trace of a small scenario (--substrate, --out, --faults).
+
+    Runs a small 2x2 hybrid scenario with the observability layer enabled
+    and writes a Chrome-trace JSON (open in Perfetto or chrome://tracing).
+    """
+    return _on_substrates(args, None,
+                          sim=partial(_trace, "sim", ex.trace_sim),
+                          runtime=partial(_trace, "runtime",
+                                          ex.trace_runtime))
 
 
-# -- faults: deterministic fault injection on either substrate ----------------
-
-def _faults_runtime(args) -> Dict:
-    """Run the demo plan on the functional runtime and check that the
-    recovered loss trajectory is bit-identical to a fault-free run."""
-    import numpy as np
-    from .nn import GPTConfig
-    from .runtime import AxoNNTrainer
-    cfg = GPTConfig(vocab_size=32, seq_len=8, n_layer=4, n_head=2,
-                    hidden=12, dropout=0.1, init_seed=7)
-    plan = _demo_plan(args.seed, crash_only=True)
+def _faults_runtime(args) -> Tuple[bool, Dict]:
     if args.plan:
-        from .resilience import FaultPlan
         with open(args.plan) as fh:
             plan = FaultPlan.from_json(fh.read())
+    else:
+        plan = ex.demo_plan(args.seed, crash_only=True)
+    result = ex.faults_runtime(args.fast, plan)
+    rows = [{"batch": i, "faulty_loss": a, "reference_loss": b,
+             "bit_identical": a == b}
+            for i, (a, b) in enumerate(zip(result["losses"],
+                                           result["reference_losses"]))]
+    _emit("faults: runtime loss trajectory (faulty vs fault-free)",
+          rows, None, None)
+    if result["recoveries"]:
+        _emit("faults: recoveries", result["recoveries"], None, None)
+    print("\n== faults: runtime recovery equivalence ==")
+    if result["crash_only_plan"]:
+        print(f"  [{'PASS' if result['passed'] else 'FAIL'}] "
+              f"post-recovery losses bit-identical to fault-free run "
+              f"({len(result['recoveries'])} recoveries)")
+    else:
+        print(f"  [{'PASS' if result['passed'] else 'FAIL'}] "
+              f"completed under delivery faults; max |loss delta| = "
+              f"{result['max_abs_loss_diff']:.2e} "
+              f"({len(result['recoveries'])} recoveries; bit-identity "
+              f"is only guaranteed for crash-only plans)")
+    return result["passed"], result
 
-    rng = np.random.default_rng(7)
-    n_batches = 2 if args.fast else 4
-    batches = [(rng.integers(0, cfg.vocab_size, size=(8, cfg.seq_len)),
-                rng.integers(0, cfg.vocab_size, size=(8, cfg.seq_len)))
-               for _ in range(n_batches)]
 
-    reference = AxoNNTrainer(cfg, g_inter=2, g_data=2, microbatch_size=2)
-    ref_losses = [reference.train_batch(x, y).loss for x, y in batches]
-
-    from .resilience import ResilientTrainer
-    trainer = AxoNNTrainer(cfg, g_inter=2, g_data=2, microbatch_size=2)
-    resilient = ResilientTrainer(trainer, plan, detect_timeout=10)
-    losses = [resilient.train_batch(x, y).loss for x, y in batches]
-
-    # Bit-identity is the guarantee for crash faults (recovery replays
-    # from a bit-complete snapshot, fault-free).  Delivery faults
-    # (drop/delay/straggler) reorder the message-driven execution, which
-    # legitimately permutes dropout masks and accumulation order — there
-    # the run must merely complete with finite, close losses.
-    crash_only = all(f.kind == "crash" for f in plan)
-    bit_identical = losses == ref_losses
-    max_diff = max((abs(a - b) for a, b in zip(losses, ref_losses)),
-                   default=0.0)
-    passed = bit_identical if crash_only else (
-        all(np.isfinite(losses)) and max_diff < 0.1)
-    return {
-        "plan": plan.to_dict(),
-        "batches": n_batches,
-        "crash_only_plan": crash_only,
-        "losses": losses,
-        "reference_losses": ref_losses,
-        "bit_identical": bit_identical,
-        "max_abs_loss_diff": max_diff,
-        "passed": passed,
-        "recoveries": [{
-            "step": ev.step, "dead": list(ev.dead),
-            "detected_at_tick": ev.detected_at,
-            "restored_from": ev.restored_from, "replayed": ev.replayed,
-        } for ev in resilient.recoveries],
-    }
+def _faults_sim(args) -> Tuple[bool, Dict]:
+    models = ("12B", "100B") if args.fast else None
+    kwargs = dict(seeds=(0, 1)) if args.fast else {}
+    rows = ex.resilience_rows(models, **kwargs)
+    claims = ex.resilience_claims(rows)
+    flat = [{k: v for k, v in r.items() if k != "sweep"} for r in rows]
+    ok = _emit("faults: MTBF x checkpoint interval vs Young/Daly",
+               flat, {k: v for k, v in claims.items()
+                      if isinstance(v, bool)}, args.csv)
+    return ok, {"rows": rows, "claims": claims}
 
 
 def cmd_faults(args) -> bool:
-    """Deterministic fault injection: recovery on the runtime, MTBF x
-    checkpoint-interval vs. Young/Daly on the DES."""
-    import json
-    substrates = ["runtime", "sim"] if args.substrate == "both" \
-        else [args.substrate]
-    report: Dict[str, object] = {}
-    ok = True
+    """Deterministic fault injection on either substrate (--substrate,
+    --plan, --seed, --report).
 
-    if "runtime" in substrates:
-        result = _faults_runtime(args)
-        report["runtime"] = result
-        rows = [{"batch": i, "faulty_loss": a, "reference_loss": b,
-                 "bit_identical": a == b}
-                for i, (a, b) in enumerate(zip(result["losses"],
-                                               result["reference_losses"]))]
-        _emit("faults: runtime loss trajectory (faulty vs fault-free)",
-              rows, None, None)
-        if result["recoveries"]:
-            _emit("faults: recoveries", result["recoveries"], None, None)
-        print("\n== faults: runtime recovery equivalence ==")
-        if result["crash_only_plan"]:
-            print(f"  [{'PASS' if result['passed'] else 'FAIL'}] "
-                  f"post-recovery losses bit-identical to fault-free run "
-                  f"({len(result['recoveries'])} recoveries)")
-        else:
-            print(f"  [{'PASS' if result['passed'] else 'FAIL'}] "
-                  f"completed under delivery faults; max |loss delta| = "
-                  f"{result['max_abs_loss_diff']:.2e} "
-                  f"({len(result['recoveries'])} recoveries; bit-identity "
-                  f"is only guaranteed for crash-only plans)")
-        ok = ok and result["passed"]
-
-    if "sim" in substrates:
-        from .experiments import resilience_claims, resilience_rows
-        models = ("12B", "100B") if args.fast else None
-        kwargs = dict(seeds=(0, 1)) if args.fast else {}
-        rows = resilience_rows(models, **kwargs)
-        claims = resilience_claims(rows)
-        report["sim"] = {"rows": rows, "claims": claims}
-        flat = [{k: v for k, v in r.items() if k != "sweep"} for r in rows]
-        ok = _emit("faults: MTBF x checkpoint interval vs Young/Daly",
-                   flat, {k: v for k, v in claims.items()
-                          if isinstance(v, bool)}, args.csv) and ok
-
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report, fh, indent=2, default=float)
-        print(f"\nwrote fault report to {args.report}")
-    return ok
+    On the functional runtime it crashes ranks mid-batch and checks that
+    the recovered loss trajectory is bit-identical to a fault-free run; on
+    the DES it sweeps MTBF x checkpoint interval against the Young/Daly
+    optimum.
+    """
+    return _on_substrates(args, "fault", runtime=_faults_runtime,
+                          sim=_faults_sim)
 
 
-# -- serve: pipeline-parallel inference serving on both substrates ------------
+def _serve_runtime(args) -> Tuple[bool, Dict]:
+    result = ex.serve_functional(args.fast, args.seed or 0)
+    _emit("serve: pipeline server vs serial generate "
+          "(3-stage pipeline, continuous batching on/off)",
+          result["rows"], None, None)
+    print("\n== serve: functional equivalence ==")
+    print(f"  [{'PASS' if result['passed'] else 'FAIL'}] pipeline "
+          "serving is token-for-token identical to serial generate "
+          "(greedy + seeded sampling, with and without batching)")
+    return result["passed"], result
 
-def _serve_functional(fast: bool, seed: int) -> Dict:
-    """Token-equivalence demo: PipelineServer vs serial ``generate``, with
-    and without continuous batching."""
-    import numpy as np
 
-    from .nn import GPT, GPTConfig, generate
-    from .serve import PipelineServer, RequestSpec, make_requests
-
-    cfg = GPTConfig(vocab_size=61, seq_len=48, n_layer=4, n_head=2,
-                    hidden=16)
-    requests = make_requests(cfg, 6 if fast else 12,
-                             RequestSpec(mean_prompt=6, mean_new_tokens=6,
-                                         seed=seed))
-    model = GPT(cfg)  # same (init_seed, slot) weights as the stage shards
-    serial = {
-        req.rid: generate(model, req.prompt, req.max_new_tokens,
-                          temperature=req.temperature, top_k=req.top_k,
-                          rng=np.random.default_rng(req.seed),
-                          greedy=req.greedy)
-        for req in requests
-    }
-    batched = PipelineServer(cfg, g_inter=3, max_batch=4).serve(requests)
-    sequential = PipelineServer(cfg, g_inter=3, max_batch=1,
-                                max_active=1).serve(requests)
-    rows = [{
-        "rid": req.rid, "prompt": int(np.asarray(req.prompt).size),
-        "new_tokens": req.max_new_tokens,
-        "sampling": "greedy" if req.greedy else
-        f"T={req.temperature:.2f}" + (f",k={req.top_k}" if req.top_k else ""),
-        "batched_identical": bool(np.array_equal(batched[req.rid],
-                                                 serial[req.rid])),
-        "sequential_identical": bool(np.array_equal(sequential[req.rid],
-                                                    serial[req.rid])),
-    } for req in requests]
-    return {
-        "rows": rows,
-        "passed": all(r["batched_identical"] and r["sequential_identical"]
-                      for r in rows),
-    }
+def _serve_sim(args) -> Tuple[bool, Dict]:
+    report = ex.serving_report(args.fast, seed=args.seed or 0)
+    _emit("serve: throughput vs offered load "
+          "(DES, V100-calibrated 2-replica pipeline)",
+          report["rows"], None, args.csv)
+    _emit("serve: closed-loop Little's law", [report["closed_loop"]],
+          None, None)
+    ok = _emit("serve: replica failover under a seeded crash",
+               [report["failover"]], report["claims"], None)
+    return ok, report
 
 
 def cmd_serve(args) -> bool:
-    """Inference serving: functional token-equivalence check plus the DES
-    load sweep, Little's-law closed loop, and replica failover."""
-    import json
-    substrates = ["runtime", "sim"] if args.substrate == "both" \
-        else [args.substrate]
-    seed = args.seed if args.seed is not None else 0
-    report: Dict[str, object] = {}
-    ok = True
+    """Pipeline inference serving on either substrate (--substrate, --fast,
+    --csv, --seed, --report).
 
-    if "runtime" in substrates:
-        result = _serve_functional(args.fast, seed)
-        report["runtime"] = result
-        _emit("serve: pipeline server vs serial generate "
-              "(3-stage pipeline, continuous batching on/off)",
-              result["rows"], None, None)
-        print("\n== serve: functional equivalence ==")
-        print(f"  [{'PASS' if result['passed'] else 'FAIL'}] pipeline "
-              "serving is token-for-token identical to serial generate "
-              "(greedy + seeded sampling, with and without batching)")
-        ok = ok and result["passed"]
-
-    if "sim" in substrates:
-        from .experiments import (serving_claims, serving_closed_loop,
-                                  serving_failover, serving_rows)
-        rows = serving_rows(args.fast, seed=seed)
-        closed = serving_closed_loop(args.fast, seed=seed)
-        failover = serving_failover(args.fast, seed=seed)
-        claims = serving_claims(rows, closed, failover)
-        report["sim"] = {"rows": rows, "closed_loop": closed,
-                         "failover": failover, "claims": claims}
-        ok = _emit("serve: throughput vs offered load "
-                   "(DES, V100-calibrated 2-replica pipeline)",
-                   rows, None, args.csv) and ok
-        _emit("serve: closed-loop Little's law", [closed], None, None)
-        ok = _emit("serve: replica failover under a seeded crash",
-                   [failover], claims, None) and ok
-
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report, fh, indent=2, default=float)
-        print(f"\nwrote serving report to {args.report}")
-    return ok
+    On the functional runtime it checks that the continuous-batching
+    pipeline server emits token-for-token what serial ``generate`` emits;
+    on the DES it sweeps offered load against the analytic roofline, checks
+    Little's law in a closed loop and replays a replica-crash failover.
+    """
+    return _on_substrates(args, "serving", runtime=_serve_runtime,
+                          sim=_serve_sim)
 
 
-# -- fleet: elastic serving fleet on both substrates --------------------------
+def _fleet_runtime(args) -> Tuple[bool, Dict]:
+    result = ex.fleet_functional(args.fast, args.seed or 0)
+    _emit("fleet: disaggregated prefill/decode server vs serial "
+          "generate (2 prefill + 2 decode ranks)",
+          result["disagg_rows"], None, None)
+    el = result["elastic"]
+    _emit("fleet: elastic 1 -> 2 -> 1 under a flash crowd",
+          [{k: v for k, v in el.items() if k != "scale_events"}],
+          None, None)
+    for t, kind, n_from, n_to in el["scale_events"]:
+        print(f"    t={t:5.1f}s  {kind:<5} {n_from} -> {n_to}")
+    print("\n== fleet: functional equivalence ==")
+    print(f"  [{'PASS' if result['passed'] else 'FAIL'}] KV handoff "
+          "and elastic membership changes are invisible in the "
+          "tokens: everything matches serial generate, nothing lost")
+    return result["passed"], result
 
-def _fleet_functional(fast: bool, seed: int) -> Dict:
-    """Two live demos over RankTransport: the pipeline server in its
-    disaggregated KV-handoff placement emitting serial-identical tokens,
-    and a real elastic fleet scaling 1 -> 2 -> 1 under a flash crowd with
-    zero lost requests."""
-    import numpy as np
 
-    from .fleet import FleetServer, ReactivePolicy
-    from .nn import GPT, GPTConfig, generate
-    from .serve import (ArrivalSpec, PipelineServer, RequestSpec,
-                        make_requests)
-
-    cfg = GPTConfig(vocab_size=61, seq_len=48, n_layer=4, n_head=2,
-                    hidden=16)
-    spec = RequestSpec(mean_prompt=6, mean_new_tokens=6, seed=seed)
-    requests = make_requests(cfg, 8 if fast else 16, spec)
-    model = GPT(cfg)  # same (init_seed, slot) weights as the stage shards
-
-    def serial(req):
-        return generate(model, req.prompt, req.max_new_tokens,
-                        temperature=req.temperature, top_k=req.top_k,
-                        rng=np.random.default_rng(req.seed),
-                        greedy=req.greedy)
-
-    disagg = PipelineServer(cfg, g_inter=2, g_prefill=2,
-                            max_batch=4).serve(requests)
-    disagg_rows = [{
-        "rid": req.rid, "prompt": int(np.asarray(req.prompt).size),
-        "new_tokens": req.max_new_tokens,
-        "identical": bool(np.array_equal(disagg[req.rid], serial(req))),
-    } for req in requests]
-
-    # a flash crowd at t=2s forces the reactive policy up, the decay back
-    # down: every request must come back serial-identical even though the
-    # fleet membership changed underneath them
-    n_elastic = 30
-    elastic_reqs = make_requests(cfg, n_elastic, spec)
-    times = ArrivalSpec(rate_per_s=1.0, seed=5, kind="flash",
-                        flash_at_s=2.0, flash_factor=15.0) \
-        .sample_times(horizon_s=12.0)
-    trace = list(zip(times, elastic_reqs))[:n_elastic]
-    fleet = FleetServer(cfg, ReactivePolicy(min_replicas=1, max_replicas=2,
-                                            cooldown_s=2.0),
-                        g_inter=2, max_batch=4, serve_per_round=2)
-    report = fleet.run(trace)
-    elastic_identical = all(
-        np.array_equal(report.results[req.rid], serial(req))
-        for _, req in trace if req.rid in report.results)
-    kinds = [e.kind for e in report.events]
-    return {
-        "disagg_rows": disagg_rows,
-        "elastic": {
-            "requests": len(trace),
-            "admitted": report.n_admitted,
-            "completed": report.n_completed,
-            "lost": report.n_lost,
-            "rounds": report.rounds,
-            "replica_rounds": report.replica_rounds,
-            "max_replicas": report.max_replicas_seen,
-            "scale_events": [(e.t_s, e.kind, e.n_from, e.n_to)
-                             for e in report.events],
-            "token_identical": elastic_identical,
-        },
-        "passed": (all(r["identical"] for r in disagg_rows)
-                   and elastic_identical and report.n_lost == 0
-                   and "up" in kinds and "down" in kinds),
-    }
+def _fleet_sim(args) -> Tuple[bool, Dict]:
+    report = ex.fleet_report(args.fast, seed=args.seed or 0)
+    _emit("fleet: autoscaling economics under diurnal traffic "
+          "(DES, static vs reactive vs predictive)",
+          report["autoscaling"], None, args.csv)
+    _emit("fleet: prefill/decode disaggregation at equal hardware "
+          "(8 replicas, decode-heavy mix)", report["disaggregation"],
+          None, None)
+    ok = _emit("fleet: crash + planned retire on the shared "
+               "decommission path", [report["failover"]],
+               report["claims"], None)
+    return ok, report
 
 
 def cmd_fleet(args) -> bool:
-    """Elastic serving fleet: functional disaggregation + scaling demos,
-    plus the DES autoscaling-economics, disaggregation and shared-path
-    failover scenarios with their acceptance claims."""
-    import json
-    substrates = ["runtime", "sim"] if args.substrate == "both" \
-        else [args.substrate]
-    seed = args.seed if args.seed is not None else 0
-    report: Dict[str, object] = {}
-    ok = True
+    """Elastic serving fleet: autoscaling, prefill/decode disaggregation,
+    SLO admission (--substrate, --fast, --csv, --seed, --report).
 
-    if "runtime" in substrates:
-        result = _fleet_functional(args.fast, seed)
-        report["runtime"] = result
-        _emit("fleet: disaggregated prefill/decode server vs serial "
-              "generate (2 prefill + 2 decode ranks)",
-              result["disagg_rows"], None, None)
-        el = result["elastic"]
-        _emit("fleet: elastic 1 -> 2 -> 1 under a flash crowd",
-              [{k: v for k, v in el.items() if k != "scale_events"}],
-              None, None)
-        for t, kind, n_from, n_to in el["scale_events"]:
-            print(f"    t={t:5.1f}s  {kind:<5} {n_from} -> {n_to}")
-        print("\n== fleet: functional equivalence ==")
-        print(f"  [{'PASS' if result['passed'] else 'FAIL'}] KV handoff "
-              "and elastic membership changes are invisible in the "
-              "tokens: everything matches serial generate, nothing lost")
-        ok = ok and result["passed"]
-
-    if "sim" in substrates:
-        from .experiments import (autoscaling_rows, disagg_rows,
-                                  fleet_claims, fleet_failover)
-        auto = autoscaling_rows(args.fast, seed=seed)
-        disagg = disagg_rows(args.fast, seed=seed)
-        failover = fleet_failover(args.fast, seed=seed)
-        claims = fleet_claims(auto, disagg, failover)
-        report["sim"] = {"autoscaling": auto, "disaggregation": disagg,
-                         "failover": failover, "claims": claims}
-        ok = _emit("fleet: autoscaling economics under diurnal traffic "
-                   "(DES, static vs reactive vs predictive)",
-                   auto, None, args.csv) and ok
-        _emit("fleet: prefill/decode disaggregation at equal hardware "
-              "(8 replicas, decode-heavy mix)", disagg, None, None)
-        ok = _emit("fleet: crash + planned retire on the shared "
-                   "decommission path", [failover], claims, None) and ok
-
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report, fh, indent=2, default=float)
-        print(f"\nwrote fleet report to {args.report}")
-    return ok
+    Functional disaggregation + scaling demos, plus the DES
+    autoscaling-economics, disaggregation and shared-path failover
+    scenarios with their acceptance claims.
+    """
+    return _on_substrates(args, "fleet", runtime=_fleet_runtime,
+                          sim=_fleet_sim)
 
 
-# -- train: real training steps on either execution backend -------------------
+# -- single-substrate tools ---------------------------------------------------
 
 def cmd_train(args) -> bool:
-    """A few real training steps on the chosen execution backend; with
-    ``--backend process`` each rank is an OS process exchanging ndarray
-    activations over shared-memory rings, and the losses are cross-checked
-    bit-for-bit against the in-process cooperative backend."""
-    import numpy as np
-    from .nn import GPTConfig
-    from .runtime import BACKENDS, AxoNNTrainer
+    """Real training steps on an execution backend (--backend, --ranks,
+    --g-intra, --steps, --fast).
 
+    One pipeline stage per rank.  With ``--backend process`` each rank is
+    an OS process exchanging ndarray activations over shared-memory rings,
+    and the losses are cross-checked bit-for-bit against the in-process
+    cooperative backend.
+    """
     ranks = args.ranks
-    if ranks < 1:
-        print("--ranks must be >= 1")
-        return False
     g_intra = args.g_intra
-    if g_intra < 1:
-        print("--g-intra must be >= 1")
-        return False
     n_layer = max(ranks, 2 if args.fast else 4)
     cfg = GPTConfig(vocab_size=64, seq_len=8 if args.fast else 16,
                     n_layer=n_layer, n_head=2,
@@ -739,8 +474,6 @@ def cmd_train(args) -> bool:
     rows = [{"step": i, "loss": r.loss, "messages": r.messages}
             for i, r in enumerate(reports)]
     _emit(f"train: loss trajectory ({args.backend})", rows, None, args.csv)
-    if args.backend not in BACKENDS:  # argparse already guards; belt+braces
-        return False
     if args.backend != "process":
         return all(np.isfinite(r.loss) for r in reports)
     reference = run("cooperative")
@@ -753,9 +486,12 @@ def cmd_train(args) -> bool:
 
 
 def cmd_scaling4d(args) -> bool:
-    """DES sweep over 4D decompositions: for each cluster size, simulate
-    every ``g_intra x g_inter x g_data`` split and report the fastest
-    feasible one."""
+    """DES sweep of 4D decompositions per cluster size (--fast, --models,
+    --csv).
+
+    For each cluster size, simulate every ``g_intra x g_inter x g_data``
+    split and report the fastest feasible one.
+    """
     sizes = (8, 16) if args.fast else (8, 16, 32, 64)
     model = args.models[0] if args.models else "12B"
     rows = ex.sweep_4d(cluster_sizes=sizes, model=model)
@@ -768,10 +504,17 @@ def cmd_scaling4d(args) -> bool:
 
 
 def cmd_verify(args) -> bool:
-    """Pre-run static verification: model-check every built-in rank
-    program's communication skeleton (deadlock-freedom, complete
-    matching, collective order) and self-check the shared-memory race
-    detector, including both seeded mutants."""
+    """Pre-run communication model checker + race-detector self-check
+    (--fast).
+
+    Extracts the communication skeleton of every built-in rank-program
+    variant (AxoNN, 1F1B, GPipe, serving) and model-checks all
+    interleavings for deadlock-freedom, complete matching and
+    collective-order consistency; proves the seeded deadlock mutant is
+    caught with a wait-for-graph counterexample and the full-group mutant
+    refuted; and self-checks the shared-memory race detector on synthetic
+    ring traffic plus its torn-write mutant.
+    """
     from .analysis.model import (builtin_models, check_model,
                                  deadlock_mutant_model,
                                  full_group_mutant_model)
@@ -842,12 +585,15 @@ def cmd_verify(args) -> bool:
 
 
 def cmd_sched(args) -> bool:
-    """Schedules-as-data driver: list the shipped IR schedules with
-    their analytic metrics, search orderings in the DES under jitter
-    (--search), and replay the winner on the functional substrate with
-    the equivalence harness as the acceptance oracle (--replay)."""
-    from .sched import SCHEDULE_NAMES, build_schedule
-    from .sched.metrics import critical_path, peak_resident_activations
+    """Pipeline schedules as data: list IR builders, search in the DES,
+    replay the winner (--list, --search, --replay, --ranks,
+    --microbatches).
+
+    Lists the shipped IR schedules with their analytic bubble/memory
+    metrics, searches orderings in the DES under compute jitter
+    (--search), and replays the winner on the functional substrate with
+    loss equivalence as the acceptance oracle (--replay).
+    """
     S = args.ranks
     m = args.microbatches
 
@@ -871,8 +617,6 @@ def cmd_sched(args) -> bool:
         if not do_search:
             return True
 
-    from .experiments import replay_winner
-    from .sched.search import search_schedules
     print(f"\n== DES schedule search ({S} stages, {m} microbatches, "
           f"jitter sigma=0.1) ==")
     ranked = search_schedules(S, m, n_perturbations=4 if args.fast else 8)
@@ -889,7 +633,7 @@ def cmd_sched(args) -> bool:
     print(f"\n== replaying winner {winner.name!r} on the functional "
           f"substrate ==")
     try:
-        report = replay_winner(winner)
+        report = ex.replay_winner(winner)
     except RuntimeError as e:
         print(f"  [FAIL] {e}")
         return False
@@ -917,41 +661,62 @@ EXPERIMENTS: Dict[str, Callable] = {
 }
 
 
+def cmd_all(args) -> bool:
+    """Run every experiment."""
+    ok = True
+    for name in sorted(EXPERIMENTS):
+        ok = EXPERIMENTS[name](args) and ok
+    return ok
+
+
+def cmd_list(args) -> bool:
+    """Describe every command: its docstring's summary paragraph."""
+    for name, command in COMMANDS.items():
+        summary = " ".join(command.__doc__.split("\n\n")[0].split())
+        print(f"  {name:<10} {summary}")
+    return True
+
+
+def cmd_lint(args) -> bool:
+    """Repo-specific AST lint, rules REP001-REP012 (--json)."""
+    from .analysis.lint import main as lint_main
+    return lint_main(["--json"] if args.json else []) == 0
+
+
+#: every command: the experiments ``all`` runs, then the tools
+COMMANDS: Dict[str, Callable] = {
+    **EXPERIMENTS, "all": cmd_all, "list": cmd_list, "lint": cmd_lint,
+    "trace": cmd_trace, "faults": cmd_faults, "serve": cmd_serve,
+    "fleet": cmd_fleet, "train": cmd_train, "verify": cmd_verify,
+    "sched": cmd_sched, "scaling4d": cmd_scaling4d,
+}
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate the AxoNN paper's tables and figures.")
-    parser.add_argument("experiment",
-                        choices=sorted(EXPERIMENTS) + ["all", "list", "lint",
-                                                       "trace", "faults",
-                                                       "serve", "fleet",
-                                                       "train",
-                                                       "verify",
-                                                       "sched",
-                                                       "scaling4d"],
-                        help="which artefact to regenerate, 'lint' to run "
-                             "the repo-specific static analysis, 'trace' "
-                             "to emit a Chrome-trace of a small scenario, "
-                             "'faults' to run a deterministic fault plan "
-                             "against either substrate, 'serve' to "
-                             "exercise the inference-serving layer, "
-                             "'train' to run real steps on an execution "
-                             "backend (--backend, --ranks, --steps), or "
-                             "'verify' to model-check every built-in "
-                             "communication skeleton pre-run, 'sched' to "
-                             "list/search/replay IR pipeline schedules, or "
-                             "'scaling4d' to sweep 4D decompositions on "
-                             "the DES")
+    parser.add_argument("experiment", choices=list(COMMANDS),
+                        help="the command to run ('list' describes each)")
     parser.add_argument("--fast", action="store_true",
                         help="reduced sizes for a quick look")
     parser.add_argument("--models", nargs="+", default=None,
                         choices=["12B", "24B", "50B", "100B"],
-                        help="restrict fig9/table2 to these models")
+                        help="restrict fig9/table2 to these models "
+                             "(scaling4d sweeps only the first)")
     parser.add_argument("--csv", default=None,
                         help="also write the rows to this CSV file")
     parser.add_argument("--substrate", default="both",
                         choices=["sim", "runtime", "both"],
-                        help="which substrate 'trace' runs on")
+                        help="which substrate 'trace', 'faults', 'serve' "
+                             "and 'fleet' run on")
     parser.add_argument("--out", default="trace.json",
                         help="Chrome-trace output path for 'trace' "
                              "(suffixed -sim/-runtime when both run)")
@@ -964,23 +729,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="fault-plan JSON file for 'faults' (default: "
                              "a built-in crash/drop/straggler demo plan)")
     parser.add_argument("--seed", type=int, default=None,
-                        help="generate the 'faults' plan with "
-                             "FaultPlan.random(seed) instead")
+                        help="'faults': generate the plan with "
+                             "FaultPlan.random(seed) instead; 'serve' and "
+                             "'fleet': the workload seed (default 0)")
     parser.add_argument("--report", default=None,
-                        help="write the 'faults' results as a JSON report")
+                        help="write the 'faults', 'serve' or 'fleet' "
+                             "results as a JSON report")
     parser.add_argument("--backend", default="cooperative",
                         choices=["cooperative", "process"],
                         help="execution backend for 'train': the "
                              "in-process cooperative scheduler or real "
                              "worker processes over shared-memory rings")
-    parser.add_argument("--ranks", type=int, default=2,
-                        help="pipeline depth for 'train' (g_inter=ranks, "
-                             "g_data=1: one pipeline stage per rank)")
-    parser.add_argument("--g-intra", type=int, default=1, dest="g_intra",
+    parser.add_argument("--ranks", type=_positive_int, default=2,
+                        help="pipeline depth: 'train' runs g_inter=ranks, "
+                             "g_data=1 (one pipeline stage per rank); "
+                             "'sched' builds schedules of this many stages")
+    parser.add_argument("--g-intra", type=_positive_int, default=1,
+                        dest="g_intra",
                         help="tensor-parallel degree for 'train': each "
                              "stage's layers are sharded across g_intra "
                              "ranks (world size = ranks * g_intra)")
-    parser.add_argument("--steps", type=int, default=None,
+    parser.add_argument("--steps", type=_positive_int, default=None,
                         help="number of 'train' batches (default 4, "
                              "2 with --fast)")
     parser.add_argument("--list", action="store_true",
@@ -992,70 +761,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--replay", action="store_true",
                         help="'sched': replay the search winner on the "
                              "functional substrate (implies --search)")
-    parser.add_argument("--microbatches", type=int, default=4,
+    parser.add_argument("--microbatches", type=_positive_int, default=4,
                         help="microbatch count for 'sched' (default 4)")
     args = parser.parse_args(argv)
-
-    if args.experiment == "list":
-        for name in sorted(EXPERIMENTS):
-            doc = (EXPERIMENTS[name].__doc__ or "").strip()
-            print(f"  {name:<10} {doc}")
-        print("  all        run every experiment")
-        print("  lint       repo-specific AST lint (rules REP001-REP012)")
-        print("  trace      Chrome-trace of a small scenario "
-              "(--substrate, --out, --faults)")
-        print("  faults     deterministic fault injection on either "
-              "substrate (--substrate, --plan, --seed, --report)")
-        print("  serve      pipeline inference serving on either substrate "
-              "(--substrate, --fast, --csv, --report)")
-        print("  fleet      elastic serving fleet: autoscaling, "
-              "prefill/decode disaggregation, SLO admission "
-              "(--substrate, --fast, --csv, --report)")
-        print("  train      real training steps on an execution backend "
-              "(--backend, --ranks, --steps, --fast)")
-        print("  verify     pre-run communication model checker + race-"
-              "detector self-check (--fast)")
-        print("  sched      pipeline schedules as data: list IR builders, "
-              "search in the DES, replay the winner "
-              "(--list, --search, --replay, --ranks, --microbatches)")
-        print("  scaling4d  DES sweep of 4D decompositions per cluster "
-              "size (--fast, --models, --csv)")
-        return 0
-
-    if args.experiment == "lint":
-        from .analysis.lint import main as lint_main
-        return lint_main(["--json"] if args.json else [])
-
-    if args.experiment == "trace":
-        return 0 if cmd_trace(args) else 1
-
-    if args.experiment == "faults":
-        return 0 if cmd_faults(args) else 1
-
-    if args.experiment == "serve":
-        return 0 if cmd_serve(args) else 1
-
-    if args.experiment == "fleet":
-        return 0 if cmd_fleet(args) else 1
-
-    if args.experiment == "train":
-        return 0 if cmd_train(args) else 1
-
-    if args.experiment == "verify":
-        return 0 if cmd_verify(args) else 1
-
-    if args.experiment == "sched":
-        return 0 if cmd_sched(args) else 1
-
-    if args.experiment == "scaling4d":
-        return 0 if cmd_scaling4d(args) else 1
-
-    targets = sorted(EXPERIMENTS) if args.experiment == "all" \
-        else [args.experiment]
-    ok = True
-    for name in targets:
-        ok = EXPERIMENTS[name](args) and ok
-    return 0 if ok else 1
+    return 0 if COMMANDS[args.experiment](args) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

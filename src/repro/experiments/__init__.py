@@ -16,9 +16,12 @@ Index (see DESIGN.md for the full mapping):
 * Fig. 10 — :mod:`.convergence`
 * Table I / Table II — :mod:`.tables`
 * extensions — :mod:`.ablations`
-* resilience (MTBF x checkpoint interval vs. Young/Daly) — :mod:`.resilience`
-* serving (load sweep, Little's law, replica failover) — :mod:`.serving`
-* elastic fleet (autoscaling, disaggregation, SLOs) — :mod:`.fleet`
+* resilience (MTBF x checkpoint interval vs. Young/Daly; the functional
+  fault and trace demos) — :mod:`.resilience`
+* serving (load sweep, Little's law, replica failover; the functional
+  token-equivalence demo) — :mod:`.serving`
+* elastic fleet (autoscaling, disaggregation, SLOs; the functional
+  disaggregation and elasticity demos) — :mod:`.fleet`
 """
 
 from .ablations import (
@@ -65,10 +68,22 @@ from .fleet import (
     disagg_serving_model,
     fleet_claims,
     fleet_failover,
+    fleet_functional,
     fleet_report,
 )
-from .resilience import resilience_claims, resilience_report, resilience_rows
+from .resilience import (
+    demo_plan,
+    demo_training,
+    faults_runtime,
+    resilience_claims,
+    resilience_report,
+    resilience_rows,
+    trace_runtime,
+    trace_sim,
+)
 from .serving import (
+    demo_serving,
+    serve_functional,
     serving_claims,
     serving_closed_loop,
     serving_failover,
@@ -127,6 +142,11 @@ __all__ = [
     "resilience_claims",
     "resilience_report",
     "resilience_rows",
+    "demo_plan",
+    "demo_training",
+    "faults_runtime",
+    "trace_runtime",
+    "trace_sim",
     "AUTOSCALE_SLO_S",
     "autoscale_serving_model",
     "autoscaling_rows",
@@ -134,7 +154,10 @@ __all__ = [
     "disagg_serving_model",
     "fleet_claims",
     "fleet_failover",
+    "fleet_functional",
     "fleet_report",
+    "demo_serving",
+    "serve_functional",
     "serving_claims",
     "serving_closed_loop",
     "serving_failover",

@@ -24,15 +24,20 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..fleet import (AdmissionController, FleetModel, FleetStats,
+import numpy as np
+
+from ..fleet import (AdmissionController, FleetModel, FleetServer, FleetStats,
                      PredictivePolicy, ReactivePolicy, SLOClass,
                      StaticPolicy, service_rate_per_replica, simulate_fleet)
 from ..resilience import Fault, FaultPlan
-from ..serve import ArrivalSpec, RequestSpec, ServingModel
+from ..serve import (ArrivalSpec, PipelineServer, RequestSpec, ServingModel,
+                     make_requests)
+from .serving import demo_serving
 
 __all__ = ["AUTOSCALE_SLO_S", "autoscale_serving_model",
            "disagg_serving_model", "autoscaling_rows", "disagg_rows",
-           "fleet_failover", "fleet_claims", "fleet_report"]
+           "fleet_failover", "fleet_claims", "fleet_report",
+           "fleet_functional"]
 
 #: interactive TTFT budget every policy is judged against
 AUTOSCALE_SLO_S = 1.0
@@ -240,4 +245,58 @@ def fleet_report(fast: bool = False, *, seed: int = 0) -> Dict[str, object]:
         "disaggregation": disagg,
         "failover": failover,
         "claims": fleet_claims(auto_rows, disagg, failover),
+    }
+
+
+# -- functional demo: disaggregation and elasticity over RankTransport ---------
+
+def fleet_functional(fast: bool, seed: int) -> Dict:
+    """Two live demos over RankTransport: the pipeline server in its
+    disaggregated KV-handoff placement emitting serial-identical tokens,
+    and a real elastic fleet scaling 1 -> 2 -> 1 under a flash crowd with
+    zero lost requests."""
+    cfg, spec, serial = demo_serving(seed)
+    requests = make_requests(cfg, 8 if fast else 16, spec)
+    disagg = PipelineServer(cfg, g_inter=2, g_prefill=2,
+                            max_batch=4).serve(requests)
+    disagg_rows = [{
+        "rid": req.rid, "prompt": int(np.asarray(req.prompt).size),
+        "new_tokens": req.max_new_tokens,
+        "identical": bool(np.array_equal(disagg[req.rid], serial(req))),
+    } for req in requests]
+
+    # a flash crowd at t=2s forces the reactive policy up, the decay back
+    # down: every request must come back serial-identical even though the
+    # fleet membership changed underneath them
+    n_elastic = 30
+    elastic_reqs = make_requests(cfg, n_elastic, spec)
+    times = ArrivalSpec(rate_per_s=1.0, seed=5, kind="flash",
+                        flash_at_s=2.0, flash_factor=15.0) \
+        .sample_times(horizon_s=12.0)
+    trace = list(zip(times, elastic_reqs))[:n_elastic]
+    fleet = FleetServer(cfg, ReactivePolicy(min_replicas=1, max_replicas=2,
+                                            cooldown_s=2.0),
+                        g_inter=2, max_batch=4, serve_per_round=2)
+    report = fleet.run(trace)
+    elastic_identical = all(
+        np.array_equal(report.results[req.rid], serial(req))
+        for _, req in trace if req.rid in report.results)
+    kinds = [e.kind for e in report.events]
+    return {
+        "disagg_rows": disagg_rows,
+        "elastic": {
+            "requests": len(trace),
+            "admitted": report.n_admitted,
+            "completed": report.n_completed,
+            "lost": report.n_lost,
+            "rounds": report.rounds,
+            "replica_rounds": report.replica_rounds,
+            "max_replicas": report.max_replicas_seen,
+            "scale_events": [(e.t_s, e.kind, e.n_from, e.n_to)
+                             for e in report.events],
+            "token_identical": elastic_identical,
+        },
+        "passed": (all(r["identical"] for r in disagg_rows)
+                   and elastic_identical and report.n_lost == 0
+                   and "up" in kinds and "down" in kinds),
     }

@@ -13,19 +13,35 @@ of the zoo — step time from the analytic performance model
 optimizer-state footprint over the parallel-filesystem bandwidth, MTBF
 from a per-GPU rate — sweeps the checkpoint interval on the DES, fits the
 empirical optimum, and checks it lands within 20% of Young/Daly.
+
+It also owns the functional fault demos of ``repro faults`` / ``repro
+trace``: one tiny 2x2 hybrid training scenario (:func:`demo_training`)
+run under a deterministic fault plan (:func:`demo_plan`), and the small
+traced scenarios of both substrates (:func:`trace_sim`,
+:func:`trace_runtime`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core import WEAK_SCALING_MODELS, estimate_batch_time
-from ..resilience import (FailureModel, fit_optimal_interval,
+import numpy as np
+
+from ..cluster import Machine, summit
+from ..core import (AxoNNConfig, WEAK_SCALING_MODELS, estimate_batch_time,
+                    simulate_batch)
+from ..nn import GPTConfig
+from ..obs import RuntimeTracer, from_sim_tracer
+from ..resilience import (FailureModel, Fault, FaultPlan, ResilientTrainer,
+                          fit_optimal_interval, simulate_resilient_run,
                           sweep_intervals, young_daly_interval_s)
+from ..runtime import AxoNNTrainer
 from .scaling import MODEL_GPUS, make_axonn_config
 
 __all__ = ["resilience_rows", "resilience_claims", "resilience_report",
-           "BYTES_PER_PARAM", "PFS_WRITE_BW_PER_NODE", "GPUS_PER_NODE"]
+           "demo_training", "demo_plan", "faults_runtime", "trace_sim",
+           "trace_runtime", "BYTES_PER_PARAM", "PFS_WRITE_BW_PER_NODE",
+           "GPUS_PER_NODE"]
 
 #: Checkpoint footprint per parameter: fp32 master + two fp32 Adam moments
 #: + the fp16 weights (Section V-B accounting minus transient gradients).
@@ -125,3 +141,122 @@ def resilience_report(models: Optional[Sequence[str]] = None,
         "rows": rows,
         "claims": resilience_claims(rows),
     }
+
+
+# -- functional demos: the tiny 2x2 training scenario under faults ------------
+
+def demo_training(dropout: float, n_batches: int, *,
+                  microbatch_size: int = 2,
+                  tracer: Optional[RuntimeTracer] = None
+                  ) -> Tuple[AxoNNTrainer, List[Tuple]]:
+    """The tiny 2x2 hybrid GPT scenario the fault and trace demos train:
+    a fresh trainer and ``n_batches`` seeded ``(x, y)`` batches."""
+    cfg = GPTConfig(vocab_size=32, seq_len=8, n_layer=4, n_head=2,
+                    hidden=12, dropout=dropout, init_seed=7)
+    rng = np.random.default_rng(7)
+    batches = [(rng.integers(0, cfg.vocab_size, size=(8, cfg.seq_len)),
+                rng.integers(0, cfg.vocab_size, size=(8, cfg.seq_len)))
+               for _ in range(n_batches)]
+    trainer = AxoNNTrainer(cfg, g_inter=2, g_data=2,
+                           microbatch_size=microbatch_size, tracer=tracer)
+    return trainer, batches
+
+
+def demo_plan(seed: Optional[int] = None,
+              crash_only: bool = False) -> FaultPlan:
+    """The fault plan the CLI demos run: seeded-random, or a fixed small
+    scenario.  ``crash_only`` restricts it to rank crashes — the faults
+    whose recovery is guaranteed bit-identical (drop/delay/straggler
+    faults reorder the message-driven execution, which legitimately
+    permutes dropout masks and accumulation order)."""
+    if seed is not None:
+        return FaultPlan.random(seed, n_ranks=4, n_steps=4)
+    crashes = (
+        Fault(kind="crash", rank=1, step=1, tick=2),
+        Fault(kind="crash", rank=2, step=3, tick=4),
+    )
+    if crash_only:
+        return FaultPlan.of(*crashes)
+    return FaultPlan.of(
+        *crashes,
+        Fault(kind="drop", src=0, dst=1, step=0, count=1),
+        Fault(kind="straggler", rank=3, step=2, ticks=2),
+    )
+
+
+def faults_runtime(fast: bool, plan: FaultPlan) -> Dict:
+    """Run ``plan`` on the demo training scenario and check that the
+    recovered loss trajectory is bit-identical to a fault-free run."""
+    n_batches = 2 if fast else 4
+    reference, batches = demo_training(0.1, n_batches)
+    ref_losses = [reference.train_batch(x, y).loss for x, y in batches]
+
+    trainer, _ = demo_training(0.1, n_batches)
+    resilient = ResilientTrainer(trainer, plan, detect_timeout=10)
+    losses = [resilient.train_batch(x, y).loss for x, y in batches]
+
+    # Bit-identity is the guarantee for crash faults (recovery replays
+    # from a bit-complete snapshot, fault-free).  Delivery faults
+    # (drop/delay/straggler) reorder the message-driven execution, which
+    # legitimately permutes dropout masks and accumulation order — there
+    # the run must merely complete with finite, close losses.
+    crash_only = all(f.kind == "crash" for f in plan)
+    bit_identical = losses == ref_losses
+    max_diff = max((abs(a - b) for a, b in zip(losses, ref_losses)),
+                   default=0.0)
+    passed = bit_identical if crash_only else (
+        all(np.isfinite(losses)) and max_diff < 0.1)
+    return {
+        "plan": plan.to_dict(),
+        "batches": n_batches,
+        "crash_only_plan": crash_only,
+        "losses": losses,
+        "reference_losses": ref_losses,
+        "bit_identical": bit_identical,
+        "max_abs_loss_diff": max_diff,
+        "passed": passed,
+        "recoveries": [{
+            "step": ev.step, "dead": list(ev.dead),
+            "detected_at_tick": ev.detected_at,
+            "restored_from": ev.restored_from, "replayed": ev.replayed,
+        } for ev in resilient.recoveries],
+    }
+
+
+def trace_sim(fast: bool, faults: bool = False) -> list:
+    """Spans of one memopt batch on the discrete-event substrate (2x2
+    grid), or with ``faults`` of a resilient DES run (checkpoints,
+    failures, restarts)."""
+    if faults:
+        model = FailureModel(step_time_s=30.0, checkpoint_write_s=12.0,
+                             restart_s=60.0, mtbf_s=900.0,
+                             interval_steps=10,
+                             total_steps=60 if fast else 240, seed=0)
+        spans: list = []
+        simulate_resilient_run(model, spans=spans)
+        return spans
+    cfg = AxoNNConfig(
+        spec=WEAK_SCALING_MODELS["12B"], num_gpus=4, g_inter=2, g_data=2,
+        microbatch_size=1, batch_size=8 if fast else 16, memopt=True)
+    machine = Machine(spec=summit(1), trace=True)
+    simulate_batch(cfg, machine=machine)
+    return from_sim_tracer(machine.tracer)
+
+
+def trace_runtime(fast: bool, faults: bool = False) -> list:
+    """Spans of one real-numerics batch of the demo training scenario, or
+    with ``faults`` of a few batches under the demo plan: crash, drop and
+    straggler faults plus the resulting snapshot/recovery spans."""
+    tracer = RuntimeTracer()
+    if faults:
+        trainer, batches = demo_training(0.1, 2 if fast else 4,
+                                         tracer=tracer)
+        step = ResilientTrainer(trainer, demo_plan(),
+                                detect_timeout=10).train_batch
+    else:
+        trainer, batches = demo_training(
+            0.0, 1, microbatch_size=2 if fast else 1, tracer=tracer)
+        step = trainer.train_batch
+    for x, y in batches:
+        step(x, y)
+    return tracer.spans

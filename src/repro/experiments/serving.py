@@ -16,21 +16,27 @@ Two companion checks close the loop: a closed-loop run whose measured
 concurrency/throughput/sojourn obey Little's law ``L = X * W``, and a
 seeded replica-crash plan whose outstanding requests all finish on the
 surviving replica (failover re-admission).
+
+The functional side, :func:`serve_functional`, runs the real
+:class:`~repro.serve.PipelineServer` on :func:`demo_serving`'s small
+decoder and checks every token stream against serial ``generate``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..nn import GPTConfig
+import numpy as np
+
+from ..nn import GPT, GPTConfig, generate
 from ..resilience import Fault, FaultPlan
-from ..serve import (ArrivalSpec, RequestSpec, ServingModel,
-                     simulate_closed_loop, simulate_serving,
-                     sweep_offered_load)
+from ..serve import (ArrivalSpec, PipelineServer, Request, RequestSpec,
+                     ServingModel, make_requests, simulate_closed_loop,
+                     simulate_serving, sweep_offered_load)
 
 __all__ = ["serving_model", "serving_rows", "serving_closed_loop",
            "serving_failover", "serving_claims", "serving_report",
-           "SERVED_MODEL_CFG"]
+           "demo_serving", "serve_functional", "SERVED_MODEL_CFG"]
 
 #: The deployment the experiment models: a GPT-2.7B-class decoder served
 #: on one Summit node per replica (pipeline depth 4).
@@ -155,4 +161,51 @@ def serving_report(fast: bool = False, *, seed: int = 0) -> Dict[str, object]:
         "closed_loop": closed,
         "failover": failover,
         "claims": serving_claims(rows, closed, failover),
+    }
+
+
+# -- functional demo: the pipeline server vs serial generate ------------------
+
+def demo_serving(seed: int) -> Tuple[GPTConfig, RequestSpec,
+                                     Callable[[Request], np.ndarray]]:
+    """The functional serving scenario ``repro serve`` and ``repro fleet``
+    check: a small decoder, its seeded request spec, and the serial
+    ``generate`` oracle every served token stream must equal."""
+    cfg = GPTConfig(vocab_size=61, seq_len=48, n_layer=4, n_head=2,
+                    hidden=16)
+    spec = RequestSpec(mean_prompt=6, mean_new_tokens=6, seed=seed)
+    model = GPT(cfg)  # same (init_seed, slot) weights as the stage shards
+
+    def serial(req: Request) -> np.ndarray:
+        return generate(model, req.prompt, req.max_new_tokens,
+                        temperature=req.temperature, top_k=req.top_k,
+                        rng=np.random.default_rng(req.seed),
+                        greedy=req.greedy)
+
+    return cfg, spec, serial
+
+
+def serve_functional(fast: bool, seed: int) -> Dict:
+    """Token-equivalence demo: PipelineServer vs serial ``generate``, with
+    and without continuous batching."""
+    cfg, spec, serial = demo_serving(seed)
+    requests = make_requests(cfg, 6 if fast else 12, spec)
+    expected = {req.rid: serial(req) for req in requests}
+    batched = PipelineServer(cfg, g_inter=3, max_batch=4).serve(requests)
+    sequential = PipelineServer(cfg, g_inter=3, max_batch=1,
+                                max_active=1).serve(requests)
+    rows = [{
+        "rid": req.rid, "prompt": int(np.asarray(req.prompt).size),
+        "new_tokens": req.max_new_tokens,
+        "sampling": "greedy" if req.greedy else
+        f"T={req.temperature:.2f}" + (f",k={req.top_k}" if req.top_k else ""),
+        "batched_identical": bool(np.array_equal(batched[req.rid],
+                                                 expected[req.rid])),
+        "sequential_identical": bool(np.array_equal(sequential[req.rid],
+                                                    expected[req.rid])),
+    } for req in requests]
+    return {
+        "rows": rows,
+        "passed": all(r["batched_identical"] and r["sequential_identical"]
+                      for r in rows),
     }

@@ -429,6 +429,58 @@ class TestREP008:
         assert lint_source(src) == []
 
 
+class TestREP009:
+    BAD = """\
+import time
+from repro.runtime.transport import RECV
+
+
+def program(rank, net):
+    net.send(rank, 1, "forward", 0, None)
+    time.sleep(0.1)
+    pkt = yield RECV
+"""
+
+    def test_blocking_call_in_flight_flagged(self):
+        issues = lint_source(self.BAD, "prog.py")
+        assert [i.code for i in issues] == ["REP009"]
+        assert issues[0].line == 7
+        assert "time.sleep" in issues[0].message
+        # A POLL is answered within the rank's own turn: it closes no window.
+        polled = self.BAD.replace(
+            "    time.sleep(0.1)\n", "    yield POLL\n    time.sleep(0.1)\n")
+        assert [i.code for i in lint_source(polled, "prog.py")] == ["REP009"]
+
+    def test_blocking_outside_the_window_allowed(self):
+        good = """\
+import time
+from repro.runtime.transport import RECV
+
+
+def program(rank, net):
+    time.sleep(0.1)
+    net.send(rank, 1, "forward", 0, None)
+    pkt = yield RECV
+    time.sleep(0.1)
+"""
+        assert lint_source(good, "prog.py") == []
+
+    def test_non_rank_programs_untouched(self):
+        # send + sleep but no `yield RECV`: not a rank program, not REP009's
+        # business (the cooperative sweep never drives this function).
+        src = ("import time\n"
+               "def helper(net):\n"
+               "    net.send(0, 1, 'x', 0)\n"
+               "    time.sleep(0.1)\n")
+        assert lint_source(src, "helper.py") == []
+
+    def test_suppression_honored(self):
+        suppressed = self.BAD.replace(
+            "time.sleep(0.1)",
+            "time.sleep(0.1)  # lint-ok: REP009 measured stall for a test")
+        assert lint_source(suppressed, "prog.py") == []
+
+
 class TestREP010:
     def test_sink_record_without_group_flagged(self):
         src = """
@@ -646,6 +698,24 @@ class TestMachinery:
     def test_syntax_error_reported_not_raised(self):
         issues = lint_source("def broken(:\n", path="bad.py")
         assert issues[0].code == "PARSE"
+
+    def test_nested_scopes_are_checked_on_their_own(self):
+        # Each def is its own scope: the inner generator's `yield 5` is not
+        # the outer rank program's (no REP002), while the unnamed process
+        # in it and the nested helper's owned `g` are still found.
+        src = """\
+def outer(rank, net, x):
+    pkt = yield RECV
+
+    def inner(env):
+        yield 5
+        env.process(inner(env))
+
+    def helper(g):
+        x._accumulate_owned(g)
+"""
+        assert [(i.code, i.line) for i in lint_source(src)] == [
+            ("REP004", 6), ("REP001", 9)]
 
     def test_rule_catalogue_complete(self):
         assert set(RULES) == {"REP001", "REP002", "REP003", "REP004",

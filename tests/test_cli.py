@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import COMMANDS, EXPERIMENTS, main
 
 
 class TestCLI:
@@ -19,7 +19,8 @@ class TestCLI:
         assert main(["list"]) == 0
         lines = capsys.readouterr().out.splitlines()
         names = [line.split()[0] for line in lines]
-        assert set(EXPERIMENTS) <= set(names)
+        assert set(EXPERIMENTS) < set(COMMANDS)
+        assert names == list(COMMANDS)
         for line in lines:
             name, _, text = line.strip().partition(" ")
             assert text.strip(), name
@@ -152,6 +153,20 @@ class TestCLI:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["fig99"])
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--steps", "0"],
+        ["train", "--steps", "-2", "--backend", "process"],
+        ["train", "--ranks", "0"],
+        ["train", "--g-intra", "0"],
+        ["sched", "--ranks", "0"],
+        ["sched", "--microbatches", "0"],
+    ])
+    def test_non_positive_counts_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code != 0
+        assert "must be >= 1" in capsys.readouterr().err
 
     def test_module_entry_point(self):
         import subprocess

@@ -106,70 +106,6 @@ def test_lint_cli_sarif_clean_tree_exits_zero(tmp_path):
     assert json.loads(proc.stdout)["runs"][0]["results"] == []
 
 
-_REP009_BAD = """\
-import time
-from repro.runtime.transport import RECV
-
-
-def program(rank, net):
-    net.send(rank, 1, "forward", 0, None)
-    time.sleep(0.1)
-    pkt = yield RECV
-"""
-
-_REP009_GOOD = """\
-import time
-from repro.runtime.transport import RECV
-
-
-def program(rank, net):
-    time.sleep(0.1)
-    net.send(rank, 1, "forward", 0, None)
-    pkt = yield RECV
-    time.sleep(0.1)
-"""
-
-
-def test_rep009_flags_blocking_call_in_flight():
-    from repro.analysis import lint_source
-
-    issues = lint_source(_REP009_BAD, "prog.py")
-    assert [i.code for i in issues] == ["REP009"]
-    assert issues[0].line == 7
-    assert "time.sleep" in issues[0].message
-    # A POLL is answered within the rank's own turn: it closes no window.
-    polled = _REP009_BAD.replace(
-        "    time.sleep(0.1)\n", "    yield POLL\n    time.sleep(0.1)\n")
-    assert [i.code for i in lint_source(polled, "prog.py")] == ["REP009"]
-
-
-def test_rep009_allows_blocking_outside_the_window():
-    from repro.analysis import lint_source
-
-    assert lint_source(_REP009_GOOD, "prog.py") == []
-
-
-def test_rep009_ignores_non_rank_programs():
-    from repro.analysis import lint_source
-
-    # send + sleep but no `yield RECV`: not a rank program, not REP009's
-    # business (the cooperative sweep never drives this function).
-    src = ("import time\n"
-           "def helper(net):\n"
-           "    net.send(0, 1, 'x', 0)\n"
-           "    time.sleep(0.1)\n")
-    assert lint_source(src, "helper.py") == []
-
-
-def test_rep009_suppression():
-    from repro.analysis import lint_source
-
-    suppressed = _REP009_BAD.replace(
-        "time.sleep(0.1)",
-        "time.sleep(0.1)  # lint-ok: REP009 measured stall for a test")
-    assert lint_source(suppressed, "prog.py") == []
-
-
 def test_repro_lint_json_passthrough():
     """``python -m repro lint --json`` forwards to the analysis CLI."""
     import json
