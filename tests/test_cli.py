@@ -161,12 +161,13 @@ class TestCLI:
         ["train", "--g-intra", "0"],
         ["sched", "--ranks", "0"],
         ["sched", "--microbatches", "0"],
+        ["sched", "--microbatches", "two"],
     ])
     def test_non_positive_counts_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code != 0
-        assert "must be >= 1" in capsys.readouterr().err
+        assert "must be an integer >= 1" in capsys.readouterr().err
 
     def test_module_entry_point(self):
         import subprocess
