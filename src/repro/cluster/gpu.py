@@ -11,14 +11,16 @@ Each :class:`SimGPU` owns
 * a byte-accurate :class:`~repro.cluster.memory.MemoryPool` of device DRAM.
 
 Kernel durations come from the calibration's compute model; the GPU only
-provides serialization and tracing.
+provides serialization and tracing: each kernel, busy interval and copy is
+one :class:`~repro.obs.ObsSpan` on track ``gpu{id}.{stream}``.
 """
 
 from __future__ import annotations
 
 from typing import Generator, Optional
 
-from ..sim import Environment, Resource, Tracer
+from ..obs import Tracer
+from ..sim import Environment, Resource
 from .calibration import Calibration
 from .memory import MemoryPool
 from .specs import ClusterSpec
@@ -31,7 +33,7 @@ class SimGPU:
 
     def __init__(self, env: Environment, spec: ClusterSpec, gpu_id: int,
                  cal: Calibration, host_dma_slots: Resource,
-                 tracer: Optional[Tracer] = None):
+                 tracer: Tracer):
         self.env = env
         self.spec = spec
         self.id = gpu_id
@@ -49,13 +51,14 @@ class SimGPU:
     def compute(self, flops: float, label: str = "kernel",
                 category: str = "compute", work: float = 0.0,
                 stream: Optional[Resource] = None,
-                extra_time: float = 0.0, **meta: object) -> Generator:
+                extra_time: float = 0.0, microbatch: Optional[int] = None,
+                **meta: object) -> Generator:
         """Process: run ``flops`` worth of kernels on a stream.
 
         ``work`` is the per-kernel work granularity fed to the efficiency
         model (defaults to ``flops``); ``extra_time`` adds fixed software
-        overhead (e.g. the per-pass handling cost of the pipeline); extra
-        keyword arguments become span metadata (microbatch ids, ...).
+        overhead (e.g. the per-pass handling cost of the pipeline);
+        ``microbatch`` and extra keyword arguments go on the span.
         Returns the kernel time.
         """
         stream = stream or self.compute_stream
@@ -69,17 +72,19 @@ class SimGPU:
             yield self.env.timeout(duration)
         finally:
             stream.release(req)
-        if self.tracer is not None:
-            self.tracer.record(f"gpu{self.id}.{stream.name.split('.')[-1]}",
-                               label, start, self.env.now,
-                               category=category, flops=flops, **meta)
+        if self.tracer.enabled:
+            self.tracer.record(self.id, stream.name.split(".")[-1], label,
+                               start, self.env.now, category=category,
+                               microbatch=microbatch, flops=flops, **meta)
         return duration
 
     def busy(self, duration: float, label: str = "busy",
              category: str = "compute",
-             stream: Optional[Resource] = None, **meta: object) -> Generator:
+             stream: Optional[Resource] = None,
+             nbytes: Optional[int] = None, **meta: object) -> Generator:
         """Process: occupy a stream for a fixed duration (non-flop work such
-        as an NCCL rendezvous or a fixed overhead)."""
+        as an NCCL rendezvous or a fixed overhead); ``nbytes`` and extra
+        keyword arguments go on the span."""
         if duration < 0:
             raise ValueError(f"negative busy duration: {duration}")
         stream = stream or self.compute_stream
@@ -90,9 +95,10 @@ class SimGPU:
             yield self.env.timeout(duration)
         finally:
             stream.release(req)
-        if self.tracer is not None:
-            self.tracer.record(f"gpu{self.id}.{stream.name.split('.')[-1]}",
-                               label, start, self.env.now, category=category,
+        if self.tracer.enabled:
+            self.tracer.record(self.id, stream.name.split(".")[-1], label,
+                               start, self.env.now, category=category,
+                               nbytes=None if nbytes is None else int(nbytes),
                                **meta)
         return duration
 
@@ -124,8 +130,8 @@ class SimGPU:
             if req is not None:
                 self.dma_engine.release(req)
             self.host_dma_slots.release(slot)
-        if self.tracer is not None:
-            self.tracer.record(f"gpu{self.id}.dma", label or direction,
-                               start, self.env.now, category=direction,
-                               bytes=nbytes)
+        if self.tracer.enabled:
+            self.tracer.record(self.id, "dma", label or direction, start,
+                               self.env.now, category=direction,
+                               nbytes=int(nbytes))
         return duration

@@ -7,14 +7,18 @@ A :class:`Machine` is what the framework models in :mod:`repro.core` and
 * one :class:`~repro.cluster.gpu.SimGPU` per physical GPU,
 * the network :class:`~repro.cluster.network.Fabric`,
 * per-node host memory pools (the CPU scratch space of Section V-B),
-* a shared :class:`~repro.sim.Tracer`.
+* one :class:`~repro.obs.Tracer` (enabled by ``trace=True``) the GPUs and
+  the fabric record :class:`~repro.obs.ObsSpan` records into, stamped in
+  simulated seconds — the same tracer and record the functional runtime
+  uses, so one set of reports and exporters reads both substrates.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from ..sim import Environment, Resource, Tracer
+from ..obs import Tracer
+from ..sim import Environment, Resource
 from .calibration import Calibration, default_calibration, validate_calibration
 from .gpu import SimGPU
 from .memory import MemoryPool

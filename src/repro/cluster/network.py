@@ -22,9 +22,10 @@ wait cycles impossible.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Generator, List, Optional, Tuple
 
-from ..sim import Environment, Resource, Tracer
+from ..obs import Tracer
+from ..sim import Environment, Resource
 from .calibration import CommCostModel
 from .specs import ClusterSpec
 
@@ -34,8 +35,7 @@ __all__ = ["Fabric"]
 class Fabric:
     """Ports, NICs and the transfer process."""
 
-    def __init__(self, env: Environment, spec: ClusterSpec,
-                 tracer: Optional[Tracer] = None):
+    def __init__(self, env: Environment, spec: ClusterSpec, tracer: Tracer):
         self.env = env
         self.spec = spec
         self.tracer = tracer
@@ -80,12 +80,13 @@ class Fabric:
     # -- processes -----------------------------------------------------------
     def transfer(self, src: int, dst: int, nbytes: int,
                  model: CommCostModel, label: str = "msg",
-                 meta: Optional[Dict[str, object]] = None) -> Generator:
+                 microbatch: Optional[int] = None) -> Generator:
         """Simulation process moving ``nbytes`` from GPU ``src`` to ``dst``.
 
         Yields until the transfer completes; returns the wire time (excluding
-        queueing) so callers can account overheads.  ``meta`` is attached to
-        the recorded span (the messenger passes microbatch identity through).
+        queueing) so callers can account overheads.  The recorded span, on
+        track ``gpu{src}.net``, carries ``microbatch`` (the messenger passes
+        the message's microbatch through).
 
         The whole acquire-hold sequence runs under one ``try/finally``: if
         the process is cancelled or errors while still waiting on a *later*
@@ -106,17 +107,16 @@ class Fabric:
         finally:
             for res, req in reversed(grants):
                 res.release(req)
-        if self.tracer is not None:
+        if self.tracer.enabled:
             self.tracer.record(
-                f"gpu{src}.net", label, start, self.env.now,
-                category="p2p", src=src, dst=dst, bytes=nbytes,
-                backend=model.name, **(meta or {}),
-            )
+                src, "net", label, start, self.env.now, category="p2p",
+                microbatch=microbatch, nbytes=int(nbytes), src=src, dst=dst,
+                backend=model.name)
         return duration
 
     def allreduce(self, ranks: List[int], nbytes: int,
-                  model: CommCostModel, label: str = "allreduce",
-                  meta: Optional[Dict[str, object]] = None) -> Generator:
+                  model: CommCostModel,
+                  label: str = "allreduce") -> Generator:
         """Simulation process performing an all-reduce over GPU ids ``ranks``
         with ``nbytes`` contributed per rank.
 
@@ -146,10 +146,9 @@ class Fabric:
         finally:
             for res, req in reversed(grants):
                 res.release(req)
-        if self.tracer is not None:
+        if self.tracer.enabled:
             self.tracer.record(
-                f"gpu{ranks[0]}.net", label, start, self.env.now,
-                category="allreduce", ranks=len(ranks), bytes=nbytes,
-                backend=model.name, **(meta or {}),
-            )
+                ranks[0], "net", label, start, self.env.now,
+                category="allreduce", nbytes=int(nbytes), ranks=len(ranks),
+                backend=model.name)
         return duration

@@ -92,15 +92,10 @@ class Messenger:
         self.bytes_sent += msg.nbytes
         self.inboxes[msg.dst].put(msg)
 
-    def _span_meta(self, msg: Message) -> dict:
-        """Span metadata attached to the fabric's p2p trace record."""
-        mb = msg.meta.get("mb")
-        return {} if mb is None else {"mb": mb}
-
     def _async_send(self, msg: Message) -> Generator:
         yield from self.machine.fabric.transfer(
             msg.src, msg.dst, msg.nbytes, self.model, label=msg.tag,
-            meta=self._span_meta(msg)
+            microbatch=msg.meta.get("mb")
         )
         self._deliver(msg)
         yield self.machine.env.timeout(0)
@@ -112,7 +107,7 @@ class Messenger:
             yield req
             yield from self.machine.fabric.transfer(
                 msg.src, msg.dst, msg.nbytes, self.model, label=msg.tag,
-                meta=self._span_meta(msg)
+                microbatch=msg.meta.get("mb")
             )
         finally:
             gpu.compute_stream.release(req)

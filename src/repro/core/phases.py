@@ -191,7 +191,7 @@ def stage_pass(gpu, cost: StageCost, kind: str, mb: int,
     flops *= jitter_factor(sigma, seed, cost.stage, mb, int(kind != "fwd"))
     return gpu.compute(flops, label=f"{kind}{mb}", category="compute",
                        work=cost.work_granularity, extra_time=extra,
-                       mb=mb, stage=cost.stage)
+                       microbatch=mb, stage=cost.stage)
 
 
 def run_pipeline_phase(machine: Machine, cfg: AxoNNConfig,
@@ -403,7 +403,7 @@ def run_data_parallel_and_optimizer(machine: Machine, cfg: AxoNNConfig,
         # Fig. 5 setting: optimizer states removed; only the all-reduce runs.
         dur = allreduce_chunk(grad_bytes)
         yield from gpu.busy(dur, label="allreduce", category="allreduce",
-                            stream=gpu.aux_stream, bytes=grad_bytes,
+                            stream=gpu.aux_stream, nbytes=grad_bytes,
                             ranks=cfg.g_data)
         return dur, 0.0, env.now - start
 
@@ -411,7 +411,7 @@ def run_data_parallel_and_optimizer(machine: Machine, cfg: AxoNNConfig,
         # Baseline: monolithic all-reduce then resident optimizer.
         ar = allreduce_chunk(grad_bytes)
         yield from gpu.busy(ar, label="allreduce", category="allreduce",
-                            stream=gpu.aux_stream, bytes=grad_bytes,
+                            stream=gpu.aux_stream, nbytes=grad_bytes,
                             ranks=cfg.g_data)
         opt = optimizer_time_on_gpu(machine, phi)
         yield from gpu.busy(opt, label="optimizer", category="optimizer",
@@ -428,7 +428,7 @@ def run_data_parallel_and_optimizer(machine: Machine, cfg: AxoNNConfig,
     if not cfg.overlap:
         ar = allreduce_chunk(grad_bytes)
         yield from gpu.busy(ar, label="allreduce", category="allreduce",
-                            stream=gpu.aux_stream, bytes=grad_bytes,
+                            stream=gpu.aux_stream, nbytes=grad_bytes,
                             ranks=cfg.g_data)
         for b in range(n_buckets):
             params_here = min(bsize, phi - b * bsize)
@@ -453,7 +453,7 @@ def run_data_parallel_and_optimizer(machine: Machine, cfg: AxoNNConfig,
             dur = allreduce_chunk(chunk_bytes)
             yield from gpu.busy(dur, label=f"allreduce-chunk{c}",
                                 category="allreduce",
-                                stream=gpu.aux_stream, bytes=chunk_bytes,
+                                stream=gpu.aux_stream, nbytes=chunk_bytes,
                                 chunk=c, ranks=cfg.g_data)
             ar_busy += dur
             ready.put(chunk_params)

@@ -2,9 +2,9 @@
 
 The paper shows an Nsight Systems capture with the all-reduce chunks and
 optimizer buckets interleaving on separate CUDA streams.  Our stand-in is
-the discrete-event tracer: the same two tracks, rendered as an ASCII
+the DES machine's spans: the same two tracks, rendered as an ASCII
 timeline, plus the quantified overlap statistics computed by the unified
-observability layer (:mod:`repro.obs`) from the converted span list."""
+observability layer (:mod:`repro.obs`) from the same span list."""
 
 from __future__ import annotations
 
@@ -12,8 +12,7 @@ from typing import Dict
 
 from ..cluster import Machine, summit
 from ..core import AxoNNConfig, WEAK_SCALING_MODELS, simulate_batch
-from ..obs import from_sim_tracer, overlap_stats
-from ..sim import render_ascii_timeline
+from ..obs import overlap_stats, render_ascii_timeline
 
 __all__ = ["fig7_profile", "fig7_claims"]
 
@@ -29,12 +28,12 @@ def fig7_profile(model: str = "12B", num_gpus: int = 48,
         bucket_size=bucket_size, coarsening_k=coarsening_k)
     machine = Machine(spec=summit(max(1, num_gpus // 6)), trace=True)
     result = simulate_batch(cfg, machine=machine)
-    spans = from_sim_tracer(machine.tracer)
+    spans = machine.tracer.spans
     stats = overlap_stats(spans, "allreduce", "optimizer")
     ar = [s for s in spans if s.category == "allreduce"]
     opt = [s for s in spans if s.category == "optimizer"]
     t0 = min(s.start for s in ar + opt)
-    ascii_timeline = render_ascii_timeline(machine.tracer, width=100, t0=t0)
+    ascii_timeline = render_ascii_timeline(spans, width=100, t0=t0)
     return {
         "result": result,
         "tracer": machine.tracer,

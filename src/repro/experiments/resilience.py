@@ -31,7 +31,7 @@ from ..cluster import Machine, summit
 from ..core import (AxoNNConfig, WEAK_SCALING_MODELS, estimate_batch_time,
                     simulate_batch)
 from ..nn import GPTConfig
-from ..obs import RuntimeTracer, from_sim_tracer
+from ..obs import Tracer
 from ..resilience import (FailureModel, Fault, FaultPlan, ResilientTrainer,
                           fit_optimal_interval, simulate_resilient_run,
                           sweep_intervals, young_daly_interval_s)
@@ -147,7 +147,7 @@ def resilience_report(models: Optional[Sequence[str]] = None,
 
 def demo_training(dropout: float, n_batches: int, *,
                   microbatch_size: int = 2,
-                  tracer: Optional[RuntimeTracer] = None
+                  tracer: Optional[Tracer] = None
                   ) -> Tuple[AxoNNTrainer, List[Tuple]]:
     """The tiny 2x2 hybrid GPT scenario the fault and trace demos train:
     a fresh trainer and ``n_batches`` seeded ``(x, y)`` batches."""
@@ -240,14 +240,14 @@ def trace_sim(fast: bool, faults: bool = False) -> list:
         microbatch_size=1, batch_size=8 if fast else 16, memopt=True)
     machine = Machine(spec=summit(1), trace=True)
     simulate_batch(cfg, machine=machine)
-    return from_sim_tracer(machine.tracer)
+    return machine.tracer.spans
 
 
 def trace_runtime(fast: bool, faults: bool = False) -> list:
     """Spans of one real-numerics batch of the demo training scenario, or
     with ``faults`` of a few batches under the demo plan: crash, drop and
     straggler faults plus the resulting snapshot/recovery spans."""
-    tracer = RuntimeTracer()
+    tracer = Tracer()
     if faults:
         trainer, batches = demo_training(0.1, 2 if fast else 4,
                                          tracer=tracer)

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..nn import GPTConfig
-from ..obs import RuntimeTracer
+from ..obs import Tracer
 from ..resilience import FaultPlan
 from ..runtime.transport import RankFailure
 from ..serve.engine import PipelineServer, Request
@@ -102,7 +102,7 @@ class FleetServer:
                  backlog_limit: Optional[int] = None,
                  admission: Optional[AdmissionController] = None,
                  fault_plan: Optional[FaultPlan] = None,
-                 tracer: Optional[RuntimeTracer] = None,
+                 tracer: Optional[Tracer] = None,
                  max_rounds: int = 10_000):
         if round_s <= 0 or serve_per_round < 1 or cold_start_rounds < 0:
             raise ValueError("round_s must be positive, serve_per_round "

@@ -1,16 +1,16 @@
 """repro.obs — the unified observability layer.
 
-One span schema, two producers, shared consumers:
+One span record, one tracer, shared consumers:
 
 * :mod:`.schema` — :class:`ObsSpan`, the ``(rank, stream, name, start,
-  end, category, microbatch, nbytes)`` record both substrates emit, plus
-  converters from the sim tracer's spans;
-* :mod:`.tracer` — :class:`RuntimeTracer`, the wall-clock tracer the
-  functional runtime (:mod:`repro.runtime`) hooks into;
+  end, category, microbatch, nbytes)`` record both substrates emit;
+* :mod:`.tracer` — :class:`Tracer`, which both record into: the
+  discrete-event machine (:mod:`repro.cluster`) with simulated seconds,
+  the functional runtime, serving engine and fleet with wall-clock ones;
 * :mod:`.export` — Chrome-trace/Perfetto JSON and CSV exporters;
 * :mod:`.report` — utilization, compute-communication overlap, idle
   breakdown and message-volume reports (the math behind the paper's
-  Fig. 7 evidence);
+  Fig. 7 evidence) and the ASCII timeline;
 * :mod:`.protocol` — the communication-protocol recorder and verifier
   both transports and the DES messenger feed
   (:class:`~repro.obs.protocol.TraceRecorder`,
@@ -36,6 +36,7 @@ from .report import (
     overlap_stats,
     overlap_time,
     pass_widths,
+    render_ascii_timeline,
     summarize,
     utilization_report,
 )
@@ -43,22 +44,18 @@ from .schema import (
     CATEGORIES,
     STREAMS,
     ObsSpan,
-    from_sim_span,
-    from_sim_tracer,
     member_events,
     validate_span,
 )
-from .tracer import RuntimeTracer
+from .tracer import Tracer
 
 __all__ = [
     "CATEGORIES",
     "STREAMS",
     "ObsSpan",
-    "from_sim_span",
-    "from_sim_tracer",
     "member_events",
     "validate_span",
-    "RuntimeTracer",
+    "Tracer",
     "chrome_trace",
     "csv_rows",
     "write_chrome_trace",
@@ -75,6 +72,7 @@ __all__ = [
     "overlap_stats",
     "overlap_time",
     "pass_widths",
+    "render_ascii_timeline",
     "summarize",
     "utilization_report",
 ]

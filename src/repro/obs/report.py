@@ -16,7 +16,9 @@ schema both substrates emit (:mod:`repro.obs.schema`):
 * :func:`pass_widths` — per-rank histogram of how many microbatches each
   compute pass ran (the ``width`` a grouped pass carries);
 * :func:`summarize` — the terminal rendering ``python -m repro trace``
-  prints.
+  prints;
+* :func:`render_ascii_timeline` — one character per time bin per track,
+  the terminal stand-in for the paper's Fig. 7 profile.
 
 All functions are pure over ``Iterable[ObsSpan]`` so tests can assert on
 hand-built timelines.
@@ -30,7 +32,8 @@ from .schema import ObsSpan
 
 __all__ = ["busy_time", "overlap_time", "overlap_stats",
            "utilization_report", "idle_breakdown", "message_volume",
-           "message_volume_rows", "pass_widths", "summarize"]
+           "message_volume_rows", "pass_widths", "summarize",
+           "render_ascii_timeline"]
 
 
 def _merged_length(intervals: Iterable[Tuple[float, float]]) -> float:
@@ -265,4 +268,36 @@ def summarize(spans: Iterable[ObsSpan], title: str = "trace") -> str:
         for rank, hist in sorted(widths.items()):
             cells = ", ".join(f"{w}: {n}" for w, n in sorted(hist.items()))
             lines.append(f"    gpu{rank}  {cells}")
+    return "\n".join(lines)
+
+
+def render_ascii_timeline(spans: Iterable[ObsSpan], width: int = 100,
+                          t0: Optional[float] = None,
+                          t1: Optional[float] = None) -> str:
+    """Render every track as a fixed-width ASCII row (one char per time
+    bin), tracks in first-seen order.
+
+    Each bin shows the first letter of the category of the last span (in
+    start order) painted over it, or ``.`` for idle.
+
+    Binning is half-open: a span paints ``[b0, b1)`` so back-to-back spans
+    never overwrite each other's boundary bin (the later span starts in
+    the bin where the earlier one's exclusive right edge lands).  Spans
+    too short to cover a full bin — including zero-width markers — still
+    paint the single bin they start in.
+    """
+    spans = list(spans)
+    if not spans:
+        return "(empty timeline)"
+    lo, hi = _window(spans, t0, t1)
+    if hi <= lo:
+        hi = lo + 1.0
+    scale = width / (hi - lo)
+    rows = {s.track: ["."] * width for s in spans}
+    for s in sorted(spans, key=lambda s: (s.start, s.end)):
+        b0 = max(0, min(width - 1, int((s.start - lo) * scale)))
+        b1 = max(b0 + 1, min(width, int((s.end - lo) * scale)))
+        rows[s.track][b0:b1] = s.category[0] * (b1 - b0)
+    lines = [f"timeline [{lo:.6g}, {hi:.6g}] ({width} bins)"]
+    lines += [f"{track:>24} |{''.join(row)}|" for track, row in rows.items()]
     return "\n".join(lines)

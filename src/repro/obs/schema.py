@@ -1,12 +1,12 @@
 """The shared span schema of the observability layer.
 
 Both execution substrates — the discrete-event performance model
-(:mod:`repro.sim` / :mod:`repro.cluster`) and the functional runtime
-(:mod:`repro.runtime`) — describe what happened as *spans*: named intervals
-on a ``(rank, stream)`` track.  This module defines the one schema they
-share, so exporters (:mod:`repro.obs.export`) and report functions
-(:mod:`repro.obs.report`) never need to know which substrate produced a
-timeline.
+(:mod:`repro.cluster`) and the functional runtime (:mod:`repro.runtime`)
+— describe what happened as *spans*: named intervals on a ``(rank,
+stream)`` track, recorded through the one :class:`repro.obs.Tracer`.
+This module defines the one record they share, so exporters
+(:mod:`repro.obs.export`) and report functions (:mod:`repro.obs.report`)
+never need to know which substrate produced a timeline.
 
 A span is:
 
@@ -15,8 +15,9 @@ A span is:
 ``stream``
     Which engine of that rank: ``"compute"`` (default CUDA stream),
     ``"aux"`` (AxoNN's second stream, paper Fig. 7), ``"dma"`` (host<->
-    device copies), ``"net"`` (NVLink port / NIC occupancy).  The
-    Chrome-trace ``tid``.
+    device copies), ``"net"`` (NVLink port / NIC occupancy), ``"tp"``
+    (tensor-parallel collectives), plus the resilience / serving / fleet
+    streams of :data:`STREAMS`.  The Chrome-trace ``tid``.
 ``name`` / ``category``
     The span label (``fwd3``, ``allreduce-chunk0``, ...) and its coarse
     class — one of :data:`CATEGORIES` — which the reports aggregate over.
@@ -40,22 +41,24 @@ pass is one compute span named ``fwd2+3`` carrying ``microbatches=(2,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["CATEGORIES", "STREAMS", "ObsSpan", "validate_span",
-           "member_events", "from_sim_span", "from_sim_tracer"]
+           "member_events"]
 
-#: canonical span categories; reports aggregate on these.  The last three
-#: belong to the resilience layer: injected faults, rollback/respawn
-#: recoveries, and checkpoint/snapshot writes.
+#: canonical span categories; reports aggregate on these.  ``fault``,
+#: ``recovery`` and ``checkpoint`` belong to the resilience layer
+#: (injected faults, rollback/respawn recoveries, snapshot writes);
+#: ``tp`` is an intra-layer (tensor-parallel) collective.
 CATEGORIES = ("compute", "p2p", "allreduce", "optimizer", "h2d", "d2h",
-              "other", "fault", "recovery", "checkpoint")
+              "other", "fault", "recovery", "checkpoint", "tp")
 
 #: canonical stream names in display order (Chrome-trace tid assignment);
 #: ``fault`` carries the resilience layer's markers, ``fleet`` the elastic
-#: serving layer's lifecycle (scale-up/down, cold starts, drains, crashes)
-STREAMS = ("compute", "aux", "dma", "net", "fault", "serve", "fleet")
+#: serving layer's lifecycle (scale-up/down, cold starts, drains, crashes),
+#: ``tp`` a rank's tensor-parallel collectives
+STREAMS = ("compute", "aux", "dma", "net", "fault", "serve", "fleet", "tp")
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,7 @@ class ObsSpan:
 
     @property
     def track(self) -> str:
-        """Display track name, matching the sim tracer's convention."""
+        """Display track name, ``gpu{rank}.{stream}``."""
         return f"gpu{self.rank}.{self.stream}"
 
     def with_meta(self) -> Dict[str, object]:
@@ -114,44 +117,3 @@ def member_events(span: ObsSpan) -> List[str]:
         return [span.name]
     kind = span.name.rstrip("0123456789+")
     return [f"{kind}{mb}" for mb in members]
-
-
-def _category_of(raw: str) -> str:
-    return raw if raw in CATEGORIES else "other"
-
-
-def from_sim_span(span) -> ObsSpan:
-    """Convert one :class:`repro.sim.Span` to the shared schema.
-
-    The sim tracer's track names follow ``gpu{rank}.{stream}`` (the GPUs
-    and the fabric both use it); anything else maps to rank 0 with the
-    track name as the stream.
-    """
-    track = span.track
-    rank, stream = 0, track
-    if track.startswith("gpu"):
-        head, _, tail = track.partition(".")
-        try:
-            rank = int(head[3:])
-            stream = tail or "compute"
-        except ValueError:
-            pass
-    meta = span.with_meta()
-    microbatch = meta.pop("mb", None)
-    nbytes = meta.pop("bytes", None)
-    return ObsSpan(
-        rank=rank,
-        stream=stream,
-        name=span.name,
-        start=span.start,
-        end=span.end,
-        category=_category_of(span.category),
-        microbatch=microbatch if isinstance(microbatch, int) else None,
-        nbytes=int(nbytes) if isinstance(nbytes, (int, float)) else None,
-        meta=tuple(sorted(meta.items())),
-    )
-
-
-def from_sim_tracer(tracer) -> List[ObsSpan]:
-    """Convert every span of a :class:`repro.sim.Tracer`."""
-    return [from_sim_span(s) for s in tracer.spans]

@@ -1,15 +1,16 @@
-"""Wall-clock span tracer for the functional runtime.
+"""The span tracer both substrates record into.
 
-The discrete-event substrate already has :class:`repro.sim.Tracer`; this is
-its functional-runtime twin.  It stamps spans with wall-clock seconds from
-a fixed origin (tracer construction), records them directly in the shared
-:class:`~repro.obs.schema.ObsSpan` schema, and costs nothing when disabled
-— the hot paths guard every call with ``if tracer is not None``, and a
-constructed-but-disabled tracer short-circuits in :meth:`record`.
+The discrete-event machine (:mod:`repro.cluster`) stamps spans with
+simulated seconds it passes in; the functional runtime, the serving engine
+and the fleet stamp them with wall-clock seconds from :meth:`Tracer.now`
+(a fixed origin, tracer construction).  Either way the record is the
+shared :class:`~repro.obs.schema.ObsSpan`, and a disabled tracer costs
+nothing — the hot paths guard every call with ``tracer.enabled`` (or
+``if tracer is not None``), and :meth:`Tracer.record` short-circuits.
 
 Usage::
 
-    tracer = RuntimeTracer()
+    tracer = Tracer()
     with tracer.span(rank=0, stream="compute", name="fwd0",
                      category="compute", microbatch=0):
         stage.forward(...)
@@ -23,40 +24,45 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional
 
-from .schema import ObsSpan
+from .schema import CATEGORIES, ObsSpan
 
-__all__ = ["RuntimeTracer"]
+__all__ = ["Tracer"]
 
 
-class RuntimeTracer:
-    """Collects :class:`ObsSpan` records with wall-clock timestamps.
+class Tracer:
+    """Collects :class:`ObsSpan` records.
 
     ``clock`` is injectable for deterministic tests (defaults to
-    :func:`time.perf_counter`); timestamps are relative to the clock value
-    at construction so exported traces start near zero.
+    :func:`time.perf_counter`); :meth:`now` is relative to ``origin``, the
+    clock value at construction, so exported traces start near zero.
     """
 
     def __init__(self, enabled: bool = True,
                  clock: Callable[[], float] = time.perf_counter):
         self.enabled = enabled
         self._clock = clock
-        self._origin = clock()
+        self.origin = clock()
         self.spans: List[ObsSpan] = []
 
     def now(self) -> float:
-        """Seconds since the tracer was constructed."""
-        return self._clock() - self._origin
+        """Seconds since ``origin``."""
+        return self._clock() - self.origin
 
     def record(self, rank: int, stream: str, name: str, start: float,
                end: float, category: str = "other",
                microbatch: Optional[int] = None,
                nbytes: Optional[int] = None, **meta: object) -> None:
-        """Record a completed span (timestamps from :meth:`now`)."""
+        """Record a completed span; refuses ``end < start`` and a category
+        outside :data:`~repro.obs.schema.CATEGORIES`."""
         if not self.enabled:
             return
         if end < start:
             raise ValueError(
                 f"span ends before it starts: {name} [{start}, {end}]")
+        if category not in CATEGORIES:
+            raise ValueError(
+                f"unknown category {category!r}; expected one of "
+                f"{CATEGORIES}")
         self.spans.append(ObsSpan(
             rank=rank, stream=stream, name=name, start=start, end=end,
             category=category, microbatch=microbatch, nbytes=nbytes,
@@ -80,7 +86,7 @@ class RuntimeTracer:
                         category=category, microbatch=microbatch,
                         nbytes=nbytes, **meta)
 
-    # -- queries (mirror repro.sim.Tracer) ---------------------------------
+    # -- queries -----------------------------------------------------------
     def tracks(self) -> List[str]:
         """Track names in first-seen order."""
         seen: Dict[str, None] = {}

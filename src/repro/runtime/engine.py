@@ -57,7 +57,7 @@ import numpy as np
 
 from ..nn import (AdamW, GPTConfig, LossScaler, MixedPrecisionAdamW,
                   num_layer_slots)
-from ..obs import RuntimeTracer
+from ..obs import Tracer
 from ..obs.protocol import TraceRecorder
 from ..perf.counters import counters as _perf_counters
 from ..sched.builders import SCHEDULE_NAMES, build_schedule, schedule_chunks
@@ -112,7 +112,7 @@ class AxoNNTrainer:
                  coarsening_k: int = 4,
                  loss_scaler: Optional[LossScaler] = None,
                  recorder: Optional[TraceRecorder] = None,
-                 tracer: Optional[RuntimeTracer] = None,
+                 tracer: Optional[Tracer] = None,
                  backend: str = "cooperative",
                  backend_options: Optional[Dict[str, object]] = None,
                  schedule: Union[None, str, Schedule] = None):

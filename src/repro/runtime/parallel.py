@@ -54,7 +54,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 import numpy as np
 
 from ..nn.blas import share_blas_threads
-from ..obs import RuntimeTracer, append_spans_jsonl
+from ..obs import Tracer, append_spans_jsonl
 from ..obs.protocol import ProtocolError, TraceRecorder
 from ..perf.counters import counters as _counters
 from .rankprog import inter_layer_step, lower_rank
@@ -206,7 +206,7 @@ class WorkerContext:
                  out_rings: Dict[int, ShmRing],
                  in_rings: Dict[int, ShmRing],
                  state: _StateBlock, tick_s: float,
-                 tracer: RuntimeTracer,
+                 tracer: Tracer,
                  trace_path: Optional[str]):
         self.rank = rank
         self.n_ranks = n_ranks
@@ -381,11 +381,11 @@ def _worker_main(rank: int, n_ranks: int,
     in_rings = {src: ShmRing.attach(name, cap)
                 for src, (name, cap) in in_ring_names.items()}
     state = _StateBlock.attach(state_name, n_ranks)
-    tracer = RuntimeTracer(enabled=trace_origin is not None)
+    tracer = Tracer(enabled=trace_origin is not None)
     if trace_origin is not None:
         # Align to the parent's origin: perf_counter is CLOCK_MONOTONIC on
         # Linux, shared across processes, so spans line up in one trace.
-        tracer._origin = trace_origin
+        tracer.origin = trace_origin
         # Ring instrumentation for the race detector: every completed
         # push/pop lands in this worker's span stream (and thus its JSONL
         # file, in program order) as a zero-width ``sync`` marker carrying
@@ -733,7 +733,7 @@ class ProcessPool:
 
 def _merge_replies(replies: Dict[int, Tuple],
                    recorder: Optional[TraceRecorder],
-                   tracer: Optional[RuntimeTracer]
+                   tracer: Optional[Tracer]
                    ) -> Tuple[Dict[int, Any], int]:
     """Fold the workers' replies into the parent's recorder, perf
     counters and tracer; returns ``({rank: payload}, messages sent)``.
@@ -791,7 +791,7 @@ class ProcessTransport(BaseRankTransport):
 
     def __init__(self, n_ranks: int, *,
                  recorder: Optional[TraceRecorder] = None,
-                 tracer: Optional[RuntimeTracer] = None,
+                 tracer: Optional[Tracer] = None,
                  strict: bool = True,
                  channels: Optional[List[Tuple[int, int]]] = None,
                  ring_capacity: int = 1 << 20,
@@ -808,7 +808,7 @@ class ProcessTransport(BaseRankTransport):
             n_ranks, channels=channels, ring_capacity=ring_capacity,
             tick_s=tick_s, detect_timeout_s=detect_timeout_s,
             hang_timeout_s=hang_timeout_s,
-            trace_origin=tracer._origin if tracing else None,
+            trace_origin=tracer.origin if tracing else None,
             trace_dir=trace_dir)
 
     def send(self, src: int, dst: int, tag: str, microbatch: int,
@@ -1052,7 +1052,7 @@ class ProcessBackend:
             ring_capacity=ring_capacity, tick_s=tick_s,
             detect_timeout_s=detect_timeout_s,
             hang_timeout_s=hang_timeout_s,
-            trace_origin=trainer.tracer._origin if tracing else None,
+            trace_origin=trainer.tracer.origin if tracing else None,
             trace_dir=trace_dir)
         #: set by the resilience layer to inject (crash) faults
         self.injector = None

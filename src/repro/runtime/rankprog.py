@@ -32,7 +32,7 @@ from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..obs import RuntimeTracer
+from ..obs import Tracer
 from ..sched.ir import (BWD, FWD, RECV_ACT, RECV_GRAD, SEND_ACT, SEND_GRAD,
                         Schedule)
 from .grid import RankGrid
@@ -51,7 +51,7 @@ SendFn = Callable[[int, str, int, Optional[np.ndarray]], None]
 
 
 def traced_passes(stage: PipelineStage, rank: int,
-                  tracer: Optional[RuntimeTracer],
+                  tracer: Optional[Tracer],
                   tp: Optional[TPComm] = None) -> Tuple[Callable, Callable]:
     """``(forward, backward)`` of ``stage`` as a walk calls them —
     Algorithm 2's and a static schedule's (:func:`lower_rank`) alike;
@@ -102,7 +102,7 @@ def inter_layer_step(rank: int, grid: RankGrid, stage: PipelineStage,
                      microbatches: List[Tuple[np.ndarray, np.ndarray]],
                      total_microbatches: int, pipeline_limit: int,
                      loss_scale: float = 1.0,
-                     tracer: Optional[RuntimeTracer] = None,
+                     tracer: Optional[Tracer] = None,
                      tp: Optional[TPComm] = None) -> Generator:
     """INTER_LAYER_PARALLEL_STEP for GPU ``g^{i,j}`` (Algorithm 2).
 
@@ -250,7 +250,7 @@ def lower_rank(schedule: Schedule, grid: RankGrid, rank: int,
                stages: Dict[int, object], send: SendFn,
                microbatches: List[Tuple[np.ndarray, np.ndarray]],
                total_microbatches: int, loss_scale: float = 1.0,
-               tracer: Optional[RuntimeTracer] = None,
+               tracer: Optional[Tracer] = None,
                tp: Optional[TPComm] = None) -> Generator:
     """One rank's program for a static schedule: the single walk of the
     schedule's task order on this rank.

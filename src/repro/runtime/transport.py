@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 from typing import (Any, Deque, Dict, Generator, List, Optional, Set, Tuple,
                     TYPE_CHECKING)
 
-from ..obs import RuntimeTracer
+from ..obs import Tracer
 from ..obs.protocol import ProtocolError, TraceRecorder, describe_deadlock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (resilience
@@ -211,7 +211,7 @@ class BaseRankTransport(abc.ABC):
 
     def __init__(self, n_ranks: int, *,
                  recorder: Optional[TraceRecorder] = None,
-                 tracer: Optional[RuntimeTracer] = None,
+                 tracer: Optional[Tracer] = None,
                  strict: bool = True):
         if n_ranks < 1:
             raise ValueError("need at least one rank")
@@ -279,7 +279,7 @@ class RankTransport(BaseRankTransport):
 
     def __init__(self, n_ranks: int, *,
                  recorder: Optional[TraceRecorder] = None,
-                 tracer: Optional[RuntimeTracer] = None,
+                 tracer: Optional[Tracer] = None,
                  strict: bool = True,
                  injector: Optional["FaultInjector"] = None,
                  retry: Optional["RetryPolicy"] = None,

@@ -33,7 +33,7 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..nn import GPTConfig, sample_token
-from ..obs import RuntimeTracer
+from ..obs import Tracer
 from ..runtime.stage import InferenceStage
 from ..runtime.transport import RECV, RankTransport
 
@@ -112,7 +112,7 @@ class PipelineServer:
       enough resident requests to keep every pipeline slot filled with a
       full-width group, since a request's next token depends on its
       previous one finishing the whole pipeline).
-    * ``tracer`` — optional :class:`~repro.obs.RuntimeTracer`; each request
+    * ``tracer`` — optional :class:`~repro.obs.Tracer`; each request
       emits ``request``/``prefill``/``decode{t}`` spans on the ``serve``
       stream, so ``python -m repro trace`` tooling works unchanged.
     * ``recorder`` — optional protocol recorder forwarded to the
@@ -125,7 +125,7 @@ class PipelineServer:
     def __init__(self, cfg: GPTConfig, g_inter: int = 1,
                  max_batch: int = 8, pipeline_limit: Optional[int] = None,
                  max_active: Optional[int] = None,
-                 tracer: Optional[RuntimeTracer] = None,
+                 tracer: Optional[Tracer] = None,
                  recorder: Any = None, g_prefill: int = 0,
                  prefill_limit: Optional[int] = None):
         if g_inter < 1:

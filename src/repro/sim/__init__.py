@@ -6,7 +6,10 @@ Public surface:
   :class:`AnyOf`, :class:`AllOf`, :class:`Interrupt` — the engine.
 * :class:`Resource`, :class:`PriorityResource`, :class:`Store` — shared
   resources (streams, links, inboxes).
-* :class:`Tracer`, :class:`Span` — timeline capture for profile-style output.
+
+The kernel records no spans: the machine built on it (:mod:`repro.cluster`)
+records them on :class:`repro.obs.Tracer`, the tracer both substrates
+share.
 """
 
 from .engine import (
@@ -21,14 +24,6 @@ from .engine import (
 )
 from .processes import poisson_process
 from .resources import PriorityResource, Request, Resource, Store
-from .trace import (
-    Span,
-    Tracer,
-    overlap_time,
-    render_ascii_timeline,
-    spans_overlap,
-    track_busy_time,
-)
 
 __all__ = [
     "AllOf",
@@ -44,10 +39,4 @@ __all__ = [
     "Request",
     "Resource",
     "Store",
-    "Span",
-    "Tracer",
-    "overlap_time",
-    "render_ascii_timeline",
-    "spans_overlap",
-    "track_busy_time",
 ]

@@ -16,7 +16,7 @@ from repro.analysis.races import (
     synthetic_ring_events,
 )
 from repro.nn import GPTConfig
-from repro.obs import RuntimeTracer
+from repro.obs import Tracer
 from repro.runtime import AxoNNTrainer
 
 
@@ -63,7 +63,7 @@ class TestSynthetic:
 
 class TestSpanExtraction:
     def test_ring_events_roundtrip_through_spans(self):
-        tracer = RuntimeTracer()
+        tracer = Tracer()
         now = tracer.now()
         tracer.record(0, "sync", "ring-push", now, now, category="other",
                       ring="0->1", pos=0, size=104, capacity=1 << 20,
@@ -88,7 +88,7 @@ class TestRealProcessBackend:
         cfg = GPTConfig(vocab_size=17, seq_len=6, n_layer=2, n_head=2,
                         hidden=8, dropout=0.0, init_seed=5)
         trainer = AxoNNTrainer(cfg, g_inter=2, g_data=1, microbatch_size=2,
-                               backend="process", tracer=RuntimeTracer(),
+                               backend="process", tracer=Tracer(),
                                backend_options={"trace_dir": trace_dir})
         rng = np.random.default_rng(4)
         x, y = rng.integers(0, 17, (4, 6)), rng.integers(0, 17, (4, 6))

@@ -198,7 +198,7 @@ class TestFabric:
         m.run()
         spans = m.tracer.by_category("p2p")
         assert len(spans) == 1
-        assert spans[0].with_meta()["bytes"] == 4 * MB
+        assert spans[0].nbytes == 4 * MB
 
 
 class TestSimGPU:

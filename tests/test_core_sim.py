@@ -172,7 +172,7 @@ class TestSimulateBatch:
     def test_overlap_shows_in_trace(self):
         """Fig. 7: the all-reduce chunks and optimizer buckets interleave
         on separate streams."""
-        from repro.sim import overlap_time
+        from repro.obs import overlap_time
         m = Machine(spec=summit(8), trace=True)
         simulate_batch(small_cfg(batch_size=768, bucket_size=4_000_000,
                                  coarsening_k=4), machine=m)

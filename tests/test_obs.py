@@ -1,12 +1,14 @@
 """Tests for the unified observability layer (repro.obs): span schema,
-runtime tracer, Chrome-trace/CSV exporters, report math, and the
-cross-substrate smoke check that both substrates emit the same event names
-for the same scenario."""
+the one tracer both substrates record into, Chrome-trace/CSV exporters,
+report math, the ASCII timeline, and the cross-substrate smoke check that
+both substrates emit the same event names for the same scenario."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Machine, summit
 from repro.core import AxoNNConfig, WEAK_SCALING_MODELS, simulate_batch
@@ -15,25 +17,23 @@ from repro.obs import (
     CATEGORIES,
     STREAMS,
     ObsSpan,
-    RuntimeTracer,
+    Tracer,
     busy_time,
     chrome_trace,
     csv_rows,
-    from_sim_span,
-    from_sim_tracer,
     idle_breakdown,
     member_events,
     message_volume,
     overlap_stats,
     overlap_time,
     pass_widths,
+    render_ascii_timeline,
     summarize,
     utilization_report,
     validate_span,
     write_chrome_trace,
 )
 from repro.runtime import AxoNNTrainer
-from repro.sim import Span
 
 
 def span(rank=0, stream="compute", name="k", start=0.0, end=1.0,
@@ -61,30 +61,14 @@ class TestSchema:
         with pytest.raises(ValueError):
             validate_span(span(nbytes=-4))
 
-    def test_from_sim_span_parses_gpu_track(self):
-        s = from_sim_span(Span("gpu7.aux", "allreduce-chunk0", 1.0, 2.0,
-                               category="allreduce",
-                               meta=(("bytes", 4096), ("mb", 3),
-                                     ("ranks", 8))))
-        assert (s.rank, s.stream) == (7, "aux")
-        assert s.category == "allreduce"
-        assert s.microbatch == 3
-        assert s.nbytes == 4096
-        assert s.with_meta() == {"ranks": 8}
 
-    def test_from_sim_span_unknown_track_and_category(self):
-        s = from_sim_span(Span("fabric", "x", 0.0, 1.0, category="exotic"))
-        assert (s.rank, s.stream) == (0, "fabric")
-        assert s.category == "other"
-
-
-class TestRuntimeTracer:
+class TestTracer:
     def _clock(self):
         ticks = iter(np.arange(0.0, 100.0, 1.0))
         return lambda: float(next(ticks))
 
     def test_record_and_span_context(self):
-        tr = RuntimeTracer(clock=self._clock())  # origin consumes tick 0
+        tr = Tracer(clock=self._clock())  # origin consumes tick 0
         with tr.span(0, "compute", "fwd0", category="compute",
                      microbatch=0):
             pass  # start=1, end=2 relative to origin 0
@@ -97,16 +81,22 @@ class TestRuntimeTracer:
         assert [s.name for s in tr.by_category("p2p")] == ["forward"]
 
     def test_disabled_tracer_is_inert(self):
-        tr = RuntimeTracer(enabled=False)
+        tr = Tracer(enabled=False)
         tr.record(0, "compute", "x", 0.0, 1.0)
         with tr.span(0, "compute", "y"):
             pass
         assert tr.spans == []
 
     def test_end_before_start_rejected(self):
-        tr = RuntimeTracer()
+        tr = Tracer()
         with pytest.raises(ValueError):
             tr.record(0, "compute", "x", 2.0, 1.0)
+
+    def test_unknown_category_rejected(self):
+        tr = Tracer()
+        with pytest.raises(ValueError, match="unknown category"):
+            tr.record(0, "compute", "x", 0.0, 1.0, category="exotic")
+        assert tr.spans == []
 
 
 class TestChromeTraceExport:
@@ -185,6 +175,22 @@ class TestReports:
         b = [span(name="b", start=2.5, end=4, category="p2p")]
         assert busy_time(a) == pytest.approx(3.0)
         assert overlap_time(a, b) == pytest.approx(0.5)
+
+    def test_busy_time_merges_intervals(self):
+        spans = [span(start=0, end=2), span(start=1, end=3),
+                 span(start=5, end=6)]
+        assert busy_time(spans) == pytest.approx(4.0)
+
+    def test_overlap_time_between_streams(self):
+        # optimizer stream busy [0,2] and [4,6]; allreduce stream busy [1,5]
+        opt = [span(start=0, end=2), span(start=4, end=6)]
+        ar = [span(stream="aux", start=1, end=5)]
+        assert overlap_time(opt, ar) == pytest.approx(2.0)  # [1,2] + [4,5]
+
+    def test_overlap_time_zero_when_disjoint(self):
+        opt = [span(start=0, end=1)]
+        ar = [span(stream="aux", start=2, end=3)]
+        assert overlap_time(opt, ar) == 0.0
 
     def test_overlap_stats_fraction(self):
         spans = [
@@ -276,6 +282,75 @@ class TestReports:
         assert member_events(span(name="optimizer")) == ["optimizer"]
 
 
+def _intervals(max_value, max_size):
+    return st.lists(
+        st.tuples(st.floats(min_value=0, max_value=max_value, allow_nan=False),
+                  st.floats(min_value=0, max_value=max_value, allow_nan=False)),
+        min_size=1, max_size=max_size)
+
+
+class TestIntervalProperties:
+    @given(ivs=_intervals(100, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_busy_time_bounds(self, ivs):
+        """Union time <= sum of durations and >= max single duration."""
+        spans = [span(start=min(a, b), end=max(a, b)) for a, b in ivs]
+        busy = busy_time(spans)
+        assert busy <= sum(s.duration for s in spans) + 1e-9
+        assert busy >= max(s.duration for s in spans) - 1e-9
+
+    @given(a=_intervals(50, 10), b=_intervals(50, 10))
+    @settings(max_examples=100, deadline=None)
+    def test_overlap_time_symmetric_and_bounded(self, a, b):
+        sa = [span(start=min(p, q), end=max(p, q)) for p, q in a]
+        sb = [span(stream="aux", start=min(p, q), end=max(p, q))
+              for p, q in b]
+        o1 = overlap_time(sa, sb)
+        assert o1 == pytest.approx(overlap_time(sb, sa))
+        assert o1 <= min(busy_time(sa), busy_time(sb)) + 1e-9
+
+
+def _row(text, line=1):
+    """The painted bins of the ``line``-th row of a rendered timeline."""
+    return text.splitlines()[line].split("|")[1]
+
+
+class TestAsciiTimeline:
+    def test_render_ascii_contains_all_tracks(self):
+        text = render_ascii_timeline([
+            span(stream="compute", start=0, end=1, category="optimizer"),
+            span(stream="aux", start=0.5, end=2, category="allreduce"),
+        ], width=40)
+        assert "gpu0.compute" in text
+        assert "gpu0.aux" in text
+        assert "o" in text and "a" in text
+
+    def test_render_empty_timeline(self):
+        assert "empty" in render_ascii_timeline([])
+
+    def test_render_half_open_bins_keep_adjacent_spans_distinct(self):
+        # Regression: the right edge used to be painted inclusively, so a
+        # span ending exactly where the next one starts overwrote its
+        # first bin.
+        text = render_ascii_timeline([
+            span(start=0.0, end=1.0, category="optimizer"),
+            span(start=1.0, end=2.0, category="allreduce"),
+        ], width=10)
+        assert _row(text) == "oooooaaaaa"
+
+    def test_render_span_does_not_bleed_into_idle_tail(self):
+        text = render_ascii_timeline(
+            [span(start=0.0, end=1.0, category="optimizer")],
+            width=10, t1=2.0)
+        assert _row(text) == "ooooo....."
+
+    def test_render_zero_width_span_paints_one_bin(self):
+        text = render_ascii_timeline(
+            [span(start=1.0, end=1.0, category="optimizer")],
+            width=10, t0=0.0, t1=2.0)
+        assert _row(text) == ".....o...."
+
+
 class TestCrossSubstrate:
     """Both substrates, same 2x2 hybrid scenario, same event names."""
 
@@ -285,11 +360,13 @@ class TestCrossSubstrate:
             g_data=2, microbatch_size=2, batch_size=8, memopt=False)
         machine = Machine(spec=summit(1), trace=True)
         simulate_batch(cfg, machine=machine)
-        sim_names = {s.name for s in from_sim_tracer(machine.tracer)}
+        for s in machine.tracer.spans:
+            validate_span(s)
+        sim_names = {s.name for s in machine.tracer.spans}
 
         gcfg = GPTConfig(vocab_size=19, seq_len=8, n_layer=4, n_head=2,
                          hidden=12, dropout=0.0, init_seed=3)
-        tracer = RuntimeTracer()
+        tracer = Tracer()
         trainer = AxoNNTrainer(gcfg, g_inter=2, g_data=2,
                                microbatch_size=2, tracer=tracer)
         rng = np.random.default_rng(3)
@@ -308,12 +385,14 @@ class TestCrossSubstrate:
         assert {"fwd0", "fwd1", "bwd0", "bwd1", "forward", "backward",
                 "allreduce", "optimizer"} <= sim_names
 
-    def test_runtime_trace_categories_and_payload(self):
+    @pytest.mark.parametrize("g_intra", [1, 2])
+    def test_runtime_trace_categories_and_payload(self, g_intra):
         gcfg = GPTConfig(vocab_size=19, seq_len=8, n_layer=4, n_head=2,
                          hidden=12, dropout=0.0, init_seed=3)
-        tracer = RuntimeTracer()
-        trainer = AxoNNTrainer(gcfg, g_inter=2, g_data=2,
-                               microbatch_size=2, tracer=tracer)
+        tracer = Tracer()
+        trainer = AxoNNTrainer(gcfg, g_inter=2, g_data=2 // g_intra,
+                               g_intra=g_intra, microbatch_size=2,
+                               tracer=tracer)
         rng = np.random.default_rng(4)
         x = rng.integers(0, gcfg.vocab_size, size=(8, gcfg.seq_len))
         y = rng.integers(0, gcfg.vocab_size, size=(8, gcfg.seq_len))
@@ -321,12 +400,16 @@ class TestCrossSubstrate:
         for s in tracer.spans:
             validate_span(s)
         p2p = [s for s in tracer.spans if s.category == "p2p"]
-        # 2 microbatches x (1 fwd + 1 bwd hop) x 2 data-parallel rows
-        assert len(p2p) == 8
+        # 4 microbatches x (1 fwd + 1 bwd hop), over the data-parallel rows
+        assert len([s for s in p2p
+                    if s.name in ("forward", "backward")]) == 8
         for s in p2p:
             assert s.stream == "net"
-            assert s.nbytes and s.nbytes > 0
+            # a tensor-parallel ack carries no payload
+            assert s.name == "tp_ack" or s.nbytes > 0
             meta = s.with_meta()
             assert {"src", "dst"} <= set(meta)
         opt = [s for s in tracer.spans if s.category == "optimizer"]
-        assert {s.rank for s in opt} == {0, 1, 2, 3}
+        assert {s.rank for s in opt} == set(range(0, 4, g_intra))
+        tp = [s for s in tracer.spans if s.category == "tp"]
+        assert {s.stream for s in tp} == ({"tp"} if g_intra > 1 else set())

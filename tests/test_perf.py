@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.nn import GPT, GPTConfig, Tensor, no_grad
-from repro.obs import RuntimeTracer, pass_widths
+from repro.obs import Tracer, pass_widths
 from repro.perf import OpCounters, counters, counting
 from repro.runtime import AxoNNTrainer
 
@@ -78,7 +78,7 @@ class TestCounters:
                         hidden=64)
         rng = np.random.default_rng(0)
         x, y = rng.integers(0, cfg.vocab_size, (2, 16, cfg.seq_len))
-        tracer = RuntimeTracer()
+        tracer = Tracer()
         trainer = AxoNNTrainer(cfg, g_inter=2, g_data=2, microbatch_size=1,
                                tracer=tracer)
         with counting():

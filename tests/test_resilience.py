@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.nn import GPTConfig, LMBatches, LossScaler, SyntheticCorpus
-from repro.obs import CATEGORIES, RuntimeTracer
+from repro.obs import CATEGORIES, Tracer
 from repro.resilience import (DELIVER, DROP, FailureModel, Fault,
                               FaultInjector, FaultPlan, ResilientTrainer,
                               RetryPolicy, fit_optimal_interval,
@@ -380,7 +380,7 @@ class TestRecoveryEquivalence:
 
     def test_fault_spans_appear_in_tracer(self):
         """Injected faults, snapshots, and recoveries all emit ObsSpans."""
-        tracer = RuntimeTracer()
+        tracer = Tracer()
         trainer = make_trainer(tracer=tracer)
         plan = FaultPlan.of(Fault(kind="crash", rank=1, step=1, tick=2))
         resilient = ResilientTrainer(trainer, plan, detect_timeout=8)

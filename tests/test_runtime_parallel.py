@@ -20,7 +20,7 @@ import pytest
 
 from repro.nn import GPTConfig
 from repro.nn.blas import blas_threads, share_blas_threads
-from repro.obs import (RuntimeTracer, merge_rank_jsonl, read_spans_jsonl,
+from repro.obs import (Tracer, merge_rank_jsonl, read_spans_jsonl,
                        write_chrome_trace_multiprocess)
 from repro.obs.protocol import TraceRecorder
 from repro.resilience import Fault, FaultPlan, ResilientTrainer, RetryPolicy
@@ -236,7 +236,7 @@ class TestProcessTransport:
         """A worker answers POLL with one pass over its rings: a hit is a
         receive like a blocking one — in channel order, recorded, traced
         as a p2p span."""
-        recorder, tracer = TraceRecorder(), RuntimeTracer()
+        recorder, tracer = TraceRecorder(), Tracer()
         transport = ProcessTransport(2, recorder=recorder, tracer=tracer)
         try:
             results = transport.run({r: ProgramSpec(poller, 5)
@@ -430,7 +430,7 @@ def test_ring_allreduce_process_backend_matches_cooperative():
 # -- per-rank JSONL spans and the merged multiprocess Chrome trace ------------
 
 def test_worker_spans_merge_into_chrome_trace(tmp_path):
-    tracer = RuntimeTracer()
+    tracer = Tracer()
     trace_dir = str(tmp_path / "ranks")
     os.makedirs(trace_dir)
     transport = ProcessTransport(2, tracer=tracer, trace_dir=trace_dir)
@@ -456,7 +456,7 @@ def test_worker_spans_merge_into_chrome_trace(tmp_path):
 
 
 def test_span_jsonl_roundtrip(tmp_path):
-    tracer = RuntimeTracer()
+    tracer = Tracer()
     tracer.record(0, "net", "forward", 0.0, 1.5, category="p2p",
                   microbatch=3)
     path = str(tmp_path / "rank0.jsonl")
@@ -560,7 +560,7 @@ class TestSendTimesBookkeeping:
         return got
 
     def test_delivered_sends_are_purged(self):
-        tracer = RuntimeTracer()
+        tracer = Tracer()
         transport = RankTransport(2, tracer=tracer)
         transport.run({0: self._producer(transport),
                        1: self._consumer(4)})
@@ -568,7 +568,7 @@ class TestSendTimesBookkeeping:
 
     def test_lost_sends_are_purged_not_leaked(self):
         from repro.resilience.faults import FaultInjector
-        tracer = RuntimeTracer()
+        tracer = Tracer()
         plan = FaultPlan.of(Fault(kind="drop", src=0, dst=1, tag="data",
                                   count=4))
         injector = FaultInjector(plan, step=None)

@@ -24,7 +24,7 @@ from repro.analysis.model import (check_model, extract_skeleton,
                                   scheduled_model)
 from repro.nn import GPTConfig, LMBatches, SyntheticCorpus
 from repro.experiments import replay_winner
-from repro.obs import RuntimeTracer, member_events
+from repro.obs import Tracer, member_events
 from repro.obs.protocol import ProtocolError, TraceRecorder, assert_clean
 from repro.resilience import (Fault, FaultInjector, FaultPlan,
                               ResilientTrainer, RetryPolicy)
@@ -410,7 +410,7 @@ class TestOneTrainer:
         batches = [make_batches().batch(i) for i in range(2)]
 
         def run(plan, g_inter=2, **kwargs):
-            tracer = RuntimeTracer()
+            tracer = Tracer()
             trainer = AxoNNTrainer(self.WET, g_inter, 1, 2, schedule=schedule,
                                    tracer=tracer, **kwargs)
             nets = []
@@ -481,7 +481,7 @@ class TestOneTrainer:
         x, y = make_batches().batch(0)
 
         def spans(schedule):
-            tracer = RuntimeTracer()
+            tracer = Tracer()
             trainer = AxoNNTrainer(CFG, 2, 1, 2, schedule=schedule,
                                    tracer=tracer, backend=backend)
             try:

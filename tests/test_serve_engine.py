@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.nn import GPT, GPTConfig, generate
-from repro.obs import RuntimeTracer
+from repro.obs import Tracer
 from repro.obs.protocol import TraceRecorder, verify_trace
 from repro.serve import PipelineServer, Request, RequestSpec, make_requests
 
@@ -163,7 +163,7 @@ class TestValidation:
 
 class TestObservability:
     def _serve_traced(self, g_inter):
-        tracer = RuntimeTracer(clock=fake_clock())
+        tracer = Tracer(clock=fake_clock())
         requests = make_requests(
             CFG, 4, RequestSpec(mean_prompt=4, mean_new_tokens=4, seed=1))
         PipelineServer(CFG, g_inter=g_inter, max_batch=2,
@@ -196,7 +196,7 @@ class TestObservability:
             CFG, 6, RequestSpec(mean_prompt=4, mean_new_tokens=4, seed=1))
 
         def spans(**placement):
-            tracer = RuntimeTracer(clock=fake_clock())
+            tracer = Tracer(clock=fake_clock())
             PipelineServer(CFG, max_batch=2, tracer=tracer,
                            **placement).serve(requests)
             assert all(s.stream == "serve" for s in tracer.spans)
@@ -209,7 +209,7 @@ class TestObservability:
         assert spans(g_inter=g_inter, g_prefill=g_prefill) == want
 
     def test_disabled_tracer_records_nothing(self):
-        tracer = RuntimeTracer(enabled=False, clock=fake_clock())
+        tracer = Tracer(enabled=False, clock=fake_clock())
         requests = make_requests(CFG, 2)
         PipelineServer(CFG, g_inter=2, tracer=tracer).serve(requests)
         assert tracer.spans == []

@@ -21,7 +21,6 @@ from repro.cluster import Machine, summit
 from repro.core import WEAK_SCALING_MODELS, AxoNNConfig, simulate_batch
 from repro.experiments import fig7_profile
 from repro.experiments.resilience import trace_sim
-from repro.obs import from_sim_tracer
 
 
 def digest(spans) -> str:
@@ -29,7 +28,7 @@ def digest(spans) -> str:
 
 
 def fig7_case():
-    return from_sim_tracer(fig7_profile(batch_size=96)["tracer"])
+    return fig7_profile(batch_size=96)["tracer"].spans
 
 
 def trace_sim_case():
@@ -47,7 +46,7 @@ def offload_case():
         machine.env.process(gpu.dma(48 << 20, "h2d", label=f"fetch{g}"),
                             name=f"fetch{g}")
     machine.run()
-    return from_sim_tracer(machine.tracer)
+    return machine.tracer.spans
 
 
 CASES = {"fig7": fig7_case, "trace_sim": trace_sim_case,
