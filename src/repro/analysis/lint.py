@@ -332,49 +332,31 @@ _VIEW_FUNCS = {"transpose", "swapaxes", "expand_dims", "broadcast_to",
 _VIEW_ATTRS = {"T", "flat", "real", "imag"}
 
 
-def _is_upstream_view(node: ast.AST, gname: str) -> bool:
-    """Does ``node`` evaluate to ``g`` or a view of it (conservatively)?"""
-    if isinstance(node, ast.Name):
-        return node.id == gname
-    if isinstance(node, ast.Subscript):
-        return _is_upstream_view(node.value, gname)
-    if isinstance(node, ast.Attribute):
-        if node.attr in _VIEW_ATTRS:
-            return _is_upstream_view(node.value, gname)
-        return False
-    if isinstance(node, ast.Call):
-        fn = node.func
-        if isinstance(fn, ast.Name) and fn.id == "_unbroadcast" and node.args:
-            # _unbroadcast may return its input unchanged (documented).
-            return _is_upstream_view(node.args[0], gname)
-        if isinstance(fn, ast.Attribute):
-            if fn.attr in _VIEW_METHODS and _is_upstream_view(fn.value, gname):
-                return True
-            if (fn.attr in _VIEW_FUNCS and isinstance(fn.value, ast.Name)
+def _view_root(node: ast.AST) -> ast.AST:
+    """Strip every step that may return a view of its operand — indexing,
+    view attributes and methods, numpy view functions, and
+    ``_unbroadcast`` (which may return its input unchanged) — and return
+    the expression whose buffer ``node`` may alias (conservatively)."""
+    while True:
+        if isinstance(node, ast.Subscript):
+            node = node.value
+        elif isinstance(node, ast.Attribute) and node.attr in _VIEW_ATTRS:
+            node = node.value
+        elif isinstance(node, ast.Call):
+            fn = node.func
+            if (isinstance(fn, ast.Name) and fn.id == "_unbroadcast"
+                    and node.args):
+                node = node.args[0]
+            elif (isinstance(fn, ast.Attribute) and fn.attr in _VIEW_FUNCS
+                    and isinstance(fn.value, ast.Name)
                     and fn.value.id in ("np", "numpy") and node.args):
-                return _is_upstream_view(node.args[0], gname)
-    return False
-
-
-def _is_parent_data_view(node: ast.AST) -> bool:
-    """Does ``node`` evaluate to some tensor's ``.data`` or a view of it?"""
-    if isinstance(node, ast.Attribute):
-        if node.attr == "data":
-            return True
-        if node.attr in _VIEW_ATTRS:
-            return _is_parent_data_view(node.value)
-        return False
-    if isinstance(node, ast.Subscript):
-        return _is_parent_data_view(node.value)
-    if isinstance(node, ast.Call):
-        fn = node.func
-        if isinstance(fn, ast.Attribute):
-            if fn.attr in _VIEW_METHODS and _is_parent_data_view(fn.value):
-                return True
-            if (fn.attr in _VIEW_FUNCS and isinstance(fn.value, ast.Name)
-                    and fn.value.id in ("np", "numpy") and node.args):
-                return _is_parent_data_view(node.args[0])
-    return False
+                node = node.args[0]
+            elif isinstance(fn, ast.Attribute) and fn.attr in _VIEW_METHODS:
+                node = fn.value
+            else:
+                return node
+        else:
+            return node
 
 
 def _rep001(scope: _Scope, call: ast.Call) -> Iterator[_Finding]:
@@ -387,12 +369,13 @@ def _rep001(scope: _Scope, call: ast.Call) -> Iterator[_Finding]:
     if fn.name != "backward" and first != "g":
         return
     gname = first or "g"
-    if _is_upstream_view(call.args[0], gname):
+    root = _view_root(call.args[0])
+    if isinstance(root, ast.Name) and root.id == gname:
         yield call, (f"the upstream gradient {gname!r} (or a view of it) "
                      f"is passed to _accumulate_owned; ownership transfer "
                      f"requires a freshly allocated array — use _accumulate "
                      f"instead")
-    elif _is_parent_data_view(call.args[0]):
+    elif isinstance(root, ast.Attribute) and root.attr == "data":
         yield call, ("a view of a tensor's .data buffer is passed to "
                      "_accumulate_owned; the accumulated gradient would "
                      "alias live parameter/activation memory")

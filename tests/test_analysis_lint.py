@@ -40,6 +40,17 @@ class TestREP001:
         """
         assert _codes(src) == ["REP001"]
 
+    def test_unbroadcast_of_parent_data_flagged(self):
+        # _unbroadcast may return its input unchanged, so it is looked
+        # through on the parent-data side as well as the upstream side.
+        src = """
+        def op(x):
+            def backward(g, a=x):
+                a._accumulate_owned(_unbroadcast(a.data, s))
+            return backward
+        """
+        assert _codes(src) == ["REP001"]
+
     def test_fresh_allocation_allowed(self):
         src = """
         def op(x):
