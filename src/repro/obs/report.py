@@ -284,7 +284,9 @@ def render_ascii_timeline(spans: Iterable[ObsSpan], width: int = 100,
     never overwrite each other's boundary bin (the later span starts in
     the bin where the earlier one's exclusive right edge lands).  Spans
     too short to cover a full bin — including zero-width markers — still
-    paint the single bin they start in.
+    paint the single bin they start in.  A span outside the window
+    ``[t0, t1)`` paints nothing: one whose half-open ``[start, end)``
+    misses it, or a zero-width marker with ``start`` outside it.
     """
     spans = list(spans)
     if not spans:
@@ -295,6 +297,9 @@ def render_ascii_timeline(spans: Iterable[ObsSpan], width: int = 100,
     scale = width / (hi - lo)
     rows = {s.track: ["."] * width for s in spans}
     for s in sorted(spans, key=lambda s: (s.start, s.end)):
+        if s.start >= hi or (s.end <= lo if s.end > s.start
+                             else s.start < lo):
+            continue
         b0 = max(0, min(width - 1, int((s.start - lo) * scale)))
         b1 = max(b0 + 1, min(width, int((s.end - lo) * scale)))
         rows[s.track][b0:b1] = s.category[0] * (b1 - b0)

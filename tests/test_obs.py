@@ -350,6 +350,23 @@ class TestAsciiTimeline:
             width=10, t0=0.0, t1=2.0)
         assert _row(text) == ".....o...."
 
+    def test_render_spans_outside_the_window_paint_nothing(self):
+        # Regression: spans outside [t0, t1) used to be clamped into the
+        # edge bins.  Only what meets the window paints, from bin 0 for a
+        # span that straddles t0.
+        text = render_ascii_timeline([
+            span(start=0.0, end=1.0, category="optimizer"),  # ends at t0
+            span(start=0.5, end=0.5, category="fault"),  # marker before t0
+            span(start=1.0, end=2.0, category="allreduce"),
+            span(start=3.0, end=4.0, category="compute"),  # starts at t1
+            span(start=3.0, end=3.0, category="fault"),  # marker at t1
+            span(stream="aux", start=0.5, end=1.5, category="p2p"),
+            span(stream="net", start=0.0, end=0.5, category="p2p"),
+        ], width=10, t0=1.0, t1=3.0)
+        assert _row(text, 1) == "aaaaa....."
+        assert _row(text, 2) == "pp........"
+        assert _row(text, 3) == ".........."
+
 
 class TestCrossSubstrate:
     """Both substrates, same 2x2 hybrid scenario, same event names."""
