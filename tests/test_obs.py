@@ -1,14 +1,12 @@
 """Tests for the unified observability layer (repro.obs): span schema,
 the one tracer both substrates record into, Chrome-trace/CSV exporters,
-report math, the ASCII timeline, and the cross-substrate smoke check that
+report math, and the cross-substrate smoke check that
 both substrates emit the same event names for the same scenario."""
 
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cluster import Machine, summit
 from repro.core import AxoNNConfig, WEAK_SCALING_MODELS, simulate_batch
@@ -27,7 +25,6 @@ from repro.obs import (
     overlap_stats,
     overlap_time,
     pass_widths,
-    render_ascii_timeline,
     summarize,
     utilization_report,
     validate_span,
@@ -62,7 +59,10 @@ class TestSchema:
             validate_span(span(nbytes=-4))
 
 
-class TestTracer:
+class TestRuntimeTracer:
+    """:class:`Tracer`, the one tracer the runtime, serving, fleet and the
+    DES record into."""
+
     def _clock(self):
         ticks = iter(np.arange(0.0, 100.0, 1.0))
         return lambda: float(next(ticks))
@@ -176,22 +176,6 @@ class TestReports:
         assert busy_time(a) == pytest.approx(3.0)
         assert overlap_time(a, b) == pytest.approx(0.5)
 
-    def test_busy_time_merges_intervals(self):
-        spans = [span(start=0, end=2), span(start=1, end=3),
-                 span(start=5, end=6)]
-        assert busy_time(spans) == pytest.approx(4.0)
-
-    def test_overlap_time_between_streams(self):
-        # optimizer stream busy [0,2] and [4,6]; allreduce stream busy [1,5]
-        opt = [span(start=0, end=2), span(start=4, end=6)]
-        ar = [span(stream="aux", start=1, end=5)]
-        assert overlap_time(opt, ar) == pytest.approx(2.0)  # [1,2] + [4,5]
-
-    def test_overlap_time_zero_when_disjoint(self):
-        opt = [span(start=0, end=1)]
-        ar = [span(stream="aux", start=2, end=3)]
-        assert overlap_time(opt, ar) == 0.0
-
     def test_overlap_stats_fraction(self):
         spans = [
             span(name="ar", start=0, end=4, category="allreduce",
@@ -282,92 +266,6 @@ class TestReports:
         assert member_events(span(name="optimizer")) == ["optimizer"]
 
 
-def _intervals(max_value, max_size):
-    return st.lists(
-        st.tuples(st.floats(min_value=0, max_value=max_value, allow_nan=False),
-                  st.floats(min_value=0, max_value=max_value, allow_nan=False)),
-        min_size=1, max_size=max_size)
-
-
-class TestIntervalProperties:
-    @given(ivs=_intervals(100, 30))
-    @settings(max_examples=100, deadline=None)
-    def test_busy_time_bounds(self, ivs):
-        """Union time <= sum of durations and >= max single duration."""
-        spans = [span(start=min(a, b), end=max(a, b)) for a, b in ivs]
-        busy = busy_time(spans)
-        assert busy <= sum(s.duration for s in spans) + 1e-9
-        assert busy >= max(s.duration for s in spans) - 1e-9
-
-    @given(a=_intervals(50, 10), b=_intervals(50, 10))
-    @settings(max_examples=100, deadline=None)
-    def test_overlap_time_symmetric_and_bounded(self, a, b):
-        sa = [span(start=min(p, q), end=max(p, q)) for p, q in a]
-        sb = [span(stream="aux", start=min(p, q), end=max(p, q))
-              for p, q in b]
-        o1 = overlap_time(sa, sb)
-        assert o1 == pytest.approx(overlap_time(sb, sa))
-        assert o1 <= min(busy_time(sa), busy_time(sb)) + 1e-9
-
-
-def _row(text, line=1):
-    """The painted bins of the ``line``-th row of a rendered timeline."""
-    return text.splitlines()[line].split("|")[1]
-
-
-class TestAsciiTimeline:
-    def test_render_ascii_contains_all_tracks(self):
-        text = render_ascii_timeline([
-            span(stream="compute", start=0, end=1, category="optimizer"),
-            span(stream="aux", start=0.5, end=2, category="allreduce"),
-        ], width=40)
-        assert "gpu0.compute" in text
-        assert "gpu0.aux" in text
-        assert "o" in text and "a" in text
-
-    def test_render_empty_timeline(self):
-        assert "empty" in render_ascii_timeline([])
-
-    def test_render_half_open_bins_keep_adjacent_spans_distinct(self):
-        # Regression: the right edge used to be painted inclusively, so a
-        # span ending exactly where the next one starts overwrote its
-        # first bin.
-        text = render_ascii_timeline([
-            span(start=0.0, end=1.0, category="optimizer"),
-            span(start=1.0, end=2.0, category="allreduce"),
-        ], width=10)
-        assert _row(text) == "oooooaaaaa"
-
-    def test_render_span_does_not_bleed_into_idle_tail(self):
-        text = render_ascii_timeline(
-            [span(start=0.0, end=1.0, category="optimizer")],
-            width=10, t1=2.0)
-        assert _row(text) == "ooooo....."
-
-    def test_render_zero_width_span_paints_one_bin(self):
-        text = render_ascii_timeline(
-            [span(start=1.0, end=1.0, category="optimizer")],
-            width=10, t0=0.0, t1=2.0)
-        assert _row(text) == ".....o...."
-
-    def test_render_spans_outside_the_window_paint_nothing(self):
-        # Regression: spans outside [t0, t1) used to be clamped into the
-        # edge bins.  Only what meets the window paints, from bin 0 for a
-        # span that straddles t0.
-        text = render_ascii_timeline([
-            span(start=0.0, end=1.0, category="optimizer"),  # ends at t0
-            span(start=0.5, end=0.5, category="fault"),  # marker before t0
-            span(start=1.0, end=2.0, category="allreduce"),
-            span(start=3.0, end=4.0, category="compute"),  # starts at t1
-            span(start=3.0, end=3.0, category="fault"),  # marker at t1
-            span(stream="aux", start=0.5, end=1.5, category="p2p"),
-            span(stream="net", start=0.0, end=0.5, category="p2p"),
-        ], width=10, t0=1.0, t1=3.0)
-        assert _row(text, 1) == "aaaaa....."
-        assert _row(text, 2) == "pp........"
-        assert _row(text, 3) == ".........."
-
-
 class TestCrossSubstrate:
     """Both substrates, same 2x2 hybrid scenario, same event names."""
 
@@ -402,8 +300,14 @@ class TestCrossSubstrate:
         assert {"fwd0", "fwd1", "bwd0", "bwd1", "forward", "backward",
                 "allreduce", "optimizer"} <= sim_names
 
-    @pytest.mark.parametrize("g_intra", [1, 2])
-    def test_runtime_trace_categories_and_payload(self, g_intra):
+    def test_runtime_trace_categories_and_payload(self):
+        self._check_runtime_trace(g_intra=1)
+
+    def test_runtime_trace_categories_and_payload_with_tp(self):
+        self._check_runtime_trace(g_intra=2)
+
+    @staticmethod
+    def _check_runtime_trace(g_intra):
         gcfg = GPTConfig(vocab_size=19, seq_len=8, n_layer=4, n_head=2,
                          hidden=12, dropout=0.0, init_seed=3)
         tracer = Tracer()
