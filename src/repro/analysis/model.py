@@ -60,8 +60,10 @@ from typing import (Any, Callable, Dict, FrozenSet, Generator, List, Optional,
 
 import numpy as np
 
+from ..nn import LossScaler, Parameter
 from ..obs.protocol import (TraceRecorder, check_collective_order,
                             describe_deadlock)
+from ..runtime.column import ColumnStep, make_optimizer
 from ..runtime.grid import RankGrid
 from ..runtime.rankprog import TAG_BWD, TAG_FWD, inter_layer_step, lower_rank
 from ..runtime.tp import TPComm, tp_follower_step
@@ -245,6 +247,10 @@ class CommModel:
     #: count.  The explorer fires deliveries to these ranks eagerly
     #: (a sound partial-order reduction; see :class:`_Explorer`).
     reflector_ranks: FrozenSet[int] = frozenset()
+    #: the phase every rank enters once its program here has returned —
+    #: Algorithm 1's column reduce and optimizer step — checked as a
+    #: model of its own (see :func:`check_model`)
+    then: Optional["CommModel"] = None
 
     def describe(self) -> str:
         args = ",".join(f"{k}={v}" for k, v in self.config.items())
@@ -318,9 +324,43 @@ def _training_model(name: str, grid: RankGrid, m: int,
                      config, tp_groups=tp_groups, reflector_ranks=reflectors)
 
 
+def column_model(grid: RankGrid, param_slots: Any = 1,
+                 precision: str = "fp32") -> CommModel:
+    """Algorithm 1's end of a batch on every lead rank of ``grid``: the
+    *real* :meth:`~repro.runtime.column.ColumnStep.run` — the column
+    reduce, under ``precision="mixed"`` also the grid's overflow verdict
+    along each pipeline and back — over one-element parameters
+    (``param_slots`` per stage, one fp16 chunk each).  Its messages ride
+    their own ``dp`` plane, as on the process backend's ``"dp"`` rings."""
+    slots = ([param_slots] * grid.g_inter if isinstance(param_slots, int)
+             else list(param_slots))
+
+    def make(capture: _Capture) -> Dict[int, Generator]:
+        programs: Dict[int, Generator] = {}
+        for rank in range(grid.world_size):
+            if not grid.is_tp_lead(rank):
+                continue
+            i, _j = grid.coord_of(rank)
+            params = [Parameter(np.zeros(1, dtype=np.float32))
+                      for _ in range(slots[i])]
+            for p in params:
+                p.grad = np.zeros(1, dtype=np.float32)
+            opt = make_optimizer(params, precision, False, 1,
+                                 LossScaler(dynamic=False))
+            send = (lambda dst, tag, mb, data, _r=rank:
+                    capture.send(_r, dst, tag, mb, data, plane="dp"))
+            programs[rank] = ColumnStep(grid, rank, params, opt, 1).run(send)
+        return programs
+
+    return CommModel(f"column-{precision}", grid.world_size, make,
+                     config={"g_inter": grid.g_inter, "g_data": grid.g_data,
+                             "g_intra": grid.g_intra, "slots": slots})
+
+
 def axonn_model(g_inter: int, g_data: int, microbatches: int,
                 pipeline_limit: Optional[int] = None,
-                param_slots: Any = 1, g_intra: int = 1) -> CommModel:
+                param_slots: Any = 1, g_intra: int = 1,
+                precision: Optional[str] = None) -> CommModel:
     """AxoNN's message-driven Algorithm 2 — the *real*
     :func:`~repro.runtime.rankprog.inter_layer_step` generator over
     symbolic stages.  ``microbatches`` is the per-rank (per data-parallel
@@ -331,7 +371,11 @@ def axonn_model(g_inter: int, g_data: int, microbatches: int,
     With ``g_intra > 1`` the grid gains its tensor-parallel axis: group
     leads run Algorithm 2 with a :class:`~repro.runtime.tp.TPComm`
     (emitting the per-microbatch weight all-gather and gradient
-    reduce-scatter) beside their followers (:func:`_training_model`)."""
+    reduce-scatter) beside their followers (:func:`_training_model`).
+
+    With ``precision`` (``"fp32"`` or ``"mixed"``) the model also holds
+    what every lead runs after its walk, :func:`column_model`, as its
+    :attr:`~CommModel.then` phase."""
     grid = RankGrid(g_inter, g_data, g_intra)
     m = microbatches
     if m < 1:
@@ -343,10 +387,14 @@ def axonn_model(g_inter: int, g_data: int, microbatches: int,
             rank, grid, _SymbolicStage(), send, [(None, None)] * m,
             m * g_data, limit, tp=tp)
 
-    return _training_model(
+    model = _training_model(
         "axonn", grid, m,
         {"g_inter": g_inter, "g_data": g_data, "m": m, "limit": limit},
         param_slots, lead)
+    if precision is not None:
+        model.config["precision"] = precision
+        model.then = column_model(grid, param_slots, precision)
+    return model
 
 
 def scheduled_model(schedule: Any, g_inter: int, g_data: int,
@@ -568,6 +616,17 @@ def builtin_models(max_world: int = 8, max_microbatches: int = 4,
             for m in range(1, max_microbatches + 1):
                 models.append(axonn_model(g_inter, g_data, m))
                 add_schedules(g_inter, g_data, m)
+            # Algorithm 1's end of the batch after the walk, in both
+            # precisions: the column reduce, and under mixed precision the
+            # overflow verdict along every pipeline and back.  The walk is
+            # the m=1 one (its interleavings are covered above).  Two
+            # parameter slots per stage give a column two owners up to
+            # g_data=3; past that one owner (a star) keeps the product of
+            # arrival orders small.
+            for precision in ("fp32", "mixed"):
+                models.append(axonn_model(
+                    g_inter, g_data, 1, precision=precision,
+                    param_slots=min(2, g_data) if g_data <= 3 else 1))
     # 4D variants: every decomposition with a real tensor-parallel axis.
     # TP traffic is per-microbatch homogeneous (one weight all-gather, one
     # gradient reduce-scatter), so m=2 already exercises every fwd/bwd
@@ -583,6 +642,11 @@ def builtin_models(max_world: int = 8, max_microbatches: int = 4,
                                               g_intra=g_intra))
                     if g_intra == 2:
                         add_schedules(g_inter, g_data, m, g_intra)
+                if g_intra == 2:
+                    # the leads' end of the batch; followers hold no state
+                    models.append(axonn_model(g_inter, g_data, 1,
+                                              g_intra=g_intra,
+                                              precision="mixed"))
     if include_serve:
         for g_inter in range(2, max_world + 1):
             models.append(serve_model(g_inter, n_requests=3,
@@ -1265,7 +1329,18 @@ class _Explorer:
 def check_model(model: CommModel, max_states: int = 200_000) -> CheckResult:
     """Exhaustively explore the interleavings of ``model`` and prove (or
     refute, with a counterexample) deadlock-freedom, complete matching,
-    and per-column collective-order consistency."""
+    and per-column collective-order consistency.
+
+    A model's :attr:`~CommModel.then` phase is checked after it, on its
+    own, and the verdicts are joined.  That is sound for the
+    composition: a rank enters the phase only once its program here has
+    returned, the two phases share no channel, and a program here never
+    receives what the next one sends — so every interleaving of the
+    composition commutes to one that finishes this phase first, and a
+    deadlock of the composition is a deadlock of one phase.  Exploring
+    them apart keeps each phase's own component decomposition: the walk
+    splits by pipeline, the column reduce by column, and neither pays
+    for the product of the other's interleavings."""
     # Skeleton extraction gives the channel graph; the checker then
     # explores each connected component separately (disjoint components
     # share no channel, so deadlocks and matching compose).  When the
@@ -1325,9 +1400,21 @@ def check_model(model: CommModel, max_states: int = 200_000) -> CheckResult:
         collective_violations.extend(tp_violations)
         violations.extend(tp_violations)
 
-    return CheckResult(
+    result = CheckResult(
         model=model.describe(), config=dict(model.config),
         deadlock_free=deadlock_free, matching_complete=matching_complete,
         collectives_consistent=not collective_violations,
         states=states, terminals=terminals, violations=violations,
         counterexample=counterexample)
+    if model.then is None or not deadlock_free:
+        return result
+    after = check_model(model.then, max_states - states)
+    result.deadlock_free = after.deadlock_free
+    result.matching_complete = matching_complete and after.matching_complete
+    result.collectives_consistent = (result.collectives_consistent
+                                     and after.collectives_consistent)
+    result.states += after.states
+    result.terminals += after.terminals
+    result.violations += after.violations
+    result.counterexample = after.counterexample
+    return result

@@ -120,14 +120,19 @@ def load_trainer_state(trainer: AxoNNTrainer,
             for k, st in enumerate(opt.state):
                 for key in ("exp_avg", "exp_avg_sq", "momentum"):
                     full = f"{prefix}.opt.{k}.{key}"
+                    live = st.get(key)
                     if full in state:
-                        st[key] = state[full].copy()
-                    else:
+                        if live is None:
+                            st[key] = state[full].copy()
+                        else:  # in place: it may view a shared block
+                            live[...] = state[full]
+                    elif live is not None:
                         # The optimizer allocates moments lazily on the first
                         # step, so a checkpoint taken before that has none —
                         # restoring it must drop moments accumulated since,
                         # or a rollback-and-replay silently double-trains.
-                        st.pop(key, None)
+                        # Zero moments step exactly like absent ones.
+                        live[...] = 0
             opt.steps = int(state[f"{prefix}.opt.steps"])
         else:  # MixedPrecisionAdamW
             for k in range(len(opt.params)):

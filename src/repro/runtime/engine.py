@@ -55,13 +55,13 @@ from typing import Callable, Dict, Generator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..nn import (AdamW, GPTConfig, LossScaler, MixedPrecisionAdamW,
-                  num_layer_slots)
+from ..nn import GPTConfig, LossScaler, num_layer_slots
 from ..obs import Tracer
 from ..obs.protocol import TraceRecorder
 from ..perf.counters import counters as _perf_counters
 from ..sched.builders import SCHEDULE_NAMES, build_schedule, schedule_chunks
 from ..sched.ir import Schedule, validate
+from .column import ColumnStep, make_optimizer
 from .grid import RankGrid, split_batch
 from .offload import BucketedOffloadAdamW
 from .parallel import ProcessBackend
@@ -176,10 +176,11 @@ class AxoNNTrainer:
         #: ``bwd{mb}``, ``allreduce``, ``allreduce-chunk{c}``,
         #: ``optimizer``) so traces from both substrates line up
         self.tracer = tracer
-        #: per-stage reusable buffers for the data-parallel phase, allocated
-        #: on first use (the parameter layout is fixed at construction; the
-        #: cache is only invalidated when a rank is respawned after a fault)
-        self._dp_buffers: Dict[int, _ColumnBuffers] = {}
+        #: per-rank column reduce + optimizer step of the cooperative
+        #: placement, built on first use (the parameter layout is fixed at
+        #: construction; the cache is only invalidated when a rank is
+        #: respawned after a fault)
+        self._column_steps: Dict[int, ColumnStep] = {}
         #: optional factory for the per-batch transport; the resilience
         #: layer installs one that injects faults (see repro.resilience)
         self.transport_factory: Optional[Callable[[], RankTransport]] = None
@@ -225,23 +226,16 @@ class AxoNNTrainer:
         stage = build_shard(self.cfg, self.grid, i, self.n_virtual,
                             self.checkpoint_activations)
         self.stages[rank] = stage
-        hp = self._opt_hparams
-        if self.offload:
-            # Per-rank scaler objects would desync on dynamic updates;
-            # every optimizer shares the trainer's scaler.
-            self.optimizers[rank] = BucketedOffloadAdamW(
-                stage.parameters(), bucket_size=self.bucket_size,
-                scaler=_FrozenScaleView(self), **hp)
-        elif self.precision == "mixed":
-            self.optimizers[rank] = MixedPrecisionAdamW(
-                stage.parameters(), scaler=_FrozenScaleView(self), **hp)
-        else:
-            self.optimizers[rank] = AdamW(stage.parameters(), **hp)
+        # Per-rank scaler objects would desync on dynamic updates; every
+        # optimizer reads the trainer's one scale.
+        self.optimizers[rank] = make_optimizer(
+            stage.parameters(), self.precision, self.offload,
+            self.bucket_size, _FrozenScaleView(self), **self._opt_hparams)
 
     def invalidate_buffers(self) -> None:
-        """Drop cached data-parallel buffers (call after respawning a rank:
-        the cached views alias the *old* stage's parameter objects)."""
-        self._dp_buffers.clear()
+        """Drop the cached column steps (call after respawning a rank: they
+        hold the *old* stage's parameter objects)."""
+        self._column_steps.clear()
 
     # -- static schedules -----------------------------------------------------
     def _adopt_schedule(self, schedule: Union[str, Schedule],
@@ -355,118 +349,32 @@ class AxoNNTrainer:
                                direction=key[1], microbatch=key[2])
 
     # -- Algorithm 1, data-parallel phase --------------------------------------
-    def _allreduce_fp32(self) -> None:
-        """All-reduce (sum) fp32 parameter gradients across each column.
-
-        The reduced gradient is written back *into each replica's own
-        gradient buffer* — one fresh array per parameter group for the sum
-        itself, no per-replica copies.
-        """
-        if self.grid.g_data == 1:
-            return
-        tracer = self.tracer if (self.tracer is not None
-                                 and self.tracer.enabled) else None
-        for i in range(self.grid.g_inter):
-            column = self.grid.data_parallel_ranks(i)
-            param_lists = [self.stages[r].parameters() for r in column]
-            col_bytes = sum(p.data.nbytes for p in param_lists[0])
-            ar_start = tracer.now() if tracer is not None else 0.0
-            if self.recorder is not None:
-                # One collective per parameter slot, recorded per rank —
-                # outside the numeric loop so recording stays off-hot-path.
-                for slot in range(len(param_lists[0])):
-                    for r in column:
-                        self.recorder.record_collective(
-                            r, "allreduce_fp32", key=(i, slot))
-            for params in zip(*param_lists):
-                grads = [p.grad for p in params if p.grad is not None]
-                if not grads:
-                    continue
-                total = np.sum(grads, axis=0)
-                for p in params:
-                    if p.grad is None:
-                        p.grad = total.copy()
-                    else:
-                        np.copyto(p.grad, total)
-            if tracer is not None:
-                ar_end = tracer.now()
-                for r in column:
-                    tracer.record(r, "aux", "allreduce", ar_start, ar_end,
-                                  category="allreduce", nbytes=col_bytes,
-                                  ranks=len(column))
-
-    def _column_buffers(self, i: int) -> "_ColumnBuffers":
-        """The (lazily allocated) reusable fp16 buffers of column ``i``."""
-        buf = self._dp_buffers.get(i)
-        if buf is None:
-            buf = _ColumnBuffers(
-                [self.stages[r] for r in self.grid.data_parallel_ranks(i)])
-            self._dp_buffers[i] = buf
-        return buf
-
-    def _fill_column_half_grads(self, i: int) -> "_ColumnBuffers":
-        """Cast every replica's gradients into its cached fp16 flat row."""
-        buf = self._column_buffers(i)
-        # Values beyond the fp16 range legitimately become inf here — that
-        # is precisely what the downstream overflow check detects.
-        with np.errstate(over="ignore"):
-            for views in buf.param_views:
-                for dst, p in views:
-                    if p.grad is None:
-                        dst[...] = np.float16(0)
-                    else:
-                        np.copyto(dst, p.grad, casting="unsafe")
-        return buf
-
-    def _column_half_grads(self, i: int) -> List[np.ndarray]:
-        """fp16 gradient flats of stage ``i``'s column, one per replica.
-
-        The rows are views into the cached column buffer: valid until the
-        next fill, which is all the callers need.
-        """
-        buf = self._fill_column_half_grads(i)
-        return [buf.stacked[r] for r in range(buf.stacked.shape[0])]
-
-    def _allreduce_fp16_chunked(self, i: int) -> Tuple[np.ndarray, int]:
-        """Sum a column's fp16 gradients in k*bucket_size chunks, as the
-        overlapped all-reduce of Section V-C issues them.
-
-        Half-precision accumulation is faithful to NCCL's fp16 ring — the
-        reason the paper pre-divides the loss to avoid overflow.  The sum
-        is one vectorized fp16 reduction per chunk over the stacked replica
-        rows (bit-identical to sequential replica-order accumulation; the
-        tests assert this), written into the cached ``total`` buffer.
-        Returns the (fp16) reduced flat and the number of chunks issued.
-        """
-        buf = self._fill_column_half_grads(i)
-        stacked, total = buf.stacked, buf.total
-        chunk = max(1, self.coarsening_k * self.bucket_size)
-        n_chunks = 0
-        tracer = self.tracer if (self.tracer is not None
-                                 and self.tracer.enabled) else None
-        column = self.grid.data_parallel_ranks(i)
-        # Overflowing values legitimately produce inf/nan here (that is what
-        # the overflow check downstream detects) — silence the warning.
-        with np.errstate(invalid="ignore", over="ignore"):
-            for start in range(0, buf.numel, chunk):
-                end = min(start + chunk, buf.numel)
-                t0 = tracer.now() if tracer is not None else 0.0
-                np.sum(stacked[:, start:end], axis=0, dtype=np.float16,
-                       out=total[start:end])
-                if tracer is not None:
-                    t1 = tracer.now()
-                    for r in column:
-                        tracer.record(r, "aux", f"allreduce-chunk{n_chunks}",
-                                      t0, t1, category="allreduce",
-                                      nbytes=2 * (end - start),
-                                      chunk=n_chunks, ranks=len(column))
-                n_chunks += 1
-        if self.recorder is not None:
-            for c in range(n_chunks):
-                for r in self.grid.data_parallel_ranks(i):
-                    self.recorder.record_collective(
-                        r, "allreduce_fp16", key=(i, c))
-        return total, n_chunks
+    def _data_parallel_step(self) -> Tuple[bool, int]:
+        """Algorithm 1's column reduce and every rank's optimizer step,
+        placed in this process: each lead rank's
+        :meth:`ColumnStep.run <repro.runtime.column.ColumnStep.run>` on one
+        cooperative transport — the program a process worker runs on its
+        own rings.  Returns (stepped, the last stage's all-reduce
+        chunks)."""
+        transport = RankTransport(self.grid.world_size)
+        record = None if self.recorder is None else \
+            (lambda rank, op, key: self.recorder.record_collective(
+                rank, op, key=key))
+        steps = {}
+        for rank in sorted(self.stages):
+            step = self._column_steps.get(rank)
+            if step is None:
+                step = self._column_steps[rank] = ColumnStep(
+                    self.grid, rank, self.stages[rank].parameters(),
+                    self.optimizers[rank],
+                    self.coarsening_k * self.bucket_size)
+            send = (lambda dst, tag, mb, data, _r=rank:
+                    transport.send(_r, dst, tag, mb, data))
+            steps[rank] = step.run(send, self.tracer, record)
+        transport.run(steps)
+        last = self._column_steps[self.grid.rank_of(self.grid.g_inter - 1,
+                                                    0)]
+        return last.applied, last.n_chunks
 
     def train_batch(self, x: np.ndarray, y: np.ndarray) -> TrainReport:
         """One full DATA_PARALLEL_STEP + optimizer step; returns the mean
@@ -480,8 +388,8 @@ class AxoNNTrainer:
 
         sched = self._schedule_for(len(groups[0]))
         if self.backend == "process":
-            messages = self.process_backend.run_batch(groups, total_mb,
-                                                      sched)
+            messages, applied, chunks = self.process_backend.run_batch(
+                groups, total_mb, sched)
         else:
             if self.transport_factory is not None:
                 transport = self.transport_factory()
@@ -500,27 +408,23 @@ class AxoNNTrainer:
                         rank, transport, len(groups[j]))
             transport.run(programs)
             messages = transport.messages_sent
-
-        # Sanity: no microbatch left in flight anywhere.  (The process
-        # backend performs the same check worker-side, where its stages
-        # run; the parent's copies never hold any.)
-        for rank, stage in self.stages.items():
-            if stage.inflight_microbatches:
-                raise RuntimeError(
-                    f"rank {rank} finished with "
-                    f"{stage.inflight_microbatches} microbatches in "
-                    f"flight"
-                )
+            # Sanity: no microbatch left in flight anywhere.  (The process
+            # backend checks the same on the workers, where its stages
+            # run.)
+            for rank, stage in self.stages.items():
+                if stage.inflight_microbatches:
+                    raise RuntimeError(
+                        f"rank {rank} finished with "
+                        f"{stage.inflight_microbatches} microbatches in "
+                        f"flight")
+            applied, chunks = self._data_parallel_step()
 
         scale = self.scaler.scale
-        applied = True
-        chunks = 1
         if self.precision == "mixed":
-            applied, chunks = self._mixed_data_parallel_and_optimizer()
+            # The grid agreed on one verdict; the scale moves once.
+            self.scaler.update(found_overflow=not applied)
         else:
-            self._allreduce_fp32()
-            for rank, opt in self.optimizers.items():
-                self._traced_step(rank, opt.step)
+            chunks = 1
         self.batches_trained += 1
         if not applied:
             self.skipped_batches += 1
@@ -535,44 +439,6 @@ class AxoNNTrainer:
         return TrainReport(mean_loss, messages, total_mb,
                            applied=applied, loss_scale=scale,
                            allreduce_chunks=chunks)
-
-    def _traced_step(self, rank: int, step, *args) -> None:
-        """Run an optimizer step, recording it as an ``optimizer`` span."""
-        if self.tracer is not None and self.tracer.enabled:
-            with self.tracer.span(rank, "compute", "optimizer",
-                                  category="optimizer"):
-                step(*args)
-        else:
-            step(*args)
-
-    def _mixed_data_parallel_and_optimizer(self) -> Tuple[bool, int]:
-        """fp16 all-reduce + globally synchronized overflow skip + step."""
-        reduced: Dict[int, np.ndarray] = {}
-        chunks = 1
-        overflow = False
-        for i in range(self.grid.g_inter):
-            flat, chunks = self._allreduce_fp16_chunked(i)
-            reduced[i] = flat
-            if not np.isfinite(flat).all():  # isfinite works on fp16 directly
-                overflow = True
-        # The overflow flag is OR-reduced across the grid (the real
-        # implementation piggybacks this on a tiny collective): all ranks
-        # skip or apply in lockstep.
-        if overflow:
-            self.scaler.update(found_overflow=True)
-            return False, chunks
-        for rank in sorted(self.optimizers):
-            i, _j = self.grid.coord_of(rank)
-            opt = self.optimizers[rank]
-            if isinstance(opt, BucketedOffloadAdamW):
-                self._traced_step(rank, opt.step, reduced[i])
-            else:
-                # Per-parameter views of the reduced flat, precomputed once
-                # per column (the optimizer copies before descaling, so the
-                # column's replicas can all read the same views).
-                self._traced_step(rank, opt.step, self._dp_buffers[i].halves)
-        self.scaler.update(found_overflow=False)
-        return True, chunks
 
     # -- diagnostics ---------------------------------------------------------
     def parameters_of(self, i: int, j: int = 0):
@@ -594,50 +460,6 @@ class AxoNNTrainer:
                 for name, p in stage.named_parameters():
                     state[name] = p.data.copy()
         return state
-
-
-class _ColumnBuffers:
-    """Reusable fp16 buffers for one stage's data-parallel column.
-
-    Allocated once, keyed by the column's (fixed) parameter layout, and
-    reused every batch so the mixed-precision data-parallel phase performs
-    no per-batch allocation:
-
-    * ``stacked`` — (replicas, numel) fp16; row ``j`` holds replica ``j``'s
-      flattened gradients (written in place by ``np.copyto`` each batch);
-    * ``total`` — (numel,) fp16 output of the chunked all-reduce;
-    * ``param_views`` — per replica, (destination-view, parameter) pairs
-      mapping each parameter into its slice of the row;
-    * ``halves`` — per-parameter shaped views of ``total``, the unflattened
-      gradient list handed to the optimizer.
-    """
-
-    __slots__ = ("stacked", "total", "param_views", "halves", "numel")
-
-    def __init__(self, stages: List["PipelineStage"]):
-        params0 = stages[0].parameters()
-        self.numel = sum(p.size for p in params0)
-        self.stacked = np.empty((len(stages), self.numel), dtype=np.float16)
-        self.total = np.empty(self.numel, dtype=np.float16)
-        self.param_views: List[List[Tuple[np.ndarray, "Tensor"]]] = []
-        for row, stage in enumerate(stages):
-            offset = 0
-            views = []
-            for p in stage.parameters():
-                views.append(
-                    (self.stacked[row, offset:offset + p.size]
-                     .reshape(p.data.shape), p))
-                offset += p.size
-            if offset != self.numel:
-                raise RuntimeError(
-                    "data-parallel replicas disagree on parameter layout")
-            self.param_views.append(views)
-        self.halves: List[np.ndarray] = []
-        offset = 0
-        for p in params0:
-            self.halves.append(
-                self.total[offset:offset + p.size].reshape(p.data.shape))
-            offset += p.size
 
 
 class _FrozenScaleView(LossScaler):

@@ -126,25 +126,55 @@ class BucketedOffloadAdamW:
             self.skipped_steps += 1
             return False
         self.steps += 1
+        self.step_buckets(half_grads, 0, self.numel)
+        self.finish_step()
+        return True
+
+    def step_buckets(self, half_grads: np.ndarray, start: int, end: int,
+                     undo: Optional[np.ndarray] = None) -> None:
+        """Apply the current step (``steps`` already advanced) to the
+        buckets covering ``[start, end)``; ``start`` lies on a bucket
+        boundary.  :meth:`step` runs every bucket at once; the
+        data-parallel step (:mod:`repro.runtime.column`) runs each reduced
+        chunk's buckets as the chunk arrives, before the grid has agreed
+        that no gradient overflowed — so with ``undo`` (a ``(3, numel)``
+        fp32 array) the range's master weights and moments are saved first
+        and :meth:`undo_buckets` can take the update back."""
+        if undo is not None:
+            undo[0, start:end] = self.host_master[start:end]
+            undo[1, start:end] = self.host_exp_avg[start:end]
+            undo[2, start:end] = self.host_exp_avg_sq[start:end]
         inv_scale = 1.0 / self.scaler.scale
         bsize = self.bucket_size
-        for start in range(0, self.numel, bsize):
-            end = min(start + bsize, self.numel)
-            n = end - start
+        for lo in range(start, end, bsize):
+            hi = min(lo + bsize, end)
+            n = hi - lo
             # Fetch the bucket to the device (master + both state vectors).
             self.h2d_bytes += 12 * n
-            master = self.host_master[start:end]
-            m = self.host_exp_avg[start:end]
-            v = self.host_exp_avg_sq[start:end]
+            master = self.host_master[lo:hi]
+            m = self.host_exp_avg[lo:hi]
+            v = self.host_exp_avg_sq[lo:hi]
             # Descale gradients into the fp32 scratch buffer (4 * bsize).
-            g32 = half_grads[start:end].astype(np.float32) * inv_scale
+            g32 = half_grads[lo:hi].astype(np.float32) * inv_scale
             adam_step(master, g32, m, v, self.steps, self.lr,
                       self.beta1, self.beta2, self.eps,
                       self.weight_decay, decoupled=True)
             # Offload the updated bucket back to the host.
             self.d2h_bytes += 12 * n
             # Refresh the resident fp16 weights.
-            self.device_half[start:end] = master.astype(np.float16)
+            self.device_half[lo:hi] = master.astype(np.float16)
+
+    def undo_buckets(self, undo: np.ndarray, start: int, end: int) -> None:
+        """Restore ``[start, end)`` from what :meth:`step_buckets` saved
+        in ``undo`` (the fp16 weights are recast from the masters)."""
+        self.host_master[start:end] = undo[0, start:end]
+        self.host_exp_avg[start:end] = undo[1, start:end]
+        self.host_exp_avg_sq[start:end] = undo[2, start:end]
+        self.device_half[start:end] = \
+            self.host_master[start:end].astype(np.float16)
+
+    def finish_step(self) -> None:
+        """Close a step whose every bucket ran: the parameters take the
+        new master weights."""
         self._scatter_master_to_params()
         self.scaler.update(found_overflow=False)
-        return True

@@ -40,6 +40,7 @@ wall-clock (``detect_timeout_s``).
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import signal
@@ -53,10 +54,13 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
+from ..nn import LossScaler, MixedPrecisionAdamW
 from ..nn.blas import share_blas_threads
 from ..obs import Tracer, append_spans_jsonl
 from ..obs.protocol import ProtocolError, TraceRecorder
 from ..perf.counters import counters as _counters
+from .column import ColumnStep, make_optimizer
+from .offload import BucketedOffloadAdamW
 from .rankprog import inter_layer_step, lower_rank
 from .shm import (_POLL_SLEEP, _SPIN, RingAborted, ShmRing,
                   attach_shared_memory)
@@ -207,11 +211,18 @@ class WorkerContext:
                  in_rings: Dict[int, ShmRing],
                  state: _StateBlock, tick_s: float,
                  tracer: Tracer,
-                 trace_path: Optional[str]):
+                 trace_path: Optional[str],
+                 dp_out: Optional[Dict[int, ShmRing]] = None,
+                 dp_in: Optional[Dict[int, ShmRing]] = None):
         self.rank = rank
         self.n_ranks = n_ranks
         self.out_rings = out_rings
         self.in_rings = dict(sorted(in_rings.items()))
+        #: the data-parallel step's own rings (the ``"dp"`` lane), apart
+        #: from the walk's so a column peer that finished its walk early
+        #: can never feed a message into this rank's walk
+        self.dp_out = dp_out or {}
+        self.dp_in = dict(sorted((dp_in or {}).items()))
         self.state = state
         self.tick_s = tick_s
         self.tracer = tracer
@@ -245,6 +256,18 @@ class WorkerContext:
         self.messages_sent += 1
         self.events.append(("send", self.rank, dst, tag, microbatch))
 
+    def dp_send(self, dst: int, tag: str, microbatch: int,
+                data: Any = None) -> None:
+        """:meth:`send` on the ``"dp"`` lane: the column reduce and the
+        overflow verdict, which are not the walk's point-to-point traffic
+        (no events, no p2p span)."""
+        ring = self.dp_out.get(dst)
+        if ring is None:
+            raise ProtocolError(
+                f"rank {self.rank} has no data-parallel channel to rank "
+                f"{dst}")
+        ring.push((tag, microbatch, 0.0, data), abort=self._abort_check)
+
     def _abort_check(self) -> bool:
         self.state.beat(self.rank)
         return self.state.abort
@@ -255,10 +278,15 @@ class WorkerContext:
                 and self._receives_done >= self.kill_after:
             os.kill(os.getpid(), signal.SIGKILL)  # never returns
 
-    def _recv(self, deadline: Optional[float]) -> Packet:
+    def _recv(self, deadline: Optional[float],
+              take: Optional[Callable[[], Optional[Packet]]] = None
+              ) -> Packet:
         """Poll the incoming rings (ascending source order) until a frame
-        arrives; heartbeat every sweep; honor abort and the deadline."""
-        self._maybe_crash()
+        arrives; heartbeat every sweep; honor abort and the deadline.
+        ``take`` reads the rings (default: the walk's, :meth:`_take`)."""
+        if take is None:
+            self._maybe_crash()
+            take = self._take
         state, rank = self.state, self.rank
         state.set_status(rank, _STATUS_WAITING_TIMED if deadline is not None
                          else _STATUS_WAITING)
@@ -266,7 +294,7 @@ class WorkerContext:
             spins = 0
             while True:
                 state.beat(rank)
-                packet = self._take()
+                packet = take()
                 if packet is not None:
                     return packet
                 if state.abort:
@@ -308,10 +336,25 @@ class WorkerContext:
                 return Packet(src, rank, tag, microbatch, data)
         return None
 
-    def drive(self, gen: Generator) -> Any:
+    def _take_dp(self) -> Optional[Packet]:
+        """The first frame found on the ``"dp"`` lane's rings (ascending
+        source order); None when every one is empty.  Counted for the
+        parent's progress watch, but not toward a crash fault's receive
+        count, which counts the walk's receives on both backends."""
+        for src, ring in self.dp_in.items():
+            msg = ring.pop()
+            if msg is not None:
+                tag, microbatch, _ts, data = msg
+                self.state.bump_recvs(self.rank)
+                return Packet(src, self.rank, tag, microbatch, data)
+        return None
+
+    def drive(self, gen: Generator, dp: bool = False) -> Any:
         """Drive one rank-program generator under the RECV protocol
         (``POLL`` answered by :meth:`_poll`); returns the generator's
-        ``return`` value."""
+        ``return`` value.  With ``dp`` its receives read the ``"dp"``
+        lane (:meth:`_take_dp`) instead of the walk's rings."""
+        take = self._take_dp if dp else None
         try:
             try:
                 request = next(gen)
@@ -320,7 +363,8 @@ class WorkerContext:
             while True:
                 if request == POLL:
                     try:
-                        request = gen.send(self._poll())
+                        request = gen.send(self._poll() if take is None
+                                           else take())
                     except StopIteration as stop:
                         return stop.value
                     continue
@@ -335,7 +379,7 @@ class WorkerContext:
                         f"programs may only yield RECV, POLL or "
                         f"recv_within(...)")
                 try:
-                    pkt = self._recv(deadline)
+                    pkt = self._recv(deadline, take)
                 except TimeoutError as exc:
                     try:
                         request = gen.throw(exc)
@@ -359,8 +403,7 @@ def _run_program_task(ctx: WorkerContext, spec: ProgramSpec) -> Any:
 
 
 def _worker_main(rank: int, n_ranks: int,
-                 out_ring_names: Dict[int, Tuple[str, int]],
-                 in_ring_names: Dict[int, Tuple[str, int]],
+                 ring_names: Dict[Tuple, Tuple[str, int]],
                  state_name: str, conn, tick_s: float,
                  trace_origin: Optional[float],
                  trace_dir: Optional[str]) -> None:
@@ -376,10 +419,16 @@ def _worker_main(rank: int, n_ranks: int,
     # This rank's share of the cores: n_ranks forked copies of a BLAS
     # pool sized for the whole machine starve one another (repro.nn.blas).
     share_blas_threads(n_ranks)
-    out_rings = {dst: ShmRing.attach(name, cap)
-                 for dst, (name, cap) in out_ring_names.items()}
-    in_rings = {src: ShmRing.attach(name, cap)
-                for src, (name, cap) in in_ring_names.items()}
+    # this rank's ends of the pool's channels, by lane: the walk's
+    # ``(src, dst)`` and the data-parallel step's ``(src, dst, "dp")``
+    ends: Dict[Tuple[str, bool], Dict[int, ShmRing]] = {
+        (lane, out): {} for lane in ("walk", "dp") for out in (True, False)}
+    for ch, (name, cap) in ring_names.items():
+        lane = ch[2] if len(ch) > 2 else "walk"
+        out = ch[0] == rank
+        ends[lane, out][ch[1] if out else ch[0]] = ShmRing.attach(name, cap)
+    out_rings, in_rings = ends["walk", True], ends["walk", False]
+    dp_out, dp_in = ends["dp", True], ends["dp", False]
     state = _StateBlock.attach(state_name, n_ranks)
     tracer = Tracer(enabled=trace_origin is not None)
     if trace_origin is not None:
@@ -400,14 +449,15 @@ def _worker_main(rank: int, n_ranks: int,
                               capacity=capacity, seen=int(seen))
             return observe
 
-        for dst, ring in out_rings.items():
-            ring.observer = _ring_observer(f"{rank}->{dst}", ring.capacity)
-        for src, ring in in_rings.items():
-            ring.observer = _ring_observer(f"{src}->{rank}", ring.capacity)
+        for (lane, out), rings in ends.items():
+            suffix = "" if lane == "walk" else f":{lane}"
+            for peer, ring in rings.items():
+                label = f"{rank}->{peer}" if out else f"{peer}->{rank}"
+                ring.observer = _ring_observer(label + suffix, ring.capacity)
     trace_path = (os.path.join(trace_dir, f"rank{rank}.jsonl")
                   if trace_dir is not None else None)
     ctx = WorkerContext(rank, n_ranks, out_rings, in_rings, state, tick_s,
-                        tracer, trace_path)
+                        tracer, trace_path, dp_out, dp_in)
     state.beat(rank)
 
     # Beat from a daemon thread so the heartbeat tracks *process* liveness
@@ -455,8 +505,9 @@ def _worker_main(rank: int, n_ranks: int,
         pass
     finally:
         stop_beating.set()
-        for ring in (*out_rings.values(), *in_rings.values()):
-            ring.close()
+        for rings in ends.values():
+            for ring in rings.values():
+                ring.close()
         state.close()
 
 
@@ -473,7 +524,9 @@ class ProcessPool:
 
     ``channels`` is the list of directed ``(src, dst)`` pairs that get a
     ring; pass None for all-pairs (fine for small worlds — the trainer
-    passes just the pipeline-neighbor channels).
+    passes just the pipeline-neighbor channels).  A ``(src, dst, "dp")``
+    triple is a ring on the data-parallel step's own lane, which a
+    worker reads only through ``WorkerContext.drive(gen, dp=True)``.
     """
 
     def __init__(self, n_ranks: int, *,
@@ -499,22 +552,29 @@ class ProcessPool:
         self.trace_dir = trace_dir
         if trace_dir is not None:
             os.makedirs(trace_dir, exist_ok=True)
-        self.rings: Dict[Tuple[int, int], ShmRing] = {
-            ch: ShmRing.create(ring_capacity) for ch in self.channels}
-        self.state = _StateBlock.create(n_ranks)
+        self.rings: Dict[Tuple, ShmRing] = {}
+        try:
+            for ch in self.channels:
+                self.rings[ch] = ShmRing.create(ring_capacity)
+            self.state = _StateBlock.create(n_ranks)
+        except BaseException:
+            # e.g. ENOSPC on /dev/shm half-way through: the segments made
+            # so far would outlive the pool
+            for ring in self.rings.values():
+                ring.close()
+                ring.unlink()
+            raise
         self.workers: Dict[int, _WorkerHandle] = {}
         self._closed = False
 
     # -- worker lifecycle --------------------------------------------------
     def _spawn(self, rank: int) -> None:
         parent_conn, child_conn = _MP.Pipe()
-        out_names = {d: (self.rings[(s, d)].name, self.ring_capacity)
-                     for (s, d) in self.channels if s == rank}
-        in_names = {s: (self.rings[(s, d)].name, self.ring_capacity)
-                    for (s, d) in self.channels if d == rank}
+        names = {ch: (ring.name, self.ring_capacity)
+                 for ch, ring in self.rings.items() if rank in ch[:2]}
         proc = _MP.Process(
             target=_worker_main,
-            args=(rank, self.n_ranks, out_names, in_names, self.state.name,
+            args=(rank, self.n_ranks, names, self.state.name,
                   child_conn, self.tick_s, self.trace_origin,
                   self.trace_dir),
             daemon=True)
@@ -690,16 +750,16 @@ class ProcessPool:
     # -- introspection / cleanup -------------------------------------------
     def pending(self, rank: int) -> int:
         """Messages buffered toward ``rank`` across its incoming rings."""
-        return sum(ring.frames() for (s, d), ring in self.rings.items()
-                   if d == rank)
+        return sum(ring.frames() for ch, ring in self.rings.items()
+                   if ch[1] == rank)
 
     def drain_rings(self) -> List[Packet]:
         """Consume every buffered frame (only safe while workers are idle
         in their command loop); returns them as orphan packets."""
         orphans: List[Packet] = []
-        for (src, dst), ring in self.rings.items():
+        for ch, ring in self.rings.items():
             for tag, microbatch, _ts, data in ring.drain():
-                orphans.append(Packet(src, dst, tag, microbatch, data))
+                orphans.append(Packet(ch[0], ch[1], tag, microbatch, data))
         return orphans
 
     def close(self) -> None:
@@ -871,49 +931,95 @@ class ProcessTransport(BaseRankTransport):
             self.pool.close()
 
 
+def _state_arrays(stage, opt) -> List[Tuple[np.ndarray, Callable]]:
+    """Every array of a lead rank's training state in the order its
+    shared block lays them out, each with the setter that re-binds its
+    owner to a new array: the stage's parameters, then the optimizer's
+    state (AdamW moments, allocated here if the first step has not run;
+    MixedPrecisionAdamW moments and fp16 weights; the offload
+    optimizer's host buckets and fp16 weights)."""
+    slots: List[Tuple[np.ndarray, Callable]] = [
+        (p.data, functools.partial(setattr, p, "data"))
+        for p in stage.parameters()]
+    if isinstance(opt, BucketedOffloadAdamW):
+        for name in ("host_master", "host_exp_avg", "host_exp_avg_sq",
+                     "device_half"):
+            slots.append((getattr(opt, name),
+                          functools.partial(setattr, opt, name)))
+    elif isinstance(opt, MixedPrecisionAdamW):
+        for arrays in (opt.exp_avg, opt.exp_avg_sq, opt.half_params):
+            slots += [(arr, functools.partial(arrays.__setitem__, k))
+                      for k, arr in enumerate(arrays)]
+    else:
+        for p, st in zip(opt.params, opt.state):
+            for key in ("exp_avg", "exp_avg_sq"):
+                if key not in st:
+                    st[key] = np.zeros_like(p.data)
+                slots.append((st[key],
+                              functools.partial(st.__setitem__, key)))
+    return slots
+
+
+def _block_layout(slots) -> Tuple[List[int], int]:
+    """Byte offset of every array in the block (64-byte aligned), and
+    the block's size."""
+    offsets, size = [], 0
+    for arr, _set in slots:
+        offsets.append(size)
+        size += -(-arr.nbytes // 64) * 64
+    return offsets, max(size, 64)
+
+
+def _bind_to_block(slots, buf, copy: bool) -> None:
+    """Re-bind every array of ``slots`` to its view of the block ``buf``
+    — copying the current values in first when ``copy``."""
+    offsets, _size = _block_layout(slots)
+    for (arr, rebind), off in zip(slots, offsets):
+        view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=buf,
+                          offset=off)
+        if copy:
+            view[...] = arr
+        rebind(view)
+
+
 def _train_step_task(ctx: WorkerContext, payload: Dict[str, Any]
                      ) -> Dict[str, Any]:
-    """Worker task for one inter-layer phase of one training batch.
+    """Worker task for one training batch on a tensor-parallel lead.
 
-    Rebuilds (once, cached) this rank's shard, loads the parent's current
-    parameters from the rank's parameter block, restores dropout RNG
-    state, drives the batch's walk over the rings — Algorithm 2's
-    :func:`inter_layer_step`, or :func:`lower_rank` when the payload
-    carries a static ``schedule`` — then writes the accumulated gradients
-    back and returns losses + RNG state: everything the parent needs to
-    run the (unchanged) data-parallel phase and optimizer.
+    Builds (once, cached) this rank's shard and optimizer over views of
+    the rank's shared block, the only home of its parameters and
+    optimizer state; restores dropout RNG state; drives the batch's walk
+    over the rings — Algorithm 2's :func:`inter_layer_step`, or
+    :func:`lower_rank` when the payload carries a static ``schedule`` —
+    then Algorithm 1's end of the batch, :meth:`ColumnStep.run`, on the
+    ``"dp"`` lane: the column reduce with its peers, the grid's overflow
+    verdict, and the step, written straight into the block.  Returns
+    losses, RNG state and whether the optimizer stepped.
     """
     rank = ctx.rank
     grid = payload["grid"]
     cfg = payload["cfg"]
     sched = payload["schedule"]
     n_virtual = grid.g_inter if sched is None else sched.n_virtual
-    stage_key = (repr(cfg), grid.g_inter, grid.g_intra, n_virtual,
-                 payload["checkpoint_activations"])
-    stage = ctx.cache.get("stage")
-    if stage is None or ctx.cache.get("stage_key") != stage_key:
+    key = (payload["param_shm"], repr(cfg), grid, n_virtual,
+           payload["checkpoint_activations"], payload["optimizer"])
+    if ctx.cache.get("key") != key:
         i, _j = grid.coord_of(rank)
         stage = build_shard(cfg, grid, i, n_virtual,
                             payload["checkpoint_activations"])
-        ctx.cache["stage"] = stage
-        ctx.cache["stage_key"] = stage_key
-        old = ctx.cache.pop("param_shm", None)
-        if old is not None:
-            old.close()
-    shm = ctx.cache.get("param_shm")
-    if shm is None or shm.name != payload["param_shm"]:
-        if shm is not None:
-            shm.close()
+        precision, offload, bucket_size, chunk, hparams = \
+            payload["optimizer"]
+        opt = make_optimizer(stage.parameters(), precision, offload,
+                             bucket_size, LossScaler(dynamic=False),
+                             **hparams)
         shm = attach_shared_memory(payload["param_shm"])
-        ctx.cache["param_shm"] = shm
-    params = stage.parameters()
-    numel = sum(p.size for p in params)
-    flat = np.ndarray((2 * numel,), dtype=np.float32, buffer=shm.buf)
-    offset = 0
-    for p in params:
-        p.data[...] = flat[offset:offset + p.size].reshape(p.data.shape)
-        p.grad = None
-        offset += p.size
+        _bind_to_block(_state_arrays(stage, opt), shm.buf, copy=False)
+        ctx.cache.update(key=key, stage=stage, shm=shm, column=ColumnStep(
+            grid, rank, stage.parameters(), opt, chunk))
+    stage = ctx.cache["stage"]
+    column = ctx.cache["column"]
+    opt = column.opt
+    opt.zero_grad()
     drops = _dropout_modules(stage)
     for m, st in zip(drops, payload["rng_states"]):
         m.rng.bit_generator.state = st
@@ -921,6 +1027,7 @@ def _train_step_task(ctx: WorkerContext, payload: Dict[str, Any]
     ctx.kill_after = payload.get("kill_after")
     ctx._maybe_crash()  # a crash scheduled before the first receive
 
+    tracer = ctx.tracer if ctx.tracer.enabled else None
     tp = None
     if grid.g_intra > 1:
         tp = TPComm(rank, grid, ctx.send,
@@ -931,9 +1038,7 @@ def _train_step_task(ctx: WorkerContext, payload: Dict[str, Any]
         gen = inter_layer_step(
             rank, grid, stage, ctx.send, payload["microbatches"],
             payload["total_microbatches"], payload["pipeline_limit"],
-            loss_scale=payload["loss_scale"],
-            tracer=ctx.tracer if ctx.tracer.enabled else None,
-            tp=tp)
+            loss_scale=payload["loss_scale"], tracer=tracer, tp=tp)
     else:
         gen = lower_rank(
             sched, grid, rank, stage.chunks, ctx.send,
@@ -941,22 +1046,25 @@ def _train_step_task(ctx: WorkerContext, payload: Dict[str, Any]
             loss_scale=payload["loss_scale"], tracer=ctx.tracer, tp=tp)
     if isinstance(gen, types.GeneratorType):
         ctx.drive(gen)
+    if stage.inflight_microbatches:
+        raise RuntimeError(
+            f"rank {rank} finished with {stage.inflight_microbatches} "
+            f"microbatches in flight")
 
-    grad_mask = []
-    offset = numel
-    for p in params:
-        if p.grad is None:
-            grad_mask.append(False)
-            flat[offset:offset + p.size] = 0.0
-        else:
-            grad_mask.append(True)
-            flat[offset:offset + p.size] = p.grad.reshape(-1)
-        offset += p.size
+    opt.steps = payload["steps"]
+    if hasattr(opt, "scaler"):
+        opt.scaler.scale = payload["loss_scale"]
+
+    def record(rank: int, op: str, key: Tuple) -> None:
+        ctx.events.append(("collective", rank, op, key))
+
+    applied = ctx.drive(column.run(ctx.dp_send, tracer, record), dp=True)
     return {
         "losses": dict(stage.microbatch_losses),
         "rng_states": [m.rng.bit_generator.state for m in drops],
-        "grad_mask": grad_mask,
-        "inflight": stage.inflight_microbatches,
+        "applied": applied,
+        "steps": opt.steps,
+        "chunks": column.n_chunks,
     }
 
 
@@ -994,14 +1102,23 @@ def _tp_follower_task(ctx: WorkerContext, payload: Dict[str, Any]
 class ProcessBackend:
     """The trainer's bridge to the process pool.
 
-    Owns one persistent :class:`ProcessPool` (pipeline-neighbor channels
-    only), one parameter/gradient shared block per rank, and the
-    translation of crash faults into real SIGKILLs.  The division of
-    labor that keeps numerics bit-identical to the cooperative backend:
-    the **inter-layer phase** (Algorithm 2) runs in the workers; the
-    **data-parallel phase and optimizer** (Algorithm 1's reduction, the
-    chunked fp16 all-reduce draw order, the loss-scale update) stay in
-    the parent, running the exact same code either way.
+    Owns one persistent :class:`ProcessPool` — pipeline-neighbor and
+    tensor-parallel channels for the walk, plus ``"dp"``-lane rings
+    between data-parallel column peers and pipeline neighbours for the
+    end of the batch — one shared block per lead rank, and the
+    translation of crash faults into real SIGKILLs.
+
+    A lead rank's block is the only home of its training state: its
+    stage's parameters and its optimizer's state.  The trainer's stage
+    and optimizer arrays are views of the block (re-bound at the next
+    :meth:`run_batch` after ``_build_rank`` replaces them), so
+    checkpointing, ``gather_state`` and rollback read and write the live
+    state with no per-step copy.  The workers run all of a batch: the
+    walk, the column reduce and the optimizer step
+    (:class:`~repro.runtime.column.ColumnStep`, the code the cooperative
+    backend runs in-process).  The parent only orchestrates: it ships
+    inputs and dropout RNG state, reads losses, RNG state and whether
+    the step was applied from the replies, and moves the loss scale.
     """
 
     def __init__(self, trainer, *,
@@ -1033,19 +1150,37 @@ class ProcessBackend:
                 last = grid.rank_of(grid.g_inter - 1, j)
                 channels += [(last, first), (first, last)]
             channels = list(dict.fromkeys(channels))
+        # The end of the batch (ColumnStep): column peers all-to-all, and
+        # under mixed precision the overflow verdict along each pipeline.
+        for i in range(grid.g_inter):
+            column = grid.data_parallel_ranks(i)
+            channels += [(a, b, "dp") for a in column for b in column
+                         if a != b]
+        if trainer.precision == "mixed":
+            for rank in trainer.stages:
+                nxt = grid.next_in_pipeline(rank)
+                if nxt is not None:
+                    channels += [(rank, nxt, "dp"), (nxt, rank, "dp")]
         if ring_capacity is None:
             # Size for several in-flight boundary activations: the largest
             # payload is a (microbatch, seq, hidden) fp32 tensor.
             frame = (4 * trainer.microbatch_size * trainer.cfg.seq_len
                      * trainer.cfg.hidden + 4096)
+            stage_numel = max((st.num_parameters()
+                               for st in trainer.stages.values()),
+                              default=0)
             if grid.g_intra > 1:
                 # TP weight messages carry every shard a peer lacks —
                 # bounded by a full stage's parameter block.
-                stage_bytes = max(
-                    (4 * sum(p.size for p in st.parameters())
-                     for st in trainer.stages.values()), default=0)
-                frame = max(frame, stage_bytes + 4096)
+                frame = max(frame, 4 * stage_numel + 4096)
             ring_capacity = max(1 << 16, 4 * frame)
+            if grid.g_data > 1:
+                # A column peer sends all its contributions before it
+                # reads anything: one ring must hold them all (fp32 bytes,
+                # plus a frame header per fp16 chunk).
+                chunk = max(1, trainer.coarsening_k * trainer.bucket_size)
+                ring_capacity = max(ring_capacity, 4 * stage_numel + 512
+                                    * (stage_numel // chunk + 8))
         tracing = trainer.tracer is not None and trainer.tracer.enabled
         self.pool = ProcessPool(
             grid.world_size, channels=channels or None,
@@ -1056,22 +1191,48 @@ class ProcessBackend:
             trace_dir=trace_dir)
         #: set by the resilience layer to inject (crash) faults
         self.injector = None
-        self._param_shms: Dict[int, shared_memory.SharedMemory] = {}
+        self._blocks: Dict[int, shared_memory.SharedMemory] = {}
+        #: rank -> the (stage, optimizer) whose arrays view its block
+        self._bound: Dict[int, Tuple[Any, Any]] = {}
         self._closed = False
 
-    # -- parameter blocks --------------------------------------------------
-    def _param_block(self, rank: int) -> shared_memory.SharedMemory:
-        """The rank's param/grad block: ``[params fp32 | grads fp32]``."""
-        numel = sum(p.size for p in self.trainer.stages[rank].parameters())
-        nbytes = 2 * 4 * numel
-        shm = self._param_shms.get(rank)
-        if shm is None or shm.size < nbytes:
-            if shm is not None:
-                shm.close()
-                shm.unlink()
-            shm = shared_memory.SharedMemory(create=True, size=nbytes)
-            self._param_shms[rank] = shm
+    # -- the state blocks --------------------------------------------------
+    def _bind(self, rank: int) -> shared_memory.SharedMemory:
+        """The rank's block, with the trainer's stage and optimizer bound
+        to it — copied in the first time, and again after
+        ``_build_rank`` replaced either."""
+        trainer = self.trainer
+        pair = (trainer.stages[rank], trainer.optimizers[rank])
+        shm = self._blocks.get(rank)
+        if shm is not None and self._bound.get(rank) == pair:
+            return shm
+        slots = _state_arrays(*pair)
+        _offsets, size = _block_layout(slots)
+        if shm is None or shm.size < size:
+            if shm is not None:  # pragma: no cover - layout is fixed
+                self._release(rank)
+            shm = shared_memory.SharedMemory(create=True, size=size)
+            self._blocks[rank] = shm
+        _bind_to_block(slots, shm.buf, copy=True)
+        self._bound[rank] = pair
         return shm
+
+    def _release(self, rank: int) -> None:
+        """Give the rank's state back private arrays (the block's current
+        values), then close and unlink the block."""
+        pair = self._bound.pop(rank, None)
+        if pair is not None:
+            for arr, rebind in _state_arrays(*pair):
+                rebind(arr.copy())
+        shm = self._blocks.pop(rank)
+        try:
+            shm.close()
+        except BufferError:
+            pass  # a caller still holds a view; the mapping goes with it
+        try:
+            shm.unlink()
+        except FileNotFoundError:
+            pass
 
     # -- fault translation -------------------------------------------------
     def _crash_schedule(self) -> Dict[int, int]:
@@ -1097,25 +1258,31 @@ class ProcessBackend:
         return schedule
 
     # -- the batch ---------------------------------------------------------
-    def run_batch(self, groups, total_mb: int, schedule) -> int:
-        """Run the inter-layer phase of one batch across the workers,
-        under that static ``schedule`` or (None) under Algorithm 2.
+    def run_batch(self, groups, total_mb: int, schedule
+                  ) -> Tuple[int, bool, int]:
+        """Run one batch across the workers — the walk under that static
+        ``schedule`` or (None) under Algorithm 2, then the column reduce
+        and every rank's optimizer step.
 
-        Returns the number of point-to-point messages exchanged.  Raises
-        :class:`RankFailure` on real worker death (injected or genuine);
-        the pool is settled and respawned before the exception leaves, so
-        the resilience layer's rollback-replay needs no backend-specific
-        code.
+        Returns (point-to-point messages exchanged by the walk, whether
+        the optimizer stepped, the last stage's all-reduce chunks).
+        Raises :class:`RankFailure` on real worker death (injected or
+        genuine); the pool is settled and respawned before the exception
+        leaves, so the resilience layer's rollback-replay needs no
+        backend-specific code.
         """
         trainer = self.trainer
         grid = trainer.grid
         self.pool.start()
         crash_after = self._crash_schedule()
         scale = trainer.scaler.scale if trainer.precision == "mixed" else 1.0
+        optimizer = (trainer.precision, trainer.offload, trainer.bucket_size,
+                     trainer.coarsening_k * trainer.bucket_size,
+                     trainer._opt_hparams)
 
         for rank in range(grid.world_size):
+            _i, j, _t = grid.coord3_of(rank)
             if not grid.is_tp_lead(rank):
-                _i, j, _t = grid.coord3_of(rank)
                 self.pool.submit(rank, _tp_follower_task, {
                     "grid": grid,
                     "total_microbatches": len(groups[j]),
@@ -1123,21 +1290,13 @@ class ProcessBackend:
                 })
                 continue
             stage = trainer.stages[rank]
-            params = stage.parameters()
-            numel = sum(p.size for p in params)
-            shm = self._param_block(rank)
-            flat = np.ndarray((2 * numel,), dtype=np.float32,
-                              buffer=shm.buf)
-            offset = 0
-            for p in params:
-                flat[offset:offset + p.size] = p.data.reshape(-1)
-                offset += p.size
-            _i, j = grid.coord_of(rank)
-            payload = {
+            self.pool.submit(rank, _train_step_task, {
                 "cfg": trainer.cfg,
                 "grid": grid,
                 "checkpoint_activations": trainer.checkpoint_activations,
-                "param_shm": shm.name,
+                "param_shm": self._bind(rank).name,
+                "optimizer": optimizer,
+                "steps": trainer.optimizers[rank].steps,
                 "microbatches": groups[j],
                 "total_microbatches": total_mb,
                 "pipeline_limit": trainer.pipeline_limit,
@@ -1146,14 +1305,14 @@ class ProcessBackend:
                 "rng_states": [m.rng.bit_generator.state
                                for m in _dropout_modules(stage)],
                 "kill_after": crash_after.get(rank),
-            }
-            self.pool.submit(rank, _train_step_task, payload)
+            })
 
         replies = self.pool.gather(list(range(grid.world_size)))
 
         # Crash faults that never fired in-flight (scheduled past the
         # rank's last receive) kill their worker at the end-of-batch
-        # barrier — same semantics as the cooperative backend.
+        # barrier, after it stepped — same semantics as the cooperative
+        # backend.  The rollback restores the stepped state in the blocks.
         barrier_dead = sorted(r for r in crash_after if r in replies
                               and replies[r][0] == "ok")
         if barrier_dead:
@@ -1169,64 +1328,36 @@ class ProcessBackend:
                 crashed_at={r: int(self.pool.state.recvs(r))
                             for r in barrier_dead})
 
-        messages = self._apply_replies(replies)
+        results, messages = _merge_replies(replies, trainer.recorder,
+                                           trainer.tracer)
         orphans = self.pool.drain_rings()
         if orphans:
             raise BaseRankTransport._orphan_error(orphans)
-        return messages
-
-    def _apply_replies(self, replies: Dict[int, Tuple]) -> int:
-        trainer = self.trainer
-        results, messages = _merge_replies(replies, trainer.recorder,
-                                           trainer.tracer)
-        errors: List[str] = []
+        verdicts = set()
         for rank, payload in results.items():
             if payload.get("follower"):
                 continue  # followers hold no stage; events already merged
-            if payload["inflight"]:
-                errors.append(
-                    f"rank {rank} finished with {payload['inflight']} "
-                    f"microbatches in flight")
-                continue
             stage = trainer.stages[rank]
-            shm = self._param_shms[rank]
-            params = stage.parameters()
-            numel = sum(p.size for p in params)
-            flat = np.ndarray((2 * numel,), dtype=np.float32,
-                              buffer=shm.buf)
-            offset = numel
-            for p, has_grad in zip(params, payload["grad_mask"]):
-                if has_grad:
-                    grad = flat[offset:offset + p.size].reshape(p.data.shape)
-                    if p.grad is None:
-                        p.grad = grad.copy()
-                    else:
-                        np.copyto(p.grad, grad)
-                else:
-                    p.grad = None
-                offset += p.size
             stage.microbatch_losses.clear()
             stage.microbatch_losses.update(payload["losses"])
             for m, st in zip(_dropout_modules(stage),
                              payload["rng_states"]):
                 m.rng.bit_generator.state = st
-        if errors:
+            trainer.optimizers[rank].steps = payload["steps"]
+            verdicts.add(payload["applied"])
+        if len(verdicts) != 1:  # pragma: no cover - defensive
             raise RuntimeError(
-                "worker process(es) raised:\n" + "\n".join(errors))
-        return messages
+                f"ranks disagree on whether the step was applied")
+        last = results[grid.rank_of(grid.g_inter - 1, 0)]
+        return messages, verdicts.pop(), last["chunks"]
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
         self.pool.close()
-        for shm in self._param_shms.values():
-            try:
-                shm.close()
-                shm.unlink()
-            except Exception:
-                pass
-        self._param_shms.clear()
+        for rank in list(self._blocks):
+            self._release(rank)
 
     def __del__(self):  # pragma: no cover - interpreter teardown
         try:

@@ -73,8 +73,10 @@ class TestCheckerSweep:
         models = builtin_models(max_world=8, max_microbatches=4)
         # 80 (grid, m) configs x (AxoNN + every schedule accepting them)
         # + 4D (AxoNN at g_intra 2 and 4, every single-chunk schedule at
-        # g_intra 2) + serve: each schedule is proved once, as compiled.
-        assert len(models) == 512
+        # g_intra 2) + serve: each schedule is proved once, as compiled;
+        # + Algorithm 1's column phase after the walk: 20 grids x (fp32,
+        # mixed) and the 8 g_intra=2 grids under mixed precision.
+        assert len(models) == 512 + 48
         for model in models:
             result = check_model(model)
             assert result.ok, (

@@ -224,19 +224,28 @@ class TestVectorizedAllreduce:
             precision="mixed", bucket_size=bucket_size, coarsening_k=2,
             loss_scaler=LossScaler(init_scale=init_scale, dynamic=False))
 
+    @staticmethod
+    def _columns(trainer):
+        """Per column: (the replicas' fp16 rows stacked in replica order,
+        each replica's reduced total) as the last batch left them."""
+        steps = trainer._column_steps
+        for i in range(trainer.grid.g_inter):
+            column = trainer.grid.data_parallel_ranks(i)
+            stacked = np.stack([steps[r].row for r in column])
+            yield stacked, [steps[r] for r in column]
+
     def test_bit_identical_to_sequential_loop(self):
         trainer = self._trainer()
         batches = make_batches()
-        trainer.train_batch(*batches.batch(0))  # leaves grads populated
+        trainer.train_batch(*batches.batch(0))  # leaves the buffers filled
         chunk = max(1, trainer.coarsening_k * trainer.bucket_size)
-        for i in range(trainer.grid.g_inter):
-            stacked = trainer._fill_column_half_grads(i).stacked.copy()
-            total, n_chunks = trainer._allreduce_fp16_chunked(i)
+        for stacked, steps in self._columns(trainer):
             ref, ref_chunks = reference_fp16_allreduce(stacked, chunk)
-            assert n_chunks == ref_chunks
-            assert n_chunks > 1  # the small bucket really chunks
-            assert total.dtype == np.float16
-            np.testing.assert_array_equal(total, ref)
+            for step in steps:
+                assert step.n_chunks == ref_chunks
+                assert step.n_chunks > 1  # the small bucket really chunks
+                assert step.total.dtype == np.float16
+                np.testing.assert_array_equal(step.total, ref)
 
     def test_bit_identical_under_overflow(self):
         """Overflowed fp16 gradients (inf) reduce identically in both
@@ -247,23 +256,25 @@ class TestVectorizedAllreduce:
         assert not report.applied  # overflow path still trips
         chunk = max(1, trainer.coarsening_k * trainer.bucket_size)
         saw_nonfinite = False
-        for i in range(trainer.grid.g_inter):
-            stacked = trainer._fill_column_half_grads(i).stacked.copy()
-            total, _ = trainer._allreduce_fp16_chunked(i)
+        for stacked, steps in self._columns(trainer):
             ref, _ = reference_fp16_allreduce(stacked, chunk)
-            np.testing.assert_array_equal(total, ref)
-            saw_nonfinite |= not np.isfinite(total).all()
+            for step in steps:
+                np.testing.assert_array_equal(step.total, ref)
+                saw_nonfinite |= not np.isfinite(step.total).all()
         assert saw_nonfinite
 
     def test_buffers_are_reused_across_batches(self):
-        """The DP phase must not allocate per batch: the stacked/total
-        buffers for a column are created once and reused."""
+        """The DP phase must not allocate per batch: each rank's row,
+        total and stacking buffers are created once and reused."""
         trainer = self._trainer()
         batches = make_batches()
         trainer.train_batch(*batches.batch(0))
-        bufs = {i: trainer._dp_buffers[i] for i in range(2)}
-        totals = {i: trainer._allreduce_fp16_chunked(i)[0] for i in range(2)}
+        steps = dict(trainer._column_steps)
+        arrays = {r: (s.row, s.total, dict(s.stacks))
+                  for r, s in steps.items()}
         trainer.train_batch(*batches.batch(1))
-        for i in range(2):
-            assert trainer._dp_buffers[i] is bufs[i]
-            assert trainer._allreduce_fp16_chunked(i)[0] is totals[i]
+        assert trainer._column_steps == steps
+        for r, step in trainer._column_steps.items():
+            row, total, stacks = arrays[r]
+            assert step.row is row and step.total is total
+            assert all(step.stacks[c] is a for c, a in stacks.items())

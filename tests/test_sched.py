@@ -74,18 +74,24 @@ def make_batches(batch_size=8, seed=0):
 #: at ("1f1b", 4, 2, 1) that records some receives earlier *across*
 #: channels, so that one whole-trace digest is re-recorded (it was
 #: 7f33aed5…8567); every send order and per-channel receive order held.
+#: The data-parallel reduce then became a rank program of its own
+#: (``repro.runtime.column.ColumnStep``) that records each rank's
+#: ``allreduce_fp32`` slots when that rank runs, where the trainer used
+#: to record them slot by slot across the column: the two ``g_data=2``
+#: whole-trace digests moved again (they were 1187f556…f5371 and
+#: 604778ee…009a7) with the same 606 events; the invariant digests held.
 GOLDEN_TRACES = {
     ("1f1b", 2, 1, 2): (
         48, "17133644e87fb34fe8644b7815c831d00f3e850e62a483f84a471808e322fbf3",
         "3675aa0ef19261e08ddd07e514c489f1576d9c08c64bb9b3286bd20bb6c4f1c7"),
     ("1f1b", 4, 2, 1): (
-        606, "1187f55630dcad3eac42e23c52640cb363647e4c50d2af9ab70a3dc3814f5371",
+        606, "7ae7be865bf3dc0f6c62ebb01ceafe76a9cdaf7d72d1ffce3d646e409571841e",
         "ca3f6fc8abb4b2d59b7ca85dd6e50cacd2f9da3ee881cbefe7b545312e4d43b3"),
     ("gpipe", 2, 1, 2): (
         48, "ead3b06651fd25c2a0457a0ff9a5819f093c0cf1b3e43d7437e47ffba455ba6f",
         "3675aa0ef19261e08ddd07e514c489f1576d9c08c64bb9b3286bd20bb6c4f1c7"),
     ("gpipe", 4, 2, 1): (
-        606, "604778eecc59d4c24c50500531e56ef7f4794cdddb45ee32878ab6d0242009a7",
+        606, "314ced28e959c185c29cdf28aa74bf70fb1ec1844849c0613beddf71e78882b6",
         "ac237cfe2a7d0119d308551d66466ac359d13a3e571497ac796b21d31b53433c"),
 }
 
