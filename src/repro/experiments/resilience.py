@@ -147,10 +147,11 @@ def resilience_report(models: Optional[Sequence[str]] = None,
 
 def demo_training(dropout: float, n_batches: int, *,
                   microbatch_size: int = 2,
-                  tracer: Optional[Tracer] = None
+                  tracer: Optional[Tracer] = None, **options
                   ) -> Tuple[AxoNNTrainer, List[Tuple]]:
     """The tiny 2x2 hybrid GPT scenario the fault and trace demos train:
-    a fresh trainer and ``n_batches`` seeded ``(x, y)`` batches."""
+    a fresh trainer (``options`` go to :class:`AxoNNTrainer`) and
+    ``n_batches`` seeded ``(x, y)`` batches."""
     cfg = GPTConfig(vocab_size=32, seq_len=8, n_layer=4, n_head=2,
                     hidden=12, dropout=dropout, init_seed=7)
     rng = np.random.default_rng(7)
@@ -158,7 +159,8 @@ def demo_training(dropout: float, n_batches: int, *,
                 rng.integers(0, cfg.vocab_size, size=(8, cfg.seq_len)))
                for _ in range(n_batches)]
     trainer = AxoNNTrainer(cfg, g_inter=2, g_data=2,
-                           microbatch_size=microbatch_size, tracer=tracer)
+                           microbatch_size=microbatch_size, tracer=tracer,
+                           **options)
     return trainer, batches
 
 
@@ -246,17 +248,30 @@ def trace_sim(fast: bool, faults: bool = False) -> list:
 def trace_runtime(fast: bool, faults: bool = False) -> list:
     """Spans of one real-numerics batch of the demo training scenario, or
     with ``faults`` of a few batches under the demo plan: crash, drop and
-    straggler faults plus the resulting snapshot/recovery spans."""
+    straggler faults plus the resulting snapshot/recovery spans.
+
+    The fault-free batch runs on the process backend under mixed
+    precision with the CPU-offload optimizer, so the spans are the
+    workers' measured time: each rank's fp16 all-reduce chunks beside
+    the optimizer buckets it steps as each chunk arrives (Fig. 7).  The
+    traced batch is the second one — the first pays for the fork."""
     tracer = Tracer()
     if faults:
         trainer, batches = demo_training(0.1, 2 if fast else 4,
                                          tracer=tracer)
         step = ResilientTrainer(trainer, demo_plan(),
                                 detect_timeout=10).train_batch
-    else:
-        trainer, batches = demo_training(
-            0.0, 1, microbatch_size=2 if fast else 1, tracer=tracer)
-        step = trainer.train_batch
-    for x, y in batches:
-        step(x, y)
+        for x, y in batches:
+            step(x, y)
+        return tracer.spans
+    trainer, batches = demo_training(
+        0.0, 2, microbatch_size=2 if fast else 1, tracer=tracer,
+        backend="process", precision="mixed", offload=True,
+        bucket_size=256, coarsening_k=2)
+    try:
+        for x, y in batches:
+            tracer.spans.clear()
+            trainer.train_batch(x, y)
+    finally:
+        trainer.close()
     return tracer.spans

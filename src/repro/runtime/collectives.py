@@ -1,10 +1,12 @@
 """Numerical collectives on the rank transports.
 
-The trainer's data-parallel phase sums gradients directly for clarity; this
-module provides the *algorithmic* counterpart — a real ring all-reduce
-(reduce-scatter + all-gather) executed by rank programs exchanging chunk
-messages — to demonstrate and test the communication pattern the cost model
-prices.  The result is numerically the element-wise sum across ranks.
+The trainer's data-parallel phase (:mod:`repro.runtime.column`) has each
+slot's owner sum the replicas in a fixed order, so every backend agrees to
+the bit; this module provides the textbook counterpart — a real ring
+all-reduce (reduce-scatter + all-gather) executed by rank programs
+exchanging chunk messages — to demonstrate and test the communication
+pattern the cost model prices.  The result is numerically the element-wise
+sum across ranks.
 
 The rank program is a module-level generator (:func:`ring_allreduce_program`)
 so both execution backends run it: the cooperative scheduler drives it

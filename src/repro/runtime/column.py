@@ -42,6 +42,7 @@ previous chunk's arrival to this one's — and ``optimizer`` spans on
 
 from __future__ import annotations
 
+import contextlib
 from typing import Callable, Dict, Generator, List, Optional, Sequence
 
 import numpy as np
@@ -144,13 +145,13 @@ class ColumnStep:
             return self._run_mixed(send, tracer, record)
         return self._run_fp32(send, tracer, record)
 
-    def _step(self, tracer: Optional[Tracer], *args, **meta) -> None:
+    def _optimizer_span(self, tracer: Optional[Tracer], **meta):
+        """An ``optimizer`` span on this rank's compute stream (a no-op
+        context without a tracer)."""
         if tracer is None:
-            self.opt.step(*args)
-            return
-        with tracer.span(self.rank, "compute", "optimizer",
-                         category="optimizer", **meta):
-            self.opt.step(*args)
+            return contextlib.nullcontext()
+        return tracer.span(self.rank, "compute", "optimizer",
+                           category="optimizer", **meta)
 
     def _run_fp32(self, send: Callable, tracer: Optional[Tracer],
                   record: Optional[RecordFn]) -> Generator:
@@ -202,7 +203,8 @@ class ColumnStep:
                               tracer.now(), category="allreduce",
                               nbytes=sum(p.data.nbytes for p in params),
                               ranks=g)
-        self._step(tracer)
+        with self._optimizer_span(tracer):
+            self.opt.step()
         self.applied = True
         return True
 
@@ -242,12 +244,8 @@ class ColumnStep:
                 overflow = True
             if offload and not overflow:
                 stepped.append(c)
-                if tracer is None:
+                with self._optimizer_span(tracer, chunk=c):
                     self.opt.step_buckets(total, a, b, undo=self.undo)
-                else:
-                    with tracer.span(rank, "compute", "optimizer",
-                                     category="optimizer", chunk=c):
-                        self.opt.step_buckets(total, a, b, undo=self.undo)
 
         def reduce_owned(c: int) -> None:
             a, b = bounds[c]
@@ -307,19 +305,16 @@ class ColumnStep:
         if prev is not None:
             send(prev, TAG_OVERFLOW, 1, overflow)
         self.applied = not overflow
-        if offload:
-            if overflow:
-                for c in stepped:
-                    self.opt.undo_buckets(self.undo, *bounds[c])
-                self.opt.steps -= 1
-            elif tracer is None:
-                self.opt.finish_step()
-            else:
-                with tracer.span(rank, "compute", "optimizer",
-                                 category="optimizer"):
-                    self.opt.finish_step()
+        if offload and overflow:
+            for c in stepped:
+                self.opt.undo_buckets(self.undo, *bounds[c])
+            self.opt.steps -= 1
         elif not overflow:
-            self._step(tracer, self.halves)
+            with self._optimizer_span(tracer):
+                if offload:
+                    self.opt.finish_step()
+                else:
+                    self.opt.step(self.halves)
         return self.applied
 
 

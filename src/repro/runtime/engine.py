@@ -184,10 +184,11 @@ class AxoNNTrainer:
         #: optional factory for the per-batch transport; the resilience
         #: layer installs one that injects faults (see repro.resilience)
         self.transport_factory: Optional[Callable[[], RankTransport]] = None
-        #: which execution backend runs the inter-layer phase:
-        #: ``"cooperative"`` — every rank program swept in this process
-        #: (deterministic, single core); ``"process"`` — one OS process
-        #: per rank over shared-memory rings (:mod:`repro.runtime.parallel`),
+        #: which execution backend runs the rank programs (the walk, the
+        #: column reduce and the optimizer step): ``"cooperative"`` —
+        #: every rank program swept in this process (deterministic, single
+        #: core); ``"process"`` — one OS process per rank over
+        #: shared-memory rings (:mod:`repro.runtime.parallel`),
         #: numerically bit-identical, actually parallel on multi-core.
         self.backend = backend
         self._backend_options = dict(backend_options or {})

@@ -10,16 +10,23 @@ allows" claim becomes literal on a multi-core machine.
 
 Both backends implement the same contract
 (:class:`~repro.runtime.transport.BaseRankTransport`) and drive the same
-rank-program generators (:mod:`repro.runtime.rankprog`), so the schedule —
-and therefore the numerics — are identical:
+rank-program generators (:mod:`repro.runtime.rankprog`,
+:mod:`repro.runtime.column`), so the schedule — and therefore the
+numerics — are identical:
 
 * every backward pass on a rank happens in microbatch order under *any*
   FIFO-respecting delivery (by induction from the first stage's injection
   order, the bwd channel out of the last stage carries microbatches in
   increasing order), so gradient accumulation order is
   concurrency-invariant;
-* the data-parallel phase (chunked fp16 all-reduce draw order) and the
-  optimizer stay in the parent, byte-for-byte the cooperative code path;
+* each worker ends the batch as Algorithm 1 does: it reduces its
+  column's gradients with its data-parallel peers over rings of their
+  own (the ``"dp"`` lane) and steps its own optimizer —
+  :class:`~repro.runtime.column.ColumnStep`, the program the cooperative
+  backend runs in-process, summing every slot in the fixed replica order
+  whatever the arrival order;
+* a lead rank's parameters and optimizer state live in one shared block
+  that parent and worker both view, so nothing is copied per step;
 * dropout RNG bit-generator states ship parent → worker before the batch
   and worker → parent after it.
 

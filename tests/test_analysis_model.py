@@ -13,6 +13,7 @@ from repro.analysis.model import (
     axonn_model,
     builtin_models,
     check_model,
+    column_model,
     compare_with_trace,
     deadlock_mutant_model,
     extract_skeleton,
@@ -275,6 +276,47 @@ class Test4DTensorParallel:
         trace.record_collective(1, "tp_allgather", key=((0, 0), "fwd", 0))
         violations = check_collective_order(trace, [[0, 1]], tags=("tp_",))
         assert violations
+
+
+class TestColumnPhase:
+    """Algorithm 1's end of the batch — the real ColumnStep program —
+    checked as the phase after the walk."""
+
+    @pytest.mark.parametrize("precision", ["fp32", "mixed"])
+    def test_the_walk_is_followed_by_the_column_phase(self, precision):
+        walk = check_model(axonn_model(2, 2, 2))
+        both = check_model(axonn_model(2, 2, 2, param_slots=2,
+                                       precision=precision))
+        assert walk.ok and both.ok
+        assert both.states > walk.states
+        assert "precision=" + precision in both.model
+
+    def test_mixed_precision_carries_the_verdict_along_each_pipeline(self):
+        grid = RankGrid(3, 2)
+        channels = set(extract_skeleton(
+            column_model(grid, 2, "mixed")).channels)
+        chain = {(a, b, "dp") for j in range(2)
+                 for a, b in zip(grid.pipeline_ranks(j),
+                                 grid.pipeline_ranks(j)[1:])}
+        assert chain <= channels
+        assert {(b, a, p) for a, b, p in chain} <= channels
+        # fp32 needs no verdict: only the columns talk
+        fp32 = set(extract_skeleton(column_model(grid, 2, "fp32")).channels)
+        assert not chain & fp32
+        assert all(grid.coord_of(a)[0] == grid.coord_of(b)[0]
+                   for a, b, _plane in fp32)
+
+    def test_a_stuck_phase_after_the_walk_is_caught(self):
+        def waits(rank, send):
+            yield RECV
+
+        stuck = CommModel("stuck", 2, lambda capture: {
+            0: waits(0, None), 1: waits(1, None)})
+        model = axonn_model(2, 1, 2)
+        model.then = stuck
+        result = check_model(model)
+        assert not result.deadlock_free
+        assert result.counterexample.stuck == [0, 1]
 
 
 class TestCrossValidation:

@@ -85,28 +85,45 @@ def test_two_decompositions_agree_over_multiple_batches(seed):
 # valid (g_inter, g_data, microbatch, batch) shapes for the cross-backend
 # fuzz; kept small — every example spawns g_inter * g_data real processes.
 PROCESS_GRIDS = [
-    (1, 2, 2, 4), (2, 1, 2, 4), (2, 2, 1, 4), (3, 1, 1, 4),
+    (1, 2, 2, 4), (2, 1, 2, 4), (2, 2, 1, 4), (3, 1, 1, 4), (1, 3, 1, 6),
 ]
 
+#: precision -> trainer keywords; small buckets so the fp16 reduce runs
+#: in several chunks and the offload optimizer steps several buckets each
+PRECISIONS = {
+    "fp32": {},
+    "mixed": dict(precision="mixed", bucket_size=16, coarsening_k=2),
+    "offload": dict(precision="mixed", offload=True, bucket_size=16,
+                    coarsening_k=2),
+}
 
-@given(grid=st.sampled_from(PROCESS_GRIDS), seed=st.integers(0, 1000))
-@settings(max_examples=6, deadline=None)
-def test_process_backend_bit_identical_to_cooperative(grid, seed):
+
+@given(grid=st.sampled_from(PROCESS_GRIDS), seed=st.integers(0, 1000),
+       precision=st.sampled_from(sorted(PRECISIONS)),
+       schedule=st.sampled_from((None, "1f1b")))
+@settings(max_examples=10, deadline=None)
+def test_process_backend_bit_identical_to_cooperative(grid, seed, precision,
+                                                      schedule):
     """The process backend is not allowed numerical latitude: losses,
     post-step weights and the recorded message trace must all match the
     cooperative backend exactly — same microbatch draw order, same
-    dropout masks (RNG states ship both ways), same reduction order."""
+    dropout masks (RNG states ship both ways), same reduction order, in
+    every precision (the workers reduce and step themselves), under
+    Algorithm 2 and a static schedule."""
     g_inter, g_data, mbs, batch = grid
     rng = np.random.default_rng(seed)
     batches = [(rng.integers(0, CFG_DROP.vocab_size, (batch, CFG_DROP.seq_len)),
                 rng.integers(0, CFG_DROP.vocab_size, (batch, CFG_DROP.seq_len)))
                for _ in range(2)]
+    if schedule is not None and g_inter == 1:
+        reject()  # a static order needs a pipeline
 
     def run(backend):
         recorder = TraceRecorder()
         trainer = AxoNNTrainer(CFG_DROP, g_inter=g_inter, g_data=g_data,
                                microbatch_size=mbs, lr=1e-3,
-                               recorder=recorder, backend=backend)
+                               recorder=recorder, backend=backend,
+                               schedule=schedule, **PRECISIONS[precision])
         try:
             losses = [trainer.train_batch(x, y).loss for x, y in batches]
             return losses, trainer.gather_state(), recorder
@@ -246,7 +263,7 @@ def test_tensor_parallel_axis_matches_dense(grid, seed, precision, schedule):
 
 
 # kept tiny: every example spawns g_inter * g_data * g_intra processes.
-TP_PROCESS_GRIDS = [(2, 1, 2, 2, 4), (1, 2, 2, 2, 4)]
+TP_PROCESS_GRIDS = [(2, 1, 2, 2, 4), (1, 2, 2, 2, 4), (2, 2, 2, 1, 4)]
 
 
 @given(

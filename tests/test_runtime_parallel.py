@@ -24,9 +24,11 @@ from repro.obs import (Tracer, merge_rank_jsonl, read_spans_jsonl,
                        write_chrome_trace_multiprocess)
 from repro.obs.protocol import TraceRecorder
 from repro.resilience import Fault, FaultPlan, ResilientTrainer, RetryPolicy
-from repro.runtime import (POLL, RECV, AxoNNTrainer, ProcessTransport,
-                           ProgramSpec, RankFailure, RankTransport, ShmRing,
-                           ring_allreduce)
+from repro.runtime import (POLL, RECV, AxoNNTrainer, ProcessPool,
+                           ProcessTransport, ProgramSpec, RankFailure,
+                           RankTransport, ShmRing, load_trainer,
+                           ring_allreduce, save_trainer)
+from repro.runtime import parallel
 from repro.runtime.parallel import _payload_ok
 from repro.runtime.shm import RingFull
 from repro.runtime.transport import ProtocolError
@@ -523,6 +525,135 @@ def test_sigkill_tp_follower_respawns_whole_group():
     assert event.tp_groups == ((0, 1),)   # stage 0's intra group
     assert 0 in event.dead and 1 in event.dead  # lead dragged in
     assert losses == ref_losses  # exact equality, not approx
+
+
+def test_sigkill_at_the_barrier_after_the_step_recovers_bit_identically():
+    """A crash scheduled past the rank's last receive kills the worker at
+    the end-of-batch barrier — after it reduced its column and stepped
+    its optimizer into the shared block.  The rollback must take that
+    step back: the run ends bit-identical to a fault-free one."""
+    cfg = GPTConfig(vocab_size=17, seq_len=6, n_layer=2, n_head=2, hidden=8,
+                    dropout=0.1, init_seed=5)
+    rng = np.random.default_rng(4)
+    batches = [(rng.integers(0, 17, (4, 6)), rng.integers(0, 17, (4, 6)))
+               for _ in range(3)]
+    kwargs = dict(g_inter=2, g_data=2, microbatch_size=1, precision="mixed",
+                  offload=True, bucket_size=16, coarsening_k=2)
+    reference = AxoNNTrainer(cfg, **kwargs)
+    ref_losses = [reference.train_batch(x, y).loss for x, y in batches]
+
+    plan = FaultPlan.of(Fault(kind="crash", rank=3, step=1, tick=10_000))
+    trainer = AxoNNTrainer(cfg, backend="process", **kwargs)
+    resilient = ResilientTrainer(trainer, plan)
+    try:
+        losses = [resilient.train_batch(x, y).loss for x, y in batches]
+        state = trainer.gather_state()
+    finally:
+        trainer.close()
+
+    assert resilient.total_recoveries == 1
+    assert resilient.recoveries[0].dead == (3,)
+    assert losses == ref_losses  # exact equality, not approx
+    ref_state = reference.gather_state()
+    assert all(np.array_equal(state[k], ref_state[k]) for k in ref_state)
+
+
+@pytest.mark.parametrize("precision", ["fp32", "mixed", "offload"])
+def test_process_checkpoint_mid_run_resumes_bit_for_bit(tmp_path, precision):
+    """A checkpoint saved between steps of a process-backend run reads the
+    live state out of the shared blocks; a fresh process trainer that
+    loads it copies it into its own blocks and continues bit for bit."""
+    cfg = GPTConfig(vocab_size=17, seq_len=6, n_layer=2, n_head=2, hidden=8,
+                    dropout=0.1, init_seed=5)
+    kwargs = dict(g_inter=2, g_data=2, microbatch_size=1, backend="process")
+    if precision != "fp32":
+        kwargs.update(precision="mixed", offload=precision == "offload",
+                      bucket_size=16, coarsening_k=2)
+    rng = np.random.default_rng(7)
+    batches = [(rng.integers(0, 17, (4, 6)), rng.integers(0, 17, (4, 6)))
+               for _ in range(4)]
+    path = str(tmp_path / "mid.npz")
+
+    first = AxoNNTrainer(cfg, **kwargs)
+    try:
+        for x, y in batches[:2]:
+            first.train_batch(x, y)
+        save_trainer(first, path)
+        want = [first.train_batch(x, y).loss for x, y in batches[2:]]
+    finally:
+        first.close()
+    # close() hands the trainer private copies of the state it viewed
+    want_state = first.gather_state()
+
+    resumed = AxoNNTrainer(cfg, **kwargs)
+    try:
+        load_trainer(resumed, path)
+        got = [resumed.train_batch(x, y).loss for x, y in batches[2:]]
+        got_state = resumed.gather_state()
+    finally:
+        resumed.close()
+    assert got == want
+    assert all(np.array_equal(got_state[k], want_state[k])
+               for k in want_state)
+
+
+def test_workers_trace_the_column_reduce_and_their_step():
+    """At g_data=2 every lead worker records its own all-reduce chunks
+    and optimizer steps, merged into the parent's one trace: Fig. 7 from
+    measured time."""
+    cfg = GPTConfig(vocab_size=17, seq_len=6, n_layer=2, n_head=2, hidden=8,
+                    init_seed=5)
+    tracer = Tracer()
+    trainer = AxoNNTrainer(cfg, g_inter=2, g_data=2, microbatch_size=1,
+                           precision="mixed", offload=True, bucket_size=16,
+                           coarsening_k=2, tracer=tracer, backend="process")
+    rng = np.random.default_rng(4)
+    x, y = rng.integers(0, 17, (4, 6)), rng.integers(0, 17, (4, 6))
+    try:
+        report = trainer.train_batch(x, y)
+    finally:
+        trainer.close()
+    assert report.allreduce_chunks > 1
+    for rank in range(4):
+        chunks = sorted(s.name for s in tracer.spans
+                        if s.rank == rank and s.category == "allreduce")
+        n = -(-trainer.stages[rank].num_parameters() // 32)
+        assert chunks == sorted(f"allreduce-chunk{c}" for c in range(n))
+        assert all(s.stream == "aux" for s in tracer.spans
+                   if s.rank == rank and s.category == "allreduce")
+        steps = [s for s in tracer.spans
+                 if s.rank == rank and s.category == "optimizer"]
+        # one per chunk's buckets, one for the closing scatter
+        assert len(steps) == n + 1
+        assert {s.stream for s in steps} == {"compute"}
+
+
+def test_failed_create_unlinks_what_the_pool_made(monkeypatch):
+    """ENOSPC on /dev/shm half-way through building the pool: the rings
+    made so far are unlinked and the original error surfaces."""
+    def entries():
+        return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") \
+            else set()
+
+    real_ring, real_block = ShmRing.create.__func__, \
+        parallel._StateBlock.create.__func__
+    for target, fail_at in ((ShmRing, 4), (parallel._StateBlock, 1)):
+        calls = []
+
+        def create(cls, *args, _real=real_ring if target is ShmRing
+                   else real_block, _at=fail_at, _calls=calls):
+            _calls.append(1)
+            if len(_calls) == _at:
+                raise OSError(28, "No space left on device")
+            return _real(cls, *args)
+
+        before = entries()
+        monkeypatch.setattr(target, "create", classmethod(create))
+        with pytest.raises(OSError, match="No space left") as exc:
+            ProcessPool(3)  # all pairs: six rings, then the state block
+        assert exc.value.errno == 28
+        assert entries() - before == set()
+        monkeypatch.undo()
 
 
 def test_channel_faults_rejected_on_process_backend():
