@@ -63,7 +63,6 @@ from ..sched.builders import SCHEDULE_NAMES, build_schedule, schedule_chunks
 from ..sched.ir import Schedule, validate
 from .column import ColumnStep, make_optimizer
 from .grid import RankGrid, split_batch
-from .offload import BucketedOffloadAdamW
 from .parallel import ProcessBackend
 from .rankprog import inter_layer_step, lower_rank
 from .stage import PipelineStage
@@ -162,7 +161,8 @@ class AxoNNTrainer:
         #: rank -> its network shard (stage replicas share weights by
         #: construction: build_layer is deterministic per slot).
         self.stages: Dict[int, PipelineStage] = {}
-        self.optimizers: Dict[int, Union[AdamW, BucketedOffloadAdamW]] = {}
+        #: rank -> its optimizer (:func:`~repro.runtime.column.make_optimizer`)
+        self.optimizers: Dict[int, object] = {}
         for rank in range(self.grid.world_size):
             self._build_rank(rank)
         self.batches_trained = 0

@@ -1008,9 +1008,7 @@ def _train_step_task(ctx: WorkerContext, payload: Dict[str, Any]
     cfg = payload["cfg"]
     sched = payload["schedule"]
     n_virtual = grid.g_inter if sched is None else sched.n_virtual
-    key = (payload["param_shm"], repr(cfg), grid, n_virtual,
-           payload["checkpoint_activations"], payload["optimizer"])
-    if ctx.cache.get("key") != key:
+    if ctx.cache.get("block") != payload["param_shm"]:
         i, _j = grid.coord_of(rank)
         stage = build_shard(cfg, grid, i, n_virtual,
                             payload["checkpoint_activations"])
@@ -1021,8 +1019,9 @@ def _train_step_task(ctx: WorkerContext, payload: Dict[str, Any]
                              **hparams)
         shm = attach_shared_memory(payload["param_shm"])
         _bind_to_block(_state_arrays(stage, opt), shm.buf, copy=False)
-        ctx.cache.update(key=key, stage=stage, shm=shm, column=ColumnStep(
-            grid, rank, stage.parameters(), opt, chunk))
+        ctx.cache.update(block=payload["param_shm"], stage=stage, shm=shm,
+                         column=ColumnStep(grid, rank, stage.parameters(),
+                                           opt, chunk))
     stage = ctx.cache["stage"]
     column = ctx.cache["column"]
     opt = column.opt
@@ -1214,12 +1213,9 @@ class ProcessBackend:
         if shm is not None and self._bound.get(rank) == pair:
             return shm
         slots = _state_arrays(*pair)
-        _offsets, size = _block_layout(slots)
-        if shm is None or shm.size < size:
-            if shm is not None:  # pragma: no cover - layout is fixed
-                self._release(rank)
-            shm = shared_memory.SharedMemory(create=True, size=size)
-            self._blocks[rank] = shm
+        if shm is None:  # a rebuilt rank has the same layout
+            shm = self._blocks[rank] = shared_memory.SharedMemory(
+                create=True, size=_block_layout(slots)[1])
         _bind_to_block(slots, shm.buf, copy=True)
         self._bound[rank] = pair
         return shm
