@@ -38,7 +38,10 @@ on it.  Three pieces:
   wait-for-graph counterexample with the full interleaving op trace
   (:class:`DeadlockWitness`).
 
-* **Built-in models** — :func:`axonn_model`, :func:`scheduled_model`
+* **Built-in models** — :func:`axonn_model` (optionally followed by
+  :func:`column_model`, Algorithm 1's column reduce and overflow
+  verdict, the real :class:`~repro.runtime.column.ColumnStep`),
+  :func:`scheduled_model`
   (every IR schedule, 1F1B / GPipe included), :func:`serve_model` (one
   shell for both placements of the one server), and the seeded
   :func:`deadlock_mutant_model` (a last stage that defers each backward
@@ -82,6 +85,7 @@ __all__ = [
     "axonn_model",
     "builtin_models",
     "check_model",
+    "column_model",
     "compare_with_trace",
     "deadlock_mutant_model",
     "extract_skeleton",

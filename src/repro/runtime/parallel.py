@@ -1167,26 +1167,26 @@ class ProcessBackend:
                 nxt = grid.next_in_pipeline(rank)
                 if nxt is not None:
                     channels += [(rank, nxt, "dp"), (nxt, rank, "dp")]
+        stage_numel = max(st.num_parameters()
+                          for st in trainer.stages.values())
         if ring_capacity is None:
             # Size for several in-flight boundary activations: the largest
             # payload is a (microbatch, seq, hidden) fp32 tensor.
             frame = (4 * trainer.microbatch_size * trainer.cfg.seq_len
                      * trainer.cfg.hidden + 4096)
-            stage_numel = max((st.num_parameters()
-                               for st in trainer.stages.values()),
-                              default=0)
             if grid.g_intra > 1:
                 # TP weight messages carry every shard a peer lacks —
                 # bounded by a full stage's parameter block.
                 frame = max(frame, 4 * stage_numel + 4096)
             ring_capacity = max(1 << 16, 4 * frame)
-            if grid.g_data > 1:
-                # A column peer sends all its contributions before it
-                # reads anything: one ring must hold them all (fp32 bytes,
-                # plus a frame header per fp16 chunk).
-                chunk = max(1, trainer.coarsening_k * trainer.bucket_size)
-                ring_capacity = max(ring_capacity, 4 * stage_numel + 512
-                                    * (stage_numel // chunk + 8))
+        if grid.g_data > 1:
+            # A column peer sends all its contributions before it reads
+            # anything, so a ring must hold them all — fp32 bytes plus a
+            # frame header per fp16 chunk — or two peers block each
+            # other's pushes for good; a smaller requested size grows.
+            chunk = max(1, trainer.coarsening_k * trainer.bucket_size)
+            ring_capacity = max(ring_capacity, 4 * stage_numel + 512
+                                * (stage_numel // chunk + 8))
         tracing = trainer.tracer is not None and trainer.tracer.enabled
         self.pool = ProcessPool(
             grid.world_size, channels=channels or None,

@@ -628,6 +628,27 @@ def test_workers_trace_the_column_reduce_and_their_step():
         assert {s.stream for s in steps} == {"compute"}
 
 
+def test_column_rings_hold_every_contribution():
+    """Column peers push all their contributions before reading: a ring
+    smaller than that would leave two peers blocked on each other's
+    pushes, so a requested capacity grows to fit."""
+    cfg = GPTConfig(vocab_size=17, seq_len=6, n_layer=2, n_head=2, hidden=8,
+                    init_seed=5)
+    trainer = AxoNNTrainer(cfg, g_inter=1, g_data=2, microbatch_size=2,
+                           backend="process",
+                           backend_options={"ring_capacity": 1024})
+    reference = AxoNNTrainer(cfg, g_inter=1, g_data=2, microbatch_size=2)
+    rng = np.random.default_rng(4)
+    x, y = rng.integers(0, 17, (4, 6)), rng.integers(0, 17, (4, 6))
+    try:
+        numel = trainer.stages[0].num_parameters()
+        assert trainer.process_backend.pool.ring_capacity >= 4 * numel
+        assert trainer.train_batch(x, y).loss == \
+            reference.train_batch(x, y).loss
+    finally:
+        trainer.close()
+
+
 def test_failed_create_unlinks_what_the_pool_made(monkeypatch):
     """ENOSPC on /dev/shm half-way through building the pool: the rings
     made so far are unlinked and the original error surfaces."""
