@@ -172,6 +172,107 @@ NCCL_PINS = {
         (3.6928556103864674, 0.8134001978181818, 0.22599663505454548),
 }
 
+#: NCCL_PINS key -> batch_time_s of the same batch (recorded before the
+#: baselines became framework policies on AxoNNConfig)
+NCCL_BATCH_PINS = {
+    ('deepspeed', '1f1b', 1, 1, 0.0):
+        35.78212621117285,
+    ('deepspeed', '1f1b', 1, 1, 0.2):
+        37.85934629514266,
+    ('deepspeed', '1f1b', 1, 2, 0.0):
+        20.417308583244193,
+    ('deepspeed', '1f1b', 1, 2, 0.2):
+        21.79775536118016,
+    ('deepspeed', '1f1b', 1, 6, 0.0):
+        10.392685211994767,
+    ('deepspeed', '1f1b', 1, 6, 0.2):
+        11.02667866498798,
+    ('deepspeed', '1f1b', 3, 1, 0.0):
+        17.276794547738188,
+    ('deepspeed', '1f1b', 3, 1, 0.2):
+        18.02399015063948,
+    ('deepspeed', '1f1b', 3, 2, 0.0):
+        10.649608808734028,
+    ('deepspeed', '1f1b', 3, 2, 0.2):
+        11.133639808282732,
+    ('deepspeed', '1f1b', 3, 6, 0.0):
+        4.462952945688843,
+    ('deepspeed', '1f1b', 3, 6, 0.2):
+        4.659571906757891,
+    ('deepspeed', 'gpipe', 1, 1, 0.0):
+        35.78212621117286,
+    ('deepspeed', 'gpipe', 1, 1, 0.2):
+        37.85934629514266,
+    ('deepspeed', 'gpipe', 1, 2, 0.0):
+        20.4173085832442,
+    ('deepspeed', 'gpipe', 1, 2, 0.2):
+        21.289322814038453,
+    ('deepspeed', 'gpipe', 1, 6, 0.0):
+        10.39268521199477,
+    ('deepspeed', 'gpipe', 1, 6, 0.2):
+        11.184394490294757,
+    ('deepspeed', 'gpipe', 3, 1, 0.0):
+        17.276794547738184,
+    ('deepspeed', 'gpipe', 3, 1, 0.2):
+        18.023990150639488,
+    ('deepspeed', 'gpipe', 3, 2, 0.0):
+        10.64960880873403,
+    ('deepspeed', 'gpipe', 3, 2, 0.2):
+        10.954424449477111,
+    ('deepspeed', 'gpipe', 3, 6, 0.0):
+        4.462952945688839,
+    ('deepspeed', 'gpipe', 3, 6, 0.2):
+        4.732252443259195,
+    ('megatron', '1f1b', 1, 1, 0.0):
+        35.36993780070012,
+    ('megatron', '1f1b', 1, 1, 0.2):
+        37.44715788466993,
+    ('megatron', '1f1b', 1, 2, 0.0):
+        19.921250099753284,
+    ('megatron', '1f1b', 1, 2, 0.2):
+        21.301696877689253,
+    ('megatron', '1f1b', 1, 6, 0.0):
+        9.80550282043113,
+    ('megatron', '1f1b', 1, 6, 0.2):
+        10.439496273424343,
+    ('megatron', '1f1b', 3, 1, 0.0):
+        16.764908838065463,
+    ('megatron', '1f1b', 3, 1, 0.2):
+        17.512104440966755,
+    ('megatron', '1f1b', 3, 2, 0.0):
+        10.102704302843119,
+    ('megatron', '1f1b', 3, 2, 0.2):
+        10.586735302391823,
+    ('megatron', '1f1b', 3, 6, 0.0):
+        4.255185481834298,
+    ('megatron', '1f1b', 3, 6, 0.2):
+        4.451804442903345,
+    ('megatron', 'gpipe', 1, 1, 0.0):
+        35.36993780070013,
+    ('megatron', 'gpipe', 1, 1, 0.2):
+        37.44715788466993,
+    ('megatron', 'gpipe', 1, 2, 0.0):
+        19.92125009975329,
+    ('megatron', 'gpipe', 1, 2, 0.2):
+        20.793264330547544,
+    ('megatron', 'gpipe', 1, 6, 0.0):
+        9.805502820431133,
+    ('megatron', 'gpipe', 1, 6, 0.2):
+        10.59721209873112,
+    ('megatron', 'gpipe', 3, 1, 0.0):
+        16.76490883806546,
+    ('megatron', 'gpipe', 3, 1, 0.2):
+        17.512104440966763,
+    ('megatron', 'gpipe', 3, 2, 0.0):
+        10.10270430284312,
+    ('megatron', 'gpipe', 3, 2, 0.2):
+        10.407519943586202,
+    ('megatron', 'gpipe', 3, 6, 0.0):
+        4.255185481834293,
+    ('megatron', 'gpipe', 3, 6, 0.2):
+        4.524484979404649,
+}
+
 #: (schedule, g_intra, g_inter, sigma) -> pipeline_s of the Megatron-LM
 #: model under ``backend_p2p="mpi"``; ``"ablation"`` rows are
 #: ``ablation_cfg(sigma)``
@@ -429,6 +530,13 @@ def fleet():
 def test_baseline_nccl_batch_is_pinned(key):
     r = simulate_baseline_batch(baseline_cfg(*key))
     assert (r.pipeline_s, r.allreduce_s, r.optimizer_s) == NCCL_PINS[key]
+
+
+@pytest.mark.parametrize("key", sorted(NCCL_BATCH_PINS), ids=str)
+def test_baseline_nccl_batch_time_is_pinned(key):
+    assert set(NCCL_BATCH_PINS) == set(NCCL_PINS)
+    assert simulate_baseline_batch(baseline_cfg(*key)).batch_time_s == \
+        NCCL_BATCH_PINS[key]
 
 
 @pytest.mark.parametrize("key", sorted(MPI_PINS, key=str), ids=str)
