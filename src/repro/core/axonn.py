@@ -196,9 +196,11 @@ def estimate_batch_time(cfg: AxoNNConfig,
     intra = placement.data_group_nodes(0) == 1
     sharing = 1 if intra else min(cfg.g_inter,
                                   machine.spec.node.gpus_per_node)
+    # A one-replica column has nothing to reduce.
+    reduces = cfg.g_data > 1
     ar = sharing * coll.allreduce_time(
         cfg.spec.gradient_bytes_half(phi), cfg.g_data, intra) \
-        + cal.coll_launch_overhead
+        + cal.coll_launch_overhead if reduces else 0.0
     if not cfg.include_optimizer:
         return pipeline + ar
     if not cfg.memopt:
@@ -210,7 +212,8 @@ def estimate_batch_time(cfg: AxoNNConfig,
         n_chunks = -(-n_buckets // cfg.coarsening_k)
         ar_chunked = sharing * n_chunks * coll.allreduce_time(
             cfg.spec.gradient_bytes_half(phi) // max(1, n_chunks),
-            cfg.g_data, intra) + n_chunks * cal.coll_launch_overhead
+            cfg.g_data, intra) + n_chunks * cal.coll_launch_overhead \
+            if reduces else 0.0
         first_chunk = ar_chunked / max(1, n_chunks)
         return pipeline + max(ar_chunked, opt + first_chunk)
     return pipeline + ar + opt

@@ -396,6 +396,8 @@ def run_data_parallel_and_optimizer(machine: Machine, cfg: AxoNNConfig,
                                       machine.spec.node.gpus_per_node)
 
     def allreduce_chunk(nbytes: int) -> float:
+        if cfg.g_data == 1:
+            return 0.0  # a one-replica column has nothing to reduce
         return (nic_sharing * coll.allreduce_time(nbytes, cfg.g_data, intra)
                 + cal.coll_launch_overhead)
 

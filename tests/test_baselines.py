@@ -177,9 +177,18 @@ class TestSimulation:
         assert simulate_baseline_batch(ds_cfg()).batch_time_s == \
             simulate_baseline_batch(ds_cfg()).batch_time_s
 
-    def test_megatron_no_data_parallel_allreduce(self):
-        r = simulate_baseline_batch(mg_cfg())
-        assert r.allreduce_s == 0.0  # G_data = 1 (Table II)
+    @pytest.mark.parametrize("framework", ["axonn", "deepspeed",
+                                           "megatron"])
+    def test_megatron_no_data_parallel_allreduce(self, framework):
+        """Megatron-LM's Table II row has G_data = 1: a one-replica
+        column reduces nothing, so no framework pays an all-reduce."""
+        if framework == "axonn":
+            r = simulate_batch(AxoNNConfig(
+                spec=SPEC, num_gpus=16, g_inter=16, g_data=1,
+                microbatch_size=8, batch_size=768, memopt=True))
+        else:
+            r = simulate_baseline_batch(mg_cfg(framework=framework))
+        assert r.allreduce_s == 0.0
 
     def test_gpipe_slower_or_equal_1f1b_pipeline(self):
         f1b = simulate_baseline_batch(ds_cfg())

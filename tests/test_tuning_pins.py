@@ -117,7 +117,9 @@ CANDIDATE_PINS = {
 }
 
 
-#: sweep_4d(cluster_sizes=(8, 16)), every row in order
+#: sweep_4d(cluster_sizes=(8, 16)), every row in order; the eight rows
+#: with g_data == 1 were re-recorded once, when a one-replica column
+#: stopped paying an 18 ms all-reduce launch (allreduce_s 0.018 -> 0.0)
 SWEEP_4D_PINS = [
     {'model': '12B', 'gpus': 8, 'g_inter': 1, 'g_data': 8, 'g_intra': 1,
      'mbs': 4, 'memopt': False, 'pipeline_s': 42.75501676770751,
@@ -139,9 +141,9 @@ SWEEP_4D_PINS = [
      'feasible': False, 'batch_size': 512},
     {'model': '12B', 'gpus': 8, 'g_inter': 8, 'g_data': 1, 'g_intra': 1,
      'mbs': 4, 'memopt': False, 'pipeline_s': 50.97824759451153,
-     'allreduce_s': 0.018, 'optimizer_s': 0.0424616944,
-     'batch_time_s': 51.03870928891153, 'training_days': 676.0320304355558,
-     'pct_peak': 49.80584836831884, 'memory_gb': 32.66624629497528,
+     'allreduce_s': 0.0, 'optimizer_s': 0.0424616944,
+     'batch_time_s': 51.020709288911526, 'training_days': 675.7936118564543,
+     'pct_peak': 49.82341976791568, 'memory_gb': 32.66624629497528,
      'feasible': False, 'batch_size': 512},
     {'model': '12B', 'gpus': 8, 'g_inter': 1, 'g_data': 4, 'g_intra': 2,
      'mbs': 4, 'memopt': False, 'pipeline_s': 64.37688326448028,
@@ -157,9 +159,9 @@ SWEEP_4D_PINS = [
      'feasible': False, 'batch_size': 512},
     {'model': '12B', 'gpus': 8, 'g_inter': 4, 'g_data': 1, 'g_intra': 2,
      'mbs': 4, 'memopt': False, 'pipeline_s': 74.49559783970236,
-     'allreduce_s': 0.018, 'optimizer_s': 0.0424616944,
-     'batch_time_s': 74.55605953410236, 'training_days': 987.5305431962325,
-     'pct_peak': 34.09550117915629, 'memory_gb': 36.39820611476898,
+     'allreduce_s': 0.0, 'optimizer_s': 0.0424616944,
+     'batch_time_s': 74.53805953410236, 'training_days': 987.292124617131,
+     'pct_peak': 34.10373481208236, 'memory_gb': 36.39820611476898,
      'feasible': False, 'batch_size': 512},
     {'model': '12B', 'gpus': 8, 'g_inter': 1, 'g_data': 2, 'g_intra': 4,
      'mbs': 4, 'memopt': False, 'pipeline_s': 134.69400471829408,
@@ -169,15 +171,15 @@ SWEEP_4D_PINS = [
      'feasible': False, 'batch_size': 512},
     {'model': '12B', 'gpus': 8, 'g_inter': 2, 'g_data': 1, 'g_intra': 4,
      'mbs': 4, 'memopt': False, 'pipeline_s': 141.53532505705869,
-     'allreduce_s': 0.018, 'optimizer_s': 0.0424616944,
-     'batch_time_s': 141.5957867514587, 'training_days': 1875.5036824472572,
-     'pct_peak': 17.95269671561782, 'memory_gb': 46.45687222480774,
+     'allreduce_s': 0.0, 'optimizer_s': 0.0424616944,
+     'batch_time_s': 141.5777867514587, 'training_days': 1875.2652638681557,
+     'pct_peak': 17.954979196141746, 'memory_gb': 46.45687222480774,
      'feasible': False, 'batch_size': 512},
     {'model': '12B', 'gpus': 8, 'g_inter': 1, 'g_data': 1, 'g_intra': 8,
      'mbs': 4, 'memopt': False, 'pipeline_s': 895.7802252517181,
-     'allreduce_s': 0.018, 'optimizer_s': 0.0424616944,
-     'batch_time_s': 895.8406869461181, 'training_days': 11865.836871281175,
-     'pct_peak': 2.8375873665929263, 'memory_gb': 69.16890048980713,
+     'allreduce_s': 0.0, 'optimizer_s': 0.0424616944,
+     'batch_time_s': 895.8226869461181, 'training_days': 11865.598452702074,
+     'pct_peak': 2.837644382979476, 'memory_gb': 69.16890048980713,
      'feasible': False, 'batch_size': 512},
     {'model': '12B', 'gpus': 16, 'g_inter': 1, 'g_data': 16, 'g_intra': 1,
      'mbs': 4, 'memopt': False, 'pipeline_s': 42.75501676770751,
@@ -205,9 +207,9 @@ SWEEP_4D_PINS = [
      'feasible': False, 'batch_size': 1024},
     {'model': '12B', 'gpus': 16, 'g_inter': 16, 'g_data': 1, 'g_intra': 1,
      'mbs': 4, 'memopt': False, 'pipeline_s': 58.09808208383653,
-     'allreduce_s': 0.018, 'optimizer_s': 0.0241349656,
-     'batch_time_s': 58.14021704943653, 'training_days': 385.0474427106416,
-     'pct_peak': 43.722337905906905, 'memory_gb': 19.35600757598877,
+     'allreduce_s': 0.0, 'optimizer_s': 0.0241349656,
+     'batch_time_s': 58.12221704943653, 'training_days': 384.9282334210908,
+     'pct_peak': 43.735878374978086, 'memory_gb': 19.35600757598877,
      'feasible': False, 'batch_size': 1024},
     {'model': '12B', 'gpus': 16, 'g_inter': 1, 'g_data': 8, 'g_intra': 2,
      'mbs': 4, 'memopt': False, 'pipeline_s': 64.37688326448028,
@@ -229,9 +231,9 @@ SWEEP_4D_PINS = [
      'feasible': False, 'batch_size': 1024},
     {'model': '12B', 'gpus': 16, 'g_inter': 8, 'g_data': 1, 'g_intra': 2,
      'mbs': 4, 'memopt': False, 'pipeline_s': 86.59810115531783,
-     'allreduce_s': 0.018, 'optimizer_s': 0.0241349656,
-     'batch_time_s': 86.64023612091783, 'training_days': 573.7956108048083,
-     'pct_peak': 29.340019482524287, 'memory_gb': 20.01283371448517,
+     'allreduce_s': 0.0, 'optimizer_s': 0.0241349656,
+     'batch_time_s': 86.62223612091783, 'training_days': 573.6764015152576,
+     'pct_peak': 29.346116304475963, 'memory_gb': 20.01283371448517,
      'feasible': False, 'batch_size': 1024},
     {'model': '12B', 'gpus': 16, 'g_inter': 1, 'g_data': 4, 'g_intra': 4,
      'mbs': 4, 'memopt': False, 'pipeline_s': 134.69400471829408,
@@ -247,9 +249,9 @@ SWEEP_4D_PINS = [
      'feasible': False, 'batch_size': 1024},
     {'model': '12B', 'gpus': 16, 'g_inter': 4, 'g_data': 1, 'g_intra': 4,
      'mbs': 4, 'memopt': False, 'pipeline_s': 153.70729346178496,
-     'allreduce_s': 0.018, 'optimizer_s': 0.0241349656,
-     'batch_time_s': 153.74942842738497, 'training_days': 1018.2422295370696,
-     'pct_peak': 16.53356530661068, 'memory_gb': 24.60970902442932,
+     'allreduce_s': 0.0, 'optimizer_s': 0.0241349656,
+     'batch_time_s': 153.73142842738497, 'training_days': 1018.1230202475189,
+     'pct_peak': 16.535501177359837, 'memory_gb': 24.60970902442932,
      'feasible': False, 'batch_size': 1024},
     {'model': '12B', 'gpus': 16, 'g_inter': 1, 'g_data': 2, 'g_intra': 8,
      'mbs': 4, 'memopt': False, 'pipeline_s': 895.7802252517181,
@@ -259,9 +261,9 @@ SWEEP_4D_PINS = [
      'feasible': False, 'batch_size': 1024},
     {'model': '12B', 'gpus': 16, 'g_inter': 2, 'g_data': 1, 'g_intra': 8,
      'mbs': 4, 'memopt': False, 'pipeline_s': 911.2530434763896,
-     'allreduce_s': 0.018, 'optimizer_s': 0.0241349656,
-     'batch_time_s': 911.2951784419896, 'training_days': 6035.269488506778,
-     'pct_peak': 2.7894652313471573, 'memory_gb': 35.100832879543304,
+     'allreduce_s': 0.0, 'optimizer_s': 0.0241349656,
+     'batch_time_s': 911.2771784419896, 'training_days': 6035.150279217227,
+     'pct_peak': 2.7895203302515874, 'memory_gb': 35.100832879543304,
      'feasible': False, 'batch_size': 1024},
 ]
 
