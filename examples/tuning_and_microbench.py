@@ -17,7 +17,7 @@ from repro.cluster import MB
 from repro.core import WEAK_SCALING_MODELS
 from repro.experiments import MODEL_GPUS, table2_row
 from repro.comm import osu_allreduce, osu_latency
-from repro.tuning import tune_axonn, tune_baseline
+from repro.tuning import tune
 
 
 def part1_microbench() -> None:
@@ -56,12 +56,7 @@ def part2_tuning(model: str) -> None:
     print(f"{'framework':>10} {'mbs':>4} {'G_intra':>8} {'G_inter':>8} "
           f"{'G_data':>7} {'batch time':>11} {'paper (mbs,Gi,Gp,Gd)':>22}")
     for framework in ("axonn", "deepspeed", "megatron"):
-        if framework == "axonn":
-            result = tune_axonn(spec, gpus, 16384, refine_top=0)
-        else:
-            result = tune_baseline(spec, gpus, 16384, framework,
-                                   refine_top=0)
-        row = result.as_row()
+        row = tune(spec, gpus, 16384, framework, refine_top=0).as_row()
         paper = table2_row(model, framework)
         print(f"{framework:>10} {row['mbs']:>4} "
               f"{str(row['g_intra'] or '-'):>8} {row['g_inter']:>8} "

@@ -1,17 +1,19 @@
-"""Baseline frameworks: Megatron-LM and DeepSpeed as performance models.
+"""Baseline frameworks: Megatron-LM and DeepSpeed.
 
-Public surface:
+A baseline is not a second model: ``AxoNNConfig(framework="megatron" |
+"deepspeed", schedule="1f1b" | "gpipe")`` names its policy over AxoNN's
+grid model (:data:`repro.core.config.FRAMEWORKS`), and
+:func:`~repro.core.check_memory`, :func:`~repro.core.stage_costs`,
+:func:`~repro.core.estimate_batch_time` and :class:`~repro.core.BatchResult`
+serve all three frameworks.  What stays here:
 
-* :class:`ThreeDConfig` — a 3D-parallel configuration (Table II row);
-* :func:`simulate_baseline_batch` / :class:`BaselineResult`.
-
-Their static flushing schedules (1F1B / GPipe) live in :mod:`repro.sched`:
-:func:`~repro.sched.flushing_order` is the one source of the compute
-order (the DES model here walks it) and
-``AxoNNTrainer(schedule="1f1b")`` runs it with real numerics.
+* :func:`simulate_baseline_batch` — one batch of the static walk, whose
+  order :func:`~repro.sched.flushing_order` builds and which
+  ``AxoNNTrainer(schedule="1f1b")`` runs with real numerics;
+* :mod:`.intra_layer` — Shoeybi et al.'s tensor-parallel layers with real
+  numerics, counting the collectives the cost model charges.
 """
 
-from .config import ThreeDConfig
 from .intra_layer import (
     ColumnParallelLinear,
     CommCounter,
@@ -19,24 +21,13 @@ from .intra_layer import (
     TensorParallelAttention,
     TensorParallelMLP,
 )
-from .frameworks import (
-    BaselineResult,
-    baseline_stage_costs,
-    check_baseline_memory,
-    simulate_baseline_batch,
-)
-from .zero1 import Zero1AdamW
+from .frameworks import simulate_baseline_batch
 
 __all__ = [
-    "ThreeDConfig",
     "ColumnParallelLinear",
     "CommCounter",
     "RowParallelLinear",
     "TensorParallelAttention",
     "TensorParallelMLP",
-    "BaselineResult",
-    "baseline_stage_costs",
-    "check_baseline_memory",
     "simulate_baseline_batch",
-    "Zero1AdamW",
 ]

@@ -15,23 +15,26 @@ truth and the tests keep the two within tolerance of each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Generator, Optional
 
 from ..cluster import GridPlacement, Machine, OutOfMemoryError, summit
 from .config import AxoNNConfig
 from .memory_model import MemoryBreakdown, MemoryModel
 from .metrics import estimated_training_days, percent_of_peak
 from .phases import (
+    ColumnLink,
+    column_allreduce_time,
+    column_link,
     offload_bucket_time,
-    optimizer_time_on_gpu,
     run_data_parallel_and_optimizer,
     run_pipeline_phase,
     run_pipeline_phase_all_rows,
     stage_costs,
+    step_time,
 )
 
 __all__ = ["BatchResult", "simulate_batch", "estimate_batch_time",
-           "check_memory"]
+           "check_memory", "batch_machine", "run_batch"]
 
 
 @dataclass(frozen=True)
@@ -84,35 +87,67 @@ class BatchResult:
 
 def check_memory(cfg: AxoNNConfig,
                  cluster_spec=None) -> tuple[MemoryBreakdown, bool]:
-    """Memory breakdown + does-it-fit verdict for an AxoNN config."""
+    """Memory breakdown + does-it-fit verdict for any framework's config
+    (:meth:`MemoryModel.config_bytes`)."""
     cluster_spec = cluster_spec or summit(max(1, cfg.num_gpus // 6))
     mm = MemoryModel(cfg.spec)
-    breakdown = mm.axonn_bytes(cfg.g_inter, cfg.microbatch_size,
-                               memopt=cfg.memopt,
-                               bucket_size=cfg.bucket_size,
-                               include_optimizer=cfg.include_optimizer,
-                               g_intra=cfg.g_intra)
+    breakdown = mm.config_bytes(cfg)
     return breakdown, mm.fits(breakdown, cluster_spec.node.gpu.dram_bytes)
+
+
+def batch_machine(cfg: AxoNNConfig, machine: Optional[Machine] = None,
+                  trace: bool = False) -> Machine:
+    """``machine``, or a fresh Summit just large enough for ``cfg``."""
+    if machine is None:
+        machine = Machine(spec=summit(max(1, -(-cfg.num_gpus // 6))),
+                          trace=trace)
+    if cfg.num_gpus > machine.spec.num_gpus:
+        raise ValueError(
+            f"config needs {cfg.num_gpus} GPUs, machine has "
+            f"{machine.spec.num_gpus}"
+        )
+    return machine
+
+
+def run_batch(machine: Machine, cfg: AxoNNConfig, pipeline: Generator,
+              link: ColumnLink, memory: MemoryBreakdown,
+              feasible: bool) -> BatchResult:
+    """Run one batch on ``machine``: the ``pipeline`` walk (a process
+    returning its seconds), then the one data-parallel / optimizer tail."""
+    env = machine.env
+    result = {}
+
+    def batch_proc() -> Generator:
+        result["pipeline_s"] = yield env.process(pipeline, name="pipeline")
+        result["tail"] = yield env.process(
+            run_data_parallel_and_optimizer(machine, cfg, link),
+            name="data-parallel")
+
+    env.process(batch_proc(), name="batch")
+    machine.run()
+    allreduce_s, optimizer_s, combined_s = result["tail"]
+    return BatchResult(config=cfg, pipeline_s=result["pipeline_s"],
+                       allreduce_s=allreduce_s, optimizer_s=optimizer_s,
+                       dp_opt_combined_s=combined_s, memory=memory,
+                       feasible=feasible)
 
 
 def simulate_batch(cfg: AxoNNConfig, machine: Optional[Machine] = None,
                    trace: bool = False,
                    enforce_memory: bool = False,
                    full_grid: bool = False) -> BatchResult:
-    """Simulate one batch; raises :class:`OutOfMemoryError` when
-    ``enforce_memory`` and the configuration does not fit the GPUs.
+    """Simulate one batch of Algorithm 2's message-driven walk; raises
+    :class:`OutOfMemoryError` when ``enforce_memory`` and the
+    configuration does not fit the GPUs.
 
     ``full_grid=True`` simulates every data-parallel row instead of
     exploiting row symmetry (slower; exposes inter-row fabric contention
-    when pipelines share nodes)."""
-    if machine is None:
-        nodes = max(1, -(-cfg.num_gpus // 6))
-        machine = Machine(spec=summit(nodes), trace=trace)
-    if cfg.num_gpus > machine.spec.num_gpus:
-        raise ValueError(
-            f"config needs {cfg.num_gpus} GPUs, machine has "
-            f"{machine.spec.num_gpus}"
-        )
+    when pipelines share nodes).  A static order is
+    :func:`repro.baselines.simulate_baseline_batch`."""
+    if cfg.schedule is not None:
+        raise ValueError(f"schedule {cfg.schedule!r} is a static order: "
+                         f"simulate it with simulate_baseline_batch")
+    machine = batch_machine(cfg, machine, trace)
     breakdown, feasible = check_memory(cfg, machine.spec)
     if enforce_memory and not feasible:
         pool_gpu = machine.gpu(0).memory
@@ -121,99 +156,60 @@ def simulate_batch(cfg: AxoNNConfig, machine: Optional[Machine] = None,
 
     placement = GridPlacement(machine.spec, cfg.g_inter, cfg.g_data,
                               policy=cfg.placement_policy)
-    env = machine.env
-
-    result = {}
-
-    def batch_proc():
-        t0 = env.now
-        if full_grid:
-            pipeline_s = yield env.process(
-                run_pipeline_phase_all_rows(machine, cfg, placement),
-                name="pipeline-all-rows")
-        else:
-            pipeline_s = yield env.process(
-                run_pipeline_phase(machine, cfg, placement),
-                name="pipeline-row0")
-        ar_s, opt_s, combined_s = yield env.process(
-            run_data_parallel_and_optimizer(machine, cfg, placement),
-            name="data-parallel")
-        result["pipeline_s"] = pipeline_s
-        result["allreduce_s"] = ar_s
-        result["optimizer_s"] = opt_s
-        result["combined_s"] = combined_s
-        result["total"] = env.now - t0
-
-    env.process(batch_proc(), name="batch")
-    machine.run()
-
-    return BatchResult(
-        config=cfg,
-        pipeline_s=result["pipeline_s"],
-        allreduce_s=result["allreduce_s"],
-        optimizer_s=result["optimizer_s"],
-        dp_opt_combined_s=result["combined_s"],
-        memory=breakdown,
-        feasible=feasible,
-    )
+    walk = run_pipeline_phase_all_rows if full_grid else run_pipeline_phase
+    return run_batch(machine, cfg, walk(machine, cfg, placement),
+                     column_link(cfg, machine, placement), breakdown,
+                     feasible)
 
 
 def estimate_batch_time(cfg: AxoNNConfig,
                         machine: Optional[Machine] = None) -> float:
-    """Closed-form batch-time estimate (the tuning fast path).
+    """Closed-form batch-time estimate (the tuning fast path), for every
+    framework.
 
-    Pipeline: ``(m + pipeline_limit - 1)`` slots of the bottleneck stage's
-    fwd+bwd time plus per-hop communication exposure; data-parallel and
-    optimizer phases mirror the DES cost formulas without event simulation.
+    Pipeline: ``(m + g_inter - 1)`` slots of the bottleneck stage's
+    fwd+bwd time plus per-hop communication exposure; the data-parallel
+    and optimizer phases price the tail's formulas without event
+    simulation, on the walk's :class:`ColumnLink`.
     """
     if machine is None:
-        nodes = max(1, -(-cfg.num_gpus // 6))
-        machine = Machine(spec=summit(nodes))
+        machine = Machine(spec=summit(max(1, -(-cfg.num_gpus // 6))))
     cal = machine.cal
     costs = stage_costs(cfg, machine)
     m = cfg.microbatches_per_shard
-    coll = cal.backend(cfg.backend_coll)
+    link = column_link(cfg, machine)
     bottleneck = max(c.slot_time(machine) for c in costs)
     # Steady state: m rounds of the bottleneck; ramp: pipeline depth - 1.
     pipeline = (m + cfg.g_inter - 1) * bottleneck
     # Communication exposure: with non-blocking MPI, only the ramp hops are
     # exposed; with blocking NCCL p2p every message serializes with compute.
-    p2p = cal.backend(cfg.backend_p2p)
-    placement = GridPlacement(machine.spec, cfg.g_inter, cfg.g_data,
-                              policy=cfg.placement_policy)
-    locality = placement.pipeline_edge_locality(0)
-    n_edges = max(1, cfg.g_inter - 1)
-    intra_frac = locality["intra"] / n_edges if n_edges else 1.0
-    hop = (intra_frac * p2p.p2p_time(costs[0].activation_bytes, True)
-           + (1 - intra_frac) * p2p.p2p_time(costs[0].activation_bytes, False))
-    if p2p.blocking_p2p:
-        pipeline += 2 * m * hop
-    else:
-        pipeline += 2 * (cfg.g_inter - 1) * hop
+    if cfg.g_inter > 1:
+        p2p = cal.backend(cfg.p2p)
+        act = costs[0].activation_bytes
+        hop = (link.hop_intra * p2p.p2p_time(act, True)
+               + (1 - link.hop_intra) * p2p.p2p_time(act, False))
+        if p2p.blocking_p2p:
+            pipeline += 2 * m * hop
+        else:
+            pipeline += 2 * (cfg.g_inter - 1) * hop
 
-    # Data-parallel + optimizer (mirrors run_data_parallel_and_optimizer).
     phi = costs[0].params
-    intra = placement.data_group_nodes(0) == 1
-    sharing = 1 if intra else min(cfg.g_inter,
-                                  machine.spec.node.gpus_per_node)
-    # A one-replica column has nothing to reduce.
-    reduces = cfg.g_data > 1
-    ar = sharing * coll.allreduce_time(
-        cfg.spec.gradient_bytes_half(phi), cfg.g_data, intra) \
-        + cal.coll_launch_overhead if reduces else 0.0
+    ar = column_allreduce_time(machine, cfg, link,
+                               cfg.spec.gradient_bytes_half(phi))
     if not cfg.include_optimizer:
         return pipeline + ar
-    if not cfg.memopt:
-        return pipeline + ar + optimizer_time_on_gpu(machine, phi)
+    if cfg.optimizer_placement != "offload":
+        return pipeline + ar + step_time(machine, cfg, link, phi)
     bsize = min(cfg.bucket_size, phi)
     n_buckets = -(-phi // bsize)
     opt = n_buckets * offload_bucket_time(machine, 0, bsize)
     if cfg.overlap:
         n_chunks = -(-n_buckets // cfg.coarsening_k)
-        ar_chunked = sharing * n_chunks * coll.allreduce_time(
+        coll = cal.backend(cfg.backend_coll)
+        ar_chunked = link.nic_sharing * n_chunks * coll.allreduce_time(
             cfg.spec.gradient_bytes_half(phi) // max(1, n_chunks),
-            cfg.g_data, intra) + n_chunks * cal.coll_launch_overhead \
-            if reduces else 0.0
+            cfg.g_data, link.intra) + n_chunks * cal.coll_launch_overhead \
+            if cfg.g_data > 1 else 0.0
         first_chunk = ar_chunked / max(1, n_chunks)
         return pipeline + max(ar_chunked, opt + first_chunk)
     return pipeline + ar + opt

@@ -14,6 +14,9 @@ Reproduces the byte arithmetic of paper Section V-B:
   ``M_act ∝ G_inter (N / (G_inter ac)) + 1 + ac`` in units of one layer's
   per-microbatch activation bytes.
 
+:meth:`MemoryModel.config_bytes` composes them for one configuration by
+its framework's policy.
+
 Feasibility (fits in the 16 GB V100) is what makes tuning configurations
 valid/invalid exactly as on Summit.
 """
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from ..partition import optimal_checkpoint_interval
+from .config import AxoNNConfig
 from .model_stats import TransformerSpec
 
 __all__ = ["MemoryModel", "MemoryBreakdown"]
@@ -99,63 +103,51 @@ class MemoryModel:
         factor = g_inter * (n / (g_inter * ac)) + 1 + ac
         return int(factor * unit)
 
-    # -- per-framework totals ------------------------------------------------
-    def axonn_bytes(self, g_inter: int, microbatch: int,
-                    memopt: bool, bucket_size: int = 4_000_000,
-                    include_optimizer: bool = True,
-                    g_intra: int = 1) -> MemoryBreakdown:
-        """With ``g_intra > 1`` each rank owns ``phi / g_intra`` of the
-        stage's parameter state plus a transient fp32 workspace for the
-        peers' weight shards it all-gathers every forward (the 4D
-        protocol gathers whole weights rather than splitting GEMMs, which
-        is what keeps losses bit-identical to the dense run)."""
-        if g_intra < 1:
-            raise ValueError("g_intra must be >= 1")
-        phi_full = self.spec.params_per_stage(g_inter)
-        phi = phi_full // g_intra
-        if memopt:
-            state = self.state_bytes_memopt(phi, bucket_size)
-            pg = 4 * phi  # fp16 params + fp16 grads resident
-            opt = state - pg
-        else:
-            state = self.state_bytes_baseline(phi, include_optimizer)
-            pg = 12 * phi if include_optimizer else state
-            opt = state - pg
-        if g_intra > 1:
-            pg += BYTES_FULL * (phi_full - phi)  # gathered-weight workspace
-        act = self.activation_bytes(g_inter, microbatch)
-        return MemoryBreakdown(pg, max(opt, 0), act)
+    # -- one configuration ------------------------------------------------
+    def config_bytes(self, cfg: AxoNNConfig) -> MemoryBreakdown:
+        """Bytes per GPU of one :class:`~repro.core.config.AxoNNConfig`,
+        priced by its framework's policy: the state by where the optimizer
+        lives, the activations by the checkpoint interval, and the
+        tensor-parallel share by how the group pays.
 
-    def megatron_bytes(self, g_inter: int, g_intra: int,
-                       microbatch: int) -> MemoryBreakdown:
-        """3D parallelism without ZeRO: baseline state over the
-        intra-layer-sharded parameter count."""
-        if g_intra < 1:
-            raise ValueError("g_intra must be >= 1")
-        phi = self.spec.params_per_stage(g_inter) // g_intra
-        state = self.state_bytes_baseline(phi)
-        # Baselines checkpoint every layer (ac=1): the paper's Section V-A
-        # claims first derivation of the *optimal* ac, so the baselines do
-        # not benefit from the sqrt rule.
-        act = self.activation_bytes(g_inter, microbatch, ac=1) // g_intra
-        return MemoryBreakdown(12 * phi, state - 12 * phi, act)
-
-    def deepspeed_bytes(self, g_inter: int, g_intra: int, g_data: int,
-                        microbatch: int) -> MemoryBreakdown:
-        """3D parallelism + ZeRO-1.
-
-        Besides the sharded state, ZeRO-1 materializes an fp32 flat buffer
-        for its gradient shard while running the optimizer (``4 phi /
-        g_data`` bytes of staging) — the overhead that in practice keeps
-        DeepSpeed from dropping tensor parallelism entirely on 16 GB GPUs.
+        Each rank owns ``phi / g_intra`` of the stage's parameter state.
+        AxoNN's 4D protocol gathers whole weights rather than splitting
+        GEMMs (which keeps losses bit-identical to the dense run), so a
+        rank also holds a transient fp32 workspace for the peers' shards;
+        Megatron-LM splits each layer's activations instead.  The
+        baselines checkpoint every layer (``ac = 1``): Section V-A claims
+        the first derivation of the *optimal* ``ac``.
         """
-        if g_intra < 1:
-            raise ValueError("g_intra must be >= 1")
-        phi = self.spec.params_per_stage(g_inter) // g_intra
-        state = self.state_bytes_zero1(phi, g_data) + (4 * phi) // g_data
-        # Per-layer (ac=1) checkpointing, as for Megatron-LM above.
-        act = self.activation_bytes(g_inter, microbatch, ac=1) // g_intra
-        return MemoryBreakdown(4 * phi, state - 4 * phi, act)
+        g_intra = cfg.g_intra
+        phi_full = self.spec.params_per_stage(cfg.g_inter)
+        phi = phi_full // g_intra
+        placement = cfg.optimizer_placement
+        if placement == "offload":
+            pg = 4 * phi  # fp16 params + fp16 grads resident
+            opt = self.state_bytes_memopt(phi, cfg.bucket_size) - pg
+        elif placement == "zero1":
+            # ZeRO-1 also stages an fp32 flat buffer for its gradient
+            # shard while stepping (4 phi / g_data): the overhead that in
+            # practice keeps DeepSpeed from dropping tensor parallelism
+            # entirely on 16 GB GPUs.
+            pg = 4 * phi
+            opt = (self.state_bytes_zero1(phi, cfg.g_data)
+                   + (4 * phi) // cfg.g_data - pg)
+        else:
+            state = self.state_bytes_baseline(phi, cfg.include_optimizer)
+            pg = 12 * phi if cfg.include_optimizer else state
+            opt = state - pg
+        ac = 0 if cfg.policy.optimal_checkpoint else 1
+        act = self.activation_bytes(cfg.g_inter, cfg.microbatch_size, ac)
+        if cfg.policy.tp == "split":
+            act //= g_intra
+        elif g_intra > 1:
+            pg += BYTES_FULL * (phi_full - phi)  # gathered-weight workspace
+        if cfg.schedule == "gpipe":
+            # GPipe keeps up to m microbatches of boundary activations.
+            act += max(0, cfg.microbatches_per_shard - cfg.g_inter) \
+                * self.spec.activation_message_bytes(cfg.microbatch_size)
+        return MemoryBreakdown(pg, max(opt, 0), act)
 
     def cluster_total_bytes(self, g_inter: int, g_data: int, microbatch: int,
                             memopt: bool,

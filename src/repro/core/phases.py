@@ -13,10 +13,12 @@ paper's ``pipeline_limit`` in-flight bound.
 Phase 2 — *data-parallel* (Algorithm 1, line 13): a gradient all-reduce
 over each column.
 
-Phase 3 — *optimizer*: either resident on the GPU (baseline; bound by HBM
-bandwidth over the ``20 phi`` state) or bucketed through the CPU
-(Section V-B), optionally overlapped with the chunked all-reduce via the
-coarsening factor ``k`` (Section V-C).
+Phase 3 — *optimizer*: resident on the GPU (bound by HBM bandwidth over
+the ``20 phi`` state), sharded by ZeRO-1 (DeepSpeed), or bucketed through
+the CPU (Section V-B), optionally overlapped with the chunked all-reduce
+via the coarsening factor ``k`` (Section V-C).  Phases 2 and 3 are one
+tail for every framework; the static walks of the baselines
+(:mod:`repro.baselines`) end their batch with it too.
 """
 
 from __future__ import annotations
@@ -36,8 +38,10 @@ from ..sim import Store
 from .config import AxoNNConfig
 
 __all__ = ["StageCost", "stage_costs", "stage_pass", "run_pipeline_phase",
-           "run_pipeline_phase_all_rows", "run_data_parallel_and_optimizer",
-           "optimizer_time_on_gpu", "offload_bucket_time", "jitter_factor"]
+           "run_pipeline_phase_all_rows", "ColumnLink", "column_link",
+           "column_allreduce_time", "step_time",
+           "run_data_parallel_and_optimizer", "optimizer_time_on_gpu",
+           "offload_bucket_time", "jitter_factor"]
 
 
 def jitter_factor(sigma: float, seed: int, stage: int, microbatch: int,
@@ -109,51 +113,77 @@ def stage_costs(cfg: AxoNNConfig,
     With ``g_intra > 1`` each stage's transformer blocks are sharded
     across the tensor-parallel group: per-rank block flops, parameters and
     kernel granularity all divide by ``g_intra`` (smaller kernels run less
-    efficiently — the Megatron-LM penalty the ComputeModel encodes), the
-    head and embeddings stay whole on the group lead, and every
-    forward / backward pass additionally pays the group's weight
-    all-gather / gradient reduce-scatter of the fp32 shards each peer
-    lacks — exactly the collectives the runtime's
-    :class:`~repro.runtime.tp.TPComm` emits, so the DES twin prices what
-    the transport actually carries.  TP groups are packed innermost on the
-    node (ranks t of one stage are consecutive), so the group is
-    intra-node whenever it fits on one.
+    efficiently — the Megatron-LM penalty the ComputeModel encodes).  How
+    the group pays is the framework's ``tp`` policy:
 
-    The serial extras need ``machine``'s calibration; without one they are
-    zero and the table prices compute and wire only.
+    * ``"gather"`` (AxoNN): the head and embeddings stay whole on the
+      group lead, and every forward / backward pass additionally pays the
+      group's weight all-gather / gradient reduce-scatter of the fp32
+      shards each peer lacks — exactly the collectives the runtime's
+      :class:`~repro.runtime.tp.TPComm` emits, so the DES twin prices what
+      the transport actually carries.  TP groups are packed innermost on
+      the node (ranks t of one stage are consecutive), so the group is
+      intra-node whenever it fits on one;
+    * ``"split"`` (Megatron-LM, DeepSpeed): the head and embeddings split
+      too, and each pass pays NCCL all-reduces of the activation on
+      NVLink — 2 per layer forward, 4 in backward and recompute, plus 1 /
+      2 for the head.
+
+    At ``g_intra == 1`` the two tables are equal.  The serial extras
+    (p2p handling plus the group's collectives) need ``machine``'s
+    calibration; without one they are zero and the table prices compute
+    and wire only.
     """
     spec = cfg.spec
     mbs = cfg.microbatch_size
     g_intra = cfg.g_intra
-    layer_fwd = spec.layer_forward_flops(mbs) / g_intra
+    split = cfg.policy.tp == "split"
+    layer_fwd = spec.layer_forward_flops(mbs)
     head_fwd = spec.head_forward_flops(mbs)
+    if split:
+        head_fwd /= g_intra
+    act_bytes = spec.activation_message_bytes(mbs)
     costs = []
     for i, n_layers in enumerate(split_sizes(spec.n_layer, cfg.g_inter)):
-        fwd = n_layers * layer_fwd
+        last = i == cfg.g_inter - 1
+        fwd = n_layers * layer_fwd / g_intra if split \
+            else n_layers * (layer_fwd / g_intra)
         bwd = 2 * fwd
         recompute = fwd  # full activation recompute of the stage's blocks
-        if i == cfg.g_inter - 1:
+        if last:
             fwd += head_fwd
             bwd += 2 * head_fwd
         block_params = n_layers * spec.params_per_layer
-        phi = -(-block_params // g_intra)  # this rank's block shard
-        if i == 0 or i == cfg.g_inter - 1:
-            phi += spec.embedding_params // 2
+        embedding = spec.embedding_params // 2 if i == 0 or last else 0
+        if split:
+            phi = block_params // g_intra + embedding // g_intra
+        else:
+            phi = -(-block_params // g_intra) + embedding
         fwd_extra = bwd_extra = 0.0
         if machine is not None:
             cal = machine.cal
-            fwd_extra = bwd_extra = cal.p2p_handling_overhead
+            handling = cal.p2p_handling_overhead
+            fwd_extra = bwd_extra = handling
             if g_intra > 1:
-                # fp32 weights of the shards each peer lacks, per microbatch
-                tp_bytes = 4 * (block_params - block_params // g_intra)
                 coll = cal.backend(cfg.backend_coll)
-                tp_intra = g_intra <= machine.spec.node.gpus_per_node
-                fwd_extra += (coll.allgather_time(tp_bytes, g_intra,
-                                                  tp_intra)
-                              + cal.coll_launch_overhead)
-                bwd_extra += (coll.reduce_scatter_time(tp_bytes, g_intra,
-                                                       tp_intra)
-                              + cal.coll_launch_overhead)
+                if split:
+                    ar = coll.allreduce_time(act_bytes, g_intra,
+                                             intra_node=True)
+                    fwd_extra = (2 * n_layers * ar
+                                 + (ar if last else 0.0)) + handling
+                    bwd_extra = (4 * n_layers * ar
+                                 + (2 * ar if last else 0.0)) + handling
+                else:
+                    # fp32 weights of the shards each peer lacks, per
+                    # microbatch
+                    tp_bytes = 4 * (block_params - block_params // g_intra)
+                    tp_intra = g_intra <= machine.spec.node.gpus_per_node
+                    fwd_extra += (coll.allgather_time(tp_bytes, g_intra,
+                                                      tp_intra)
+                                  + cal.coll_launch_overhead)
+                    bwd_extra += (coll.reduce_scatter_time(tp_bytes,
+                                                           g_intra, tp_intra)
+                                  + cal.coll_launch_overhead)
         costs.append(StageCost(
             stage=i,
             n_block_layers=n_layers,
@@ -161,8 +191,8 @@ def stage_costs(cfg: AxoNNConfig,
             fwd_flops=fwd,
             bwd_flops=bwd,
             recompute_flops=recompute,
-            work_granularity=layer_fwd,
-            activation_bytes=spec.activation_message_bytes(mbs),
+            work_granularity=layer_fwd / g_intra,
+            activation_bytes=act_bytes,
             fwd_extra_s=fwd_extra,
             bwd_extra_s=bwd_extra,
         ))
@@ -221,7 +251,7 @@ def run_pipeline_phase(machine: Machine, cfg: AxoNNConfig,
                                            policy=cfg.placement_policy)
     gpus = placement.pipeline(row)
     costs = stage_costs(cfg, machine)
-    model = machine.cal.backend(cfg.backend_p2p)
+    model = machine.cal.backend(cfg.p2p)
     messenger = Messenger(machine, model, recorder=recorder)
     m = cfg.microbatches_per_shard
     limit = cfg.effective_pipeline_limit
@@ -360,62 +390,116 @@ def offload_bucket_time(machine: Machine, gpu_id: int,
     return dma + cpu + dma + cal.optimizer_bucket_overhead
 
 
+@dataclass(frozen=True)
+class ColumnLink:
+    """Where stage 0's data-parallel column sits and how far a pipeline hop
+    travels: the inputs the tail and the closed form price a column by."""
+
+    #: the column's representative GPU
+    gpu: int
+    #: every replica of the column on one node
+    intra: bool
+    #: columns sharing each NIC while all stages reduce at once
+    nic_sharing: int
+    #: fraction of the pipeline's hops that stay inside a node
+    hop_intra: float
+
+
+def column_link(cfg: AxoNNConfig, machine: Machine,
+                placement: Optional[GridPlacement] = None) -> ColumnLink:
+    """The :class:`ColumnLink` of ``cfg``'s walk.
+
+    Algorithm 2's walk (``schedule=None``) reads :class:`GridPlacement`.
+    Every stage's column reduces *simultaneously*; columns whose members
+    share a node share its NIC, dividing the effective ring bandwidth.
+    With pipeline-contiguous placement, min(G_inter, gpus/node) columns
+    land on each node — the contention that makes the data-parallel phase
+    grow from 0.62 s to 4.32 s in the paper's Fig. 6 when G_inter drops
+    from 24 to 6 (more data and more ranks per column).
+
+    A static walk puts stage ``i``'s tensor-parallel group at GPU
+    ``i * g_intra``, prices every column as inter-node with its NIC
+    shared by ``min(g_inter * g_intra, gpus/node)`` columns, and a hop as
+    intra-node while a group leaves room on its node.  Unifying the two
+    rules is a modelling change (ROADMAP item 11: ``GridPlacement`` has no
+    ``g_intra``).
+    """
+    per_node = machine.spec.node.gpus_per_node
+    if cfg.schedule is not None:
+        return ColumnLink(0, False, min(cfg.g_inter * cfg.g_intra, per_node),
+                          float(cfg.g_intra < per_node))
+    placement = placement or GridPlacement(machine.spec, cfg.g_inter,
+                                           cfg.g_data,
+                                           policy=cfg.placement_policy)
+    intra = placement.data_group_nodes(0) == 1
+    hops = placement.pipeline_edge_locality(0)["intra"]
+    return ColumnLink(placement.data_group(0)[0], intra,
+                      1 if intra else min(cfg.g_inter, per_node),
+                      hops / max(1, cfg.g_inter - 1))
+
+
+def column_allreduce_time(machine: Machine, cfg: AxoNNConfig,
+                          link: ColumnLink, nbytes: int) -> float:
+    """One all-reduce of ``nbytes`` over the column; a one-replica column
+    has nothing to reduce."""
+    if cfg.g_data == 1:
+        return 0.0
+    cal = machine.cal
+    return (link.nic_sharing * cal.backend(cfg.backend_coll).allreduce_time(
+        nbytes, cfg.g_data, link.intra) + cal.coll_launch_overhead)
+
+
+def step_time(machine: Machine, cfg: AxoNNConfig, link: ColumnLink,
+              params: int) -> float:
+    """An on-GPU optimizer step over ``params``.  Under ZeRO-1 a replica
+    steps its ``1 / g_data`` shard, then the column all-gathers the
+    updated fp16 parameters, priced as half an all-reduce of ``params``
+    bytes."""
+    if cfg.optimizer_placement != "zero1" or cfg.g_data == 1:
+        return optimizer_time_on_gpu(machine, params)
+    cal = machine.cal
+    gather = link.nic_sharing * cal.backend(cfg.backend_coll).allreduce_time(
+        params, cfg.g_data, link.intra)
+    return optimizer_time_on_gpu(machine, params // cfg.g_data) + (
+        gather / 2 + cal.coll_launch_overhead)
+
+
 def run_data_parallel_and_optimizer(machine: Machine, cfg: AxoNNConfig,
-                                    placement: Optional[GridPlacement] = None,
-                                    stage: int = 0) -> Generator:
-    """Process: Algorithm 1 line 13 + optimizer for one stage's column.
+                                    link: ColumnLink) -> Generator:
+    """Process: Algorithm 1 line 13 + optimizer for stage 0's column, on
+    ``link.gpu``'s streams: the all-reduce on the aux stream, the
+    optimizer on the compute stream.
 
     Returns ``(allreduce_seconds, optimizer_seconds, combined_seconds)``
     where *combined* is the makespan of the phase (with overlap it is less
     than the sum).
     """
-    placement = placement or GridPlacement(machine.spec, cfg.g_inter,
-                                           cfg.g_data,
-                                           policy=cfg.placement_policy)
     env = machine.env
-    cal = machine.cal
-    coll = cal.backend(cfg.backend_coll)
-    costs = stage_costs(cfg)
-    phi = costs[stage].params
-    column = placement.data_group(stage)
-    gpu_id = column[0]
+    phi = stage_costs(cfg)[0].params
+    gpu_id = link.gpu
     gpu = machine.gpu(gpu_id)
-    intra = placement.data_group_nodes(stage) == 1
     grad_bytes = cfg.spec.gradient_bytes_half(phi)
     start = env.now
     ar_busy = 0.0
     opt_busy = 0.0
 
-    # Every stage's column reduces *simultaneously*; columns whose members
-    # share a node share its NIC, dividing the effective ring bandwidth.
-    # With pipeline-contiguous placement, min(G_inter, gpus/node) columns
-    # land on each node — the contention that makes the data-parallel phase
-    # grow from 0.62 s to 4.32 s in the paper's Fig. 6 when G_inter drops
-    # from 24 to 6 (more data and more ranks per column).
-    nic_sharing = 1 if intra else min(cfg.g_inter,
-                                      machine.spec.node.gpus_per_node)
-
-    def allreduce_chunk(nbytes: int) -> float:
-        if cfg.g_data == 1:
-            return 0.0  # a one-replica column has nothing to reduce
-        return (nic_sharing * coll.allreduce_time(nbytes, cfg.g_data, intra)
-                + cal.coll_launch_overhead)
+    def allreduce(nbytes: int, label: str = "allreduce",
+                  **meta) -> Generator:
+        dur = column_allreduce_time(machine, cfg, link, nbytes)
+        yield from gpu.busy(dur, label=label, category="allreduce",
+                            stream=gpu.aux_stream, nbytes=nbytes, **meta,
+                            ranks=cfg.g_data)
+        return dur
 
     if not cfg.include_optimizer:
         # Fig. 5 setting: optimizer states removed; only the all-reduce runs.
-        dur = allreduce_chunk(grad_bytes)
-        yield from gpu.busy(dur, label="allreduce", category="allreduce",
-                            stream=gpu.aux_stream, nbytes=grad_bytes,
-                            ranks=cfg.g_data)
+        dur = yield from allreduce(grad_bytes)
         return dur, 0.0, env.now - start
 
-    if not cfg.memopt:
-        # Baseline: monolithic all-reduce then resident optimizer.
-        ar = allreduce_chunk(grad_bytes)
-        yield from gpu.busy(ar, label="allreduce", category="allreduce",
-                            stream=gpu.aux_stream, nbytes=grad_bytes,
-                            ranks=cfg.g_data)
-        opt = optimizer_time_on_gpu(machine, phi)
+    if cfg.optimizer_placement != "offload":
+        # Resident or ZeRO-1: monolithic all-reduce, then the step.
+        ar = yield from allreduce(grad_bytes)
+        opt = step_time(machine, cfg, link, phi)
         yield from gpu.busy(opt, label="optimizer", category="optimizer",
                             stream=gpu.compute_stream, params=phi)
         return ar, opt, env.now - start
@@ -428,10 +512,7 @@ def run_data_parallel_and_optimizer(machine: Machine, cfg: AxoNNConfig,
     n_chunks = -(-n_buckets // k)
 
     if not cfg.overlap:
-        ar = allreduce_chunk(grad_bytes)
-        yield from gpu.busy(ar, label="allreduce", category="allreduce",
-                            stream=gpu.aux_stream, nbytes=grad_bytes,
-                            ranks=cfg.g_data)
+        ar = yield from allreduce(grad_bytes)
         for b in range(n_buckets):
             params_here = min(bsize, phi - b * bsize)
             dur = offload_bucket_time(machine, gpu_id, params_here)
@@ -451,13 +532,9 @@ def run_data_parallel_and_optimizer(machine: Machine, cfg: AxoNNConfig,
         for c in range(n_chunks):
             chunk_params = min(k * bsize, remaining)
             remaining -= chunk_params
-            chunk_bytes = cfg.spec.gradient_bytes_half(chunk_params)
-            dur = allreduce_chunk(chunk_bytes)
-            yield from gpu.busy(dur, label=f"allreduce-chunk{c}",
-                                category="allreduce",
-                                stream=gpu.aux_stream, nbytes=chunk_bytes,
-                                chunk=c, ranks=cfg.g_data)
-            ar_busy += dur
+            ar_busy += yield from allreduce(
+                cfg.spec.gradient_bytes_half(chunk_params),
+                f"allreduce-chunk{c}", chunk=c)
             ready.put(chunk_params)
 
     def optimizer_proc() -> Generator:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from ..baselines import ThreeDConfig, simulate_baseline_batch
+from ..baselines import simulate_baseline_batch
 from ..core import AxoNNConfig, WEAK_SCALING_MODELS, simulate_batch
 
 __all__ = ["backend_ablation", "placement_ablation",
@@ -88,7 +88,7 @@ def schedule_ablation(batch_size: int = 768) -> List[Dict[str, object]]:
     """1F1B vs GPipe for the flushing baseline (same 3D configuration)."""
     rows = []
     for schedule in ("1f1b", "gpipe"):
-        cfg = ThreeDConfig(
+        cfg = AxoNNConfig(
             spec=WEAK_SCALING_MODELS["12B"], num_gpus=48, g_intra=3,
             g_inter=2, g_data=8, microbatch_size=2, batch_size=batch_size,
             framework="deepspeed", schedule=schedule)
@@ -115,10 +115,11 @@ def scheduling_jitter_ablation(sigmas=(0.0, 0.1, 0.2, 0.3),
     rows = []
     for sigma in sigmas:
         ax = simulate_batch(_base_cfg(batch_size, compute_jitter=sigma))
-        static = simulate_baseline_batch(ThreeDConfig(
+        static = simulate_baseline_batch(AxoNNConfig(
             spec=WEAK_SCALING_MODELS["12B"], num_gpus=48, g_intra=1,
             g_inter=6, g_data=8, microbatch_size=8, batch_size=batch_size,
-            framework="megatron", backend_p2p="mpi", compute_jitter=sigma))
+            framework="megatron", schedule="1f1b", backend_p2p="mpi",
+            compute_jitter=sigma))
         rows.append({
             "jitter_sigma": sigma,
             "message_driven_pipeline_s": ax.pipeline_s,

@@ -13,8 +13,9 @@ import argparse
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..baselines import ThreeDConfig, simulate_baseline_batch
+from ..baselines import simulate_baseline_batch
 from ..core import AxoNNConfig, WEAK_SCALING_MODELS, simulate_batch
+from ..tuning import grid_candidates
 
 __all__ = ["PAPER_TABLE2", "Table2Row", "table2_row", "weak_scaling_rows",
            "strong_scaling_rows", "fig9_claims", "fig11_claims",
@@ -78,17 +79,25 @@ def make_axonn_config(model: str, batch_size: int,
 
 def make_baseline_config(model: str, framework: str, batch_size: int,
                          num_gpus: Optional[int] = None,
-                         g_data: Optional[int] = None) -> ThreeDConfig:
+                         g_data: Optional[int] = None) -> AxoNNConfig:
+    """A baseline's Table II row, on 1F1B."""
     row = table2_row(model, framework)
     gpus = num_gpus if num_gpus is not None else MODEL_GPUS[model]
     gd = g_data if g_data is not None \
         else gpus // (row.g_inter * row.g_intra)
-    return ThreeDConfig(
+    return AxoNNConfig(
         spec=WEAK_SCALING_MODELS[model],
         num_gpus=row.g_intra * row.g_inter * gd,
         g_intra=row.g_intra, g_inter=row.g_inter, g_data=gd,
         microbatch_size=row.microbatch, batch_size=batch_size,
-        framework=framework)
+        framework=framework, schedule="1f1b")
+
+
+def _simulate(cfg: AxoNNConfig):
+    """One batch of ``cfg``'s walk."""
+    if cfg.schedule is None:
+        return simulate_batch(cfg)
+    return simulate_baseline_batch(cfg)
 
 
 def weak_scaling_rows(models: Sequence[str] = ("12B", "24B", "50B", "100B"),
@@ -100,11 +109,10 @@ def weak_scaling_rows(models: Sequence[str] = ("12B", "24B", "50B", "100B"),
     rows = []
     for model in models:
         for framework in frameworks:
-            if framework == "axonn":
-                result = simulate_batch(make_axonn_config(model, batch_size))
-            else:
-                result = simulate_baseline_batch(
-                    make_baseline_config(model, framework, batch_size))
+            cfg = make_axonn_config(model, batch_size) \
+                if framework == "axonn" \
+                else make_baseline_config(model, framework, batch_size)
+            result = _simulate(cfg)
             rows.append({
                 "model": model,
                 "gpus": MODEL_GPUS[model],
@@ -127,13 +135,11 @@ def strong_scaling_rows(model: str = "12B",
     for gpus in gpu_counts:
         batch_size = 4096 * gpus // 48
         for framework in frameworks:
-            if framework == "axonn":
-                cfg = make_axonn_config(model, batch_size, num_gpus=gpus)
-                result = simulate_batch(cfg)
-            else:
-                cfg = make_baseline_config(model, framework, batch_size,
-                                           num_gpus=gpus)
-                result = simulate_baseline_batch(cfg)
+            cfg = make_axonn_config(model, batch_size, num_gpus=gpus) \
+                if framework == "axonn" \
+                else make_baseline_config(model, framework, batch_size,
+                                          num_gpus=gpus)
+            result = _simulate(cfg)
             rows.append({
                 "model": model,
                 "gpus": gpus,
@@ -153,7 +159,8 @@ def sweep_4d(cluster_sizes: Sequence[int] = (8, 16, 32, 64),
              memopt: bool = False) -> List[Dict[str, object]]:
     """DES sweep over every 4D decomposition of each cluster size.
 
-    For each GPU count ``G`` the sweep enumerates all
+    For each GPU count ``G`` the sweep walks the Table II search's
+    enumerator (:func:`repro.tuning.grid_candidates`) over every
     ``g_intra x g_inter x g_data = G`` with a power-of-two tensor-parallel
     degree capped at ``min(max_g_intra, n_head)``, simulates one batch per
     decomposition, and records batch time, memory and feasibility.  The
@@ -170,26 +177,13 @@ def sweep_4d(cluster_sizes: Sequence[int] = (8, 16, 32, 64),
     rows: List[Dict[str, object]] = []
     for gpus in cluster_sizes:
         batch_size = batch_per_gpu * gpus
-        g_intra = 1
-        while g_intra <= min(max_g_intra, spec.n_head, gpus):
-            if gpus % g_intra == 0:
-                rest = gpus // g_intra
-                for g_inter in range(1, min(rest, spec.n_layer) + 1):
-                    if rest % g_inter:
-                        continue
-                    g_data = rest // g_inter
-                    if batch_size % (g_data * microbatch):
-                        continue
-                    cfg = AxoNNConfig(
-                        spec=spec, num_gpus=gpus, g_inter=g_inter,
-                        g_data=g_data, g_intra=g_intra,
-                        microbatch_size=microbatch, batch_size=batch_size,
-                        memopt=memopt)
-                    result = simulate_batch(cfg)
-                    row = result.as_row()
-                    row["batch_size"] = batch_size
-                    rows.append(row)
-            g_intra *= 2
+        g_intras = [1 << p for p in range(gpus.bit_length())
+                    if 1 << p <= min(max_g_intra, spec.n_head, gpus)]
+        for cfg in grid_candidates(spec, gpus, batch_size, g_intras,
+                                   (microbatch,), memopt=memopt):
+            row = simulate_batch(cfg).as_row()
+            row["batch_size"] = batch_size
+            rows.append(row)
     return rows
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..core import WEAK_SCALING_MODELS, paper_table1_specs
-from ..tuning import tune_axonn, tune_baseline
+from ..tuning import tune
 from .scaling import MODEL_GPUS, PAPER_TABLE2, table2_row
 
 __all__ = ["table1_rows", "table1_claims", "table2_rows", "table2_claims"]
@@ -41,12 +41,8 @@ def table2_rows(models: Sequence[str] = ("12B",),
         spec = WEAK_SCALING_MODELS[model]
         gpus = MODEL_GPUS[model]
         for framework in ("axonn", "deepspeed", "megatron"):
-            if framework == "axonn":
-                result = tune_axonn(spec, gpus, batch_size,
-                                    refine_top=refine_top)
-            else:
-                result = tune_baseline(spec, gpus, batch_size, framework,
-                                       refine_top=refine_top)
+            result = tune(spec, gpus, batch_size, framework,
+                          refine_top=refine_top)
             paper = table2_row(model, framework)
             row = result.as_row()
             row.update({

@@ -6,8 +6,8 @@ simulated GPU per *physical* rank walks its program order.  Compute
 tasks go through :func:`~repro.core.phases.stage_pass` with whatever
 :class:`~repro.core.phases.StageCost` table the caller prices a pass by
 — :func:`virtual_stage_costs` for the schedule search,
-:func:`~repro.baselines.frameworks.baseline_stage_costs` for the
-Megatron-LM / DeepSpeed models — perturbed by the same
+:func:`~repro.core.phases.stage_costs` of a Megatron-LM / DeepSpeed
+configuration for the baselines — perturbed by the same
 :func:`~repro.core.phases.jitter_factor` the message-driven/static
 ablation uses; comm tasks become :class:`Messenger` sends and stash-
 reordered receives (the wire delivers in arrival order, programs

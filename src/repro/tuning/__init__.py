@@ -1,26 +1,18 @@
 """Hyperparameter tuning (the Table II search).
 
-Public surface: :func:`tune_axonn`, :func:`tune_baseline`,
-:func:`axonn_candidates`, :func:`baseline_candidates`,
-:func:`estimate_baseline_time`, :class:`TuningResult`.
+Public surface: :func:`tune` (one search for every framework),
+:func:`grid_candidates` (the one enumerator, which
+:func:`repro.experiments.sweep_4d` also walks) over a framework's
+:func:`search_space`, :func:`divisors`, :class:`TuningResult`.
 """
 
-from .search import (
-    TuningResult,
-    axonn_candidates,
-    baseline_candidates,
-    divisors,
-    estimate_baseline_time,
-    tune_axonn,
-    tune_baseline,
-)
+from .search import (TuningResult, divisors, grid_candidates, search_space,
+                     tune)
 
 __all__ = [
     "TuningResult",
-    "axonn_candidates",
-    "baseline_candidates",
     "divisors",
-    "estimate_baseline_time",
-    "tune_axonn",
-    "tune_baseline",
+    "grid_candidates",
+    "search_space",
+    "tune",
 ]

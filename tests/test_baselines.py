@@ -1,18 +1,14 @@
-"""Tests for the Megatron-LM / DeepSpeed baseline models."""
+"""Tests for the Megatron-LM / DeepSpeed baselines: framework policies on
+``AxoNNConfig`` and their static walk."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import (
-    ThreeDConfig,
-    baseline_stage_costs,
-    check_baseline_memory,
-    simulate_baseline_batch,
-)
+from repro.baselines import simulate_baseline_batch
 from repro.cluster import Machine, summit
-from repro.core import (AxoNNConfig, WEAK_SCALING_MODELS, simulate_batch,
-                        stage_costs)
+from repro.core import (AxoNNConfig, WEAK_SCALING_MODELS, check_memory,
+                        simulate_batch, stage_costs)
 from repro.sched import (BWD, FWD, build_schedule, flushing_order,
                          ir_bubble_fraction, peak_resident_activations)
 from repro.sched.des import simulate_schedule
@@ -22,16 +18,18 @@ SPEC = WEAK_SCALING_MODELS["12B"]
 
 def ds_cfg(**kw):
     base = dict(spec=SPEC, num_gpus=48, g_intra=3, g_inter=2, g_data=8,
-                microbatch_size=2, batch_size=768, framework="deepspeed")
+                microbatch_size=2, batch_size=768, framework="deepspeed",
+                schedule="1f1b")
     base.update(kw)
-    return ThreeDConfig(**base)
+    return AxoNNConfig(**base)
 
 
 def mg_cfg(**kw):
     base = dict(spec=SPEC, num_gpus=48, g_intra=3, g_inter=16, g_data=1,
-                microbatch_size=8, batch_size=768, framework="megatron")
+                microbatch_size=8, batch_size=768, framework="megatron",
+                schedule="1f1b")
     base.update(kw)
-    return ThreeDConfig(**base)
+    return AxoNNConfig(**base)
 
 
 def ops(name, stage, n_stages, m):
@@ -135,35 +133,74 @@ class TestConfig:
             ds_cfg(schedule="wave")
 
     def test_hidden_divisibility(self):
-        with pytest.raises(ValueError):
-            ThreeDConfig(spec=SPEC, num_gpus=48, g_intra=5,
-                         g_inter=2, g_data=1, microbatch_size=1,
-                         batch_size=48)  # also wrong product; use hidden
-        # hidden=4512 divisible by 3 -> fine
+        # Megatron-LM splits every GEMM: hidden (4512) must divide by
+        # G_intra.  AxoNN's gathered weights allow an uneven head split.
+        five = dict(num_gpus=5, g_intra=5, g_inter=1, g_data=1,
+                    microbatch_size=1, batch_size=8)
+        with pytest.raises(ValueError, match="hidden"):
+            mg_cfg(**five)
+        assert AxoNNConfig(spec=SPEC, **five).g_intra == 5
         assert ds_cfg().g_intra == 3
+
+    @pytest.mark.parametrize("bad", [
+        dict(memopt=True),          # no baseline offloads its optimizer
+        dict(schedule=None),        # a baseline walks a static order
+        dict(framework="axonn"),    # AxoNN is message-driven: no order
+    ])
+    def test_policy_refuses_combinations_no_model_runs(self, bad):
+        with pytest.raises(ValueError):
+            ds_cfg(**bad)
+
+    def test_policy_defaults(self):
+        ax = AxoNNConfig(spec=SPEC, num_gpus=48, g_inter=6, g_data=8,
+                         microbatch_size=8, batch_size=768)
+        assert (ax.framework, ax.schedule, ax.p2p) == ("axonn", None, "mpi")
+        assert (ds_cfg().p2p, ds_cfg(backend_p2p="mpi").p2p) == \
+            ("nccl", "mpi")
+        assert [c.optimizer_placement for c in
+                (ax, ax.with_(memopt=True), mg_cfg(), ds_cfg())] == \
+            ["resident", "offload", "resident", "zero1"]
 
 
 class TestStageCosts:
     def test_intra_sharding_divides_compute(self):
         m = Machine(spec=summit(8))
-        sharded = baseline_stage_costs(ds_cfg(), m)
-        unsharded = baseline_stage_costs(
+        sharded = stage_costs(ds_cfg(), m)
+        unsharded = stage_costs(
             ds_cfg(g_intra=1, g_inter=2, g_data=24, batch_size=768), m)
         assert sharded[0].fwd_flops == pytest.approx(
             unsharded[0].fwd_flops / 3)
 
     def test_intra_collectives_charged(self):
         m = Machine(spec=summit(8))
-        costs = baseline_stage_costs(ds_cfg(), m)
+        costs = stage_costs(ds_cfg(), m)
         assert costs[0].fwd_extra_s > m.cal.p2p_handling_overhead
         assert costs[0].bwd_extra_s > costs[0].fwd_extra_s
 
     def test_no_collectives_without_intra(self):
         m = Machine(spec=summit(8))
-        costs = baseline_stage_costs(
+        costs = stage_costs(
             ds_cfg(g_intra=1, g_inter=6, g_data=8), m)
         assert costs[0].fwd_extra_s == m.cal.p2p_handling_overhead
         assert costs[0].bwd_extra_s == m.cal.p2p_handling_overhead
+
+    @given(g_inter=st.sampled_from([1, 2, 3, 5, 6, 16, 48]),
+           mbs=st.sampled_from([1, 2, 8]),
+           calibrated=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_framework_independent_without_a_tensor_axis(self, g_inter, mbs,
+                                                          calibrated):
+        """The TP policy is the only difference between the frameworks'
+        cost tables: at G_intra = 1 all three are equal."""
+        machine = Machine(spec=summit(8)) if calibrated else None
+        tables = [stage_costs(AxoNNConfig(
+            spec=SPEC, num_gpus=g_inter, g_inter=g_inter, g_data=1,
+            microbatch_size=mbs, batch_size=4 * mbs, framework=framework,
+            schedule=schedule), machine)
+            for framework, schedule in (("axonn", None),
+                                        ("megatron", "1f1b"),
+                                        ("deepspeed", "gpipe"))]
+        assert tables[0] == tables[1] == tables[2]
 
 
 class TestSimulation:
@@ -177,18 +214,18 @@ class TestSimulation:
         assert simulate_baseline_batch(ds_cfg()).batch_time_s == \
             simulate_baseline_batch(ds_cfg()).batch_time_s
 
-    @pytest.mark.parametrize("framework", ["axonn", "deepspeed",
-                                           "megatron"])
-    def test_megatron_no_data_parallel_allreduce(self, framework):
+    def test_megatron_no_data_parallel_allreduce(self):
         """Megatron-LM's Table II row has G_data = 1: a one-replica
-        column reduces nothing, so no framework pays an all-reduce."""
-        if framework == "axonn":
-            r = simulate_batch(AxoNNConfig(
+        column reduces nothing, so no framework pays an all-reduce (one
+        test id over all three frameworks)."""
+        results = {
+            "axonn": simulate_batch(AxoNNConfig(
                 spec=SPEC, num_gpus=16, g_inter=16, g_data=1,
-                microbatch_size=8, batch_size=768, memopt=True))
-        else:
-            r = simulate_baseline_batch(mg_cfg(framework=framework))
-        assert r.allreduce_s == 0.0
+                microbatch_size=8, batch_size=768, memopt=True)),
+            **{fw: simulate_baseline_batch(mg_cfg(framework=fw))
+               for fw in ("deepspeed", "megatron")}}
+        assert {fw: r.allreduce_s for fw, r in results.items()} == \
+            {"axonn": 0.0, "deepspeed": 0.0, "megatron": 0.0}
 
     def test_gpipe_slower_or_equal_1f1b_pipeline(self):
         f1b = simulate_baseline_batch(ds_cfg())
@@ -210,22 +247,53 @@ class TestSimulation:
 
     def test_deepspeed_memory_beats_megatron(self):
         """ZeRO-1 lets DeepSpeed fit configs Megatron cannot."""
-        _, ds_fits = check_baseline_memory(ds_cfg())
-        _, mg_fits = check_baseline_memory(
+        _, ds_fits = check_memory(ds_cfg())
+        _, mg_fits = check_memory(
             mg_cfg(g_inter=2, g_data=8, microbatch_size=2))
         assert ds_fits and not mg_fits
 
     def test_gpipe_activation_memory_exceeds_1f1b(self):
-        bd_1f1b, _ = check_baseline_memory(ds_cfg(batch_size=16384))
-        bd_gpipe, _ = check_baseline_memory(
+        bd_1f1b, _ = check_memory(ds_cfg(batch_size=16384))
+        bd_gpipe, _ = check_memory(
             ds_cfg(batch_size=16384, schedule="gpipe"))
         assert bd_gpipe.activations > bd_1f1b.activations
 
     def test_metrics(self):
         r = simulate_baseline_batch(ds_cfg())
         assert 0 < r.pct_of_peak < 100
+        assert r.config.framework == "deepspeed"
         row = r.as_row()
-        assert row["framework"] == "deepspeed"
+        assert row["pct_peak"] == r.pct_of_peak
+        assert row["batch_time_s"] == r.batch_time_s == \
+            r.pipeline_s + r.dp_opt_combined_s
+
+    def test_walks_refuse_each_others_configs(self):
+        with pytest.raises(ValueError, match="simulate_baseline_batch"):
+            simulate_batch(ds_cfg())
+        with pytest.raises(ValueError, match="simulate_batch"):
+            simulate_baseline_batch(AxoNNConfig(
+                spec=SPEC, num_gpus=48, g_inter=6, g_data=8,
+                microbatch_size=8, batch_size=768))
+
+    @pytest.mark.parametrize("framework", ["deepspeed", "megatron"])
+    def test_trace_shows_the_tail(self, framework):
+        """The baselines end their batch with the one tail, as events on
+        the column GPU's streams: the all-reduce on the aux stream, the
+        optimizer (ZeRO-1's sharded step and all-gather for DeepSpeed)
+        on the compute stream, after the last pipeline pass."""
+        machine = Machine(spec=summit(8), trace=True)
+        r = simulate_baseline_batch(ds_cfg(framework=framework),
+                                    machine=machine)
+        spans = machine.tracer.spans
+        ar = [s for s in spans if s.category == "allreduce"]
+        opt = [s for s in spans if s.category == "optimizer"]
+        assert [(s.rank, s.stream, s.name) for s in ar + opt] == [
+            (0, "aux", "allreduce"), (0, "compute", "optimizer")]
+        assert ar[0].duration == pytest.approx(r.allreduce_s, rel=1e-12)
+        assert opt[0].duration == pytest.approx(r.optimizer_s, rel=1e-12)
+        last_pass = max(s.end for s in spans if s.category == "compute")
+        assert ar[0].start == pytest.approx(last_pass, rel=1e-12)
+        assert opt[0].end == pytest.approx(r.batch_time_s, rel=1e-12)
 
     def test_machine_too_small(self):
         with pytest.raises(ValueError):
@@ -237,15 +305,15 @@ class TestSimulation:
         cost table under blocking NCCL *is* the baseline's pipeline phase
         (a blocking send is awaited, so it takes the compute stream before
         the rank's next pass, not after it)."""
-        cfg = ThreeDConfig(spec=SPEC, num_gpus=8, g_intra=1, g_inter=4,
-                           g_data=2, microbatch_size=2, batch_size=48,
-                           framework="megatron", schedule=schedule,
-                           compute_jitter=0.1, jitter_seed=5)
+        cfg = AxoNNConfig(spec=SPEC, num_gpus=8, g_intra=1, g_inter=4,
+                          g_data=2, microbatch_size=2, batch_size=48,
+                          framework="megatron", schedule=schedule,
+                          compute_jitter=0.1, jitter_seed=5)
         machine = Machine(spec=summit(2))
         walk = simulate_schedule(
             build_schedule(schedule, cfg.g_inter,
                            cfg.microbatches_per_shard),
-            costs=baseline_stage_costs(cfg, machine), machine=machine,
+            costs=stage_costs(cfg, machine), machine=machine,
             backend_p2p="nccl", sigma=0.1, seed=5)
         assert walk.makespan == simulate_baseline_batch(cfg).pipeline_s
 
@@ -257,7 +325,7 @@ class TestSimulation:
         if case == "deepspeed":
             cfg = ds_cfg(batch_size=96)
             simulate_baseline_batch(cfg, machine=machine)
-            costs = baseline_stage_costs(cfg, machine)
+            costs = stage_costs(cfg, machine)
         else:
             g_intra = 2 if case == "axonn-tp" else 1
             cfg = AxoNNConfig(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import ThreeDConfig, simulate_baseline_batch
+from repro.baselines import simulate_baseline_batch
 from repro.core import AxoNNConfig, WEAK_SCALING_MODELS, simulate_batch
 from repro.core.phases import _standard_normal, jitter_factor
 from repro.experiments import full_grid_validation, scheduling_jitter_ablation
@@ -155,9 +155,10 @@ class TestJitteredSimulation:
     @pytest.mark.parametrize("bad", [-0.2, math.nan, math.inf])
     def test_baseline_config_rejects_bad_jitter(self, bad):
         with pytest.raises(ValueError, match="compute_jitter"):
-            ThreeDConfig(spec=SPEC, num_gpus=48, g_intra=1, g_inter=6,
-                         g_data=8, microbatch_size=8, batch_size=384,
-                         framework="megatron", compute_jitter=bad)
+            AxoNNConfig(spec=SPEC, num_gpus=48, g_intra=1, g_inter=6,
+                        g_data=8, microbatch_size=8, batch_size=384,
+                        framework="megatron", schedule="1f1b",
+                        compute_jitter=bad)
 
     @pytest.mark.parametrize("bad", [-0.2, math.nan, math.inf])
     def test_simulate_schedule_rejects_bad_sigma(self, bad):
@@ -170,23 +171,24 @@ class TestJitteredSimulation:
             search_schedules(2, 4, n_perturbations=0, sigma=bad)
 
     def test_baseline_jitter(self):
-        base = ThreeDConfig(spec=SPEC, num_gpus=48, g_intra=1, g_inter=6,
-                            g_data=8, microbatch_size=8, batch_size=384,
-                            framework="megatron")
+        base = AxoNNConfig(spec=SPEC, num_gpus=48, g_intra=1, g_inter=6,
+                           g_data=8, microbatch_size=8, batch_size=384,
+                           framework="megatron", schedule="1f1b")
         clean = simulate_baseline_batch(base)
         noisy = simulate_baseline_batch(base.with_(compute_jitter=0.3))
         assert noisy.pipeline_s != clean.pipeline_s
 
     def test_baseline_backend_validated(self):
         with pytest.raises(ValueError, match="backend"):
-            ThreeDConfig(spec=SPEC, num_gpus=48, g_intra=1, g_inter=6,
-                         g_data=8, microbatch_size=8, batch_size=384,
-                         framework="megatron", backend_p2p="gloo")
+            AxoNNConfig(spec=SPEC, num_gpus=48, g_intra=1, g_inter=6,
+                        g_data=8, microbatch_size=8, batch_size=384,
+                        framework="megatron", schedule="1f1b",
+                        backend_p2p="gloo")
 
     def test_baseline_mpi_backend_faster_than_nccl(self):
-        base = ThreeDConfig(spec=SPEC, num_gpus=48, g_intra=1, g_inter=6,
-                            g_data=8, microbatch_size=8, batch_size=384,
-                            framework="megatron")
+        base = AxoNNConfig(spec=SPEC, num_gpus=48, g_intra=1, g_inter=6,
+                           g_data=8, microbatch_size=8, batch_size=384,
+                           framework="megatron", schedule="1f1b")
         nccl = simulate_baseline_batch(base)
         mpi = simulate_baseline_batch(base.with_(backend_p2p="mpi"))
         assert mpi.pipeline_s < nccl.pipeline_s

@@ -89,6 +89,12 @@ class TestTransformerSpec:
             TransformerSpec("bad", n_layer=0, hidden=12, n_head=3)
 
 
+def _baseline(framework, **kw):
+    """A 48-GPU baseline configuration at batch 768."""
+    return AxoNNConfig(spec=SPEC_12B, num_gpus=48, batch_size=768,
+                       framework=framework, schedule="1f1b", **kw)
+
+
 class TestMemoryModel:
     def test_20phi_baseline(self):
         mm = MemoryModel(SPEC_12B)
@@ -138,8 +144,11 @@ class TestMemoryModel:
         """The memory optimization is exactly what lets AxoNN run the 12 B
         model at G_inter=6 (Table II) on 16 GB GPUs."""
         mm = MemoryModel(SPEC_12B)
-        without = mm.axonn_bytes(6, 8, memopt=False)
-        with_ = mm.axonn_bytes(6, 8, memopt=True, bucket_size=4_000_000)
+        cfg = AxoNNConfig(spec=SPEC_12B, num_gpus=48, g_inter=6, g_data=8,
+                          microbatch_size=8, batch_size=16384)
+        without = mm.config_bytes(cfg)
+        with_ = mm.config_bytes(cfg.with_(memopt=True,
+                                          bucket_size=4_000_000))
         assert not mm.fits(without, 16 * GB)
         assert mm.fits(with_, 16 * GB)
 
@@ -158,7 +167,8 @@ class TestMemoryModel:
         """DeepSpeed's Table II 12 B config (G_intra 3, G_inter 2, G_data 8,
         mbs 2) must fit in 16 GB thanks to ZeRO-1."""
         mm = MemoryModel(SPEC_12B)
-        bd = mm.deepspeed_bytes(g_inter=2, g_intra=3, g_data=8, microbatch=2)
+        bd = mm.config_bytes(_baseline("deepspeed", g_inter=2, g_intra=3,
+                                       g_data=8, microbatch_size=2))
         assert mm.fits(bd, 16 * GB)
 
     def test_megatron_needs_larger_g_inter(self):
@@ -166,8 +176,11 @@ class TestMemoryModel:
         G_inter=2 with G_intra=3 — it needs deeper pipelines (Table II:
         G_inter=16)."""
         mm = MemoryModel(SPEC_12B)
-        small = mm.megatron_bytes(g_inter=2, g_intra=3, microbatch=2)
-        table2 = mm.megatron_bytes(g_inter=16, g_intra=3, microbatch=8)
+        small = mm.config_bytes(_baseline("megatron", g_inter=2, g_intra=3,
+                                          g_data=8, microbatch_size=2))
+        table2 = mm.config_bytes(_baseline("megatron", g_inter=16,
+                                           g_intra=3, g_data=1,
+                                           microbatch_size=8))
         assert not mm.fits(small, 16 * GB)
         assert mm.fits(table2, 16 * GB)
 
@@ -184,7 +197,8 @@ class TestMemoryModel:
         with pytest.raises(ValueError):
             mm.state_bytes_zero1(100, 0)
         with pytest.raises(ValueError):
-            mm.megatron_bytes(2, 0, 1)
+            _baseline("megatron", g_inter=48, g_intra=0, g_data=1,
+                      microbatch_size=1)
 
     @given(phi=st.integers(1_000, 10_000_000_000),
            bsize=st.integers(1, 100_000_000))
@@ -245,6 +259,12 @@ class TestAxoNNConfig:
     def test_grid_must_match_gpus(self):
         with pytest.raises(ValueError):
             self._cfg(g_inter=5)
+        # A product that matches is not enough: every size must be >= 1.
+        for bad in (dict(g_inter=-1, g_data=-2, num_gpus=2),
+                    dict(g_inter=0, g_data=8, num_gpus=0),
+                    dict(g_inter=6, g_data=0, num_gpus=0)):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                self._cfg(**bad)
 
     def test_batch_divisibility(self):
         with pytest.raises(ValueError):

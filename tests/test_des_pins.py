@@ -21,7 +21,7 @@ import math
 
 import pytest
 
-from repro.baselines import ThreeDConfig, simulate_baseline_batch
+from repro.baselines import simulate_baseline_batch
 from repro.core import (AxoNNConfig, WEAK_SCALING_MODELS,
                         estimate_batch_time, simulate_batch)
 from repro.experiments import (autoscale_serving_model, fleet_report,
@@ -33,7 +33,6 @@ from repro.fleet import (FleetModel, PredictivePolicy, ReactivePolicy,
 from repro.sched import build_schedule
 from repro.sched.des import simulate_schedule
 from repro.serve import ArrivalSpec
-from repro.tuning import estimate_baseline_time
 
 SPEC = WEAK_SCALING_MODELS["12B"]
 
@@ -41,7 +40,7 @@ SPEC = WEAK_SCALING_MODELS["12B"]
 def baseline_cfg(framework, schedule, g_intra, g_inter, sigma,
                  backend_p2p="nccl"):
     """Two data-parallel replicas of 24 microbatches of 2."""
-    return ThreeDConfig(
+    return AxoNNConfig(
         spec=SPEC, num_gpus=2 * g_intra * g_inter, g_intra=g_intra,
         g_inter=g_inter, g_data=2, microbatch_size=2, batch_size=96,
         framework=framework, schedule=schedule, backend_p2p=backend_p2p,
@@ -50,10 +49,10 @@ def baseline_cfg(framework, schedule, g_intra, g_inter, sigma,
 
 def ablation_cfg(sigma):
     """The static side of ``scheduling_jitter_ablation``."""
-    return ThreeDConfig(
+    return AxoNNConfig(
         spec=SPEC, num_gpus=48, g_intra=1, g_inter=6, g_data=8,
         microbatch_size=8, batch_size=768, framework="megatron",
-        backend_p2p="mpi", compute_jitter=sigma)
+        schedule="1f1b", backend_p2p="mpi", compute_jitter=sigma)
 
 
 def axonn_cfg(g_intra=1, g_inter=6, **kw):
@@ -65,10 +64,10 @@ def axonn_cfg(g_intra=1, g_inter=6, **kw):
 
 
 def table2_cfg(framework, g_intra, g_inter, g_data, mbs):
-    return ThreeDConfig(
+    return AxoNNConfig(
         spec=SPEC, num_gpus=48, g_intra=g_intra, g_inter=g_inter,
         g_data=g_data, microbatch_size=mbs, batch_size=768,
-        framework=framework)
+        framework=framework, schedule="1f1b")
 
 
 #: (framework, schedule, g_intra, g_inter, sigma) ->
@@ -357,7 +356,9 @@ ESTIMATE_ULP_PINS = {
         37.77354785062908,
 }
 
-#: (framework, g_intra, g_inter, g_data, mbs) -> estimate_baseline_time
+#: (framework, g_intra, g_inter, g_data, mbs) -> estimate_batch_time of
+#: the baseline's 1F1B configuration (``estimate_baseline_time`` when
+#: recorded)
 ESTIMATE_BASELINE_PINS = {
     ('deepspeed', 3, 2, 8, 2):
         20.252073668410894,
@@ -563,7 +564,7 @@ def test_estimate_batch_time_is_pinned_to_2ulp(key):
 
 @pytest.mark.parametrize("key", sorted(ESTIMATE_BASELINE_PINS), ids=str)
 def test_estimate_baseline_time_is_pinned(key):
-    assert estimate_baseline_time(table2_cfg(*key)) == \
+    assert estimate_batch_time(table2_cfg(*key)) == \
         ESTIMATE_BASELINE_PINS[key]
 
 

@@ -5,16 +5,15 @@ still had separate configurations, enumerators, tuners and estimates,
 so folding them into one configuration model is held to the last bit:
 the tuner's chosen row, both with the closed form alone and with the
 DES refining the leaders, every candidate the search enumerates and its
-order, and every row of the 4D sweep.  Compared with ``==``; nothing here may be re-recorded by a
-refactor.
+order, and every row of the 4D sweep.  Compared with ``==``; nothing
+here may be re-recorded by a refactor.
 """
 
 import pytest
 
 from repro.core import WEAK_SCALING_MODELS
 from repro.experiments import sweep_4d
-from repro.tuning import (axonn_candidates, baseline_candidates, tune_axonn,
-                          tune_baseline)
+from repro.tuning import grid_candidates, search_space, tune
 
 SPEC = WEAK_SCALING_MODELS["12B"]
 
@@ -271,25 +270,22 @@ SWEEP_4D_PINS = [
 @pytest.mark.parametrize("key", list(TUNE_PINS), ids=str)
 def test_tuned_row_is_pinned(key):
     framework, batch_size, refine_top = key
-    if framework == "axonn":
-        result = tune_axonn(SPEC, 48, batch_size, refine_top=refine_top)
-    else:
-        result = tune_baseline(SPEC, 48, batch_size, framework,
-                               refine_top=refine_top)
+    result = tune(SPEC, 48, batch_size, framework, refine_top=refine_top)
     assert result.as_row() == TUNE_PINS[key]
 
 
 @pytest.mark.parametrize("key", list(CANDIDATE_PINS), ids=str)
 def test_candidates_are_pinned(key):
+    """The one enumerator lists what each search enumerated, in order."""
     search, batch_size = key
-    if search == "axonn":
-        cands = axonn_candidates(SPEC, 48, batch_size)
-    else:
-        cands = baseline_candidates(SPEC, 48, batch_size, "deepspeed")
-    assert tuple((c.g_intra, c.g_inter, c.g_data, c.microbatch_size)
-                 for c in cands) == CANDIDATE_PINS[key]
+    frameworks = [search] if search == "axonn" else ["deepspeed",
+                                                     "megatron"]
+    for framework in frameworks:
+        g_intras, fields = search_space(framework)
+        cands = grid_candidates(SPEC, 48, batch_size, g_intras, **fields)
+        assert tuple((c.g_intra, c.g_inter, c.g_data, c.microbatch_size)
+                     for c in cands) == CANDIDATE_PINS[key]
 
 
 def test_sweep_4d_rows_are_pinned():
     assert sweep_4d(cluster_sizes=(8, 16)) == SWEEP_4D_PINS
-
