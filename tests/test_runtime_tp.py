@@ -8,6 +8,8 @@ member in the shared ``tp.*`` counter namespace, and checkpoints must
 round-trip under a TP grid (and be rejected across grid shapes).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,11 @@ from repro.nn import GPTConfig, LossScaler
 from repro.perf import counters, counting
 from repro.runtime import (
     AxoNNTrainer,
+    RankTransport,
     load_trainer_state,
     trainer_state_dict,
 )
+from repro.runtime.tp import TAG_TP_GRAD, TAG_TP_WGT
 from repro.sched import SCHEDULE_NAMES, schedule_chunks
 
 # Three heads: a 2-way TP split shards them unevenly ([2, 1]), which is
@@ -166,3 +170,92 @@ def test_process_backend_tp_matches_cooperative_dense():
     for key in dense_state:
         np.testing.assert_array_equal(proc_state[key], dense_state[key],
                                       err_msg=key)
+
+
+# -- exact pins of the lead-compute protocol --------------------------------
+#
+# Recorded on the tree where the lead still held a sharded copy of its
+# stage (one Parameter per matrix part and member), so serving the
+# protocol from the dense stage is held to the last bit: the losses are
+# the ``repr`` of the floats that tree returned, the ``tp.*`` counters
+# are exact, and every ``tp_wgt`` / ``tp_grad`` payload is folded, in
+# send order, into one sha256 over (source, destination, tag,
+# microbatch, dtype, shape, bytes).  Nothing here may be re-recorded by
+# a refactor.
+
+
+class PayloadTap(RankTransport):
+    """The cooperative transport, hashing every TP payload it carries."""
+
+    def __init__(self, n_ranks, digest):
+        super().__init__(n_ranks)
+        self.digest = digest
+
+    def send(self, src, dst, tag, microbatch, data=None):
+        if tag in (TAG_TP_WGT, TAG_TP_GRAD):
+            self.digest.update(f"{src}>{dst}:{tag}:{microbatch}:"
+                               f"{data.dtype.str}{data.shape}".encode())
+            self.digest.update(np.ascontiguousarray(data).tobytes())
+        super().send(src, dst, tag, microbatch, data)
+
+
+#: name -> trainer keyword arguments; each case trains two steps
+PIN_CASES = {
+    "2x1x2_fp32": dict(g_inter=2, g_data=1, g_intra=2),
+    "2x1x3_mixed": dict(g_inter=2, g_data=1, g_intra=3, precision="mixed"),
+    "2x1x2_fp32_1f1b": dict(g_inter=2, g_data=1, g_intra=2,
+                            schedule="1f1b"),
+}
+
+
+def run_pinned(name, backend="cooperative"):
+    """(two step losses, the ``tp.*`` counters, the payload sha256 —
+    None on the process backend, whose rings no tap sees)."""
+    kwargs = dict(PIN_CASES[name])
+    if kwargs.get("precision") == "mixed":
+        kwargs["loss_scaler"] = LossScaler(init_scale=64, dynamic=False)
+    trainer = AxoNNTrainer(CFG, microbatch_size=2, lr=1e-3,
+                           backend=backend, **kwargs)
+    digest = hashlib.sha256()
+    if backend == "cooperative":
+        trainer.transport_factory = lambda: PayloadTap(
+            trainer.grid.world_size, digest)
+    try:
+        with counting():
+            losses = [trainer.train_batch(x, y).loss
+                      for x, y in make_batches(2)]
+            snap = counters.snapshot()
+    finally:
+        trainer.close()
+    tp = {k: v for k, v in snap.items() if k.startswith("tp.")}
+    return (losses, tp,
+            digest.hexdigest() if backend == "cooperative" else None)
+
+
+PINS = {
+    "2x1x2_fp32": (
+        [2.937518000602722, 2.945221781730652],
+        {"tp.allgather": 16, "tp.allgather_bytes": 64512,
+         "tp.reduce_scatter": 16, "tp.reduce_scatter_bytes": 51456},
+        "14dabc37dc6565ea96ea7fe9f83b41845f84a5a2af15b77fe10e699e8b3282cc"),
+    "2x1x3_mixed": (
+        [2.937518000602722, 2.945221781730652],
+        {"tp.allgather": 24, "tp.allgather_bytes": 154624,
+         "tp.reduce_scatter": 24, "tp.reduce_scatter_bytes": 77312},
+        "3e23c356bcc8adc7201b7f841e5083e8b521e61adb6142e94d8cab24a8cf5542"),
+    "2x1x2_fp32_1f1b": (
+        [2.937518000602722, 2.945221781730652],
+        {"tp.allgather": 16, "tp.allgather_bytes": 64512,
+         "tp.reduce_scatter": 16, "tp.reduce_scatter_bytes": 51456},
+        "f4cde64b3770a74a17f2ef5cba85537a21d2ef08e34601d50601670cf926f019"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIN_CASES))
+def test_protocol_pinned(name):
+    assert run_pinned(name) == PINS[name]
+
+
+def test_process_backend_protocol_pinned():
+    losses, tp, _ = run_pinned("2x1x2_fp32", backend="process")
+    assert (losses, tp) == PINS["2x1x2_fp32"][:2]
