@@ -455,12 +455,11 @@ def cmd_train(args) -> bool:
 
     def run(backend: str):
         # Dropout is on; checkpointing the activations as well makes
-        # every backward replay its segment's dropout draws (the
-        # tensor-parallel stage refuses checkpointing).
+        # every backward replay its segment's dropout draws.
         trainer = AxoNNTrainer(cfg, g_inter=ranks, g_data=1,
                                g_intra=g_intra,
                                microbatch_size=2, backend=backend,
-                               checkpoint_activations=g_intra == 1)
+                               checkpoint_activations=True)
         try:
             return [trainer.train_batch(x, y) for x, y in batches]
         finally:

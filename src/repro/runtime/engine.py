@@ -5,9 +5,10 @@ Algorithm 1 (``TRAIN`` / ``DATA_PARALLEL_STEP``) and Algorithm 2
 (``INTER_LAYER_PARALLEL_STEP``) on the cooperative rank transport:
 
 * each rank ``g^{i,j}`` of the ``G_inter x G_data`` grid runs the program
-  :meth:`AxoNNTrainer._rank_program` binds — by default the message-driven
-  scheduler that starts a forward or backward pass depending on *which
-  neighbour a message arrived from* (Algorithm 2 lines 13/21);
+  :func:`~repro.runtime.rankprog.rank_program` binds — by default the
+  message-driven scheduler that starts a forward or backward pass
+  depending on *which neighbour a message arrived from* (Algorithm 2
+  lines 13/21);
 * the warm-up phase injects ``pipeline_limit`` microbatches (lines 3-9;
   ``pipeline_limit = G_inter`` as fixed in Section IV-A);
 * the first stage injects a fresh microbatch after each completed backward
@@ -24,7 +25,7 @@ verify.
 ``schedule=`` swaps Algorithm 2 for a *static* order (a :mod:`repro.sched`
 name or validated :class:`~repro.sched.ir.Schedule`, walked by
 :func:`repro.runtime.rankprog.lower_rank`) and nothing else — both are
-``send`` + ``yield RECV`` rank programs that ``_rank_program`` returns and
+``send`` + ``yield RECV`` rank programs that ``rank_program`` returns and
 one :meth:`RankTransport.run <repro.runtime.transport.RankTransport.run>`
 (or one process worker) drives, with or without a fault injector and a
 tensor-parallel axis — so two schedulers differ only in *when* work runs:
@@ -51,7 +52,7 @@ comparable to the serial reference.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -64,9 +65,8 @@ from ..sched.ir import Schedule, validate
 from .column import ColumnStep, make_optimizer
 from .grid import RankGrid, split_batch
 from .parallel import ProcessBackend
-from .rankprog import inter_layer_step, lower_rank
-from .stage import PipelineStage
-from .tp import TensorParallelStage, TPComm, build_shard, tp_follower_step
+from .rankprog import rank_program
+from .stage import PipelineStage, build_shard
 from .transport import RankTransport
 
 __all__ = ["AxoNNTrainer", "TrainReport"]
@@ -128,9 +128,10 @@ class AxoNNTrainer:
                              "precision='mixed' (fp16 device gradients)")
         if coarsening_k < 1:
             raise ValueError("coarsening_k must be >= 1")
-        if g_intra > 1 and checkpoint_activations:
+        if g_intra > cfg.n_head:
             raise ValueError(
-                "checkpoint_activations is not supported with g_intra > 1")
+                f"g_intra={g_intra} exceeds the model's {cfg.n_head} heads: "
+                f"each tensor-parallel member owns at least one")
         self.cfg = cfg
         self.grid = RankGrid(g_inter, g_data, g_intra)
         self.microbatch_size = microbatch_size
@@ -221,10 +222,10 @@ class AxoNNTrainer:
         i, _j, t = self.grid.coord3_of(rank)
         if t != 0:
             # Tensor-parallel followers hold no stage or optimizer: the
-            # group lead owns the full sharded stage (see runtime.tp);
-            # followers are pure protocol participants.
+            # group lead runs the dense stage (see runtime.tp); followers
+            # are pure protocol participants.
             return
-        stage = build_shard(self.cfg, self.grid, i, self.n_virtual,
+        stage = build_shard(self.cfg, i, self.grid.g_inter, self.n_virtual,
                             self.checkpoint_activations)
         self.stages[rank] = stage
         # Per-rank scaler objects would desync on dynamic updates; every
@@ -269,8 +270,8 @@ class AxoNNTrainer:
             raise ValueError(
                 f"schedule {self.schedule_name!r} places "
                 f"{self.n_virtual // g_inter} chunks on a rank, and there "
-                f"is no chunked tensor-parallel shard (build_shard): run "
-                f"it with g_intra=1 or pick a single-chunk schedule")
+                f"is no chunked tensor-parallel protocol: run it with "
+                f"g_intra=1 or pick a single-chunk schedule")
         if self.n_virtual > num_layer_slots(self.cfg):
             raise ValueError(
                 f"{self.n_virtual} virtual stages exceed the model's "
@@ -290,48 +291,7 @@ class AxoNNTrainer:
             return self._fixed_schedule
         return build_schedule(self.schedule_name, self.grid.g_inter, m)
 
-    # -- the inter-layer phase's rank programs ----------------------------------
-    def _rank_program(self, rank: int, transport: RankTransport,
-                      microbatches: List[Tuple[np.ndarray, np.ndarray]],
-                      total_microbatches: int,
-                      sched: Optional[Schedule]) -> Generator:
-        """The walk of GPU ``g^{i,j}``: the static order ``sched``, or
-        (None) INTER_LAYER_PARALLEL_STEP.
-
-        A thin binding of the backend-agnostic generators
-        (:mod:`repro.runtime.rankprog`) to this trainer's stage and the
-        cooperative transport — the process backend binds the *same*
-        generators to its shared-memory endpoints.
-        """
-        scale = self.scaler.scale if self.precision == "mixed" else 1.0
-        stage = self.stages[rank]
-        send = lambda dst, tag, mb, data: transport.send(rank, dst, tag, mb,
-                                                         data)
-        tp = None
-        if self.grid.g_intra > 1:
-            tp = TPComm(rank, self.grid, send,
-                        wgt_payload=stage.wgt_payload,
-                        grad_payload=stage.grad_payload,
-                        record=self._tp_record)
-        if sched is not None:
-            return lower_rank(
-                sched, self.grid, rank, stage.chunks, send, microbatches,
-                total_microbatches, loss_scale=scale, tracer=self.tracer,
-                tp=tp)
-        return inter_layer_step(
-            rank, self.grid, stage, send,
-            microbatches, total_microbatches, self.pipeline_limit,
-            loss_scale=scale, tracer=self.tracer, tp=tp)
-
-    def _tp_follower_program(self, rank: int,
-                             transport: RankTransport,
-                             total_microbatches: int) -> Generator:
-        """Reactive rank program for a tensor-parallel follower."""
-        send = lambda dst, tag, mb, data: transport.send(rank, dst, tag, mb,
-                                                         data)
-        comm = TPComm(rank, self.grid, send, record=self._tp_record)
-        return tp_follower_step(rank, self.grid, comm, total_microbatches)
-
+    # -- the inter-layer phase ----------------------------------------------
     def _tp_record(self, rank: int, op: str, key: tuple,
                    nbytes: int) -> None:
         """Collective sink for the ``tp`` stream: protocol trace, perf
@@ -398,15 +358,17 @@ class AxoNNTrainer:
                 transport = RankTransport(self.grid.world_size,
                                           recorder=self.recorder,
                                           tracer=self.tracer)
+            loss_scale = self.scaler.scale \
+                if self.precision == "mixed" else 1.0
             programs = {}
             for rank in range(self.grid.world_size):
-                _i, j, t = self.grid.coord3_of(rank)
-                if t == 0:
-                    programs[rank] = self._rank_program(
-                        rank, transport, groups[j], total_mb, sched)
-                else:
-                    programs[rank] = self._tp_follower_program(
-                        rank, transport, len(groups[j]))
+                send = (lambda dst, tag, mb, data, _r=rank:
+                        transport.send(_r, dst, tag, mb, data))
+                programs[rank] = rank_program(
+                    rank, self.grid, self.stages.get(rank), send,
+                    groups[self.grid.coord_of(rank)[1]], total_mb,
+                    self.pipeline_limit, sched, loss_scale, self.tracer,
+                    self._tp_record)
             transport.run(programs)
             messages = transport.messages_sent
             # Sanity: no microbatch left in flight anywhere.  (The process
@@ -449,17 +411,14 @@ class AxoNNTrainer:
     def gather_state(self, j: int = 0) -> Dict[str, np.ndarray]:
         """Full-model state dict reassembled from pipeline ``j``'s shards.
 
-        Tensor-parallel stages are reassembled into *dense* parameter
-        names/arrays, so states gathered at different ``g_intra`` are
-        directly comparable (the bit-identity acceptance check)."""
+        A tensor-parallel lead holds the dense stage, so states gathered
+        at different ``g_intra`` are directly comparable (the
+        bit-identity acceptance check)."""
         state: Dict[str, np.ndarray] = {}
         for i in range(self.grid.g_inter):
             stage = self.stages[self.grid.rank_of(i, j)]
-            if isinstance(stage, TensorParallelStage):
-                state.update(stage.dense_state())
-            else:
-                for name, p in stage.named_parameters():
-                    state[name] = p.data.copy()
+            for name, p in stage.named_parameters():
+                state[name] = p.data.copy()
         return state
 
 

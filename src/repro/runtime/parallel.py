@@ -68,11 +68,10 @@ from ..obs.protocol import ProtocolError, TraceRecorder
 from ..perf.counters import counters as _counters
 from .column import ColumnStep, make_optimizer
 from .offload import BucketedOffloadAdamW
-from .rankprog import inter_layer_step, lower_rank
+from .rankprog import rank_program
 from .shm import (_POLL_SLEEP, _SPIN, RingAborted, ShmRing,
                   attach_shared_memory)
-from .stage import _dropout_modules
-from .tp import TPComm, build_shard, tp_follower_step
+from .stage import _dropout_modules, build_shard
 from .transport import (POLL, RECV, BaseRankTransport, DeadlockError,
                         Packet, RankFailure, TimedRecv)
 
@@ -996,8 +995,8 @@ def _train_step_task(ctx: WorkerContext, payload: Dict[str, Any]
     Builds (once, cached) this rank's shard and optimizer over views of
     the rank's shared block, the only home of its parameters and
     optimizer state; restores dropout RNG state; drives the batch's walk
-    over the rings — Algorithm 2's :func:`inter_layer_step`, or
-    :func:`lower_rank` when the payload carries a static ``schedule`` —
+    over the rings — the program :func:`rank_program` binds: Algorithm 2,
+    or the static ``schedule`` the payload carries —
     then Algorithm 1's end of the batch, :meth:`ColumnStep.run`, on the
     ``"dp"`` lane: the column reduce with its peers, the grid's overflow
     verdict, and the step, written straight into the block.  Returns
@@ -1010,7 +1009,7 @@ def _train_step_task(ctx: WorkerContext, payload: Dict[str, Any]
     n_virtual = grid.g_inter if sched is None else sched.n_virtual
     if ctx.cache.get("block") != payload["param_shm"]:
         i, _j = grid.coord_of(rank)
-        stage = build_shard(cfg, grid, i, n_virtual,
+        stage = build_shard(cfg, i, grid.g_inter, n_virtual,
                             payload["checkpoint_activations"])
         precision, offload, bucket_size, chunk, hparams = \
             payload["optimizer"]
@@ -1033,25 +1032,7 @@ def _train_step_task(ctx: WorkerContext, payload: Dict[str, Any]
     ctx.kill_after = payload.get("kill_after")
     ctx._maybe_crash()  # a crash scheduled before the first receive
 
-    tracer = ctx.tracer if ctx.tracer.enabled else None
-    tp = None
-    if grid.g_intra > 1:
-        tp = TPComm(rank, grid, ctx.send,
-                    wgt_payload=stage.wgt_payload,
-                    grad_payload=stage.grad_payload,
-                    record=_worker_tp_record(ctx))
-    if sched is None:
-        gen = inter_layer_step(
-            rank, grid, stage, ctx.send, payload["microbatches"],
-            payload["total_microbatches"], payload["pipeline_limit"],
-            loss_scale=payload["loss_scale"], tracer=tracer, tp=tp)
-    else:
-        gen = lower_rank(
-            sched, grid, rank, stage.chunks, ctx.send,
-            payload["microbatches"], payload["total_microbatches"],
-            loss_scale=payload["loss_scale"], tracer=ctx.tracer, tp=tp)
-    if isinstance(gen, types.GeneratorType):
-        ctx.drive(gen)
+    _walk(ctx, stage, payload)
     if stage.inflight_microbatches:
         raise RuntimeError(
             f"rank {rank} finished with {stage.inflight_microbatches} "
@@ -1064,6 +1045,7 @@ def _train_step_task(ctx: WorkerContext, payload: Dict[str, Any]
     def record(rank: int, op: str, key: Tuple) -> None:
         ctx.events.append(("collective", rank, op, key))
 
+    tracer = ctx.tracer if ctx.tracer.enabled else None
     applied = ctx.drive(column.run(ctx.dp_send, tracer, record), dp=True)
     return {
         "losses": dict(stage.microbatch_losses),
@@ -1072,6 +1054,17 @@ def _train_step_task(ctx: WorkerContext, payload: Dict[str, Any]
         "steps": opt.steps,
         "chunks": column.n_chunks,
     }
+
+
+def _walk(ctx: WorkerContext, stage, payload: Dict[str, Any]) -> None:
+    """Drive this rank's inter-layer program for the batch over the
+    rings: what :func:`rank_program` binds, for a lead (``stage``) and a
+    follower (None) alike."""
+    ctx.drive(rank_program(
+        ctx.rank, payload["grid"], stage, ctx.send, payload["microbatches"],
+        payload["total_microbatches"], payload["pipeline_limit"],
+        payload["schedule"], payload["loss_scale"], ctx.tracer,
+        _worker_tp_record(ctx)))
 
 
 def _worker_tp_record(ctx: WorkerContext):
@@ -1093,15 +1086,9 @@ def _tp_follower_task(ctx: WorkerContext, payload: Dict[str, Any]
     lead's weight/gradient shard messages for the batch and acknowledge
     each one.  Followers hold no stage, so the reply carries nothing to
     apply — the parent only merges its events and spans."""
-    grid = payload["grid"]
-    comm = TPComm(ctx.rank, grid, ctx.send,
-                  record=_worker_tp_record(ctx))
     ctx.kill_after = payload.get("kill_after")
     ctx._maybe_crash()
-    gen = tp_follower_step(ctx.rank, grid, comm,
-                           payload["total_microbatches"])
-    if isinstance(gen, types.GeneratorType):
-        ctx.drive(gen)
+    _walk(ctx, None, payload)
     return {"follower": True}
 
 
@@ -1284,31 +1271,26 @@ class ProcessBackend:
                      trainer._opt_hparams)
 
         for rank in range(grid.world_size):
-            _i, j, _t = grid.coord3_of(rank)
-            if not grid.is_tp_lead(rank):
-                self.pool.submit(rank, _tp_follower_task, {
-                    "grid": grid,
-                    "total_microbatches": len(groups[j]),
-                    "kill_after": crash_after.get(rank),
-                })
-                continue
-            stage = trainer.stages[rank]
-            self.pool.submit(rank, _train_step_task, {
-                "cfg": trainer.cfg,
+            walk = {
                 "grid": grid,
-                "checkpoint_activations": trainer.checkpoint_activations,
-                "param_shm": self._bind(rank).name,
-                "optimizer": optimizer,
-                "steps": trainer.optimizers[rank].steps,
-                "microbatches": groups[j],
+                "microbatches": groups[grid.coord_of(rank)[1]],
                 "total_microbatches": total_mb,
                 "pipeline_limit": trainer.pipeline_limit,
                 "schedule": schedule,
                 "loss_scale": scale,
-                "rng_states": [m.rng.bit_generator.state
-                               for m in _dropout_modules(stage)],
                 "kill_after": crash_after.get(rank),
-            })
+            }
+            if not grid.is_tp_lead(rank):
+                self.pool.submit(rank, _tp_follower_task, walk)
+                continue
+            stage = trainer.stages[rank]
+            self.pool.submit(rank, _train_step_task, dict(
+                walk, cfg=trainer.cfg,
+                checkpoint_activations=trainer.checkpoint_activations,
+                param_shm=self._bind(rank).name, optimizer=optimizer,
+                steps=trainer.optimizers[rank].steps,
+                rng_states=[m.rng.bit_generator.state
+                            for m in _dropout_modules(stage)]))
 
         replies = self.pool.gather(list(range(grid.world_size)))
 

@@ -37,11 +37,11 @@ from ..sched.ir import (BWD, FWD, RECV_ACT, RECV_GRAD, SEND_ACT, SEND_GRAD,
                         Schedule)
 from .grid import RankGrid
 from .stage import PipelineStage
-from .tp import TPComm
+from .tp import RecordFn, ShardMap, TPComm, tp_follower_step
 from .transport import POLL, RECV
 
 __all__ = ["TAG_FWD", "TAG_BWD", "inter_layer_step", "lower_rank",
-           "traced_passes"]
+           "rank_program", "traced_passes"]
 
 TAG_FWD = "forward"
 TAG_BWD = "backward"
@@ -349,3 +349,39 @@ def lower_rank(schedule: Schedule, grid: RankGrid, rank: int,
         raise RuntimeError(
             f"rank {rank} finished its order holding unexpected "
             f"messages {sorted(stash)}")
+
+
+def rank_program(rank: int, grid: RankGrid, stage: Optional[PipelineStage],
+                 send: SendFn,
+                 microbatches: List[Tuple[np.ndarray, np.ndarray]],
+                 total_microbatches: int, pipeline_limit: int,
+                 schedule: Optional[Schedule], loss_scale: float = 1.0,
+                 tracer: Optional[Tracer] = None,
+                 record: Optional[RecordFn] = None) -> Generator:
+    """GPU ``rank``'s program for a batch's inter-layer phase: the one
+    binding of the walks above that both backends call.
+
+    A tensor-parallel follower (it holds no ``stage``) gets the reactive
+    :func:`~repro.runtime.tp.tp_follower_step` over its
+    ``len(microbatches)`` passes.  Every other rank walks ``stage``: the
+    static order ``schedule`` (:func:`lower_rank`) or, when None,
+    Algorithm 2 (:func:`inter_layer_step`) — with ``g_intra > 1`` as its
+    group's lead, sending the pieces a
+    :class:`~repro.runtime.tp.ShardMap` of its dense stage names.
+    ``record(rank, op, key, nbytes)`` is the backend's sink for the
+    group's collectives.
+    """
+    tp = None
+    if grid.g_intra > 1:
+        if not grid.is_tp_lead(rank):
+            return tp_follower_step(rank, grid,
+                                    TPComm(rank, grid, send, record=record),
+                                    len(microbatches))
+        tp = TPComm(rank, grid, send, ShardMap(stage, grid.g_intra), record)
+    if schedule is not None:
+        return lower_rank(schedule, grid, rank, stage.chunks, send,
+                          microbatches, total_microbatches,
+                          loss_scale=loss_scale, tracer=tracer, tp=tp)
+    return inter_layer_step(rank, grid, stage, send, microbatches,
+                            total_microbatches, pipeline_limit,
+                            loss_scale=loss_scale, tracer=tracer, tp=tp)

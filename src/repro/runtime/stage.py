@@ -28,7 +28,7 @@ from ..nn import (Block, Dropout, GPTConfig, GPTEmbedding, LayerKVCache,
 from ..partition import optimal_checkpoint_interval, split_sizes
 
 __all__ = ["partition_layers", "PipelineStage", "ChunkedShard",
-           "InferenceStage"]
+           "build_shard", "InferenceStage"]
 
 
 def partition_layers(n_slots: int, g_inter: int) -> List[Tuple[int, int]]:
@@ -304,6 +304,19 @@ class ChunkedShard:
     def reset(self) -> None:
         for chunk in self.chunks.values():
             chunk.reset()
+
+
+def build_shard(cfg: GPTConfig, i: int, g_inter: int, n_virtual: int,
+                checkpoint_activations: bool = False):
+    """Pipeline rank ``i``'s ``nn_shard``, for the trainer and a process
+    worker alike (a tensor-parallel lead's too): the virtual stages
+    ``v % g_inter == i`` of ``n_virtual`` — a plain
+    :class:`PipelineStage` when that is one chunk, a
+    :class:`ChunkedShard` when several."""
+    chunks = {v: PipelineStage(cfg, v, n_virtual,
+                               checkpoint_activations=checkpoint_activations)
+              for v in range(i, n_virtual, g_inter)}
+    return chunks[i] if len(chunks) == 1 else ChunkedShard(chunks)
 
 
 class InferenceStage:

@@ -12,8 +12,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.nn import GPTConfig, LossScaler
+from repro.nn import Block, GPTConfig, LossScaler, num_layer_slots
 from repro.perf import counters, counting
 from repro.runtime import (
     AxoNNTrainer,
@@ -21,7 +23,8 @@ from repro.runtime import (
     load_trainer_state,
     trainer_state_dict,
 )
-from repro.runtime.tp import TAG_TP_GRAD, TAG_TP_WGT
+from repro.runtime.stage import PipelineStage
+from repro.runtime.tp import TAG_TP_GRAD, TAG_TP_WGT, ShardMap
 from repro.sched import SCHEDULE_NAMES, schedule_chunks
 
 # Three heads: a 2-way TP split shards them unevenly ([2, 1]), which is
@@ -50,9 +53,15 @@ def run(g_inter, g_data, g_intra, steps=3, backend="cooperative", **kw):
 
 
 class TestBitIdentityToDense:
-    def test_tp2_uneven_heads_fp32(self):
+    @pytest.mark.parametrize("backend,checkpoint", [
+        ("cooperative", False), ("cooperative", True), ("process", True)])
+    def test_tp2_uneven_heads_fp32(self, backend, checkpoint):
+        """Checkpointing is the lead's own business: its replay runs the
+        dense stage, so the checkpointed TP run still equals the dense,
+        uncheckpointed one."""
         dense_losses, dense_state = run(2, 1, 1)
-        tp_losses, tp_state = run(2, 1, 2)
+        tp_losses, tp_state = run(2, 1, 2, backend=backend,
+                                  checkpoint_activations=checkpoint)
         assert tp_losses == dense_losses
         assert set(tp_state) == set(dense_state)
         for key in dense_state:
@@ -96,6 +105,35 @@ class TestBitIdentityToDense:
         for key in dense_state:
             np.testing.assert_array_equal(tp_state[key], dense_state[key],
                                           err_msg=key)
+
+
+@given(n_head=st.integers(1, 4), head_dim=st.integers(1, 3),
+       n_layer=st.integers(1, 3), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_shard_map_partitions_the_sharded_matrices(n_head, head_dim,
+                                                   n_layer, data):
+    """Across the members, the pieces of every sharded matrix are
+    disjoint and cover it exactly, and no member lists a replicated
+    parameter (a LayerNorm, a projection bias, the embedding or head)."""
+    cfg = GPTConfig(vocab_size=7, seq_len=4, n_layer=n_layer, n_head=n_head,
+                    hidden=n_head * head_dim)
+    g_inter = data.draw(st.integers(1, num_layer_slots(cfg)))
+    stage = PipelineStage(cfg, data.draw(st.integers(0, g_inter - 1)),
+                          g_inter)
+    shards = ShardMap(stage, data.draw(st.integers(1, n_head)))
+    owners = {id(p): np.zeros(p.shape, dtype=int)
+              for p in stage.parameters()}
+    for pieces in shards.pieces:
+        for p, index in pieces:
+            owners[id(p)][index] += 1
+    sharded = {id(p) for layer in stage.layers if isinstance(layer, Block)
+               for p in (layer.attn.qkv.weight, layer.attn.qkv.bias,
+                         layer.attn.proj.weight, layer.mlp.fc.weight,
+                         layer.mlp.fc.bias, layer.mlp.proj.weight)}
+    assert {id(p) for pieces in shards.pieces
+            for p, _ in pieces} <= sharded
+    for p in stage.parameters():
+        assert (owners[id(p)] == (id(p) in sharded)).all()
 
 
 class TestCollectiveAccounting:
