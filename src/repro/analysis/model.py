@@ -4,10 +4,11 @@
 happened*; this module certifies a schedule/config *before* spending a run
 on it.  Three pieces:
 
-* **Comm-skeleton extraction** (:func:`extract_skeleton`) — symbolically
-  execute each rank program against a capture transport that records
-  ``send`` / ``yield RECV`` / ``yield POLL`` / ``recv_within`` calls with
-  abstract payloads.
+* **Comm-skeleton extraction** (:func:`extract_skeleton`) — run the
+  ensemble once, with abstract payloads, on the real cooperative
+  transport (:class:`~repro.runtime.transport.RankTransport`) and read
+  each rank's sends, receives and collectives off its
+  :class:`~repro.obs.protocol.TraceRecorder`.
   Crucially the models drive the *real* generators — Algorithm 2's
   :func:`~repro.runtime.rankprog.inter_layer_step`, the static walk
   :func:`~repro.runtime.rankprog.lower_rank` and the serving
@@ -64,13 +65,14 @@ from typing import (Any, Callable, Dict, FrozenSet, Generator, List, Optional,
 import numpy as np
 
 from ..nn import LossScaler, Parameter
-from ..obs.protocol import (TraceRecorder, check_collective_order,
-                            describe_deadlock)
+from ..obs.protocol import (ProtocolError, TraceRecorder,
+                            check_collective_order, describe_deadlock)
 from ..runtime.column import ColumnStep, make_optimizer
 from ..runtime.grid import RankGrid
 from ..runtime.rankprog import TAG_BWD, TAG_FWD, inter_layer_step, lower_rank
 from ..runtime.tp import TPComm, tp_follower_step
-from ..runtime.transport import POLL, RECV, Packet, TimedRecv
+from ..runtime.transport import (POLL, RECV, DeadlockError, Packet,
+                                 RankTransport, TimedRecv)
 from ..sched.builders import build_schedule
 from ..sched.ir import Schedule
 from ..serve.engine import PipelineServer, Request
@@ -162,11 +164,16 @@ class _Msg:
 class _Capture:
     """The symbolic transport: every model's programs send through one of
     these.  Signature-compatible with ``RankTransport.send`` so the real
-    generators run unmodified; sends accumulate in ``sent`` for the
-    executor to drain after each generator resume."""
+    generators run unmodified.  Bound to a ``transport`` (skeleton
+    extraction), it forwards each send there and remembers the plane of
+    each ``(src, dst, tag)``; otherwise sends accumulate in ``sent`` for
+    the explorer to drain after each generator resume."""
 
-    def __init__(self, n_ranks: int):
+    def __init__(self, n_ranks: int,
+                 transport: Optional[RankTransport] = None):
         self.n_ranks = n_ranks
+        self.transport = transport
+        self.planes: Dict[Tuple[int, int, str], str] = {}
         self.sent: List[_Msg] = []
 
     def send(self, src: int, dst: int, tag: str, microbatch: Any,
@@ -175,14 +182,22 @@ class _Capture:
             raise ModelError(f"send outside rank space: {src} -> {dst}")
         if src == dst:
             raise ModelError(f"rank {src} sent to itself (tag={tag!r})")
-        self.sent.append(_Msg(src, dst, tag, microbatch, plane, data))
+        if self.transport is None:
+            self.sent.append(_Msg(src, dst, tag, microbatch, plane, data))
+        else:
+            self.planes[(src, dst, tag)] = plane
+            self.transport.send(src, dst, tag, microbatch, data)
 
     def collective(self, rank: int, op: str, key: Any) -> None:
         """Record an in-stream collective (e.g. a tensor-parallel weight
         all-gather) at its position in the rank's op sequence.  Rides the
-        same buffer as sends so the executor sees it in program order, but
+        same buffer as sends so the explorer sees it in program order, but
         never becomes a deliverable message."""
-        self.sent.append(_Msg(rank, rank, op, None, COLLECTIVE_PLANE, key))
+        if self.transport is None:
+            self.sent.append(_Msg(rank, rank, op, None, COLLECTIVE_PLANE,
+                                  key))
+        else:
+            self.transport.recorder.record_collective(rank, op, key=key)
 
     def drain(self) -> List[_Msg]:
         out, self.sent = self.sent, []
@@ -713,118 +728,34 @@ def _wait_kind(request: Any, rank: int) -> str:
 
 
 def extract_skeleton(model: CommModel) -> Skeleton:
-    """Run the ensemble once under the cooperative scheduler's own policy
-    (sorted-rank sweeps, run-until-blocked with immediate redelivery) and
-    record every channel op.  Mirrors ``RankTransport._sweep``, so
-    per-rank op order matches what a
-    :class:`~repro.obs.protocol.TraceRecorder` sees on a real run."""
-    capture = _Capture(model.n_ranks)
+    """Run the ensemble once on the cooperative transport itself — a
+    :class:`~repro.runtime.transport.RankTransport` with a
+    :class:`~repro.obs.protocol.TraceRecorder` — and read every channel op
+    off the recorder, so per-rank op order is what a real run records.
+    Leftover messages are left to the explorer's "never received" verdict
+    (``strict=False``); a deadlock or a bad yield raises
+    :class:`ModelError`."""
+    recorder = TraceRecorder()
+    capture = _Capture(model.n_ranks, RankTransport(
+        model.n_ranks, recorder=recorder, strict=False))
     programs = model.make_programs(capture)
-    ops: Dict[int, List[SkeletonOp]] = {r: [] for r in programs}
-    inboxes: Dict[Tuple[int, str], List[Tuple[int, _Msg]]] = {}
-    channels: Dict[Channel, None] = {}
-    waiting: Dict[int, str] = {}
-    live = dict(programs)
-    arrival = 0
-
-    def drain() -> None:
-        nonlocal arrival
-        for msg in capture.drain():
-            if msg.plane == COLLECTIVE_PLANE:
-                ops[msg.src].append(SkeletonOp(
-                    "collective", msg.src, tag=msg.tag, key=msg.data))
-                continue
-            ops[msg.src].append(SkeletonOp(
-                "send", msg.src, msg.dst, msg.tag, msg.microbatch,
-                plane=msg.plane))
-            channels.setdefault((msg.src, msg.dst, msg.plane))
-            inboxes.setdefault((msg.dst, msg.plane), []).append(
-                (arrival, msg))
-            arrival += 1
-
-    def pop_for(rank: int) -> Optional[_Msg]:
-        # FIFO-faithful merge — the earliest arrival across every plane
-        # addressed to this rank (the runtime multiplexes all of a
-        # pair's traffic over one FIFO).
-        best_key = None
-        for (dst, _plane), box in inboxes.items():
-            if dst != rank or not box:
-                continue
-            if best_key is None or box[0][0] < inboxes[best_key][0][0]:
-                best_key = (dst, _plane)
-        return inboxes[best_key].pop(0)[1] if best_key is not None else None
-
-    def resume(rank: int, gen: Generator, *, start: bool = False,
-               packet: Optional[Packet] = None,
-               timeout: bool = False) -> bool:
-        """One generator step; returns False when the program finished."""
-        try:
-            if start:
-                request = next(gen)
-            elif timeout:
-                request = gen.throw(TimeoutError(
-                    f"model timeout at rank {rank}"))
-            else:
-                request = gen.send(packet)
-        except StopIteration:
-            drain()
-            return False
-        drain()
-        waiting[rank] = _wait_kind(request, rank)
-        return True
-
     try:
-        while live:
-            progressed = False
-            for rank in sorted(live):
-                gen = live.get(rank)
-                if gen is None:
-                    continue
-                while True:
-                    if rank not in waiting:
-                        alive = resume(rank, gen, start=True)
-                    else:
-                        msg = pop_for(rank)
-                        if msg is None:
-                            if waiting[rank] != "poll":
-                                break
-                            # a POLL is answered at once, as the sweep does
-                            alive = resume(rank, gen, packet=None)
-                        else:
-                            ops[rank].append(SkeletonOp(
-                                "recv", rank, msg.src, msg.tag,
-                                msg.microbatch, plane=msg.plane))
-                            alive = resume(rank, gen, packet=Packet(
-                                src=msg.src, dst=msg.dst, tag=msg.tag,
-                                microbatch=msg.microbatch, data=msg.data))
-                    progressed = True
-                    if not alive:
-                        del live[rank]
-                        waiting.pop(rank, None)
-                        break
-            if live and not progressed:
-                # A starved timed receive fires before we call deadlock.
-                timed = sorted(r for r in live
-                               if waiting.get(r) == "timed")
-                if timed:
-                    rank = timed[0]
-                    ops[rank].append(SkeletonOp("timeout", rank))
-                    if not resume(rank, live[rank], timeout=True):
-                        del live[rank]
-                        waiting.pop(rank, None)
-                    continue
-                stuck = sorted(live)
-                wait_for = {
-                    r: sorted({src for (src, dst, _p) in channels
-                               if dst == r}) for r in stuck}
-                orphans = [m for box in inboxes.values() for _i, m in box]
-                sent = sum(len(o) for o in ops.values())
-                raise ModelError(
-                    "skeleton extraction deadlocked:\n"
-                    + describe_deadlock(stuck, wait_for, orphans, sent))
-    finally:
-        _close_all(programs)
-
+        capture.transport.run(programs)
+    except (DeadlockError, ProtocolError) as exc:
+        raise ModelError(f"skeleton extraction failed:\n{exc}") from exc
+    ops: Dict[int, List[SkeletonOp]] = {r: [] for r in programs}
+    channels: Dict[Channel, None] = {}
+    for e in recorder.events:
+        if e.kind == "collective":
+            ops[e.rank].append(SkeletonOp("collective", e.rank, tag=e.tag,
+                                          key=e.key))
+            continue
+        ch = (e.rank, e.peer) if e.kind == "send" else (e.peer, e.rank)
+        plane = capture.planes[ch + (e.tag,)]
+        if e.kind == "send":
+            channels.setdefault(ch + (plane,))
+        ops[e.rank].append(SkeletonOp(e.kind, e.rank, e.peer, e.tag,
+                                      e.microbatch, plane=plane))
     for rank, plan in model.collectives.items():
         for op, key in plan:
             ops[rank].append(SkeletonOp("collective", rank, tag=op, key=key))
@@ -838,8 +769,7 @@ def compare_with_trace(skeleton: Skeleton,
     static model matches the runtime)."""
     def from_skeleton(rank: int) -> List[Tuple]:
         return [(o.kind, o.peer, o.tag, o.microbatch, o.key)
-                for o in skeleton.ops.get(rank, [])
-                if o.kind != "timeout"]
+                for o in skeleton.ops.get(rank, [])]
 
     def from_trace(rank: int) -> List[Tuple]:
         return [(e.kind, e.peer, e.tag, e.microbatch, e.key)
