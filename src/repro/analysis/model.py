@@ -105,15 +105,15 @@ P2P = "p2p"
 COLLECTIVE_PLANE = "__collective__"
 
 #: model-side plane routing for tensor-parallel traffic.  The runtime
-#: multiplexes weight, gradient and ack messages over one FIFO per rank
-#: pair; their interleaving there depends on the schedule, which would
-#: make per-channel content interleaving-dependent and the checker's
-#: counts-quotient unsound.  Per-direction planes restore confluence —
-#: each plane's send sequence is schedule-independent — at the cost of
-#: exploring a *superset* of the real FIFO's delivery orders, which is
-#: sound for deadlock-freedom and matching (the programs accept the
-#: messages in any order).
-_TP_PLANES = {"tp_wgt": "W", "tp_grad": "G", "tp_ack": "A"}
+#: multiplexes weight and gradient messages over one FIFO per lead ->
+#: follower pair; their interleaving there depends on the schedule, which
+#: would make per-channel content interleaving-dependent and the
+#: checker's counts-quotient unsound.  Per-direction planes restore
+#: confluence — each plane's send sequence is schedule-independent — at
+#: the cost of exploring a *superset* of the real FIFO's delivery orders,
+#: which is sound for deadlock-freedom and matching (the follower accepts
+#: the messages in any order).
+_TP_PLANES = {"tp_wgt": "W", "tp_grad": "G"}
 
 Channel = Tuple[int, int, str]  # (src, dst, plane)
 
@@ -260,12 +260,12 @@ class CommModel:
     #: tensor-parallel groups whose in-stream ``tp_*`` collective sequences
     #: (captured during skeleton extraction) must agree member-for-member
     tp_groups: List[List[int]] = field(default_factory=list)
-    #: ranks whose programs are *pure reflectors*: they always wait on an
-    #: unrestricted receive ("any"), every delivery triggers only
-    #: constant-content sends, and they finish after a fixed delivery
-    #: count.  The explorer fires deliveries to these ranks eagerly
-    #: (a sound partial-order reduction; see :class:`_Explorer`).
-    reflector_ranks: FrozenSet[int] = frozenset()
+    #: ranks whose programs are *sinks*: they always wait on an
+    #: unrestricted receive ("any"), send nothing, and finish after a
+    #: fixed delivery count in any arrival order.  The explorer fires
+    #: deliveries to these ranks eagerly (a sound partial-order
+    #: reduction; see :class:`_Explorer`).
+    sink_ranks: FrozenSet[int] = frozenset()
     #: the phase every rank enters once its program here has returned —
     #: Algorithm 1's column reduce and optimizer step — checked as a
     #: model of its own (see :func:`check_model`)
@@ -330,17 +330,17 @@ def _training_model(name: str, grid: RankGrid, m: int,
 
     collectives, groups = _dp_collective_plan(grid, param_slots)
     tp_groups: List[List[int]] = []
-    reflectors: FrozenSet[int] = frozenset()
+    sinks: FrozenSet[int] = frozenset()
     if grid.g_intra > 1:
         config["g_intra"] = grid.g_intra
         tp_groups = [grid.tp_group(i, j) for j in range(grid.g_data)
                      for i in range(grid.g_inter)]
         # TP followers run tp_follower_step: always `yield RECV` ("any"),
-        # one constant-content ack per delivery, done after a fixed count.
-        reflectors = frozenset(r for r in range(grid.world_size)
-                               if not grid.is_tp_lead(r))
+        # never a send, done after 2m deliveries in any order.
+        sinks = frozenset(r for r in range(grid.world_size)
+                          if not grid.is_tp_lead(r))
     return CommModel(name, grid.world_size, make, collectives, groups,
-                     config, tp_groups=tp_groups, reflector_ranks=reflectors)
+                     config, tp_groups=tp_groups, sink_ranks=sinks)
 
 
 def column_model(grid: RankGrid, param_slots: Any = 1,
@@ -650,22 +650,18 @@ def builtin_models(max_world: int = 8, max_microbatches: int = 4,
     # TP traffic is per-microbatch homogeneous (one weight all-gather, one
     # gradient reduce-scatter), so m=2 already exercises every fwd/bwd
     # overlap the TP weave can produce; deeper m only multiplies pipeline
-    # interleavings the 2D models above cover.  The static schedules ride
-    # at g_intra=2 only: 4 adds reflector ranks, not structure (24 more
-    # models, 7x the states of the whole g_intra=2 family).
+    # interleavings the 2D models above cover.
     for g_intra in (2, 4):
         for g_inter in range(1, max_world // g_intra + 1):
             for g_data in range(1, max_world // (g_intra * g_inter) + 1):
                 for m in range(1, min(2, max_microbatches) + 1):
                     models.append(axonn_model(g_inter, g_data, m,
                                               g_intra=g_intra))
-                    if g_intra == 2:
-                        add_schedules(g_inter, g_data, m, g_intra)
-                if g_intra == 2:
-                    # the leads' end of the batch; followers hold no state
-                    models.append(axonn_model(g_inter, g_data, 1,
-                                              g_intra=g_intra,
-                                              precision="mixed"))
+                    add_schedules(g_inter, g_data, m, g_intra)
+                # the leads' end of the batch; followers hold no state
+                models.append(axonn_model(g_inter, g_data, 1,
+                                          g_intra=g_intra,
+                                          precision="mixed"))
     if include_serve:
         for g_inter in range(2, max_world + 1):
             models.append(serve_model(g_inter, n_requests=3,
@@ -1010,21 +1006,21 @@ class _Explorer:
                     f"{self.model.describe()}: state space exceeded "
                     f"{self.max_states} states")
             actions = self._enabled(consumed, timeouts, behaviors)
-            # Partial-order reduction: deliveries to reflector ranks are
-            # fired eagerly, one at a time, instead of branching against
-            # everything else.  Sound because a reflector (a) always waits
-            # on "any", so a pending delivery to it can never be disabled
-            # by other actions — any "deadlock" with one pending is no
-            # deadlock at all; (b) reacts to every delivery with only
-            # constant-content sends, so firing it early appends the same
-            # channel contents as firing it late (the counts-quotient
-            # commutes); and (c) its sends can only *enable* other actions
-            # (produced counts grow monotonically), never disable them.
-            # Hence every deadlock / leftover-terminal reachable in the
-            # full graph is reachable with reflector deliveries front-run.
+            # Partial-order reduction: deliveries to sink ranks are fired
+            # eagerly, one at a time, instead of branching against
+            # everything else.  Sound because a sink (a) always waits on
+            # "any", so a pending delivery to it can never be disabled by
+            # other actions — any "deadlock" with one pending is no
+            # deadlock at all; (b) sends nothing, so firing a delivery to
+            # it early or late leaves every other rank's enabled actions
+            # and every channel's contents the same; and (c) finishes
+            # after a fixed count in any arrival order, so the one order
+            # it is fed stands for all.  Hence every deadlock /
+            # leftover-terminal reachable in the full graph is reachable
+            # with sink deliveries front-run.
             eager = [a for a in actions
                      if a[0] == "deliver"
-                     and a[2] in self.model.reflector_ranks]
+                     and a[2] in self.model.sink_ranks]
             if eager:
                 actions = [min(eager)]
             if not actions:
@@ -1062,11 +1058,7 @@ class _Explorer:
         nothing until its None (checked in :meth:`_step`): another rank's
         action taken mid-drain was enabled before the drain began and
         commutes with it, and a message that only becomes pending
-        mid-drain is that action taken first.  The pending messages of
-        reflector ranks — constant-content credits — are taken in one
-        piece or not at all: any other split of them reaches a state the
-        counts quotient already holds, with the rest taken by later
-        drains."""
+        mid-drain is that action taken first."""
         nc, nt = dict(consumed), dict(timeouts)
         if action[0] == "deliver":
             ch = action[1]
@@ -1085,16 +1077,8 @@ class _Explorer:
         # Every way the drain goes on: None now, or one more pending
         # message from the first-th in-channel on (order within a drain
         # is immaterial, so each multiset is taken once, in channel order).
-        channels = [ch for ch in self.in_channels[rank]
-                    if ch[0] not in self.model.reflector_ranks]
+        channels = self.in_channels[rank]
         todo = [(beh, nc, steps, 0)]
-        cbeh, cnc, csteps = self._take_credits(rank, beh, nc, nt, start,
-                                               steps, behaviors)
-        if cnc != nc:
-            if self._draining(cbeh):
-                todo.append((cbeh, cnc, csteps, 0))
-            else:
-                yield cnc, nt, cbeh, csteps
         while todo:
             beh, nc, steps, first = todo.pop()
             done = self._step(rank, beh, ("none",), nc, nt, start)
@@ -1117,26 +1101,6 @@ class _Explorer:
                     todo.append((nxt, more, taken, i))
                 else:
                     yield more, nt, nxt, taken
-
-    def _take_credits(self, rank: int, beh: _Behavior,
-                      consumed: Dict[Channel, int], timeouts: Dict[int, int],
-                      start: Tuple, steps: List[Tuple],
-                      behaviors: Dict[int, _Behavior]):
-        """A draining rank takes every message pending from a reflector
-        (while it keeps draining) -> (behaviour, consumed, steps)."""
-        for ch in self.in_channels[rank]:
-            if ch[0] not in self.model.reflector_ranks:
-                continue
-            for idx in range(consumed.get(ch, 0),
-                             self._produced(ch, behaviors)):
-                if not self._draining(beh):
-                    break
-                consumed = dict(consumed)
-                consumed[ch] = idx + 1
-                event = ("deliver", ch, idx)
-                beh = self._step(rank, beh, event, consumed, timeouts, start)
-                steps = steps + [("deliver", ch, rank, event)]
-        return beh, consumed, steps
 
     def _step(self, rank: int, old_beh: _Behavior, event: Tuple,
               consumed: Dict[Channel, int], timeouts: Dict[int, int],

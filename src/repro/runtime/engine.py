@@ -59,7 +59,6 @@ import numpy as np
 from ..nn import GPTConfig, LossScaler, num_layer_slots
 from ..obs import Tracer
 from ..obs.protocol import TraceRecorder
-from ..perf.counters import counters as _perf_counters
 from ..sched.builders import SCHEDULE_NAMES, build_schedule, schedule_chunks
 from ..sched.ir import Schedule, validate
 from .column import ColumnStep, make_optimizer
@@ -67,6 +66,7 @@ from .grid import RankGrid, split_batch
 from .parallel import ProcessBackend
 from .rankprog import rank_program
 from .stage import PipelineStage, build_shard
+from .tp import book_tp_counters, record_tp_span
 from .transport import RankTransport
 
 __all__ = ["AxoNNTrainer", "TrainReport"]
@@ -299,15 +299,8 @@ class AxoNNTrainer:
         :class:`~repro.baselines.intra_layer.CommCounter`) and obs spans."""
         if self.recorder is not None:
             self.recorder.record_collective(rank, op, key=key)
-        if _perf_counters.enabled:
-            kind = "allgather" if op == "tp_allgather" else "reduce_scatter"
-            _perf_counters.bump(f"tp.{kind}")
-            _perf_counters.bump(f"tp.{kind}_bytes", nbytes)
-        if self.tracer is not None and self.tracer.enabled:
-            now = self.tracer.now()
-            self.tracer.record(rank, "tp", op, now, now, category="tp",
-                               nbytes=nbytes, group=str(key[0]),
-                               direction=key[1], microbatch=key[2])
+        book_tp_counters(op, nbytes)
+        record_tp_span(self.tracer, rank, op, key, nbytes)
 
     # -- Algorithm 1, data-parallel phase --------------------------------------
     def _data_parallel_step(self) -> Tuple[bool, int]:

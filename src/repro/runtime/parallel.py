@@ -65,13 +65,13 @@ from ..nn import LossScaler, MixedPrecisionAdamW
 from ..nn.blas import share_blas_threads
 from ..obs import Tracer, append_spans_jsonl
 from ..obs.protocol import ProtocolError, TraceRecorder
-from ..perf.counters import counters as _counters
 from .column import ColumnStep, make_optimizer
 from .offload import BucketedOffloadAdamW
 from .rankprog import rank_program
 from .shm import (_POLL_SLEEP, _SPIN, RingAborted, ShmRing,
                   attach_shared_memory)
 from .stage import _dropout_modules, build_shard
+from .tp import book_tp_counters, record_tp_span
 from .transport import (POLL, RECV, BaseRankTransport, DeadlockError,
                         Packet, RankFailure, TimedRecv)
 
@@ -821,11 +821,8 @@ def _merge_replies(replies: Dict[int, Tuple],
                 _kind, src, op, key = ev[:4]
                 if recorder is not None:
                     recorder.record_collective(src, op, key=key)
-                if len(ev) > 4 and _counters.enabled:  # a tp_* collective
-                    kind = "allgather" if op == "tp_allgather" \
-                        else "reduce_scatter"
-                    _counters.bump(f"tp.{kind}")
-                    _counters.bump(f"tp.{kind}_bytes", ev[4])
+                if len(ev) > 4:  # a tp_* collective
+                    book_tp_counters(op, ev[4])
             elif recorder is not None:
                 if ev[0] == "send":
                     recorder.record_send(*ev[1:])
@@ -1072,19 +1069,15 @@ def _worker_tp_record(ctx: WorkerContext):
     and perf counters, plus a zero-width ``tp`` span when tracing."""
     def record(rank: int, op: str, key: Tuple, nbytes: int) -> None:
         ctx.events.append(("collective", rank, op, key, nbytes))
-        if ctx.tracer.enabled:
-            now = ctx.tracer.now()
-            ctx.tracer.record(rank, "tp", op, now, now, category="tp",
-                              nbytes=nbytes, group=str(key[0]),
-                              direction=key[1], microbatch=key[2])
+        record_tp_span(ctx.tracer, rank, op, key, nbytes)
     return record
 
 
 def _tp_follower_task(ctx: WorkerContext, payload: Dict[str, Any]
                       ) -> Dict[str, Any]:
     """Worker task for a tensor-parallel follower (``t > 0``): receive the
-    lead's weight/gradient shard messages for the batch and acknowledge
-    each one.  Followers hold no stage, so the reply carries nothing to
+    lead's weight/gradient shard messages for the batch; it sends
+    nothing.  Followers hold no stage, so the reply carries nothing to
     apply — the parent only merges its events and spans."""
     ctx.kill_after = payload.get("kill_after")
     ctx._maybe_crash()
@@ -1131,9 +1124,8 @@ class ProcessBackend:
                 channels.append((rank, nxt))
                 channels.append((nxt, rank))
             if grid.is_tp_lead(rank):
-                for peer in grid.tp_peers(rank):
-                    channels.append((rank, peer))
-                    channels.append((peer, rank))
+                # Followers only receive: one ring per lead -> follower.
+                channels += [(rank, peer) for peer in grid.tp_peers(rank)]
         if trainer.n_virtual > grid.g_inter:
             # Interleaved chunks wrap around: the last rank's chunk feeds
             # the first rank's next one, and its gradient comes back (at

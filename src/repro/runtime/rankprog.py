@@ -124,8 +124,8 @@ def inter_layer_step(rank: int, grid: RankGrid, stage: PipelineStage,
     With ``tp`` (a :class:`~repro.runtime.tp.TPComm`; ``g_intra > 1``),
     this rank is its tensor-parallel group's *lead*: each forward also
     emits the group's weight all-gather, each backward the gradient
-    reduce-scatter, and the followers' :data:`~repro.runtime.tp.TAG_TP_ACK`
-    replies are absorbed by the same receive loop.
+    reduce-scatter.  The followers send nothing back, so the lead's walk
+    is the dense walk plus those sends.
     """
     prev_rank = grid.prev_in_pipeline(rank)
     next_rank = grid.next_in_pipeline(rank)
@@ -137,21 +137,14 @@ def inter_layer_step(rank: int, grid: RankGrid, stage: PipelineStage,
         return [microbatches[mb][1] for mb in mbs]
 
     fwd, bwd = traced_passes(stage, rank, tracer, tp)
-    tp_acks = 0 if tp is None else m * tp.acks_per_microbatch
 
     # Degenerate pipeline: a single stage runs everything locally, one
-    # microbatch at a time (nothing arrives to group); with a
-    # tensor-parallel group the lead still drains the followers' acks.
+    # microbatch at a time (nothing arrives to group).
     if grid.g_inter == 1:
         for mb in queue:
             fwd([mb], [microbatches[mb][0]], targets=targets_of([mb]),
                 loss_divisor=divisor, loss_scale=loss_scale)
             bwd([mb])
-        for _ in range(tp_acks):
-            pkt = yield RECV
-            if not tp.absorbs(pkt):  # pragma: no cover - defensive
-                raise RuntimeError(
-                    f"rank {rank} received unexpected packet {pkt}")
         return
 
     # microbatch -> (its forward group's id, its place in the group)
@@ -186,7 +179,6 @@ def inter_layer_step(rank: int, grid: RankGrid, stage: PipelineStage,
         expected += m  # forward activations from upstream
     if next_rank is not None:
         expected += m  # output gradients from downstream
-    expected += tp_acks  # intra-group acknowledgements
 
     # Steady state (lines 11-31): message-driven dispatch over what has
     # arrived.
@@ -201,8 +193,6 @@ def inter_layer_step(rank: int, grid: RankGrid, stage: PipelineStage,
                 acts.append(pkt)
             elif pkt.src == next_rank and pkt.tag == TAG_BWD:
                 grads.append(pkt)
-            elif tp is not None and tp.absorbs(pkt):
-                pass  # intra-group acknowledgement; already counted
             else:  # pragma: no cover - defensive
                 raise RuntimeError(
                     f"rank {rank} received unexpected packet {pkt}")
@@ -259,8 +249,8 @@ def lower_rank(schedule: Schedule, grid: RankGrid, rank: int,
     rank owns (symbolic stages work too — the model checker lowers the
     very same way).  ``send``, ``loss_scale``, ``tracer`` and ``tp`` mean
     what they do to :func:`inter_layer_step`: with ``tp`` this rank leads
-    a tensor-parallel group, every pass carries the group's collective
-    and the followers' acks are absorbed by the same receives.
+    a tensor-parallel group and every pass carries the group's
+    collective.
 
     A static schedule must consume the *specific* message each receive
     task names, while a rank's inbox is one FIFO in arrival order
@@ -286,7 +276,6 @@ def lower_rank(schedule: Schedule, grid: RankGrid, rank: int,
     divisor = float(total_microbatches)
     passes = {v: traced_passes(stage, rank, tracer, tp)
               for v, stage in stages.items()}
-    acks = 0 if tp is None else len(microbatches) * tp.acks_per_microbatch
 
     def tag(plane: str, v: int) -> str:
         return plane if schedule.n_chunks == 1 else f"{plane}@{v}"
@@ -300,10 +289,7 @@ def lower_rank(schedule: Schedule, grid: RankGrid, rank: int,
             key = (tag(plane, v), mb)
             while key not in stash:
                 pkt = yield RECV
-                if tp is not None and tp.absorbs(pkt):
-                    acks -= 1
-                else:
-                    stash[(pkt.tag, pkt.microbatch)] = pkt.data
+                stash[(pkt.tag, pkt.microbatch)] = pkt.data
             held[(plane, v, mb)] = stash.pop(key)
         elif task.kind == FWD:
             if v == 0:
@@ -336,14 +322,6 @@ def lower_rank(schedule: Schedule, grid: RankGrid, rank: int,
                  mb, held.pop(("gin", v, mb)))
         # W: ordering-only here (see the docstring); the weight
         # gradient was materialized by the stage's full backward.
-    # The followers reflect the last passes' collectives after the order
-    # has nothing left to receive.
-    while acks:
-        pkt = yield RECV
-        if not tp.absorbs(pkt):  # pragma: no cover - defensive
-            raise RuntimeError(
-                f"rank {rank} received unexpected packet {pkt}")
-        acks -= 1
     if stash:  # pragma: no cover - defensive
         # The stash must not hide an orphan from the transport's check.
         raise RuntimeError(
@@ -361,8 +339,8 @@ def rank_program(rank: int, grid: RankGrid, stage: Optional[PipelineStage],
     """GPU ``rank``'s program for a batch's inter-layer phase: the one
     binding of the walks above that both backends call.
 
-    A tensor-parallel follower (it holds no ``stage``) gets the reactive
-    :func:`~repro.runtime.tp.tp_follower_step` over its
+    A tensor-parallel follower (it holds no ``stage``) gets the reactive,
+    receive-only :func:`~repro.runtime.tp.tp_follower_step` over its
     ``len(microbatches)`` passes.  Every other rank walks ``stage``: the
     static order ``schedule`` (:func:`lower_rank`) or, when None,
     Algorithm 2 (:func:`inter_layer_step`) — with ``g_intra > 1`` as its

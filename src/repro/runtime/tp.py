@@ -36,10 +36,10 @@ functional runtime: they are protocol participants.  After every forward
 the lead sends each follower one :data:`TAG_TP_WGT` message carrying the
 pieces that member lacks (the weight all-gather), and after every
 backward one :data:`TAG_TP_GRAD` message carrying the gradient of the
-member's own pieces (the reduce-scatter).
-Followers acknowledge each message with :data:`TAG_TP_ACK`.  One message
-per peer per pass — per-layer volumes ride inside the payload — keeps
-the model checker's interleaving space small while the byte counts stay
+member's own pieces (the reduce-scatter).  Followers only receive: as in
+the 4D paper's collectives, nothing is acknowledged.  One message per
+peer per pass — per-layer volumes ride inside the payload — keeps the
+model checker's interleaving space small while the byte counts stay
 real.  Both ends record the collective on their own rank under a key
 naming the group, ``(group, direction, microbatch)``; per-channel FIFO
 delivery makes every member's recorded sequence identical, which
@@ -54,20 +54,42 @@ import numpy as np
 
 from ..nn import Block
 from ..nn.modules import Parameter
+from ..obs import Tracer
 from ..obs.protocol import ProtocolError
+from ..perf.counters import counters
 from .grid import RankGrid
 from .stage import partition_layers
 from .transport import RECV
 
-__all__ = ["TAG_TP_WGT", "TAG_TP_GRAD", "TAG_TP_ACK", "ShardMap", "TPComm",
-           "tp_follower_step"]
+__all__ = ["TAG_TP_WGT", "TAG_TP_GRAD", "ShardMap", "TPComm",
+           "book_tp_counters", "record_tp_span", "tp_follower_step"]
 
 TAG_TP_WGT = "tp_wgt"
 TAG_TP_GRAD = "tp_grad"
-TAG_TP_ACK = "tp_ack"
 
 #: record callable signature: record(rank, op, key, nbytes)
 RecordFn = Callable[[int, str, tuple, int], None]
+
+
+def book_tp_counters(op: str, nbytes: int) -> None:
+    """Book one member's record of a TP collective in the ``tp.*`` perf
+    counters (the namespace the intra-layer baseline's ``CommCounter``
+    shares): one ``tp.allgather`` / ``tp.reduce_scatter`` and its bytes."""
+    if counters.enabled:
+        kind = "allgather" if op == "tp_allgather" else "reduce_scatter"
+        counters.bump(f"tp.{kind}")
+        counters.bump(f"tp.{kind}_bytes", nbytes)
+
+
+def record_tp_span(tracer: Optional[Tracer], rank: int, op: str,
+                   key: tuple, nbytes: int) -> None:
+    """One member's record of a TP collective as a zero-width span on its
+    ``tp`` stream (when tracing)."""
+    if tracer is not None and tracer.enabled:
+        now = tracer.now()
+        tracer.record(rank, "tp", op, now, now, category="tp",
+                      nbytes=nbytes, group=str(key[0]), direction=key[1],
+                      microbatch=key[2])
 
 
 class ShardMap:
@@ -147,17 +169,6 @@ class TPComm:
         self.shards = shards
         self.record = record
 
-    @property
-    def acks_per_microbatch(self) -> int:
-        """Acks the lead absorbs per microbatch (one per peer per pass)."""
-        return 2 * len(self.peers)
-
-    def absorbs(self, pkt) -> bool:
-        """True when ``pkt`` is a follower's :data:`TAG_TP_ACK`: a pure
-        credit, which the lead's walk counts and drops wherever its
-        receive loop finds one."""
-        return pkt.tag == TAG_TP_ACK and pkt.src in self.peers
-
     def record_collective(self, op: str, direction: str, microbatch: int,
                           nbytes: int) -> None:
         if self.record is not None:
@@ -196,10 +207,10 @@ def tp_follower_step(rank: int, grid: RankGrid, comm: TPComm,
                      total_microbatches: int) -> Generator:
     """Rank program for a tensor-parallel follower (``t > 0``).
 
-    Reactive: absorbs exactly ``2 * m`` messages from the group lead —
-    one weight all-gather per forward, one gradient reduce-scatter per
-    backward — recording each collective under the same group-named key
-    the lead records, and acknowledging each with :data:`TAG_TP_ACK`.
+    Reactive and receive-only: takes exactly ``2 * m`` messages from the
+    group lead — one weight all-gather per forward, one gradient
+    reduce-scatter per backward — recording each collective under the
+    same group-named key the lead records, and sends nothing.
     Per-channel FIFO delivery means the recorded collective sequence is
     identical to the lead's, which the protocol verifier checks.
     """
@@ -217,6 +228,3 @@ def tp_follower_step(rank: int, grid: RankGrid, comm: TPComm,
         else:
             comm.record_collective("tp_reduce_scatter", "bwd",
                                    pkt.microbatch, nbytes)
-        # Acks are pure credits: constant content (microbatch -1), so the
-        # model checker's counts-quotient stays sound on the ack channel.
-        comm.send(comm.lead, TAG_TP_ACK, -1, None)

@@ -73,11 +73,12 @@ class TestCheckerSweep:
         order, over EVERY interleaving."""
         models = builtin_models(max_world=8, max_microbatches=4)
         # 80 (grid, m) configs x (AxoNN + every schedule accepting them)
-        # + 4D (AxoNN at g_intra 2 and 4, every single-chunk schedule at
-        # g_intra 2) + serve: each schedule is proved once, as compiled;
+        # + 4D (AxoNN and every single-chunk schedule at g_intra 2 and 4)
+        # + serve: each schedule is proved once, as compiled;
         # + Algorithm 1's column phase after the walk: 20 grids x (fp32,
-        # mixed) and the 8 g_intra=2 grids under mixed precision.
-        assert len(models) == 512 + 48
+        # mixed) and the 8 g_intra=2 and 3 g_intra=4 grids under mixed
+        # precision.
+        assert len(models) == 587
         for model in models:
             result = check_model(model)
             assert result.ok, (
@@ -234,24 +235,24 @@ class Test4DTensorParallel:
             assert result.ok, (g_inter, g_data, g_intra, result.violations)
             assert result.collectives_consistent
 
-    def test_followers_marked_as_reflectors(self):
+    def test_followers_marked_as_sinks(self):
         from repro.runtime.grid import RankGrid
         model = axonn_model(2, 1, 2, g_intra=2)
         grid = RankGrid(2, 1, 2)
         followers = frozenset(r for r in range(grid.world_size)
                               if not grid.is_tp_lead(r))
-        assert model.reflector_ranks == followers
-        # A dense grid has no reflectors: the reduction must not touch it.
-        assert axonn_model(2, 1, 2).reflector_ranks == frozenset()
+        assert model.sink_ranks == followers
+        # A dense grid has no sinks: the reduction must not touch it.
+        assert axonn_model(2, 1, 2).sink_ranks == frozenset()
 
-    def test_reflector_reduction_shrinks_the_state_space(self):
+    def test_sink_reduction_shrinks_the_state_space(self):
         """Eagerly firing deliveries to TP followers is a *reduction*:
         same verdict, strictly fewer states than branching against the
         full action set."""
         from dataclasses import replace
         model = axonn_model(1, 2, 2, g_intra=2)
         reduced = check_model(model)
-        full = check_model(replace(model, reflector_ranks=frozenset()))
+        full = check_model(replace(model, sink_ranks=frozenset()))
         assert reduced.ok and full.ok
         assert reduced.states < full.states
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.model import axonn_model, extract_skeleton
 from repro.nn import Block, GPTConfig, LossScaler, num_layer_slots
 from repro.perf import counters, counting
 from repro.runtime import (
@@ -23,6 +24,7 @@ from repro.runtime import (
     load_trainer_state,
     trainer_state_dict,
 )
+from repro.runtime.grid import RankGrid
 from repro.runtime.stage import PipelineStage
 from repro.runtime.tp import TAG_TP_GRAD, TAG_TP_WGT, ShardMap
 from repro.sched import SCHEDULE_NAMES, schedule_chunks
@@ -208,6 +210,38 @@ def test_process_backend_tp_matches_cooperative_dense():
     for key in dense_state:
         np.testing.assert_array_equal(proc_state[key], dense_state[key],
                                       err_msg=key)
+
+
+@pytest.mark.parametrize("backend", ["cooperative", "process"])
+@pytest.mark.parametrize("g_intra", [2, 3])
+def test_followers_only_receive(backend, g_intra):
+    """Nothing is acknowledged: a TP batch sends the dense batch's
+    messages plus, per follower and microbatch, one weight and one
+    gradient message — and no follower op the checker extracts is a
+    send."""
+    g_inter, g_data = 2, 1
+    (x, y), = make_batches(1)
+
+    def report(g):
+        trainer = AxoNNTrainer(CFG, g_inter=g_inter, g_data=g_data,
+                               microbatch_size=2, g_intra=g, lr=1e-3,
+                               backend=backend)
+        try:
+            return trainer.train_batch(x, y)
+        finally:
+            trainer.close()
+
+    dense = report(1)
+    m = dense.microbatches // g_data
+    assert report(g_intra).messages == \
+        dense.messages + 2 * g_inter * g_data * m * (g_intra - 1)
+
+    skeleton = extract_skeleton(axonn_model(2, 1, 2, g_intra=2))
+    grid = RankGrid(2, 1, 2)
+    followers = [r for r in skeleton.ops if not grid.is_tp_lead(r)]
+    assert followers
+    assert not [op for r in followers for op in skeleton.ops[r]
+                if op.kind == "send"]
 
 
 # -- exact pins of the lead-compute protocol --------------------------------
