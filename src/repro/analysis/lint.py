@@ -12,11 +12,11 @@ breakage the test suite may not catch:
   :mod:`repro.nn.sanitizer` and the documented hot-path contract in
   :mod:`repro.nn.tensor`.
 
-* **REP002** — rank programs only ``yield RECV``, ``yield POLL`` or
-  ``yield recv_within(...)``.  A function that yields any of them anywhere
-  is a rank program for the cooperative transport; any other yielded value
-  is a protocol error at runtime (a bare ``yield`` after ``return`` — the
-  make-me-a-generator idiom — is allowed).
+* **REP002** — rank programs only ``yield RECV`` or ``yield POLL``.  A
+  function that yields either of them anywhere is a rank program for the
+  cooperative transport; any other yielded value is a protocol error at
+  runtime (a bare ``yield`` after ``return`` — the make-me-a-generator
+  idiom — is allowed).
 
 * **REP003** — no unseeded randomness: ``np.random.default_rng()`` without
   a seed and the legacy global ``np.random.*`` API both break the
@@ -34,13 +34,6 @@ breakage the test suite may not catch:
   ``Fabric.transfer`` leak this rule was extracted from.  Yielding a
   ``request()`` call directly is always flagged: the grant is unnamed, so
   no ``finally`` can release it.
-
-* **REP006** — a rank program that performs a *timed* receive
-  (``yield recv_within(...)``) must do so inside a ``try`` that handles
-  ``TimeoutError`` or ``RankFailure``.  A timed receive exists precisely
-  because the channel can be severed by a fault plan; letting the timeout
-  escape tears down the whole batch with an unhandled exception instead of
-  triggering the program's degraded path.
 
 * **REP007** — serving RNG provenance: inside :mod:`repro.serve` (any path
   with a ``serve`` component), every ``np.random.default_rng(...)`` call
@@ -239,16 +232,8 @@ def _call_args(call: ast.Call) -> List[ast.expr]:
 
 
 def _is_recv_marker(value: Optional[ast.AST]) -> bool:
-    """``RECV``, ``POLL`` or ``recv_within(...)`` — the legal yield
-    requests."""
-    if isinstance(value, ast.Name) and value.id in ("RECV", "POLL"):
-        return True
-    return _is_timed_recv(value)
-
-
-def _is_timed_recv(value: Optional[ast.AST]) -> bool:
-    return isinstance(value, ast.Call) and \
-        _call_name(value.func) == "recv_within"
+    """``RECV`` or ``POLL`` — the legal yield requests."""
+    return isinstance(value, ast.Name) and value.id in ("RECV", "POLL")
 
 
 def _expr_yields(node: ast.AST) -> Iterator[ast.Yield]:
@@ -390,11 +375,11 @@ def _rep002(scope: _Scope, fn: ast.AST) -> Iterator[_Finding]:
         if isinstance(y, ast.YieldFrom):
             yield y, ("rank programs may not use `yield from`; every "
                       "suspension point must be an explicit `yield RECV` / "
-                      "`yield POLL` / `yield recv_within(...)`")
+                      "`yield POLL`")
         elif y.value is not None and not _is_recv_marker(y.value):
-            yield y, ("rank programs may only `yield RECV`, `yield POLL` or "
-                      "`yield recv_within(...)` (a bare `yield` after "
-                      "`return` is allowed as the generator marker)")
+            yield y, ("rank programs may only `yield RECV` or `yield POLL` "
+                      "(a bare `yield` after `return` is allowed as the "
+                      "generator marker)")
 
 
 # -- REP003 ------------------------------------------------------------------
@@ -484,35 +469,6 @@ def _rep005(scope: _Scope, fn: ast.AST) -> Iterator[_Finding]:
                       "process interrupted here leaks its grants and leaves "
                       "the pending request queued — wrap the wait and hold "
                       "in try/finally with .release(...)")
-
-
-# -- REP006 ------------------------------------------------------------------
-
-_TIMEOUT_HANDLERS = {"TimeoutError", "RankFailure", "Exception",
-                     "BaseException"}
-
-
-def _handles_timeout(try_node: ast.Try) -> bool:
-    """Does any except clause catch TimeoutError / RankFailure?"""
-    for handler in try_node.handlers:
-        t = handler.type
-        if t is None:  # bare except
-            return True
-        types = t.elts if isinstance(t, ast.Tuple) else [t]
-        if any(_call_name(node) in _TIMEOUT_HANDLERS for node in types):
-            return True
-    return False
-
-
-def _rep006(scope: _Scope, fn: ast.AST) -> Iterator[_Finding]:
-    if not scope.is_rank:
-        return
-    for y, protected in _guarded_yields(fn.body, _handles_timeout):
-        if _is_timed_recv(y.value) and not protected:
-            yield y, ("`yield recv_within(...)` outside a try that handles "
-                      "TimeoutError/RankFailure; a timed receive exists "
-                      "because the channel can be severed — handle the "
-                      "timeout or use a plain `yield RECV`")
 
 
 # -- REP007 ------------------------------------------------------------------
@@ -777,9 +733,6 @@ _RULES = (
     ("REP005", "function", _rep005,
      "a yielded res.request() grant must sit inside try/finally "
      "with a .release(...) in the finally (interrupt-safe hold)"),
-    ("REP006", "function", _rep006,
-     "a `yield recv_within(...)` timed receive must be inside a "
-     "try that handles TimeoutError or RankFailure"),
     ("REP007", "call", _rep007,
      "serving RNGs (repro.serve) must be built from an explicit "
      "seed: an int literal or a *seed*-named variable/attribute"),

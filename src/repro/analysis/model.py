@@ -35,7 +35,7 @@ on it.  Three pieces:
   divergence means the program is not confluent and the quotient would be
   unsound, so it raises :class:`ModelError` instead of mis-verifying).
   The checker proves deadlock-freedom and complete matching, checks
-  per-column collective-order consistency, and on failure emits a
+  per-group tensor-parallel collective order, and on failure emits a
   wait-for-graph counterexample with the full interleaving op trace
   (:class:`DeadlockWitness`).
 
@@ -69,10 +69,10 @@ from ..obs.protocol import (ProtocolError, TraceRecorder,
                             check_collective_order, describe_deadlock)
 from ..runtime.column import ColumnStep, make_optimizer
 from ..runtime.grid import RankGrid
-from ..runtime.rankprog import TAG_BWD, TAG_FWD, inter_layer_step, lower_rank
-from ..runtime.tp import TPComm, tp_follower_step
+from ..runtime.rankprog import (TAG_BWD, TAG_FWD, inter_layer_step,
+                                rank_program)
 from ..runtime.transport import (POLL, RECV, DeadlockError, Packet,
-                                 RankTransport, TimedRecv)
+                                 RankTransport)
 from ..sched.builders import build_schedule
 from ..sched.ir import Schedule
 from ..serve.engine import PipelineServer, Request
@@ -130,7 +130,7 @@ class ModelError(RuntimeError):
 class SkeletonOp:
     """One typed channel operation of a rank's communication skeleton."""
 
-    kind: str                      # "send" | "recv" | "timeout" | "collective"
+    kind: str                      # "send" | "recv" | "collective"
     rank: int
     peer: Optional[int] = None
     tag: str = ""
@@ -145,8 +145,6 @@ class SkeletonOp:
         if self.kind == "recv":
             return (f"recv {self.rank} <- {self.peer} tag={self.tag!r} "
                     f"microbatch={self.microbatch}")
-        if self.kind == "timeout":
-            return f"timeout at rank {self.rank}"
         return (f"collective rank={self.rank} op={self.tag!r} "
                 f"key={self.key!r}")
 
@@ -207,7 +205,15 @@ class _Capture:
 class _SymbolicStage:
     """Duck-typed :class:`~repro.runtime.stage.PipelineStage` that computes
     nothing: payloads are abstract (one ``None`` per member of a group),
-    only the communication structure matters."""
+    only the communication structure matters.  ``chunks`` maps each of
+    ``n_virtual`` virtual stages to itself (a static walk reads only its
+    own), and ``layers`` is empty, so a tensor-parallel lead's
+    :class:`~repro.runtime.tp.ShardMap` names no bytes."""
+
+    layers: Tuple = ()
+
+    def __init__(self, n_virtual: int = 1):
+        self.chunks = {v: self for v in range(n_virtual)}
 
     def forward(self, mbs: Sequence[Any], xs: Any, targets: Any = None,
                 loss_divisor: Any = None,
@@ -248,14 +254,13 @@ class CommModel:
     ``make_programs(capture)`` must build *fresh* generators each call
     (the checker replays prefixes on new instances); ``collectives`` maps
     rank -> ordered ``(op, key)`` list (what the engine's data-parallel
-    phase records after the transport run); ``groups`` are the rank groups
-    that must agree on collective order (the grid columns)."""
+    phase records after the transport run), which skeleton extraction
+    appends for :func:`compare_with_trace`."""
 
     name: str
     n_ranks: int
     make_programs: Callable[[_Capture], Dict[int, Generator]]
     collectives: Dict[int, List[Tuple[str, Any]]] = field(default_factory=dict)
-    groups: List[List[int]] = field(default_factory=list)
     config: Dict[str, Any] = field(default_factory=dict)
     #: tensor-parallel groups whose in-stream ``tp_*`` collective sequences
     #: (captured during skeleton extraction) must agree member-for-member
@@ -285,50 +290,49 @@ def _close_all(programs: Dict[int, Generator]) -> None:
         gen.close()
 
 
-def _dp_collective_plan(grid: RankGrid, param_slots: Any):
+def _dp_collective_plan(grid: RankGrid, param_slots: Any
+                        ) -> Dict[int, List[Tuple[str, Any]]]:
     """What every trainer's data-parallel phase records after the
     transport run: one ``allreduce_fp32`` per parameter slot (an int, or
-    one per stage) on each rank of a grid column.  Returns
-    (rank -> ordered plan, the columns that must agree)."""
+    one per stage) on each rank of a grid column."""
     slots = ([param_slots] * grid.g_inter if isinstance(param_slots, int)
              else list(param_slots))
     collectives: Dict[int, List[Tuple[str, Any]]] = {}
-    groups: List[List[int]] = []
     if grid.g_data > 1:
         for i in range(grid.g_inter):
-            column = grid.data_parallel_ranks(i)
-            groups.append(column)
             plan = [("allreduce_fp32", (i, slot)) for slot in range(slots[i])]
-            for r in column:
+            for r in grid.data_parallel_ranks(i):
                 collectives[r] = list(plan)
-    return collectives, groups
+    return collectives
 
 
 def _training_model(name: str, grid: RankGrid, m: int,
                     config: Dict[str, Any], param_slots: Any,
-                    lead: Callable[..., Generator]) -> CommModel:
-    """A training grid's ensemble: each tensor-parallel group lead runs
-    ``lead(rank, send, tp)`` (``tp`` a :class:`~repro.runtime.tp.TPComm`,
-    None when ``g_intra == 1``), each follower the *real*
-    :func:`~repro.runtime.tp.tp_follower_step`, and every ``tp_*``
-    collective is captured in-stream for the per-group order check."""
+                    schedule: Optional[Schedule] = None,
+                    limit: Optional[int] = None) -> CommModel:
+    """A training grid's ensemble, each rank bound by the *real*
+    :func:`~repro.runtime.rankprog.rank_program` both backends call:
+    Algorithm 2 under ``limit`` (``schedule`` None) or the static walk of
+    ``schedule`` on symbolic stages, a follower's receive-only program,
+    and every ``tp_*`` collective captured in-stream for the per-group
+    order check."""
+    n_virtual = 1 if schedule is None else schedule.n_virtual
+
     def make(capture: _Capture) -> Dict[int, Generator]:
         programs: Dict[int, Generator] = {}
         for rank in range(grid.world_size):
             send = (lambda dst, tag, mb, data, _r=rank:
                     capture.send(_r, dst, tag, mb, data,
                                  plane=_TP_PLANES.get(tag, P2P)))
-            record = (lambda r, op, key, nbytes:
-                      capture.collective(r, op, key))
-            tp = TPComm(rank, grid, send, record=record) \
-                if grid.g_intra > 1 else None
-            if grid.is_tp_lead(rank):
-                programs[rank] = lead(rank, send, tp)
-            else:
-                programs[rank] = tp_follower_step(rank, grid, tp, m)
+            stage = _SymbolicStage(n_virtual) \
+                if grid.is_tp_lead(rank) else None
+            programs[rank] = rank_program(
+                rank, grid, stage, send, [(None, None)] * m, m * grid.g_data,
+                limit, schedule,
+                record=lambda r, op, key, nbytes: capture.collective(
+                    r, op, key))
         return programs
 
-    collectives, groups = _dp_collective_plan(grid, param_slots)
     tp_groups: List[List[int]] = []
     sinks: FrozenSet[int] = frozenset()
     if grid.g_intra > 1:
@@ -339,8 +343,9 @@ def _training_model(name: str, grid: RankGrid, m: int,
         # never a send, done after 2m deliveries in any order.
         sinks = frozenset(r for r in range(grid.world_size)
                           if not grid.is_tp_lead(r))
-    return CommModel(name, grid.world_size, make, collectives, groups,
-                     config, tp_groups=tp_groups, sink_ranks=sinks)
+    return CommModel(name, grid.world_size, make,
+                     _dp_collective_plan(grid, param_slots), config,
+                     tp_groups=tp_groups, sink_ranks=sinks)
 
 
 def column_model(grid: RankGrid, param_slots: Any = 1,
@@ -390,7 +395,8 @@ def axonn_model(g_inter: int, g_data: int, microbatches: int,
     With ``g_intra > 1`` the grid gains its tensor-parallel axis: group
     leads run Algorithm 2 with a :class:`~repro.runtime.tp.TPComm`
     (emitting the per-microbatch weight all-gather and gradient
-    reduce-scatter) beside their followers (:func:`_training_model`).
+    reduce-scatter) beside their followers, bound as both backends bind
+    them (:func:`_training_model`).
 
     With ``precision`` (``"fp32"`` or ``"mixed"``) the model also holds
     what every lead runs after its walk, :func:`column_model`, as its
@@ -400,16 +406,10 @@ def axonn_model(g_inter: int, g_data: int, microbatches: int,
     if m < 1:
         raise ValueError("microbatches must be >= 1")
     limit = g_inter if pipeline_limit is None else pipeline_limit
-
-    def lead(rank: int, send: Callable, tp: Optional[TPComm]) -> Generator:
-        return inter_layer_step(
-            rank, grid, _SymbolicStage(), send, [(None, None)] * m,
-            m * g_data, limit, tp=tp)
-
     model = _training_model(
         "axonn", grid, m,
         {"g_inter": g_inter, "g_data": g_data, "m": m, "limit": limit},
-        param_slots, lead)
+        param_slots, limit=limit)
     if precision is not None:
         model.config["precision"] = precision
         model.then = column_model(grid, param_slots, precision)
@@ -448,15 +448,9 @@ def scheduled_model(schedule: Any, g_inter: int, g_data: int,
         raise ValueError(f"schedule {schedule} places {sched.n_chunks} "
                          f"chunks on a rank; no tensor-parallel shard "
                          f"runs that")
-    stages = {v: _SymbolicStage() for v in range(sched.n_virtual)}
-
-    def lead(rank: int, send: Callable, tp: Optional[TPComm]) -> Generator:
-        return lower_rank(sched, grid, rank, stages, send,
-                          [(None, None)] * m, m * g_data, tp=tp)
-
     return _training_model(
         f"sched-{schedule}", grid, m,
-        {"g_inter": g_inter, "g_data": g_data, "m": m}, param_slots, lead)
+        {"g_inter": g_inter, "g_data": g_data, "m": m}, param_slots, sched)
 
 
 def serve_model(g_inter: int, n_requests: int, max_new_tokens: int = 2,
@@ -717,10 +711,8 @@ def _wait_kind(request: Any, rank: int) -> str:
         return "any"
     if request == POLL:
         return "poll"
-    if isinstance(request, TimedRecv):
-        return "timed"
     raise ModelError(f"rank {rank} yielded {request!r}; rank programs may "
-                     f"only yield RECV / POLL / recv_within(n)")
+                     f"only yield RECV / POLL")
 
 
 def extract_skeleton(model: CommModel) -> Skeleton:
@@ -834,7 +826,7 @@ class CheckResult:
 class _Behavior:
     """What a rank does after consuming a given multiset of channel
     prefixes: its next wait (or finished), its cumulative per-channel send
-    counts, and the witness (delivery / timeout / None-poll sequence) that
+    counts, and the witness (delivery / None-poll sequence) that
     reproduces this state on a fresh generator."""
 
     wait: str
@@ -856,8 +848,8 @@ class _Explorer:
         self.log: Dict[Channel, List[Tuple[str, Any, Any]]] = {}
         self.in_channels: Dict[int, List[Channel]] = {r: [] for r in self.ranks}
         # (rank, local key) -> _Behavior; the local key is the rank's own
-        # consumed counts + its timeout count (+ where its drain began,
-        # while it drains), which fully determines its generator state
+        # consumed counts (+ where its drain began, while it drains),
+        # which fully determines its generator state
         # because behaviour is confluent (guarded in _log_sends / _step).
         self.cache: Dict[Tuple[int, Tuple], _Behavior] = {}
         # (id of a cached _Behavior, event) -> the _Behavior it leads to
@@ -915,11 +907,8 @@ class _Explorer:
                         request = gen.send(Packet(
                             src=ch[0], dst=ch[1], tag=tag, microbatch=mb,
                             data=data))
-                    elif event[0] == "none":
-                        request = gen.send(None)
                     else:
-                        request = gen.throw(TimeoutError(
-                            f"model timeout at rank {rank}"))
+                        request = gen.send(None)
                 except StopIteration:
                     finished = True
                 self._log_sends(capture, out_counts)
@@ -941,17 +930,14 @@ class _Explorer:
 
     # -- state plumbing ----------------------------------------------------
     @staticmethod
-    def _local_key(rank: int, consumed: Dict[Channel, int],
-                   timeouts: Dict[int, int]) -> Tuple:
-        mine = tuple(sorted((c, n) for c, n in consumed.items()
+    def _local_key(rank: int, consumed: Dict[Channel, int]) -> Tuple:
+        return tuple(sorted((c, n) for c, n in consumed.items()
                             if c[1] == rank and n))
-        return (mine, timeouts.get(rank, 0))
 
     @staticmethod
-    def _state_key(consumed: Dict[Channel, int],
-                   timeouts: Dict[int, int]) -> Tuple:
+    def _state_key(consumed: Dict[Channel, int]) -> FrozenSet:
         # counts only ever grow from 1, so no zero entries to drop
-        return frozenset(consumed.items()), frozenset(timeouts.items())
+        return frozenset(consumed.items())
 
     @staticmethod
     def _draining(beh: _Behavior) -> bool:
@@ -962,7 +948,6 @@ class _Explorer:
             if ch[0] in behaviors else 0
 
     def _enabled(self, consumed: Dict[Channel, int],
-                 timeouts: Dict[int, int],
                  behaviors: Dict[int, _Behavior]) -> List[Tuple]:
         actions: List[Tuple] = []
         for rank in self.ranks:
@@ -974,38 +959,34 @@ class _Explorer:
                 # FIFO per rank pair delivers whatever arrives next.
                 if consumed.get(ch, 0) < self._produced(ch, behaviors):
                     actions.append(("deliver", ch, rank))
-            if beh.wait == "timed":
-                actions.append(("timeout", None, rank))
         return actions
 
     # -- the search --------------------------------------------------------
     def run(self) -> None:
         consumed0: Dict[Channel, int] = {}
-        timeouts0: Dict[int, int] = {}
         behaviors0 = {
-            r: self._behavior(r, self._local_key(r, consumed0, timeouts0),
-                              ())
+            r: self._behavior(r, self._local_key(r, consumed0), ())
             for r in self.ranks}
         for r, beh in behaviors0.items():
             if self._draining(beh):
                 raise ModelError(f"{self.model.describe()}: rank {r} polls "
                                  f"before its first blocking receive")
-        root = self._state_key(consumed0, timeouts0)
+        root = self._state_key(consumed0)
         seen = {root}
         # Each frame carries its own dicts; parents reconstruct the
         # counterexample path.
-        stack = [(consumed0, timeouts0, behaviors0)]
-        parents: Dict[Tuple, Tuple[Optional[Tuple], List[Tuple]]] = {
+        stack = [(consumed0, behaviors0)]
+        parents: Dict[FrozenSet, Tuple[Optional[FrozenSet], List[Tuple]]] = {
             root: (None, [])}
         while stack:
-            consumed, timeouts, behaviors = stack.pop()
-            skey = self._state_key(consumed, timeouts)
+            consumed, behaviors = stack.pop()
+            skey = self._state_key(consumed)
             self.states += 1
             if self.states > self.max_states:
                 raise ModelError(
                     f"{self.model.describe()}: state space exceeded "
                     f"{self.max_states} states")
-            actions = self._enabled(consumed, timeouts, behaviors)
+            actions = self._enabled(consumed, behaviors)
             # Partial-order reduction: deliveries to sink ranks are fired
             # eagerly, one at a time, instead of branching against
             # everything else.  Sound because a sink (a) always waits on
@@ -1018,9 +999,7 @@ class _Explorer:
             # it is fed stands for all.  Hence every deadlock /
             # leftover-terminal reachable in the full graph is reachable
             # with sink deliveries front-run.
-            eager = [a for a in actions
-                     if a[0] == "deliver"
-                     and a[2] in self.model.sink_ranks]
+            eager = [a for a in actions if a[2] in self.model.sink_ranks]
             if eager:
                 actions = [min(eager)]
             if not actions:
@@ -1033,22 +1012,22 @@ class _Explorer:
                 continue
             for action in actions:
                 rank = action[2]
-                for nc, nt, beh, steps in self._successors(
-                        rank, action, consumed, timeouts, behaviors):
-                    nkey = self._state_key(nc, nt)
+                for nc, beh, steps in self._successors(
+                        rank, action, consumed, behaviors):
+                    nkey = self._state_key(nc)
                     if nkey in seen:
                         continue
                     seen.add(nkey)
                     nb = dict(behaviors)
                     nb[rank] = beh
                     parents[nkey] = (skey, steps)
-                    stack.append((nc, nt, nb))
+                    stack.append((nc, nb))
 
     def _successors(self, rank: int, action: Tuple,
-                    consumed: Dict[Channel, int], timeouts: Dict[int, int],
+                    consumed: Dict[Channel, int],
                     behaviors: Dict[int, _Behavior]):
-        """The states ``rank``'s ``action`` leads to, as ``(consumed,
-        timeouts, behaviour, steps)``.
+        """The states ``rank``'s delivery ``action`` leads to, as
+        ``(consumed, behaviour, steps)``.
 
         An action that leaves the rank waiting on ``POLL`` opens a
         *drain*, explored as one macro step that ends at the drain's None:
@@ -1059,20 +1038,16 @@ class _Explorer:
         action taken mid-drain was enabled before the drain began and
         commutes with it, and a message that only becomes pending
         mid-drain is that action taken first."""
-        nc, nt = dict(consumed), dict(timeouts)
-        if action[0] == "deliver":
-            ch = action[1]
-            idx = nc.get(ch, 0)
-            nc[ch] = idx + 1
-            event: Tuple = ("deliver", ch, idx)
-        else:
-            nt[rank] = nt.get(rank, 0) + 1
-            event = ("timeout",)
-        start = self._local_key(rank, consumed, timeouts)
-        beh = self._step(rank, behaviors[rank], event, nc, nt, start)
+        nc = dict(consumed)
+        ch = action[1]
+        idx = nc.get(ch, 0)
+        nc[ch] = idx + 1
+        event: Tuple = ("deliver", ch, idx)
+        start = self._local_key(rank, consumed)
+        beh = self._step(rank, behaviors[rank], event, nc, start)
         steps = [action + (event,)]
         if not self._draining(beh):
-            yield nc, nt, beh, steps
+            yield nc, beh, steps
             return
         # Every way the drain goes on: None now, or one more pending
         # message from the first-th in-channel on (order within a drain
@@ -1081,12 +1056,12 @@ class _Explorer:
         todo = [(beh, nc, steps, 0)]
         while todo:
             beh, nc, steps, first = todo.pop()
-            done = self._step(rank, beh, ("none",), nc, nt, start)
+            done = self._step(rank, beh, ("none",), nc, start)
             if self._draining(done):
                 raise ModelError(f"{self.model.describe()}: rank {rank} "
                                  f"polls again after a None without "
                                  f"blocking")
-            yield nc, nt, done, steps + [("none", None, rank, ("none",))]
+            yield nc, done, steps + [("none", None, rank, ("none",))]
             for i in range(first, len(channels)):
                 ch = channels[i]
                 idx = nc.get(ch, 0)
@@ -1095,18 +1070,17 @@ class _Explorer:
                 more = dict(nc)
                 more[ch] = idx + 1
                 event = ("deliver", ch, idx)
-                nxt = self._step(rank, beh, event, more, nt, start)
+                nxt = self._step(rank, beh, event, more, start)
                 taken = steps + [("deliver", ch, rank, event)]
                 if self._draining(nxt):
                     todo.append((nxt, more, taken, i))
                 else:
-                    yield more, nt, nxt, taken
+                    yield more, nxt, taken
 
     def _step(self, rank: int, old_beh: _Behavior, event: Tuple,
-              consumed: Dict[Channel, int], timeouts: Dict[int, int],
-              start: Tuple) -> _Behavior:
-        """``rank``'s behaviour after ``event`` (``consumed`` / ``timeouts``
-        already include it).  A draining rank is keyed by its counts and
+              consumed: Dict[Channel, int], start: Tuple) -> _Behavior:
+        """``rank``'s behaviour after ``event`` (``consumed`` already
+        includes it).  A draining rank is keyed by its counts and
         ``start``, its local key when the drain began; any other rank by
         its counts alone, as without POLL: what it has sent is what it has
         consumed, however its drains grouped it (guarded: two groupings
@@ -1115,7 +1089,7 @@ class _Explorer:
         beh = self.steps.get(step)
         if beh is None:
             fresh = self._replay(rank, old_beh.witness + (event,))
-            fresh.key = self._local_key(rank, consumed, timeouts)
+            fresh.key = self._local_key(rank, consumed)
             if self._draining(fresh):
                 if fresh.out_counts != old_beh.out_counts:
                     raise ModelError(
@@ -1146,11 +1120,11 @@ class _Explorer:
                         f"terminal interleaving")
 
     def _build_counterexample(
-            self, skey: Tuple,
-            parents: Dict[Tuple, Tuple[Optional[Tuple], Optional[Tuple]]],
+            self, skey: FrozenSet,
+            parents: Dict[FrozenSet, Tuple[Optional[FrozenSet], List[Tuple]]],
             behaviors: Dict[int, _Behavior]) -> None:
         path: List[Tuple] = []
-        key: Optional[Tuple] = skey
+        key: Optional[FrozenSet] = skey
         while key is not None:
             prev, steps = parents[key]
             path[:0] = steps
@@ -1205,12 +1179,8 @@ class _Explorer:
                                                 mb, plane=ch[2]))
                         gen.send(Packet(src=ch[0], dst=ch[1], tag=tag,
                                         microbatch=mb, data=data))
-                    elif action[0] == "none":
-                        gen.send(None)  # an empty POLL: no channel op
                     else:
-                        trace.append(SkeletonOp("timeout", rank))
-                        gen.throw(TimeoutError(
-                            f"model timeout at rank {rank}"))
+                        gen.send(None)  # an empty POLL: no channel op
                 except StopIteration:
                     pass
                 drain()
@@ -1227,7 +1197,7 @@ class _Explorer:
 def check_model(model: CommModel, max_states: int = 200_000) -> CheckResult:
     """Exhaustively explore the interleavings of ``model`` and prove (or
     refute, with a counterexample) deadlock-freedom, complete matching,
-    and per-column collective-order consistency.
+    and per-group tensor-parallel collective-order consistency.
 
     A model's :attr:`~CommModel.then` phase is checked after it, on its
     own, and the verdicts are joined.  That is sound for the
@@ -1273,14 +1243,6 @@ def check_model(model: CommModel, max_states: int = 200_000) -> CheckResult:
         "never received" in v for v in violations)
 
     collective_violations: List[str] = []
-    if model.collectives:
-        trace = TraceRecorder()
-        for rank in sorted(model.collectives):
-            for op, key in model.collectives[rank]:
-                trace.record_collective(rank, op, key=key)
-        collective_violations = [
-            str(v) for v in check_collective_order(trace, model.groups)]
-        violations.extend(collective_violations)
     if model.tp_groups and skeleton is not None:
         # The in-stream tp_* collectives captured during extraction: every
         # member of a tensor-parallel group must have recorded the same
@@ -1292,11 +1254,10 @@ def check_model(model: CommModel, max_states: int = 200_000) -> CheckResult:
             for o in skeleton.ops[rank]:
                 if o.kind == "collective" and o.tag.startswith("tp_"):
                     trace.record_collective(rank, o.tag, key=o.key)
-        tp_violations = [
+        collective_violations = [
             str(v) for v in check_collective_order(trace, model.tp_groups,
                                                    tags=("tp_",))]
-        collective_violations.extend(tp_violations)
-        violations.extend(tp_violations)
+        violations.extend(collective_violations)
 
     result = CheckResult(
         model=model.describe(), config=dict(model.config),

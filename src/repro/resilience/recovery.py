@@ -41,13 +41,11 @@ class RecoveryEvent:
     """One detected failure and the rollback that answered it."""
 
     step: int                    #: batch index the failure interrupted
-    dead: Tuple[int, ...]        #: ranks declared failed (groups expanded)
+    dead: Tuple[int, ...]        #: ranks declared failed
     detected_at: int             #: transport tick of the declaration
     restored_from: int           #: batch index of the snapshot restored
     replayed: int                #: batches silently replayed after restore
     attempt: int                 #: which retry of the batch this was
-    #: tensor-parallel groups respawned whole because a member died
-    tp_groups: Tuple[Tuple[int, ...], ...] = ()
 
 
 class ResilientTrainer:
@@ -110,42 +108,6 @@ class ResilientTrainer:
         return make
 
     # -- recovery protocol -------------------------------------------------
-    def _expand_tp_failure(self, failure: RankFailure) -> RankFailure:
-        """Map dead ranks to whole tensor-parallel groups.
-
-        A TP follower holds shards the group lead re-materializes on
-        respawn, so a dead follower cannot be rebuilt alone: without
-        this expansion ``_build_rank`` no-ops on it and the batch dies
-        with an opaque error.  With ``g_intra > 1`` every dead rank
-        drags its full intra group into ``failure.dead``, and the new
-        :class:`RankFailure` names the groups being respawned.  The
-        expanded groups are recorded on the failure (``tp_groups``) for
-        the :class:`RecoveryEvent`.
-        """
-        grid = self.trainer.grid
-        if getattr(grid, "g_intra", 1) <= 1:
-            failure.tp_groups = ()
-            return failure
-        groups: List[Tuple[int, ...]] = []
-        for rank in failure.dead:
-            i, j, _t = grid.coord3_of(rank)
-            group = tuple(grid.tp_group(i, j))
-            if group not in groups:
-                groups.append(group)
-        dead = sorted({r for g in groups for r in g})
-        if dead == failure.dead:
-            failure.tp_groups = tuple(groups)
-            return failure
-        named = ", ".join(f"stage {grid.coord3_of(g[0])[0]} group {g}"
-                          for g in groups)
-        expanded = RankFailure(
-            f"rank(s) {failure.dead} died; respawning their "
-            f"tensor-parallel group(s): {named}",
-            dead=dead, detected_at=failure.detected_at,
-            crashed_at=failure.crashed_at)
-        expanded.tp_groups = tuple(groups)
-        return expanded
-
     def _recover(self, failure: RankFailure, attempt: int) -> None:
         trainer = self.trainer
         tracer = trainer.tracer
@@ -173,8 +135,7 @@ class ResilientTrainer:
             step=self.step, dead=tuple(failure.dead),
             detected_at=failure.detected_at,
             restored_from=self._snapshot_step,
-            replayed=len(self._replay), attempt=attempt,
-            tp_groups=getattr(failure, "tp_groups", ())))
+            replayed=len(self._replay), attempt=attempt))
         if tracer is not None and tracer.enabled:
             tracer.record(0, "fault", f"recovery@{self.step}", start,
                           tracer.now(), category="recovery",
@@ -207,8 +168,7 @@ class ResilientTrainer:
                 self.trainer.transport_factory = self._factory(injector)
             try:
                 report = self.trainer.train_batch(x, y)
-            except RankFailure as raw_failure:
-                failure = self._expand_tp_failure(raw_failure)
+            except RankFailure as failure:
                 attempt += 1
                 if attempt > self.max_recoveries_per_batch:
                     raise RuntimeError(

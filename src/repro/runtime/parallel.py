@@ -40,9 +40,9 @@ answers with its usual rollback-respawn — the dead worker process is
 respawned transparently before the next batch.
 
 Time units: the cooperative transport counts scheduler sweeps ("ticks");
-here one tick is ``tick_s`` wall-clock seconds, so ``yield
-recv_within(n)`` means *n × tick_s* seconds and heartbeat timeouts are
-wall-clock (``detect_timeout_s``).
+here time is wall-clock — ``tick_s`` is the period of the heartbeat and
+of the parent's liveness checks, and heartbeat timeouts are
+``detect_timeout_s`` seconds.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from .shm import (_POLL_SLEEP, _SPIN, RingAborted, ShmRing,
 from .stage import _dropout_modules, build_shard
 from .tp import book_tp_counters, record_tp_span
 from .transport import (POLL, RECV, BaseRankTransport, DeadlockError,
-                        Packet, RankFailure, TimedRecv)
+                        Packet, RankFailure)
 
 __all__ = ["ProcessTransport", "ProcessBackend", "ProcessPool",
            "ProgramSpec", "WorkerContext"]
@@ -85,7 +85,8 @@ _MP = multiprocessing.get_context(
     "fork" if "fork" in multiprocessing.get_all_start_methods()
     else "spawn")
 
-#: default seconds per transport "tick" (the unit of recv_within)
+#: default seconds between heartbeats and between the parent's liveness
+#: checks
 DEFAULT_TICK_S = 0.05
 #: wall-clock heartbeat staleness before a live-looking rank is declared
 #: dead (generous: the heartbeat only pauses during compute)
@@ -95,7 +96,6 @@ DEFAULT_HANG_TIMEOUT_S = 60.0
 
 _STATUS_COMPUTING = 0
 _STATUS_WAITING = 1
-_STATUS_WAITING_TIMED = 2
 
 _F64 = struct.Struct("<d")
 _U64 = struct.Struct("<Q")
@@ -215,8 +215,7 @@ class WorkerContext:
     def __init__(self, rank: int, n_ranks: int,
                  out_rings: Dict[int, ShmRing],
                  in_rings: Dict[int, ShmRing],
-                 state: _StateBlock, tick_s: float,
-                 tracer: Tracer,
+                 state: _StateBlock, tracer: Tracer,
                  trace_path: Optional[str],
                  dp_out: Optional[Dict[int, ShmRing]] = None,
                  dp_in: Optional[Dict[int, ShmRing]] = None):
@@ -230,7 +229,6 @@ class WorkerContext:
         self.dp_out = dp_out or {}
         self.dp_in = dict(sorted((dp_in or {}).items()))
         self.state = state
-        self.tick_s = tick_s
         self.tracer = tracer
         self.trace_path = trace_path
         self.cache: Dict[str, Any] = {}
@@ -284,18 +282,16 @@ class WorkerContext:
                 and self._receives_done >= self.kill_after:
             os.kill(os.getpid(), signal.SIGKILL)  # never returns
 
-    def _recv(self, deadline: Optional[float],
-              take: Optional[Callable[[], Optional[Packet]]] = None
+    def _recv(self, take: Optional[Callable[[], Optional[Packet]]] = None
               ) -> Packet:
         """Poll the incoming rings (ascending source order) until a frame
-        arrives; heartbeat every sweep; honor abort and the deadline.
-        ``take`` reads the rings (default: the walk's, :meth:`_take`)."""
+        arrives; heartbeat every sweep; honor abort.  ``take`` reads the
+        rings (default: the walk's, :meth:`_take`)."""
         if take is None:
             self._maybe_crash()
             take = self._take
         state, rank = self.state, self.rank
-        state.set_status(rank, _STATUS_WAITING_TIMED if deadline is not None
-                         else _STATUS_WAITING)
+        state.set_status(rank, _STATUS_WAITING)
         try:
             spins = 0
             while True:
@@ -305,9 +301,6 @@ class WorkerContext:
                     return packet
                 if state.abort:
                     raise _Aborted(f"rank {rank} recv aborted")
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise TimeoutError(
-                        f"rank {rank} recv timed out after deadline")
                 spins += 1
                 if spins >= _SPIN:
                     time.sleep(_POLL_SLEEP)
@@ -374,26 +367,12 @@ class WorkerContext:
                     except StopIteration as stop:
                         return stop.value
                     continue
-                if isinstance(request, TimedRecv):
-                    deadline = time.monotonic() \
-                        + request.timeout * self.tick_s
-                elif request == RECV:
-                    deadline = None
-                else:
+                if request != RECV:
                     raise ProtocolError(
                         f"rank {self.rank} yielded {request!r}; rank "
-                        f"programs may only yield RECV, POLL or "
-                        f"recv_within(...)")
+                        f"programs may only yield RECV or POLL")
                 try:
-                    pkt = self._recv(deadline, take)
-                except TimeoutError as exc:
-                    try:
-                        request = gen.throw(exc)
-                    except StopIteration as stop:
-                        return stop.value
-                    continue
-                try:
-                    request = gen.send(pkt)
+                    request = gen.send(self._recv(take))
                 except StopIteration as stop:
                     return stop.value
         finally:
@@ -462,8 +441,8 @@ def _worker_main(rank: int, n_ranks: int,
                 ring.observer = _ring_observer(label + suffix, ring.capacity)
     trace_path = (os.path.join(trace_dir, f"rank{rank}.jsonl")
                   if trace_dir is not None else None)
-    ctx = WorkerContext(rank, n_ranks, out_rings, in_rings, state, tick_s,
-                        tracer, trace_path, dp_out, dp_in)
+    ctx = WorkerContext(rank, n_ranks, out_rings, in_rings, state, tracer,
+                        trace_path, dp_out, dp_in)
     state.beat(rank)
 
     # Beat from a daemon thread so the heartbeat tracks *process* liveness

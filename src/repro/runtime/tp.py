@@ -149,8 +149,9 @@ class TPComm:
 
     ``send`` is the transport send with the source rank bound
     (``send(dst, tag, microbatch, data)``).  ``shards``, the lead's
-    :class:`ShardMap`, builds the real message bytes (None on followers
-    and in the symbolic checker, where payloads are empty).
+    :class:`ShardMap`, builds the message bytes (None on followers, which
+    only receive; the model checker's symbolic stage has no layers, so
+    its payloads are empty).
     ``record(rank, op, key, nbytes)`` is the backend's collective sink —
     trace recorder, perf counters and obs spans on the real substrates,
     the skeleton capture in the model checker.
@@ -182,10 +183,8 @@ class TPComm:
         nbytes = 0
         for peer in self.peers:
             t = self.grid.tp_index(peer)
-            data = None if self.shards is None else \
-                self.shards.wgt_payload(t)
-            if data is not None:
-                nbytes += int(data.nbytes)
+            data = self.shards.wgt_payload(t)
+            nbytes += int(data.nbytes)
             self.send(peer, TAG_TP_WGT, microbatch, data)
         self.record_collective("tp_allgather", "fwd", microbatch, nbytes)
 
@@ -195,10 +194,8 @@ class TPComm:
         nbytes = 0
         for peer in self.peers:
             t = self.grid.tp_index(peer)
-            data = None if self.shards is None else \
-                self.shards.grad_payload(t)
-            if data is not None:
-                nbytes += int(data.nbytes)
+            data = self.shards.grad_payload(t)
+            nbytes += int(data.nbytes)
             self.send(peer, TAG_TP_GRAD, microbatch, data)
         self.record_collective("tp_reduce_scatter", "bwd", microbatch, nbytes)
 

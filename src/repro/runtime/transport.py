@@ -18,10 +18,9 @@ resumes with the next packet already in its inbox, or with None.  That is
 how Algorithm 2 learns what has arrived while it computed.
 
 Protocol misuse raises :class:`~repro.obs.protocol.ProtocolError`:
-yielding anything but :data:`RECV` / :data:`POLL` / :func:`recv_within`,
-or (with the default ``strict=True``) finishing a run with undelivered
-packets rotting in an inbox.  Deadlock (every live rank blocked on an
-empty inbox) raises
+yielding anything but :data:`RECV` / :data:`POLL`, or (with the default
+``strict=True``) finishing a run with undelivered packets rotting in an
+inbox.  Deadlock (every live rank blocked on an empty inbox) raises
 :class:`DeadlockError` with a wait-for-graph diagnosis: which rank waits on
 whom, plus the nearest unmatched sends.  Either way, all still-suspended
 generators are closed so a failing run never leaks rank programs
@@ -47,10 +46,9 @@ programs all sit on the same clock:
   recovery coordinator (:class:`~repro.resilience.ResilientTrainer`)
   turns into a rollback-and-respawn.
 
-A rank program that waits on a channel a plan can sever should use a
-*timed receive* — ``pkt = yield recv_within(ticks)`` — and handle
-:class:`TimeoutError` / :class:`RankFailure` (lint rule REP006 enforces
-the handler).
+A rank program waits only with ``yield RECV``: a channel a plan severs
+ends the run in :class:`RankFailure` (the peer stopped heartbeating) or
+:class:`DeadlockError` (the packet is lost for good), never in a hang.
 
 Pass ``recorder=``\\ (a :class:`~repro.obs.protocol.TraceRecorder`) to
 log every send and delivery for post-hoc verification with
@@ -74,8 +72,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (resilience
     from ..resilience.faults import FaultInjector, RetryPolicy
 
 __all__ = ["BaseRankTransport", "Packet", "RankTransport", "DeadlockError",
-           "ProtocolError", "RankFailure", "RECV", "POLL", "TimedRecv",
-           "recv_within"]
+           "ProtocolError", "RankFailure", "RECV", "POLL"]
 
 #: sentinel yielded by a rank program to request the next inbox message
 RECV = "recv"
@@ -90,24 +87,6 @@ DEFAULT_DETECT_TIMEOUT = 25
 
 #: injector verdict meaning "lose this packet" (mirrors resilience.faults)
 _DROP = "drop"
-
-
-@dataclass(frozen=True)
-class TimedRecv:
-    """A receive with a deadline: ``yield recv_within(n)`` resumes with the
-    next packet, or raises :class:`TimeoutError` inside the rank program
-    after ``n`` scheduler sweeps with an empty inbox."""
-
-    timeout: int
-
-    def __post_init__(self):
-        if self.timeout < 1:
-            raise ValueError("recv timeout must be >= 1 tick")
-
-
-def recv_within(ticks: int) -> TimedRecv:
-    """A timed receive request for ``yield`` (see :class:`TimedRecv`)."""
-    return TimedRecv(ticks)
 
 
 class DeadlockError(RuntimeError):
@@ -180,26 +159,24 @@ class BaseRankTransport(abc.ABC):
     """The transport contract every execution backend implements.
 
     A transport owns ``n_ranks`` message endpoints and drives *rank
-    programs* — generators that ``yield RECV`` (or a
-    :func:`recv_within` request) and are resumed with the next
-    :class:`Packet`.  The contract, shared by the cooperative in-process
-    scheduler (:class:`RankTransport`) and the multiprocessing backend
-    (:class:`~repro.runtime.parallel.ProcessTransport`):
+    programs* — generators that ``yield RECV`` and are resumed with the
+    next :class:`Packet`.  The contract, shared by the cooperative
+    in-process scheduler (:class:`RankTransport`) and the multiprocessing
+    backend (:class:`~repro.runtime.parallel.ProcessTransport`):
 
     * :meth:`send` is non-blocking and buffered (MPI_Isend semantics),
       FIFO per ``(src, dst)`` channel;
     * ``yield RECV`` blocks the program on its next message; ``yield
-      recv_within(n)`` raises :class:`TimeoutError` *inside* the program
-      after ``n`` transport ticks without one; ``yield POLL`` resumes at
-      once with the next message already buffered, or with None (a hit
-      is a receive like any other: recorded, traced, counted);
+      POLL`` resumes at once with the next message already buffered, or
+      with None (a hit is a receive like any other: recorded, traced,
+      counted);
     * every live rank heartbeats once per scheduler sweep (cooperative)
       or receive-poll (process); a rank that stops beating — or whose OS
       process dies — raises :class:`RankFailure` naming the dead ranks;
     * with ``strict=True`` (default) a run that completes with
       undelivered packets raises :class:`ProtocolError` (orphan sends);
-    * any yield other than :data:`RECV` / :data:`POLL` /
-      :class:`TimedRecv` raises :class:`ProtocolError`;
+    * any yield other than :data:`RECV` / :data:`POLL` raises
+      :class:`ProtocolError`;
     * pass ``recorder=`` to log every send/delivery for the protocol
       verifier; pass ``tracer=`` to emit p2p ObsSpans.
 
@@ -453,23 +430,21 @@ class RankTransport(BaseRankTransport):
             r for r in self.dead
             if self.tick - self._last_beat.get(r, 0) > self.detect_timeout)
 
-    def _has_future_work(self, deadlines: Dict[int, int]) -> bool:
+    def _has_future_work(self) -> bool:
         """Can advancing the tick alone unblock the run?"""
-        return bool(self._delayed or self._retries or deadlines
-                    or self.dead)
+        return bool(self._delayed or self._retries or self.dead)
 
     # -- scheduler ---------------------------------------------------------
     def run(self, programs: Dict[int, Generator]) -> None:
         """Drive rank programs to completion.
 
         ``programs`` maps rank id -> generator.  The protocol: a program
-        yields :data:`RECV` (or a :func:`recv_within` request) to wait for
-        its next message; the yield expression evaluates to the
-        :class:`Packet`.  A :data:`POLL` is answered within the same
-        visit: the inbox head, or None.  Any other yielded value raises
-        :class:`ProtocolError`.  On any error, deadlock, or detected rank
-        failure, every still-suspended generator is closed before the
-        exception propagates.
+        yields :data:`RECV` to wait for its next message; the yield
+        expression evaluates to the :class:`Packet`.  A :data:`POLL` is
+        answered within the same visit: the inbox head, or None.  Any
+        other yielded value raises :class:`ProtocolError`.  On any error,
+        deadlock, or detected rank failure, every still-suspended
+        generator is closed before the exception propagates.
         """
         for rank in programs:
             self._check_rank(rank)
@@ -484,17 +459,15 @@ class RankTransport(BaseRankTransport):
 
     def _run_loop(self, live: Dict[int, Generator]) -> None:
         # waiting[rank] is True when the rank has yielded RECV and its inbox
-        # was empty at last visit; deadlines[rank] is the tick at which a
-        # pending timed recv expires.
+        # was empty at last visit.
         started: Dict[int, bool] = {r: False for r in live}
         waiting: Dict[int, bool] = {r: False for r in live}
-        deadlines: Dict[int, int] = {}
         for r in live:
             self._last_beat[r] = self.tick
 
         while live:
             self._begin_sweep(live)
-            progressed = self._sweep(live, started, waiting, deadlines)
+            progressed = self._sweep(live, started, waiting)
             # Heartbeats: every rank whose generator still exists is alive,
             # blocked or not.  Crashed ranks fell out of `live` and go
             # silent; normal completions are registered in `finished`.
@@ -512,7 +485,7 @@ class RankTransport(BaseRankTransport):
                                 for r in expired})
             self.tick += 1
             if live and not progressed:
-                if self._has_future_work(deadlines):
+                if self._has_future_work():
                     continue  # pure time advance can still unblock the run
                 stuck = sorted(live)
                 wait_for = {r: sorted(self._peers_in[r]) for r in stuck}
@@ -540,7 +513,7 @@ class RankTransport(BaseRankTransport):
                 crashed_at={r: self._last_beat.get(r, 0) for r in dead})
 
     def _sweep(self, live: Dict[int, Generator], started: Dict[int, bool],
-               waiting: Dict[int, bool], deadlines: Dict[int, int]) -> bool:
+               waiting: Dict[int, bool]) -> bool:
         """One round-robin pass over all live ranks."""
         progressed = False
         for rank in sorted(live):
@@ -558,29 +531,14 @@ class RankTransport(BaseRankTransport):
                         break
                 elif waiting[rank]:
                     if not self.inboxes[rank]:
-                        due = deadlines.get(rank)
-                        if due is None or self.tick < due:
-                            break  # still blocked
-                        # Timed recv expired: deliver the timeout instead.
-                        del deadlines[rank]
-                        waiting[rank] = False
-                        try:
-                            request = gen.throw(TimeoutError(
-                                f"rank {rank} recv timed out at tick "
-                                f"{self.tick} (deadline {due})"))
-                        except StopIteration:
-                            self._retire(rank, live)
-                            progressed = True
-                            break
-                    else:
-                        waiting[rank] = False
-                        deadlines.pop(rank, None)
-                        try:
-                            request = gen.send(self._take(rank))
-                        except StopIteration:
-                            self._retire(rank, live)
-                            progressed = True
-                            break
+                        break  # still blocked
+                    waiting[rank] = False
+                    try:
+                        request = gen.send(self._take(rank))
+                    except StopIteration:
+                        self._retire(rank, live)
+                        progressed = True
+                        break
                 else:
                     break
                 try:
@@ -590,12 +548,10 @@ class RankTransport(BaseRankTransport):
                     self._retire(rank, live)
                     progressed = True
                     break
-                if isinstance(request, TimedRecv):
-                    deadlines[rank] = self.tick + request.timeout
-                elif request != RECV:
+                if request != RECV:
                     raise ProtocolError(
                         f"rank {rank} yielded {request!r}; rank programs "
-                        f"may only yield RECV, POLL or recv_within(...)"
+                        f"may only yield RECV or POLL"
                     )
                 waiting[rank] = True
                 progressed = True

@@ -123,20 +123,6 @@ class TestREP002:
         """
         assert _codes(src) == []
 
-    def test_timed_recv_is_a_valid_marker(self):
-        # recv_within(...) joined RECV as a legal rank-program yield when
-        # the fault layer landed; REP002 must not flag it (REP006 governs
-        # its error handling instead).
-        src = """
-        def program(tr):
-            pkt = yield RECV
-            try:
-                pkt = yield recv_within(5)
-            except TimeoutError:
-                pass
-        """
-        assert _codes(src) == []
-
     def test_poll_is_a_valid_marker(self):
         # Algorithm 2 drains its inbox with the non-blocking POLL.
         src = """
@@ -242,98 +228,6 @@ class TestREP005:
         src = """
         def proc(env, store):
             item = yield store.get()
-            yield env.timeout(1.0)
-        """
-        assert _codes(src) == []
-
-
-class TestREP006:
-    def test_unprotected_timed_recv_flagged(self):
-        src = """
-        def program(tr):
-            pkt = yield RECV
-            pkt = yield recv_within(10)
-        """
-        assert _codes(src) == ["REP006"]
-
-    def test_timeout_handler_clean(self):
-        src = """
-        def program(tr):
-            try:
-                pkt = yield recv_within(10)
-            except TimeoutError:
-                return
-        """
-        assert _codes(src) == []
-
-    def test_rank_failure_handler_clean(self):
-        src = """
-        def program(tr):
-            try:
-                pkt = yield recv_within(10)
-            except RankFailure:
-                return
-        """
-        assert _codes(src) == []
-
-    def test_bare_except_clean(self):
-        src = """
-        def program(tr):
-            try:
-                pkt = yield recv_within(10)
-            except:
-                return
-        """
-        assert _codes(src) == []
-
-    def test_tuple_handler_clean(self):
-        src = """
-        def program(tr):
-            try:
-                pkt = yield recv_within(10)
-            except (ValueError, TimeoutError):
-                return
-        """
-        assert _codes(src) == []
-
-    def test_wrong_handler_still_flagged(self):
-        src = """
-        def program(tr):
-            try:
-                pkt = yield recv_within(10)
-            except ValueError:
-                return
-        """
-        assert _codes(src) == ["REP006"]
-
-    def test_yield_in_handler_not_protected_by_its_own_try(self):
-        src = """
-        def program(tr):
-            try:
-                pkt = yield RECV
-            except TimeoutError:
-                pkt = yield recv_within(3)
-        """
-        assert _codes(src) == ["REP006"]
-
-    def test_timed_recv_in_loop_body_flagged(self):
-        src = """
-        def program(tr):
-            for _ in range(4):
-                pkt = yield recv_within(5)
-        """
-        assert _codes(src) == ["REP006"]
-
-    def test_plain_recv_needs_no_handler(self):
-        src = """
-        def program(tr):
-            pkt = yield RECV
-        """
-        assert _codes(src) == []
-
-    def test_non_rank_generators_untouched(self):
-        src = """
-        def sim_proc(env):
             yield env.timeout(1.0)
         """
         assert _codes(src) == []
@@ -730,5 +624,5 @@ def outer(rank, net, x):
 
     def test_rule_catalogue_complete(self):
         assert set(RULES) == {"REP001", "REP002", "REP003", "REP004",
-                              "REP005", "REP006", "REP007", "REP008",
+                              "REP005", "REP007", "REP008",
                               "REP009", "REP010", "REP011", "REP012"}

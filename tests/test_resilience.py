@@ -14,8 +14,8 @@ from repro.resilience import (DELIVER, DROP, FailureModel, Fault,
                               simulate_resilient_run, sweep_intervals,
                               young_daly_interval_s)
 from repro.runtime import AxoNNTrainer
-from repro.runtime.transport import (RECV, RankFailure, RankTransport,
-                                     recv_within)
+from repro.runtime.transport import (RECV, DeadlockError, RankFailure,
+                                     RankTransport)
 
 CFG = GPTConfig(vocab_size=17, seq_len=8, n_layer=4, n_head=2, hidden=12,
                 dropout=0.1, init_seed=33)
@@ -131,52 +131,17 @@ def _producer(transport, dst, payload):
 
 
 class TestTransportFaults:
-    def test_timed_recv_delivers_when_message_arrives(self):
-        t = RankTransport(2)
-        got = []
-
-        def consumer():
-            try:
-                pkt = yield recv_within(5)
-                got.append(pkt.data)
-            except TimeoutError:  # pragma: no cover - not expected
-                got.append("timeout")
-
-        t.run({0: _producer(t, 1, 42), 1: consumer()})
-        assert got == [42]
-
-    def test_timed_recv_times_out(self):
-        t = RankTransport(2, strict=False)
-        got = []
-
-        def consumer():
-            try:
-                yield recv_within(3)
-            except TimeoutError:
-                got.append("timeout")
-
-        def silent():
-            return
-            yield  # pragma: no cover - generator marker
-
-        t.run({0: silent(), 1: consumer()})
-        assert got == ["timeout"]
-        assert t.tick >= 3
+    @staticmethod
+    def _consumer(got):
+        pkt = yield RECV
+        got.append(pkt.data)
 
     def test_dropped_send_is_retransmitted(self):
         plan = FaultPlan.of(Fault(kind="drop", src=0, dst=1, count=2))
         inj = FaultInjector(plan, step=0)
         t = RankTransport(2, injector=inj, retry=RetryPolicy())
         got = []
-
-        def consumer():
-            try:
-                pkt = yield recv_within(30)
-                got.append(pkt.data)
-            except TimeoutError:  # pragma: no cover - not expected
-                got.append("timeout")
-
-        t.run({0: _producer(t, 1, "hello"), 1: consumer()})
+        t.run({0: _producer(t, 1, "hello"), 1: self._consumer(got)})
         assert got == ["hello"]
         assert t.lost_packets == []
 
@@ -185,16 +150,11 @@ class TestTransportFaults:
         inj = FaultInjector(plan, step=0)
         t = RankTransport(2, injector=inj, strict=False)
         got = []
-
-        def consumer():
-            try:
-                yield recv_within(4)
-            except TimeoutError:
-                got.append("timeout")
-
-        t.run({0: _producer(t, 1, "x"), 1: consumer()})
-        assert got == ["timeout"]
+        with pytest.raises(DeadlockError):
+            t.run({0: _producer(t, 1, "x"), 1: self._consumer(got)})
+        assert got == []
         assert len(t.lost_packets) == 1
+        assert t._send_times == {}
 
     def test_retry_budget_exhaustion_loses_packet(self):
         plan = FaultPlan.of(Fault(kind="drop", src=0, dst=1, count=99))
@@ -202,16 +162,11 @@ class TestTransportFaults:
         t = RankTransport(2, injector=inj, strict=False,
                           retry=RetryPolicy(max_retries=2))
         got = []
-
-        def consumer():
-            try:
-                yield recv_within(20)
-            except TimeoutError:
-                got.append("timeout")
-
-        t.run({0: _producer(t, 1, "x"), 1: consumer()})
-        assert got == ["timeout"]
+        with pytest.raises(DeadlockError):
+            t.run({0: _producer(t, 1, "x"), 1: self._consumer(got)})
+        assert got == []
         assert len(t.lost_packets) == 1
+        assert t._send_times == {}
 
     def test_delayed_delivery(self):
         plan = FaultPlan.of(Fault(kind="delay", src=0, dst=1, ticks=3))
@@ -220,14 +175,11 @@ class TestTransportFaults:
         got = []
 
         def consumer():
-            try:
-                pkt = yield recv_within(10)
-                got.append((pkt.data, t.tick))
-            except TimeoutError:  # pragma: no cover - not expected
-                pass
+            pkt = yield RECV
+            got.append((pkt.data, t.tick))
 
         t.run({0: _producer(t, 1, "late"), 1: consumer()})
-        assert got and got[0][0] == "late"
+        assert len(got) == 1 and got[0][0] == "late"
         assert got[0][1] >= 3  # not before the injected delay
 
     def test_crash_is_detected_as_rank_failure(self):
@@ -321,6 +273,28 @@ class TestRecoveryEquivalence:
         a, b = ref.gather_state(), resilient.trainer.gather_state()
         for k in a:
             np.testing.assert_array_equal(a[k], b[k], err_msg=k)
+
+    @pytest.mark.parametrize("follower", [1, 3])
+    def test_tp_follower_crash_respawns_only_the_follower(self, follower):
+        """A tensor-parallel follower holds no stage and no optimizer, so
+        recovery rebuilds it alone and the run stays bit-identical.
+        Ranks 1 and 3 are the followers at g_inter=2 x g_intra=2."""
+        batches = make_batches()
+        grid = dict(g_data=1, g_intra=2)
+        ref = make_trainer(**grid)
+        ref_losses = [ref.train_batch(*batches.batch(i)).loss
+                      for i in range(3)]
+
+        plan = FaultPlan.of(Fault(kind="crash", rank=follower, step=1,
+                                  tick=2))
+        resilient = ResilientTrainer(make_trainer(**grid), plan,
+                                     detect_timeout=8)
+        losses = [resilient.train_batch(*batches.batch(i)).loss
+                  for i in range(3)]
+
+        [event] = resilient.recoveries
+        assert event.dead == (follower,)
+        assert losses == ref_losses
 
     def test_recovery_with_replay(self):
         """snapshot_interval > 1 forces the rollback to silently replay
