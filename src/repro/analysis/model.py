@@ -309,13 +309,15 @@ def _dp_collective_plan(grid: RankGrid, param_slots: Any
 def _training_model(name: str, grid: RankGrid, m: int,
                     config: Dict[str, Any], param_slots: Any,
                     schedule: Optional[Schedule] = None,
-                    limit: Optional[int] = None) -> CommModel:
+                    limit: Optional[int] = None,
+                    concurrent_peers: bool = True) -> CommModel:
     """A training grid's ensemble, each rank bound by the *real*
     :func:`~repro.runtime.rankprog.rank_program` both backends call:
     Algorithm 2 under ``limit`` (``schedule`` None) or the static walk of
     ``schedule`` on symbolic stages, a follower's receive-only program,
     and every ``tp_*`` collective captured in-stream for the per-group
-    order check."""
+    order check.  ``concurrent_peers`` picks the binding: True is the
+    process backend's, False the cooperative backend's."""
     n_virtual = 1 if schedule is None else schedule.n_virtual
 
     def make(capture: _Capture) -> Dict[int, Generator]:
@@ -330,7 +332,8 @@ def _training_model(name: str, grid: RankGrid, m: int,
                 rank, grid, stage, send, [(None, None)] * m, m * grid.g_data,
                 limit, schedule,
                 record=lambda r, op, key, nbytes: capture.collective(
-                    r, op, key))
+                    r, op, key),
+                concurrent_peers=concurrent_peers)
         return programs
 
     tp_groups: List[List[int]] = []
@@ -384,7 +387,8 @@ def column_model(grid: RankGrid, param_slots: Any = 1,
 def axonn_model(g_inter: int, g_data: int, microbatches: int,
                 pipeline_limit: Optional[int] = None,
                 param_slots: Any = 1, g_intra: int = 1,
-                precision: Optional[str] = None) -> CommModel:
+                precision: Optional[str] = None,
+                concurrent_peers: bool = True) -> CommModel:
     """AxoNN's message-driven Algorithm 2 — the *real*
     :func:`~repro.runtime.rankprog.inter_layer_step` generator over
     symbolic stages.  ``microbatches`` is the per-rank (per data-parallel
@@ -400,7 +404,15 @@ def axonn_model(g_inter: int, g_data: int, microbatches: int,
 
     With ``precision`` (``"fp32"`` or ``"mixed"``) the model also holds
     what every lead runs after its walk, :func:`column_model`, as its
-    :attr:`~CommModel.then` phase."""
+    :attr:`~CommModel.then` phase.
+
+    ``concurrent_peers`` is the keyword the backend binds (True: the
+    process workers', each fresh microbatch its own pass; False: the
+    cooperative trainer's, the first stage's fresh microbatches as one
+    pass).  A dense rank sends the same sequence under both; a
+    tensor-parallel lead's grouped warm-up moves its weight all-gathers
+    ahead of its forward sends, so the grouped binding is its own
+    model."""
     grid = RankGrid(g_inter, g_data, g_intra)
     m = microbatches
     if m < 1:
@@ -409,7 +421,9 @@ def axonn_model(g_inter: int, g_data: int, microbatches: int,
     model = _training_model(
         "axonn", grid, m,
         {"g_inter": g_inter, "g_data": g_data, "m": m, "limit": limit},
-        param_slots, limit=limit)
+        param_slots, limit=limit, concurrent_peers=concurrent_peers)
+    if not concurrent_peers:
+        model.config["concurrent_peers"] = False
     if precision is not None:
         model.config["precision"] = precision
         model.then = column_model(grid, param_slots, precision)
@@ -550,7 +564,7 @@ def deadlock_mutant_model(g_inter: int = 2, microbatches: int = 2,
                     capture.send(_r, dst, tag, mb, data))
             programs[rank] = inter_layer_step(
                 rank, grid, _SymbolicStage(), send, [(None, None)] * m,
-                m, limit)
+                m, limit, concurrent_peers=True)
         programs[last] = _deferred_backward_tail(capture, grid, last, m)
         return programs
 
@@ -595,7 +609,7 @@ def full_group_mutant_model(g_inter: int = 2, microbatches: int = 3,
                 _full_group_head(send, grid, rank, m, pipeline_limit)
                 if rank == 0 else inter_layer_step(
                     rank, grid, _SymbolicStage(), send, [(None, None)] * m,
-                    m, pipeline_limit))
+                    m, pipeline_limit, concurrent_peers=True))
         return programs
 
     return CommModel("axonn-full-group-mutant", grid.world_size, make,
@@ -652,6 +666,16 @@ def builtin_models(max_world: int = 8, max_microbatches: int = 4,
                     models.append(axonn_model(g_inter, g_data, m,
                                               g_intra=g_intra))
                     add_schedules(g_inter, g_data, m, g_intra)
+                # The cooperative binding: a first stage that starts its
+                # fresh microbatches as one pass emits the group's weight
+                # all-gathers before its forward sends.  That differs from
+                # the binding above only at a real pipeline with m >= 2;
+                # deeper m adds the grouped re-injection.
+                if g_inter > 1:
+                    for m in range(2, max_microbatches + 1):
+                        models.append(axonn_model(
+                            g_inter, g_data, m, g_intra=g_intra,
+                            concurrent_peers=False))
                 # the leads' end of the batch; followers hold no state
                 models.append(axonn_model(g_inter, g_data, 1,
                                           g_intra=g_intra,

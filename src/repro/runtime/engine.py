@@ -353,6 +353,8 @@ class AxoNNTrainer:
                                           tracer=self.tracer)
             loss_scale = self.scaler.scale \
                 if self.precision == "mixed" else 1.0
+            # No rank runs until the sender yields (RankTransport._sweep),
+            # so no send starts its receiver's work early.
             programs = {}
             for rank in range(self.grid.world_size):
                 send = (lambda dst, tag, mb, data, _r=rank:
@@ -361,7 +363,7 @@ class AxoNNTrainer:
                     rank, self.grid, self.stages.get(rank), send,
                     groups[self.grid.coord_of(rank)[1]], total_mb,
                     self.pipeline_limit, sched, loss_scale, self.tracer,
-                    self._tp_record)
+                    self._tp_record, concurrent_peers=False)
             transport.run(programs)
             messages = transport.messages_sent
             # Sanity: no microbatch left in flight anywhere.  (The process

@@ -1035,12 +1035,13 @@ def _train_step_task(ctx: WorkerContext, payload: Dict[str, Any]
 def _walk(ctx: WorkerContext, stage, payload: Dict[str, Any]) -> None:
     """Drive this rank's inter-layer program for the batch over the
     rings: what :func:`rank_program` binds, for a lead (``stage``) and a
-    follower (None) alike."""
+    follower (None) alike.  Every rank has its own process, so a send can
+    start the receiver's work at once."""
     ctx.drive(rank_program(
         ctx.rank, payload["grid"], stage, ctx.send, payload["microbatches"],
         payload["total_microbatches"], payload["pipeline_limit"],
         payload["schedule"], payload["loss_scale"], ctx.tracer,
-        _worker_tp_record(ctx)))
+        _worker_tp_record(ctx), concurrent_peers=True))
 
 
 def _worker_tp_record(ctx: WorkerContext):

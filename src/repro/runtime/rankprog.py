@@ -103,7 +103,8 @@ def inter_layer_step(rank: int, grid: RankGrid, stage: PipelineStage,
                      total_microbatches: int, pipeline_limit: int,
                      loss_scale: float = 1.0,
                      tracer: Optional[Tracer] = None,
-                     tp: Optional[TPComm] = None) -> Generator:
+                     tp: Optional[TPComm] = None, *,
+                     concurrent_peers: bool) -> Generator:
     """INTER_LAYER_PARALLEL_STEP for GPU ``g^{i,j}`` (Algorithm 2).
 
     ``send`` is the transport's non-blocking send with the source rank
@@ -119,7 +120,15 @@ def inter_layer_step(rank: int, grid: RankGrid, stage: PipelineStage,
     may still be on the wire — then the ready activations as one forward
     pass.  The width is whatever has arrived: nothing waits for a group
     to fill.  The first stage injects as many fresh microbatches as it
-    just retired, one pass each (see ``inject``).
+    just retired (see ``inject``).
+
+    ``concurrent_peers`` states whether a send can start the receiver's
+    work before this rank next yields: True where every rank runs on its
+    own core (a process worker), False where no rank runs until the
+    sender yields (:class:`~repro.runtime.transport.RankTransport`).  It
+    decides only how the first stage starts fresh microbatches; every
+    other rank's passes and every rank's send sequence are the same
+    under both.
 
     With ``tp`` (a :class:`~repro.runtime.tp.TPComm`; ``g_intra > 1``),
     this rank is its tensor-parallel group's *lead*: each forward also
@@ -159,13 +168,18 @@ def inter_layer_step(rank: int, grid: RankGrid, stage: PipelineStage,
             send(next_rank, TAG_FWD, mb, out)
 
     def inject(k: int) -> None:
-        """The first stage starts the next ``k`` fresh microbatches, one
-        pass each: nothing arrived for them, so there is no group to take,
-        and each is sent on as soon as it exists — a group would hold the
-        first back until the last was done, while the next stage idles."""
-        for _ in range(min(k, len(queue))):
-            mb = queue.popleft()
-            forward([mb], [microbatches[mb][0]])
+        """The first stage starts the next ``k`` fresh microbatches.  With
+        ``concurrent_peers`` each gets its own pass and is sent on as soon
+        as it exists: the next stage starts on it while this rank runs the
+        next, where a group would hold the first back until the last was
+        done.  Without, the ``k`` reach the next stage together whatever
+        this rank does before it yields, so they run as one stacked pass.
+        """
+        fresh = [queue.popleft() for _ in range(min(k, len(queue)))]
+        width = 1 if concurrent_peers else max(len(fresh), 1)
+        for at in range(0, len(fresh), width):
+            mbs = fresh[at:at + width]
+            forward(mbs, [microbatches[mb][0] for mb in mbs])
 
     # Warm-up (lines 3-9): the first stage injects pipeline_limit
     # microbatches.
@@ -335,7 +349,8 @@ def rank_program(rank: int, grid: RankGrid, stage: Optional[PipelineStage],
                  total_microbatches: int, pipeline_limit: int,
                  schedule: Optional[Schedule], loss_scale: float = 1.0,
                  tracer: Optional[Tracer] = None,
-                 record: Optional[RecordFn] = None) -> Generator:
+                 record: Optional[RecordFn] = None, *,
+                 concurrent_peers: bool) -> Generator:
     """GPU ``rank``'s program for a batch's inter-layer phase: the one
     binding of the walks above that both backends call.
 
@@ -347,7 +362,10 @@ def rank_program(rank: int, grid: RankGrid, stage: Optional[PipelineStage],
     group's lead, sending the pieces a
     :class:`~repro.runtime.tp.ShardMap` of its dense stage names.
     ``record(rank, op, key, nbytes)`` is the backend's sink for the
-    group's collectives.
+    group's collectives.  ``concurrent_peers`` is the backend's answer
+    to whether a send can start the receiver's work before this rank
+    next yields (see :func:`inter_layer_step`); the static walk and a
+    follower ignore it.
     """
     tp = None
     if grid.g_intra > 1:
@@ -362,4 +380,5 @@ def rank_program(rank: int, grid: RankGrid, stage: Optional[PipelineStage],
                           loss_scale=loss_scale, tracer=tracer, tp=tp)
     return inter_layer_step(rank, grid, stage, send, microbatches,
                             total_microbatches, pipeline_limit,
-                            loss_scale=loss_scale, tracer=tracer, tp=tp)
+                            loss_scale=loss_scale, tracer=tracer, tp=tp,
+                            concurrent_peers=concurrent_peers)

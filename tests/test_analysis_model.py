@@ -62,6 +62,20 @@ class TestSkeletons:
     def test_describe_names_the_config(self):
         assert axonn_model(2, 1, 2).describe() == \
             "axonn[g_inter=2,g_data=1,m=2,limit=2]"
+        assert axonn_model(2, 1, 2, concurrent_peers=False).describe() == \
+            "axonn[g_inter=2,g_data=1,m=2,limit=2,concurrent_peers=False]"
+
+    @pytest.mark.parametrize("g_inter,g_data,m", [(2, 1, 4), (3, 2, 4)])
+    def test_dense_skeleton_is_the_same_under_both_bindings(
+            self, g_inter, g_data, m):
+        """A dense rank sends the same sequence whether the first stage
+        starts its fresh microbatches one pass each (process workers) or
+        as one pass (cooperative), so one proof covers both backends."""
+        def skeleton(concurrent_peers):
+            sk = extract_skeleton(axonn_model(
+                g_inter, g_data, m, concurrent_peers=concurrent_peers))
+            return sk.ops, sk.channels
+        assert skeleton(True) == skeleton(False)
 
 
 class TestCheckerSweep:
@@ -73,12 +87,13 @@ class TestCheckerSweep:
         order, over EVERY interleaving."""
         models = builtin_models(max_world=8, max_microbatches=4)
         # 80 (grid, m) configs x (AxoNN + every schedule accepting them)
-        # + 4D (AxoNN and every single-chunk schedule at g_intra 2 and 4)
+        # + 4D (AxoNN and every single-chunk schedule at g_intra 2 and 4,
+        # and AxoNN's cooperative binding at every real pipeline, m 2..4)
         # + serve: each schedule is proved once, as compiled;
         # + Algorithm 1's column phase after the walk: 20 grids x (fp32,
         # mixed) and the 8 g_intra=2 and 3 g_intra=4 grids under mixed
         # precision.
-        assert len(models) == 587
+        assert len(models) == 602
         for model in models:
             result = check_model(model)
             assert result.ok, (
@@ -186,7 +201,7 @@ def _drain_model(m, **tail):
         head = inter_layer_step(
             0, grid, _SymbolicStage(),
             lambda dst, tag, mb, data: capture.send(0, dst, tag, mb, data),
-            [(None, None)] * m, m, 2)
+            [(None, None)] * m, m, 2, concurrent_peers=True)
         return {0: head, 1: _tail(
             lambda dst, tag, mb, data: capture.send(1, dst, tag, mb, data),
             m, **tail)}
@@ -234,6 +249,22 @@ class Test4DTensorParallel:
                                              g_intra=g_intra))
             assert result.ok, (g_inter, g_data, g_intra, result.violations)
             assert result.collectives_consistent
+
+    def test_grouped_lead_is_its_own_model(self):
+        """A tensor-parallel lead that starts its fresh microbatches as
+        one pass emits both weight all-gathers before both forward sends:
+        a different skeleton, proved beside the one-pass-each binding."""
+        def sends(concurrent_peers):
+            model = axonn_model(2, 1, 2, g_intra=2,
+                                concurrent_peers=concurrent_peers)
+            assert check_model(model).ok
+            return [(o.peer, o.tag, o.microbatch)
+                    for o in extract_skeleton(model).ops[0]
+                    if o.kind == "send"][:4]
+        assert sends(True) == [(1, "tp_wgt", 0), (2, "forward", 0),
+                               (1, "tp_wgt", 1), (2, "forward", 1)]
+        assert sends(False) == [(1, "tp_wgt", 0), (1, "tp_wgt", 1),
+                                (2, "forward", 0), (2, "forward", 1)]
 
     def test_followers_marked_as_sinks(self):
         from repro.runtime.grid import RankGrid

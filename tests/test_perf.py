@@ -70,10 +70,12 @@ class TestCounters:
     def test_hybrid_step_runs_what_arrived_together_as_one_pass(self):
         """The spine's 2x2 microbatch-1 step (8 microbatches per pipeline,
         two in flight): each last stage takes the pair of activations that
-        arrive together as one stacked pass, so the step makes 408 fused
-        kernel calls where a pass per microbatch made 560 (the first
-        stage starts its fresh microbatches one pass each), and the
-        stages build no autograd graph."""
+        arrive together as one stacked pass, and on this cooperative
+        backend each first stage starts its pair of fresh microbatches as
+        one pass too, so its backward covers the pair.  The step makes 280
+        fused kernel calls where a pass per microbatch made 560 (408 while
+        the first stage ran one pass per fresh microbatch), and the stages
+        build no autograd graph."""
         cfg = GPTConfig(vocab_size=64, seq_len=32, n_layer=4, n_head=4,
                         hidden=64)
         rng = np.random.default_rng(0)
@@ -86,7 +88,7 @@ class TestCounters:
             snap = counters.snapshot()
         assert snap.pop("graph_nodes", 0) == 0
         assert sum(n for key, n in snap.items()
-                   if not key.startswith("tp.")) == 408
+                   if not key.startswith("tp.")) == 280
         assert pass_widths(tracer.spans) == {
-            0: {1: 16}, 1: {2: 8}, 2: {1: 16}, 3: {2: 8}}
+            0: {2: 8}, 1: {2: 8}, 2: {2: 8}, 3: {2: 8}}
 

@@ -625,6 +625,55 @@ def test_workers_trace_the_column_reduce_and_their_step():
         assert {s.stream for s in steps} == {"compute"}
 
 
+class TestFreshMicrobatchWidth:
+    """The one thing the two backends bind differently in Algorithm 2
+    (``rank_program(concurrent_peers=...)``): how the first stage starts
+    its fresh microbatches.  Losses agree bit for bit either way."""
+
+    CFG = GPTConfig(vocab_size=19, seq_len=8, n_layer=4, n_head=2,
+                    hidden=12, dropout=0.1, init_seed=11)
+
+    def run(self, backend, g_inter=2, pipeline_limit=None, m=12):
+        """(loss, the first stage's compute spans) of one traced batch of
+        ``m`` one-row microbatches, with activation checkpointing."""
+        tracer = Tracer()
+        trainer = AxoNNTrainer(self.CFG, g_inter=g_inter, g_data=1,
+                               microbatch_size=1,
+                               pipeline_limit=pipeline_limit,
+                               checkpoint_activations=True, tracer=tracer,
+                               backend=backend)
+        x, y = np.random.default_rng(0).integers(
+            0, self.CFG.vocab_size, (2, m, self.CFG.seq_len))
+        try:
+            loss = trainer.train_batch(x, y).loss
+        finally:
+            trainer.close()
+        return loss, [s for s in tracer.spans
+                      if s.rank == 0 and s.category == "compute"]
+
+    def test_process_first_stage_forwards_are_one_wide(self):
+        """On real processes each fresh microbatch is its own pass, sent
+        on as soon as it exists: a group would hold the first back while
+        the next stage idles, which locked a two-stage pipeline into
+        alternating pairs (x0.61)."""
+        loss, first = self.run("process")
+        fwds = [s for s in first if s.name.startswith("fwd")]
+        assert len(fwds) == 12
+        assert {s.with_meta()["width"] for s in fwds} == {1}
+        assert loss == self.run("cooperative")[0]
+
+    @pytest.mark.parametrize("g_inter,limit", [(2, 2), (3, 3), (2, 4)])
+    def test_cooperative_first_stage_passes_are_pipeline_limit_wide(
+            self, g_inter, limit):
+        """No rank runs until the sender yields, so the fresh
+        microbatches reach the next stage together anyway: the first
+        stage runs each injection as one pass, and its backward covers
+        the same group."""
+        _, first = self.run("cooperative", g_inter, limit)
+        assert len(first) == 2 * 12 // limit
+        assert {s.with_meta()["width"] for s in first} == {limit}
+
+
 def test_column_rings_hold_every_contribution():
     """Column peers push all their contributions before reading: a ring
     smaller than that would leave two peers blocked on each other's
