@@ -254,6 +254,15 @@ def test_followers_only_receive(backend, g_intra):
 # send order, into one sha256 over (source, destination, tag,
 # microbatch, dtype, shape, bytes).  Nothing here may be re-recorded by
 # a refactor.
+#
+# Re-recorded once, when the cooperative first stage began to start its
+# fresh microbatches as one pass: its backward then covers the pair, so
+# the lead's reduce-scatter for microbatch 0 carries the pair's
+# accumulated gradient (the bytes it sent for microbatch 1 before).
+# Losses, counters, the order of every TP message and every other
+# payload held.  The digests were, for 2x1x2_fp32 and 2x1x3_mixed:
+#   14dabc37dc6565ea96ea7fe9f83b41845f84a5a2af15b77fe10e699e8b3282cc
+#   3e23c356bcc8adc7201b7f841e5083e8b521e61adb6142e94d8cab24a8cf5542
 
 
 class PayloadTap(RankTransport):
@@ -309,12 +318,12 @@ PINS = {
         [2.937518000602722, 2.945221781730652],
         {"tp.allgather": 16, "tp.allgather_bytes": 64512,
          "tp.reduce_scatter": 16, "tp.reduce_scatter_bytes": 51456},
-        "14dabc37dc6565ea96ea7fe9f83b41845f84a5a2af15b77fe10e699e8b3282cc"),
+        "f0aaf25ec69a48c07398245e34dd75d137a3450d3dce51c32c03ca092b38354f"),
     "2x1x3_mixed": (
         [2.937518000602722, 2.945221781730652],
         {"tp.allgather": 24, "tp.allgather_bytes": 154624,
          "tp.reduce_scatter": 24, "tp.reduce_scatter_bytes": 77312},
-        "3e23c356bcc8adc7201b7f841e5083e8b521e61adb6142e94d8cab24a8cf5542"),
+        "509210171049423b69e52bb223252dc6f09aee8dc5d14400ebba241d97de48e2"),
     "2x1x2_fp32_1f1b": (
         [2.937518000602722, 2.945221781730652],
         {"tp.allgather": 16, "tp.allgather_bytes": 64512,
