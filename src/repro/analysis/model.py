@@ -406,13 +406,10 @@ def axonn_model(g_inter: int, g_data: int, microbatches: int,
     what every lead runs after its walk, :func:`column_model`, as its
     :attr:`~CommModel.then` phase.
 
-    ``concurrent_peers`` is the keyword the backend binds (True: the
-    process workers', each fresh microbatch its own pass; False: the
-    cooperative trainer's, the first stage's fresh microbatches as one
-    pass).  A dense rank sends the same sequence under both; a
-    tensor-parallel lead's grouped warm-up moves its weight all-gathers
-    ahead of its forward sends, so the grouped binding is its own
-    model."""
+    ``concurrent_peers`` is the binding's keyword (True: the process
+    workers'; False: the cooperative trainer's).  Only a
+    tensor-parallel lead's skeleton differs between the two: its grouped
+    warm-up emits both weight all-gathers before its forward sends."""
     grid = RankGrid(g_inter, g_data, g_intra)
     m = microbatches
     if m < 1:
