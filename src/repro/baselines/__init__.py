@@ -5,29 +5,14 @@ A baseline is not a second model: ``AxoNNConfig(framework="megatron" |
 grid model (:data:`repro.core.config.FRAMEWORKS`), and
 :func:`~repro.core.check_memory`, :func:`~repro.core.stage_costs`,
 :func:`~repro.core.estimate_batch_time` and :class:`~repro.core.BatchResult`
-serve all three frameworks.  What stays here:
-
-* :func:`simulate_baseline_batch` — one batch of the static walk, whose
-  order :func:`~repro.sched.flushing_order` builds and which
-  ``AxoNNTrainer(schedule="1f1b")`` runs with real numerics;
-* :mod:`.intra_layer` — Shoeybi et al.'s tensor-parallel layers with real
-  numerics, counting the collectives the cost model charges.
+serve all three frameworks — Megatron-LM's tensor parallelism included,
+priced by its per-layer activation all-reduces
+(:data:`~repro.core.phases.MEGATRON_FWD_ALLREDUCES_PER_LAYER`).  What
+stays here is :func:`simulate_baseline_batch`: one batch of the static
+walk, whose order :func:`~repro.sched.flushing_order` builds and which
+``AxoNNTrainer(schedule="1f1b")`` runs with real numerics.
 """
 
-from .intra_layer import (
-    ColumnParallelLinear,
-    CommCounter,
-    RowParallelLinear,
-    TensorParallelAttention,
-    TensorParallelMLP,
-)
 from .frameworks import simulate_baseline_batch
 
-__all__ = [
-    "ColumnParallelLinear",
-    "CommCounter",
-    "RowParallelLinear",
-    "TensorParallelAttention",
-    "TensorParallelMLP",
-    "simulate_baseline_batch",
-]
+__all__ = ["simulate_baseline_batch"]

@@ -41,7 +41,18 @@ __all__ = ["StageCost", "stage_costs", "stage_pass", "run_pipeline_phase",
            "run_pipeline_phase_all_rows", "ColumnLink", "column_link",
            "column_allreduce_time", "step_time",
            "run_data_parallel_and_optimizer", "optimizer_time_on_gpu",
-           "offload_bucket_time", "jitter_factor"]
+           "offload_bucket_time", "jitter_factor",
+           "MEGATRON_FWD_ALLREDUCES_PER_LAYER",
+           "MEGATRON_BWD_ALLREDUCES_PER_LAYER"]
+
+#: Megatron-LM's activation all-reduces per transformer layer and
+#: microbatch on its tensor-parallel group (Shoeybi et al., arXiv
+#: 1909.08053, Section 3): the ``g`` after the attention's and after the
+#: MLP's row-parallel linear in forward; in backward their conjugate
+#: ``f``s, plus the two ``g``s again when activation recompute replays
+#: the forward.
+MEGATRON_FWD_ALLREDUCES_PER_LAYER = 2
+MEGATRON_BWD_ALLREDUCES_PER_LAYER = 4
 
 
 def jitter_factor(sigma: float, seed: int, stage: int, microbatch: int,
@@ -126,8 +137,9 @@ def stage_costs(cfg: AxoNNConfig,
       intra-node whenever it fits on one;
     * ``"split"`` (Megatron-LM, DeepSpeed): the head and embeddings split
       too, and each pass pays NCCL all-reduces of the activation on
-      NVLink — 2 per layer forward, 4 in backward and recompute, plus 1 /
-      2 for the head.
+      NVLink — :data:`MEGATRON_FWD_ALLREDUCES_PER_LAYER` per layer
+      forward, :data:`MEGATRON_BWD_ALLREDUCES_PER_LAYER` in backward and
+      recompute, plus 1 / 2 for the head.
 
     At ``g_intra == 1`` the two tables are equal.  The serial extras
     (p2p handling plus the group's collectives) need ``machine``'s
@@ -169,9 +181,11 @@ def stage_costs(cfg: AxoNNConfig,
                 if split:
                     ar = coll.allreduce_time(act_bytes, g_intra,
                                              intra_node=True)
-                    fwd_extra = (2 * n_layers * ar
+                    fwd_extra = (MEGATRON_FWD_ALLREDUCES_PER_LAYER
+                                 * n_layers * ar
                                  + (ar if last else 0.0)) + handling
-                    bwd_extra = (4 * n_layers * ar
+                    bwd_extra = (MEGATRON_BWD_ALLREDUCES_PER_LAYER
+                                 * n_layers * ar
                                  + (2 * ar if last else 0.0)) + handling
                 else:
                     # fp32 weights of the shards each peer lacks, per

@@ -4,9 +4,9 @@ One convention splits every sharded dimension in the package: ``n``
 items over ``k`` shards, sizes differing by at most one, larger shards
 first.  :func:`split_sizes` is that convention; the functional runtime
 splits layer slots (:func:`~repro.runtime.stage.partition_layers`) and
-attention heads / MLP columns (:mod:`repro.runtime.tp`,
-:mod:`repro.baselines.intra_layer`) with it, and the performance model
-splits transformer layers over pipeline stages with it.
+attention heads / MLP columns (:mod:`repro.runtime.tp`) with it, and
+the performance model splits transformer layers over pipeline stages
+with it.
 
 The paper's activation-checkpointing rule lives here too:
 :func:`optimal_checkpoint_interval` computes ``ac = sqrt(N)`` (Eq. 1) as

@@ -9,6 +9,8 @@ from repro.baselines import simulate_baseline_batch
 from repro.cluster import Machine, summit
 from repro.core import (AxoNNConfig, WEAK_SCALING_MODELS, check_memory,
                         simulate_batch, stage_costs)
+from repro.core.phases import (MEGATRON_BWD_ALLREDUCES_PER_LAYER,
+                               MEGATRON_FWD_ALLREDUCES_PER_LAYER)
 from repro.sched import (BWD, FWD, build_schedule, flushing_order,
                          ir_bubble_fraction, peak_resident_activations)
 from repro.sched.des import simulate_schedule
@@ -176,6 +178,29 @@ class TestStageCosts:
         costs = stage_costs(ds_cfg(), m)
         assert costs[0].fwd_extra_s > m.cal.p2p_handling_overhead
         assert costs[0].bwd_extra_s > costs[0].fwd_extra_s
+
+    def test_split_extras_are_megatrons_allreduce_budget(self):
+        """Under the ``"split"`` policy a stage's serial extras are
+        Megatron-LM's activation all-reduces and one p2p handling: the
+        named per-layer budget (2 forward, 4 backward and recompute)
+        times the stage's layers, plus 1 / 2 for the head."""
+        assert MEGATRON_FWD_ALLREDUCES_PER_LAYER == 2
+        assert MEGATRON_BWD_ALLREDUCES_PER_LAYER == 4
+        m = Machine(spec=summit(8))
+        for cfg in (ds_cfg(), mg_cfg()):
+            ar = m.cal.backend(cfg.backend_coll).allreduce_time(
+                SPEC.activation_message_bytes(cfg.microbatch_size),
+                cfg.g_intra, intra_node=True)
+            handling = m.cal.p2p_handling_overhead
+            costs = stage_costs(cfg, m)
+            for cost in costs:
+                head = cost.stage == cfg.g_inter - 1
+                assert cost.fwd_extra_s == pytest.approx(
+                    (MEGATRON_FWD_ALLREDUCES_PER_LAYER * cost.n_block_layers
+                     + head) * ar + handling, rel=1e-12)
+                assert cost.bwd_extra_s == pytest.approx(
+                    (MEGATRON_BWD_ALLREDUCES_PER_LAYER * cost.n_block_layers
+                     + 2 * head) * ar + handling, rel=1e-12)
 
     def test_no_collectives_without_intra(self):
         m = Machine(spec=summit(8))
