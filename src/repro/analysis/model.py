@@ -325,7 +325,8 @@ def _training_model(name: str, grid: RankGrid, m: int,
         for rank in range(grid.world_size):
             send = (lambda dst, tag, mb, data, _r=rank:
                     capture.send(_r, dst, tag, mb, data,
-                                 plane=_TP_PLANES.get(tag, P2P)))
+                                 plane=_TP_PLANES.get(tag.partition("@")[0],
+                                                      P2P)))
             stage = _SymbolicStage(n_virtual) \
                 if grid.is_tp_lead(rank) else None
             programs[rank] = rank_program(
@@ -343,7 +344,7 @@ def _training_model(name: str, grid: RankGrid, m: int,
         tp_groups = [grid.tp_group(i, j) for j in range(grid.g_data)
                      for i in range(grid.g_inter)]
         # TP followers run tp_follower_step: always `yield RECV` ("any"),
-        # never a send, done after 2m deliveries in any order.
+        # never a send, done after 2m deliveries per chunk in any order.
         sinks = frozenset(r for r in range(grid.world_size)
                           if not grid.is_tp_lead(r))
     return CommModel(name, grid.world_size, make,
@@ -441,8 +442,7 @@ def scheduled_model(schedule: Any, g_inter: int, g_data: int,
     the identical deadlock-freedom / complete-matching proof, of the walk
     that runs; ``g_intra > 1`` adds the tensor-parallel axis exactly as
     in :func:`axonn_model`.  Raises ``ValueError`` for grids the builder
-    rejects (e.g. interleaved needs ``microbatches % g_inter == 0``) or
-    the trainer refuses (several chunks per rank with ``g_intra > 1``).
+    rejects (e.g. interleaved needs ``microbatches % g_inter == 0``).
     """
     grid = RankGrid(g_inter, g_data, g_intra)
     m = microbatches
@@ -455,10 +455,6 @@ def scheduled_model(schedule: Any, g_inter: int, g_data: int,
         sched, schedule = schedule, schedule.name
     else:
         sched = build_schedule(schedule, g_inter, m)
-    if sched.n_chunks > 1 and g_intra > 1:
-        raise ValueError(f"schedule {schedule} places {sched.n_chunks} "
-                         f"chunks on a rank; no tensor-parallel shard "
-                         f"runs that")
     return _training_model(
         f"sched-{schedule}", grid, m,
         {"g_inter": g_inter, "g_data": g_data, "m": m}, param_slots, sched)
@@ -625,9 +621,8 @@ def builtin_models(max_world: int = 8, max_microbatches: int = 4,
     def add_schedules(g_inter: int, g_data: int, m: int,
                       g_intra: int = 1) -> None:
         # Every shipped IR schedule through the real compiler; a grid a
-        # schedule rejects (interleaved: m % g_inter != 0, a depth-one
-        # pipeline, or a tensor-parallel axis) is skipped, not
-        # special-cased.
+        # schedule rejects (interleaved: m % g_inter != 0 or a depth-one
+        # pipeline) is skipped, not special-cased.
         for sched_name in ("axonn", "1f1b", "gpipe", "interleaved", "zb-h1"):
             try:
                 models.append(scheduled_model(sched_name, g_inter, g_data, m,

@@ -182,6 +182,12 @@ class Block(Module):
     on a member-stacked group without a graph: the pipeline stage's
     pass over the microbatches that have arrived together."""
 
+    #: when a dict, :meth:`group_backward` also files each parameter's
+    #: member-stacked gradient in it, keyed by the parameter (a
+    #: tensor-parallel lead's :class:`~repro.runtime.tp.ShardMap` reads
+    #: each microbatch's own gradient there)
+    member_grads: Optional[dict] = None
+
     def __init__(self, cfg: GPTConfig, rng: np.random.Generator):
         super().__init__()
         self.ln1 = LayerNorm(cfg.hidden)
@@ -218,6 +224,10 @@ class Block(Module):
         adds the parameter gradients member by member, returns the input
         gradient."""
         dx, grads = F.block_backward(g, saved, members)
+        if self.member_grads is not None:
+            # copies: adding member 0 may hand its bytes to ``.grad``
+            self.member_grads.update(
+                (p, grad.copy()) for p, grad in zip(self._weights(), grads))
         F.accumulate_members(self._weights(), grads)
         return dx
 

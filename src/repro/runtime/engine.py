@@ -266,12 +266,6 @@ class AxoNNTrainer:
                     f"{', '.join(SCHEDULE_NAMES)}")
             self.schedule_name = schedule
             self.n_virtual = schedule_chunks(schedule) * g_inter
-        if self.n_virtual > g_inter and self.grid.g_intra > 1:
-            raise ValueError(
-                f"schedule {self.schedule_name!r} places "
-                f"{self.n_virtual // g_inter} chunks on a rank, and there "
-                f"is no chunked tensor-parallel protocol: run it with "
-                f"g_intra=1 or pick a single-chunk schedule")
         if self.n_virtual > num_layer_slots(self.cfg):
             raise ValueError(
                 f"{self.n_virtual} virtual stages exceed the model's "
@@ -295,8 +289,7 @@ class AxoNNTrainer:
     def _tp_record(self, rank: int, op: str, key: tuple,
                    nbytes: int) -> None:
         """Collective sink for the ``tp`` stream: protocol trace, perf
-        counters (``tp.*`` namespace, shared with
-        :class:`~repro.baselines.intra_layer.CommCounter`) and obs spans."""
+        counters (``tp.*`` namespace) and obs spans."""
         if self.recorder is not None:
             self.recorder.record_collective(rank, op, key=key)
         book_tp_counters(op, nbytes)

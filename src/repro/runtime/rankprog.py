@@ -59,8 +59,9 @@ def traced_passes(stage: PipelineStage, rank: int,
     compute span on ``rank`` carrying ``microbatches`` and ``width``,
     named ``fwd{mb}`` / ``bwd{mb}`` for a group of one (the performance
     model's event names) and ``fwd{a}+{b}+…`` for a wider group; with
-    ``tp`` (this rank leads a tensor-parallel group) every forward then
-    carries the group's weight all-gather and every backward its
+    ``tp`` (this rank leads a tensor-parallel group; the
+    :class:`~repro.runtime.tp.TPComm` of ``stage``'s chunk) every forward
+    then carries the group's weight all-gather and every backward its
     gradient reduce-scatter, one per microbatch."""
     fwd, bwd = stage.forward, stage.backward
     if tracer is not None and tracer.enabled:
@@ -84,14 +85,12 @@ def traced_passes(stage: PipelineStage, rank: int,
 
         def fwd(mbs, *args, **kwargs):
             out = base_fwd(mbs, *args, **kwargs)
-            for mb in mbs:
-                tp.emit_weights(mb)
+            tp.emit_weights(mbs)
             return out
 
         def bwd(mbs, *args):
             g = base_bwd(mbs, *args)
-            for mb in mbs:
-                tp.emit_grads(mb)
+            tp.emit_grads(mbs)
             return g
 
     return fwd, bwd
@@ -255,16 +254,16 @@ def lower_rank(schedule: Schedule, grid: RankGrid, rank: int,
                microbatches: List[Tuple[np.ndarray, np.ndarray]],
                total_microbatches: int, loss_scale: float = 1.0,
                tracer: Optional[Tracer] = None,
-               tp: Optional[TPComm] = None) -> Generator:
+               tp: Optional[Dict[int, TPComm]] = None) -> Generator:
     """One rank's program for a static schedule: the single walk of the
     schedule's task order on this rank.
 
     ``stages`` maps virtual stage -> stage object for the stages this
     rank owns (symbolic stages work too — the model checker lowers the
-    very same way).  ``send``, ``loss_scale``, ``tracer`` and ``tp`` mean
-    what they do to :func:`inter_layer_step`: with ``tp`` this rank leads
-    a tensor-parallel group and every pass carries the group's
-    collective.
+    very same way).  ``send``, ``loss_scale`` and ``tracer`` mean what
+    they do to :func:`inter_layer_step`.  With ``tp`` (virtual stage ->
+    that chunk's :class:`~repro.runtime.tp.TPComm`) this rank leads a
+    tensor-parallel group and every pass carries the group's collective.
 
     A static schedule must consume the *specific* message each receive
     task names, while a rank's inbox is one FIFO in arrival order
@@ -288,7 +287,7 @@ def lower_rank(schedule: Schedule, grid: RankGrid, rank: int,
     i, j = grid.coord_of(rank)
     last = schedule.n_virtual - 1
     divisor = float(total_microbatches)
-    passes = {v: traced_passes(stage, rank, tracer, tp)
+    passes = {v: traced_passes(stage, rank, tracer, (tp or {}).get(v))
               for v, stage in stages.items()}
 
     def tag(plane: str, v: int) -> str:
@@ -355,30 +354,34 @@ def rank_program(rank: int, grid: RankGrid, stage: Optional[PipelineStage],
     binding of the walks above that both backends call.
 
     A tensor-parallel follower (it holds no ``stage``) gets the reactive,
-    receive-only :func:`~repro.runtime.tp.tp_follower_step` over its
-    ``len(microbatches)`` passes.  Every other rank walks ``stage``: the
-    static order ``schedule`` (:func:`lower_rank`) or, when None,
-    Algorithm 2 (:func:`inter_layer_step`) — with ``g_intra > 1`` as its
-    group's lead, sending the pieces a
-    :class:`~repro.runtime.tp.ShardMap` of its dense stage names.
+    receive-only :func:`~repro.runtime.tp.tp_follower_step` over the
+    lead's passes: ``len(microbatches)`` per chunk.  Every other rank
+    walks ``stage``: the static order ``schedule`` (:func:`lower_rank`)
+    or, when None, Algorithm 2 (:func:`inter_layer_step`) — with
+    ``g_intra > 1`` as its group's lead, sending the pieces a
+    :class:`~repro.runtime.tp.ShardMap` of each dense chunk names.
     ``record(rank, op, key, nbytes)`` is the backend's sink for the
     group's collectives.  ``concurrent_peers`` is the backend's answer
     to whether a send can start the receiver's work before this rank
     next yields (see :func:`inter_layer_step`); the static walk and a
     follower ignore it.
     """
-    tp = None
+    n_chunks = 1 if schedule is None else schedule.n_chunks
+    tp: Dict[int, TPComm] = {}
     if grid.g_intra > 1:
         if not grid.is_tp_lead(rank):
             return tp_follower_step(rank, grid,
                                     TPComm(rank, grid, send, record=record),
-                                    len(microbatches))
-        tp = TPComm(rank, grid, send, ShardMap(stage, grid.g_intra), record)
+                                    n_chunks * len(microbatches))
+        tp = {v: TPComm(rank, grid, send, ShardMap(chunk, grid.g_intra),
+                        record, chunk=None if n_chunks == 1 else v)
+              for v, chunk in stage.chunks.items()}
     if schedule is not None:
         return lower_rank(schedule, grid, rank, stage.chunks, send,
                           microbatches, total_microbatches,
                           loss_scale=loss_scale, tracer=tracer, tp=tp)
     return inter_layer_step(rank, grid, stage, send, microbatches,
                             total_microbatches, pipeline_limit,
-                            loss_scale=loss_scale, tracer=tracer, tp=tp,
+                            loss_scale=loss_scale, tracer=tracer,
+                            tp=next(iter(tp.values()), None),
                             concurrent_peers=concurrent_peers)

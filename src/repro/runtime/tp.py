@@ -12,10 +12,9 @@ Bit-identity by construction ("the lead computes dense")
 --------------------------------------------------------
 The acceptance bar is that a ``g_intra > 1`` run produces losses and
 final weights *bit-identical* to the dense ``g_intra = 1`` run.  Summing
-per-shard partial products (Megatron's split-K row-parallel linear, kept
-in :mod:`repro.baselines.intra_layer` as the comparison baseline) cannot
-deliver that: float addition is non-associative, so the re-associated
-reduction drifts by ~1e-6 from the dense GEMM.  What *is* bit-exact is
+per-shard partial products (Megatron's split-K row-parallel linear)
+cannot deliver that: float addition is non-associative, so the
+re-associated reduction drifts by ~1e-6 from the dense GEMM.  What *is* bit-exact is
 concatenation: the member shards of the 4D paper's row/column split,
 put back together, are the dense array bytewise, and slicing the dense
 gradient gives exact per-shard pieces.
@@ -33,22 +32,29 @@ Lead-compute protocol
 Group member ``t = 0`` (the *lead*) holds the stage and its optimizer and
 drives the walk.  Members ``t > 0`` (*followers*) hold neither on the
 functional runtime: they are protocol participants.  After every forward
-the lead sends each follower one :data:`TAG_TP_WGT` message carrying the
-pieces that member lacks (the weight all-gather), and after every
-backward one :data:`TAG_TP_GRAD` message carrying the gradient of the
-member's own pieces (the reduce-scatter).  Followers only receive: as in
+the lead sends each follower, per microbatch of the pass, one
+:data:`TAG_TP_WGT` message carrying the pieces that member lacks (the
+weight all-gather), and after every backward one :data:`TAG_TP_GRAD`
+message per microbatch carrying that microbatch's own gradient of the
+member's pieces (the reduce-scatter).  Followers only receive: as in
 the 4D paper's collectives, nothing is acknowledged.  One message per
-peer per pass — per-layer volumes ride inside the payload — keeps the
-model checker's interleaving space small while the byte counts stay
+peer per microbatch — per-layer volumes ride inside the payload — keeps
+the model checker's interleaving space small while the byte counts stay
 real.  Both ends record the collective on their own rank under a key
 naming the group, ``(group, direction, microbatch)``; per-channel FIFO
 delivery makes every member's recorded sequence identical, which
 :func:`~repro.obs.protocol.check_collective_order` verifies.
+
+A lead that owns several chunks (an interleaved schedule) holds one
+:class:`ShardMap` and one :class:`TPComm` per chunk, and qualifies its
+tags and directions with the chunk's virtual stage (``tp_wgt@3``,
+``fwd@3``), as :func:`~repro.runtime.rankprog.lower_rank` qualifies its
+``F@3`` / ``B@3``; a single chunk's tags and keys are unqualified.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,14 +73,18 @@ __all__ = ["TAG_TP_WGT", "TAG_TP_GRAD", "ShardMap", "TPComm",
 TAG_TP_WGT = "tp_wgt"
 TAG_TP_GRAD = "tp_grad"
 
+#: tag -> the collective its message carries: (op, direction)
+_COLLECTIVES = {TAG_TP_WGT: ("tp_allgather", "fwd"),
+                TAG_TP_GRAD: ("tp_reduce_scatter", "bwd")}
+
 #: record callable signature: record(rank, op, key, nbytes)
 RecordFn = Callable[[int, str, tuple, int], None]
 
 
 def book_tp_counters(op: str, nbytes: int) -> None:
     """Book one member's record of a TP collective in the ``tp.*`` perf
-    counters (the namespace the intra-layer baseline's ``CommCounter``
-    shares): one ``tp.allgather`` / ``tp.reduce_scatter`` and its bytes."""
+    counters: one ``tp.allgather`` / ``tp.reduce_scatter`` and its
+    bytes."""
     if counters.enabled:
         kind = "allgather" if op == "tp_allgather" else "reduce_scatter"
         counters.bump(f"tp.{kind}")
@@ -103,14 +113,20 @@ class ShardMap:
     bias and ``proj`` columns of its share of the ``4 * hidden`` units.
     The LayerNorms and both projection biases are replicated (added after
     the row-parallel reduce in the 4D scheme), so no member lists them.
+
+    ``grads`` is where the stage's blocks file each parameter's
+    member-stacked gradient during a backward pass (their
+    ``member_grads``), before adding it into ``.grad``.
     """
 
     def __init__(self, stage, g_intra: int):
         self.pieces: List[List[Tuple[Parameter, tuple]]] = [
             [] for _ in range(g_intra)]
+        self.grads: Dict[Parameter, np.ndarray] = {}
         for layer in stage.layers:
             if not isinstance(layer, Block):
                 continue
+            layer.member_grads = self.grads
             attn, mlp = layer.attn, layer.mlp
             h, hd = attn.cfg.hidden, attn.cfg.head_dim
             heads = partition_layers(attn.cfg.n_head, g_intra)
@@ -131,11 +147,13 @@ class ShardMap:
         return _flat(p.data[index] for u, owned in enumerate(self.pieces)
                      if u != t for p, index in owned)
 
-    def grad_payload(self, t: int) -> np.ndarray:
-        """Reduce-scatter bytes for member ``t``: the accumulated gradient
-        of its own pieces (zeros before the first backward)."""
-        return _flat(np.zeros_like(p.data[index]) if p.grad is None
-                     else p.grad[index] for p, index in self.pieces[t])
+    def grad_payload(self, t: int, member: int) -> np.ndarray:
+        """Reduce-scatter bytes for member ``t``: the gradient of its own
+        pieces that member ``member`` of the last backward pass computed —
+        that microbatch's own, bit for bit what a width-1 backward of it
+        computes (DESIGN.md section 9)."""
+        return _flat(self.grads[p][member][index]
+                     for p, index in self.pieces[t])
 
 
 def _flat(arrays: Iterable[np.ndarray]) -> np.ndarray:
@@ -149,9 +167,11 @@ class TPComm:
 
     ``send`` is the transport send with the source rank bound
     (``send(dst, tag, microbatch, data)``).  ``shards``, the lead's
-    :class:`ShardMap`, builds the message bytes (None on followers, which
-    only receive; the model checker's symbolic stage has no layers, so
-    its payloads are empty).
+    :class:`ShardMap` of one chunk, builds the message bytes (None on
+    followers, which only receive; the model checker's symbolic stage
+    has no layers, so its payloads are empty).  ``chunk``, the chunk's
+    virtual stage when the lead owns several, qualifies the tags and
+    directions.
     ``record(rank, op, key, nbytes)`` is the backend's collective sink —
     trace recorder, perf counters and obs spans on the real substrates,
     the skeleton capture in the model checker.
@@ -159,7 +179,8 @@ class TPComm:
 
     def __init__(self, rank: int, grid: RankGrid, send,
                  shards: Optional[ShardMap] = None,
-                 record: Optional[RecordFn] = None):
+                 record: Optional[RecordFn] = None,
+                 chunk: Optional[int] = None):
         self.rank = rank
         self.grid = grid
         i, j, _t = grid.coord3_of(rank)
@@ -169,6 +190,7 @@ class TPComm:
         self.send = send
         self.shards = shards
         self.record = record
+        self.at = "" if chunk is None else f"@{chunk}"
 
     def record_collective(self, op: str, direction: str, microbatch: int,
                           nbytes: int) -> None:
@@ -177,51 +199,52 @@ class TPComm:
                         (self.group_key, direction, microbatch), nbytes)
 
     # -- lead side ---------------------------------------------------------
-    def emit_weights(self, microbatch: int) -> None:
-        """The group's weight all-gather for one forward pass: one
-        :data:`TAG_TP_WGT` message per peer carrying the shards it lacks."""
-        nbytes = 0
-        for peer in self.peers:
-            t = self.grid.tp_index(peer)
-            data = self.shards.wgt_payload(t)
-            nbytes += int(data.nbytes)
-            self.send(peer, TAG_TP_WGT, microbatch, data)
-        self.record_collective("tp_allgather", "fwd", microbatch, nbytes)
+    def emit_weights(self, microbatches) -> None:
+        """The group's weight all-gather for a forward pass: per
+        microbatch, one :data:`TAG_TP_WGT` message per peer carrying the
+        shards it lacks."""
+        self._emit(TAG_TP_WGT, microbatches, lambda t, _member:
+                   self.shards.wgt_payload(t))
 
-    def emit_grads(self, microbatch: int) -> None:
-        """The group's gradient reduce-scatter for one backward pass: one
-        :data:`TAG_TP_GRAD` message per peer carrying its owned shard."""
-        nbytes = 0
-        for peer in self.peers:
-            t = self.grid.tp_index(peer)
-            data = self.shards.grad_payload(t)
-            nbytes += int(data.nbytes)
-            self.send(peer, TAG_TP_GRAD, microbatch, data)
-        self.record_collective("tp_reduce_scatter", "bwd", microbatch, nbytes)
+    def emit_grads(self, microbatches) -> None:
+        """The group's gradient reduce-scatter for a backward pass: per
+        microbatch, one :data:`TAG_TP_GRAD` message per peer carrying that
+        microbatch's gradient of the peer's own shard."""
+        self._emit(TAG_TP_GRAD, microbatches, self.shards.grad_payload)
+        self.shards.grads.clear()
+
+    def _emit(self, tag: str, microbatches, payload) -> None:
+        op, direction = _COLLECTIVES[tag]
+        for member, mb in enumerate(microbatches):
+            nbytes = 0
+            for peer in self.peers:
+                data = payload(self.grid.tp_index(peer), member)
+                nbytes += int(data.nbytes)
+                self.send(peer, tag + self.at, mb, data)
+            self.record_collective(op, direction + self.at, mb, nbytes)
 
 
 def tp_follower_step(rank: int, grid: RankGrid, comm: TPComm,
-                     total_microbatches: int) -> Generator:
+                     passes: int) -> Generator:
     """Rank program for a tensor-parallel follower (``t > 0``).
 
-    Reactive and receive-only: takes exactly ``2 * m`` messages from the
-    group lead — one weight all-gather per forward, one gradient
+    Reactive and receive-only: takes exactly ``2 * passes`` messages from
+    the group lead, where ``passes`` is the microbatches times the chunks
+    the lead runs — one weight all-gather per forward, one gradient
     reduce-scatter per backward — recording each collective under the
-    same group-named key the lead records, and sends nothing.
-    Per-channel FIFO delivery means the recorded collective sequence is
-    identical to the lead's, which the protocol verifier checks.
+    same group-named key (chunk-qualified direction included) the lead
+    records, and sends nothing.  Per-channel FIFO delivery means the
+    recorded collective sequence is identical to the lead's, which the
+    protocol verifier checks.
     """
-    expected = 2 * total_microbatches
-    for _ in range(expected):
+    for _ in range(2 * passes):
         pkt = yield RECV
-        if pkt.src != comm.lead or pkt.tag not in (TAG_TP_WGT, TAG_TP_GRAD):
+        tag, at, chunk = pkt.tag.partition("@")
+        if pkt.src != comm.lead or tag not in _COLLECTIVES:
             raise ProtocolError(
                 f"tp follower {rank} received unexpected packet {pkt}")
         data = pkt.data
         nbytes = int(data.nbytes) if data is not None else 0
-        if pkt.tag == TAG_TP_WGT:
-            comm.record_collective("tp_allgather", "fwd",
-                                   pkt.microbatch, nbytes)
-        else:
-            comm.record_collective("tp_reduce_scatter", "bwd",
-                                   pkt.microbatch, nbytes)
+        op, direction = _COLLECTIVES[tag]
+        comm.record_collective(op, direction + at + chunk, pkt.microbatch,
+                               nbytes)

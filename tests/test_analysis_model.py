@@ -93,7 +93,7 @@ class TestCheckerSweep:
         # + Algorithm 1's column phase after the walk: 20 grids x (fp32,
         # mixed) and the 8 g_intra=2 and 3 g_intra=4 grids under mixed
         # precision.
-        assert len(models) == 602
+        assert len(models) == 605
         for model in models:
             result = check_model(model)
             assert result.ok, (

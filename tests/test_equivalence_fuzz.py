@@ -14,12 +14,12 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from repro.nn import GPT, GPTConfig, generate
+from repro.nn import GPT, GPTConfig, generate, num_layer_slots
 from repro.obs.protocol import (TraceRecorder, check_match_order,
                                 check_unmatched_sends, verify_trace)
 from repro.resilience import Fault, FaultPlan, ResilientTrainer
 from repro.runtime import AxoNNTrainer, SerialTrainer
-from repro.sched import SCHEDULE_NAMES, build_schedule, schedule_chunks
+from repro.sched import SCHEDULE_NAMES, build_schedule
 from repro.serve import PipelineServer, RequestSpec, make_requests
 
 CFG = GPTConfig(vocab_size=13, seq_len=6, n_layer=3, n_head=2, hidden=8,
@@ -217,9 +217,7 @@ TP_GRIDS = [
     (1, 1, 2, 2, 4), (2, 1, 2, 2, 4), (1, 2, 2, 2, 4), (3, 1, 2, 1, 4),
 ]
 
-# every walk a tensor-parallel lead can run (there is no chunked TP shard)
-TP_SCHEDULES = (None,) + tuple(s for s in SCHEDULE_NAMES
-                               if schedule_chunks(s) == 1)
+TP_SCHEDULES = (None,) + SCHEDULE_NAMES
 
 
 @given(
@@ -234,8 +232,16 @@ def test_tensor_parallel_axis_matches_dense(grid, seed, precision, schedule):
     dropout stays on (the TP lead owns the stage's RNG state, so sharding
     the parameters must not move any draw), mixed precision is fuzzed
     too (gathered weights round-trip through the same dtypes), and so is
-    the walk — Algorithm 2 or any single-chunk static order."""
+    the walk — Algorithm 2 or any static order, interleaved chunks
+    included."""
     g_inter, g_data, g_intra, mbs, batch = grid
+    if schedule is not None:
+        try:
+            sched = build_schedule(schedule, g_inter, batch // g_data // mbs)
+        except ValueError:
+            reject()  # the builder refuses the grid
+        if sched.n_virtual > num_layer_slots(CFG_DROP):
+            reject()  # more chunks than the model has layer slots
     rng = np.random.default_rng(seed)
     batches = [(rng.integers(0, CFG_DROP.vocab_size,
                              (batch, CFG_DROP.seq_len)),

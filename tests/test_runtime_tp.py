@@ -8,6 +8,7 @@ member in the shared ``tp.*`` counter namespace, and checkpoints must
 round-trip under a TP grid (and be rejected across grid shapes).
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -26,7 +27,7 @@ from repro.runtime import (
 )
 from repro.runtime.grid import RankGrid
 from repro.runtime.stage import PipelineStage
-from repro.runtime.tp import TAG_TP_GRAD, TAG_TP_WGT, ShardMap
+from repro.runtime.tp import TAG_TP_GRAD, TAG_TP_WGT, ShardMap, TPComm
 from repro.sched import SCHEDULE_NAMES, schedule_chunks
 
 # Three heads: a 2-way TP split shards them unevenly ([2, 1]), which is
@@ -92,12 +93,12 @@ class TestBitIdentityToDense:
 
     @pytest.mark.parametrize("precision", ["fp32", "mixed"])
     @pytest.mark.parametrize("backend", ["cooperative", "process"])
-    @pytest.mark.parametrize(
-        "schedule", [s for s in SCHEDULE_NAMES if schedule_chunks(s) == 1])
+    @pytest.mark.parametrize("schedule", SCHEDULE_NAMES)
     def test_tp2_under_a_static_schedule(self, schedule, backend, precision):
         """The 4D paper's own configuration: a static order's lead
         emits the same collectives around the same passes, so sharding
-        stays invisible to the numbers under every single-chunk order."""
+        stays invisible to the numbers under every order, interleaved
+        chunks included."""
         dense_losses, dense_state = run(2, 1, 1, steps=2, schedule=schedule,
                                         precision=precision)
         tp_losses, tp_state = run(2, 1, 2, steps=2, schedule=schedule,
@@ -244,6 +245,69 @@ def test_followers_only_receive(backend, g_intra):
                 if op.kind == "send"]
 
 
+#: deep enough for interleaved's two chunks per rank at two stages
+IL_CFG = dataclasses.replace(CFG, n_layer=4)
+
+
+def run_interleaved(g_intra, backend="cooperative", transport=None):
+    """(the reports and the gathered state of two interleaved steps)"""
+    trainer = AxoNNTrainer(IL_CFG, g_inter=2, g_data=1, microbatch_size=2,
+                           g_intra=g_intra, lr=1e-3, backend=backend,
+                           schedule="interleaved")
+    if transport is not None:
+        trainer.transport_factory = lambda: transport(trainer.grid.world_size)
+    try:
+        reports = [trainer.train_batch(x, y) for x, y in make_batches(2)]
+        return reports, trainer.gather_state()
+    finally:
+        trainer.close()
+
+
+@pytest.mark.parametrize("backend", ["cooperative", "process"])
+def test_interleaved_on_a_tensor_parallel_grid(backend):
+    """A lead of two chunks serves its group per chunk: losses and
+    weights are bit-identical to the g_intra = 1 interleaved run, and the
+    batch sends the dense messages plus, per follower, chunk and
+    microbatch, one weight and one gradient message."""
+    g_inter, g_data, g_intra = 2, 1, 2
+    dense, dense_state = run_interleaved(1)
+    tp, tp_state = run_interleaved(g_intra, backend)
+    assert [r.loss for r in tp] == [r.loss for r in dense]
+    assert set(tp_state) == set(dense_state)
+    for key in dense_state:
+        np.testing.assert_array_equal(tp_state[key], dense_state[key],
+                                      err_msg=key)
+    n_chunks = schedule_chunks("interleaved")
+    for d, t in zip(dense, tp):
+        m = d.microbatches // g_data
+        assert t.messages == d.messages + \
+            2 * g_inter * g_data * m * n_chunks * (g_intra - 1)
+
+
+def test_each_chunk_sends_its_own_pieces():
+    """Every chunk has its own ShardMap and tags qualified with its
+    virtual stage: a chunk's all-gather carries the pieces of that
+    chunk's blocks only (none for the head's chunk), and its
+    reduce-scatter the gradient of the follower's pieces of them."""
+    sizes = {}
+
+    class Tap(RankTransport):
+        def send(self, src, dst, tag, microbatch, data=None):
+            if tag.startswith("tp_"):
+                sizes.setdefault(tag, set()).add(data.nbytes)
+            super().send(src, dst, tag, microbatch, data)
+
+    run_interleaved(2, transport=Tap)
+    n_virtual = 2 * schedule_chunks("interleaved")
+    want = {}
+    for v in range(n_virtual):
+        shards = ShardMap(PipelineStage(IL_CFG, v, n_virtual), 2)
+        want[f"{TAG_TP_WGT}@{v}"] = {shards.wgt_payload(1).nbytes}
+        want[f"{TAG_TP_GRAD}@{v}"] = {
+            sum(p.data[index].nbytes for p, index in shards.pieces[1])}
+    assert sizes == want
+
+
 # -- exact pins of the lead-compute protocol --------------------------------
 #
 # Recorded on the tree where the lead still held a sharded copy of its
@@ -340,3 +404,47 @@ def test_protocol_pinned(name):
 def test_process_backend_protocol_pinned():
     losses, tp, _ = run_pinned("2x1x2_fp32", backend="process")
     assert (losses, tp) == PINS["2x1x2_fp32"][:2]
+
+
+@pytest.mark.parametrize("name", ["2x1x2_fp32", "2x1x3_mixed"])
+def test_payloads_do_not_depend_on_how_passes_group(name, monkeypatch,
+                                                    tmp_path):
+    """The cooperative first stage runs its fresh microbatches as one
+    pass, a process worker one pass each; every TP message still carries
+    the same bytes on both, because a ``tp_grad`` payload is its own
+    microbatch's gradient, never the group's accumulated one — so no two
+    of a channel's reduce-scatters are equal.  Each lead logs a sha256
+    per message from inside ``TPComm`` (the process workers fork with
+    the patch)."""
+    init = TPComm.__init__
+
+    def logged(path):
+        def tapped(self, rank, grid, send, *args, **kwargs):
+            def log_and_send(dst, tag, microbatch, data):
+                digest = hashlib.sha256(
+                    np.ascontiguousarray(data).tobytes()).hexdigest()
+                with open(path, "a") as f:
+                    f.write(f"{rank} {dst} {tag} {microbatch} "
+                            f"{data.dtype.str}{data.shape} {digest}\n")
+                send(dst, tag, microbatch, data)
+            init(self, rank, grid, log_and_send, *args, **kwargs)
+        return tapped
+
+    payloads = {}
+    for backend in ("cooperative", "process"):
+        path = tmp_path / backend
+        monkeypatch.setattr(TPComm, "__init__", logged(path))
+        run_pinned(name, backend)
+        per_message = {}
+        for line in path.read_text().splitlines():
+            src, dst, tag, mb, rest = line.split(" ", 4)
+            per_message.setdefault((src, dst, tag, mb), []).append(rest)
+        payloads[backend] = per_message
+    assert payloads["cooperative"] == payloads["process"]
+    grads = {}
+    for (src, dst, tag, _mb), digests in payloads["process"].items():
+        if tag == TAG_TP_GRAD:
+            grads.setdefault((src, dst), []).extend(digests)
+    assert grads
+    for digests in grads.values():
+        assert len(set(digests)) == len(digests)

@@ -352,8 +352,6 @@ class TestCompiledBitIdentity:
         # what a static order cannot honour is refused, not ignored
         with pytest.raises(ValueError, match="pipeline_limit"):
             AxoNNTrainer(CFG, 2, 1, 2, schedule="1f1b", pipeline_limit=2)
-        with pytest.raises(ValueError, match="no chunked tensor-parallel"):
-            AxoNNTrainer(CFG, 2, 1, 2, g_intra=2, schedule="interleaved")
         fixed = AxoNNTrainer(CFG, 2, 1, 2,
                              schedule=build_schedule("1f1b", 2, 2))
         x, y = make_batches().batch(0)  # 8 rows / mbs 2 = 4 per shard, not 2
