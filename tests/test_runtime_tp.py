@@ -327,6 +327,17 @@ def test_each_chunk_sends_its_own_pieces():
 # payload held.  The digests were, for 2x1x2_fp32 and 2x1x3_mixed:
 #   14dabc37dc6565ea96ea7fe9f83b41845f84a5a2af15b77fe10e699e8b3282cc
 #   3e23c356bcc8adc7201b7f841e5083e8b521e61adb6142e94d8cab24a8cf5542
+#
+# Re-recorded again, all three, when a ``tp_grad`` payload became its own
+# microbatch's gradient instead of the accumulated ``.grad`` read after
+# the pass.  Losses, counters, the order of every TP message and every
+# ``tp_wgt`` payload held; the ``tp_grad`` payloads that moved are those
+# that had carried more than one microbatch's gradient (under 1f1b,
+# every microbatch but each step's first).  The digests were, for
+# 2x1x2_fp32, 2x1x3_mixed and 2x1x2_fp32_1f1b:
+#   f0aaf25ec69a48c07398245e34dd75d137a3450d3dce51c32c03ca092b38354f
+#   509210171049423b69e52bb223252dc6f09aee8dc5d14400ebba241d97de48e2
+#   f4cde64b3770a74a17f2ef5cba85537a21d2ef08e34601d50601670cf926f019
 
 
 class PayloadTap(RankTransport):
@@ -382,17 +393,17 @@ PINS = {
         [2.937518000602722, 2.945221781730652],
         {"tp.allgather": 16, "tp.allgather_bytes": 64512,
          "tp.reduce_scatter": 16, "tp.reduce_scatter_bytes": 51456},
-        "f0aaf25ec69a48c07398245e34dd75d137a3450d3dce51c32c03ca092b38354f"),
+        "ad28fa16387af95aca859d868495107f282b09f6dab9af7d1fcead739a33c913"),
     "2x1x3_mixed": (
         [2.937518000602722, 2.945221781730652],
         {"tp.allgather": 24, "tp.allgather_bytes": 154624,
          "tp.reduce_scatter": 24, "tp.reduce_scatter_bytes": 77312},
-        "509210171049423b69e52bb223252dc6f09aee8dc5d14400ebba241d97de48e2"),
+        "7a090d14fc135b4ccfb8219046a3c226f426550a06c44d66d84d034f2403dee3"),
     "2x1x2_fp32_1f1b": (
         [2.937518000602722, 2.945221781730652],
         {"tp.allgather": 16, "tp.allgather_bytes": 64512,
          "tp.reduce_scatter": 16, "tp.reduce_scatter_bytes": 51456},
-        "f4cde64b3770a74a17f2ef5cba85537a21d2ef08e34601d50601670cf926f019"),
+        "ed40a5a6224b78c8ce819b3f0ff81b55a56815c6fb20d19cfba2f9fd71e5f161"),
 }
 
 
