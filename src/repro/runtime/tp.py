@@ -14,10 +14,10 @@ The acceptance bar is that a ``g_intra > 1`` run produces losses and
 final weights *bit-identical* to the dense ``g_intra = 1`` run.  Summing
 per-shard partial products (Megatron's split-K row-parallel linear)
 cannot deliver that: float addition is non-associative, so the
-re-associated reduction drifts by ~1e-6 from the dense GEMM.  What *is* bit-exact is
-concatenation: the member shards of the 4D paper's row/column split,
-put back together, are the dense array bytewise, and slicing the dense
-gradient gives exact per-shard pieces.
+re-associated reduction drifts by ~1e-6 from the dense GEMM.  What *is*
+bit-exact is concatenation: the member shards of the 4D paper's
+row/column split, put back together, are the dense array bytewise, and
+slicing the dense gradient gives exact per-shard pieces.
 
 So the group lead runs the dense stage itself — the same
 :class:`~repro.runtime.stage.PipelineStage` a ``g_intra = 1`` rank
